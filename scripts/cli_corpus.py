@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""
+Capture the CLI golden corpus: build a fixed set of input files, run each
+command through `tnnflag.cli.run`, and write the inputs, the argv lists,
+the exit codes and the exact stdout to one JSON file.
+
+tests/test_cli_corpus.py replays the file and asserts byte equality, so a
+refactor that must not change CLI output is checked against the corpus as
+captured before it. Re-run this script only when an output change is
+intended:
+
+    PYTHONPATH=src python3 scripts/cli_corpus.py
+
+Every input has n <= 5, inside the default --max-n.
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import tempfile
+from fractions import Fraction
+
+from tnnflag.algebra import Trop
+from tnnflag.cli import run
+from tnnflag.perms import perm_from_str
+from tnnflag.plucker import phi, trop_phi
+from tnnflag.wiring import build_diagram
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+OUT = ROOT / "tests" / "data" / "cli_corpus.json"
+
+PRIMES = [2, 3, 5, 7, 11, 13, 17]
+
+# (file name, v, w, tropical, edit, index): one coordinate of the member
+# of cell (v, w) with prime weights is negated or deleted; each edit is the
+# first in S4 that gives the witness type in the file name
+EDITED = [
+    ("negative-coordinate.json", "1234", "1234", False, "negate", (1,)),
+    ("support-not-flag-matroid.json", "1234", "1234", False, "delete", (1,)),
+    ("no-cell.json", "1234", "1342", False, "delete", (1, 4)),
+    ("reconstruction-mismatch.json", "1234", "1342", False, "delete", (1, 3)),
+    ("unsupported-generating-index.json", "1234", "1423", False, "delete", (1, 2, 4)),
+    ("violated-tropical-relation.json", "1234", "1342", True, "delete", (1, 3)),
+    ("trop-no-cell.json", "1234", "1234", True, "delete", (1,)),
+]
+
+COMMANDS = [
+    ["cell", "1324", "4213"],
+    ["cell", "12345", "54321"],
+    ["plucker", "1324", "4213", "--weights", "weights.json"],
+    ["plucker", "1324", "4213", "--weights", "weights.json", "--tropical"],
+    ["extremal", "member.json"],
+    ["extremal", "trop-member.json"],
+    ["decide", "member.json"],
+    ["trop-decide", "trop-member.json"],
+    *[["trop-decide" if tropical else "decide", name]
+      for name, _, _, tropical, _, _ in EDITED],
+    ["relations", "4"],
+    ["relations", "4", "--three-term"],
+    ["verify", "3"],
+]
+
+
+def _member(v: str, w: str, tropical: bool):
+    v, w = perm_from_str(v), perm_from_str(w)
+    a = {j: Fraction(p) for j, p in zip(build_diagram(v, w).weight_ids(), PRIMES)}
+    if tropical:
+        return trop_phi(v, w, {j: Trop(x) for j, x in a.items()})
+    return phi(v, w, a)
+
+
+def input_files() -> dict[str, dict]:
+    files = {
+        "weights.json": {"1": "2", "2": "3", "4": "5"},
+        "member.json": _member("1324", "4213", False).to_json_dict(),
+        "trop-member.json": _member("1324", "4213", True).to_json_dict(),
+    }
+    for name, v, w, tropical, edit, index in EDITED:
+        vec = _member(v, w, tropical)
+        if edit == "delete":
+            del vec.coords[index]
+        elif tropical:
+            vec.coords[index] = Trop(-vec.coords[index].value)
+        else:
+            vec.coords[index] = -vec.coords[index]
+        files[name] = vec.to_json_dict()
+    return files
+
+
+def main() -> None:
+    files = input_files()
+    cases = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, obj in files.items():
+            (pathlib.Path(tmp) / name).write_text(json.dumps(obj, sort_keys=True))
+        for argv in COMMANDS:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = run([str(pathlib.Path(tmp) / a) if a in files else a
+                            for a in argv])
+            cases.append({"argv": argv, "exit": code, "stdout": buf.getvalue()})
+    OUT.parent.mkdir(parents=True, exist_ok=True)
+    OUT.write_text(json.dumps({"files": files, "cases": cases},
+                              indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(cases)} cases to {OUT}")
+
+
+if __name__ == "__main__":
+    main()

@@ -14,7 +14,7 @@ Fraction(-2, 1)
 __all__ = [
     "Rational", "Trop", "TROP_INF", "LaurentMonomial",
     "rat_from_str", "rat_to_str", "trop_from_str", "trop_to_str",
-    "determinant", "eval_monomial", "trop_eval_monomial",
+    "determinant", "eval_monomial",
     "monomial_mul", "monomial_div",
 ]
 
@@ -41,13 +41,17 @@ def rat_to_str(x: Fraction) -> str:
 
 @dataclass(frozen=True)
 class Trop:
-    """An element of Q u {inf}; ``value is None`` encodes +infinity.
+    """An element of the semiring Q u {inf}; ``value is None`` encodes
+    +infinity, the tropical zero, and Trop(0) is the tropical one.
 
-    Multiplication is tropical (value addition); use min() for tropical
-    addition -- comparisons place inf above every rational.
+    ``+`` is min, ``*`` and ``/`` add and subtract values, and ``**`` is
+    scaling, so code written with ``+ * / **`` runs on Fraction and on Trop
+    alike. Comparisons place inf above every rational.
 
-    >>> min(Trop.of(3), TROP_INF)
+    >>> Trop.of(3) + TROP_INF
     Trop(value=Fraction(3, 1))
+    >>> trop_to_str(Trop.of(3) ** -2 / Trop.of(1))
+    '-7'
     """
     value: Fraction | None
 
@@ -58,6 +62,9 @@ class Trop:
     @property
     def is_inf(self) -> bool:
         return self.value is None
+
+    def __add__(self, other: "Trop") -> "Trop":
+        return other if other < self else self
 
     def __mul__(self, other: "Trop") -> "Trop":
         if self.is_inf or other.is_inf:
@@ -82,8 +89,17 @@ class Trop:
             return TROP_INF
         return Trop(k * self.value)
 
+    __pow__ = scale
+
     def _key(self):
         return (1,) if self.is_inf else (0, self.value)
+
+    def __eq__(self, other) -> bool:
+        # inf is never compared with a Fraction, which is slow
+        if not isinstance(other, Trop):
+            return NotImplemented
+        a, b = self.value, other.value
+        return a is b or (a is not None and b is not None and a == b)
 
     def __lt__(self, other: "Trop") -> bool:
         return self._key() < other._key()
@@ -138,19 +154,6 @@ def eval_monomial(m: LaurentMonomial, assignment: Mapping[Hashable, Fraction]) -
         if base == 0 and e < 0:
             raise ZeroDivisionError("zero raised to a negative power")
         out *= Fraction(base) ** e
-    return out
-
-
-def trop_eval_monomial(m: LaurentMonomial, assignment: Mapping[Hashable, Trop]) -> Trop:
-    """Min-plus image of the monomial: sum e_j * x_j (coefficient ignored).
-
-    >>> trop_eval_monomial(LaurentMonomial(Fraction(1), {1: 1, 2: -1}),
-    ...                    {1: Trop.of(5), 2: Trop.of(3)})
-    Trop(value=Fraction(2, 1))
-    """
-    out = Trop(Fraction(0))
-    for key, e in m.exponents.items():
-        out = out * assignment[key].scale(e)
     return out
 
 

@@ -35,7 +35,7 @@ def _perm(s: str) -> Perm:
     try:
         return perm_from_str(s)
     except ValueError as exc:
-        raise SystemExit(f"error: bad permutation {s!r}: {exc}") from exc
+        raise _Malformed(f"bad permutation {s!r}: {exc}") from exc
 
 
 def _load_json(path: str) -> dict:
@@ -54,8 +54,7 @@ def _cell_pair(args) -> tuple[Perm, Perm]:
     v, w = _perm(args.v), _perm(args.w)
     if len(v) != len(w):
         raise _Malformed("v and w must have the same length")
-    if len(v) - 1 > args.max_n:
-        raise _Malformed(f"n={len(v)} exceeds --max-n={args.max_n}")
+    _guard_n(len(v), args)
     if not bruhat_leq(v, w):
         raise _Malformed(f"{perm_to_str(v)} is not <= {perm_to_str(w)} "
                          "in Bruhat order")
@@ -100,17 +99,20 @@ def _cmd_plucker(args) -> int:
 
 def _load_vector(path: str):
     obj = _load_json(path)
+    if not isinstance(obj, dict):
+        raise _Malformed(f"bad vector file {path}: top level is not a JSON object")
     try:
         if obj.get("mode") == "tropical":
             return TropPlueckerVector.from_json_dict(obj)
         return PlueckerVector.from_json_dict(obj)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError,
+            ZeroDivisionError) as exc:
         raise _Malformed(f"bad vector file {path}: {exc}") from exc
 
 
 def _guard_n(n: int, args) -> None:
-    if n > args.max_n + 1:
-        raise _Malformed(f"n={n} exceeds --max-n={args.max_n} + 1")
+    if n > args.max_n:
+        raise _Malformed(f"n={n} exceeds --max-n={args.max_n}")
 
 
 def _cmd_extremal(args) -> int:
@@ -140,8 +142,7 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_relations(args) -> int:
-    if args.n > args.max_n + 1:
-        raise _Malformed(f"n={args.n} exceeds --max-n={args.max_n} + 1")
+    _guard_n(args.n, args)
     rels = generate_relations(args.n, args.three_term)
     _emit({
         "n": args.n,
@@ -203,8 +204,7 @@ def _cmd_verify(args) -> int:
     import random
 
     n = args.n
-    if n > args.max_n:
-        raise _Malformed(f"n={n} exceeds --max-n={args.max_n}")
+    _guard_n(n, args)
     if n < 2:
         raise _Malformed("verify needs n >= 2")
     perms = list(all_perms(n))
@@ -255,7 +255,8 @@ def run(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for randomized verification (default 0)")
     ap.add_argument("--max-n", type=int, default=5,
-                    help="cost guard on the permutation size (default 5)")
+                    help="largest permutation size n accepted by any "
+                         "subcommand (default 5)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cell", help="diagram summary and cell dimension")

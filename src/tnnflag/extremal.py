@@ -18,18 +18,18 @@ __all__ = [
     "SupportVector", "ExtremalChain", "Generator",
     "is_supported", "xi", "xi_star", "extremal_indices",
     "extremal_index_set", "e", "cell_support", "generators", "s_vw",
-    "precedes_key",
+    "precedes_key", "flag_matroid_check",
 ]
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
+from .algebra import LaurentMonomial
 from .perms import Perm, bruhat_interval, gale_leq, inverse, length
 from .plucker import Index, PlueckerVector, TropPlueckerVector
 from .wiring import (
-    PathCollection, SignedMonomial, build_diagram, collection_weight,
-    enumerate_path_collections,
+    PathCollection, build_diagram, collection_weight, enumerate_path_collections,
 )
 
 
@@ -47,9 +47,39 @@ def is_supported(p: Supported, I) -> bool:
     I = tuple(sorted(I))
     if isinstance(p, SupportVector):
         return I in p.sets.get(len(I), frozenset())
-    if isinstance(p, TropPlueckerVector):
-        return not p.coord(I).is_inf
-    return p.coord(I) != 0
+    return p.coord(I) != p.zero
+
+
+def flag_matroid_check(support: Mapping[int, Iterable[Index]]) -> bool:
+    """Basis exchange within each size class, and the two containment
+    conditions for every pair of sizes j < k.
+    """
+    classes = {k: {tuple(sorted(B)) for B in bases}
+               for k, bases in support.items()}
+    for k, bases in classes.items():
+        if not bases:
+            return False
+        if any(len(B) != k for B in bases):
+            return False
+        for B1 in bases:
+            for B2 in bases:
+                for x in set(B1) - set(B2):
+                    rest = set(B1) - {x}
+                    if not any(tuple(sorted(rest | {y})) in bases
+                               for y in set(B2) - set(B1)):
+                        return False
+    sizes = sorted(classes)
+    for j in sizes:
+        for k in sizes:
+            if j >= k:
+                continue
+            for B in classes[j]:
+                if not any(set(B) <= set(C) for C in classes[k]):
+                    return False
+            for C in classes[k]:
+                if not any(set(B) <= set(C) for B in classes[j]):
+                    return False
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -124,11 +154,8 @@ class ExtremalChain:
 def extremal_indices(p: Supported) -> list[ExtremalChain]:
     """Per size, the Xi-orbit chain from the Gale-minimal supported index.
 
-    Requires the support to be a flag matroid (checked via the brute-force
-    verifier).
+    Requires the support to be a flag matroid (checked by basis exchange).
     """
-    from .oracle import flag_matroid_check  # late import: oracle builds on us
-
     sup = p.sets if isinstance(p, SupportVector) else p.support()
     if not flag_matroid_check(sup):
         raise ValueError("support is not a flag matroid")
@@ -158,7 +185,11 @@ def e(p: Supported, S) -> Index:
     S = tuple(sorted(S))
     if not is_supported(p, S):
         raise ValueError(f"index {S} is not supported")
-    extremals = extremal_index_set(p)
+    return _xi_walk(p, S, extremal_index_set(p))
+
+
+def _xi_walk(p: Supported, S: Index, extremals: frozenset[Index]) -> Index:
+    """Iterate Xi from the supported index S until it lands in ``extremals``."""
     cur = S
     while cur not in extremals:
         nxt = xi(p, cur)
@@ -184,7 +215,7 @@ class Generator:
     that edge's weight is newly solvable from this coordinate."""
     index: Index
     collection: PathCollection
-    monomial: SignedMonomial
+    monomial: LaurentMonomial
     new_weight_id: int | None
     in_svw: bool
 
@@ -205,7 +236,7 @@ def generators(v: Perm, w: Perm) -> tuple[Generator, ...]:
                 f"extremal index {I} admits {len(colls)} collections (bug)")
         coll = colls[0]
         mono = collection_weight(coll, d)
-        if mono.sign != 1 or any(e != 1 for e in mono.exponents.values()):
+        if mono.coefficient != 1 or any(e != 1 for e in mono.exponents.values()):
             raise AssertionError(f"extremal coordinate at {I} is not a "
                                  "plain positive monomial (bug)")
         fresh = sorted(set(mono.exponents) - used)

@@ -26,18 +26,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .algebra import (
-    TROP_INF, LaurentMonomial, Trop, eval_monomial, monomial_div,
-    rat_to_str, trop_eval_monomial, trop_to_str,
-)
+from .algebra import LaurentMonomial, Trop, monomial_div, rat_to_str, trop_to_str
 from .perms import Perm, bruhat_leq, gale_leq, inverse, perm_to_str
 from .plucker import (
     Index, PlueckerVector, TropPlueckerVector, generate_relations,
     index_to_str, phi, trop_check_relation, trop_phi,
 )
 from .extremal import (
-    SupportVector, cell_support, extremal_index_set, generators,
-    is_supported, s_vw, xi,
+    SupportVector, _xi_walk, cell_support, extremal_index_set,
+    flag_matroid_check, generators, is_supported, s_vw, xi,
 )
 from .wiring import build_diagram, enumerate_path_collections
 
@@ -129,29 +126,34 @@ def psi_monomials(v: Perm, w: Perm) -> dict[int, LaurentMonomial]:
     return solved
 
 
+def _solve_weights(v: Perm, w: Perm, p, usable, problem: str) -> dict:
+    """Evaluate the inverse monomials over p's semiring, from the
+    coordinates at the independent generating indices; each must pass
+    ``usable``, or a ValueError says it ``problem``."""
+    values = {}
+    for I in s_vw(v, w):
+        val = p.coord(I)
+        if not usable(val):
+            raise ValueError(f"coordinate at generating index {I} {problem}")
+        values[I] = val
+    weights = {}
+    for j, m in psi_monomials(v, w).items():
+        x = p.one
+        for I, e in m.exponents.items():
+            x = x * values[I] ** e
+        weights[j] = x
+    return weights
+
+
 def psi(v: Perm, w: Perm, p: PlueckerVector) -> dict[int, Fraction]:
     """Recover the cell weights from the coordinates at the independent
     generating indices (which must be strictly positive)."""
-    values: dict[Index, Fraction] = {}
-    for I in s_vw(v, w):
-        val = p.coord(I)
-        if val <= 0:
-            raise ValueError(f"coordinate at generating index {I} is not positive")
-        values[I] = val
-    return {j: eval_monomial(m, values)
-            for j, m in psi_monomials(v, w).items()}
+    return _solve_weights(v, w, p, lambda x: x > 0, "is not positive")
 
 
 def trop_psi(v: Perm, w: Perm, p: TropPlueckerVector) -> dict[int, Trop]:
     """The same Laurent monomials read min-plus (pure sums and differences)."""
-    values: dict[Index, Trop] = {}
-    for I in s_vw(v, w):
-        val = p.coord(I)
-        if val.is_inf:
-            raise ValueError(f"coordinate at generating index {I} is infinite")
-        values[I] = val
-    return {j: trop_eval_monomial(m, values)
-            for j, m in psi_monomials(v, w).items()}
+    return _solve_weights(v, w, p, lambda x: not x.is_inf, "is infinite")
 
 
 # ---------------------------------------------------------------------------
@@ -162,39 +164,41 @@ def _first_index_order(indices) -> list[Index]:
     return sorted(indices, key=lambda I: (len(I), I))
 
 
+def _reconstruct(p, psi_fn, phi_fn) -> CellCertificate:
+    """Identify the cell from the support, solve the weights of the
+    canonical vector with ``psi_fn``, and certify membership iff ``phi_fn``
+    gives the canonical vector back exactly."""
+    try:
+        v, w = identify_cell(p.support(), p.n)
+    except ValueError as exc:
+        return _non_member({"type": "no-cell", "reason": str(exc)})
+    q = p.canonicalize()
+    try:
+        weights = psi_fn(v, w, q)
+    except ValueError as exc:
+        return _non_member({"type": "unsupported-generating-index",
+                            "reason": str(exc)})
+    r = phi_fn(v, w, weights)
+    for I in _first_index_order(set(q.coords) | set(r.coords)):
+        if q.coord(I) != r.coord(I):
+            return _non_member({
+                "type": "reconstruction-mismatch", "index": index_to_str(I),
+                "input": q.render(q.coord(I)),
+                "reconstructed": q.render(r.coord(I))})
+    return CellCertificate("member", cell=(v, w), weights=weights)
+
+
 def decide_tnn(p: PlueckerVector) -> CellCertificate:
     """Decide membership in the nonnegative complete flag variety by
     reconstruction-and-compare, certifying members by (v, w, weights)."""
-    from .oracle import flag_matroid_check
-
     for I in _first_index_order(p.coords):
         if p.coords[I] < 0:
             return _non_member({"type": "negative-coordinate",
                                 "index": index_to_str(I),
                                 "value": rat_to_str(p.coords[I])})
-    support = p.support()
-    if not flag_matroid_check(support):
+    if not flag_matroid_check(p.support()):
         return _non_member({"type": "support-not-flag-matroid"})
-    try:
-        v, w = identify_cell(support, p.n)
-    except ValueError as exc:
-        return _non_member({"type": "no-cell", "reason": str(exc)})
-    q = p.canonicalize()
-    try:
-        weights = psi(v, w, q)
-    except ValueError as exc:
-        return _non_member({"type": "unsupported-generating-index",
-                            "reason": str(exc)})
-    if any(x <= 0 for x in weights.values()):
-        return _non_member({"type": "nonpositive-weight"})
-    r = phi(v, w, weights)
-    for I in _first_index_order(set(q.coords) | set(r.coords)):
-        if q.coord(I) != r.coord(I):
-            return _non_member({
-                "type": "reconstruction-mismatch", "index": index_to_str(I),
-                "input": rat_to_str(q.coord(I)),
-                "reconstructed": rat_to_str(r.coord(I))})
-    return CellCertificate("member", cell=(v, w), weights=dict(weights))
+    return _reconstruct(p, psi, phi)
 
 
 def decide_trop(p: TropPlueckerVector) -> CellCertificate:
@@ -209,56 +213,12 @@ def decide_trop(p: TropPlueckerVector) -> CellCertificate:
                 "J": index_to_str(rel.J),
                 "terms": [[sign, index_to_str(a), index_to_str(b)]
                           for sign, a, b in rel.terms]})
-    support = p.support()
-    try:
-        v, w = identify_cell(support, p.n)
-    except ValueError as exc:
-        return _non_member({"type": "no-cell", "reason": str(exc)})
-    q = p.canonicalize()
-    try:
-        x = trop_psi(v, w, q)
-    except ValueError as exc:
-        return _non_member({"type": "unsupported-generating-index",
-                            "reason": str(exc)})
-    r = trop_phi(v, w, x)
-    for I in _first_index_order(set(q.coords) | set(r.coords)):
-        if q.coord(I) != r.coord(I):
-            return _non_member({
-                "type": "reconstruction-mismatch", "index": index_to_str(I),
-                "input": trop_to_str(q.coord(I)),
-                "reconstructed": trop_to_str(r.coord(I))})
-    return CellCertificate("member", cell=(v, w), weights=dict(x))
+    return _reconstruct(p, trop_psi, trop_phi)
 
 
 # ---------------------------------------------------------------------------
 # Three-term propagation
 # ---------------------------------------------------------------------------
-
-class _ClassicalOps:
-    zero = Fraction(0)
-    @staticmethod
-    def mul(a, b):
-        return a * b
-    @staticmethod
-    def div(a, b):
-        return a / b
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-
-class _TropicalOps:
-    zero = TROP_INF
-    @staticmethod
-    def mul(a, b):
-        return a * b
-    @staticmethod
-    def div(a, b):
-        return a / b
-    @staticmethod
-    def add(a, b):
-        return min(a, b)
-
 
 def _case_c_witness(v: Perm, w: Perm, S: Index, b: int, c: int,
                     sup: SupportVector) -> tuple[int, int]:
@@ -283,7 +243,10 @@ def _case_c_witness(v: Perm, w: Perm, S: Index, b: int, c: int,
                      f"{S} (inconsistent input)")
 
 
-def _propagate(values: Mapping[Index, object], cell: tuple[Perm, Perm], ops):
+def _propagate(values: Mapping[Index, object], cell: tuple[Perm, Perm],
+               vector_type):
+    """Solve the unknown coordinates over ``vector_type``'s semiring; the
+    relations used are subtraction-free, so one pass serves both sides."""
     v, w = cell
     n = len(v)
     sup = cell_support(v, w)
@@ -297,23 +260,17 @@ def _propagate(values: Mapping[Index, object], cell: tuple[Perm, Perm], ops):
     def val(I) -> object:
         I = tuple(sorted(I))
         if not is_supported(sup, I):
-            return ops.zero
+            return vector_type.zero
         if I not in known:
             raise AssertionError(f"propagation needs {I} before it is known (bug)")
         return known[I]
 
-    def first_extremal(S: Index) -> Index:
-        cur = S
-        while cur not in extremals:
-            cur = xi(sup, cur)
-        return cur
-
     for k in range(n - 1, 0, -1):
-        pending = [S for S in sup.sets[k] if S not in extremals]
-        pending.sort(key=lambda S: (len(set(first_extremal(S)) - set(S)), sum(S), S))
-        for S in pending:
-            eS = first_extremal(S)
-            b = min(set(S) - set(eS))
+        first = {S: _xi_walk(sup, S, extremals)
+                 for S in sup.sets[k] if S not in extremals}
+        order = sorted(first, key=lambda S: (len(set(first[S]) - set(S)), sum(S), S))
+        for S in order:
+            b = min(set(S) - set(first[S]))
             it = S
             while b in it:
                 it = xi(sup, it)
@@ -329,10 +286,8 @@ def _propagate(values: Mapping[Index, object], cell: tuple[Perm, Perm], ops):
                       if is_supported(sup, tuple(sorted(S + (a,))))]
             if a_full:
                 a = max(a_full)
-                num = ops.add(
-                    ops.mul(val(sb | {c}), val(set(S) | {a})),
-                    ops.mul(val(sb | {a}), val(set(S) | {c})))
-                known[S] = ops.div(num, val(sb | {a, c}))
+                known[S] = (val(sb | {c}) * val(set(S) | {a})
+                            + val(sb | {a}) * val(set(S) | {c})) / val(sb | {a, c})
                 continue
             a_swap = [a for a in outside if is_supported(sup, tuple(sorted(sb | {a})))]
             if a_swap:
@@ -343,15 +298,12 @@ def _propagate(values: Mapping[Index, object], cell: tuple[Perm, Perm], ops):
                     raise ValueError(f"three-term propagation stuck at {S} "
                                      "(inconsistent input)")
                 dd = min(d_cands)
-                known[S] = ops.div(
-                    ops.mul(val(sb | {a}), val(set(S) | {dd})),
-                    val(sb | {a, dd}))
+                known[S] = val(sb | {a}) * val(set(S) | {dd}) / val(sb | {a, dd})
                 continue
             x, y = _case_c_witness(v, w, S, b, c, sup)
-            known[S] = ops.div(
-                ops.mul(val((set(S) - {y}) | {x}), val(sb | {c})),
-                val((set(S) - {b, y}) | {c, x}))
-    return known
+            known[S] = (val((set(S) - {y}) | {x}) * val(sb | {c})
+                        / val((set(S) - {b, y}) | {c, x}))
+    return vector_type(n, known).canonicalize()
 
 
 def propagate_three_term(values: Mapping[Index, Fraction],
@@ -359,8 +311,7 @@ def propagate_three_term(values: Mapping[Index, Fraction],
     """Rebuild every supported coordinate from the extremal values by
     solving one three-term relation per unknown (largest size first, then
     distance to the extremal chain, then Gale order)."""
-    known = _propagate(values, cell, _ClassicalOps)
-    return PlueckerVector(len(cell[0]), dict(known)).canonicalize()
+    return _propagate(values, cell, PlueckerVector)
 
 
 def trop_propagate_three_term(values: Mapping[Index, Trop],
@@ -368,8 +319,7 @@ def trop_propagate_three_term(values: Mapping[Index, Trop],
     """Min-plus version of propagate_three_term; every unknown sits alone on
     the monomial side of its relation, so no minimization is needed to
     solve for it."""
-    known = _propagate(values, cell, _TropicalOps)
-    return TropPlueckerVector(len(cell[0]), dict(known)).canonicalize()
+    return _propagate(values, cell, TropPlueckerVector)
 
 
 if __name__ == "__main__":

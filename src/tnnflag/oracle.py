@@ -3,6 +3,8 @@ Independent brute-force verifiers: exhaustive-enumeration supports, a
 subword-search Bruhat test, cofactor determinants, random flags, and
 sampled elements of the quadratic ideal. These deliberately avoid the
 library's fast code paths so they can serve as oracles in tests.
+flag_matroid_check is the library's own brute-force predicate (it lives in
+`extremal`), re-exported here.
 """
 
 __all__ = [
@@ -14,8 +16,8 @@ __all__ = [
 import itertools
 import random
 from fractions import Fraction
-from typing import Iterable, Mapping
 
+from .extremal import flag_matroid_check
 from .perms import Perm, identity, inverse, left_mult_s, right_mult_s
 from .plucker import (
     Index, PlueckerVector, all_proper_indices, generate_relations, phi,
@@ -93,38 +95,6 @@ def support_oracle(v: Perm, w: Perm, k: int) -> set[Index]:
         if bruhat_leq_oracle(vi, u) and bruhat_leq_oracle(u, wi):
             out.add(tuple(sorted(u[:k])))
     return out
-
-
-def flag_matroid_check(support: Mapping[int, Iterable[Index]]) -> bool:
-    """Basis exchange within each size class, and the two containment
-    conditions for every pair of sizes j < k.
-    """
-    classes = {k: {tuple(sorted(B)) for B in bases}
-               for k, bases in support.items()}
-    for k, bases in classes.items():
-        if not bases:
-            return False
-        if any(len(B) != k for B in bases):
-            return False
-        for B1 in bases:
-            for B2 in bases:
-                for x in set(B1) - set(B2):
-                    rest = set(B1) - {x}
-                    if not any(tuple(sorted(rest | {y})) in bases
-                               for y in set(B2) - set(B1)):
-                        return False
-    sizes = sorted(classes)
-    for j in sizes:
-        for k in sizes:
-            if j >= k:
-                continue
-            for B in classes[j]:
-                if not any(set(B) <= set(C) for C in classes[k]):
-                    return False
-            for C in classes[k]:
-                if not any(set(B) <= set(C) for B in classes[j]):
-                    return False
-    return True
 
 
 def random_flag(n: int, seed: int) -> PlueckerVector:

@@ -62,106 +62,70 @@ def all_proper_indices(n: int) -> Iterator[Index]:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PlueckerVector:
-    """Exact-rational coordinates; omitted indices are 0."""
+class _Vector:
+    """Coordinates over a semiring; omitted indices are the semiring's zero.
+    Subclasses fix the semiring (``zero``, ``one``) and the text form of a
+    coordinate (``parse``, ``render``)."""
     n: int
-    coords: dict[Index, Fraction] = field(default_factory=dict)
+    coords: dict[Index, object] = field(default_factory=dict)
 
-    def coord(self, I) -> Fraction:
-        return self.coords.get(tuple(sorted(I)), Fraction(0))
+    def coord(self, I):
+        return self.coords.get(tuple(sorted(I)), self.zero)
 
     def support(self) -> dict[int, set[Index]]:
         out: dict[int, set[Index]] = {k: set() for k in range(1, self.n)}
         for I, val in self.coords.items():
-            if val != 0:
+            if val != self.zero:
                 out[len(I)].add(I)
         return out
 
-    def canonicalize(self) -> "PlueckerVector":
-        """Scale each size block so its lexicographically minimal nonzero
-        coordinate (the Gale minimum, whenever the support is a matroid)
-        becomes 1.
+    def canonicalize(self):
+        """Divide each size block by its lexicographically minimal supported
+        coordinate (the Gale minimum, whenever the support is a matroid), so
+        that coordinate becomes one: 1 classically, 0 tropically.
         """
         sup = self.support()
-        coords: dict[Index, Fraction] = {}
+        coords: dict[Index, object] = {}
         for k in range(1, self.n):
             if not sup[k]:
                 continue
             unit = self.coord(min(sup[k]))
             for I in sup[k]:
                 coords[I] = self.coord(I) / unit
-        return PlueckerVector(self.n, coords)
+        return type(self)(self.n, coords)
 
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "mode": "classical",
-            "coords": {index_to_str(I): rat_to_str(val)
-                       for I, val in sorted(self.coords.items()) if val != 0},
+            "mode": self.mode,
+            "coords": {index_to_str(I): self.render(val)
+                       for I, val in sorted(self.coords.items())
+                       if val != self.zero},
         }
 
-    @staticmethod
-    def from_json_dict(obj: dict) -> "PlueckerVector":
-        if obj.get("mode", "classical") != "classical":
-            raise ValueError("expected a classical vector")
+    @classmethod
+    def from_json_dict(cls, obj: dict):
+        if obj.get("mode", "classical") != cls.mode:
+            raise ValueError(f"expected a {cls.mode} vector")
         n = int(obj["n"])
-        coords = {index_from_str(key): rat_from_str(val)
+        coords = {index_from_str(key): cls.parse(val)
                   for key, val in obj.get("coords", {}).items()}
         for I in coords:
             if not (0 < len(I) < n and all(1 <= i <= n for i in I)):
                 raise ValueError(f"bad index {I} for n={n}")
-        return PlueckerVector(n, {I: v for I, v in coords.items() if v != 0})
+        return cls(n, {I: v for I, v in coords.items() if v != cls.zero})
 
 
-@dataclass
-class TropPlueckerVector:
+class PlueckerVector(_Vector):
+    """Exact-rational coordinates; omitted indices are 0."""
+    mode, zero, one = "classical", Fraction(0), Fraction(1)
+    parse, render = staticmethod(rat_from_str), staticmethod(rat_to_str)
+
+
+class TropPlueckerVector(_Vector):
     """Min-plus coordinates; omitted indices are infinity."""
-    n: int
-    coords: dict[Index, Trop] = field(default_factory=dict)
-
-    def coord(self, I) -> Trop:
-        return self.coords.get(tuple(sorted(I)), TROP_INF)
-
-    def support(self) -> dict[int, set[Index]]:
-        out: dict[int, set[Index]] = {k: set() for k in range(1, self.n)}
-        for I, val in self.coords.items():
-            if not val.is_inf:
-                out[len(I)].add(I)
-        return out
-
-    def canonicalize(self) -> "TropPlueckerVector":
-        """Shift each size block so its lexicographically minimal finite
-        coordinate becomes 0."""
-        sup = self.support()
-        coords: dict[Index, Trop] = {}
-        for k in range(1, self.n):
-            if not sup[k]:
-                continue
-            unit = self.coord(min(sup[k]))
-            for I in sup[k]:
-                coords[I] = self.coord(I) / unit
-        return TropPlueckerVector(self.n, coords)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mode": "tropical",
-            "coords": {index_to_str(I): trop_to_str(val)
-                       for I, val in sorted(self.coords.items()) if not val.is_inf},
-        }
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "TropPlueckerVector":
-        if obj.get("mode") != "tropical":
-            raise ValueError("expected a tropical vector")
-        n = int(obj["n"])
-        coords = {index_from_str(key): trop_from_str(val)
-                  for key, val in obj.get("coords", {}).items()}
-        for I in coords:
-            if not (0 < len(I) < n and all(1 <= i <= n for i in I)):
-                raise ValueError(f"bad index {I} for n={n}")
-        return TropPlueckerVector(
-            n, {I: v for I, v in coords.items() if not v.is_inf})
+    mode, zero, one = "tropical", TROP_INF, Trop(Fraction(0))
+    parse, render = staticmethod(trop_from_str), staticmethod(trop_to_str)
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +316,9 @@ def trop_eval_poly_terms(poly: list[tuple[int, dict[Index, int]]],
     """
     out = []
     for coeff, mono in poly:
-        val = Trop(Fraction(0))
+        val = p.one
         for I, e in mono.items():
-            val = val * p.coord(I).scale(e)
+            val = val * p.coord(I) ** e
         out.append((coeff, val))
     return out
 

@@ -21,10 +21,10 @@ at half-integral keys between two letters.
 
 __all__ = [
     "VerticalEdge", "NegativeSegment", "WiringDiagram",
-    "Path", "PathCollection", "SignedMonomial",
+    "Path", "PathCollection",
     "build_diagram", "enumerate_path_collections", "collection_weight",
     "left_greedy_collection", "graph_extremal_collections",
-    "path_sum_matrix", "dump",
+    "path_sum_matrix",
 ]
 
 from dataclasses import dataclass
@@ -32,6 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
+from .algebra import LaurentMonomial, eval_monomial
 from .perms import (
     Perm, Word, bruhat_leq, canonical_w0_word, identity, length,
     positive_distinguished_subexpression,
@@ -109,12 +110,6 @@ class PathCollection:
     @property
     def sinks(self) -> frozenset[int]:
         return frozenset(p.sink for p in self.paths)
-
-
-@dataclass
-class SignedMonomial:
-    sign: int                       # +1 or -1, includes crossed -1 segments
-    exponents: dict[int, int]       # weight_id -> multiplicity
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +246,10 @@ def enumerate_path_collections(d: WiringDiagram, sources: Iterable[int],
     return out
 
 
-def collection_weight(c: PathCollection, d: WiringDiagram) -> SignedMonomial:
+def collection_weight(c: PathCollection, d: WiringDiagram) -> LaurentMonomial:
     """sgn of the source->sink assignment, times -1 per crossed negative
-    segment, times the product of the vertical-edge weights.
+    segment, times the product of the vertical-edge weights: a monomial in
+    the weight ids with coefficient +1 or -1.
     """
     sinks = [p.sink for p in c.paths]          # paths ordered by source label
     inversions = sum(1 for i in range(len(sinks)) for j in range(i + 1, len(sinks))
@@ -267,7 +263,7 @@ def collection_weight(c: PathCollection, d: WiringDiagram) -> SignedMonomial:
             for seg in d.neg_segments:
                 if seg.strand == strand and lo < seg.key and (hi is None or seg.key < hi):
                     sign = -sign
-    return SignedMonomial(sign, exponents)
+    return LaurentMonomial(sign, exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +351,7 @@ def graph_extremal_collections(d: WiringDiagram, k: int) -> list[PathCollection]
 
 
 # ---------------------------------------------------------------------------
-# Path-sum matrix and debug dump
+# Path-sum matrix
 # ---------------------------------------------------------------------------
 
 def path_sum_matrix(d: WiringDiagram, a: Mapping[int, Fraction]) -> list[list[Fraction]]:
@@ -367,22 +363,8 @@ def path_sum_matrix(d: WiringDiagram, a: Mapping[int, Fraction]) -> list[list[Fr
         for es in _paths_from(d, strand, Fraction(0)):
             p = Path(label, strand, tuple(es))
             mono = collection_weight(PathCollection((p,)), d)
-            term = Fraction(mono.sign)
-            for wid, e in mono.exponents.items():
-                term *= Fraction(a[wid]) ** e
-            out[label - 1][p.sink - 1] += term
+            out[label - 1][p.sink - 1] += eval_monomial(mono, a)
     return out
-
-
-def dump(d: WiringDiagram) -> str:
-    lines = [f"n={d.n} v={d.cell[0]} w={d.cell[1]}",
-             "labels(bottom-to-top)=" + ",".join(f"{x}'" for x in d.source_label)]
-    for e in d.edges:
-        lines.append(f"edge (c={e.column}, r={e.lower}->{e.upper}, a_{e.weight_id})")
-    for s in d.neg_segments:
-        lines.append(f"-1 segment (strand {s.strand}, between columns "
-                     f"{s.columns[0]} and {s.columns[1]})")
-    return "\n".join(lines)
 
 
 if __name__ == "__main__":

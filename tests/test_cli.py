@@ -37,6 +37,42 @@ def test_cell_respects_max_n(capsys):
     assert run(["--max-n", "3", "cell", "12345", "12345"]) == 2
 
 
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_max_n_bounds_n_itself(capsys):
+    assert run(["--max-n", "4", "cell", "12345", "54321"]) == 2
+    assert "--max-n=4" in _one_line_error(capsys)
+    assert run(["--max-n", "5", "cell", "12345", "54321"]) == 0
+    assert _json_out(capsys)["dimension"] == 10
+
+
+def test_malformed_permutation_exits_2(capsys):
+    assert run(["cell", "1x3", "123"]) == 2
+    assert "bad permutation" in _one_line_error(capsys)
+
+
+def test_zero_denominator_coordinate_exits_2(tmp_path, capsys):
+    bad = tmp_path / "zero-den.json"
+    for mode in ("classical", "tropical"):
+        bad.write_text(json.dumps({"n": 3, "mode": mode,
+                                   "coords": {"1": "1/0"}}))
+        assert run(["trop-decide" if mode == "tropical" else "decide",
+                    str(bad)]) == 2
+        _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command", ["decide", "trop-decide", "extremal"])
+def test_non_object_vector_file_exits_2(tmp_path, capsys, command):
+    bad = tmp_path / "array.json"
+    bad.write_text(json.dumps([{"n": 3, "coords": {}}]))
+    assert run([command, str(bad)]) == 2
+    assert "not a JSON object" in _one_line_error(capsys)
+
+
 def test_plucker_and_decide_roundtrip(tmp_path, capsys):
     weights = tmp_path / "a.json"
     weights.write_text(json.dumps({"1": "2", "2": "3", "4": "5"}))
@@ -106,6 +142,8 @@ def test_malformed_inputs(tmp_path, capsys):
     assert run(["decide", str(bad)]) == 2
     bad.write_text(json.dumps({"n": 3, "mode": "classical",
                                "coords": {"1,2,3": "1"}}))
+    assert run(["decide", str(bad)]) == 2
+    bad.write_text(json.dumps({"n": 3, "mode": "classical", "coords": ["1"]}))
     assert run(["decide", str(bad)]) == 2
     capsys.readouterr()
 

@@ -102,7 +102,7 @@ def test_left_greedy_top_cell():
     coll = left_greedy_collection(d, [1, 2, 3])
     assert coll.sinks == frozenset({3, 4, 5})
     mono = collection_weight(coll, d)
-    assert mono.sign == 1
+    assert mono.coefficient == 1
     assert all(e == 1 for e in mono.exponents.values())
 
 
@@ -119,7 +119,7 @@ def test_extremal_collection_weights_are_squarefree_monomials():
         for k in (1, 2):
             for coll in graph_extremal_collections(d, k):
                 mono = collection_weight(coll, d)
-                assert mono.sign == 1, (v, w, coll.sinks)
+                assert mono.coefficient == 1, (v, w, coll.sinks)
                 assert all(e == 1 for e in mono.exponents.values())
 
 
@@ -128,4 +128,4 @@ def test_diagonal_path_weight_is_one():
     p = Path(1, d.strand_of_label(1), ())
     from tnnflag.wiring import PathCollection
     mono = collection_weight(PathCollection((p,)), d)
-    assert mono.sign == 1 and mono.exponents == {}
+    assert mono.coefficient == 1 and mono.exponents == {}
