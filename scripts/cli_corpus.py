@@ -30,7 +30,7 @@ from tnnflag.wiring import build_diagram
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUT = ROOT / "tests" / "data" / "cli_corpus.json"
 
-PRIMES = [2, 3, 5, 7, 11, 13, 17]
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 # (file name, v, w, tropical, edit, index): one coordinate of the member
 # of cell (v, w) with prime weights is negated or deleted; each edit is the
@@ -50,10 +50,13 @@ COMMANDS = [
     ["cell", "12345", "54321"],
     ["plucker", "1324", "4213", "--weights", "weights.json"],
     ["plucker", "1324", "4213", "--weights", "weights.json", "--tropical"],
+    ["plucker", "12345", "54321", "--weights", "s5-mixed-weights.json",
+     "--tropical"],
     ["extremal", "member.json"],
     ["extremal", "trop-member.json"],
     ["decide", "member.json"],
     ["trop-decide", "trop-member.json"],
+    ["trop-decide", "s5-trop-member.json"],
     *[["trop-decide" if tropical else "decide", name]
       for name, _, _, tropical, _, _ in EDITED],
     ["relations", "4"],
@@ -75,6 +78,11 @@ def input_files() -> dict[str, dict]:
         "weights.json": {"1": "2", "2": "3", "4": "5"},
         "member.json": _member("1324", "4213", False).to_json_dict(),
         "trop-member.json": _member("1324", "4213", True).to_json_dict(),
+        # S5 top cell: negative, zero and positive tropical weights
+        "s5-mixed-weights.json": {
+            "1": "-3", "2": "0", "3": "5/2", "4": "-1/3", "5": "7",
+            "6": "0", "7": "-2", "8": "4", "9": "1", "10": "-5/4"},
+        "s5-trop-member.json": _member("12345", "54321", True).to_json_dict(),
     }
     for name, v, w, tropical, edit, index in EDITED:
         vec = _member(v, w, tropical)

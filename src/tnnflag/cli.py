@@ -12,9 +12,8 @@ __all__ = ["main", "run"]
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from .algebra import Trop, rat_from_str, rat_to_str, trop_from_str
+from .algebra import Trop, rat_from_str, trop_from_str
 from .perms import (
     Perm, all_perms, bruhat_leq, length, perm_from_str, perm_to_str,
 )
@@ -84,14 +83,14 @@ def _cmd_plucker(args) -> int:
     raw = _load_json(args.weights)
     if not isinstance(raw, dict):
         raise _Malformed("weights file must be a JSON object id -> value")
+    parse = trop_from_str if args.tropical else rat_from_str
     try:
-        if args.tropical:
-            x = {int(k): trop_from_str(val) for k, val in raw.items()}
-            vec = trop_phi(v, w, x)
-        else:
-            a = {int(k): rat_from_str(val) for k, val in raw.items()}
-            vec = phi(v, w, a)
-    except (ValueError, ZeroDivisionError) as exc:
+        weights = {int(k): parse(val) for k, val in raw.items()}
+        vec = (trop_phi if args.tropical else phi)(v, w, weights)
+    except ZeroDivisionError as exc:
+        raise _Malformed(f"bad weights file {args.weights}: "
+                         "zero denominator") from exc
+    except ValueError as exc:
         raise _Malformed(str(exc)) from exc
     _emit(vec.to_json_dict())
     return 0
@@ -163,7 +162,7 @@ def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
     from .membership import (
         propagate_three_term, psi, trop_propagate_three_term, trop_psi,
     )
-    from .oracle import generic_weights, support_oracle
+    from .oracle import generic_weights, support_oracle, trop_phi_enumerated
     from .wiring import enumerate_path_collections
 
     n = len(v)
@@ -187,7 +186,11 @@ def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
         assert propagate_three_term(
             {I: p.coord(I) for I in ext}, (v, w)).coords == p.coords, \
             "three-term propagation mismatch"
-        q = trop_phi(v, w, {j: Trop.of(x) for j, x in a.items()})
+        x = {j: Trop.of(val) for j, val in a.items()}
+        q = trop_phi(v, w, x)
+        if t == 0:
+            assert q.coords == trop_phi_enumerated(v, w, x).coords, \
+                "trop_phi differs from path-collection enumeration"
         tcert = decide_trop(q)
         assert tcert.verdict == "member" and tcert.cell == (v, w), \
             "decide_trop rejected a parameterized point"

@@ -1,7 +1,8 @@
 """
 Independent brute-force verifiers: exhaustive-enumeration supports, a
-subword-search Bruhat test, cofactor determinants, random flags, and
-sampled elements of the quadratic ideal. These deliberately avoid the
+subword-search Bruhat test, cofactor determinants, random flags,
+sampled elements of the quadratic ideal, and tropical coordinates by
+listing every path collection. These deliberately avoid the
 library's fast code paths so they can serve as oracles in tests.
 flag_matroid_check is the library's own brute-force predicate (it lives in
 `extremal`), re-exported here.
@@ -10,19 +11,21 @@ flag_matroid_check is the library's own brute-force predicate (it lives in
 __all__ = [
     "determinant_cofactor", "reduced_word_oracle", "bruhat_leq_oracle",
     "support_oracle", "flag_matroid_check", "random_flag",
-    "generic_weights", "ideal_element_sample",
+    "generic_weights", "ideal_element_sample", "trop_phi_enumerated",
 ]
 
 import itertools
 import random
 from fractions import Fraction
 
+from .algebra import TROP_INF, Trop
 from .extremal import flag_matroid_check
 from .perms import Perm, identity, inverse, left_mult_s, right_mult_s
 from .plucker import (
-    Index, PlueckerVector, all_proper_indices, generate_relations, phi,
+    Index, PlueckerVector, TropPlueckerVector, all_proper_indices,
+    generate_relations, phi,
 )
-from .wiring import build_diagram
+from .wiring import build_diagram, enumerate_path_collections
 
 _MAX_N = 7
 
@@ -140,6 +143,26 @@ def generic_weights(v: Perm, w: Perm, seed: int) -> dict[int, Fraction]:
         if s1 == s2:
             return a1
     raise RuntimeError("could not stabilize a generic support in 50 draws")
+
+
+def trop_phi_enumerated(v: Perm, w: Perm, x) -> TropPlueckerVector:
+    """trop_phi by listing every non-intersecting path collection
+    {1'..|I|'} -> I and taking the least total edge weight."""
+    d = build_diagram(v, w)
+    if set(x) != set(d.weight_ids()) or any(t.is_inf for t in x.values()):
+        raise ValueError("expected one finite weight per vertical edge")
+    coords: dict[Index, Trop] = {}
+    for I in all_proper_indices(d.n):
+        best = TROP_INF
+        for coll in enumerate_path_collections(d, range(1, len(I) + 1), I):
+            total = Trop(Fraction(0))
+            for p in coll.paths:
+                for e in p.edges:
+                    total = total * x[e.weight_id]
+            best = best + total
+        if not best.is_inf:
+            coords[I] = best
+    return TropPlueckerVector(d.n, coords).canonicalize()
 
 
 def ideal_element_sample(n: int, count: int, seed: int,

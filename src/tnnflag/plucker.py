@@ -33,8 +33,8 @@ from .algebra import (
     TROP_INF, Trop, rat_from_str, rat_to_str, trop_from_str, trop_to_str,
     determinant,
 )
-from .perms import Perm, bruhat_leq, length
-from .wiring import build_diagram, enumerate_path_collections, collection_weight
+from .perms import Perm, length
+from .wiring import build_diagram
 
 # a sorted tuple of distinct elements of {1..n}
 Index = tuple[int, ...]
@@ -108,12 +108,20 @@ class _Vector:
         if obj.get("mode", "classical") != cls.mode:
             raise ValueError(f"expected a {cls.mode} vector")
         n = int(obj["n"])
-        coords = {index_from_str(key): cls.parse(val)
+        coords = {index_from_str(key): cls._parse_coord(key, val)
                   for key, val in obj.get("coords", {}).items()}
         for I in coords:
             if not (0 < len(I) < n and all(1 <= i <= n for i in I)):
                 raise ValueError(f"bad index {I} for n={n}")
         return cls(n, {I: v for I, v in coords.items() if v != cls.zero})
+
+    @classmethod
+    def _parse_coord(cls, key: str, val: str):
+        try:
+            return cls.parse(val)
+        except ZeroDivisionError:
+            raise ValueError(
+                f"coordinate {key}: zero denominator in {val!r}") from None
 
 
 class PlueckerVector(_Vector):
@@ -195,26 +203,37 @@ def phi(v: Perm, w: Perm, a: Mapping[int, Fraction]) -> PlueckerVector:
 
 
 def trop_phi(v: Perm, w: Perm, x: Mapping[int, Trop]) -> TropPlueckerVector:
-    """Min over non-intersecting path collections {1'..|I|}' -> I of the sum
+    """Min over non-intersecting path collections {1'..|I|'} -> I of the sum
     of the edge weights; infinity when no collection exists.
+
+    Computed by one left-to-right sweep over the vertical edges, in O(|E| 2^n):
+    ``cost`` maps each set of strands occupied by the paths (a bit mask,
+    bit r-1 for strand r) to the least weight of reaching it. Edge keys are
+    distinct, so at most one path moves at each edge, and it may move exactly
+    when its upper strand is free; a collection is thus the same thing as its
+    sequence of moves, and the final sets are the sink sets I.
     """
     d = build_diagram(v, w)
     for val in x.values():
         if val.is_inf:
             raise ValueError("tropical weights must be finite")
     _check_weights(v, w, {j: Fraction(0) for j in x}, require_positive=False)
+    cost: dict[int, Trop] = {}
+    occupied = 0
+    for label in range(1, d.n):
+        occupied |= 1 << (d.strand_of_label(label) - 1)
+        cost[occupied] = TropPlueckerVector.one
+    for e in sorted(d.edges, key=lambda e: e.key):
+        lower, upper = 1 << (e.lower - 1), 1 << (e.upper - 1)
+        for S, c in list(cost.items()):
+            if S & lower and not S & upper:
+                T = S ^ lower ^ upper
+                cost[T] = cost.get(T, TROP_INF) + c * x[e.weight_id]
     coords: dict[Index, Trop] = {}
     for I in all_proper_indices(d.n):
-        k = len(I)
-        best = TROP_INF
-        for coll in enumerate_path_collections(d, range(1, k + 1), I):
-            total = Trop(Fraction(0))
-            for p in coll.paths:
-                for e in p.edges:
-                    total = total * x[e.weight_id]
-            best = min(best, total)
-        if not best.is_inf:
-            coords[I] = best
+        S = sum(1 << (i - 1) for i in I)
+        if S in cost:
+            coords[I] = cost[S]
     return TropPlueckerVector(d.n, coords).canonicalize()
 
 

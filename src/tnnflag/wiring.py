@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .algebra import LaurentMonomial, eval_monomial
 from .perms import (
-    Perm, Word, bruhat_leq, canonical_w0_word, identity, length,
+    Perm, Word, bruhat_leq, canonical_w0_word,
     positive_distinguished_subexpression,
 )
 

@@ -62,7 +62,17 @@ def test_zero_denominator_coordinate_exits_2(tmp_path, capsys):
                                    "coords": {"1": "1/0"}}))
         assert run(["trop-decide" if mode == "tropical" else "decide",
                     str(bad)]) == 2
-        _one_line_error(capsys)
+        assert "coordinate 1: zero denominator in '1/0'" in \
+            _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("tropical", [False, True])
+def test_zero_denominator_weight_exits_2(tmp_path, capsys, tropical):
+    weights = tmp_path / "zero-den.json"
+    weights.write_text(json.dumps({"1": "1/0", "2": "3", "4": "5"}))
+    argv = ["plucker", EX_V, EX_W, "--weights", str(weights)]
+    assert run(argv + ["--tropical"] * tropical) == 2
+    assert "zero denominator" in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("command", ["decide", "trop-decide", "extremal"])
