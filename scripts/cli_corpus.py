@@ -62,6 +62,7 @@ COMMANDS = [
     ["relations", "4"],
     ["relations", "4", "--three-term"],
     ["verify", "3"],
+    ["verify", "4"],
 ]
 
 

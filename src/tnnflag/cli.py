@@ -81,8 +81,10 @@ def _cmd_cell(args) -> int:
 def _cmd_plucker(args) -> int:
     v, w = _cell_pair(args)
     raw = _load_json(args.weights)
-    if not isinstance(raw, dict):
-        raise _Malformed("weights file must be a JSON object id -> value")
+    if not (isinstance(raw, dict)
+            and all(isinstance(val, str) for val in raw.values())):
+        raise _Malformed(f"bad weights file {args.weights}: expected a JSON "
+                         "object mapping weight id -> rational string")
     parse = trop_from_str if args.tropical else rat_from_str
     try:
         weights = {int(k): parse(val) for k, val in raw.items()}
@@ -91,7 +93,7 @@ def _cmd_plucker(args) -> int:
         raise _Malformed(f"bad weights file {args.weights}: "
                          "zero denominator") from exc
     except ValueError as exc:
-        raise _Malformed(str(exc)) from exc
+        raise _Malformed(f"bad weights file {args.weights}: {exc}") from exc
     _emit(vec.to_json_dict())
     return 0
 
@@ -110,6 +112,8 @@ def _load_vector(path: str):
 
 
 def _guard_n(n: int, args) -> None:
+    if n < 1:
+        raise _Malformed(f"n={n} is less than 1")
     if n > args.max_n:
         raise _Malformed(f"n={n} exceeds --max-n={args.max_n}")
 
@@ -158,7 +162,7 @@ def _cmd_relations(args) -> int:
 
 def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
     """Oracle checks for one cell; raises AssertionError on any failure."""
-    from .extremal import extremal_index_set, s_vw
+    from .extremal import extremal_index_set, generators, s_vw
     from .membership import (
         propagate_three_term, psi, trop_propagate_three_term, trop_psi,
     )
@@ -171,10 +175,14 @@ def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
         assert sup.sets[k] == support_oracle(v, w, k), \
             f"support mismatch at size {k} for ({perm_to_str(v)},{perm_to_str(w)})"
     ext = extremal_index_set(sup)
+    gens = generators(v, w)
+    assert {g.index for g in gens} == ext, \
+        "generators differ from the extremal chains of the support"
     d = build_diagram(v, w)
-    for I in sorted(ext):
-        colls = enumerate_path_collections(d, range(1, len(I) + 1), I)
-        assert len(colls) == 1, f"extremal index {I} is not unique"
+    for g in gens:
+        assert enumerate_path_collections(
+            d, range(1, len(g.index) + 1), g.index) == [g.collection], \
+            f"extremal index {g.index} has another path collection"
     s_vw(v, w)
     for t in range(draws):
         a = generic_weights(v, w, seed=seed + t)

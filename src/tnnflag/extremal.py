@@ -29,7 +29,7 @@ from .algebra import LaurentMonomial
 from .perms import Perm, bruhat_interval, gale_leq, inverse, length
 from .plucker import Index, PlueckerVector, TropPlueckerVector
 from .wiring import (
-    PathCollection, build_diagram, collection_weight, enumerate_path_collections,
+    PathCollection, build_diagram, collection_weight, graph_extremal_collections,
 )
 
 
@@ -210,9 +210,10 @@ def precedes_key(I: Index):
 
 @dataclass(frozen=True)
 class Generator:
-    """One extremal index together with its unique path collection; when the
-    collection uses a wiring edge not seen at any earlier extremal index,
-    that edge's weight is newly solvable from this coordinate."""
+    """One extremal index with its left-greedy path collection (its only
+    one, as ``verify`` and the tests check); when the collection uses a wiring
+    edge not seen at any earlier extremal index, that edge's weight is newly
+    solvable from this coordinate."""
     index: Index
     collection: PathCollection
     monomial: LaurentMonomial
@@ -222,29 +223,23 @@ class Generator:
 
 @lru_cache(maxsize=None)
 def generators(v: Perm, w: Perm) -> tuple[Generator, ...]:
+    """Extremal indices in traversal order: the sink sets of each size's
+    ``graph_extremal_collections``. Only the all-diagonal collection, at the
+    Gale-minimal index, has an empty monomial."""
     d = build_diagram(v, w)
-    sup = cell_support(v, w)
-    chains = extremal_indices(sup)
-    minimal = {ch.chain[0] for ch in chains}
-    order = sorted((I for ch in chains for I in ch.chain), key=precedes_key)
+    collections = {tuple(sorted(c.sinks)): c
+                   for k in range(1, len(v)) for c in graph_extremal_collections(d, k)}
     used: set[int] = set()
     out: list[Generator] = []
-    for I in order:
-        colls = enumerate_path_collections(d, range(1, len(I) + 1), I)
-        if len(colls) != 1:
-            raise AssertionError(
-                f"extremal index {I} admits {len(colls)} collections (bug)")
-        coll = colls[0]
+    for I in sorted(collections, key=precedes_key):
+        coll = collections[I]
         mono = collection_weight(coll, d)
         if mono.coefficient != 1 or any(e != 1 for e in mono.exponents.values()):
             raise AssertionError(f"extremal coordinate at {I} is not a "
                                  "plain positive monomial (bug)")
         fresh = sorted(set(mono.exponents) - used)
         used |= set(mono.exponents)
-        if I in minimal:
-            if mono.exponents:
-                raise AssertionError(f"Gale-minimal {I} has a non-diagonal "
-                                     "collection (bug)")
+        if not mono.exponents:
             out.append(Generator(I, coll, mono, None, True))
         elif fresh:
             if len(fresh) != 1:

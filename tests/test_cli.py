@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import pathlib
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tnnflag.cli import run
 from tnnflag.plucker import phi
@@ -73,6 +78,42 @@ def test_zero_denominator_weight_exits_2(tmp_path, capsys, tropical):
     argv = ["plucker", EX_V, EX_W, "--weights", str(weights)]
     assert run(argv + ["--tropical"] * tropical) == 2
     assert "zero denominator" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("tropical", [False, True])
+@pytest.mark.parametrize("value", [2, None, True, 1.5, ["2"], {"x": "2"}])
+def test_non_string_weight_exits_2(tmp_path, capsys, tropical, value):
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"1": value, "2": "3", "4": "5"}))
+    argv = ["plucker", EX_V, EX_W, "--weights", str(weights)]
+    assert run(argv + ["--tropical"] * tropical) == 2
+    assert f"bad weights file {weights}" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+@pytest.mark.parametrize("command", ["decide", "trop-decide", "extremal"])
+def test_vector_n_below_1_exits_2(tmp_path, capsys, command, n):
+    vec = tmp_path / "v.json"
+    vec.write_text(json.dumps({"n": n, "mode": "tropical"
+                               if command == "trop-decide" else "classical"}))
+    assert run([command, str(vec)]) == 2
+    assert f"n={n}" in _one_line_error(capsys)
+
+
+def test_empty_permutation_exits_2(capsys):
+    assert run(["cell", "", ""]) == 2
+    assert "n=0" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_relations_n_below_1_exits_2(capsys, n):
+    assert run(["relations", n]) == 2
+    assert f"n={n}" in _one_line_error(capsys)
+
+
+def test_verify_keeps_its_own_lower_bound(capsys):
+    assert run(["verify", "1"]) == 2
+    assert "verify needs n >= 2" in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("command", ["decide", "trop-decide", "extremal"])
@@ -172,3 +213,54 @@ def test_verify_small(capsys):
     assert out["cells_checked"] == out["total_cells"] == 3
     assert out["top_cell_extremal"]["with_full_set"] == \
         out["top_cell_extremal"]["expected_with_full_set"]
+
+
+# ---------------------------------------------------------------------------
+# Contract fuzz: arbitrary JSON never escapes as an exception
+# ---------------------------------------------------------------------------
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6)
+    | st.sampled_from(["1", "-2", "3/4", "1/0", "inf", "x"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+INDEX_KEYS = st.sampled_from(["1", "2", "3", "1,2", "1,3", "2,3", "1,2,3",
+                              "1,4", "0", "", "a", "2,1", "1,1"])
+N = st.integers(-2, 5) | JSON
+VECTOR = st.fixed_dictionaries(
+    {"n": N, "coords": st.dictionaries(INDEX_KEYS, JSON, max_size=6)
+     | JSON},
+    optional={"mode": st.sampled_from(["classical", "tropical"]) | JSON},
+) | JSON
+WEIGHTS = st.dictionaries(st.sampled_from(["1", "2", "3", "4", "0", "x"]),
+                          JSON, max_size=4) | JSON
+CELLS = st.sampled_from([("", ""), ("1", "1"), ("12", "21"), ("123", "321"),
+                         (EX_V, EX_W), ("213", "132")])
+
+
+def _run_captured(argv) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["decide", "trop-decide", "extremal", "plucker",
+                        "plucker-tropical"]), VECTOR, WEIGHTS, CELLS)
+def test_cli_contract_on_arbitrary_json(command, vector, weights, cell):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "input.json"
+        if command.startswith("plucker"):
+            path.write_text(json.dumps(weights))
+            argv = ["plucker", *cell, "--weights", str(path)]
+            argv += ["--tropical"] * command.endswith("tropical")
+        else:
+            path.write_text(json.dumps(vector))
+            argv = [command, str(path)]
+        code, err = _run_captured(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -11,6 +11,7 @@ from tnnflag.perms import (
     all_perms, bruhat_leq, gale_leq, identity, length, longest_element,
 )
 from tnnflag.plucker import phi
+from tnnflag.wiring import build_diagram, enumerate_path_collections
 
 EX_V, EX_W = (1, 3, 2, 4), (4, 2, 1, 3)
 
@@ -112,7 +113,6 @@ def test_extremal_coordinates_are_monomials():
     the weights on its unique collection (exactly, after normalization)."""
     rng = random.Random(9)
     for v, w in _cells(3):
-        from tnnflag.wiring import build_diagram
         a = {j: Fraction(rng.randint(1, 9)) for j in build_diagram(v, w).weight_ids()}
         p = phi(v, w, a)
         for g in generators(v, w):
@@ -120,6 +120,30 @@ def test_extremal_coordinates_are_monomials():
             for wid, exp in g.monomial.exponents.items():
                 expected *= a[wid] ** exp
             assert p.coord(g.index) == expected, (v, w, g.index)
+
+
+def _assert_generators_match_enumeration(cells):
+    """The generators' indices are the Xi chains of the cell support, and
+    each collection is the only one the enumeration finds for its index."""
+    for v, w in cells:
+        d = build_diagram(v, w)
+        gens = generators(v, w)
+        assert {g.index for g in gens} == \
+            extremal_index_set(cell_support(v, w)), (v, w)
+        for g in gens:
+            assert enumerate_path_collections(
+                d, range(1, len(g.index) + 1), g.index) == [g.collection], \
+                (v, w, g.index)
+
+
+def test_generators_match_enumeration_on_s3_s4():
+    _assert_generators_match_enumeration(_cells(3) + _cells(4))
+
+
+def test_generators_match_enumeration_on_s5_sample():
+    sample = random.Random(55).sample(_cells(5), 60)
+    _assert_generators_match_enumeration(
+        sample + [(identity(5), longest_element(5))])
 
 
 def test_top_cell_extremal_count():
