@@ -52,6 +52,9 @@ COMMANDS = [
     ["plucker", "1324", "4213", "--weights", "weights.json", "--tropical"],
     ["plucker", "12345", "54321", "--weights", "s5-mixed-weights.json",
      "--tropical"],
+    # edges spanning 2-3 strands and several -1 segments: every sign counts
+    ["plucker", "35241", "54231", "--weights", "s5-35241-weights.json"],
+    ["plucker", "32154", "54231", "--weights", "s5-32154-weights.json"],
     ["extremal", "member.json"],
     ["extremal", "trop-member.json"],
     ["decide", "member.json"],
@@ -66,9 +69,13 @@ COMMANDS = [
 ]
 
 
+def _prime_weights(v, w) -> dict[int, Fraction]:
+    return {j: Fraction(p) for j, p in zip(build_diagram(v, w).weight_ids(), PRIMES)}
+
+
 def _member(v: str, w: str, tropical: bool):
     v, w = perm_from_str(v), perm_from_str(w)
-    a = {j: Fraction(p) for j, p in zip(build_diagram(v, w).weight_ids(), PRIMES)}
+    a = _prime_weights(v, w)
     if tropical:
         return trop_phi(v, w, {j: Trop(x) for j, x in a.items()})
     return phi(v, w, a)
@@ -85,6 +92,9 @@ def input_files() -> dict[str, dict]:
             "6": "0", "7": "-2", "8": "4", "9": "1", "10": "-5/4"},
         "s5-trop-member.json": _member("12345", "54321", True).to_json_dict(),
     }
+    for v, w in [("35241", "54231"), ("32154", "54231")]:
+        a = _prime_weights(perm_from_str(v), perm_from_str(w))
+        files[f"s5-{v}-weights.json"] = {str(j): str(x) for j, x in a.items()}
     for name, v, w, tropical, edit, index in EDITED:
         vec = _member(v, w, tropical)
         if edit == "delete":

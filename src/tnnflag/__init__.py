@@ -10,12 +10,12 @@ from .perms import (
     Perm, Word, Subexpression,
     identity, inverse, compose, length, left_mult_s, right_mult_s,
     perm_from_word, longest_element, perm_from_str, perm_to_str, all_perms,
-    gale_leq, bruhat_leq, bruhat_interval,
+    gale_leq, bruhat_leq,
     canonical_w0_word, positive_distinguished_subexpression,
 )
 from .algebra import (
     Rational, Trop, TROP_INF, LaurentMonomial,
-    rat_from_str, rat_to_str, trop_from_str, trop_to_str, determinant,
+    rat_from_str, rat_to_str, trop_from_str, trop_to_str,
 )
 from .wiring import (
     WiringDiagram, VerticalEdge, NegativeSegment, Path, PathCollection,
@@ -25,7 +25,7 @@ from .wiring import (
 from .plucker import (
     Index, PlueckerVector, TropPlueckerVector, IncidenceRelation,
     index_to_str, index_from_str, all_proper_indices,
-    mr_matrix, phi, trop_phi,
+    phi, trop_phi,
     generate_relations, check_relation, trop_check_relation,
     trop_terms_verdict, trop_eval_poly_terms,
 )

@@ -1,12 +1,9 @@
 """
 Exact scalar arithmetic: rationals, the tropical semiring Q u {inf}
-(min-plus), Laurent monomials over an arbitrary variable alphabet, and
-fraction-free determinants.
+(min-plus), and Laurent monomials over an arbitrary variable alphabet.
 
 All scalars are `fractions.Fraction`; no floats anywhere.
 
->>> determinant([[1, 2], [3, 4]])
-Fraction(-2, 1)
 >>> trop_to_str(Trop.of(3) * Trop.of(2))
 '5'
 """
@@ -14,7 +11,7 @@ Fraction(-2, 1)
 __all__ = [
     "Rational", "Trop", "TROP_INF", "LaurentMonomial",
     "rat_from_str", "rat_to_str", "trop_from_str", "trop_to_str",
-    "determinant", "eval_monomial",
+    "eval_monomial",
     "monomial_mul", "monomial_div",
 ]
 
@@ -81,6 +78,8 @@ class Trop:
 
     def scale(self, k: int) -> "Trop":
         """k-fold tropical power (k * value); inf**0 = 0, the tropical unit."""
+        if k == 1:
+            return self
         if k == 0:
             return Trop(Fraction(0))
         if self.is_inf:
@@ -169,39 +168,6 @@ def monomial_div(a: LaurentMonomial, b: LaurentMonomial) -> LaurentMonomial:
     for k, e in b.exponents.items():
         exps[k] = exps.get(k, 0) - e
     return LaurentMonomial(a.coefficient / b.coefficient, exps)
-
-
-# ---------------------------------------------------------------------------
-# Determinants
-# ---------------------------------------------------------------------------
-
-def determinant(m) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    >>> determinant([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    Fraction(1, 1)
-    """
-    a = [[Fraction(x) for x in row] for row in m]
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
-    if n == 0:
-        return Fraction(1)
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 if __name__ == "__main__":

@@ -166,7 +166,9 @@ def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
     from .membership import (
         propagate_three_term, psi, trop_propagate_three_term, trop_psi,
     )
-    from .oracle import generic_weights, support_oracle, trop_phi_enumerated
+    from .oracle import (
+        generic_weights, phi_minors, support_oracle, trop_phi_enumerated,
+    )
     from .wiring import enumerate_path_collections
 
     n = len(v)
@@ -187,6 +189,9 @@ def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
     for t in range(draws):
         a = generic_weights(v, w, seed=seed + t)
         p = phi(v, w, a)
+        if t == 0:
+            assert p.coords == phi_minors(v, w, a).coords, \
+                "phi differs from the minors of the cell matrix"
         assert psi(v, w, p) == a, "psi does not invert phi"
         cert = decide_tnn(p)
         assert cert.verdict == "member" and cert.cell == (v, w), \

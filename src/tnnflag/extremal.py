@@ -26,8 +26,8 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
 from .algebra import LaurentMonomial
-from .perms import Perm, bruhat_interval, gale_leq, inverse, length
-from .plucker import Index, PlueckerVector, TropPlueckerVector
+from .perms import Perm, gale_leq, length
+from .plucker import Index, PlueckerVector, TropPlueckerVector, trop_phi
 from .wiring import (
     PathCollection, build_diagram, collection_weight, graph_extremal_collections,
 )
@@ -82,16 +82,14 @@ def flag_matroid_check(support: Mapping[int, Iterable[Index]]) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def cell_support(v: Perm, w: Perm) -> SupportVector:
-    """Indices supported on the cell: prefixes {u(1..k)} over the Bruhat
-    interval v^-1 <= u <= w^-1."""
-    n = len(v)
-    sets: dict[int, set[Index]] = {k: set() for k in range(1, n)}
-    for u in bruhat_interval(inverse(v), inverse(w)):
-        for k in range(1, n):
-            sets[k].add(tuple(sorted(u[:k])))
-    return SupportVector(n, {k: frozenset(s) for k, s in sets.items()})
+    """Indices supported on the cell: the sink sets I that some
+    non-intersecting path collection {1'..|I|'} -> I reaches, read off
+    ``trop_phi`` at all-zero weights. (These are the prefixes {u(1..k)}
+    over the Bruhat interval v^-1 <= u <= w^-1, which the oracle checks.)"""
+    zero = {j: TropPlueckerVector.one for j in build_diagram(v, w).weight_ids()}
+    sup = trop_phi(v, w, zero).support()
+    return SupportVector(len(v), {k: frozenset(s) for k, s in sup.items()})
 
 
 # ---------------------------------------------------------------------------

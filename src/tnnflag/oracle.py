@@ -1,9 +1,10 @@
 """
 Independent brute-force verifiers: exhaustive-enumeration supports, a
-subword-search Bruhat test, cofactor determinants, random flags,
-sampled elements of the quadratic ideal, and tropical coordinates by
-listing every path collection. These deliberately avoid the
-library's fast code paths so they can serve as oracles in tests.
+subword-search Bruhat test, cofactor determinants, the cell matrix and
+its top-rows minors, random flags, sampled elements of the quadratic
+ideal, and tropical coordinates by listing every path collection. These
+deliberately avoid the library's fast code paths so they can serve as
+oracles in tests.
 flag_matroid_check is the library's own brute-force predicate (it lives in
 `extremal`), re-exported here.
 """
@@ -12,6 +13,7 @@ __all__ = [
     "determinant_cofactor", "reduced_word_oracle", "bruhat_leq_oracle",
     "support_oracle", "flag_matroid_check", "random_flag",
     "generic_weights", "ideal_element_sample", "trop_phi_enumerated",
+    "mr_matrix", "phi_minors",
 ]
 
 import itertools
@@ -100,6 +102,17 @@ def support_oracle(v: Perm, w: Perm, k: int) -> set[Index]:
     return out
 
 
+def _top_minors(m) -> PlueckerVector:
+    """P_I = det of the topmost |I| rows of m in columns I (not normalized)."""
+    coords: dict[Index, Fraction] = {}
+    for I in all_proper_indices(len(m)):
+        minor = [[m[r][c - 1] for c in I] for r in range(len(I))]
+        val = determinant_cofactor(minor)
+        if val != 0:
+            coords[I] = val
+    return PlueckerVector(len(m), coords)
+
+
 def random_flag(n: int, seed: int) -> PlueckerVector:
     """Pluecker vector of a random invertible integer matrix (not normalized,
     not necessarily nonnegative); minors by the cofactor oracle."""
@@ -110,13 +123,36 @@ def random_flag(n: int, seed: int) -> PlueckerVector:
         m = [[Fraction(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
         if determinant_cofactor(m) != 0:
             break
-    coords: dict[Index, Fraction] = {}
-    for I in all_proper_indices(n):
-        minor = [[m[r][c - 1] for c in I] for r in range(len(I))]
-        val = determinant_cofactor(minor)
-        if val != 0:
-            coords[I] = val
-    return PlueckerVector(n, coords)
+    return _top_minors(m)
+
+
+def mr_matrix(v: Perm, w: Perm, a) -> list[list[Fraction]]:
+    """The cell matrix: the product, along w's distinguished word, of the
+    upper-triangular weight factors x_i(a_j) and the signed crossing
+    factors at v's positions, each applied to the columns of the product.
+    """
+    d = build_diagram(v, w)
+    if set(a) != set(d.weight_ids()):
+        raise ValueError(f"expected weight ids {list(d.weight_ids())}, "
+                         f"got {sorted(a)}")
+    if any(Fraction(x) <= 0 for x in a.values()):
+        raise ValueError("weights must be strictly positive")
+    n = d.n
+    crossings = set(d.v_positions)
+    m = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    for j, i in enumerate(d.w_word.letters, start=1):
+        for row in m:
+            if j in crossings:      # s_i-dot: columns (i, i+1) <- (-(i+1), i)
+                row[i - 1], row[i] = -row[i], row[i - 1]
+            else:                   # x_i(a_j): column i+1 += a_j * column i
+                row[i] += Fraction(a[j]) * row[i - 1]
+    return m
+
+
+def phi_minors(v: Perm, w: Perm, a) -> PlueckerVector:
+    """phi as the top-rows minors of the cell matrix, by cofactor
+    expansion, then canonical per-size normalization."""
+    return _top_minors(mr_matrix(v, w, a)).canonicalize()
 
 
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,

@@ -19,7 +19,7 @@ __all__ = [
     "identity", "inverse", "compose", "length", "is_perm",
     "left_mult_s", "right_mult_s", "perm_from_word", "longest_element",
     "perm_from_str", "perm_to_str", "all_perms",
-    "gale_leq", "bruhat_leq", "bruhat_interval",
+    "gale_leq", "bruhat_leq",
     "canonical_w0_word", "positive_distinguished_subexpression",
     "is_positive_distinguished",
 ]
@@ -156,14 +156,6 @@ def bruhat_leq(v: Perm, w: Perm) -> bool:
         if not all(a <= b for a, b in zip(vk, wk)):
             return False
     return True
-
-
-def bruhat_interval(v: Perm, w: Perm) -> set[Perm]:
-    """{u : v <= u <= w}, computed with bruhat_leq."""
-    if not bruhat_leq(v, w):
-        raise ValueError("v is not <= w in Bruhat order")
-    return {u for u in all_perms(len(v))
-            if bruhat_leq(v, u) and bruhat_leq(u, w)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """
 Pluecker-coordinate data model and computations: the cell parameterization
-(minors of the cell matrix), its min-plus counterpart (path collections),
-and the quadratic incidence relations, classical and tropical.
+as signed sums over non-intersecting path collections in the wiring
+diagram (Lindstroem-Gessel-Viennot), its min-plus counterpart (least
+collection weights), both from one sweep over the diagram, and the
+quadratic incidence relations, classical and tropical.
 
 Coordinates are indexed by sorted tuples over {1..n}, all proper nonempty
 sizes 1..n-1; each size block is projective (common scalar classically,
@@ -18,7 +20,7 @@ Fraction(15, 1)
 __all__ = [
     "Index", "PlueckerVector", "TropPlueckerVector", "IncidenceRelation",
     "index_to_str", "index_from_str", "all_proper_indices",
-    "mr_matrix", "phi", "trop_phi",
+    "phi", "trop_phi",
     "generate_relations", "check_relation", "trop_check_relation",
     "trop_terms_verdict", "trop_eval_poly_terms",
 ]
@@ -31,10 +33,9 @@ from typing import Iterator, Mapping
 
 from .algebra import (
     TROP_INF, Trop, rat_from_str, rat_to_str, trop_from_str, trop_to_str,
-    determinant,
 )
-from .perms import Perm, length
-from .wiring import build_diagram
+from .perms import Perm
+from .wiring import NegativeSegment, build_diagram
 
 # a sorted tuple of distinct elements of {1..n}
 Index = tuple[int, ...]
@@ -107,7 +108,9 @@ class _Vector:
     def from_json_dict(cls, obj: dict):
         if obj.get("mode", "classical") != cls.mode:
             raise ValueError(f"expected a {cls.mode} vector")
-        n = int(obj["n"])
+        n = obj["n"]
+        if type(n) is not int:
+            raise ValueError(f"n must be a JSON integer, got {n!r}")
         coords = {index_from_str(key): cls._parse_coord(key, val)
                   for key, val in obj.get("coords", {}).items()}
         for I in coords:
@@ -117,6 +120,9 @@ class _Vector:
 
     @classmethod
     def _parse_coord(cls, key: str, val: str):
+        if not isinstance(val, str):
+            raise ValueError(f"coordinate {key}: expected a string, "
+                             f"got {val!r}")
         try:
             return cls.parse(val)
         except ZeroDivisionError:
@@ -126,115 +132,93 @@ class _Vector:
 
 class PlueckerVector(_Vector):
     """Exact-rational coordinates; omitted indices are 0."""
-    mode, zero, one = "classical", Fraction(0), Fraction(1)
+    mode, zero, one, signed = "classical", Fraction(0), Fraction(1), True
     parse, render = staticmethod(rat_from_str), staticmethod(rat_to_str)
 
 
 class TropPlueckerVector(_Vector):
     """Min-plus coordinates; omitted indices are infinity."""
-    mode, zero, one = "tropical", TROP_INF, Trop(Fraction(0))
+    mode, zero, one, signed = "tropical", TROP_INF, Trop(Fraction(0)), False
     parse, render = staticmethod(trop_from_str), staticmethod(trop_to_str)
 
 
 # ---------------------------------------------------------------------------
-# Cell matrix and parameterization
+# Cell parameterization
 # ---------------------------------------------------------------------------
 
-def _x_matrix(n: int, i: int, a: Fraction) -> list[list[Fraction]]:
-    m = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-    m[i - 1][i] = Fraction(a)
-    return m
+def _sweep(v: Perm, w: Perm, x: Mapping[int, object], cls):
+    """The vector of ``cls`` whose coordinate at I sums, over ``cls``'s
+    semiring, the weights of the non-intersecting path collections
+    {1'..|I|'} -> I; then canonical per-size normalization.
 
-
-def _s_dot_matrix(n: int, i: int) -> list[list[Fraction]]:
-    m = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-    m[i - 1][i - 1] = m[i][i] = Fraction(0)
-    m[i - 1][i] = Fraction(1)
-    m[i][i - 1] = Fraction(-1)
-    return m
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)]
-            for r in range(n)]
-
-
-def _check_weights(v: Perm, w: Perm, a: Mapping[int, Fraction],
-                   require_positive: bool) -> None:
-    d = build_diagram(v, w)
-    expected = set(d.weight_ids())
-    if set(a) != expected:
-        raise ValueError(f"expected weight ids {sorted(expected)}, got {sorted(a)}")
-    if len(expected) != length(w) - length(v):
-        raise AssertionError("weight count != l(w) - l(v) (bug)")
-    if require_positive and any(Fraction(x) <= 0 for x in a.values()):
-        raise ValueError("weights must be strictly positive")
-
-
-def mr_matrix(v: Perm, w: Perm, a: Mapping[int, Fraction]) -> list[list[Fraction]]:
-    """Product of the upper-triangular weight factors x_i(a_j) and the
-    signed crossing factors, following the distinguished subexpressions.
+    One left-to-right pass over the diagram serves every size, in
+    O(|E| 2^n): ``value`` maps each set of strands the paths occupy (a bit
+    mask, bit r-1 for strand r) to its sum so far. Edge keys are distinct,
+    so at most one path moves at each edge, and it may move exactly when
+    its upper strand is free; a collection is thus the same thing as its
+    sequence of moves, and the final sets are the sink sets I. A ``signed``
+    class gets the Lindstroem-Gessel-Viennot sign: a move is negated per
+    path it jumps over (reattached edges can span several strands), and a
+    state per -1 segment it crosses. The remaining sign, that of 1'..k'
+    read bottom to top, is common to size k and cancels in the
+    normalization.
     """
-    _check_weights(v, w, a, require_positive=True)
     d = build_diagram(v, w)
-    n = d.n
-    crossings = set(d.v_positions)
-    m = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-    for j, i in enumerate(d.w_word.letters, start=1):
-        factor = _s_dot_matrix(n, i) if j in crossings else _x_matrix(n, i, a[j])
-        m = _mat_mul(m, factor)
-    return m
+    if set(x) != set(d.weight_ids()):
+        raise ValueError(f"expected weight ids {list(d.weight_ids())}, "
+                         f"got {sorted(x)}")
+    signed, zero = cls.signed, cls.zero
+    value: dict[int, object] = {}
+    occupied = 0
+    for label in range(1, d.n):
+        occupied |= 1 << (d.strand_of_label(label) - 1)
+        value[occupied] = cls.one
+    events = [*d.edges, *d.neg_segments] if signed else list(d.edges)
+    for ev in sorted(events, key=lambda ev: ev.key):
+        if isinstance(ev, NegativeSegment):
+            bit = 1 << (ev.strand - 1)
+            for S in value:
+                if S & bit:
+                    value[S] = -value[S]
+            continue
+        lower, upper = 1 << (ev.lower - 1), 1 << (ev.upper - 1)
+        jumped = upper - (lower << 1) if signed else 0
+        a = x[ev.weight_id]
+        for S, c in list(value.items()):
+            if S & lower and not S & upper:
+                T = S ^ lower ^ upper
+                term = c * a
+                if jumped and (S & jumped).bit_count() % 2:
+                    term = -term
+                value[T] = value.get(T, zero) + term
+    coords = {}
+    for I in all_proper_indices(d.n):
+        c = value.get(sum(1 << (i - 1) for i in I), zero)
+        if c != zero:
+            coords[I] = c
+    return cls(d.n, coords).canonicalize()
 
 
 def phi(v: Perm, w: Perm, a: Mapping[int, Fraction]) -> PlueckerVector:
-    """Coordinates of the cell matrix: P_I = det of the topmost |I| rows in
-    columns I, then canonical per-size normalization.
+    """The cell's coordinates at positive weights: P_I is the signed sum
+    over non-intersecting path collections {1'..|I|'} -> I of the product
+    of their edge weights, which by Lindstroem-Gessel-Viennot is the
+    top-rows minor of the cell matrix up to one sign per size; then
+    canonical per-size normalization.
     """
-    m = mr_matrix(v, w, a)
-    n = len(m)
-    coords: dict[Index, Fraction] = {}
-    for I in all_proper_indices(n):
-        minor = [[m[r][c - 1] for c in I] for r in range(len(I))]
-        val = determinant(minor)
-        if val != 0:
-            coords[I] = val
-    return PlueckerVector(n, coords).canonicalize()
+    if any(Fraction(x) <= 0 for x in a.values()):
+        raise ValueError("weights must be strictly positive")
+    return _sweep(v, w, a, PlueckerVector)
 
 
 def trop_phi(v: Perm, w: Perm, x: Mapping[int, Trop]) -> TropPlueckerVector:
     """Min over non-intersecting path collections {1'..|I|'} -> I of the sum
-    of the edge weights; infinity when no collection exists.
-
-    Computed by one left-to-right sweep over the vertical edges, in O(|E| 2^n):
-    ``cost`` maps each set of strands occupied by the paths (a bit mask,
-    bit r-1 for strand r) to the least weight of reaching it. Edge keys are
-    distinct, so at most one path moves at each edge, and it may move exactly
-    when its upper strand is free; a collection is thus the same thing as its
-    sequence of moves, and the final sets are the sink sets I.
+    of the edge weights; infinity when no collection exists. The same sweep
+    as ``phi``, unsigned, in the min-plus semiring.
     """
-    d = build_diagram(v, w)
-    for val in x.values():
-        if val.is_inf:
-            raise ValueError("tropical weights must be finite")
-    _check_weights(v, w, {j: Fraction(0) for j in x}, require_positive=False)
-    cost: dict[int, Trop] = {}
-    occupied = 0
-    for label in range(1, d.n):
-        occupied |= 1 << (d.strand_of_label(label) - 1)
-        cost[occupied] = TropPlueckerVector.one
-    for e in sorted(d.edges, key=lambda e: e.key):
-        lower, upper = 1 << (e.lower - 1), 1 << (e.upper - 1)
-        for S, c in list(cost.items()):
-            if S & lower and not S & upper:
-                T = S ^ lower ^ upper
-                cost[T] = cost.get(T, TROP_INF) + c * x[e.weight_id]
-    coords: dict[Index, Trop] = {}
-    for I in all_proper_indices(d.n):
-        S = sum(1 << (i - 1) for i in I)
-        if S in cost:
-            coords[I] = cost[S]
-    return TropPlueckerVector(d.n, coords).canonicalize()
+    if any(val.is_inf for val in x.values()):
+        raise ValueError("tropical weights must be finite")
+    return _sweep(v, w, x, TropPlueckerVector)
 
 
 # ---------------------------------------------------------------------------

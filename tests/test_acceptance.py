@@ -8,17 +8,18 @@ import random
 import time
 from fractions import Fraction
 
-from tnnflag.algebra import Trop, determinant
+from tnnflag.algebra import Trop
 from tnnflag.extremal import cell_support, extremal_index_set, s_vw
 from tnnflag.membership import (
     decide_tnn, decide_trop, propagate_three_term, psi, psi_monomials,
 )
 from tnnflag.oracle import (
-    generic_weights, ideal_element_sample, random_flag, support_oracle,
+    determinant_cofactor, generic_weights, ideal_element_sample, mr_matrix,
+    random_flag, support_oracle,
 )
 from tnnflag.perms import all_perms, bruhat_leq, identity, longest_element
 from tnnflag.plucker import (
-    PlueckerVector, check_relation, generate_relations, mr_matrix, phi,
+    PlueckerVector, check_relation, generate_relations, phi,
     trop_check_relation, trop_eval_poly_terms, trop_phi, trop_terms_verdict,
 )
 from tnnflag.wiring import (
@@ -68,7 +69,7 @@ def test_criterion_02_three_strand_path_matrix():
     z, one = Fraction(0), Fraction(1)
     assert m == [[one, a + c, a * b], [z, one, b], [z, z, one]]
     minor = [[m[0][1], m[0][2]], [m[2][1], m[2][2]]]
-    assert determinant(minor) == a + c
+    assert determinant_cofactor(minor) == a + c
     _report(2, "3-strand path matrix and its {1,3}x{2,3} minor exact")
 
 

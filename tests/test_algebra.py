@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tnnflag.algebra import (
-    TROP_INF, LaurentMonomial, Trop, determinant, eval_monomial,
+    TROP_INF, LaurentMonomial, Trop, eval_monomial,
     monomial_div, monomial_mul, rat_from_str, rat_to_str, trop_from_str,
     trop_to_str,
 )
@@ -62,27 +62,3 @@ def test_monomial_drops_zero_exponents():
     assert m.exponents == {"y": 2}
     with pytest.raises(ValueError):
         LaurentMonomial(Fraction(0), {})
-
-
-def test_determinant_small():
-    assert determinant([]) == 1
-    assert determinant([[Fraction(7)]]) == 7
-    m = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
-    assert determinant(m) == -1
-
-
-@given(st.integers(1, 5).flatmap(lambda n: st.lists(
-    st.lists(st.fractions(min_value=-9, max_value=9), min_size=n, max_size=n),
-    min_size=n, max_size=n)))
-def test_determinant_matches_cofactor_expansion(m):
-    from tnnflag.oracle import determinant_cofactor
-    assert determinant([row[:] for row in m]) == determinant_cofactor(m)
-
-
-@given(st.integers(2, 4).flatmap(lambda n: st.lists(
-    st.lists(st.fractions(min_value=-5, max_value=5), min_size=n, max_size=n),
-    min_size=n, max_size=n)), st.data())
-def test_determinant_alternating_in_rows(m, data):
-    i = data.draw(st.integers(0, len(m) - 2))
-    swapped = m[:i] + [m[i + 1], m[i]] + m[i + 2:]
-    assert determinant([r[:] for r in swapped]) == -determinant([r[:] for r in m])

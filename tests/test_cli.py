@@ -100,6 +100,28 @@ def test_vector_n_below_1_exits_2(tmp_path, capsys, command, n):
     assert f"n={n}" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("n", [2.7, True, "3"])
+@pytest.mark.parametrize("command", ["decide", "trop-decide", "extremal"])
+def test_vector_n_not_an_integer_exits_2(tmp_path, capsys, command, n):
+    vec = tmp_path / "v.json"
+    vec.write_text(json.dumps({"n": n, "coords": {"1": "1"}, "mode":
+                               "tropical" if command == "trop-decide"
+                               else "classical"}))
+    assert run([command, str(vec)]) == 2
+    assert f"n must be a JSON integer, got {n!r}" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("value", [2, None, True, ["1"]])
+@pytest.mark.parametrize("mode", ["classical", "tropical"])
+def test_non_string_coordinate_exits_2(tmp_path, capsys, mode, value):
+    vec = tmp_path / "v.json"
+    vec.write_text(json.dumps({"n": 3, "mode": mode, "coords": {"1": value}}))
+    assert run(["trop-decide" if mode == "tropical" else "decide",
+                str(vec)]) == 2
+    assert f"coordinate 1: expected a string, got {value!r}" in \
+        _one_line_error(capsys)
+
+
 def test_empty_permutation_exits_2(capsys):
     assert run(["cell", "", ""]) == 2
     assert "n=0" in _one_line_error(capsys)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tnnflag.perms import (
-    Perm, Word, all_perms, bruhat_interval, bruhat_leq, canonical_w0_word,
+    Perm, Word, all_perms, bruhat_leq, canonical_w0_word,
     compose, gale_leq, identity, inverse, is_positive_distinguished, length,
     left_mult_s, longest_element, perm_from_str, perm_from_word, perm_to_str,
     positive_distinguished_subexpression, right_mult_s,
@@ -57,7 +57,6 @@ def test_bruhat_basics():
         assert bruhat_leq(e, u)
         assert bruhat_leq(u, w0)
     assert not bruhat_leq((2, 1, 3), (1, 3, 2))
-    assert len(bruhat_interval(e, w0)) == 6
 
 
 @given(perms, perms)

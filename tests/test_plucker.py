@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tnnflag.algebra import TROP_INF, Trop
+from tnnflag.oracle import mr_matrix, phi_minors
 from tnnflag.perms import all_perms, bruhat_leq, identity, longest_element
 from tnnflag.plucker import (
     PlueckerVector, TropPlueckerVector, all_proper_indices, check_relation,
-    generate_relations, index_from_str, index_to_str, mr_matrix, phi,
+    generate_relations, index_from_str, index_to_str, phi,
     trop_check_relation, trop_phi, trop_terms_verdict,
 )
+from tnnflag.wiring import build_diagram
 
 EX_V, EX_W = (1, 3, 2, 4), (4, 2, 1, 3)
 EX_A = {1: Fraction(2), 2: Fraction(3), 4: Fraction(5)}
@@ -44,6 +46,45 @@ def test_mr_matrix_validates_weights():
         mr_matrix(EX_V, EX_W, {1: Fraction(-1), 2: Fraction(1), 4: Fraction(1)})
 
 
+def test_phi_validates_weights():
+    with pytest.raises(ValueError):
+        phi(EX_V, EX_W, {1: Fraction(1), 2: Fraction(1), 3: Fraction(1)})
+    with pytest.raises(ValueError):
+        phi(EX_V, EX_W, {1: Fraction(-1), 2: Fraction(1), 4: Fraction(1)})
+
+
+def _cells(n):
+    ps = list(all_perms(n))
+    return [(v, w) for v in ps for w in ps if bruhat_leq(v, w)]
+
+
+def _assert_phi_is_minors(v, w, rng):
+    a = {j: Fraction(rng.randint(1, 30), rng.randint(1, 5))
+         for j in build_diagram(v, w).weight_ids()}
+    assert phi(v, w, a).coords == phi_minors(v, w, a).coords, (v, w, a)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_phi_matches_minors_on_every_cell(n):
+    rng = random.Random(n)
+    for v, w in _cells(n):
+        for _ in range(2):
+            _assert_phi_is_minors(v, w, rng)
+
+
+def test_phi_matches_minors_on_s5_sample():
+    """60 seeded cells, the top cell, and two cells whose edges span 2-3
+    strands across several -1 segments, so every path-sum sign counts."""
+    rng = random.Random(5)
+    cells = rng.sample(_cells(5), 60) + [
+        (identity(5), longest_element(5)),
+        ((3, 5, 2, 4, 1), (5, 4, 2, 3, 1)),
+        ((3, 2, 1, 5, 4), (5, 4, 2, 3, 1)),
+    ]
+    for v, w in cells:
+        _assert_phi_is_minors(v, w, rng)
+
+
 def test_example_cell_phi_support_and_values():
     p = phi(EX_V, EX_W, EX_A)
     assert p.coord((4,)) == 0 and p.coord((1, 2)) == 0 and p.coord((2, 4)) == 0
@@ -64,7 +105,6 @@ def test_phi_satisfies_all_relations():
         w = rng.choice(perms)
         if not bruhat_leq(v, w):
             continue
-        from tnnflag.wiring import build_diagram
         a = {j: Fraction(rng.randint(1, 7)) for j in build_diagram(v, w).weight_ids()}
         p = phi(v, w, a)
         assert all(check_relation(rel, p) == 0 for rel in rels)
@@ -142,7 +182,6 @@ def test_trop_terms_verdict():
 
 def test_top_cell_coordinates_all_positive():
     n = 4
-    from tnnflag.wiring import build_diagram
     d = build_diagram(identity(n), longest_element(n))
     a = {j: Fraction(j + 1, 2) for j in d.weight_ids()}
     p = phi(identity(n), longest_element(n), a)

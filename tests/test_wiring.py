@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tnnflag.perms import all_perms, bruhat_leq, identity, longest_element
-from tnnflag.plucker import mr_matrix
+from tnnflag.oracle import mr_matrix
 from tnnflag.wiring import (
     Path, build_diagram, collection_weight, enumerate_path_collections,
     graph_extremal_collections, left_greedy_collection, path_sum_matrix,
