@@ -23,6 +23,8 @@ from fractions import Fraction
 
 from tnnflag.algebra import Trop
 from tnnflag.cli import run
+from tnnflag.extremal import flag_matroid_check, s_vw
+from tnnflag.membership import identify_cell
 from tnnflag.perms import perm_from_str
 from tnnflag.plucker import phi, trop_phi
 from tnnflag.wiring import build_diagram
@@ -43,6 +45,10 @@ EDITED = [
     ("unsupported-generating-index.json", "1234", "1423", False, "delete", (1, 2, 4)),
     ("violated-tropical-relation.json", "1234", "1342", True, "delete", (1, 3)),
     ("trop-no-cell.json", "1234", "1234", True, "delete", (1,)),
+    # the first edit in S4 whose support still identifies a cell but is
+    # not a flag matroid, deleting a non-generating coordinate: psi and phi
+    # run and reject, and the flag-matroid check must still name the witness
+    ("cell-support-not-flag-matroid.json", "1234", "2341", False, "delete", (1, 3)),
 ]
 
 COMMANDS = [
@@ -104,6 +110,10 @@ def input_files() -> dict[str, dict]:
         else:
             vec.coords[index] = -vec.coords[index]
         files[name] = vec.to_json_dict()
+        if name == "cell-support-not-flag-matroid.json":
+            cell = identify_cell(vec.support(), vec.n)
+            assert index not in s_vw(*cell)
+            assert not flag_matroid_check(vec.support())
     return files
 
 

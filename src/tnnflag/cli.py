@@ -19,7 +19,7 @@ from .perms import (
 )
 from .plucker import (
     PlueckerVector, TropPlueckerVector, generate_relations, index_to_str,
-    phi, trop_phi,
+    phi, trop_check_relation, trop_phi,
 )
 from .extremal import cell_support, extremal_indices
 from .membership import decide_tnn, decide_trop
@@ -162,7 +162,9 @@ def _cmd_relations(args) -> int:
 
 def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
     """Oracle checks for one cell; raises AssertionError on any failure."""
-    from .extremal import extremal_index_set, generators, s_vw
+    from .extremal import (
+        extremal_index_set, flag_matroid_check, generators, s_vw,
+    )
     from .membership import (
         propagate_three_term, psi, trop_propagate_three_term, trop_psi,
     )
@@ -176,6 +178,11 @@ def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
     for k in range(1, n):
         assert sup.sets[k] == support_oracle(v, w, k), \
             f"support mismatch at size {k} for ({perm_to_str(v)},{perm_to_str(w)})"
+    # the deciders rely on these two theorems without re-checking them on
+    # members: a cell's support is a flag matroid, and its tropical points
+    # positively solve every three-term relation
+    assert flag_matroid_check(sup.sets), "cell support is not a flag matroid"
+    three_term = generate_relations(n, True)
     ext = extremal_index_set(sup)
     gens = generators(v, w)
     assert {g.index for g in gens} == ext, \
@@ -204,6 +211,9 @@ def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
         if t == 0:
             assert q.coords == trop_phi_enumerated(v, w, x).coords, \
                 "trop_phi differs from path-collection enumeration"
+        assert all(trop_check_relation(rel, q, positive=True)
+                   for rel in three_term), \
+            "trop_phi violates a three-term relation"
         tcert = decide_trop(q)
         assert tcert.verdict == "member" and tcert.cell == (v, w), \
             "decide_trop rejected a parameterized point"

@@ -190,21 +190,36 @@ def _reconstruct(p, psi_fn, phi_fn) -> CellCertificate:
 
 def decide_tnn(p: PlueckerVector) -> CellCertificate:
     """Decide membership in the nonnegative complete flag variety by
-    reconstruction-and-compare, certifying members by (v, w, weights)."""
+    reconstruction-and-compare, certifying members by (v, w, weights).
+
+    A negative coordinate is reported first. Otherwise the vector is
+    reconstructed; a member needs no further check, since its support is
+    the flag matroid of its cell. Only a rejection runs the flag-matroid
+    check on the support, whose failure is reported in place of the
+    reconstruction's witness.
+    """
     for I in _first_index_order(p.coords):
         if p.coords[I] < 0:
             return _non_member({"type": "negative-coordinate",
                                 "index": index_to_str(I),
                                 "value": rat_to_str(p.coords[I])})
-    if not flag_matroid_check(p.support()):
-        return _non_member({"type": "support-not-flag-matroid"})
-    return _reconstruct(p, psi, phi)
+    cert = _reconstruct(p, psi, phi)
+    if cert.verdict == "member" or flag_matroid_check(p.support()):
+        return cert
+    return _non_member({"type": "support-not-flag-matroid"})
 
 
 def decide_trop(p: TropPlueckerVector) -> CellCertificate:
-    """Decide membership in the nonnegative flag Dressian: every three-term
-    tropical relation must be positively solved, and the vector must
-    reconstruct exactly from its cell weights."""
+    """Decide membership in the nonnegative flag Dressian: the vector must
+    reconstruct exactly from its cell weights.
+
+    A member positively solves every three-term tropical relation, so the
+    relations are scanned only on a rejection: the first violated one is
+    reported in place of the reconstruction's witness.
+    """
+    cert = _reconstruct(p, trop_psi, trop_phi)
+    if cert.verdict == "member":
+        return cert
     for rel in generate_relations(p.n, True):
         if not trop_check_relation(rel, p, positive=True):
             return _non_member({
@@ -213,7 +228,7 @@ def decide_trop(p: TropPlueckerVector) -> CellCertificate:
                 "J": index_to_str(rel.J),
                 "terms": [[sign, index_to_str(a), index_to_str(b)]
                           for sign, a, b in rel.terms]})
-    return _reconstruct(p, trop_psi, trop_phi)
+    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """
-Independent brute-force verifiers: exhaustive-enumeration supports, a
-subword-search Bruhat test, cofactor determinants, the cell matrix and
-its top-rows minors, random flags, sampled elements of the quadratic
-ideal, and tropical coordinates by listing every path collection. These
-deliberately avoid the library's fast code paths so they can serve as
-oracles in tests.
+Independent brute-force verifiers: supports read off Bruhat intervals
+enumerated as subword products, a subword-search Bruhat test, cofactor
+determinants, the cell matrix and its top-rows minors, random flags,
+sampled elements of the quadratic ideal, and tropical coordinates by
+listing every path collection. These deliberately avoid the library's
+fast code paths so they can serve as oracles in tests.
 flag_matroid_check is the library's own brute-force predicate (it lives in
 `extremal`), re-exported here.
 """
@@ -16,9 +16,9 @@ __all__ = [
     "mr_matrix", "phi_minors",
 ]
 
-import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import TROP_INF, Trop
 from .extremal import flag_matroid_check
@@ -86,20 +86,38 @@ def bruhat_leq_oracle(v: Perm, w: Perm) -> bool:
     return reachable(0, v)
 
 
+def _subword_products(word: tuple[int, ...], n: int) -> set[Perm]:
+    """Products of all subwords of ``word``; for a reduced word of u this
+    is the lower interval [e, u] (subword property)."""
+    products = {identity(n)}
+    for i in word:
+        products |= {right_mult_s(u, i) for u in products}
+    return products
+
+
+@lru_cache(maxsize=16)
+def _interval_oracle(lo: Perm, hi: Perm) -> frozenset[Perm]:
+    """[lo, hi] as [e, hi] cut by the upper set of lo, which reversing the
+    one-line notation (right multiplication by w0, an order-reversing
+    bijection) maps onto [e, lo w0]."""
+    n = len(lo)
+    below_hi = _subword_products(reduced_word_oracle(hi), n)
+    lo_w0 = Perm(lo[::-1])
+    above_lo = {Perm(u[::-1])
+                for u in _subword_products(reduced_word_oracle(lo_w0), n)}
+    return frozenset(below_hi & above_lo)
+
+
 def support_oracle(v: Perm, w: Perm, k: int) -> set[Index]:
-    """{sorted {u(1..k)} : v^-1 <= u <= w^-1} by exhaustive enumeration."""
+    """{sorted {u(1..k)} : v^-1 <= u <= w^-1}, the interval enumerated
+    once per cell from subword products of two reduced words."""
     n = len(v)
     if n > _MAX_N:
         raise ValueError(f"support_oracle refuses n > {_MAX_N}")
-    if not bruhat_leq_oracle(v, w):
+    interval = _interval_oracle(inverse(v), inverse(w))
+    if not interval:
         raise ValueError("v is not <= w in Bruhat order")
-    vi, wi = inverse(v), inverse(w)
-    out: set[Index] = set()
-    for u in itertools.permutations(range(1, n + 1)):
-        u = Perm(u)
-        if bruhat_leq_oracle(vi, u) and bruhat_leq_oracle(u, wi):
-            out.add(tuple(sorted(u[:k])))
-    return out
+    return {tuple(sorted(u[:k])) for u in interval}
 
 
 def _top_minors(m) -> PlueckerVector:

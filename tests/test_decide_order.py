@@ -1,0 +1,128 @@
+"""Differential test of the deciders' order of checks.
+
+`decide_tnn` and `decide_trop` reconstruct first and run the flag-matroid
+check or the three-term scan only to name a rejection. The checks-first
+order they replace is written out below from public pieces; both orders
+must give the same certificate, verdict and witness, on every input.
+"""
+
+import random
+from collections import Counter
+
+from tnnflag.algebra import Trop, rat_to_str
+from tnnflag.membership import (
+    CellCertificate, _reconstruct, decide_tnn, decide_trop, psi, trop_psi,
+)
+from tnnflag.oracle import flag_matroid_check, generic_weights, random_flag
+from tnnflag.perms import all_perms, bruhat_leq
+from tnnflag.plucker import (
+    PlueckerVector, TropPlueckerVector, all_proper_indices,
+    generate_relations, index_to_str, phi, trop_check_relation, trop_phi,
+)
+
+
+def _non_member(witness):
+    return CellCertificate("non-member", witness=witness)
+
+
+def decide_tnn_checks_first(p):
+    for I in sorted(p.coords, key=lambda I: (len(I), I)):
+        if p.coords[I] < 0:
+            return _non_member({"type": "negative-coordinate",
+                                "index": index_to_str(I),
+                                "value": rat_to_str(p.coords[I])})
+    if not flag_matroid_check(p.support()):
+        return _non_member({"type": "support-not-flag-matroid"})
+    return _reconstruct(p, psi, phi)
+
+
+def decide_trop_checks_first(p):
+    for rel in generate_relations(p.n, True):
+        if not trop_check_relation(rel, p, positive=True):
+            return _non_member({
+                "type": "violated-tropical-relation",
+                "I": index_to_str(rel.I) if rel.I else "",
+                "J": index_to_str(rel.J),
+                "terms": [[sign, index_to_str(a), index_to_str(b)]
+                          for sign, a, b in rel.terms]})
+    return _reconstruct(p, trop_psi, trop_phi)
+
+
+def _cells(n):
+    ps = list(all_perms(n))
+    return [(v, w) for v in ps for w in ps if bruhat_leq(v, w)]
+
+
+def _edits(p, rng, bump):
+    """The member p, p with one coordinate bumped, and p with one
+    coordinate zeroed (each coordinate chosen by rng)."""
+    out = [p]
+    for edit in ("bump", "zero"):
+        coords = dict(p.coords)
+        I = rng.choice(sorted(coords))
+        if edit == "bump":
+            coords[I] = bump(coords[I])
+        else:
+            del coords[I]
+        out.append(type(p)(p.n, coords))
+    return out
+
+
+def _inputs(cells, rng):
+    """Classical and tropical inputs: members of each cell and their
+    one-coordinate edits."""
+    classical, tropical = [], []
+    for v, w in cells:
+        a = generic_weights(v, w, seed=rng.randrange(1000))
+        classical += _edits(phi(v, w, a), rng, lambda x: x * 2)
+        x = {j: Trop.of(rng.randint(-3, 3)) for j in a}
+        tropical += _edits(trop_phi(v, w, x), rng,
+                           lambda t: t * Trop.of(rng.choice((-1, 1))))
+    return classical, tropical
+
+
+def _random_inputs(n, count, rng):
+    """random_flag draws, their absolute values, and random tropical
+    vectors with some infinite coordinates."""
+    classical, tropical = [], []
+    for _ in range(count):
+        f = random_flag(n, seed=rng.randrange(10**6))
+        classical.append(f)
+        classical.append(PlueckerVector(
+            n, {I: abs(x) for I, x in f.coords.items()}))
+        tropical.append(TropPlueckerVector(n, {
+            I: Trop.of(rng.randint(-2, 2)) for I in all_proper_indices(n)
+            if rng.random() < 0.85}))
+    return classical, tropical
+
+
+def _compare(classical, tropical):
+    seen = Counter()
+    for p in classical:
+        cert = decide_tnn(p).to_json_dict()
+        assert cert == decide_tnn_checks_first(p).to_json_dict(), p.coords
+        seen[cert.get("witness", {}).get("type", "member")] += 1
+    for p in tropical:
+        cert = decide_trop(p).to_json_dict()
+        assert cert == decide_trop_checks_first(p).to_json_dict(), p.coords
+        seen["trop:" + cert.get("witness", {}).get("type", "member")] += 1
+    return seen
+
+
+def test_orders_agree_on_s3_s4():
+    rng = random.Random(7)
+    seen = Counter()
+    for n in (3, 4):
+        classical, tropical = _inputs(_cells(n) * 2, rng)
+        c2, t2 = _random_inputs(n, 40, rng)
+        seen += _compare(classical + c2, tropical + t2)
+    assert {"member", "negative-coordinate", "support-not-flag-matroid",
+            "no-cell", "unsupported-generating-index",
+            "reconstruction-mismatch", "trop:member",
+            "trop:violated-tropical-relation", "trop:no-cell"} <= set(seen), seen
+
+
+def test_orders_agree_on_s5_sample():
+    rng = random.Random(11)
+    seen = _compare(*_inputs(rng.sample(_cells(5), 40), rng))
+    assert seen["member"] and seen["trop:member"], seen

@@ -9,8 +9,11 @@ from tnnflag.membership import (
     decide_tnn, decide_trop, identify_cell, propagate_three_term, psi,
     psi_monomials, trop_propagate_three_term, trop_psi,
 )
+from tnnflag.oracle import determinant_cofactor, random_flag
 from tnnflag.perms import all_perms, bruhat_leq, identity, longest_element
-from tnnflag.plucker import PlueckerVector, TropPlueckerVector, phi, trop_phi
+from tnnflag.plucker import (
+    PlueckerVector, TropPlueckerVector, all_proper_indices, phi, trop_phi,
+)
 from tnnflag.wiring import build_diagram
 
 EX_V, EX_W = (1, 3, 2, 4), (4, 2, 1, 3)
@@ -156,3 +159,45 @@ def test_trop_propagation_matches_trop_phi_sampled():
 def test_propagation_needs_all_extremal_values():
     with pytest.raises(ValueError):
         propagate_three_term({(1,): Fraction(1)}, (EX_V, EX_W))
+
+
+def _jacobi_product(n, rng):
+    """A random product of nonnegative elementary Jacobi matrices
+    I + t E_{i,i+1}, I + t E_{i+1,i} (t >= 0 rational) and a positive
+    diagonal; every minor of it is >= 0."""
+    m = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    for _ in range(rng.randint(0, n * n)):
+        kind = rng.choice(("upper", "lower", "diagonal"))
+        i = rng.randrange(n if kind == "diagonal" else n - 1)
+        t = Fraction(rng.randint(0, 5), rng.randint(1, 3))
+        for row in m:
+            if kind == "upper":       # column i+1 += t * column i
+                row[i + 1] += t * row[i]
+            elif kind == "lower":     # column i += t * column i+1
+                row[i] += t * row[i + 1]
+            else:                     # column i *= a positive scalar
+                row[i] *= t + 1
+    return m
+
+
+def test_totally_nonnegative_flags_are_members():
+    """Bloch-Karp: a flag whose Pluecker coordinates are all >= 0 lies in
+    the nonnegative flag variety. Flags of totally nonnegative matrices,
+    minors by cofactor expansion, must all be members; random integer
+    flags with a negative coordinate must all be rejected for it."""
+    rng = random.Random(5)
+    for n in (3, 4, 5):
+        for _ in range(20):
+            m = _jacobi_product(n, rng)
+            p = PlueckerVector(n, {
+                I: determinant_cofactor(
+                    [[m[r][c - 1] for c in I] for r in range(len(I))])
+                for I in all_proper_indices(n)})
+            assert all(x >= 0 for x in p.coords.values())
+            assert decide_tnn(p).verdict == "member", p.coords
+        negative = [p for p in (random_flag(n, seed=rng.randrange(10**6))
+                                for _ in range(12))
+                    if any(x < 0 for x in p.coords.values())]
+        assert negative
+        for p in negative:
+            assert decide_tnn(p).witness["type"] == "negative-coordinate"

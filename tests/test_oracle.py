@@ -10,7 +10,8 @@ from tnnflag.oracle import (
     support_oracle,
 )
 from tnnflag.perms import (
-    all_perms, bruhat_leq, identity, length, longest_element, perm_from_word,
+    all_perms, bruhat_leq, identity, inverse, length, longest_element,
+    perm_from_word,
 )
 from tnnflag.plucker import check_relation, generate_relations, phi
 from tnnflag.wiring import build_diagram
@@ -39,6 +40,25 @@ def test_support_oracle_example_cell():
         support_oracle(identity(8), identity(8), 1)
     with pytest.raises(ValueError):
         support_oracle((2, 1, 3), (1, 3, 2), 1)
+
+
+def test_support_oracle_matches_subword_search_intervals():
+    """The subword-product intervals agree with filtering all of S_n
+    through the subword-search Bruhat test."""
+    for n in (3, 4):
+        perms = list(all_perms(n))
+        leq = {(a, b): bruhat_leq_oracle(a, b) for a in perms for b in perms}
+        for v in perms:
+            for w in perms:
+                if not leq[v, w]:
+                    with pytest.raises(ValueError):
+                        support_oracle(v, w, 1)
+                    continue
+                vi, wi = inverse(v), inverse(w)
+                interval = [u for u in perms if leq[vi, u] and leq[u, wi]]
+                for k in range(1, n):
+                    assert support_oracle(v, w, k) == \
+                        {tuple(sorted(u[:k])) for u in interval}, (v, w, k)
 
 
 def test_flag_matroid_check_accepts_cell_supports():
