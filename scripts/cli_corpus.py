@@ -11,13 +11,20 @@ intended:
 
     PYTHONPATH=src python3 scripts/cli_corpus.py
 
+With --check it instead replays the corpus file, without pytest, and
+exits 1 at the first case whose exit code or stdout differs:
+
+    PYTHONPATH=src python3 scripts/cli_corpus.py --check
+
 Every input has n <= 5, inside the default --max-n.
 """
 
+import argparse
 import contextlib
 import io
 import json
 import pathlib
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -117,22 +124,53 @@ def input_files() -> dict[str, dict]:
     return files
 
 
-def main() -> None:
-    files = input_files()
-    cases = []
+def _run(files: dict[str, dict], argvs):
+    """Write ``files`` to a temporary directory and run each argv there;
+    yields (argv, exit code, stdout)."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, obj in files.items():
             (pathlib.Path(tmp) / name).write_text(json.dumps(obj, sort_keys=True))
-        for argv in COMMANDS:
+        for argv in argvs:
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 code = run([str(pathlib.Path(tmp) / a) if a in files else a
                             for a in argv])
-            cases.append({"argv": argv, "exit": code, "stdout": buf.getvalue()})
+            yield argv, code, buf.getvalue()
+
+
+def capture() -> None:
+    files = input_files()
+    cases = [{"argv": argv, "exit": code, "stdout": out}
+             for argv, code, out in _run(files, COMMANDS)]
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(json.dumps({"files": files, "cases": cases},
                               indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(cases)} cases to {OUT}")
+
+
+def check() -> int:
+    """Replay the corpus file; 1 at the first case whose exit code or
+    stdout differs, else 0."""
+    corpus = json.loads(OUT.read_text())
+    cases = corpus["cases"]
+    replayed = _run(corpus["files"], [case["argv"] for case in cases])
+    for case, (argv, code, out) in zip(cases, replayed):
+        if (code, out) != (case["exit"], case["stdout"]):
+            print(f"differs: {' '.join(argv)} (exit {code}, "
+                  f"expected {case['exit']})", file=sys.stderr)
+            return 1
+    print(f"{len(cases)} cases replay byte-identically")
+    return 0
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--check", action="store_true",
+                    help=f"replay {OUT.relative_to(ROOT)} instead of "
+                         "rewriting it; exit 1 on the first difference")
+    if ap.parse_args().check:
+        raise SystemExit(check())
+    capture()
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from .plucker import (
     index_to_str, index_from_str, all_proper_indices,
     phi, trop_phi,
     generate_relations, check_relation, trop_check_relation,
-    trop_terms_verdict, trop_eval_poly_terms,
+    trop_terms_verdict,
 )
 from .extremal import (
     SupportVector, ExtremalChain, is_supported, xi, xi_star,

@@ -15,7 +15,8 @@ import sys
 
 from .algebra import Trop, rat_from_str, trop_from_str
 from .perms import (
-    Perm, all_perms, bruhat_leq, length, perm_from_str, perm_to_str,
+    Perm, all_perms, bruhat_leq, bruhat_pairs, length, perm_from_str,
+    perm_to_str,
 )
 from .plucker import (
     PlueckerVector, TropPlueckerVector, generate_relations, index_to_str,
@@ -234,7 +235,7 @@ def _cmd_verify(args) -> int:
     if n < 2:
         raise _Malformed("verify needs n >= 2")
     perms = list(all_perms(n))
-    pairs = [(v, w) for v in perms for w in perms if bruhat_leq(v, w)]
+    pairs = bruhat_pairs(n)
     if n <= 4:
         selected = pairs
         depth = "full"

@@ -2,9 +2,10 @@
 Independent brute-force verifiers: supports read off Bruhat intervals
 enumerated as subword products, a subword-search Bruhat test, cofactor
 determinants, the cell matrix and its top-rows minors, random flags,
-sampled elements of the quadratic ideal, and tropical coordinates by
-listing every path collection. These deliberately avoid the library's
-fast code paths so they can serve as oracles in tests.
+sampled elements of the quadratic ideal and their tropical evaluation,
+and tropical coordinates by listing every path collection. These
+deliberately avoid the library's fast code paths so they can serve as
+oracles in tests.
 flag_matroid_check is the library's own brute-force predicate (it lives in
 `extremal`), re-exported here.
 """
@@ -12,8 +13,8 @@ flag_matroid_check is the library's own brute-force predicate (it lives in
 __all__ = [
     "determinant_cofactor", "reduced_word_oracle", "bruhat_leq_oracle",
     "support_oracle", "flag_matroid_check", "random_flag",
-    "generic_weights", "ideal_element_sample", "trop_phi_enumerated",
-    "mr_matrix", "phi_minors",
+    "generic_weights", "ideal_element_sample", "trop_eval_poly_terms",
+    "trop_phi_enumerated", "mr_matrix", "phi_minors",
 ]
 
 import random
@@ -245,4 +246,19 @@ def ideal_element_sample(n: int, count: int, seed: int,
                 acc[key] = acc.get(key, 0) + mult_coeff * sign
         poly = [(c, dict(key)) for key, c in acc.items() if c != 0]
         out.append(poly)
+    return out
+
+
+def trop_eval_poly_terms(poly: list[tuple[int, dict[Index, int]]],
+                         p: TropPlueckerVector) -> list[tuple[int, Trop]]:
+    """Evaluate a polynomial given as (coefficient, monomial exponent map)
+    terms, such as those of ``ideal_element_sample``, into (sign, tropical
+    value) pairs; exponents are nonnegative.
+    """
+    out = []
+    for coeff, mono in poly:
+        val = p.one
+        for I, e in mono.items():
+            val = val * p.coord(I) ** e
+        out.append((coeff, val))
     return out

@@ -19,7 +19,7 @@ __all__ = [
     "identity", "inverse", "compose", "length", "is_perm",
     "left_mult_s", "right_mult_s", "perm_from_word", "longest_element",
     "perm_from_str", "perm_to_str", "all_perms",
-    "gale_leq", "bruhat_leq",
+    "gale_leq", "bruhat_leq", "bruhat_pairs",
     "canonical_w0_word", "positive_distinguished_subexpression",
     "is_positive_distinguished",
 ]
@@ -156,6 +156,38 @@ def bruhat_leq(v: Perm, w: Perm) -> bool:
         if not all(a <= b for a, b in zip(vk, wk)):
             return False
     return True
+
+
+def bruhat_pairs(n: int) -> list[tuple[Perm, Perm]]:
+    """Every pair v <= w of S_n, v and then w in ``all_perms`` order,
+    without a test per pair: by the tableau criterion the w above v are
+    those whose k-prefix set lies Gale-above v's for every k, and the
+    permutations whose k-prefix set lies Gale-above a given k-set form one
+    bit mask (bit i for the i-th permutation).
+
+    >>> bruhat_pairs(2)
+    [((1, 2), (1, 2)), ((1, 2), (2, 1)), ((2, 1), (2, 1))]
+    """
+    perms = list(all_perms(n))
+    above = [(1 << len(perms)) - 1] * len(perms)
+    for k in range(1, n):
+        prefixes = [tuple(sorted(u[:k])) for u in perms]
+        with_prefix: dict[tuple[int, ...], int] = {}
+        for i, A in enumerate(prefixes):
+            with_prefix[A] = with_prefix.get(A, 0) | 1 << i
+        gale_above = {A: 0 for A in with_prefix}
+        for A in with_prefix:
+            for B, mask in with_prefix.items():
+                if gale_leq(A, B):
+                    gale_above[A] |= mask
+        above = [m & gale_above[A] for m, A in zip(above, prefixes)]
+    pairs = []
+    for v, m in zip(perms, above):
+        while m:
+            low = m & -m
+            pairs.append((v, perms[low.bit_length() - 1]))
+            m ^= low
+    return pairs
 
 
 # ---------------------------------------------------------------------------

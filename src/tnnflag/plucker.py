@@ -22,10 +22,11 @@ __all__ = [
     "index_to_str", "index_from_str", "all_proper_indices",
     "phi", "trop_phi",
     "generate_relations", "check_relation", "trop_check_relation",
-    "trop_terms_verdict", "trop_eval_poly_terms",
+    "trop_terms_verdict",
 ]
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -35,7 +36,7 @@ from .algebra import (
     TROP_INF, Trop, rat_from_str, rat_to_str, trop_from_str, trop_to_str,
 )
 from .perms import Perm
-from .wiring import NegativeSegment, build_diagram
+from .wiring import build_diagram
 
 # a sorted tuple of distinct elements of {1..n}
 Index = tuple[int, ...]
@@ -83,7 +84,8 @@ class _Vector:
     def canonicalize(self):
         """Divide each size block by its lexicographically minimal supported
         coordinate (the Gale minimum, whenever the support is a matroid), so
-        that coordinate becomes one: 1 classically, 0 tropically.
+        that coordinate becomes one: 1 classically, 0 tropically. A block
+        whose unit is already one is copied as it is.
         """
         sup = self.support()
         coords: dict[Index, object] = {}
@@ -91,8 +93,9 @@ class _Vector:
             if not sup[k]:
                 continue
             unit = self.coord(min(sup[k]))
+            keep = unit == self.one
             for I in sup[k]:
-                coords[I] = self.coord(I) / unit
+                coords[I] = self.coord(I) if keep else self.coord(I) / unit
         return type(self)(self.n, coords)
 
     def to_json_dict(self) -> dict:
@@ -146,79 +149,133 @@ class TropPlueckerVector(_Vector):
 # Cell parameterization
 # ---------------------------------------------------------------------------
 
-def _sweep(v: Perm, w: Perm, x: Mapping[int, object], cls):
+@lru_cache(maxsize=None)
+def _index_masks(n: int) -> tuple[tuple[tuple[Index, int], ...], ...]:
+    """Per size 1..n-1, its indices in lexicographic order, each with its
+    strand mask (bit i-1 for i)."""
+    return tuple(tuple((I, sum(1 << (i - 1) for i in I))
+                       for I in itertools.combinations(range(1, n + 1), k))
+                 for k in range(1, n))
+
+
+def _sweep(v: Perm, w: Perm, x: Mapping[int, int | Fraction], cls):
     """The vector of ``cls`` whose coordinate at I sums, over ``cls``'s
     semiring, the weights of the non-intersecting path collections
-    {1'..|I|'} -> I; then canonical per-size normalization.
+    {1'..|I|'} -> I, with canonical per-size normalization; ``x`` holds
+    the rational weights (values of the tropical ones).
 
-    One left-to-right pass over the diagram serves every size, in
-    O(|E| 2^n): ``value`` maps each set of strands the paths occupy (a bit
-    mask, bit r-1 for strand r) to its sum so far. Edge keys are distinct,
-    so at most one path moves at each edge, and it may move exactly when
-    its upper strand is free; a collection is thus the same thing as its
-    sequence of moves, and the final sets are the sink sets I. A ``signed``
-    class gets the Lindstroem-Gessel-Viennot sign: a move is negated per
-    path it jumps over (reattached edges can span several strands), and a
-    state per -1 segment it crosses. The remaining sign, that of 1'..k'
-    read bottom to top, is common to size k and cancels in the
-    normalization.
+    One left-to-right pass over the diagram's ``sweep_events`` serves every
+    size, in O(|E| 2^n): ``value`` maps each set of strands the paths
+    occupy (a bit mask, bit r-1 for strand r) to its sum so far. Edge keys
+    are distinct, so at most one path moves at each edge, and it may move
+    exactly when its upper strand is free; a collection is thus the same
+    thing as its sequence of moves, and the final sets are the sink sets I.
+    A ``signed`` class gets the Lindstroem-Gessel-Viennot sign: a move is
+    negated per path it jumps over (reattached edges can span several
+    strands), and a state per -1 segment it crosses. The remaining sign,
+    that of 1'..k' read bottom to top, is common to size k and cancels in
+    the normalization.
+
+    The pass runs on Python ints, with L the lcm of the weights'
+    denominators. Classically every state is multiplied by L at each edge
+    and a move by the integer L a_e, so each collection's product is
+    scaled by L^|E| whatever edges it takes; that common factor cancels in
+    P_I / P_unit. Tropically the weights are the integers L x_e, so every
+    sum is scaled by L, and the normalized coordinate is
+    (raw_I - raw_unit) / L. Fractions are built only for the result.
     """
     d = build_diagram(v, w)
     if set(x) != set(d.weight_ids()):
         raise ValueError(f"expected weight ids {list(d.weight_ids())}, "
                          f"got {sorted(x)}")
-    signed, zero = cls.signed, cls.zero
-    value: dict[int, object] = {}
+    signed = cls.signed
+    L = math.lcm(*(q.denominator for q in x.values()))
+    a = {j: q.numerator * (L // q.denominator) for j, q in x.items()}
+    value: dict[int, int] = {}
     occupied = 0
     for label in range(1, d.n):
         occupied |= 1 << (d.strand_of_label(label) - 1)
-        value[occupied] = cls.one
-    events = [*d.edges, *d.neg_segments] if signed else list(d.edges)
-    for ev in sorted(events, key=lambda ev: ev.key):
-        if isinstance(ev, NegativeSegment):
-            bit = 1 << (ev.strand - 1)
-            for S in value:
-                if S & bit:
-                    value[S] = -value[S]
+        value[occupied] = 1 if signed else 0
+    for wid, lower, upper, jumped in d.sweep_events:
+        if wid is None:
+            if signed:
+                for S in value:
+                    if S & lower:
+                        value[S] = -value[S]
             continue
-        lower, upper = 1 << (ev.lower - 1), 1 << (ev.upper - 1)
-        jumped = upper - (lower << 1) if signed else 0
-        a = x[ev.weight_id]
-        for S, c in list(value.items()):
-            if S & lower and not S & upper:
-                T = S ^ lower ^ upper
-                term = c * a
-                if jumped and (S & jumped).bit_count() % 2:
-                    term = -term
-                value[T] = value.get(T, zero) + term
+        c_e = a[wid]
+        if signed:
+            old, value = value, {S: c * L for S, c in value.items()}
+            for S, c in old.items():
+                if S & lower and not S & upper:
+                    T = S ^ lower ^ upper
+                    if (S & jumped).bit_count() & 1:
+                        value[T] = value.get(T, 0) - c * c_e
+                    else:
+                        value[T] = value.get(T, 0) + c * c_e
+        else:
+            for S, c in list(value.items()):
+                if S & lower and not S & upper:
+                    T = S ^ lower ^ upper
+                    t = c + c_e
+                    if t < value.get(T, t + 1):     # absent is infinity
+                        value[T] = t
+    if signed:
+        value = {S: c for S, c in value.items() if c}
     coords = {}
-    for I in all_proper_indices(d.n):
-        c = value.get(sum(1 << (i - 1) for i in I), zero)
-        if c != zero:
-            coords[I] = c
-    return cls(d.n, coords).canonicalize()
+    for block in _index_masks(d.n):
+        # the set of supported indices, filled and iterated as
+        # ``canonicalize`` does, so the coordinates come in its order
+        sup = {I for I, S in block if S in value}
+        if not sup:
+            continue
+        raw = {I: value[S] for I, S in block if S in value}
+        unit = raw[min(sup)]
+        for I in sup:
+            coords[I] = (Fraction(raw[I], unit) if signed
+                         else Trop(Fraction(raw[I] - unit, L)))
+    return cls(d.n, coords)
 
 
-def phi(v: Perm, w: Perm, a: Mapping[int, Fraction]) -> PlueckerVector:
+def _exact_weights(x: Mapping[int, object], tropical: bool,
+                   ) -> dict[int, int | Fraction]:
+    """The rational value of each weight, which must be an int or a
+    Fraction, held in a finite Trop when ``tropical``."""
+    out = {}
+    for j, val in x.items():
+        q = val
+        if tropical:
+            if isinstance(val, Trop) and val.is_inf:
+                raise ValueError("tropical weights must be finite")
+            q = val.value if isinstance(val, Trop) else None
+        if type(q) is not int and not isinstance(q, Fraction):
+            kind = "a Trop of an int or Fraction" if tropical \
+                else "an int or Fraction"
+            raise ValueError(f"weight {j}: expected {kind}, got {val!r}")
+        out[j] = q
+    return out
+
+
+def phi(v: Perm, w: Perm, a: Mapping[int, int | Fraction]) -> PlueckerVector:
     """The cell's coordinates at positive weights: P_I is the signed sum
     over non-intersecting path collections {1'..|I|'} -> I of the product
     of their edge weights, which by Lindstroem-Gessel-Viennot is the
     top-rows minor of the cell matrix up to one sign per size; then
-    canonical per-size normalization.
+    canonical per-size normalization. Weights are ints or Fractions.
     """
-    if any(Fraction(x) <= 0 for x in a.values()):
+    exact = _exact_weights(a, tropical=False)
+    if any(val <= 0 for val in exact.values()):
         raise ValueError("weights must be strictly positive")
-    return _sweep(v, w, a, PlueckerVector)
+    return _sweep(v, w, exact, PlueckerVector)
 
 
 def trop_phi(v: Perm, w: Perm, x: Mapping[int, Trop]) -> TropPlueckerVector:
     """Min over non-intersecting path collections {1'..|I|'} -> I of the sum
     of the edge weights; infinity when no collection exists. The same sweep
-    as ``phi``, unsigned, in the min-plus semiring.
+    as ``phi``, unsigned, in the min-plus semiring. Weights are finite
+    Trops of ints or Fractions.
     """
-    if any(val.is_inf for val in x.values()):
-        raise ValueError("tropical weights must be finite")
-    return _sweep(v, w, x, TropPlueckerVector)
+    return _sweep(v, w, _exact_weights(x, tropical=True), TropPlueckerVector)
 
 
 # ---------------------------------------------------------------------------
@@ -310,20 +367,6 @@ def trop_check_relation(rel: IncidenceRelation, p: TropPlueckerVector,
              for sign, left, right in rel.terms]
     solution, pos = trop_terms_verdict(terms)
     return pos if positive else solution
-
-
-def trop_eval_poly_terms(poly: list[tuple[int, dict[Index, int]]],
-                         p: TropPlueckerVector) -> list[tuple[int, Trop]]:
-    """Evaluate a polynomial given as (coefficient, monomial exponent map)
-    terms into (sign, tropical value) pairs; exponents are nonnegative.
-    """
-    out = []
-    for coeff, mono in poly:
-        val = p.one
-        for I, e in mono.items():
-            val = val * p.coord(I) ** e
-        out.append((coeff, val))
-    return out
 
 
 if __name__ == "__main__":

@@ -64,6 +64,10 @@ class WiringDiagram:
     neg_segments: tuple[NegativeSegment, ...]
     w_word: Word                    # the PDS of w inside the canonical word
     v_positions: tuple[int, ...]    # positions of v's PDS inside w_word
+    # edges and -1 segments in key order as strand bit masks (bit r-1 for
+    # strand r): (weight_id, lower, upper, strands strictly between) for an
+    # edge, (None, strand, 0, 0) for a segment
+    sweep_events: tuple[tuple[int | None, int, int, int], ...]
 
     def weight_ids(self) -> tuple[int, ...]:
         return tuple(sorted(e.weight_id for e in self.edges))
@@ -179,10 +183,18 @@ def build_diagram(v: Perm, w: Perm) -> WiringDiagram:
         raise AssertionError("downward vertical edge produced (bug)")
     if tuple(labels) != v:
         raise AssertionError("source labels do not read v bottom-to-top (bug)")
+    events = []
+    for ev in sorted([*built, *segments], key=lambda ev: ev.key):
+        if isinstance(ev, NegativeSegment):
+            events.append((None, 1 << (ev.strand - 1), 0, 0))
+        else:
+            lower, upper = 1 << (ev.lower - 1), 1 << (ev.upper - 1)
+            events.append((ev.weight_id, lower, upper, upper - (lower << 1)))
     return WiringDiagram(
         n=n, cell=(v, w), source_label=tuple(labels),
         edges=built, neg_segments=tuple(segments),
         w_word=w_word, v_positions=tuple(sorted(v_pos)),
+        sweep_events=tuple(events),
     )
 
 

@@ -15,12 +15,12 @@ from tnnflag.membership import (
 )
 from tnnflag.oracle import (
     determinant_cofactor, generic_weights, ideal_element_sample, mr_matrix,
-    random_flag, support_oracle,
+    random_flag, support_oracle, trop_eval_poly_terms,
 )
 from tnnflag.perms import all_perms, bruhat_leq, identity, longest_element
 from tnnflag.plucker import (
     PlueckerVector, check_relation, generate_relations, phi,
-    trop_check_relation, trop_eval_poly_terms, trop_phi, trop_terms_verdict,
+    trop_check_relation, trop_phi, trop_terms_verdict,
 )
 from tnnflag.wiring import (
     build_diagram, enumerate_path_collections, graph_extremal_collections,

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tnnflag.perms import (
-    Perm, Word, all_perms, bruhat_leq, canonical_w0_word,
+    Perm, Word, all_perms, bruhat_leq, bruhat_pairs, canonical_w0_word,
     compose, gale_leq, identity, inverse, is_positive_distinguished, length,
     left_mult_s, longest_element, perm_from_str, perm_from_word, perm_to_str,
     positive_distinguished_subexpression, right_mult_s,
@@ -57,6 +57,13 @@ def test_bruhat_basics():
         assert bruhat_leq(e, u)
         assert bruhat_leq(u, w0)
     assert not bruhat_leq((2, 1, 3), (1, 3, 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_bruhat_pairs_lists_every_pair_in_order(n):
+    ps = list(all_perms(n))
+    assert bruhat_pairs(n) == [(v, w) for v in ps for w in ps
+                               if bruhat_leq(v, w)]
 
 
 @given(perms, perms)

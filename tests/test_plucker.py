@@ -53,6 +53,26 @@ def test_phi_validates_weights():
         phi(EX_V, EX_W, {1: Fraction(-1), 2: Fraction(1), 4: Fraction(1)})
 
 
+def test_int_weights_equal_their_fractions():
+    a = {1: 2, 2: 3, 4: 5}
+    p = phi(EX_V, EX_W, a)
+    assert p.coords == phi(EX_V, EX_W, {j: Fraction(q)
+                                        for j, q in a.items()}).coords
+    assert all(type(c) is Fraction for c in p.coords.values())
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1/2", None, Trop(Fraction(1))])
+def test_phi_rejects_inexact_weights(bad):
+    with pytest.raises(ValueError, match="weight 1:"):
+        phi(EX_V, EX_W, {1: bad, 2: 3, 4: Fraction(5)})
+
+
+@pytest.mark.parametrize("bad", [Trop(0.5), Trop(True), Fraction(1), 2])
+def test_trop_phi_rejects_inexact_weights(bad):
+    with pytest.raises(ValueError, match="weight 1:"):
+        trop_phi(EX_V, EX_W, {1: bad, 2: Trop(3), 4: Trop(Fraction(5))})
+
+
 def _cells(n):
     ps = list(all_perms(n))
     return [(v, w) for v in ps for w in ps if bruhat_leq(v, w)]
