@@ -13,14 +13,11 @@ import argparse
 from collections import Counter
 
 from tnnflag.extremal import cell_support, extremal_indices, s_vw
-from tnnflag.perms import (
-    all_perms, bruhat_leq, identity, length, longest_element, perm_to_str,
-)
+from tnnflag.perms import bruhat_pairs, identity, length, longest_element
 
 
 def census(n: int) -> None:
-    perms = list(all_perms(n))
-    pairs = [(v, w) for v in perms for w in perms if bruhat_leq(v, w)]
+    pairs = bruhat_pairs(n)
     print(f"n={n}: {len(pairs)} cells")
 
     by_dim: dict[int, Counter] = {}

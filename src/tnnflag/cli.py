@@ -15,14 +15,14 @@ import sys
 
 from .algebra import Trop, rat_from_str, trop_from_str
 from .perms import (
-    Perm, all_perms, bruhat_leq, bruhat_pairs, length, perm_from_str,
-    perm_to_str,
+    Perm, bruhat_leq, bruhat_pairs, identity, length, longest_element,
+    perm_from_str, perm_to_str,
 )
 from .plucker import (
     PlueckerVector, TropPlueckerVector, generate_relations, index_to_str,
     phi, trop_check_relation, trop_phi,
 )
-from .extremal import cell_support, extremal_indices
+from .extremal import cell_support, extremal_index_set, extremal_indices
 from .membership import decide_tnn, decide_trop
 from .wiring import build_diagram
 
@@ -163,16 +163,14 @@ def _cmd_relations(args) -> int:
 
 def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
     """Oracle checks for one cell; raises AssertionError on any failure."""
-    from .extremal import (
-        extremal_index_set, flag_matroid_check, generators, s_vw,
-    )
+    from .extremal import flag_matroid_check, generators, s_vw
     from .membership import (
         propagate_three_term, psi, trop_propagate_three_term, trop_psi,
     )
     from .oracle import (
         generic_weights, phi_minors, support_oracle, trop_phi_enumerated,
     )
-    from .wiring import enumerate_path_collections
+    from .wiring import collection_weight, enumerate_path_collections
 
     n = len(v)
     sup = cell_support(v, w)
@@ -193,6 +191,10 @@ def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
         assert enumerate_path_collections(
             d, range(1, len(g.index) + 1), g.index) == [g.collection], \
             f"extremal index {g.index} has another path collection"
+        mono = collection_weight(g.collection, d)
+        assert mono.coefficient == 1 and \
+            mono.exponents == g.monomial.exponents, \
+            f"extremal coordinate at {g.index} is not a plain positive monomial"
     s_vw(v, w)
     for t in range(draws):
         a = generic_weights(v, w, seed=seed + t)
@@ -234,8 +236,8 @@ def _cmd_verify(args) -> int:
     _guard_n(n, args)
     if n < 2:
         raise _Malformed("verify needs n >= 2")
-    perms = list(all_perms(n))
     pairs = bruhat_pairs(n)
+    top = (identity(n), longest_element(n))
     if n <= 4:
         selected = pairs
         depth = "full"
@@ -243,16 +245,12 @@ def _cmd_verify(args) -> int:
     else:
         # cost guard: keep the extremes and a seeded sample of the rest
         rng = random.Random(args.seed)
-        top = (perms[0], max(perms, key=length))
         selected = sorted(set([top] + rng.sample(pairs, min(20, len(pairs)))))
         depth = "sampled"
         draws = 1
     checked = [_verify_cell(v, w, args.seed, draws) for v, w in selected]
 
-    from .extremal import extremal_index_set
-    top_v = Perm(tuple(range(1, n + 1)))
-    top_w = max(perms, key=length)
-    ext = extremal_index_set(cell_support(top_v, top_w))
+    ext = extremal_index_set(cell_support(*top))
     _emit({
         "n": n,
         "depth": depth,

@@ -28,9 +28,7 @@ from typing import Iterable, Mapping, Union
 from .algebra import LaurentMonomial
 from .perms import Perm, gale_leq, length
 from .plucker import Index, PlueckerVector, TropPlueckerVector, trop_phi
-from .wiring import (
-    PathCollection, build_diagram, collection_weight, graph_extremal_collections,
-)
+from .wiring import PathCollection, build_diagram, graph_extremal_collections
 
 
 @dataclass(frozen=True)
@@ -96,51 +94,37 @@ def cell_support(v: Perm, w: Perm) -> SupportVector:
 # Xi and extremal chains
 # ---------------------------------------------------------------------------
 
-def xi(p: Supported, I) -> Index:
-    """Swap out b = the largest increasable element of I for the largest
-    element that keeps the index supported; fixed point when none exists
-    or I itself is unsupported.
+def _exchange(p: Supported, I, sign: int) -> Index:
+    """Swap out b = the first element of I, scanning from the top for
+    sign = 1 and from the bottom for sign = -1, that some element beyond
+    it in that direction can replace with the index staying supported; the
+    replacement is the farthest such element. Fixed point when there is no
+    such b or I itself is unsupported.
     """
     I = tuple(sorted(I))
     if not is_supported(p, I):
         return I
-    n = p.n
     inside = set(I)
-    b = None
-    for i in sorted(I, reverse=True):
-        rest = tuple(sorted(inside - {i}))
-        if any(j > i and is_supported(p, tuple(sorted(rest + (j,))))
-               for j in range(1, n + 1) if j not in inside):
-            b = i
-            break
-    if b is None:
-        return I
-    rest = tuple(sorted(inside - {b}))
-    a = max(j for j in range(1, n + 1)
-            if j not in inside and is_supported(p, tuple(sorted(rest + (j,)))))
-    return tuple(sorted(rest + (a,)))
+    outside = [j for j in range(1, p.n + 1) if j not in inside]
+    for b in sorted(I, reverse=sign > 0):
+        rest = inside - {b}
+        beyond = [j for j in outside
+                  if sign * j > sign * b and is_supported(p, rest | {j})]
+        if beyond:
+            a = max(beyond, key=lambda j: sign * j)
+            return tuple(sorted(rest | {a}))
+    return I
+
+
+def xi(p: Supported, I) -> Index:
+    """Raise the index maximally: swap out the largest increasable element
+    of I for the largest element that keeps the index supported."""
+    return _exchange(p, I, 1)
 
 
 def xi_star(p: Supported, I) -> Index:
     """Dual of xi: lowers the index maximally (min in place of max)."""
-    I = tuple(sorted(I))
-    if not is_supported(p, I):
-        return I
-    n = p.n
-    inside = set(I)
-    b = None
-    for i in sorted(I):
-        rest = tuple(sorted(inside - {i}))
-        if any(j < i and is_supported(p, tuple(sorted(rest + (j,))))
-               for j in range(1, n + 1) if j not in inside):
-            b = i
-            break
-    if b is None:
-        return I
-    rest = tuple(sorted(inside - {b}))
-    a = min(j for j in range(1, n + 1)
-            if j not in inside and is_supported(p, tuple(sorted(rest + (j,)))))
-    return tuple(sorted(rest + (a,)))
+    return _exchange(p, I, -1)
 
 
 @dataclass(frozen=True)
@@ -222,8 +206,11 @@ class Generator:
 @lru_cache(maxsize=None)
 def generators(v: Perm, w: Perm) -> tuple[Generator, ...]:
     """Extremal indices in traversal order: the sink sets of each size's
-    ``graph_extremal_collections``. Only the all-diagonal collection, at the
-    Gale-minimal index, has an empty monomial."""
+    ``graph_extremal_collections``, each with the product of its
+    collection's edge weights. That the coordinate is exactly this plain
+    positive monomial is checked by ``verify`` and the tests. Only the
+    all-diagonal collection, at the Gale-minimal index, has an empty
+    monomial."""
     d = build_diagram(v, w)
     collections = {tuple(sorted(c.sinks)): c
                    for k in range(1, len(v)) for c in graph_extremal_collections(d, k)}
@@ -231,10 +218,9 @@ def generators(v: Perm, w: Perm) -> tuple[Generator, ...]:
     out: list[Generator] = []
     for I in sorted(collections, key=precedes_key):
         coll = collections[I]
-        mono = collection_weight(coll, d)
-        if mono.coefficient != 1 or any(e != 1 for e in mono.exponents.values()):
-            raise AssertionError(f"extremal coordinate at {I} is not a "
-                                 "plain positive monomial (bug)")
+        # a vertex-disjoint collection uses each edge once
+        mono = LaurentMonomial(1, {e.weight_id: 1
+                                   for p in coll.paths for e in p.edges})
         fresh = sorted(set(mono.exponents) - used)
         used |= set(mono.exponents)
         if not mono.exponents:

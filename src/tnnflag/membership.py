@@ -140,7 +140,8 @@ def _solve_weights(v: Perm, w: Perm, p, usable, problem: str) -> dict:
     for j, m in psi_monomials(v, w).items():
         x = p.one
         for I, e in m.exponents.items():
-            x = x * values[I] ** e
+            # dividing keeps int coordinates exact, where int ** -1 is a float
+            x = x * values[I] ** e if e > 0 else x / values[I] ** -e
         weights[j] = x
     return weights
 

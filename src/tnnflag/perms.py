@@ -129,14 +129,15 @@ def all_perms(n: int) -> Iterator[Perm]:
 # ---------------------------------------------------------------------------
 
 def gale_leq(I: tuple[int, ...], J: tuple[int, ...]) -> bool:
-    """Componentwise order on equal-size subsets after sorting.
+    """Componentwise order on equal-size subsets, given as sorted tuples
+    (an ``Index``); the tuples are not re-sorted.
 
     >>> gale_leq((1, 3), (2, 3)), gale_leq((1, 4), (2, 3))
     (True, False)
     """
     if len(I) != len(J):
         raise ValueError("size mismatch")
-    return all(i <= j for i, j in zip(sorted(I), sorted(J)))
+    return all(i <= j for i, j in zip(I, J))
 
 
 def bruhat_leq(v: Perm, w: Perm) -> bool:

@@ -85,7 +85,8 @@ class _Vector:
         """Divide each size block by its lexicographically minimal supported
         coordinate (the Gale minimum, whenever the support is a matroid), so
         that coordinate becomes one: 1 classically, 0 tropically. A block
-        whose unit is already one is copied as it is.
+        whose unit is already one is copied as it is; the others are
+        multiplied by one / unit, which is exact for int coordinates too.
         """
         sup = self.support()
         coords: dict[Index, object] = {}
@@ -94,8 +95,9 @@ class _Vector:
                 continue
             unit = self.coord(min(sup[k]))
             keep = unit == self.one
+            inv = self.one / unit
             for I in sup[k]:
-                coords[I] = self.coord(I) if keep else self.coord(I) / unit
+                coords[I] = self.coord(I) if keep else self.coord(I) * inv
         return type(self)(self.n, coords)
 
     def to_json_dict(self) -> dict:

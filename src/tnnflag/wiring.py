@@ -1,8 +1,10 @@
 """
 Planar wiring diagrams for Bruhat pairs v <= w: n horizontal strands,
-weighted vertical edges, and signed diagonal segments, together with
-enumeration of non-intersecting path collections and their signed
-Laurent-monomial weights.
+weighted vertical edges, and signed diagonal segments; the left-greedy
+path collections that give the extremal indices, built in one walk over
+the edges in key order; and, as the independent reference for the oracle
+and the tests, enumeration of all non-intersecting path collections with
+their signed Laurent-monomial weights.
 
 Geometry conventions: strand r is the r-th from the bottom; sinks are the
 right ends of the strands (sink r on strand r); sources are primed labels
@@ -282,54 +284,24 @@ def collection_weight(c: PathCollection, d: WiringDiagram) -> LaurentMonomial:
 # Greedy / extremal collections
 # ---------------------------------------------------------------------------
 
-def _greedy_path(d: WiringDiagram, source: int, occupied: list[tuple]) -> Path:
-    """From the source's strand, take every upward edge that does not touch
-    the paths already placed; error out if boxed in with no exit.
-    """
-    strand = d.strand_of_label(source)
-    key = Fraction(0)
-    taken: list[VerticalEdge] = []
-    if any(s == strand and lo <= key and (hi is None or key <= hi)
-           for s, lo, hi in occupied):
-        raise RuntimeError("greedy source strand already occupied")
-    while True:
-        block = min((lo for s, lo, hi in occupied if s == strand and lo > key),
-                    default=None)
-        moved = False
-        for e in sorted(d.edges, key=lambda e: e.key):
-            if e.lower != strand or e.key <= key:
-                continue
-            if block is not None and e.key >= block:
-                break
-            landing_blocked = any(
-                s == e.upper and lo <= e.key and (hi is None or e.key <= hi)
-                for s, lo, hi in occupied)
-            if landing_blocked:
-                continue
-            taken.append(e)
-            strand, key = e.upper, Fraction(e.key)
-            moved = True
-            break
-        if moved:
-            continue
-        if block is not None:
-            raise RuntimeError("greedy path boxed in with no exit")
-        return Path(source, d.strand_of_label(source), tuple(taken))
-
-
 def left_greedy_collection(d: WiringDiagram, sources: Iterable[int]) -> PathCollection:
-    """Add paths top-down (by strand); each takes every left turn it can
-    without intersecting the paths already in the collection.
+    """Paths from ``sources``, each taking every left turn (upward edge) it
+    can without meeting another, in one walk over the edges in key order:
+    the path on an edge's lower strand climbs it exactly when no path holds
+    the upper strand, so each strand holds at most one path. Edge keys are
+    distinct, so wherever the sequential greedy (paths added top-down, each
+    turning around those already placed) succeeds, this is its collection.
     """
-    order = sorted(sources, key=d.strand_of_label, reverse=True)
-    occupied: list[tuple] = []
-    paths: list[Path] = []
-    for s in order:
-        p = _greedy_path(d, s, occupied)
-        paths.append(p)
-        occupied.extend(p.intervals())
-    paths.sort(key=lambda p: p.source)
-    return PathCollection(tuple(paths))
+    holder = {d.strand_of_label(s): s for s in sources}   # strand -> source
+    taken: dict[int, list[VerticalEdge]] = {s: [] for s in holder.values()}
+    for e in d.edges:
+        s = holder.get(e.lower)
+        if s is not None and e.upper not in holder:
+            del holder[e.lower]
+            holder[e.upper] = s
+            taken[s].append(e)
+    return PathCollection(tuple(Path(s, d.strand_of_label(s), tuple(es))
+                                for s, es in sorted(taken.items())))
 
 
 def graph_extremal_collections(d: WiringDiagram, k: int) -> list[PathCollection]:
@@ -343,7 +315,7 @@ def graph_extremal_collections(d: WiringDiagram, k: int) -> list[PathCollection]
     top_down = sorted(range(1, k + 1), key=d.strand_of_label, reverse=True)
     seen: dict[frozenset[int], PathCollection] = {}
     for i in range(k + 1):
-        greedy_part = left_greedy_collection(d, top_down[:i]) if i else PathCollection(())
+        greedy_part = left_greedy_collection(d, top_down[:i])
         diag = [Path(s, d.strand_of_label(s), ()) for s in top_down[i:]]
         paths = sorted(list(greedy_part.paths) + diag, key=lambda p: p.source)
         coll = PathCollection(tuple(paths))

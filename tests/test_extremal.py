@@ -11,7 +11,9 @@ from tnnflag.perms import (
     all_perms, bruhat_leq, gale_leq, identity, length, longest_element,
 )
 from tnnflag.plucker import phi
-from tnnflag.wiring import build_diagram, enumerate_path_collections
+from tnnflag.wiring import (
+    build_diagram, collection_weight, enumerate_path_collections,
+)
 
 EX_V, EX_W = (1, 3, 2, 4), (4, 2, 1, 3)
 
@@ -54,6 +56,23 @@ def test_xi_star_inverts_chain_direction():
     assert xi_star(sup, (3,)) == (1,)
     assert xi_star(sup, (2, 3)) == (1, 3)
     assert xi_star(sup, (2, 3, 4)) == (1, 3, 4)
+
+
+def test_xi_star_is_xi_mirrored():
+    """xi_star(sup, I) == rho(xi(rho(sup), rho(I))) with rho(i) = n+1-i,
+    on every supported index of every S3/S4 cell support."""
+    for v, w in _cells(3) + _cells(4):
+        sup = cell_support(v, w)
+        n = sup.n
+
+        def rho(I):
+            return tuple(sorted(n + 1 - i for i in I))
+
+        mirrored = SupportVector(n, {k: frozenset(map(rho, bases))
+                                     for k, bases in sup.sets.items()})
+        for bases in sup.sets.values():
+            for I in bases:
+                assert xi_star(sup, I) == rho(xi(mirrored, rho(I))), (v, w, I)
 
 
 def test_extremal_chains_example_cell():
@@ -125,8 +144,9 @@ def test_extremal_coordinates_are_monomials():
 
 
 def _assert_generators_match_enumeration(cells):
-    """The generators' indices are the Xi chains of the cell support, and
-    each collection is the only one the enumeration finds for its index."""
+    """The generators' indices are the Xi chains of the cell support, each
+    collection is the only one the enumeration finds for its index, and its
+    signed weight is the generator's plain positive monomial."""
     for v, w in cells:
         d = build_diagram(v, w)
         gens = generators(v, w)
@@ -136,6 +156,9 @@ def _assert_generators_match_enumeration(cells):
             assert enumerate_path_collections(
                 d, range(1, len(g.index) + 1), g.index) == [g.collection], \
                 (v, w, g.index)
+            mono = collection_weight(g.collection, d)
+            assert mono.coefficient == 1, (v, w, g.index)
+            assert mono.exponents == g.monomial.exponents, (v, w, g.index)
 
 
 def test_generators_match_enumeration_on_s3_s4():

@@ -86,6 +86,19 @@ def test_decide_tnn_member():
     assert d["weights"] == {"1": "2", "2": "3", "4": "5"}
 
 
+def test_decide_tnn_int_coordinates_are_exact():
+    """Plain int coordinates, canonical or scaled per size block, get the
+    certificate of their Fraction twin, with Fraction weights."""
+    p = phi(EX_V, EX_W, EX_A)
+    expected = decide_tnn(p)
+    for scale in (1, 6):
+        q = PlueckerVector(p.n, {I: int(c * scale) for I, c in p.coords.items()})
+        assert all(type(c) is int for c in q.coords.values())
+        cert = decide_tnn(q)
+        assert cert == expected, scale
+        assert all(type(x) is Fraction for x in cert.weights.values())
+
+
 def test_decide_tnn_negative_coordinate():
     p = phi(EX_V, EX_W, EX_A)
     p.coords[(2, 3)] = -p.coords[(2, 3)]

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from tnnflag.perms import all_perms, bruhat_leq, identity, longest_element
 from tnnflag.oracle import mr_matrix
 from tnnflag.wiring import (
-    Path, build_diagram, collection_weight, enumerate_path_collections,
-    graph_extremal_collections, left_greedy_collection, path_sum_matrix,
+    Path, PathCollection, build_diagram, collection_weight,
+    enumerate_path_collections, graph_extremal_collections,
+    left_greedy_collection, path_sum_matrix,
 )
 
 EX_V, EX_W = (1, 3, 2, 4), (4, 2, 1, 3)
@@ -126,6 +128,95 @@ def test_extremal_collection_weights_are_squarefree_monomials():
 def test_diagonal_path_weight_is_one():
     d = build_diagram(EX_V, EX_W)
     p = Path(1, d.strand_of_label(1), ())
-    from tnnflag.wiring import PathCollection
     mono = collection_weight(PathCollection((p,)), d)
     assert mono.coefficient == 1 and mono.exponents == {}
+
+
+# The sequential greedy that the one-walk ``left_greedy_collection``
+# replaces: paths are placed top-down by strand, each on closed occupancy
+# intervals, taking the first upward edge before the next path already
+# placed on its strand whose landing point is free. It gives up (None)
+# where a path is boxed in or starts on an occupied point.
+
+def _sequential_greedy_path(d, source, occupied):
+    strand = d.strand_of_label(source)
+    key = Fraction(0)
+    taken = []
+    if any(s == strand and lo <= key and (hi is None or key <= hi)
+           for s, lo, hi in occupied):
+        return None
+    while True:
+        block = min((lo for s, lo, hi in occupied if s == strand and lo > key),
+                    default=None)
+        for e in sorted(d.edges, key=lambda e: e.key):
+            if e.lower != strand or e.key <= key:
+                continue
+            if block is not None and e.key >= block:
+                break
+            if any(s == e.upper and lo <= e.key and (hi is None or e.key <= hi)
+                   for s, lo, hi in occupied):
+                continue
+            taken.append(e)
+            strand, key = e.upper, Fraction(e.key)
+            break
+        else:
+            if block is not None:
+                return None
+            return Path(source, d.strand_of_label(source), tuple(taken))
+
+
+def _sequential_greedy(d, sources):
+    occupied, paths = [], []
+    for s in sorted(sources, key=d.strand_of_label, reverse=True):
+        p = _sequential_greedy_path(d, s, occupied)
+        if p is None:
+            return None
+        paths.append(p)
+        occupied.extend(p.intervals())
+    return PathCollection(tuple(sorted(paths, key=lambda p: p.source)))
+
+
+def _sequential_extremal_collections(d, k):
+    top_down = sorted(range(1, k + 1), key=d.strand_of_label, reverse=True)
+    seen = {}
+    for i in range(k + 1):
+        greedy = _sequential_greedy(d, top_down[:i])
+        diag = [Path(s, d.strand_of_label(s), ()) for s in top_down[i:]]
+        paths = sorted(list(greedy.paths) + diag, key=lambda p: p.source)
+        coll = PathCollection(tuple(paths))
+        seen.setdefault(coll.sinks, coll)
+    return [seen[s] for s in sorted(seen, key=lambda s: tuple(sorted(s)))]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_edges_are_in_strictly_increasing_key_order(n):
+    for v, w in _cells(n):
+        keys = [e.key for e in build_diagram(v, w).edges]
+        assert all(a < b for a, b in zip(keys, keys[1:])), (v, w)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_left_greedy_walk_matches_sequential_greedy(n):
+    """Every source subset of every cell where the sequential greedy
+    places all its paths."""
+    compared = 0
+    for v, w in _cells(n):
+        d = build_diagram(v, w)
+        for r in range(1, n + 1):
+            for sources in itertools.combinations(range(1, n + 1), r):
+                expected = _sequential_greedy(d, sources)
+                if expected is not None:
+                    assert left_greedy_collection(d, sources) == expected, \
+                        (v, w, sources)
+                    compared += 1
+    assert compared
+
+
+def test_graph_extremal_collections_match_sequential_greedy():
+    cells = random.Random(8).sample(_cells(5), 60) + [
+        (identity(6), longest_element(6)), (identity(7), longest_element(7))]
+    for v, w in cells:
+        d = build_diagram(v, w)
+        for k in range(1, len(v)):
+            assert graph_extremal_collections(d, k) == \
+                _sequential_extremal_collections(d, k), (v, w, k)
