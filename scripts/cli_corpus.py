@@ -42,8 +42,8 @@ OUT = ROOT / "tests" / "data" / "cli_corpus.json"
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 # (file name, v, w, tropical, edit, index): one coordinate of the member
-# of cell (v, w) with prime weights is negated or deleted; each edit is the
-# first in S4 that gives the witness type in the file name
+# of cell (v, w) with prime weights is negated, deleted or inserted; each
+# edit is the first in S4 that gives the witness type in the file name
 EDITED = [
     ("negative-coordinate.json", "1234", "1234", False, "negate", (1,)),
     ("support-not-flag-matroid.json", "1234", "1234", False, "delete", (1,)),
@@ -56,6 +56,12 @@ EDITED = [
     # not a flag matroid, deleting a non-generating coordinate: psi and phi
     # run and reject, and the flag-matroid check must still name the witness
     ("cell-support-not-flag-matroid.json", "1234", "2341", False, "delete", (1, 3)),
+    # the first insertion in S4 (at the semiring's one) that keeps the
+    # lexicographic chains, and so the cell they give, but leaves the
+    # support with no Gale extremes: the reconstruction rejects, and the
+    # flag-matroid check or the three-term scan names the witness
+    ("no-gale-extremes.json", "1234", "3124", False, "insert", (1, 4)),
+    ("trop-no-gale-extremes.json", "1234", "3124", True, "insert", (1, 4)),
 ]
 
 COMMANDS = [
@@ -112,6 +118,10 @@ def input_files() -> dict[str, dict]:
         vec = _member(v, w, tropical)
         if edit == "delete":
             del vec.coords[index]
+        elif edit == "insert":
+            block = vec.support()[len(index)]
+            assert index not in block and min(block) < index < max(block)
+            vec.coords[index] = vec.one
         elif tropical:
             vec.coords[index] = Trop(-vec.coords[index].value)
         else:
@@ -121,6 +131,13 @@ def input_files() -> dict[str, dict]:
             cell = identify_cell(vec.support(), vec.n)
             assert index not in s_vw(*cell)
             assert not flag_matroid_check(vec.support())
+        if edit == "insert":
+            try:
+                identify_cell(vec.support(), vec.n)
+            except ValueError as exc:
+                assert "no Gale extremes" in str(exc)
+            else:
+                raise AssertionError(f"{name}: the support has Gale extremes")
     return files
 
 

@@ -72,18 +72,35 @@ def identify_cell(support: Mapping[int, set], n: int) -> tuple[Perm, Perm]:
     """Read v^-1 off the Gale-minimal chain increments and w^-1 off the
     Gale-maximal chain; raises ValueError when the chains do not exist,
     are not nested, or v is not <= w (all signal non-membership).
+
+    The deciders run this only to name a rejection. On every input they
+    run ``_lex_chain_cell``, which is this without the all-pairs Gale
+    check: a member's support is a flag matroid, whose lexicographic
+    extremes are its Gale extremes.
     """
-    mins: list[Index] = []
-    maxs: list[Index] = []
-    for k in range(1, n):
-        bases = {tuple(sorted(B)) for B in support.get(k, set())}
+    blocks = {k: {tuple(sorted(B)) for B in support.get(k, set())}
+              for k in range(1, n)}
+    for k, bases in blocks.items():
         if not bases:
-            raise ValueError(f"no supported index of size {k}")
+            break                       # _lex_chain_cell names it
         lo, hi = min(bases), max(bases)
         if not all(gale_leq(lo, B) and gale_leq(B, hi) for B in bases):
             raise ValueError(f"size {k} has no Gale extremes")
-        mins.append(lo)
-        maxs.append(hi)
+    return _lex_chain_cell(blocks, n)
+
+
+def _lex_chain_cell(support: Mapping[int, set], n: int) -> tuple[Perm, Perm]:
+    """The cell read off the lexicographically least and greatest index
+    of each size 1..n-1 of ``support`` (sorted tuples); raises ValueError
+    when a size is empty, the chains are not flags, or v is not <= w."""
+    mins: list[Index] = []
+    maxs: list[Index] = []
+    for k in range(1, n):
+        block = support[k]
+        if not block:
+            raise ValueError(f"no supported index of size {k}")
+        mins.append(min(block))
+        maxs.append(max(block))
 
     def chain_to_perm(chain: list[Index]) -> Perm:
         images: list[int] = []
@@ -166,44 +183,72 @@ def _first_index_order(indices) -> list[Index]:
 
 
 def _reconstruct(p, psi_fn, phi_fn) -> CellCertificate:
-    """Identify the cell from the support, solve the weights of the
-    canonical vector with ``psi_fn``, and certify membership iff ``phi_fn``
-    gives the canonical vector back exactly."""
+    """Certify membership iff ``phi_fn`` gives the canonical vector back
+    exactly from the weights ``psi_fn`` solves in the cell read off the
+    lexicographic chains of its support: one pass over the coordinates
+    and one dict comparison on a member. A rejection first runs the full
+    ``identify_cell``; when that fails, its no-cell witness is reported
+    in place of the reconstruction's."""
+    q, sup = p._canonical()
     try:
-        v, w = identify_cell(p.support(), p.n)
+        v, w = _lex_chain_cell(sup, p.n)
     except ValueError as exc:
-        return _non_member({"type": "no-cell", "reason": str(exc)})
-    q = p.canonicalize()
+        return _no_cell(p, sup) or _non_member(
+            {"type": "no-cell", "reason": str(exc)})
     try:
         weights = psi_fn(v, w, q)
     except ValueError as exc:
-        return _non_member({"type": "unsupported-generating-index",
-                            "reason": str(exc)})
+        return _no_cell(p, sup) or _non_member(
+            {"type": "unsupported-generating-index", "reason": str(exc)})
     r = phi_fn(v, w, weights)
+    if q.coords == r.coords:
+        return CellCertificate("member", cell=(v, w), weights=weights)
+    return _no_cell(p, sup) or _first_difference(q, r)
+
+
+def _no_cell(p, sup) -> CellCertificate | None:
+    """The no-cell rejection when ``identify_cell`` fails on the support,
+    else None; keys that are not indices raise ValueError."""
+    p.check_indices()
+    try:
+        identify_cell(sup, p.n)
+    except ValueError as exc:
+        return _non_member({"type": "no-cell", "reason": str(exc)})
+    return None
+
+
+def _first_difference(q, r) -> CellCertificate:
     for I in _first_index_order(set(q.coords) | set(r.coords)):
         if q.coord(I) != r.coord(I):
             return _non_member({
                 "type": "reconstruction-mismatch", "index": index_to_str(I),
                 "input": q.render(q.coord(I)),
                 "reconstructed": q.render(r.coord(I))})
-    return CellCertificate("member", cell=(v, w), weights=weights)
+    raise AssertionError("unequal vectors with equal coordinates (bug)")
 
 
 def decide_tnn(p: PlueckerVector) -> CellCertificate:
     """Decide membership in the nonnegative complete flag variety by
     reconstruction-and-compare, certifying members by (v, w, weights).
 
-    A negative coordinate is reported first. Otherwise the vector is
-    reconstructed; a member needs no further check, since its support is
-    the flag matroid of its cell. Only a rejection runs the flag-matroid
+    Every input gets one scan for a negative coordinate and, if it has
+    none, the reconstruction: one pass that canonicalizes the vector and
+    collects its support, the cell read off its lexicographic chains
+    (flag and Bruhat checks), ``psi``, ``phi`` and one comparison. A
+    member needs no further check, since its support is the flag matroid
+    of its cell. Only a rejection runs the checks that name it: the index
+    keys, the ordered scans for the first negative or differing
+    coordinate, the Gale check of ``identify_cell`` and the flag-matroid
     check on the support, whose failure is reported in place of the
     reconstruction's witness.
     """
-    for I in _first_index_order(p.coords):
-        if p.coords[I] < 0:
-            return _non_member({"type": "negative-coordinate",
-                                "index": index_to_str(I),
-                                "value": rat_to_str(p.coords[I])})
+    if any(x < 0 for x in p.coords.values()):
+        p.check_indices()
+        for I in _first_index_order(p.coords):
+            if p.coords[I] < 0:
+                return _non_member({"type": "negative-coordinate",
+                                    "index": index_to_str(I),
+                                    "value": rat_to_str(p.coords[I])})
     cert = _reconstruct(p, psi, phi)
     if cert.verdict == "member" or flag_matroid_check(p.support()):
         return cert
@@ -214,9 +259,11 @@ def decide_trop(p: TropPlueckerVector) -> CellCertificate:
     """Decide membership in the nonnegative flag Dressian: the vector must
     reconstruct exactly from its cell weights.
 
-    A member positively solves every three-term tropical relation, so the
-    relations are scanned only on a rejection: the first violated one is
-    reported in place of the reconstruction's witness.
+    Every input gets the reconstruction of ``decide_tnn``. A member
+    positively solves every three-term tropical relation, so the relations
+    are scanned only on a rejection, after the checks that name it there:
+    the first violated one is reported in place of the reconstruction's
+    witness.
     """
     cert = _reconstruct(p, trop_psi, trop_phi)
     if cert.verdict == "member":

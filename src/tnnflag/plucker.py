@@ -53,6 +53,13 @@ def index_from_str(s: str) -> Index:
     return parts
 
 
+def _check_index(I: Index, n: int) -> None:
+    """Raise ValueError unless I is an index of size 1..n-1 over {1..n}."""
+    if not (0 < len(I) < n and I == tuple(sorted(set(I)))
+            and 1 <= I[0] and I[-1] <= n):
+        raise ValueError(f"bad index {I} for n={n}")
+
+
 def all_proper_indices(n: int) -> Iterator[Index]:
     """All nonempty proper subsets of {1..n}, sizes 1..n-1, sorted tuples."""
     for k in range(1, n):
@@ -88,17 +95,40 @@ class _Vector:
         whose unit is already one is copied as it is; the others are
         multiplied by one / unit, which is exact for int coordinates too.
         """
-        sup = self.support()
+        return self._canonical()[0]
+
+    def _canonical(self):
+        """The canonical vector and its support, in one pass over the
+        coordinates. Keys are not checked (``check_indices`` does that),
+        but a key of size 0 or n or more raises ValueError."""
+        zero, one, src = self.zero, self.one, self.coords
+        sup: dict[int, set[Index]] = {k: set() for k in range(1, self.n)}
+        try:
+            for I, val in src.items():
+                if val != zero:
+                    sup[len(I)].add(I)
+        except KeyError:        # a key of size 0 or >= n
+            self.check_indices()
+            raise
         coords: dict[Index, object] = {}
-        for k in range(1, self.n):
-            if not sup[k]:
+        for block in sup.values():
+            if not block:
                 continue
-            unit = self.coord(min(sup[k]))
-            keep = unit == self.one
-            inv = self.one / unit
-            for I in sup[k]:
-                coords[I] = self.coord(I) if keep else self.coord(I) * inv
-        return type(self)(self.n, coords)
+            unit = src[min(block)]
+            if unit == one:
+                for I in block:
+                    coords[I] = src[I]
+            else:
+                inv = one / unit
+                for I in block:
+                    coords[I] = src[I] * inv
+        return type(self)(self.n, coords), sup
+
+    def check_indices(self) -> None:
+        """Raise ValueError naming the first key that is not an index: a
+        sorted tuple of distinct entries of {1..n}, of size 1..n-1."""
+        for I in self.coords:
+            _check_index(I, self.n)
 
     def to_json_dict(self) -> dict:
         return {
@@ -119,8 +149,7 @@ class _Vector:
         coords = {index_from_str(key): cls._parse_coord(key, val)
                   for key, val in obj.get("coords", {}).items()}
         for I in coords:
-            if not (0 < len(I) < n and all(1 <= i <= n for i in I)):
-                raise ValueError(f"bad index {I} for n={n}")
+            _check_index(I, n)
         return cls(n, {I: v for I, v in coords.items() if v != cls.zero})
 
     @classmethod

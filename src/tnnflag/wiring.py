@@ -309,18 +309,29 @@ def graph_extremal_collections(d: WiringDiagram, k: int) -> list[PathCollection]
     {1'..k'} plus diagonal paths from the rest; deduplicated by sink set.
     These are the extremal indices of size k with their only collections,
     as ``verify`` and the tests check against the support and enumeration.
+
+    A greedy path turns around the paths above it only, so one walk from
+    all k sources gives every prefix its paths. The sink set goes from
+    prefix to prefix by moving one source's sink (a greedy path only
+    climbs, so it never lands on a lower source's strand).
     """
     if not 1 <= k <= d.n:
         raise ValueError("k out of range")
     top_down = sorted(range(1, k + 1), key=d.strand_of_label, reverse=True)
-    seen: dict[frozenset[int], PathCollection] = {}
-    for i in range(k + 1):
-        greedy_part = left_greedy_collection(d, top_down[:i])
-        diag = [Path(s, d.strand_of_label(s), ()) for s in top_down[i:]]
-        paths = sorted(list(greedy_part.paths) + diag, key=lambda p: p.source)
-        coll = PathCollection(tuple(paths))
-        seen.setdefault(coll.sinks, coll)
-    return [seen[s] for s in sorted(seen, key=lambda s: tuple(sorted(s)))]
+    greedy = left_greedy_collection(d, top_down).paths     # by source
+    diag = tuple(Path(s, d.strand_of_label(s), ()) for s in range(1, k + 1))
+    mask = sum(1 << p.sink for p in diag)
+    first = {mask: 0}                   # sink set -> first prefix giving it
+    for i, s in enumerate(top_down, start=1):
+        mask ^= (1 << diag[s - 1].sink) ^ (1 << greedy[s - 1].sink)
+        first.setdefault(mask, i)
+    colls = []
+    for i in first.values():
+        placed = set(top_down[:i])
+        colls.append(PathCollection(tuple(
+            greedy[s - 1] if s in placed else diag[s - 1]
+            for s in range(1, k + 1))))
+    return sorted(colls, key=lambda c: sorted(c.sinks))
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,25 @@
 """Differential test of the deciders' order of checks.
 
 `decide_tnn` and `decide_trop` reconstruct first and run the flag-matroid
-check or the three-term scan only to name a rejection. The checks-first
-order they replace is written out below from public pieces; both orders
-must give the same certificate, verdict and witness, on every input.
+check or the three-term scan only to name a rejection; the reconstruction
+reads the cell off the lexicographic chains of the support and runs the
+Gale check of `identify_cell` only to name a rejection. The checks-first
+order they replace, reconstruction included, is written out below from
+public pieces; both orders must give the same certificate, verdict and
+witness, on every input.
 """
 
+import itertools
 import random
 from collections import Counter
 
 from tnnflag.algebra import Trop, rat_to_str
 from tnnflag.membership import (
-    CellCertificate, _reconstruct, decide_tnn, decide_trop, psi, trop_psi,
+    CellCertificate, _reconstruct, decide_tnn, decide_trop, identify_cell,
+    psi, trop_psi,
 )
 from tnnflag.oracle import flag_matroid_check, generic_weights, random_flag
-from tnnflag.perms import all_perms, bruhat_leq
+from tnnflag.perms import all_perms, bruhat_leq, gale_leq
 from tnnflag.plucker import (
     PlueckerVector, TropPlueckerVector, all_proper_indices,
     generate_relations, index_to_str, phi, trop_check_relation, trop_phi,
@@ -25,6 +30,29 @@ def _non_member(witness):
     return CellCertificate("non-member", witness=witness)
 
 
+def reconstruct_checks_first(p, psi_fn, phi_fn):
+    """Identify the cell with every check of `identify_cell`, solve the
+    weights of the canonical vector and compare index by index."""
+    try:
+        v, w = identify_cell(p.support(), p.n)
+    except ValueError as exc:
+        return _non_member({"type": "no-cell", "reason": str(exc)})
+    q = p.canonicalize()
+    try:
+        weights = psi_fn(v, w, q)
+    except ValueError as exc:
+        return _non_member({"type": "unsupported-generating-index",
+                            "reason": str(exc)})
+    r = phi_fn(v, w, weights)
+    for I in sorted(set(q.coords) | set(r.coords), key=lambda I: (len(I), I)):
+        if q.coord(I) != r.coord(I):
+            return _non_member({
+                "type": "reconstruction-mismatch", "index": index_to_str(I),
+                "input": q.render(q.coord(I)),
+                "reconstructed": q.render(r.coord(I))})
+    return CellCertificate("member", cell=(v, w), weights=weights)
+
+
 def decide_tnn_checks_first(p):
     for I in sorted(p.coords, key=lambda I: (len(I), I)):
         if p.coords[I] < 0:
@@ -33,7 +61,7 @@ def decide_tnn_checks_first(p):
                                 "value": rat_to_str(p.coords[I])})
     if not flag_matroid_check(p.support()):
         return _non_member({"type": "support-not-flag-matroid"})
-    return _reconstruct(p, psi, phi)
+    return reconstruct_checks_first(p, psi, phi)
 
 
 def decide_trop_checks_first(p):
@@ -45,7 +73,7 @@ def decide_trop_checks_first(p):
                 "J": index_to_str(rel.J),
                 "terms": [[sign, index_to_str(a), index_to_str(b)]
                           for sign, a, b in rel.terms]})
-    return _reconstruct(p, trop_psi, trop_phi)
+    return reconstruct_checks_first(p, trop_psi, trop_phi)
 
 
 def _cells(n):
@@ -53,9 +81,24 @@ def _cells(n):
     return [(v, w) for v in ps for w in ps if bruhat_leq(v, w)]
 
 
+def _gale_breaking(p):
+    """Unsupported indices J of p lexicographically strictly between the
+    least and the greatest supported index of their size, but not between
+    them in Gale order: adding J keeps the lexicographic chains, and so
+    the cell they give, while the support loses its Gale extremes."""
+    out = []
+    for k, block in p.support().items():
+        lo, hi = min(block), max(block)
+        out += [(J, lo) for J in itertools.combinations(range(1, p.n + 1), k)
+                if lo < J < hi and J not in block
+                and not (gale_leq(lo, J) and gale_leq(J, hi))]
+    return out
+
+
 def _edits(p, rng, bump):
-    """The member p, p with one coordinate bumped, and p with one
-    coordinate zeroed (each coordinate chosen by rng)."""
+    """The member p, p with one coordinate bumped, p with one coordinate
+    zeroed, and, where there is one, p with a Gale-breaking index added
+    (each coordinate chosen by rng)."""
     out = [p]
     for edit in ("bump", "zero"):
         coords = dict(p.coords)
@@ -65,6 +108,10 @@ def _edits(p, rng, bump):
         else:
             del coords[I]
         out.append(type(p)(p.n, coords))
+    breaking = _gale_breaking(p)
+    if breaking:
+        J, lo = rng.choice(breaking)
+        out.append(type(p)(p.n, {**p.coords, J: p.coords[lo]}))
     return out
 
 
@@ -98,6 +145,13 @@ def _random_inputs(n, count, rng):
 
 def _compare(classical, tropical):
     seen = Counter()
+    for p in classical + tropical:
+        fns = (trop_psi, trop_phi) if p.mode == "tropical" else (psi, phi)
+        cert = _reconstruct(p, *fns).to_json_dict()
+        assert cert == reconstruct_checks_first(p, *fns).to_json_dict(), \
+            p.coords
+        if "Gale extremes" in cert.get("witness", {}).get("reason", ""):
+            seen["reconstruct:no-gale-extremes"] += 1
     for p in classical:
         cert = decide_tnn(p).to_json_dict()
         assert cert == decide_tnn_checks_first(p).to_json_dict(), p.coords
@@ -119,10 +173,12 @@ def test_orders_agree_on_s3_s4():
     assert {"member", "negative-coordinate", "support-not-flag-matroid",
             "no-cell", "unsupported-generating-index",
             "reconstruction-mismatch", "trop:member",
-            "trop:violated-tropical-relation", "trop:no-cell"} <= set(seen), seen
+            "trop:violated-tropical-relation", "trop:no-cell",
+            "reconstruct:no-gale-extremes"} <= set(seen), seen
 
 
 def test_orders_agree_on_s5_sample():
     rng = random.Random(11)
     seen = _compare(*_inputs(rng.sample(_cells(5), 40), rng))
-    assert seen["member"] and seen["trop:member"], seen
+    assert seen["member"] and seen["trop:member"] and \
+        seen["reconstruct:no-gale-extremes"], seen

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,33 @@ def test_decide_tnn_int_coordinates_are_exact():
         cert = decide_tnn(q)
         assert cert == expected, scale
         assert all(type(x) is Fraction for x in cert.weights.values())
+
+
+@pytest.mark.parametrize("tropical", [False, True])
+def test_decide_rejects_unsorted_index_keys(tropical):
+    """A member with one key written unsorted, such as (3, 2), gets a
+    ValueError naming that key, whichever coordinate it is; so does a key
+    of size 0 or n."""
+    if tropical:
+        p = trop_phi(EX_V, EX_W, {j: Trop(x) for j, x in EX_A.items()})
+        decide = decide_trop
+    else:
+        p = phi(EX_V, EX_W, EX_A)
+        decide = decide_tnn
+    for I in [I for I in p.coords if len(I) > 1]:
+        J = I[::-1]
+        q = type(p)(p.n, {J if K == I else K: x for K, x in p.coords.items()})
+        with pytest.raises(ValueError, match=re.escape(f"bad index {J} ")):
+            decide(q)
+    for J in [(), (1, 2, 3, 4)]:
+        with pytest.raises(ValueError, match=re.escape(f"bad index {J} ")):
+            decide(type(p)(p.n, {**p.coords, J: p.coords[(1,)]}))
+    if not tropical:
+        q = PlueckerVector(p.n, {(I[::-1] if I == (2, 3) else I):
+                                 -x if I == (1,) else x
+                                 for I, x in p.coords.items()})
+        with pytest.raises(ValueError, match=re.escape("bad index (3, 2) ")):
+            decide(q)
 
 
 def test_decide_tnn_negative_coordinate():

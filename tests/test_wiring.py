@@ -213,7 +213,10 @@ def test_left_greedy_walk_matches_sequential_greedy(n):
 
 
 def test_graph_extremal_collections_match_sequential_greedy():
-    cells = random.Random(8).sample(_cells(5), 60) + [
+    """The one walk from all k sources against a sequential greedy per
+    prefix, on every S3/S4 cell, 60 seeded S5 cells and the S6/S7 top
+    cells."""
+    cells = _cells(3) + _cells(4) + random.Random(8).sample(_cells(5), 60) + [
         (identity(6), longest_element(6)), (identity(7), longest_element(7))]
     for v, w in cells:
         d = build_diagram(v, w)
