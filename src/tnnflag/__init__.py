@@ -8,19 +8,19 @@ __version__ = "0.1.0"
 
 from .perms import (
     Perm, Word, Subexpression,
-    identity, inverse, compose, length, left_mult_s, right_mult_s,
+    identity, inverse, length, left_mult_s, right_mult_s,
     perm_from_word, longest_element, perm_from_str, perm_to_str, all_perms,
     gale_leq, bruhat_leq,
     canonical_w0_word, positive_distinguished_subexpression,
 )
 from .algebra import (
-    Rational, Trop, TROP_INF, LaurentMonomial,
+    Trop, TROP_INF, LaurentMonomial,
     rat_from_str, rat_to_str, trop_from_str, trop_to_str,
 )
 from .wiring import (
     WiringDiagram, VerticalEdge, NegativeSegment, Path, PathCollection,
-    build_diagram, enumerate_path_collections, collection_weight,
-    left_greedy_collection, graph_extremal_collections, path_sum_matrix,
+    build_diagram, collection_weight, left_greedy_collection,
+    graph_extremal_collections, path_sum_matrix,
 )
 from .plucker import (
     Index, PlueckerVector, TropPlueckerVector, IncidenceRelation,
@@ -30,8 +30,8 @@ from .plucker import (
     trop_terms_verdict,
 )
 from .extremal import (
-    SupportVector, ExtremalChain, is_supported, xi, xi_star,
-    cell_support, extremal_indices, extremal_index_set, e, s_vw,
+    SupportVector, ExtremalChain, is_supported, xi,
+    cell_support, extremal_indices, extremal_index_set, s_vw,
 )
 from .membership import (
     CellCertificate, identify_cell, psi_monomials, psi, trop_psi,

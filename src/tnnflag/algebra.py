@@ -9,17 +9,14 @@ All scalars are `fractions.Fraction`; no floats anywhere.
 """
 
 __all__ = [
-    "Rational", "Trop", "TROP_INF", "LaurentMonomial",
+    "Trop", "TROP_INF", "LaurentMonomial",
     "rat_from_str", "rat_to_str", "trop_from_str", "trop_to_str",
-    "eval_monomial",
-    "monomial_mul", "monomial_div",
+    "monomial_div",
 ]
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Mapping
-
-Rational = Fraction
+from typing import Hashable
 
 
 def rat_from_str(s: str) -> Fraction:
@@ -138,29 +135,6 @@ class LaurentMonomial:
         if self.coefficient == 0:
             raise ValueError("monomial coefficient must be nonzero")
         self.exponents = {k: e for k, e in self.exponents.items() if e != 0}
-
-
-def eval_monomial(m: LaurentMonomial, assignment: Mapping[Hashable, Fraction]) -> Fraction:
-    """coefficient * prod a_j**e_j.
-
-    >>> eval_monomial(LaurentMonomial(Fraction(1), {1: 2, 2: -1}),
-    ...               {1: Fraction(3), 2: Fraction(2)})
-    Fraction(9, 2)
-    """
-    out = m.coefficient
-    for key, e in m.exponents.items():
-        base = assignment[key]
-        if base == 0 and e < 0:
-            raise ZeroDivisionError("zero raised to a negative power")
-        out *= Fraction(base) ** e
-    return out
-
-
-def monomial_mul(a: LaurentMonomial, b: LaurentMonomial) -> LaurentMonomial:
-    exps = dict(a.exponents)
-    for k, e in b.exponents.items():
-        exps[k] = exps.get(k, 0) + e
-    return LaurentMonomial(a.coefficient * b.coefficient, exps)
 
 
 def monomial_div(a: LaurentMonomial, b: LaurentMonomial) -> LaurentMonomial:

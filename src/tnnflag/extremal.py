@@ -1,7 +1,8 @@
 """
-Extremal index machinery: the basis-exchange maps Xi and Xi*, extremal
-chains per size, the first-extremal-iterate map e, and the independent
-generating index set of a cell (one fresh wiring edge per member).
+Extremal index machinery: the basis-exchange map Xi, extremal chains per
+size, a brute-force check of necessary flag-matroid conditions, and the
+generators of a cell: its extremal indices read off the wiring diagram,
+whose fresh edges give the independent generating index set.
 
 All maps only consult the support (nonzero / finite) pattern, so they act
 uniformly on classical vectors, tropical vectors, and bare cell supports.
@@ -16,8 +17,8 @@ uniformly on classical vectors, tropical vectors, and bare cell supports.
 
 __all__ = [
     "SupportVector", "ExtremalChain", "Generator",
-    "is_supported", "xi", "xi_star", "extremal_indices",
-    "extremal_index_set", "e", "cell_support", "generators", "s_vw",
+    "is_supported", "xi", "extremal_indices",
+    "extremal_index_set", "cell_support", "generators", "s_vw",
     "precedes_key", "flag_matroid_check",
 ]
 
@@ -49,8 +50,14 @@ def is_supported(p: Supported, I) -> bool:
 
 
 def flag_matroid_check(support: Mapping[int, Iterable[Index]]) -> bool:
-    """Basis exchange within each size class, and the two containment
-    conditions for every pair of sizes j < k.
+    """Necessary conditions only for a flag matroid: basis exchange within
+    each size, and pairwise containment (for sizes j < k, each j-basis lies
+    in a k-basis and each k-basis contains a j-basis). It accepts this
+    support, although {1} is a flat of the size-1 matroid but not of the
+    size-2 one, so it is not a flag matroid:
+
+    >>> flag_matroid_check({1: {(2,), (3,)}, 2: {(1, 3), (2, 3)}})
+    True
     """
     classes = {k: {tuple(sorted(B)) for B in bases}
                for k, bases in support.items()}
@@ -94,37 +101,22 @@ def cell_support(v: Perm, w: Perm) -> SupportVector:
 # Xi and extremal chains
 # ---------------------------------------------------------------------------
 
-def _exchange(p: Supported, I, sign: int) -> Index:
-    """Swap out b = the first element of I, scanning from the top for
-    sign = 1 and from the bottom for sign = -1, that some element beyond
-    it in that direction can replace with the index staying supported; the
-    replacement is the farthest such element. Fixed point when there is no
-    such b or I itself is unsupported.
-    """
+def xi(p: Supported, I) -> Index:
+    """Raise the index maximally: swap out the largest element b of I that
+    some larger element can replace with the index staying supported, for
+    the largest such element. Fixed point when there is no such b or I
+    itself is unsupported."""
     I = tuple(sorted(I))
     if not is_supported(p, I):
         return I
     inside = set(I)
     outside = [j for j in range(1, p.n + 1) if j not in inside]
-    for b in sorted(I, reverse=sign > 0):
+    for b in reversed(I):
         rest = inside - {b}
-        beyond = [j for j in outside
-                  if sign * j > sign * b and is_supported(p, rest | {j})]
+        beyond = [j for j in outside if j > b and is_supported(p, rest | {j})]
         if beyond:
-            a = max(beyond, key=lambda j: sign * j)
-            return tuple(sorted(rest | {a}))
+            return tuple(sorted(rest | {max(beyond)}))
     return I
-
-
-def xi(p: Supported, I) -> Index:
-    """Raise the index maximally: swap out the largest increasable element
-    of I for the largest element that keeps the index supported."""
-    return _exchange(p, I, 1)
-
-
-def xi_star(p: Supported, I) -> Index:
-    """Dual of xi: lowers the index maximally (min in place of max)."""
-    return _exchange(p, I, -1)
 
 
 @dataclass(frozen=True)
@@ -136,7 +128,8 @@ class ExtremalChain:
 def extremal_indices(p: Supported) -> list[ExtremalChain]:
     """Per size, the Xi-orbit chain from the Gale-minimal supported index.
 
-    Requires the support to be a flag matroid (checked by basis exchange).
+    Raises ValueError when the support fails the necessary conditions of
+    ``flag_matroid_check`` or a size has no Gale-minimal index.
     """
     sup = p.sets if isinstance(p, SupportVector) else p.support()
     if not flag_matroid_check(sup):
@@ -160,14 +153,6 @@ def extremal_indices(p: Supported) -> list[ExtremalChain]:
 
 def extremal_index_set(p: Supported) -> frozenset[Index]:
     return frozenset(I for ch in extremal_indices(p) for I in ch.chain)
-
-
-def e(p: Supported, S) -> Index:
-    """Least Xi-iterate of S landing on an extremal index."""
-    S = tuple(sorted(S))
-    if not is_supported(p, S):
-        raise ValueError(f"index {S} is not supported")
-    return _xi_walk(p, S, extremal_index_set(p))
 
 
 def _xi_walk(p: Supported, S: Index, extremals: frozenset[Index]) -> Index:

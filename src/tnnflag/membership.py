@@ -3,7 +3,8 @@ Inverting the cell parameterization and deciding membership: cell
 identification from a support pattern, the Laurent-monomial inverse map
 (classical and min-plus), certificate-producing decision procedures for
 the nonnegative flag variety and the nonnegative flag Dressian, and the
-three-term propagation that rebuilds a vector from its extremal values.
+three-term propagation that rebuilds a vector from its values at the
+cell's generators, choosing each relation from the cell's support.
 
 >>> from tnnflag.perms import perm_from_str
 >>> from fractions import Fraction
@@ -33,10 +34,9 @@ from .plucker import (
     index_to_str, phi, trop_check_relation, trop_phi,
 )
 from .extremal import (
-    SupportVector, _xi_walk, cell_support, extremal_index_set,
-    flag_matroid_check, generators, is_supported, s_vw, xi,
+    SupportVector, _xi_walk, cell_support, flag_matroid_check, generators,
+    is_supported, s_vw, xi,
 )
-from .wiring import build_diagram, enumerate_path_collections
 
 
 @dataclass
@@ -238,9 +238,9 @@ def decide_tnn(p: PlueckerVector) -> CellCertificate:
     member needs no further check, since its support is the flag matroid
     of its cell. Only a rejection runs the checks that name it: the index
     keys, the ordered scans for the first negative or differing
-    coordinate, the Gale check of ``identify_cell`` and the flag-matroid
-    check on the support, whose failure is reported in place of the
-    reconstruction's witness.
+    coordinate, the Gale check of ``identify_cell`` and the necessary
+    flag-matroid conditions of ``flag_matroid_check`` on the support, whose
+    failure is reported in place of the reconstruction's witness.
     """
     if any(x < 0 for x in p.coords.values()):
         p.check_indices()
@@ -283,25 +283,25 @@ def decide_trop(p: TropPlueckerVector) -> CellCertificate:
 # Three-term propagation
 # ---------------------------------------------------------------------------
 
-def _case_c_witness(v: Perm, w: Perm, S: Index, b: int, c: int,
-                    sup: SupportVector) -> tuple[int, int]:
-    """Pick the strand pair (x, y): the lowest-origin non-diagonal path of a
-    collection realizing S starts at x and ends at y."""
-    d = build_diagram(v, w)
-    k = len(S)
-    for coll in enumerate_path_collections(d, range(1, k + 1), S):
-        nondiag = [p for p in coll.paths if p.edges]
-        if not nondiag:
+def _case_c_witness(S: Index, b: int, c: int, sup: SupportVector,
+                    known: Mapping[Index, object]) -> tuple[int, int]:
+    """The strand pair (x, y) of a four-element Pluecker relation on
+    T = S - {b, y} that solves for P_S: x < b outside S, y in S - {b} not
+    between b and c, P_{S-y+x} and P_{T+c+x} already known (so supported),
+    and its third term P_{T+x+y} P_{T+b+c} unsupported. On consistent
+    input every such pair gives the same value."""
+    for x in range(1, b):
+        if x in S:
             continue
-        p = min(nondiag, key=lambda p: p.start_strand)
-        x, y = p.start_strand, p.sink
-        if x >= b or y == b or (b < y < c):
-            continue
-        if not is_supported(sup, tuple(sorted((set(S) - {y}) | {x}))):
-            continue
-        if not is_supported(sup, tuple(sorted((set(S) - {b, y}) | {c, x}))):
-            continue
-        return x, y
+        for y in S:
+            if y == b or b < y < c:
+                continue
+            T = set(S) - {b, y}
+            if (tuple(sorted((set(S) - {y}) | {x})) in known
+                    and tuple(sorted(T | {c, x})) in known
+                    and not (is_supported(sup, T | {x, y})
+                             and is_supported(sup, T | {b, c}))):
+                return x, y
     raise ValueError("three-term propagation: no usable relation at "
                      f"{S} (inconsistent input)")
 
@@ -313,12 +313,15 @@ def _propagate(values: Mapping[Index, object], cell: tuple[Perm, Perm],
     v, w = cell
     n = len(v)
     sup = cell_support(v, w)
-    extremals = extremal_index_set(sup)
     known: dict[Index, object] = {}
-    for I in extremals:
-        if I not in values:
-            raise ValueError(f"missing value at extremal index {I}")
-        known[I] = values[I]
+    for g in generators(v, w):
+        if g.index not in values:
+            raise ValueError(f"missing value at extremal index {g.index}")
+        if values[g.index] == vector_type.zero:
+            raise ValueError(f"extremal index {g.index} has the zero value "
+                             f"{vector_type.render(vector_type.zero)}")
+        known[g.index] = values[g.index]
+    extremals = frozenset(known)
 
     def val(I) -> object:
         I = tuple(sorted(I))
@@ -363,7 +366,7 @@ def _propagate(values: Mapping[Index, object], cell: tuple[Perm, Perm],
                 dd = min(d_cands)
                 known[S] = val(sb | {a}) * val(set(S) | {dd}) / val(sb | {a, dd})
                 continue
-            x, y = _case_c_witness(v, w, S, b, c, sup)
+            x, y = _case_c_witness(S, b, c, sup, known)
             known[S] = (val((set(S) - {y}) | {x}) * val(sb | {c})
                         / val((set(S) - {b, y}) | {c, x}))
     return vector_type(n, known).canonicalize()
@@ -371,9 +374,11 @@ def _propagate(values: Mapping[Index, object], cell: tuple[Perm, Perm],
 
 def propagate_three_term(values: Mapping[Index, Fraction],
                          cell: tuple[Perm, Perm]) -> PlueckerVector:
-    """Rebuild every supported coordinate from the extremal values by
-    solving one three-term relation per unknown (largest size first, then
-    distance to the extremal chain, then Gale order)."""
+    """Rebuild every supported coordinate from its values at the extremal
+    indices (the indices of ``generators``, none of them zero) by solving
+    one three-term relation per unknown S: largest size first, then by
+    distance (the elements of S's first extremal Xi-iterate not in S), then
+    by sum(S), then lexicographically."""
     return _propagate(values, cell, PlueckerVector)
 
 

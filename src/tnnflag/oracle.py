@@ -1,6 +1,7 @@
 """
 Independent brute-force verifiers: supports read off Bruhat intervals
-enumerated as subword products, a subword-search Bruhat test, cofactor
+enumerated as subword products, a subword-search Bruhat test, a
+position-by-position check of positive distinguished subexpressions, cofactor
 determinants, the cell matrix and its top-rows minors, random flags,
 sampled elements of the quadratic ideal and their tropical evaluation,
 and tropical coordinates by listing every path collection. These
@@ -15,6 +16,7 @@ __all__ = [
     "support_oracle", "flag_matroid_check", "random_flag",
     "generic_weights", "ideal_element_sample", "trop_eval_poly_terms",
     "trop_phi_enumerated", "mr_matrix", "phi_minors",
+    "is_positive_distinguished",
 ]
 
 import random
@@ -23,7 +25,9 @@ from functools import lru_cache
 
 from .algebra import TROP_INF, Trop
 from .extremal import flag_matroid_check
-from .perms import Perm, identity, inverse, left_mult_s, right_mult_s
+from .perms import (
+    Perm, Subexpression, identity, inverse, left_mult_s, right_mult_s,
+)
 from .plucker import (
     Index, PlueckerVector, TropPlueckerVector, all_proper_indices,
     generate_relations, phi,
@@ -59,6 +63,21 @@ def reduced_word_oracle(w: Perm) -> tuple[int, ...]:
         u = right_mult_s(u, i)
         letters.append(i)
     return tuple(reversed(letters))
+
+
+def is_positive_distinguished(sub: Subexpression, target: Perm) -> bool:
+    """Position-by-position recheck of the defining condition: whenever a
+    letter shortens the unmatched piece, that position must be chosen.
+    """
+    chosen = set(sub.positions)
+    remaining = target
+    for p, i in enumerate(sub.parent.letters, start=1):
+        shortens = remaining.index(i) > remaining.index(i + 1)
+        if shortens != (p in chosen):
+            return False
+        if shortens:
+            remaining = left_mult_s(i, remaining)
+    return remaining == identity(sub.parent.n)
 
 
 def bruhat_leq_oracle(v: Perm, w: Perm) -> bool:

@@ -15,13 +15,12 @@ Word(n=3, letters=(1, 2, 1), runs=(1, 1, 2))
 """
 
 __all__ = [
-    "Perm", "IndexSet", "Word", "Subexpression",
-    "identity", "inverse", "compose", "length", "is_perm",
+    "Perm", "Word", "Subexpression",
+    "identity", "inverse", "length", "is_perm",
     "left_mult_s", "right_mult_s", "perm_from_word", "longest_element",
     "perm_from_str", "perm_to_str", "all_perms",
     "gale_leq", "bruhat_leq", "bruhat_pairs",
     "canonical_w0_word", "positive_distinguished_subexpression",
-    "is_positive_distinguished",
 ]
 
 import itertools
@@ -30,9 +29,6 @@ from typing import Iterator, NewType
 
 # a permutation of {1..n} in one-line notation
 Perm = NewType("Perm", tuple[int, ...])
-
-# a sorted subset of {1..n}
-IndexSet = NewType("IndexSet", tuple[int, ...])
 
 
 def identity(n: int) -> Perm:
@@ -56,17 +52,6 @@ def inverse(w: Perm) -> Perm:
     for i, x in enumerate(w, start=1):
         inv[x - 1] = i
     return Perm(tuple(inv))
-
-
-def compose(u: Perm, v: Perm) -> Perm:
-    """(u o v)(i) = u(v(i)).
-
-    >>> compose((2, 1, 3, 4), (2, 1, 3, 4))
-    (1, 2, 3, 4)
-    """
-    if len(u) != len(v):
-        raise ValueError("mismatched n")
-    return Perm(tuple(u[x - 1] for x in v))
 
 
 def length(w: Perm) -> int:
@@ -265,21 +250,6 @@ def positive_distinguished_subexpression(target: Perm, parent: Word) -> Subexpre
     if remaining != identity(parent.n):
         raise ValueError("target is not below the parent word in Bruhat order")
     return Subexpression(parent, tuple(positions))
-
-
-def is_positive_distinguished(sub: Subexpression, target: Perm) -> bool:
-    """Position-by-position recheck of the defining condition: whenever a
-    letter shortens the unmatched piece, that position must be chosen.
-    """
-    chosen = set(sub.positions)
-    remaining = target
-    for p, i in enumerate(sub.parent.letters, start=1):
-        shortens = remaining.index(i) > remaining.index(i + 1)
-        if shortens != (p in chosen):
-            return False
-        if shortens:
-            remaining = left_mult_s(i, remaining)
-    return remaining == identity(sub.parent.n)
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
-from .algebra import LaurentMonomial, eval_monomial
+from .algebra import LaurentMonomial
 from .perms import (
     Perm, Word, bruhat_leq, canonical_w0_word,
     positive_distinguished_subexpression,
@@ -89,10 +89,6 @@ class Path:
     def sink(self) -> int:
         return self.edges[-1].upper if self.edges else self.start_strand
 
-    @property
-    def is_diagonal(self) -> bool:
-        return not self.edges
-
     def intervals(self) -> tuple[tuple[int, Fraction, Fraction | None], ...]:
         """Closed occupancy intervals (strand, lo, hi); hi None = +infinity."""
         out = []
@@ -108,10 +104,6 @@ class Path:
 @dataclass(frozen=True)
 class PathCollection:
     paths: tuple[Path, ...]         # ordered by source label
-
-    @property
-    def sources(self) -> frozenset[int]:
-        return frozenset(p.source for p in self.paths)
 
     @property
     def sinks(self) -> frozenset[int]:
@@ -229,6 +221,8 @@ def enumerate_path_collections(d: WiringDiagram, sources: Iterable[int],
                                sinks: Iterable[int]) -> list[PathCollection]:
     """All vertex-disjoint collections routing the primed ``sources`` onto
     the strand-numbered ``sinks`` (a complete, possibly empty, list).
+    Reference code for the oracle, ``verify`` and the tests; no library
+    path lists collections.
     """
     src = sorted(sources)
     snk = frozenset(sinks)
@@ -347,7 +341,10 @@ def path_sum_matrix(d: WiringDiagram, a: Mapping[int, Fraction]) -> list[list[Fr
         for es in _paths_from(d, strand, Fraction(0)):
             p = Path(label, strand, tuple(es))
             mono = collection_weight(PathCollection((p,)), d)
-            out[label - 1][p.sink - 1] += eval_monomial(mono, a)
+            x = mono.coefficient
+            for j, e in mono.exponents.items():
+                x *= Fraction(a[j]) ** e
+            out[label - 1][p.sink - 1] += x
     return out
 
 

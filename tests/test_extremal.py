@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from tnnflag.extremal import (
-    SupportVector, cell_support, e, extremal_index_set, extremal_indices,
-    generators, is_supported, precedes_key, s_vw, xi, xi_star,
+    SupportVector, cell_support, extremal_index_set, extremal_indices,
+    generators, is_supported, precedes_key, s_vw, xi,
 )
 from tnnflag.perms import (
     all_perms, bruhat_leq, gale_leq, identity, length, longest_element,
@@ -51,30 +51,6 @@ def test_xi_example_cell():
     assert xi(sup, (2, 4)) == (2, 4)
 
 
-def test_xi_star_inverts_chain_direction():
-    sup = cell_support(EX_V, EX_W)
-    assert xi_star(sup, (3,)) == (1,)
-    assert xi_star(sup, (2, 3)) == (1, 3)
-    assert xi_star(sup, (2, 3, 4)) == (1, 3, 4)
-
-
-def test_xi_star_is_xi_mirrored():
-    """xi_star(sup, I) == rho(xi(rho(sup), rho(I))) with rho(i) = n+1-i,
-    on every supported index of every S3/S4 cell support."""
-    for v, w in _cells(3) + _cells(4):
-        sup = cell_support(v, w)
-        n = sup.n
-
-        def rho(I):
-            return tuple(sorted(n + 1 - i for i in I))
-
-        mirrored = SupportVector(n, {k: frozenset(map(rho, bases))
-                                     for k, bases in sup.sets.items()})
-        for bases in sup.sets.values():
-            for I in bases:
-                assert xi_star(sup, I) == rho(xi(mirrored, rho(I))), (v, w, I)
-
-
 def test_extremal_chains_example_cell():
     chains = {ch.size: ch.chain for ch in extremal_indices(cell_support(EX_V, EX_W))}
     assert chains[1] == ((1,), (3,))
@@ -90,18 +66,6 @@ def test_chain_order_is_gale_and_precedes_order():
             for a, b in zip(ch.chain, ch.chain[1:]):
                 assert gale_leq(a, b) and a != b
             assert list(ch.chain) == sorted(ch.chain, key=precedes_key)
-
-
-def test_e_reaches_extremal():
-    sup = cell_support(EX_V, EX_W)
-    ext = extremal_index_set(sup)
-    assert e(sup, (1,)) == (1,)      # already extremal: fixed
-    assert e(sup, (2,)) == (3,)      # one xi step lands on the chain
-    for k, bases in sup.sets.items():
-        for S in bases:
-            assert e(sup, S) in ext
-    with pytest.raises(ValueError):
-        e(sup, (4,))
 
 
 def test_extremal_requires_flag_matroid():

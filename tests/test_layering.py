@@ -1,5 +1,8 @@
 """Library code never imports from the oracle: only ``oracle`` itself and
-the ``cli`` (whose ``verify`` checks the library against it) may."""
+the ``cli`` (whose ``verify`` checks the library against it) may. Listing
+every path collection is reference code in the same way: only ``wiring``,
+which defines it, ``oracle`` and ``cli`` may use
+``enumerate_path_collections``."""
 
 import ast
 import pathlib
@@ -10,6 +13,7 @@ import tnnflag
 
 PACKAGE = pathlib.Path(tnnflag.__file__).parent
 MAY_IMPORT_ORACLE = {"oracle", "cli"}
+MAY_ENUMERATE = {"oracle", "cli", "wiring"}
 
 
 def _imported_modules(tree: ast.AST):
@@ -23,10 +27,21 @@ def _imported_modules(tree: ast.AST):
             yield from (f"{base}.{alias.name}" for alias in node.names)
 
 
+def _modules_except(allowed):
+    return [p for p in sorted(PACKAGE.glob("*.py")) if p.stem not in allowed]
+
+
 @pytest.mark.parametrize(
-    "path", [p for p in sorted(PACKAGE.glob("*.py"))
-             if p.stem not in MAY_IMPORT_ORACLE], ids=lambda p: p.stem)
+    "path", _modules_except(MAY_IMPORT_ORACLE), ids=lambda p: p.stem)
 def test_library_does_not_import_oracle(path):
     names = _imported_modules(ast.parse(path.read_text()))
     assert not [name for name in names
                 if "oracle" in name.lstrip(".").split(".")], path.name
+
+
+@pytest.mark.parametrize(
+    "path", _modules_except(MAY_ENUMERATE), ids=lambda p: p.stem)
+def test_library_does_not_enumerate_path_collections(path):
+    names = _imported_modules(ast.parse(path.read_text()))
+    assert not [name for name in names
+                if name.split(".")[-1] == "enumerate_path_collections"], path.name

@@ -4,14 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from tnnflag.algebra import Trop
-from tnnflag.extremal import cell_support, extremal_index_set
+from tnnflag import extremal, membership
+from tnnflag.algebra import TROP_INF, Trop
+from tnnflag.extremal import cell_support, extremal_index_set, generators
 from tnnflag.membership import (
     decide_tnn, decide_trop, identify_cell, propagate_three_term, psi,
     psi_monomials, trop_propagate_three_term, trop_psi,
 )
 from tnnflag.oracle import determinant_cofactor, random_flag
-from tnnflag.perms import all_perms, bruhat_leq, identity, longest_element
+from tnnflag.perms import (
+    all_perms, bruhat_leq, identity, longest_element, perm_from_str,
+)
 from tnnflag.plucker import (
     PlueckerVector, TropPlueckerVector, all_proper_indices, phi, trop_phi,
 )
@@ -176,30 +179,81 @@ def test_certificate_exit_semantics_round_trip():
     assert set(d) == {"verdict", "v", "w", "weights"}
 
 
-def test_propagation_matches_phi_sampled():
+# cells where propagation reaches the four-element relation of case (c)
+CASE_C_CELLS = [tuple(map(perm_from_str, cell)) for cell in (
+    ("1423", "4132"), ("1423", "4231"), ("2413", "4231"),
+    ("12534", "15243"), ("12534", "25341"))]
+
+
+def _propagation_cells():
+    """Every S3/S4 cell, a seeded 150-cell S5 sample and the case-(c)
+    cells of S5."""
+    s5 = set(random.Random(11).sample(_cells(5), 150)) | set(CASE_C_CELLS[3:])
+    return _cells(3) + _cells(4) + sorted(s5)
+
+
+def _check_propagation(monkeypatch, vector_at, propagate):
+    """``propagate`` rebuilds ``vector_at(v, w, rng)`` from its extremal
+    values on every propagation cell, and case (c) is reached on each of
+    ``CASE_C_CELLS``."""
+    reached = set()
+    witness = membership._case_c_witness
+
+    def spy(*args):
+        reached.add(cell)
+        return witness(*args)
+
+    monkeypatch.setattr(membership, "_case_c_witness", spy)
     rng = random.Random(2)
-    for v, w in rng.sample(_cells(4), 15):
-        a = _weights(v, w, rng)
-        p = phi(v, w, a)
-        ext = extremal_index_set(cell_support(v, w))
-        r = propagate_three_term({I: p.coord(I) for I in ext}, (v, w))
-        assert r.coords == p.coords, (v, w)
+    for cell in _propagation_cells():
+        p = vector_at(*cell, rng)
+        ext = extremal_index_set(cell_support(*cell))
+        assert propagate({I: p.coord(I) for I in ext}, cell).coords == p.coords, cell
+    assert reached >= set(CASE_C_CELLS)
 
 
-def test_trop_propagation_matches_trop_phi_sampled():
-    rng = random.Random(3)
-    for v, w in rng.sample(_cells(4), 10):
-        x = {j: Trop.of(Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
-             for j in build_diagram(v, w).weight_ids()}
-        t = trop_phi(v, w, x).canonicalize()
-        ext = extremal_index_set(cell_support(v, w))
-        r = trop_propagate_three_term({I: t.coord(I) for I in ext}, (v, w))
-        assert r.coords == t.coords, (v, w)
+def test_propagation_matches_phi_sampled(monkeypatch):
+    _check_propagation(
+        monkeypatch, lambda v, w, rng: phi(v, w, _weights(v, w, rng)),
+        propagate_three_term)
 
 
-def test_propagation_needs_all_extremal_values():
-    with pytest.raises(ValueError):
-        propagate_three_term({(1,): Fraction(1)}, (EX_V, EX_W))
+def test_trop_propagation_matches_trop_phi_sampled(monkeypatch):
+    def trop_vector(v, w, rng):
+        return trop_phi(v, w, {
+            j: Trop.of(Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+            for j in build_diagram(v, w).weight_ids()})
+    _check_propagation(monkeypatch, trop_vector, trop_propagate_three_term)
+
+
+def test_propagation_runs_no_flag_matroid_check(monkeypatch):
+    """The extremal set comes from ``generators``, not from re-checking
+    the support's flag-matroid conditions."""
+    def refuse(support):
+        raise AssertionError("flag_matroid_check called")
+
+    monkeypatch.setattr(extremal, "flag_matroid_check", refuse)
+    monkeypatch.setattr(membership, "flag_matroid_check", refuse)
+    top = (identity(5), longest_element(5))
+    p = phi(*top, _weights(*top, random.Random(4)))
+    values = {g.index: p.coord(g.index) for g in generators(*top)}
+    assert propagate_three_term(values, top).coords == p.coords
+
+
+@pytest.mark.parametrize("propagate, value, problem", [
+    (propagate_three_term, None, "missing value"),
+    (propagate_three_term, Fraction(0), "has the zero value 0"),
+    (trop_propagate_three_term, TROP_INF, "has the zero value inf"),
+], ids=["missing", "zero", "inf"])
+def test_propagation_needs_all_extremal_values(propagate, value, problem):
+    """Each extremal value must be given and not the semiring's zero; the
+    error names the index."""
+    top = (identity(4), longest_element(4))
+    values = ({} if value is None else
+              {I: value for I in extremal_index_set(cell_support(*top))})
+    with pytest.raises(ValueError, match=r"extremal index \(\d[\d, ]*\)") as exc:
+        propagate(values, top)
+    assert problem in str(exc.value)
 
 
 def _jacobi_product(n, rng):
