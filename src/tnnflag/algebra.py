@@ -11,7 +11,6 @@ All scalars are `fractions.Fraction`; no floats anywhere.
 __all__ = [
     "Trop", "TROP_INF", "LaurentMonomial",
     "rat_from_str", "rat_to_str", "trop_from_str", "trop_to_str",
-    "monomial_div",
 ]
 
 from dataclasses import dataclass, field
@@ -136,12 +135,11 @@ class LaurentMonomial:
             raise ValueError("monomial coefficient must be nonzero")
         self.exponents = {k: e for k, e in self.exponents.items() if e != 0}
 
-
-def monomial_div(a: LaurentMonomial, b: LaurentMonomial) -> LaurentMonomial:
-    exps = dict(a.exponents)
-    for k, e in b.exponents.items():
-        exps[k] = exps.get(k, 0) - e
-    return LaurentMonomial(a.coefficient / b.coefficient, exps)
+    def __truediv__(self, other: "LaurentMonomial") -> "LaurentMonomial":
+        exps = dict(self.exponents)
+        for k, e in other.exponents.items():
+            exps[k] = exps.get(k, 0) - e
+        return LaurentMonomial(self.coefficient / other.coefficient, exps)
 
 
 if __name__ == "__main__":

@@ -129,7 +129,8 @@ def extremal_indices(p: Supported) -> list[ExtremalChain]:
     """Per size, the Xi-orbit chain from the Gale-minimal supported index.
 
     Raises ValueError when the support fails the necessary conditions of
-    ``flag_matroid_check`` or a size has no Gale-minimal index.
+    ``flag_matroid_check``, a size has no Gale-minimal index, or the chain
+    starts or the chain ends do not form a flag.
     """
     sup = p.sets if isinstance(p, SupportVector) else p.support()
     if not flag_matroid_check(sup):
@@ -148,6 +149,9 @@ def extremal_indices(p: Supported) -> list[ExtremalChain]:
                 break
             chain.append(nxt)
         out.append(ExtremalChain(k, tuple(chain)))
+    for a, b in zip(out, out[1:]):
+        if not all(set(a.chain[i]) <= set(b.chain[i]) for i in (0, -1)):
+            raise ValueError("Gale-extreme indices do not form a flag")
     return out
 
 

@@ -1,10 +1,10 @@
 """
 Inverting the cell parameterization and deciding membership: cell
-identification from a support pattern, the Laurent-monomial inverse map
-(classical and min-plus), certificate-producing decision procedures for
-the nonnegative flag variety and the nonnegative flag Dressian, and the
-three-term propagation that rebuilds a vector from its values at the
-cell's generators, choosing each relation from the cell's support.
+identification from a support pattern, the inverse map as one walk over
+the generators (classical, min-plus or Laurent-monomial), certificate-
+producing decision procedures for the nonnegative flag variety and the
+nonnegative flag Dressian, and three-term propagation from the values at
+the cell's generators, each relation chosen from the cell's support.
 
 >>> from tnnflag.perms import perm_from_str
 >>> from fractions import Fraction
@@ -24,10 +24,9 @@ __all__ = [
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
-from .algebra import LaurentMonomial, Trop, monomial_div, rat_to_str, trop_to_str
+from .algebra import LaurentMonomial, Trop, rat_to_str, trop_to_str
 from .perms import Perm, bruhat_leq, gale_leq, inverse, perm_to_str
 from .plucker import (
     Index, PlueckerVector, TropPlueckerVector, generate_relations,
@@ -35,7 +34,7 @@ from .plucker import (
 )
 from .extremal import (
     SupportVector, _xi_walk, cell_support, flag_matroid_check, generators,
-    is_supported, s_vw, xi,
+    is_supported, xi,
 )
 
 
@@ -124,54 +123,48 @@ def _lex_chain_cell(support: Mapping[int, set], n: int) -> tuple[Perm, Perm]:
 # The inverse map
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+def _walk(v: Perm, w: Perm, value, one, usable, problem: str) -> dict:
+    """The cell weights in one walk over the generators in traversal
+    order. The ``value`` at each independent generating index must pass
+    ``usable``, or a ValueError says it ``problem``; it solves its fresh
+    edge's weight once divided by the weights, already solved, of its
+    collection's other edges (or by ``one``, so an int stays exact)."""
+    weights = {}
+    for gen in generators(v, w):
+        if not gen.in_svw:
+            continue
+        x = value(gen.index)
+        if not usable(x):
+            raise ValueError(f"coordinate at generating index {gen.index} {problem}")
+        new = gen.new_weight_id
+        if new is not None:
+            for j in gen.monomial.exponents:
+                if j != new:
+                    x = x / weights[j]
+            weights[new] = x if len(gen.monomial.exponents) > 1 else x / one
+    return weights
+
+
 def psi_monomials(v: Perm, w: Perm) -> dict[int, LaurentMonomial]:
     """Each cell weight as a Laurent monomial in the coordinates at the
-    independent generating indices: traversing extremal indices, each
-    monomial coordinate P_I = prod(weights on its unique collection)
-    solves its one fresh weight.
-    """
-    solved: dict[int, LaurentMonomial] = {}
-    for gen in generators(v, w):
-        if gen.new_weight_id is None:
-            continue
-        mono = LaurentMonomial(Fraction(1), {gen.index: 1})
-        for wid in gen.monomial.exponents:
-            if wid != gen.new_weight_id:
-                mono = monomial_div(mono, solved[wid])
-        solved[gen.new_weight_id] = mono
-    return solved
-
-
-def _solve_weights(v: Perm, w: Perm, p, usable, problem: str) -> dict:
-    """Evaluate the inverse monomials over p's semiring, from the
-    coordinates at the independent generating indices; each must pass
-    ``usable``, or a ValueError says it ``problem``."""
-    values = {}
-    for I in s_vw(v, w):
-        val = p.coord(I)
-        if not usable(val):
-            raise ValueError(f"coordinate at generating index {I} {problem}")
-        values[I] = val
-    weights = {}
-    for j, m in psi_monomials(v, w).items():
-        x = p.one
-        for I, e in m.exponents.items():
-            # dividing keeps int coordinates exact, where int ** -1 is a float
-            x = x * values[I] ** e if e > 0 else x / values[I] ** -e
-        weights[j] = x
-    return weights
+    independent generating indices: ``psi``'s walk over the variables
+    P_I themselves."""
+    return _walk(v, w, lambda I: LaurentMonomial(1, {I: 1}), LaurentMonomial(1),
+                 lambda m: True, "")
 
 
 def psi(v: Perm, w: Perm, p: PlueckerVector) -> dict[int, Fraction]:
     """Recover the cell weights from the coordinates at the independent
-    generating indices (which must be strictly positive)."""
-    return _solve_weights(v, w, p, lambda x: x > 0, "is not positive")
+    generating indices, which must be strictly positive: each P_I, the
+    product of its collection's weights, solves its one fresh weight."""
+    return _walk(v, w, lambda I: p.coords.get(I, p.zero), p.one,
+                 lambda x: x > 0, "is not positive")
 
 
 def trop_psi(v: Perm, w: Perm, p: TropPlueckerVector) -> dict[int, Trop]:
-    """The same Laurent monomials read min-plus (pure sums and differences)."""
-    return _solve_weights(v, w, p, lambda x: not x.is_inf, "is infinite")
+    """The same walk read min-plus (pure differences of finite values)."""
+    return _walk(v, w, lambda I: p.coords.get(I, p.zero), p.one,
+                 lambda x: not x.is_inf, "is infinite")
 
 
 # ---------------------------------------------------------------------------

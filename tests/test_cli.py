@@ -187,6 +187,15 @@ def test_trop_decide(tmp_path, capsys):
     assert run(["decide", str(vector_file)]) == 2
 
 
+def test_extremal_rejects_chains_that_are_not_flags(tmp_path, capsys):
+    # basis exchange and containment hold, but {2} is not in {1,3}
+    vec = tmp_path / "v.json"
+    vec.write_text(json.dumps({"n": 3, "coords": {
+        "2": "1", "3": "1", "1,3": "1", "2,3": "1"}}))
+    assert run(["extremal", str(vec)]) == 2
+    assert "Gale-extreme indices do not form a flag" in _one_line_error(capsys)
+
+
 def test_extremal_subcommand(tmp_path, capsys):
     p = phi((1, 3, 2, 4), (4, 2, 1, 3), EX_A)
     vector_file = tmp_path / "vec.json"

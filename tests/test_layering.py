@@ -2,7 +2,8 @@
 the ``cli`` (whose ``verify`` checks the library against it) may. Listing
 every path collection is reference code in the same way: only ``wiring``,
 which defines it, ``oracle`` and ``cli`` may use
-``enumerate_path_collections``."""
+``enumerate_path_collections``. Memory stays bounded: only the per-cell
+and per-n tables named below may sit in an unbounded ``lru_cache``."""
 
 import ast
 import pathlib
@@ -14,6 +15,8 @@ import tnnflag
 PACKAGE = pathlib.Path(tnnflag.__file__).parent
 MAY_IMPORT_ORACLE = {"oracle", "cli"}
 MAY_ENUMERATE = {"oracle", "cli", "wiring"}
+UNBOUNDED_CACHES = {"build_diagram", "generators", "generate_relations",
+                    "_index_masks"}
 
 
 def _imported_modules(tree: ast.AST):
@@ -45,3 +48,13 @@ def test_library_does_not_enumerate_path_collections(path):
     names = _imported_modules(ast.parse(path.read_text()))
     assert not [name for name in names
                 if name.split(".")[-1] == "enumerate_path_collections"], path.name
+
+
+def test_only_the_listed_functions_have_unbounded_caches():
+    cached = {node.name
+              for path in sorted(PACKAGE.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.FunctionDef)
+              and any(ast.unparse(d).endswith("lru_cache(maxsize=None)")
+                      for d in node.decorator_list)}
+    assert cached == UNBOUNDED_CACHES

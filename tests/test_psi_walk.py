@@ -1,0 +1,106 @@
+"""Differential test of the inverse map.
+
+`psi`, `trop_psi` and `psi_monomials` solve the cell weights in one walk
+over the generators. The two passes they replace are written out below
+as the frozen reference: the Laurent monomials first, then their values
+at the coordinates. On every cell of S3, S4 and S5, in both semirings,
+both must give equal weights, in the same key order and of the same
+types, and raise the same ValueError when a generating coordinate is
+zero (classically) or inf (tropically).
+"""
+
+import random
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+
+from tnnflag.algebra import LaurentMonomial, Trop
+from tnnflag.extremal import generators, s_vw
+from tnnflag.membership import psi, psi_monomials, trop_psi
+from tnnflag.perms import bruhat_pairs
+from tnnflag.plucker import PlueckerVector, TropPlueckerVector
+
+
+@lru_cache(maxsize=None)
+def reference_monomials(v, w):
+    solved = {}
+    for gen in generators(v, w):
+        if gen.new_weight_id is None:
+            continue
+        mono = LaurentMonomial(Fraction(1), {gen.index: 1})
+        for wid in gen.monomial.exponents:
+            if wid != gen.new_weight_id:
+                mono = mono / solved[wid]
+        solved[gen.new_weight_id] = mono
+    return solved
+
+
+def reference_solve_weights(v, w, p, usable, problem):
+    values = {}
+    for I in s_vw(v, w):
+        val = p.coord(I)
+        if not usable(val):
+            raise ValueError(f"coordinate at generating index {I} {problem}")
+        values[I] = val
+    weights = {}
+    for j, m in reference_monomials(v, w).items():
+        x = p.one
+        for I, e in m.exponents.items():
+            x = x * values[I] ** e if e > 0 else x / values[I] ** -e
+        weights[j] = x
+    return weights
+
+
+def reference_psi(v, w, p):
+    return reference_solve_weights(v, w, p, lambda x: x > 0, "is not positive")
+
+
+def reference_trop_psi(v, w, p):
+    return reference_solve_weights(v, w, p, lambda x: not x.is_inf,
+                                   "is infinite")
+
+
+def _same(got, want):
+    assert list(got) == list(want)
+    assert list(got.values()) == list(want.values())
+    assert [type(x) for x in got.values()] == [type(x) for x in want.values()]
+
+
+def _outcome(fn, v, w, p):
+    try:
+        return fn(v, w, p)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _check(fn, ref, v, w, p):
+    """Equal weights on p, and the same error with each generating
+    coordinate, and then all of them, set to the semiring's zero."""
+    _same(fn(v, w, p), ref(v, w, p))
+    broken = [{**p.coords, I: p.zero} for I in p.coords]
+    for coords in broken + [dict.fromkeys(p.coords, p.zero)]:
+        q = type(p)(p.n, coords)
+        got = _outcome(fn, v, w, q)
+        assert isinstance(got, str) and got == _outcome(ref, v, w, q)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_walk_matches_two_pass_reference(n):
+    rng = random.Random(n)
+    for v, w in bruhat_pairs(n):
+        gens = s_vw(v, w)
+        mono, want = psi_monomials(v, w), reference_monomials(v, w)
+        assert list(mono) == list(want)
+        for j, m in mono.items():
+            assert list(m.exponents.items()) == list(want[j].exponents.items())
+            assert type(m.coefficient) is Fraction and m.coefficient == 1
+        ints = PlueckerVector(n, {I: rng.randint(1, 9) for I in gens})
+        rats = PlueckerVector(n, {I: Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                                  for I in gens})
+        trops = TropPlueckerVector(n, {I: Trop.of(Fraction(rng.randint(-9, 9),
+                                                            rng.randint(1, 4)))
+                                       for I in gens})
+        for p in (ints, rats):
+            _check(psi, reference_psi, v, w, p)
+        _check(trop_psi, reference_trop_psi, v, w, trops)
