@@ -13,7 +13,6 @@ __all__ = [
     "rat_from_str", "rat_to_str", "trop_from_str", "trop_to_str",
 ]
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable
 
@@ -32,7 +31,6 @@ def rat_to_str(x: Fraction) -> str:
 # Tropical semiring (min, +)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Trop:
     """An element of the semiring Q u {inf}; ``value is None`` encodes
     +infinity, the tropical zero, and Trop(0) is the tropical one.
@@ -46,7 +44,25 @@ class Trop:
     >>> trop_to_str(Trop.of(3) ** -2 / Trop.of(1))
     '-7'
     """
+    __slots__ = ("value",)
     value: Fraction | None
+
+    def __init__(self, value: Fraction | None) -> None:
+        object.__setattr__(self, "value", value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"Trop(value={self.value!r})"
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
+
+    def __reduce__(self):
+        return (Trop, (self.value,))
 
     @staticmethod
     def of(x) -> "Trop":
@@ -119,21 +135,33 @@ def trop_to_str(x: Trop) -> str:
 # Laurent monomials
 # ---------------------------------------------------------------------------
 
-@dataclass
 class LaurentMonomial:
     """coefficient * prod(var**e); exponents may be negative.
 
     Variables are arbitrary hashable keys (weight ids, index sets, ...).
     Zero exponents are dropped so equality of exponent maps is structural.
     """
-    coefficient: Fraction = Fraction(1)
-    exponents: dict[Hashable, int] = field(default_factory=dict)
+    __slots__ = ("coefficient", "exponents")
 
-    def __post_init__(self):
-        self.coefficient = Fraction(self.coefficient)
+    def __init__(self, coefficient: Fraction = Fraction(1),
+                 exponents: dict[Hashable, int] | None = None) -> None:
+        self.coefficient = Fraction(coefficient)
         if self.coefficient == 0:
             raise ValueError("monomial coefficient must be nonzero")
-        self.exponents = {k: e for k, e in self.exponents.items() if e != 0}
+        self.exponents = {k: e for k, e in (exponents or {}).items() if e != 0}
+
+    def __repr__(self) -> str:
+        return (f"LaurentMonomial(coefficient={self.coefficient!r}, "
+                f"exponents={self.exponents!r})")
+
+    def __reduce__(self):
+        return (LaurentMonomial, (self.coefficient, self.exponents))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coefficient, self.exponents) == \
+            (other.coefficient, other.exponents)
 
     def __truediv__(self, other: "LaurentMonomial") -> "LaurentMonomial":
         exps = dict(self.exponents)

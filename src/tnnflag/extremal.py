@@ -22,9 +22,8 @@ __all__ = [
     "precedes_key", "flag_matroid_check",
 ]
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .algebra import LaurentMonomial
 from .perms import Perm, gale_leq, length
@@ -32,8 +31,7 @@ from .plucker import Index, PlueckerVector, TropPlueckerVector, trop_phi
 from .wiring import PathCollection, build_diagram, graph_extremal_collections
 
 
-@dataclass(frozen=True)
-class SupportVector:
+class SupportVector(NamedTuple):
     """A bare support pattern: which indices are nonzero/finite, per size."""
     n: int
     sets: Mapping[int, frozenset[Index]]
@@ -119,8 +117,7 @@ def xi(p: Supported, I) -> Index:
     return I
 
 
-@dataclass(frozen=True)
-class ExtremalChain:
+class ExtremalChain(NamedTuple):
     size: int
     chain: tuple[Index, ...]   # Gale-minimal first, Gale-maximal last
 
@@ -179,8 +176,7 @@ def precedes_key(I: Index):
 # Independent generators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """One extremal index with its left-greedy path collection (its only
     one, as ``verify`` and the tests check); when the collection uses a wiring
     edge not seen at any earlier extremal index, that edge's weight is newly

@@ -22,9 +22,8 @@ __all__ = [
     "propagate_three_term", "trop_propagate_three_term",
 ]
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .algebra import LaurentMonomial, Trop, rat_to_str, trop_to_str
 from .perms import Perm, bruhat_leq, gale_leq, inverse, perm_to_str
@@ -38,8 +37,7 @@ from .extremal import (
 )
 
 
-@dataclass
-class CellCertificate:
+class CellCertificate(NamedTuple):
     verdict: str                                   # "member" | "non-member"
     cell: tuple[Perm, Perm] | None = None
     weights: dict[int, object] | None = None       # Fraction or Trop values

@@ -24,8 +24,7 @@ __all__ = [
 ]
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, NewType
+from typing import Iterator, NamedTuple, NewType
 
 # a permutation of {1..n} in one-line notation
 Perm = NewType("Perm", tuple[int, ...])
@@ -180,8 +179,7 @@ def bruhat_pairs(n: int) -> list[tuple[Perm, Perm]]:
 # Words and positive distinguished subexpressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Word:
+class Word(NamedTuple):
     """A word in the generators s_i, with run annotations when the word is
     (a subword of) the canonical longest word (s_1..s_{n-1})(s_1..s_{n-2})...(s_1).
     """
@@ -196,8 +194,7 @@ class Word:
         return len(self.letters)
 
 
-@dataclass(frozen=True)
-class Subexpression:
+class Subexpression(NamedTuple):
     """A choice of positions (1-based, strictly increasing) inside a word."""
     parent: Word
     positions: tuple[int, ...]

@@ -27,10 +27,9 @@ __all__ = [
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .algebra import (
     TROP_INF, Trop, rat_from_str, rat_to_str, trop_from_str, trop_to_str,
@@ -70,13 +69,22 @@ def all_proper_indices(n: int) -> Iterator[Index]:
 # Vectors
 # ---------------------------------------------------------------------------
 
-@dataclass
 class _Vector:
     """Coordinates over a semiring; omitted indices are the semiring's zero.
     Subclasses fix the semiring (``zero``, ``one``) and the text form of a
     coordinate (``parse``, ``render``)."""
-    n: int
-    coords: dict[Index, object] = field(default_factory=dict)
+
+    def __init__(self, n: int, coords: dict[Index, object] | None = None):
+        self.n = n
+        self.coords = {} if coords is None else coords
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(n={self.n!r}, coords={self.coords!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.coords) == (other.n, other.coords)
 
     def coord(self, I):
         return self.coords.get(tuple(sorted(I)), self.zero)
@@ -313,8 +321,7 @@ def trop_phi(v: Perm, w: Perm, x: Mapping[int, Trop]) -> TropPlueckerVector:
 # Incidence relations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IncidenceRelation:
+class IncidenceRelation(NamedTuple):
     r: int
     s: int
     I: Index

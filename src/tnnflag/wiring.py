@@ -29,10 +29,9 @@ __all__ = [
     "path_sum_matrix",
 ]
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .algebra import LaurentMonomial
 from .perms import (
@@ -41,8 +40,7 @@ from .perms import (
 )
 
 
-@dataclass(frozen=True)
-class VerticalEdge:
+class VerticalEdge(NamedTuple):
     weight_id: int          # position of the letter within w's reduced word
     key: int                # position of the letter within the canonical word
     column: int             # n + 1 - run
@@ -50,15 +48,13 @@ class VerticalEdge:
     upper: int              # strand at the top end; always lower < upper
 
 
-@dataclass(frozen=True)
-class NegativeSegment:
+class NegativeSegment(NamedTuple):
     strand: int
     key: Fraction           # half-integral: left boundary of the crossing's column
     columns: tuple[int, int]  # the two columns the segment sits between
 
 
-@dataclass(frozen=True)
-class WiringDiagram:
+class WiringDiagram(NamedTuple):
     n: int
     cell: tuple[Perm, Perm]
     source_label: tuple[int, ...]   # strand r (bottom = 1) -> primed label
@@ -78,8 +74,7 @@ class WiringDiagram:
         return self.source_label.index(label) + 1
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """A source-to-sink path: ride the strand rightward, climb each edge."""
     source: int                     # primed label
     start_strand: int
@@ -101,8 +96,7 @@ class Path:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class PathCollection:
+class PathCollection(NamedTuple):
     paths: tuple[Path, ...]         # ordered by source label
 
     @property
@@ -213,8 +207,8 @@ def _overlap(a: tuple, b: tuple) -> bool:
     return (hi2 is None or lo1 <= hi2) and (hi1 is None or lo2 <= hi1)
 
 
-def _disjoint_from(path: Path, occupied: list[tuple]) -> bool:
-    return not any(_overlap(iv, jv) for iv in path.intervals() for jv in occupied)
+def _disjoint_from(intervals: tuple, occupied: list[tuple]) -> bool:
+    return not any(_overlap(iv, jv) for iv in intervals for jv in occupied)
 
 
 def enumerate_path_collections(d: WiringDiagram, sources: Iterable[int],
@@ -228,13 +222,13 @@ def enumerate_path_collections(d: WiringDiagram, sources: Iterable[int],
     snk = frozenset(sinks)
     if len(src) != len(snk):
         raise ValueError("|sources| must equal |sinks|")
-    per_source: list[list[Path]] = []
+    per_source: list[list[tuple[Path, tuple]]] = []   # (path, its intervals)
     for s in src:
         strand = d.strand_of_label(s)
         paths = [Path(s, strand, es)
                  for es in _paths_from(d, strand, Fraction(0))
                  if (es[-1].upper if es else strand) in snk]
-        per_source.append(paths)
+        per_source.append([(p, p.intervals()) for p in paths])
 
     out: list[PathCollection] = []
 
@@ -243,11 +237,11 @@ def enumerate_path_collections(d: WiringDiagram, sources: Iterable[int],
         if idx == len(src):
             out.append(PathCollection(tuple(chosen)))
             return
-        for p in per_source[idx]:
-            if p.sink in used_sinks or not _disjoint_from(p, occupied):
+        for p, intervals in per_source[idx]:
+            if p.sink in used_sinks or not _disjoint_from(intervals, occupied):
                 continue
             backtrack(idx + 1, chosen + [p], used_sinks | {p.sink},
-                      occupied + list(p.intervals()))
+                      occupied + list(intervals))
 
     backtrack(0, [], set(), [])
     out.sort(key=lambda c: tuple(p.sink for p in c.paths))

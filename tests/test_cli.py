@@ -295,3 +295,53 @@ def test_cli_contract_on_arbitrary_json(command, vector, weights, cell):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# ---------------------------------------------------------------------------
+# Contract fuzz: arbitrary argv never escapes as an exception
+# ---------------------------------------------------------------------------
+
+# every token that parses as an int is at most 4, so no draw reaches a
+# large n whatever order the tokens end up in; two draws in three are
+# plain integers
+INT_TOKEN = st.one_of(st.integers(-3, 4).map(str), st.integers(2, 4).map(str),
+                      st.sampled_from(["", "x", "2.0", "+3", "-0", " 4 ",
+                                       "٤", "0x2", "1e1", "--1"]))
+PERM_TOKEN = st.sampled_from(
+    ["", "1", "12", "21", "123", "321", "213", "132", "1234", "4321",
+     EX_V, EX_W, "1,3,2", "1,,2", "3,2,1,", "12a", "0", "11", "-1"]
+) | st.text(max_size=4)
+STRAY = st.sampled_from(
+    ["--three-term", "--tropical", "--weights", "--seed", "--max-n",
+     "--max-n=3", "--seed=x", "-h", "--", "-", "--bogus", "extra", "3",
+     "54321", "cell", "verify"])
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    argv = []
+    for option in draw(st.lists(st.sampled_from(["--seed", "--max-n"]),
+                                max_size=2, unique=True)):
+        argv += [option, draw(INT_TOKEN)]
+    command = draw(st.sampled_from(["cell", "relations", "verify"]))
+    if command == "cell":
+        argv += [command, draw(PERM_TOKEN), draw(PERM_TOKEN)]
+    else:
+        argv += [command, draw(INT_TOKEN)]
+        argv += ["--three-term"] * (command == "relations" and draw(st.booleans()))
+    for token in draw(st.lists(STRAY, max_size=2)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_cli_contract_on_arbitrary_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:       # argparse: usage errors and --help
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

@@ -3,10 +3,16 @@ the ``cli`` (whose ``verify`` checks the library against it) may. Listing
 every path collection is reference code in the same way: only ``wiring``,
 which defines it, ``oracle`` and ``cli`` may use
 ``enumerate_path_collections``. Memory stays bounded: only the per-cell
-and per-n tables named below may sit in an unbounded ``lru_cache``."""
+and per-n tables named below may sit in an unbounded ``lru_cache``.
+Start-up stays cheap: no module uses ``dataclasses``, and importing the
+CLI loads neither the oracle nor the introspection modules that
+``dataclasses`` pulls in."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +23,8 @@ MAY_IMPORT_ORACLE = {"oracle", "cli"}
 MAY_ENUMERATE = {"oracle", "cli", "wiring"}
 UNBOUNDED_CACHES = {"build_diagram", "generators", "generate_relations",
                     "_index_masks"}
+NOT_LOADED_BY_CLI = ("dataclasses", "inspect", "ast", "dis", "tokenize",
+                     "tnnflag.oracle")
 
 
 def _imported_modules(tree: ast.AST):
@@ -58,3 +66,30 @@ def test_only_the_listed_functions_have_unbounded_caches():
               and any(ast.unparse(d).endswith("lru_cache(maxsize=None)")
                       for d in node.decorator_list)}
     assert cached == UNBOUNDED_CACHES
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_library_does_not_import_dataclasses(path):
+    names = _imported_modules(ast.parse(path.read_text()))
+    assert not [name for name in names
+                if name.lstrip(".").split(".")[0] == "dataclasses"], path.name
+
+
+def _modules_loaded_by(code: str) -> set[str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent), *filter(None, [env.get("PYTHONPATH")])])
+    out = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    return set(out.split())
+
+
+def test_cli_import_loads_no_introspection_modules():
+    """Compared with a bare interpreter, whose ``site`` may preload some
+    modules already."""
+    added = (_modules_loaded_by("import tnnflag.cli")
+             - _modules_loaded_by("pass"))
+    assert "tnnflag.cli" in added
+    assert not [name for name in NOT_LOADED_BY_CLI if name in added]

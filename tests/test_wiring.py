@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from tnnflag.perms import all_perms, bruhat_leq, identity, longest_element
 from tnnflag.oracle import mr_matrix
 from tnnflag.wiring import (
-    Path, PathCollection, build_diagram, collection_weight,
+    Path, PathCollection, _paths_from, build_diagram, collection_weight,
     enumerate_path_collections, graph_extremal_collections,
     left_greedy_collection, path_sum_matrix,
 )
@@ -96,6 +96,59 @@ def test_collections_are_disjoint_and_complete(data):
                         assert (jv[2] is not None and iv[1] > jv[2]) or \
                                (iv[2] is not None and jv[1] > iv[2])
                 seen.append(iv)
+
+
+def _enumerate_rebuilding_intervals(d, sources, sinks):
+    """``enumerate_path_collections`` as it was before each candidate path
+    carried its intervals: ``Path.intervals()`` rebuilt at every step."""
+    src = sorted(sources)
+    snk = frozenset(sinks)
+    per_source = []
+    for s in src:
+        strand = d.strand_of_label(s)
+        per_source.append([Path(s, strand, es)
+                           for es in _paths_from(d, strand, Fraction(0))
+                           if (es[-1].upper if es else strand) in snk])
+    out = []
+
+    def overlap(a, b):
+        s1, lo1, hi1 = a
+        s2, lo2, hi2 = b
+        return s1 == s2 and (hi2 is None or lo1 <= hi2) and \
+            (hi1 is None or lo2 <= hi1)
+
+    def backtrack(idx, chosen, used_sinks, occupied):
+        if idx == len(src):
+            out.append(PathCollection(tuple(chosen)))
+            return
+        for p in per_source[idx]:
+            if p.sink in used_sinks or any(overlap(iv, jv)
+                                           for iv in p.intervals()
+                                           for jv in occupied):
+                continue
+            backtrack(idx + 1, chosen + [p], used_sinks | {p.sink},
+                      occupied + list(p.intervals()))
+
+    backtrack(0, [], set(), [])
+    out.sort(key=lambda c: tuple(p.sink for p in c.paths))
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_enumeration_matches_interval_rebuilding_reference(n):
+    """Same collections in the same order for every equal-size (sources,
+    sinks) pair of every cell."""
+    nonempty = 0
+    for v, w in _cells(n):
+        d = build_diagram(v, w)
+        for k in range(n + 1):
+            for sources in itertools.combinations(range(1, n + 1), k):
+                for sinks in itertools.combinations(range(1, n + 1), k):
+                    got = enumerate_path_collections(d, sources, sinks)
+                    assert got == _enumerate_rebuilding_intervals(
+                        d, sources, sinks), (v, w, sources, sinks)
+                    nonempty += bool(got)
+    assert nonempty
 
 
 def test_left_greedy_top_cell():
