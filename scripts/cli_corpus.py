@@ -85,6 +85,10 @@ COMMANDS = [
     ["relations", "4", "--three-term"],
     ["verify", "3"],
     ["verify", "4"],
+    # exponent notation is malformed input (Fraction would expand it)
+    ["decide", "exponent.json"],
+    ["trop-decide", "trop-exponent.json"],
+    ["plucker", "12", "21", "--weights", "exponent-weights.json"],
 ]
 
 
@@ -110,6 +114,10 @@ def input_files() -> dict[str, dict]:
             "1": "-3", "2": "0", "3": "5/2", "4": "-1/3", "5": "7",
             "6": "0", "7": "-2", "8": "4", "9": "1", "10": "-5/4"},
         "s5-trop-member.json": _member("12345", "54321", True).to_json_dict(),
+        "exponent.json": {"n": 2, "coords": {"1": "1e10000000"}},
+        "trop-exponent.json": {"n": 2, "mode": "tropical",
+                               "coords": {"1": "1e10000000"}},
+        "exponent-weights.json": {"1": "1e10000000"},
     }
     for v, w in [("35241", "54231"), ("32154", "54231")]:
         a = _prime_weights(perm_from_str(v), perm_from_str(w))

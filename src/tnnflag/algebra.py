@@ -18,8 +18,19 @@ from typing import Hashable
 
 
 def rat_from_str(s: str) -> Fraction:
-    """Parse "p/q" or "p"."""
-    return Fraction(s.strip())
+    """Parse "p/q" or "p" (a decimal such as "1.5" too). Exponent notation
+    is rejected: ``Fraction`` would expand "1e10000000" to an integer of
+    ten million digits.
+
+    >>> rat_from_str("1e3")
+    Traceback (most recent call last):
+    ...
+    ValueError: exponent notation is not accepted: '1e3'
+    """
+    s = s.strip()
+    if "e" in s or "E" in s:
+        raise ValueError(f"exponent notation is not accepted: {s!r}")
+    return Fraction(s)
 
 
 def rat_to_str(x: Fraction) -> str:
@@ -124,7 +135,7 @@ TROP_INF = Trop(None)
 
 def trop_from_str(s: str) -> Trop:
     s = s.strip()
-    return TROP_INF if s == "inf" else Trop(Fraction(s))
+    return TROP_INF if s == "inf" else Trop(rat_from_str(s))
 
 
 def trop_to_str(x: Trop) -> str:

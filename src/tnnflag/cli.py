@@ -42,8 +42,20 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: bad JSON, or an integer literal longer than Python's
+        # int/str digit limit
         raise _Malformed(f"cannot read JSON from {path}: {exc}") from exc
+
+
+def _render(make) -> dict:
+    """The JSON form of the result that ``make()`` returns; a number too
+    long for its text form (Python's int/str digit limit, 4300 digits by
+    default) is reported as an error."""
+    try:
+        return make().to_json_dict()
+    except ValueError as exc:
+        raise _Malformed(f"cannot render the result: {exc}") from exc
 
 
 class _Malformed(Exception):
@@ -95,7 +107,7 @@ def _cmd_plucker(args) -> int:
                          "zero denominator") from exc
     except ValueError as exc:
         raise _Malformed(f"bad weights file {args.weights}: {exc}") from exc
-    _emit(vec.to_json_dict())
+    _emit(_render(lambda: vec))
     return 0
 
 
@@ -140,9 +152,10 @@ def _cmd_decide(args) -> int:
     _guard_n(p.n, args)
     if args.tropical != isinstance(p, TropPlueckerVector):
         raise _Malformed("vector mode does not match the subcommand")
-    cert = decide_trop(p) if args.tropical else decide_tnn(p)
-    _emit(cert.to_json_dict())
-    return 0 if cert.verdict == "member" else 1
+    decide = decide_trop if args.tropical else decide_tnn
+    out = _render(lambda: decide(p))
+    _emit(out)
+    return 0 if out["verdict"] == "member" else 1
 
 
 def _cmd_relations(args) -> int:

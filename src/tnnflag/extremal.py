@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from .algebra import LaurentMonomial
-from .perms import Perm, gale_leq, length
+from .perms import Perm, length
 from .plucker import Index, PlueckerVector, TropPlueckerVector, trop_phi
 from .wiring import PathCollection, build_diagram, graph_extremal_collections
 
@@ -123,23 +123,20 @@ class ExtremalChain(NamedTuple):
 
 
 def extremal_indices(p: Supported) -> list[ExtremalChain]:
-    """Per size, the Xi-orbit chain from the Gale-minimal supported index.
+    """Per size, the Xi-orbit chain from the Gale-minimal supported index,
+    which is the lexicographically least: a size block that passes basis
+    exchange is a matroid, and nonempty.
 
     Raises ValueError when the support fails the necessary conditions of
-    ``flag_matroid_check``, a size has no Gale-minimal index, or the chain
-    starts or the chain ends do not form a flag.
+    ``flag_matroid_check``, or the chain starts or the chain ends do not
+    form a flag.
     """
     sup = p.sets if isinstance(p, SupportVector) else p.support()
     if not flag_matroid_check(sup):
         raise ValueError("support is not a flag matroid")
     out = []
     for k in range(1, p.n):
-        if not sup[k]:
-            raise ValueError(f"no supported index of size {k}")
-        start = min(sup[k])
-        if not all(gale_leq(start, J) for J in sup[k]):
-            raise ValueError(f"size {k} has no Gale-minimal supported index")
-        chain = [start]
+        chain = [min(sup[k])]
         while True:
             nxt = xi(p, chain[-1])
             if nxt == chain[-1]:

@@ -70,10 +70,11 @@ def identify_cell(support: Mapping[int, set], n: int) -> tuple[Perm, Perm]:
     Gale-maximal chain; raises ValueError when the chains do not exist,
     are not nested, or v is not <= w (all signal non-membership).
 
-    The deciders run this only to name a rejection. On every input they
-    run ``_lex_chain_cell``, which is this without the all-pairs Gale
-    check: a member's support is a flag matroid, whose lexicographic
-    extremes are its Gale extremes.
+    The deciders read the cell with ``_lex_chain_cell``, which is this
+    without the all-pairs Gale check: a member's support is a flag
+    matroid, whose lexicographic extremes are its Gale extremes. Only
+    ``decide_trop`` runs this, to name a rejection that no three-term
+    relation names.
     """
     blocks = {k: {tuple(sorted(B)) for B in support.get(k, set())}
               for k in range(1, n)}
@@ -173,39 +174,31 @@ def _first_index_order(indices) -> list[Index]:
     return sorted(indices, key=lambda I: (len(I), I))
 
 
-def _reconstruct(p, psi_fn, phi_fn) -> CellCertificate:
+def _reconstruct(p, psi_fn, phi_fn) -> tuple[CellCertificate, dict]:
     """Certify membership iff ``phi_fn`` gives the canonical vector back
     exactly from the weights ``psi_fn`` solves in the cell read off the
     lexicographic chains of its support: one pass over the coordinates
-    and one dict comparison on a member. A rejection first runs the full
-    ``identify_cell``; when that fails, its no-cell witness is reported
-    in place of the reconstruction's."""
+    and one dict comparison on a member. Returns the certificate with the
+    support that pass collected. A rejection checks the index keys, then
+    names the reconstruction's own witness: no cell from the chains, an
+    unusable generating coordinate, or the first difference."""
     q, sup = p._canonical()
     try:
         v, w = _lex_chain_cell(sup, p.n)
     except ValueError as exc:
-        return _no_cell(p, sup) or _non_member(
-            {"type": "no-cell", "reason": str(exc)})
+        p.check_indices()
+        return _non_member({"type": "no-cell", "reason": str(exc)}), sup
     try:
         weights = psi_fn(v, w, q)
     except ValueError as exc:
-        return _no_cell(p, sup) or _non_member(
-            {"type": "unsupported-generating-index", "reason": str(exc)})
+        p.check_indices()
+        return _non_member({"type": "unsupported-generating-index",
+                            "reason": str(exc)}), sup
     r = phi_fn(v, w, weights)
     if q.coords == r.coords:
-        return CellCertificate("member", cell=(v, w), weights=weights)
-    return _no_cell(p, sup) or _first_difference(q, r)
-
-
-def _no_cell(p, sup) -> CellCertificate | None:
-    """The no-cell rejection when ``identify_cell`` fails on the support,
-    else None; keys that are not indices raise ValueError."""
+        return CellCertificate("member", cell=(v, w), weights=weights), sup
     p.check_indices()
-    try:
-        identify_cell(sup, p.n)
-    except ValueError as exc:
-        return _non_member({"type": "no-cell", "reason": str(exc)})
-    return None
+    return _first_difference(q, r), sup
 
 
 def _first_difference(q, r) -> CellCertificate:
@@ -227,11 +220,11 @@ def decide_tnn(p: PlueckerVector) -> CellCertificate:
     collects its support, the cell read off its lexicographic chains
     (flag and Bruhat checks), ``psi``, ``phi`` and one comparison. A
     member needs no further check, since its support is the flag matroid
-    of its cell. Only a rejection runs the checks that name it: the index
-    keys, the ordered scans for the first negative or differing
-    coordinate, the Gale check of ``identify_cell`` and the necessary
-    flag-matroid conditions of ``flag_matroid_check`` on the support, whose
-    failure is reported in place of the reconstruction's witness.
+    of its cell. A rejection is named in this order: the index keys; the
+    first negative coordinate; the necessary flag-matroid conditions of
+    ``flag_matroid_check`` on the reconstruction's support; the
+    reconstruction's own witness. A size block without Gale extremes is
+    not a matroid, so the flag-matroid check names it.
     """
     if any(x < 0 for x in p.coords.values()):
         p.check_indices()
@@ -240,8 +233,8 @@ def decide_tnn(p: PlueckerVector) -> CellCertificate:
                 return _non_member({"type": "negative-coordinate",
                                     "index": index_to_str(I),
                                     "value": rat_to_str(p.coords[I])})
-    cert = _reconstruct(p, psi, phi)
-    if cert.verdict == "member" or flag_matroid_check(p.support()):
+    cert, sup = _reconstruct(p, psi, phi)
+    if cert.verdict == "member" or flag_matroid_check(sup):
         return cert
     return _non_member({"type": "support-not-flag-matroid"})
 
@@ -251,12 +244,12 @@ def decide_trop(p: TropPlueckerVector) -> CellCertificate:
     reconstruct exactly from its cell weights.
 
     Every input gets the reconstruction of ``decide_tnn``. A member
-    positively solves every three-term tropical relation, so the relations
-    are scanned only on a rejection, after the checks that name it there:
-    the first violated one is reported in place of the reconstruction's
-    witness.
+    positively solves every three-term tropical relation, so a rejection
+    is named in this order: the index keys; the first violated three-term
+    relation; the no-cell witness of ``identify_cell`` on the
+    reconstruction's support; the reconstruction's own witness.
     """
-    cert = _reconstruct(p, trop_psi, trop_phi)
+    cert, sup = _reconstruct(p, trop_psi, trop_phi)
     if cert.verdict == "member":
         return cert
     for rel in generate_relations(p.n, True):
@@ -267,6 +260,10 @@ def decide_trop(p: TropPlueckerVector) -> CellCertificate:
                 "J": index_to_str(rel.J),
                 "terms": [[sign, index_to_str(a), index_to_str(b)]
                           for sign, a, b in rel.terms]})
+    try:
+        identify_cell(sup, p.n)
+    except ValueError as exc:
+        return _non_member({"type": "no-cell", "reason": str(exc)})
     return cert
 
 

@@ -346,17 +346,20 @@ def generate_relations(n: int, three_term_only: bool = False,
                        ) -> tuple[IncidenceRelation, ...]:
     """All incidence relations for sizes 1 <= r <= s <= n-1, deduplicated;
     with the three-term filter, only those with exactly 3 surviving summands.
+    A pair (I, J) has one summand per element of J - I, and |J - I| >= s-r+2,
+    so the filter needs s <= r+1 and skips the other pairs before their
+    terms are built.
     """
     universe = range(1, n + 1)
     seen: set = set()
     out: list[IncidenceRelation] = []
     for r in range(1, n):
-        for s in range(r, n):
+        for s in range(r, min(r + 2, n) if three_term_only else n):
             for I in itertools.combinations(universe, r - 1):
                 for J in itertools.combinations(universe, s + 1):
-                    terms = _relation_terms(I, J)
-                    if three_term_only and len(terms) != 3:
+                    if three_term_only and len(set(J) - set(I)) != 3:
                         continue
+                    terms = _relation_terms(I, J)
                     # merge like monomials (unordered product for r == s)
                     merged: dict = {}
                     for sign, left, right in terms:

@@ -58,3 +58,16 @@ def test_monomial_drops_zero_exponents():
     assert m.exponents == {"y": 2}
     with pytest.raises(ValueError):
         LaurentMonomial(Fraction(0), {})
+
+
+@pytest.mark.parametrize("text", ["1e3", "2E-1", "1.5e0", "-1e10000000"])
+def test_exponent_notation_is_rejected(text):
+    with pytest.raises(ValueError, match="exponent notation"):
+        rat_from_str(text)
+    with pytest.raises(ValueError, match="exponent notation"):
+        trop_from_str(text)
+
+
+def test_decimals_are_still_read():
+    assert rat_from_str(" 1.25 ") == Fraction(5, 4)
+    assert trop_from_str("-0.5") == Trop(Fraction(-1, 2))

@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import pathlib
+import random
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -120,6 +122,66 @@ def test_non_string_coordinate_exits_2(tmp_path, capsys, mode, value):
                 str(vec)]) == 2
     assert f"coordinate 1: expected a string, got {value!r}" in \
         _one_line_error(capsys)
+
+
+# Python refuses int <-> str conversions of more than 4300 digits (its
+# default limit), and Fraction expands exponent notation digit by digit
+BIG_INT = "1" + "0" * 5000
+LONG = "7" * 2500
+
+
+def _big_inputs(tmp_path) -> dict[str, str]:
+    rng = random.Random(1)
+
+    def digits():
+        return str(rng.randrange(10**3999, 10**4000))
+
+    files = {
+        "big-n.json": f'{{"n": {BIG_INT}, "coords": {{}}}}',
+        "big-weight.json": f'{{"1": {BIG_INT}}}',
+        "long-weights.json": json.dumps({"1": LONG, "2": LONG, "3": LONG}),
+        "long-coords.json": json.dumps({"n": 3, "coords": {
+            k: f"{digits()}/{digits()}"
+            for k in ("1", "2", "3", "1,2", "1,3", "2,3")}}),
+        "exp.json": json.dumps({"n": 2, "coords": {"1": "1e10000000"}}),
+        "trop-exp.json": json.dumps({"n": 2, "mode": "tropical",
+                                     "coords": {"1": "1e10000000"}}),
+        "exp-weight.json": json.dumps({"1": "1e10000000"}),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return {name: str(tmp_path / name) for name in files}
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a JSON integer literal over the digit limit
+    (["decide", "big-n.json"], "cannot read JSON"),
+    (["extremal", "big-n.json"], "cannot read JSON"),
+    (["plucker", "12", "21", "--weights", "big-weight.json"],
+     "cannot read JSON"),
+    # a result with a number over the digit limit: the coordinates, or the
+    # reconstructed coordinate of a mismatch witness
+    (["plucker", "123", "321", "--weights", "long-weights.json"],
+     "cannot render the result"),
+    (["decide", "long-coords.json"], "cannot render the result"),
+    # exponent notation
+    (["decide", "exp.json"], "exponent notation is not accepted"),
+    (["trop-decide", "trop-exp.json"], "exponent notation is not accepted"),
+    (["plucker", "12", "21", "--weights", "exp-weight.json"],
+     "exponent notation is not accepted"),
+    (["plucker", "12", "21", "--weights", "exp-weight.json", "--tropical"],
+     "exponent notation is not accepted"),
+])
+def test_large_numbers_exit_2_quickly(tmp_path, capsys, argv, message):
+    files = _big_inputs(tmp_path)
+    start = time.perf_counter()
+    code = run([files.get(a, a) for a in argv])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr()
+    assert code == 2 and out.out == "", out
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1, out.err
+    assert message in out.err and "Traceback" not in out.err
+    assert elapsed < 1.0, elapsed
 
 
 def test_empty_permutation_exits_2(capsys):

@@ -2,17 +2,20 @@
 
 `decide_tnn` and `decide_trop` reconstruct first and run the flag-matroid
 check or the three-term scan only to name a rejection; the reconstruction
-reads the cell off the lexicographic chains of the support and runs the
-Gale check of `identify_cell` only to name a rejection. The checks-first
-order they replace, reconstruction included, is written out below from
-public pieces; both orders must give the same certificate, verdict and
-witness, on every input.
+reads the cell off the lexicographic chains of the support, and only
+`decide_trop` runs the Gale check of `identify_cell`, last, to name a
+rejection. The checks-first order they replace, reconstruction included,
+is written out below from public pieces; both orders must give the same
+certificate, verdict and witness, on every input.
 """
 
 import itertools
+import json
+import pathlib
 import random
 from collections import Counter
 
+from tnnflag import membership
 from tnnflag.algebra import Trop, rat_to_str
 from tnnflag.membership import (
     CellCertificate, _reconstruct, decide_tnn, decide_trop, identify_cell,
@@ -147,11 +150,17 @@ def _compare(classical, tropical):
     seen = Counter()
     for p in classical + tropical:
         fns = (trop_psi, trop_phi) if p.mode == "tropical" else (psi, phi)
-        cert = _reconstruct(p, *fns).to_json_dict()
-        assert cert == reconstruct_checks_first(p, *fns).to_json_dict(), \
-            p.coords
-        if "Gale extremes" in cert.get("witness", {}).get("reason", ""):
-            seen["reconstruct:no-gale-extremes"] += 1
+        cert, sup = _reconstruct(p, *fns)
+        assert sup == p.support(), p.coords
+        try:
+            identify_cell(sup, p.n)
+        except ValueError as exc:
+            if "Gale extremes" in str(exc):
+                # the deciders name these with a later check
+                seen["reconstruct:no-gale-extremes"] += 1
+                continue
+        assert cert.to_json_dict() == \
+            reconstruct_checks_first(p, *fns).to_json_dict(), p.coords
     for p in classical:
         cert = decide_tnn(p).to_json_dict()
         assert cert == decide_tnn_checks_first(p).to_json_dict(), p.coords
@@ -182,3 +191,77 @@ def test_orders_agree_on_s5_sample():
     seen = _compare(*_inputs(rng.sample(_cells(5), 40), rng))
     assert seen["member"] and seen["trop:member"] and \
         seen["reconstruct:no-gale-extremes"], seen
+
+
+def _count_calls(monkeypatch, module, names):
+    """Wrap each of ``names`` in ``module`` with a call counter."""
+    calls = Counter()
+    for name in names:
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _corpus_case(name):
+    corpus = json.loads((pathlib.Path(__file__).parent / "data"
+                         / "cli_corpus.json").read_text())
+    case = next(c for c in corpus["cases"] if c["argv"][-1] == name)
+    return corpus["files"][name], json.loads(case["stdout"])
+
+
+def _gale_breaking_edits(rng):
+    """Members of every S4 cell and of seeded S5 cells, classical and
+    tropical, each with a Gale-breaking index added where there is one."""
+    classical, tropical = [], []
+    for v, w in _cells(4) + rng.sample(_cells(5), 30):
+        a = generic_weights(v, w, seed=rng.randrange(1000))
+        x = {j: Trop.of(rng.randint(-3, 3)) for j in a}
+        for p, out in ((phi(v, w, a), classical), (trop_phi(v, w, x), tropical)):
+            breaking = _gale_breaking(p)
+            if breaking:
+                J, lo = rng.choice(breaking)
+                out.append(type(p)(p.n, {**p.coords, J: p.coords[lo]}))
+    return classical, tropical
+
+
+def test_decide_tnn_names_a_rejection_with_one_flag_matroid_check(monkeypatch):
+    """On supports without Gale extremes, decide_tnn runs no Gale check and
+    one flag-matroid check, and its certificate is unchanged."""
+    obj, expected = _corpus_case("no-gale-extremes.json")
+    classical, _ = _gale_breaking_edits(random.Random(13))
+    inputs = [PlueckerVector.from_json_dict(obj)] + classical
+    wanted = [expected] + [decide_tnn_checks_first(p).to_json_dict()
+                           for p in classical]
+    calls = _count_calls(monkeypatch, membership,
+                         ["identify_cell", "gale_leq", "flag_matroid_check"])
+    assert len(inputs) > 50
+    for p, want in zip(inputs, wanted):
+        calls.clear()
+        assert decide_tnn(p).to_json_dict() == want, p.coords
+        assert calls == {"flag_matroid_check": 1}, (calls, p.coords)
+
+
+def test_decide_trop_runs_identify_cell_only_without_a_violation(monkeypatch):
+    obj, expected = _corpus_case("trop-no-gale-extremes.json")
+    rng = random.Random(17)
+    _, tropical = _gale_breaking_edits(rng)
+    _, edits = _inputs(rng.sample(_cells(4), 30), rng)
+    inputs = [TropPlueckerVector.from_json_dict(obj)] + tropical + edits
+    wanted = [expected] + [decide_trop_checks_first(p).to_json_dict()
+                           for p in tropical + edits]
+    calls = _count_calls(monkeypatch, membership, ["identify_cell"])
+    seen = Counter()
+    for p, want in zip(inputs, wanted):
+        calls.clear()
+        cert = decide_trop(p).to_json_dict()
+        assert cert == want, p.coords
+        kind = cert.get("witness", {}).get("type", "member")
+        runs = kind not in ("member", "violated-tropical-relation")
+        assert calls["identify_cell"] == runs, (kind, calls, p.coords)
+        seen[kind, runs] += 1
+    assert seen["member", False] and seen["no-cell", True] \
+        and seen["violated-tropical-relation", False], seen

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ from tnnflag.extremal import (
 from tnnflag.perms import (
     all_perms, bruhat_leq, gale_leq, identity, length, longest_element,
 )
-from tnnflag.plucker import phi
+from tnnflag.algebra import Trop
+from tnnflag.plucker import PlueckerVector, TropPlueckerVector, phi
 from tnnflag.wiring import (
     build_diagram, collection_weight, enumerate_path_collections,
 )
@@ -147,3 +149,96 @@ def test_is_supported_dispatch():
     assert is_supported(sup, (3, 1))          # sorts its argument
     p = phi(EX_V, EX_W, {1: Fraction(1), 2: Fraction(1), 4: Fraction(1)})
     assert is_supported(p, (2, 3)) and not is_supported(p, (2, 4))
+
+
+def extremal_indices_reference(p):
+    """`extremal_indices` as it was before its chain starts were read as
+    the lexicographic minima, kept as the reference for the test below."""
+    from tnnflag.extremal import ExtremalChain, flag_matroid_check
+    sup = p.sets if isinstance(p, SupportVector) else p.support()
+    if not flag_matroid_check(sup):
+        raise ValueError("support is not a flag matroid")
+    out = []
+    for k in range(1, p.n):
+        if not sup[k]:
+            raise ValueError(f"no supported index of size {k}")
+        start = min(sup[k])
+        if not all(gale_leq(start, J) for J in sup[k]):
+            raise ValueError(f"size {k} has no Gale-minimal supported index")
+        chain = [start]
+        while True:
+            nxt = xi(p, chain[-1])
+            if nxt == chain[-1]:
+                break
+            chain.append(nxt)
+        out.append(ExtremalChain(k, tuple(chain)))
+    for a, b in zip(out, out[1:]):
+        if not all(set(a.chain[i]) <= set(b.chain[i]) for i in (0, -1)):
+            raise ValueError("Gale-extreme indices do not form a flag")
+    return out
+
+
+def _outcome(fn, p):
+    try:
+        return fn(p)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _random_supports(n, rng):
+    """Supports of the top minors of sparse random integer matrices (flag
+    matroids, or empty blocks when the matrix is singular), the same with
+    one index added or removed, and uniformly random index sets."""
+    from tnnflag.oracle import _top_minors
+    from tnnflag.plucker import all_proper_indices
+    m = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)]
+    realizable = {k: set() for k in range(1, n)}
+    for I in _top_minors(m).coords:
+        realizable[len(I)].add(I)
+    edited = {k: set(s) for k, s in realizable.items()}
+    edited[rng.randrange(1, n)] ^= {rng.choice(list(all_proper_indices(n)))}
+    uniform = {k: set() for k in range(1, n)}
+    for I in all_proper_indices(n):
+        if rng.random() < 0.6:
+            uniform[len(I)].add(I)
+    return [realizable, edited, uniform]
+
+
+def _as_inputs(n, sets):
+    """One support as a SupportVector and as classical and tropical
+    vectors with that support."""
+    return [SupportVector(n, {k: frozenset(s) for k, s in sets.items()}),
+            PlueckerVector(n, {I: Fraction(1) for s in sets.values()
+                               for I in s}),
+            TropPlueckerVector(n, {I: Trop.of(0) for s in sets.values()
+                                   for I in s})]
+
+
+def test_extremal_indices_matches_reference():
+    """Equal chains, or an equal ValueError text, on every cell support of
+    S3 and S4 (each also with one index added and one removed) and on
+    seeded random supports at n = 3..5."""
+    rng = random.Random(5)
+    supports = []
+    for n in (3, 4):
+        for v, w in _cells(n):
+            sets = {k: set(s) for k, s in cell_support(v, w).sets.items()}
+            supports.append((n, sets))
+            for _ in range(2):
+                edited = {k: set(s) for k, s in sets.items()}
+                k = rng.randrange(1, n)
+                edited[k] ^= {tuple(sorted(rng.sample(range(1, n + 1), k)))}
+                supports.append((n, edited))
+    for n in (3, 4, 5):
+        for _ in range(150):
+            supports += [(n, s) for s in _random_supports(n, rng)]
+    # passes the necessary conditions but is not a flag matroid
+    supports.append((3, {1: {(2,), (3,)}, 2: {(1, 3), (2, 3)}}))
+    outcomes = Counter()
+    for n, sets in supports:
+        for p in _as_inputs(n, sets):
+            got = _outcome(extremal_indices, p)
+            assert got == _outcome(extremal_indices_reference, p), (n, sets)
+            outcomes[got if isinstance(got, str) else "chains"] += 1
+    assert outcomes["chains"] and outcomes["support is not a flag matroid"] \
+        and outcomes["Gale-extreme indices do not form a flag"], outcomes
