@@ -55,7 +55,8 @@ def _render(make) -> dict:
     try:
         return make().to_json_dict()
     except ValueError as exc:
-        raise _Malformed(f"cannot render the result: {exc}") from exc
+        raise _Malformed("cannot render the result: a number has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from exc
 
 
 class _Malformed(Exception):
@@ -99,14 +100,20 @@ def _cmd_plucker(args) -> int:
         raise _Malformed(f"bad weights file {args.weights}: expected a JSON "
                          "object mapping weight id -> rational string")
     parse = trop_from_str if args.tropical else rat_from_str
+    bad = f"bad weights file {args.weights}"
+    weights = {}
+    for k, val in raw.items():
+        try:
+            weights[int(k)] = parse(val)
+        except ZeroDivisionError as exc:
+            raise _Malformed(
+                f"{bad}: weight {k}: zero denominator in {val!r}") from exc
+        except ValueError as exc:
+            raise _Malformed(f"{bad}: weight {k}: {exc}") from exc
     try:
-        weights = {int(k): parse(val) for k, val in raw.items()}
         vec = (trop_phi if args.tropical else phi)(v, w, weights)
-    except ZeroDivisionError as exc:
-        raise _Malformed(f"bad weights file {args.weights}: "
-                         "zero denominator") from exc
     except ValueError as exc:
-        raise _Malformed(f"bad weights file {args.weights}: {exc}") from exc
+        raise _Malformed(f"{bad}: {exc}") from exc
     _emit(_render(lambda: vec))
     return 0
 

@@ -127,12 +127,13 @@ def extremal_indices(p: Supported) -> list[ExtremalChain]:
     which is the lexicographically least: a size block that passes basis
     exchange is a matroid, and nonempty.
 
-    Raises ValueError when the support fails the necessary conditions of
+    Raises ValueError when the support, with each absent size 1..n-1 read
+    as an empty block, fails the necessary conditions of
     ``flag_matroid_check``, or the chain starts or the chain ends do not
     form a flag.
     """
     sup = p.sets if isinstance(p, SupportVector) else p.support()
-    if not flag_matroid_check(sup):
+    if not flag_matroid_check({**dict.fromkeys(range(1, p.n), ()), **sup}):
         raise ValueError("support is not a flag matroid")
     out = []
     for k in range(1, p.n):

@@ -170,6 +170,8 @@ class _Vector:
         except ZeroDivisionError:
             raise ValueError(
                 f"coordinate {key}: zero denominator in {val!r}") from None
+        except ValueError as exc:
+            raise ValueError(f"coordinate {key}: {exc}") from None
 
 
 class PlueckerVector(_Vector):

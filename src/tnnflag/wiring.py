@@ -8,10 +8,11 @@ their signed Laurent-monomial weights.
 
 Geometry conventions: strand r is the r-th from the bottom; sinks are the
 right ends of the strands (sink r on strand r); sources are primed labels
-attached to the left ends, bottom to top. Every object carries an x-key:
-vertical edges use the position of their letter in the canonical longest
-word (so larger keys are further right), and the -1 diagonal segments sit
-at half-integral keys between two letters.
+attached to the left ends, bottom to top. Every object carries an
+integer x-key, the position of a letter in the canonical longest word (so
+larger keys are further right): a vertical edge has the key of its own
+letter, and a -1 diagonal segment the key of the first letter of its
+crossing's run, just left of which it sits.
 
 >>> from tnnflag.perms import perm_from_str
 >>> d = build_diagram(perm_from_str("1324"), perm_from_str("4213"))
@@ -44,13 +45,13 @@ class VerticalEdge(NamedTuple):
     weight_id: int          # position of the letter within w's reduced word
     key: int                # position of the letter within the canonical word
     column: int             # n + 1 - run
-    lower: int              # strand at the bottom end (after any reattachment)
+    lower: int              # strand at the bottom end, after later crossings
     upper: int              # strand at the top end; always lower < upper
 
 
 class NegativeSegment(NamedTuple):
     strand: int
-    key: Fraction           # half-integral: left boundary of the crossing's column
+    key: int                # the first letter of its run, just left of which it sits
     columns: tuple[int, int]  # the two columns the segment sits between
 
 
@@ -62,9 +63,10 @@ class WiringDiagram(NamedTuple):
     neg_segments: tuple[NegativeSegment, ...]
     w_word: Word                    # the PDS of w inside the canonical word
     v_positions: tuple[int, ...]    # positions of v's PDS inside w_word
-    # edges and -1 segments in key order as strand bit masks (bit r-1 for
-    # strand r): (weight_id, lower, upper, strands strictly between) for an
-    # edge, (None, strand, 0, 0) for a segment
+    # edges and -1 segments in key order, a segment before an edge of the
+    # same key, as strand bit masks (bit r-1 for strand r): (weight_id,
+    # lower, upper, strands strictly between) for an edge, (None, strand,
+    # 0, 0) for a segment
     sweep_events: tuple[tuple[int | None, int, int, int], ...]
 
     def weight_ids(self) -> tuple[int, ...]:
@@ -84,14 +86,14 @@ class Path(NamedTuple):
     def sink(self) -> int:
         return self.edges[-1].upper if self.edges else self.start_strand
 
-    def intervals(self) -> tuple[tuple[int, Fraction, Fraction | None], ...]:
-        """Closed occupancy intervals (strand, lo, hi); hi None = +infinity."""
+    def intervals(self) -> tuple[tuple[int, int, int | None], ...]:
+        """Closed occupancy intervals (strand, lo, hi) between edge keys,
+        starting at key 0; hi None = +infinity."""
         out = []
-        strand = self.start_strand
-        lo: Fraction = Fraction(0)
+        strand, lo = self.start_strand, 0
         for e in self.edges:
-            out.append((strand, lo, Fraction(e.key)))
-            strand, lo = e.upper, Fraction(e.key)
+            out.append((strand, lo, e.key))
+            strand, lo = e.upper, e.key
         out.append((strand, lo, None))
         return tuple(out)
 
@@ -108,81 +110,57 @@ class PathCollection(NamedTuple):
 # Construction
 # ---------------------------------------------------------------------------
 
-def _run_starts(n: int) -> dict[int, int]:
-    """Canonical-word position of the first letter of each run."""
-    starts, pos = {}, 1
-    for r in range(1, n):
-        starts[r] = pos
-        pos += n - r
-    return starts
-
-
 @lru_cache(maxsize=None)
 def build_diagram(v: Perm, w: Perm) -> WiringDiagram:
     """Replay the distinguished subexpressions of w (in the canonical word)
-    and of v (in w's word): weight letters add vertical edges; crossing
-    letters swap source labels, reattach edge endpoints, and leave a -1
-    segment just left of their column.
+    and of v (in w's word) once, from the right: ``strand[s - 1]`` is the
+    strand that whatever sits on strand s ends up on after the crossings
+    still to come. A weight letter adds its vertical edge between the
+    strands its two ends end up on; a crossing letter leaves a -1 segment
+    at the start of its run and then swaps its two strands' destinations.
     """
     if not bruhat_leq(v, w):
         raise ValueError("v is not <= w in Bruhat order")
     n = len(v)
-    canonical = canonical_w0_word(n)
-    w_sub = positive_distinguished_subexpression(w, canonical)
+    w_sub = positive_distinguished_subexpression(w, canonical_w0_word(n))
     w_word = Word(n, w_sub.letters(), w_sub.runs())
-    canonical_pos = w_sub.positions
-    v_sub = positive_distinguished_subexpression(v, w_word)
-    v_pos = set(v_sub.positions)
-    starts = _run_starts(n)
+    v_pos = positive_distinguished_subexpression(v, w_word).positions
+    crossing = set(v_pos)
 
-    labels = list(range(1, n + 1))
-    edges: list[dict] = []
+    strand = list(range(1, n + 1))
+    edges: list[VerticalEdge] = []
     segments: list[NegativeSegment] = []
-    for j, (i, r) in enumerate(zip(w_word.letters, w_word.runs), start=1):
-        column = n + 1 - r
-        if j not in v_pos:
-            edges.append({
-                "weight_id": j, "key": canonical_pos[j - 1],
-                "column": column, "lower": i, "upper": i + 1,
-            })
+    for j in range(len(w_word.letters), 0, -1):
+        i, key = w_word.letters[j - 1], w_sub.positions[j - 1]
+        column = n + 1 - w_word.runs[j - 1]
+        if j in crossing:
+            segments.append(NegativeSegment(strand[i - 1], key - (i - 1),
+                                            (column, column + 1)))
+            strand[i - 1], strand[i] = strand[i], strand[i - 1]
         else:
-            labels[i - 1], labels[i] = labels[i], labels[i - 1]
-            for e in edges:
-                for end in ("lower", "upper"):
-                    if e[end] == i:
-                        e[end] = i + 1
-                    elif e[end] == i + 1:
-                        e[end] = i
-            # a crossing swaps the strands' whole contents, so -1 segments
-            # already sitting on either strand travel to the other one
-            segments = [
-                NegativeSegment((2 * i + 1) - s.strand, s.key, s.columns)
-                if s.strand in (i, i + 1) else s
-                for s in segments
-            ]
-            segments.append(NegativeSegment(
-                strand=i,
-                key=Fraction(starts[r]) - Fraction(1, 2),
-                columns=(column, column + 1),
-            ))
+            edges.append(VerticalEdge(j, key, column,
+                                      strand[i - 1], strand[i]))
+    edges.reverse()
+    segments.reverse()
 
-    built = tuple(VerticalEdge(**e) for e in edges)
-    if any(e.lower >= e.upper for e in built):
+    if any(e.lower >= e.upper for e in edges):
         raise AssertionError("downward vertical edge produced (bug)")
-    if tuple(labels) != v:
+    # bottom to top, the labels by the strand each one ends on
+    labels = tuple(sorted(range(1, n + 1), key=lambda lb: strand[lb - 1]))
+    if labels != v:
         raise AssertionError("source labels do not read v bottom-to-top (bug)")
     events = []
-    for ev in sorted([*built, *segments], key=lambda ev: ev.key):
+    for ev in sorted([*segments, *edges],
+                     key=lambda ev: (ev.key, isinstance(ev, VerticalEdge))):
         if isinstance(ev, NegativeSegment):
             events.append((None, 1 << (ev.strand - 1), 0, 0))
         else:
             lower, upper = 1 << (ev.lower - 1), 1 << (ev.upper - 1)
             events.append((ev.weight_id, lower, upper, upper - (lower << 1)))
     return WiringDiagram(
-        n=n, cell=(v, w), source_label=tuple(labels),
-        edges=built, neg_segments=tuple(segments),
-        w_word=w_word, v_positions=tuple(sorted(v_pos)),
-        sweep_events=tuple(events),
+        n=n, cell=(v, w), source_label=labels,
+        edges=tuple(edges), neg_segments=tuple(segments),
+        w_word=w_word, v_positions=v_pos, sweep_events=tuple(events),
     )
 
 
@@ -190,7 +168,7 @@ def build_diagram(v: Perm, w: Perm) -> WiringDiagram:
 # Path enumeration
 # ---------------------------------------------------------------------------
 
-def _paths_from(d: WiringDiagram, strand: int, min_key: Fraction,
+def _paths_from(d: WiringDiagram, strand: int, min_key: int,
                 ) -> Iterator[tuple[VerticalEdge, ...]]:
     yield ()
     for e in d.edges:
@@ -226,7 +204,7 @@ def enumerate_path_collections(d: WiringDiagram, sources: Iterable[int],
     for s in src:
         strand = d.strand_of_label(s)
         paths = [Path(s, strand, es)
-                 for es in _paths_from(d, strand, Fraction(0))
+                 for es in _paths_from(d, strand, 0)
                  if (es[-1].upper if es else strand) in snk]
         per_source.append([(p, p.intervals()) for p in paths])
 
@@ -251,7 +229,9 @@ def enumerate_path_collections(d: WiringDiagram, sources: Iterable[int],
 def collection_weight(c: PathCollection, d: WiringDiagram) -> LaurentMonomial:
     """sgn of the source->sink assignment, times -1 per crossed negative
     segment, times the product of the vertical-edge weights: a monomial in
-    the weight ids with coefficient +1 or -1.
+    the weight ids with coefficient +1 or -1. A path crosses a segment on
+    its strand whose key is in (lo, hi] of one of its intervals: the
+    segment sits just left of the letter with its key.
     """
     sinks = [p.sink for p in c.paths]          # paths ordered by source label
     inversions = sum(1 for i in range(len(sinks)) for j in range(i + 1, len(sinks))
@@ -263,7 +243,7 @@ def collection_weight(c: PathCollection, d: WiringDiagram) -> LaurentMonomial:
             exponents[e.weight_id] = exponents.get(e.weight_id, 0) + 1
         for strand, lo, hi in p.intervals():
             for seg in d.neg_segments:
-                if seg.strand == strand and lo < seg.key and (hi is None or seg.key < hi):
+                if seg.strand == strand and lo < seg.key and (hi is None or seg.key <= hi):
                     sign = -sign
     return LaurentMonomial(sign, exponents)
 
@@ -332,7 +312,7 @@ def path_sum_matrix(d: WiringDiagram, a: Mapping[int, Fraction]) -> list[list[Fr
     out = [[Fraction(0)] * n for _ in range(n)]
     for label in range(1, n + 1):
         strand = d.strand_of_label(label)
-        for es in _paths_from(d, strand, Fraction(0)):
+        for es in _paths_from(d, strand, 0):
             p = Path(label, strand, tuple(es))
             mono = collection_weight(PathCollection((p,)), d)
             x = mono.coefficient

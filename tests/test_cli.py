@@ -3,6 +3,7 @@ import io
 import json
 import pathlib
 import random
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -79,7 +80,7 @@ def test_zero_denominator_weight_exits_2(tmp_path, capsys, tropical):
     weights.write_text(json.dumps({"1": "1/0", "2": "3", "4": "5"}))
     argv = ["plucker", EX_V, EX_W, "--weights", str(weights)]
     assert run(argv + ["--tropical"] * tropical) == 2
-    assert "zero denominator" in _one_line_error(capsys)
+    assert "weight 1: zero denominator in '1/0'" in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("tropical", [False, True])
@@ -128,6 +129,15 @@ def test_non_string_coordinate_exits_2(tmp_path, capsys, mode, value):
 # default limit), and Fraction expands exponent notation digit by digit
 BIG_INT = "1" + "0" * 5000
 LONG = "7" * 2500
+# the full message for an input whose error names what failed: the digit
+# limit, or the coordinate or weight that does not parse
+EXP = "exponent notation is not accepted: '1e10000000'"
+TOO_LONG = ("cannot render the result: a number has more than "
+            f"{sys.get_int_max_str_digits()} digits")
+NAMED = {"long-weights.json": TOO_LONG, "long-coords.json": TOO_LONG,
+         "exp.json": f"coordinate 1: {EXP}",
+         "trop-exp.json": f"coordinate 1: {EXP}",
+         "exp-weight.json": f"weight 1: {EXP}"}
 
 
 def _big_inputs(tmp_path) -> dict[str, str]:
@@ -181,6 +191,7 @@ def test_large_numbers_exit_2_quickly(tmp_path, capsys, argv, message):
     assert code == 2 and out.out == "", out
     assert out.err.startswith("error: ") and out.err.count("\n") == 1, out.err
     assert message in out.err and "Traceback" not in out.err
+    assert all(NAMED.get(a, "") in out.err for a in argv), out.err
     assert elapsed < 1.0, elapsed
 
 

@@ -76,6 +76,10 @@ def test_extremal_requires_flag_matroid():
                                3: frozenset({(1, 2, 4)})})
     with pytest.raises(ValueError):
         extremal_indices(broken)
+    # an absent size is an empty block
+    missing = SupportVector(3, {1: frozenset({(1,)})})
+    with pytest.raises(ValueError, match="support is not a flag matroid"):
+        extremal_indices(missing)
 
 
 def test_s_vw_example_cell():

@@ -5,11 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tnnflag.perms import all_perms, bruhat_leq, identity, longest_element
+from tnnflag.perms import (
+    Word, all_perms, bruhat_leq, bruhat_pairs, canonical_w0_word, identity,
+    longest_element, positive_distinguished_subexpression,
+)
 from tnnflag.oracle import mr_matrix
 from tnnflag.wiring import (
-    Path, PathCollection, _paths_from, build_diagram, collection_weight,
-    enumerate_path_collections, graph_extremal_collections,
+    Path, PathCollection, VerticalEdge, _paths_from, build_diagram,
+    collection_weight, enumerate_path_collections, graph_extremal_collections,
     left_greedy_collection, path_sum_matrix,
 )
 
@@ -35,6 +38,67 @@ def test_example_cell_diagram():
         [(1, 1, 3), (2, 2, 4), (4, 1, 2)]
     assert len(d.neg_segments) == 1
     assert d.neg_segments[0].strand == 2
+
+
+def _forward_replay(v, w):
+    """``build_diagram`` as it was before the backward pass: replay the
+    words left to right, and at each crossing swap the labels, rewrite the
+    endpoints of every edge placed so far and move every -1 segment on the
+    two strands, which sit at half-integral keys. Returns the source
+    labels, edges, w's word, v's positions, the segments as (strand, key,
+    columns) and the sweep events."""
+    n = len(v)
+    w_sub = positive_distinguished_subexpression(w, canonical_w0_word(n))
+    w_word = Word(n, w_sub.letters(), w_sub.runs())
+    v_pos = set(positive_distinguished_subexpression(v, w_word).positions)
+    starts = {r: 1 + sum(n - q for q in range(1, r)) for r in range(1, n)}
+    labels = list(range(1, n + 1))
+    edges, segments = [], []
+    for j, (i, r) in enumerate(zip(w_word.letters, w_word.runs), start=1):
+        column = n + 1 - r
+        if j not in v_pos:
+            edges.append({"weight_id": j, "key": w_sub.positions[j - 1],
+                          "column": column, "lower": i, "upper": i + 1})
+            continue
+        labels[i - 1], labels[i] = labels[i], labels[i - 1]
+        for e in edges:
+            for end in ("lower", "upper"):
+                if e[end] in (i, i + 1):
+                    e[end] = 2 * i + 1 - e[end]
+        segments = [(2 * i + 1 - s if s in (i, i + 1) else s, key, cols)
+                    for s, key, cols in segments]
+        segments.append((i, Fraction(starts[r]) - Fraction(1, 2),
+                         (column, column + 1)))
+    edges = tuple(VerticalEdge(**e) for e in edges)
+    events = []
+    for ev in sorted([*edges, *segments], key=lambda ev: ev[1]):   # key
+        if isinstance(ev, VerticalEdge):
+            lower, upper = 1 << (ev.lower - 1), 1 << (ev.upper - 1)
+            events.append((ev.weight_id, lower, upper, upper - (lower << 1)))
+        else:
+            events.append((None, 1 << (ev[0] - 1), 0, 0))
+    return (tuple(labels), edges, w_word, tuple(sorted(v_pos)),
+            segments, tuple(events))
+
+
+def test_backward_pass_matches_forward_replay():
+    """Every cell of S2-S5 and 200 seeded S6 cells: the same diagram as the
+    forward replay, each -1 segment one half further right, at the key of
+    the first letter of its run."""
+    cells = [c for n in range(2, 6) for c in bruhat_pairs(n)]
+    cells += random.Random(15).sample(bruhat_pairs(6), 200)
+    for v, w in cells:
+        d = build_diagram(v, w)
+        labels, edges, w_word, v_positions, segments, events = \
+            _forward_replay(v, w)
+        assert (d.source_label, d.edges, d.w_word, d.v_positions,
+                d.sweep_events) == (labels, edges, w_word, v_positions,
+                                    events), (v, w)
+        assert [(s.strand, s.columns) for s in d.neg_segments] == \
+            [(strand, cols) for strand, _, cols in segments], (v, w)
+        assert [s.key for s in d.neg_segments] == \
+            [key + Fraction(1, 2) for _, key, _ in segments], (v, w)
+        assert all(type(s.key) is int for s in d.neg_segments), (v, w)
 
 
 def test_example_cell_path_sums():
