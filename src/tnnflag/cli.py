@@ -41,11 +41,16 @@ def _perm(s: str) -> Perm:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:
-        # ValueError: bad JSON, or an integer literal longer than Python's
-        # int/str digit limit
+            text = fh.read()
+    except (OSError, ValueError) as exc:    # ValueError: undecodable bytes
         raise _Malformed(f"cannot read JSON from {path}: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise _Malformed(f"cannot read JSON from {path}: {exc}") from exc
+    except ValueError as exc:   # an integer literal over Python's digit limit
+        raise _Malformed(f"cannot read JSON from {path}: a number has more "
+                         f"than {sys.get_int_max_str_digits()} digits") from exc
 
 
 def _render(make) -> dict:

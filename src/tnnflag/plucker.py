@@ -206,23 +206,28 @@ def _sweep(v: Perm, w: Perm, x: Mapping[int, int | Fraction], cls):
     the rational weights (values of the tropical ones).
 
     One left-to-right pass over the diagram's ``sweep_events`` serves every
-    size, in O(|E| 2^n): ``value`` maps each set of strands the paths
-    occupy (a bit mask, bit r-1 for strand r) to its sum so far. Edge keys
-    are distinct, so at most one path moves at each edge, and it may move
-    exactly when its upper strand is free; a collection is thus the same
-    thing as its sequence of moves, and the final sets are the sink sets I.
-    A ``signed`` class gets the Lindstroem-Gessel-Viennot sign: a move is
-    negated per path it jumps over (reattached edges can span several
-    strands), and a state per -1 segment it crosses. The remaining sign,
-    that of 1'..k' read bottom to top, is common to size k and cancels in
-    the normalization.
+    size: ``value[S]`` is the sum so far for the set S of strands the paths
+    occupy (a bit mask, bit r-1 for strand r), absent being the semiring's
+    zero. Edge keys are distinct, so at most one path moves at each edge,
+    and it may move exactly when its upper strand is free; a collection is
+    thus the same thing as its sequence of moves, and the final sets are
+    the sink sets I. Which sets are reachable, and so which move at an edge
+    or cross a segment, depends only on the diagram: each event lists them,
+    and the pass visits no other. A ``signed`` class gets the
+    Lindstroem-Gessel-Viennot sign: a move is negated per path it jumps
+    over (reattached edges can span several strands), and a state per -1
+    segment it crosses. The remaining sign, that of 1'..k' read bottom to
+    top, is common to size k and cancels in the normalization.
 
-    The pass runs on Python ints, with L the lcm of the weights'
-    denominators. Classically every state is multiplied by L at each edge
-    and a move by the integer L a_e, so each collection's product is
-    scaled by L^|E| whatever edges it takes; that common factor cancels in
-    P_I / P_unit. Tropically the weights are the integers L x_e, so every
-    sum is scaled by L, and the normalized coordinate is
+    The pass runs on Python ints. Classically an edge of weight p/q
+    multiplies every state by its own q (unless q = 1) and adds p times
+    each moving state to its destination, so every collection's product is
+    scaled by the same product of the edges' denominators (not by L^|E|
+    for their lcm L), which cancels in P_I / P_unit. A source holds the
+    lower strand and a destination does not, so no state is both at one
+    edge: its moves read only states it leaves as they were, and an
+    integer weight updates the states in place. Tropically the weights are
+    the integers L x_e, so every sum is scaled by L and the coordinate is
     (raw_I - raw_unit) / L. Fractions are built only for the result.
     """
     d = build_diagram(v, w)
@@ -230,47 +235,43 @@ def _sweep(v: Perm, w: Perm, x: Mapping[int, int | Fraction], cls):
         raise ValueError(f"expected weight ids {list(d.weight_ids())}, "
                          f"got {sorted(x)}")
     signed = cls.signed
-    L = math.lcm(*(q.denominator for q in x.values()))
-    a = {j: q.numerator * (L // q.denominator) for j, q in x.items()}
-    value: dict[int, int] = {}
-    occupied = 0
+    absent = 0 if signed else None
+    value = [absent] * (1 << d.n)
+    S = 0
     for label in range(1, d.n):
-        occupied |= 1 << (d.strand_of_label(label) - 1)
-        value[occupied] = 1 if signed else 0
-    for wid, lower, upper, jumped in d.sweep_events:
-        if wid is None:
-            if signed:
-                for S in value:
-                    if S & lower:
-                        value[S] = -value[S]
-            continue
-        c_e = a[wid]
-        if signed:
-            old, value = value, {S: c * L for S, c in value.items()}
-            for S, c in old.items():
-                if S & lower and not S & upper:
-                    T = S ^ lower ^ upper
-                    if (S & jumped).bit_count() & 1:
-                        value[T] = value.get(T, 0) - c * c_e
-                    else:
-                        value[T] = value.get(T, 0) + c * c_e
-        else:
-            for S, c in list(value.items()):
-                if S & lower and not S & upper:
-                    T = S ^ lower ^ upper
-                    t = c + c_e
-                    if t < value.get(T, t + 1):     # absent is infinity
-                        value[T] = t
+        S |= 1 << (d.strand_of_label(label) - 1)
+        value[S] = 1 if signed else 0
     if signed:
-        value = {S: c for S, c in value.items() if c}
+        for wid, move, jumped, sources in d.sweep_events:
+            if wid is None:
+                for S in sources:
+                    value[S] = -value[S]
+                continue
+            p, q = x[wid].numerator, x[wid].denominator
+            old = value
+            if q != 1:
+                value = [c * q for c in old]
+            for S in sources:
+                c = p * old[S]
+                value[S ^ move] += -c if (S & jumped).bit_count() & 1 else c
+    else:
+        L = math.lcm(*(q.denominator for q in x.values()))
+        a = {j: q.numerator * (L // q.denominator) for j, q in x.items()}
+        for wid, move, _, sources in d.sweep_events:
+            if wid is not None:
+                c_e = a[wid]
+                for S in sources:
+                    t, T = value[S] + c_e, S ^ move
+                    if value[T] is None or t < value[T]:
+                        value[T] = t
     coords = {}
     for block in _index_masks(d.n):
         # the set of supported indices, filled and iterated as
         # ``canonicalize`` does, so the coordinates come in its order
-        sup = {I for I, S in block if S in value}
+        sup = {I for I, S in block if value[S] != absent}
         if not sup:
             continue
-        raw = {I: value[S] for I, S in block if S in value}
+        raw = {I: value[S] for I, S in block}
         unit = raw[min(sup)]
         for I in sup:
             coords[I] = (Fraction(raw[I], unit) if signed

@@ -64,10 +64,11 @@ class WiringDiagram(NamedTuple):
     w_word: Word                    # the PDS of w inside the canonical word
     v_positions: tuple[int, ...]    # positions of v's PDS inside w_word
     # edges and -1 segments in key order, a segment before an edge of the
-    # same key, as strand bit masks (bit r-1 for strand r): (weight_id,
-    # lower, upper, strands strictly between) for an edge, (None, strand,
-    # 0, 0) for a segment
-    sweep_events: tuple[tuple[int | None, int, int, int], ...]
+    # same key, as strand bit masks (bit r-1 for strand r), each with the
+    # masks reachable from {1'..k'} it acts on: (weight_id, lower | upper,
+    # strands strictly between, masks holding lower but not upper) for an
+    # edge, (None, strand, 0, masks holding the strand) for a segment
+    sweep_events: tuple[tuple[int | None, int, int, tuple[int, ...]], ...]
 
     def weight_ids(self) -> tuple[int, ...]:
         return tuple(sorted(e.weight_id for e in self.edges))
@@ -149,14 +150,22 @@ def build_diagram(v: Perm, w: Perm) -> WiringDiagram:
     labels = tuple(sorted(range(1, n + 1), key=lambda lb: strand[lb - 1]))
     if labels != v:
         raise AssertionError("source labels do not read v bottom-to-top (bug)")
+    # the strand masks the sweep can reach: first those of 1'..k', k < n
+    reach = {sum(1 << (s - 1) for s in strand[:k]) for k in range(1, n)}
     events = []
     for ev in sorted([*segments, *edges],
                      key=lambda ev: (ev.key, isinstance(ev, VerticalEdge))):
         if isinstance(ev, NegativeSegment):
-            events.append((None, 1 << (ev.strand - 1), 0, 0))
+            bit = 1 << (ev.strand - 1)
+            events.append((None, bit, 0, tuple(sorted(
+                S for S in reach if S & bit))))
         else:
             lower, upper = 1 << (ev.lower - 1), 1 << (ev.upper - 1)
-            events.append((ev.weight_id, lower, upper, upper - (lower << 1)))
+            sources = tuple(sorted(S for S in reach
+                                   if S & lower and not S & upper))
+            reach.update(S ^ lower ^ upper for S in sources)
+            events.append((ev.weight_id, lower | upper,
+                           upper - (lower << 1), sources))
     return WiringDiagram(
         n=n, cell=(v, w), source_label=labels,
         edges=tuple(edges), neg_segments=tuple(segments),

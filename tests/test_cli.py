@@ -134,7 +134,10 @@ LONG = "7" * 2500
 EXP = "exponent notation is not accepted: '1e10000000'"
 TOO_LONG = ("cannot render the result: a number has more than "
             f"{sys.get_int_max_str_digits()} digits")
+TOO_LONG_JSON = f"a number has more than {sys.get_int_max_str_digits()} digits"
 NAMED = {"long-weights.json": TOO_LONG, "long-coords.json": TOO_LONG,
+         "big-n.json": f"big-n.json: {TOO_LONG_JSON}",
+         "big-weight.json": f"big-weight.json: {TOO_LONG_JSON}",
          "exp.json": f"coordinate 1: {EXP}",
          "trop-exp.json": f"coordinate 1: {EXP}",
          "exp-weight.json": f"weight 1: {EXP}"}
@@ -193,6 +196,26 @@ def test_large_numbers_exit_2_quickly(tmp_path, capsys, argv, message):
     assert message in out.err and "Traceback" not in out.err
     assert all(NAMED.get(a, "") in out.err for a in argv), out.err
     assert elapsed < 1.0, elapsed
+
+
+@pytest.mark.parametrize("content, kind", [
+    (f'{{"n": {BIG_INT}, "coords": {{}}}}'.encode(), ValueError),
+    (b'{"n": 3, "coords": {', json.JSONDecodeError),
+    (b'{"n": 3, "coords": {"1": "\xff"}}', UnicodeDecodeError),
+], ids=["digit-limit", "syntax", "undecodable"])
+def test_unreadable_json_is_named(tmp_path, capsys, content, kind):
+    """An integer literal over the digit limit is named as such, without
+    Python's advice; a syntax error and undecodable bytes keep the reader's
+    own text."""
+    path = tmp_path / "v.json"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as raised, open(path) as fh:
+        json.load(fh)
+    assert type(raised.value) is kind
+    reason = TOO_LONG_JSON if kind is ValueError else str(raised.value)
+    assert run(["decide", str(path)]) == 2
+    assert _one_line_error(capsys) == \
+        f"error: cannot read JSON from {path}: {reason}\n"
 
 
 def test_empty_permutation_exits_2(capsys):

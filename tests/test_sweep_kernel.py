@@ -1,8 +1,10 @@
 """The integer sweep behind phi and trop_phi against the oracles, on
 weights that make clearing denominators hard: pairwise-coprime prime
 denominators whose lcm exceeds 2**64, numerators above 2**64, plain ints,
-and negative, zero and mixed tropical weights."""
+and negative, zero and mixed tropical weights; and against the dict-based
+sweep it replaced, kept here as a frozen reference."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,9 +14,13 @@ import pytest
 from tnnflag.algebra import Trop
 from tnnflag.membership import decide_tnn, decide_trop
 from tnnflag.oracle import phi_minors, trop_phi_enumerated
-from tnnflag.perms import all_perms, bruhat_leq, identity, longest_element
-from tnnflag.plucker import phi, trop_phi
-from tnnflag.wiring import build_diagram
+from tnnflag.perms import (
+    all_perms, bruhat_leq, bruhat_pairs, identity, longest_element,
+)
+from tnnflag.plucker import (
+    PlueckerVector, TropPlueckerVector, _index_masks, phi, trop_phi,
+)
+from tnnflag.wiring import NegativeSegment, VerticalEdge, build_diagram
 
 # Mersenne primes; the first alone exceeds 2**64
 MERSENNE = [2 ** p - 1 for p in (89, 61, 107, 127, 521, 607, 1279)]
@@ -91,3 +97,125 @@ def test_kernel_round_trips_the_s7_top_cell():
         cert = decide_trop(trop_phi(v, w, x))
         assert cert.verdict == "member" and cert.cell == (v, w), name
         assert cert.weights == x, name
+
+
+# ---------------------------------------------------------------------------
+# The sweep against the dict-based kernel it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_events(d):
+    """The diagram's events as the replaced kernel read them: (weight_id,
+    lower, upper, strands strictly between) for an edge, (None, strand, 0,
+    0) for a -1 segment, as strand bit masks."""
+    events = []
+    for ev in sorted([*d.neg_segments, *d.edges],
+                     key=lambda ev: (ev.key, isinstance(ev, VerticalEdge))):
+        if isinstance(ev, NegativeSegment):
+            events.append((None, 1 << (ev.strand - 1), 0, 0))
+        else:
+            lower, upper = 1 << (ev.lower - 1), 1 << (ev.upper - 1)
+            events.append((ev.weight_id, lower, upper, upper - (lower << 1)))
+    return events
+
+
+def _reference_sweep(v, w, x, cls):
+    """The dict-based sweep: every live state visited at every edge, and
+    classically every state multiplied by the lcm L of all the weights'
+    denominators at each edge."""
+    d = build_diagram(v, w)
+    signed = cls.signed
+    L = math.lcm(*(q.denominator for q in x.values()))
+    a = {j: q.numerator * (L // q.denominator) for j, q in x.items()}
+    value = {}
+    occupied = 0
+    for label in range(1, d.n):
+        occupied |= 1 << (d.strand_of_label(label) - 1)
+        value[occupied] = 1 if signed else 0
+    for wid, lower, upper, jumped in _reference_events(d):
+        if wid is None:
+            if signed:
+                for S in value:
+                    if S & lower:
+                        value[S] = -value[S]
+            continue
+        c_e = a[wid]
+        if signed:
+            old, value = value, {S: c * L for S, c in value.items()}
+            for S, c in old.items():
+                if S & lower and not S & upper:
+                    T = S ^ lower ^ upper
+                    if (S & jumped).bit_count() & 1:
+                        value[T] = value.get(T, 0) - c * c_e
+                    else:
+                        value[T] = value.get(T, 0) + c * c_e
+        else:
+            for S, c in list(value.items()):
+                if S & lower and not S & upper:
+                    T = S ^ lower ^ upper
+                    t = c + c_e
+                    if t < value.get(T, t + 1):     # absent is infinity
+                        value[T] = t
+    if signed:
+        value = {S: c for S, c in value.items() if c}
+    coords = {}
+    for block in _index_masks(d.n):
+        sup = {I for I, S in block if S in value}
+        if not sup:
+            continue
+        raw = {I: value[S] for I, S in block if S in value}
+        unit = raw[min(sup)]
+        for I in sup:
+            coords[I] = (Fraction(raw[I], unit) if signed
+                         else Trop(Fraction(raw[I] - unit, L)))
+    return cls(d.n, coords)
+
+
+def _reference_draws(ids, rng, denominators):
+    """(name, weights, tropical) for each family the kernel is compared on:
+    benchmark-like rationals, plain ints (the in-place update), the given
+    prime denominators, and mixed-sign tropical weights."""
+    yield "benchmark-like", {j: Fraction(rng.randint(1, 99), rng.randint(1, 9))
+                             for j in ids}, False
+    yield "plain ints", {j: rng.randint(1, 30) for j in ids}, False
+    yield "prime denominators", {
+        j: Fraction(rng.randint(1, 50), q)
+        for j, q in zip(ids, itertools.cycle(denominators))}, False
+    yield "mixed-sign tropical", {j: Trop(rng.choice([
+        rng.randint(-9, 9), Fraction(rng.randint(-99, 99), rng.randint(1, 9)),
+    ])) for j in ids}, True
+
+
+def _assert_kernel_matches_reference(cells, seed, denominators):
+    rng = random.Random(seed)
+    for v, w in cells:
+        ids = build_diagram(v, w).weight_ids()
+        for name, x, tropical in _reference_draws(ids, rng, denominators):
+            if tropical:
+                got = trop_phi(v, w, x)
+                want = _reference_sweep(v, w, {j: t.value for j, t in x.items()},
+                                        TropPlueckerVector)
+            else:
+                got, want = phi(v, w, x), _reference_sweep(v, w, x,
+                                                           PlueckerVector)
+            # equal coordinates, in the same dict order
+            assert list(got.coords.items()) == list(want.coords.items()), \
+                (v, w, name)
+
+
+def test_kernel_matches_reference_on_s2_to_s4_and_negative_segment_cells():
+    cells = [c for n in range(2, 5) for c in bruhat_pairs(n)]
+    _assert_kernel_matches_reference(cells + NEGATIVE_SEGMENT_CELLS, 16,
+                                     MERSENNE)
+
+
+def test_kernel_matches_reference_on_sampled_s5_cells():
+    """Every 20th S5 cell from a seeded offset."""
+    cells = bruhat_pairs(5)
+    _assert_kernel_matches_reference(
+        cells[random.Random(16).randrange(20)::20], 17, MERSENNE)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_kernel_matches_reference_on_top_cells(n):
+    _assert_kernel_matches_reference([(identity(n), longest_element(n))], n,
+                                     SMALL_PRIMES)

@@ -46,7 +46,8 @@ def _forward_replay(v, w):
     endpoints of every edge placed so far and move every -1 segment on the
     two strands, which sit at half-integral keys. Returns the source
     labels, edges, w's word, v's positions, the segments as (strand, key,
-    columns) and the sweep events."""
+    columns) and the sweep events, whose masks come from a replay of the
+    strand sets the paths from 1'..k' can occupy."""
     n = len(v)
     w_sub = positive_distinguished_subexpression(w, canonical_w0_word(n))
     w_word = Word(n, w_sub.letters(), w_sub.runs())
@@ -70,13 +71,24 @@ def _forward_replay(v, w):
         segments.append((i, Fraction(starts[r]) - Fraction(1, 2),
                          (column, column + 1)))
     edges = tuple(VerticalEdge(**e) for e in edges)
+    # the occupied strand sets reachable from the sources 1'..k', k < n
+    reach = {frozenset(labels.index(lb) + 1 for lb in range(1, k + 1))
+             for k in range(1, n)}
+
+    def masks(sets):
+        return tuple(sorted(sum(1 << (r - 1) for r in S) for S in sets))
+
     events = []
     for ev in sorted([*edges, *segments], key=lambda ev: ev[1]):   # key
         if isinstance(ev, VerticalEdge):
+            sources = [S for S in reach if ev.lower in S and ev.upper not in S]
+            reach |= {S - {ev.lower} | {ev.upper} for S in sources}
             lower, upper = 1 << (ev.lower - 1), 1 << (ev.upper - 1)
-            events.append((ev.weight_id, lower, upper, upper - (lower << 1)))
+            events.append((ev.weight_id, lower | upper,
+                           upper - (lower << 1), masks(sources)))
         else:
-            events.append((None, 1 << (ev[0] - 1), 0, 0))
+            events.append((None, 1 << (ev[0] - 1), 0,
+                           masks(S for S in reach if ev[0] in S)))
     return (tuple(labels), edges, w_word, tuple(sorted(v_pos)),
             segments, tuple(events))
 
