@@ -27,7 +27,9 @@ from typing import Iterable, Mapping, NamedTuple, Union
 
 from .algebra import LaurentMonomial
 from .perms import Perm, length
-from .plucker import Index, PlueckerVector, TropPlueckerVector, trop_phi
+from .plucker import (
+    Index, PlueckerVector, TropPlueckerVector, _raw_blocks, _sweep,
+)
 from .wiring import PathCollection, build_diagram, graph_extremal_collections
 
 
@@ -88,11 +90,14 @@ def flag_matroid_check(support: Mapping[int, Iterable[Index]]) -> bool:
 def cell_support(v: Perm, w: Perm) -> SupportVector:
     """Indices supported on the cell: the sink sets I that some
     non-intersecting path collection {1'..|I|'} -> I reaches, read off
-    ``trop_phi`` at all-zero weights. (These are the prefixes {u(1..k)}
-    over the Bruhat interval v^-1 <= u <= w^-1, which the oracle checks.)"""
-    zero = {j: TropPlueckerVector.one for j in build_diagram(v, w).weight_ids()}
-    sup = trop_phi(v, w, zero).support()
-    return SupportVector(len(v), {k: frozenset(s) for k, s in sup.items()})
+    the raw min-plus sweep at all-zero weights as the sets it reaches.
+    (These are the prefixes {u(1..k)} over the Bruhat interval
+    v^-1 <= u <= w^-1, which the oracle checks.)"""
+    n = len(v)
+    raw, _ = _sweep(v, w, dict.fromkeys(build_diagram(v, w).weight_ids(), 0),
+                    False)
+    return SupportVector(n, {k: frozenset(I for I, _ in found) for k, found
+                             in enumerate(_raw_blocks(n, raw, None), start=1)})
 
 
 # ---------------------------------------------------------------------------

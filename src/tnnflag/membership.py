@@ -23,13 +23,14 @@ __all__ = [
 ]
 
 from fractions import Fraction
+from operator import sub, truediv
 from typing import Mapping, NamedTuple
 
 from .algebra import LaurentMonomial, Trop, rat_to_str, trop_to_str
 from .perms import Perm, bruhat_leq, gale_leq, inverse, perm_to_str
 from .plucker import (
-    Index, PlueckerVector, TropPlueckerVector, generate_relations,
-    index_to_str, phi, trop_check_relation, trop_phi,
+    Index, PlueckerVector, TropPlueckerVector, _first_violated, _raw_blocks,
+    _render, _scale_to_ints, _sweep, generate_relations, index_to_str,
 )
 from .extremal import (
     SupportVector, _xi_walk, cell_support, flag_matroid_check, generators,
@@ -122,12 +123,13 @@ def _lex_chain_cell(support: Mapping[int, set], n: int) -> tuple[Perm, Perm]:
 # The inverse map
 # ---------------------------------------------------------------------------
 
-def _walk(v: Perm, w: Perm, value, one, usable, problem: str) -> dict:
+def _walk(v: Perm, w: Perm, value, div, one, usable, problem: str) -> dict:
     """The cell weights in one walk over the generators in traversal
     order. The ``value`` at each independent generating index must pass
     ``usable``, or a ValueError says it ``problem``; it solves its fresh
-    edge's weight once divided by the weights, already solved, of its
-    collection's other edges (or by ``one``, so an int stays exact)."""
+    edge's weight once divided, by ``div``, by the weights, already
+    solved, of its collection's other edges (or by ``one``, so an int
+    stays exact)."""
     weights = {}
     for gen in generators(v, w):
         if not gen.in_svw:
@@ -139,8 +141,8 @@ def _walk(v: Perm, w: Perm, value, one, usable, problem: str) -> dict:
         if new is not None:
             for j in gen.monomial.exponents:
                 if j != new:
-                    x = x / weights[j]
-            weights[new] = x if len(gen.monomial.exponents) > 1 else x / one
+                    x = div(x, weights[j])
+            weights[new] = x if len(gen.monomial.exponents) > 1 else div(x, one)
     return weights
 
 
@@ -148,22 +150,36 @@ def psi_monomials(v: Perm, w: Perm) -> dict[int, LaurentMonomial]:
     """Each cell weight as a Laurent monomial in the coordinates at the
     independent generating indices: ``psi``'s walk over the variables
     P_I themselves."""
-    return _walk(v, w, lambda I: LaurentMonomial(1, {I: 1}), LaurentMonomial(1),
-                 lambda m: True, "")
+    return _walk(v, w, lambda I: LaurentMonomial(1, {I: 1}), truediv,
+                 LaurentMonomial(1), lambda m: True, "")
 
 
 def psi(v: Perm, w: Perm, p: PlueckerVector) -> dict[int, Fraction]:
     """Recover the cell weights from the coordinates at the independent
     generating indices, which must be strictly positive: each P_I, the
     product of its collection's weights, solves its one fresh weight."""
-    return _walk(v, w, lambda I: p.coords.get(I, p.zero), p.one,
+    return _walk(v, w, lambda I: p.coords.get(I, p.zero), truediv, p.one,
                  lambda x: x > 0, "is not positive")
 
 
+def _trop_walk(v: Perm, w: Perm, Q: Mapping[Index, int]) -> dict[int, int]:
+    """The same walk read min-plus on integer coordinates Q (absent:
+    infinite): each weight is a difference of Q values, so Q scaled by
+    L gives the weights scaled by L."""
+    return _walk(v, w, Q.get, sub, 0, lambda x: x is not None, "is infinite")
+
+
 def trop_psi(v: Perm, w: Perm, p: TropPlueckerVector) -> dict[int, Trop]:
-    """The same walk read min-plus (pure differences of finite values)."""
-    return _walk(v, w, lambda I: p.coords.get(I, p.zero), p.one,
-                 lambda x: not x.is_inf, "is infinite")
+    """The same walk read min-plus (pure differences of finite values),
+    run on the finite coordinates times the lcm L of their denominators,
+    which are then ints; each weight is rendered divided by L."""
+    Q, L = _scale_to_ints({I: t.value for I, t in p.coords.items()
+                           if not t.is_inf})
+    return _trop_weights(_trop_walk(v, w, Q), L)
+
+
+def _trop_weights(a: Mapping[int, int], L: int) -> dict[int, Trop]:
+    return {j: Trop(Fraction(x, L)) for j, x in a.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -174,31 +190,65 @@ def _first_index_order(indices) -> list[Index]:
     return sorted(indices, key=lambda I: (len(I), I))
 
 
-def _reconstruct(p, psi_fn, phi_fn) -> tuple[CellCertificate, dict]:
-    """Certify membership iff ``phi_fn`` gives the canonical vector back
-    exactly from the weights ``psi_fn`` solves in the cell read off the
-    lexicographic chains of its support: one pass over the coordinates
-    and one dict comparison on a member. Returns the certificate with the
-    support that pass collected. A rejection checks the index keys, then
-    names the reconstruction's own witness: no cell from the chains, an
-    unusable generating coordinate, or the first difference."""
-    q, sup = p._canonical()
+def _reconstruct(p) -> tuple[CellCertificate, dict, Mapping]:
+    """Certify membership iff the sweep gives the canonical vector back
+    exactly from the weights the walk solves in the cell read off the
+    lexicographic chains of its support: one pass over the coordinates,
+    the walk, the raw sweep and one comparison on its integers, block by
+    block (``_agrees``). Classically the walk is ``psi`` on the canonical
+    vector q and I agrees when q_I = raw_I / raw_unit; tropically it runs
+    on Q = L (p - p_unit) (``TropPlueckerVector._scaled``), its weights
+    are L times the cell weights, and I agrees when
+    Q_I = raw_I - raw_unit. Returns the certificate with the support and
+    the canonical values (q's coordinates or Q) that pass collected. A
+    rejection checks the index keys, then names the reconstruction's own
+    witness: no cell from the chains, an unusable generating coordinate,
+    or the first difference, read off the rendered vectors."""
+    signed = p.signed
+    if signed:
+        q, sup = p._canonical()
+        values, L = q.coords, 1
+
+        def agrees(I, r, unit):
+            x = values[I]
+            return x.numerator * unit == r * x.denominator
+    else:
+        values, sup, L = p._scaled()
+
+        def agrees(I, r, unit):
+            return r - unit == values[I]
     try:
         v, w = _lex_chain_cell(sup, p.n)
     except ValueError as exc:
         p.check_indices()
-        return _non_member({"type": "no-cell", "reason": str(exc)}), sup
+        return _non_member({"type": "no-cell", "reason": str(exc)}), sup, values
     try:
-        weights = psi_fn(v, w, q)
+        a = psi(v, w, q) if signed else _trop_walk(v, w, values)
     except ValueError as exc:
         p.check_indices()
         return _non_member({"type": "unsupported-generating-index",
-                            "reason": str(exc)}), sup
-    r = phi_fn(v, w, weights)
-    if q.coords == r.coords:
-        return CellCertificate("member", cell=(v, w), weights=weights), sup
+                            "reason": str(exc)}), sup, values
+    raw, _ = _sweep(v, w, a, signed)
+    if _agrees(raw, sup, p.n, 0 if signed else None, agrees):
+        weights = a if signed else _trop_weights(a, L)
+        return CellCertificate("member", cell=(v, w), weights=weights), sup, values
     p.check_indices()
-    return _first_difference(q, r), sup
+    return (_first_difference(p.canonicalize(), _render(p.n, raw, L, type(p))),
+            sup, values)
+
+
+def _agrees(raw: list, sup: Mapping[int, set], n: int, absent, agrees) -> bool:
+    """Whether the raw pass has support ``sup``, block by block, and
+    ``agrees(I, raw_I, raw_unit)`` at every supported I."""
+    for k, found in enumerate(_raw_blocks(n, raw, absent), start=1):
+        block = sup[k]
+        if len(found) != len(block):
+            return False
+        unit = found[0][1] if found else None
+        for I, r in found:
+            if I not in block or not agrees(I, r, unit):
+                return False
+    return True
 
 
 def _first_difference(q, r) -> CellCertificate:
@@ -233,7 +283,7 @@ def decide_tnn(p: PlueckerVector) -> CellCertificate:
                 return _non_member({"type": "negative-coordinate",
                                     "index": index_to_str(I),
                                     "value": rat_to_str(p.coords[I])})
-    cert, sup = _reconstruct(p, psi, phi)
+    cert, sup, _ = _reconstruct(p)
     if cert.verdict == "member" or flag_matroid_check(sup):
         return cert
     return _non_member({"type": "support-not-flag-matroid"})
@@ -243,23 +293,33 @@ def decide_trop(p: TropPlueckerVector) -> CellCertificate:
     """Decide membership in the nonnegative flag Dressian: the vector must
     reconstruct exactly from its cell weights.
 
-    Every input gets the reconstruction of ``decide_tnn``. A member
-    positively solves every three-term tropical relation, so a rejection
-    is named in this order: the index keys; the first violated three-term
-    relation; the no-cell witness of ``identify_cell`` on the
-    reconstruction's support; the reconstruction's own witness.
+    Every input gets the reconstruction of ``decide_tnn``, on the integers
+    Q = L (p - p_unit). A member positively solves every three-term
+    tropical relation, so a rejection is named in this order: the index
+    keys; the first violated three-term relation, scanned on the same Q
+    (a relation's terms share one size pair, so the shifts add one
+    constant to all of them); the no-cell witness of ``identify_cell`` on
+    the reconstruction's support; the reconstruction's own witness.
+
+    Which relations decide which inputs: the vectors this certifies are
+    those with every size block nonempty that positively solve every
+    relation of ``generate_relations(n)``. When every coordinate is
+    finite, the three-term relations alone decide it (Joswig-Loho-Luber-
+    Olarte 2021), and a member's cell is then id <= w0; with infinite
+    coordinates they do not (``tests/test_theorems.py`` pins an n = 5
+    vector).
     """
-    cert, sup = _reconstruct(p, trop_psi, trop_phi)
+    cert, sup, Q = _reconstruct(p)
     if cert.verdict == "member":
         return cert
-    for rel in generate_relations(p.n, True):
-        if not trop_check_relation(rel, p, positive=True):
-            return _non_member({
-                "type": "violated-tropical-relation",
-                "I": index_to_str(rel.I) if rel.I else "",
-                "J": index_to_str(rel.J),
-                "terms": [[sign, index_to_str(a), index_to_str(b)]
-                          for sign, a, b in rel.terms]})
+    rel = _first_violated(generate_relations(p.n, True), Q.get)
+    if rel is not None:
+        return _non_member({
+            "type": "violated-tropical-relation",
+            "I": index_to_str(rel.I) if rel.I else "",
+            "J": index_to_str(rel.J),
+            "terms": [[sign, index_to_str(a), index_to_str(b)]
+                      for sign, a, b in rel.terms]})
     try:
         identify_cell(sup, p.n)
     except ValueError as exc:

@@ -194,6 +194,20 @@ class Word(NamedTuple):
         return len(self.letters)
 
 
+def _make_word(cls, iterable) -> Word:
+    """``Word._make``, counting the fields with ``tuple.__len__``: the
+    generated one calls ``len``, which counts letters here."""
+    result = tuple.__new__(cls, iterable)
+    if tuple.__len__(result) != len(cls._fields):
+        raise TypeError(f"Expected {len(cls._fields)} arguments, "
+                        f"got {tuple.__len__(result)}")
+    return result
+
+
+# NamedTuple forbids defining _make in the class body; _replace calls it
+Word._make = classmethod(_make_word)
+
+
 class Subexpression(NamedTuple):
     """A choice of positions (1-based, strictly increasing) inside a word."""
     parent: Word

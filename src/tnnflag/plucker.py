@@ -29,7 +29,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .algebra import (
     TROP_INF, Trop, rat_from_str, rat_to_str, trop_from_str, trop_to_str,
@@ -63,6 +63,13 @@ def all_proper_indices(n: int) -> Iterator[Index]:
     """All nonempty proper subsets of {1..n}, sizes 1..n-1, sorted tuples."""
     for k in range(1, n):
         yield from itertools.combinations(range(1, n + 1), k)
+
+
+def _scale_to_ints(values: Mapping) -> tuple[dict, int]:
+    """``({k: L * values[k]}, L)``: the ints and Fractions of ``values``
+    times the lcm L of their denominators (1 when there are none)."""
+    L = math.lcm(*(x.denominator for x in values.values()))
+    return {k: x.numerator * (L // x.denominator) for k, x in values.items()}, L
 
 
 # ---------------------------------------------------------------------------
@@ -107,17 +114,9 @@ class _Vector:
 
     def _canonical(self):
         """The canonical vector and its support, in one pass over the
-        coordinates. Keys are not checked (``check_indices`` does that),
-        but a key of size 0 or n or more raises ValueError."""
-        zero, one, src = self.zero, self.one, self.coords
-        sup: dict[int, set[Index]] = {k: set() for k in range(1, self.n)}
-        try:
-            for I, val in src.items():
-                if val != zero:
-                    sup[len(I)].add(I)
-        except KeyError:        # a key of size 0 or >= n
-            self.check_indices()
-            raise
+        coordinates; see ``_support``."""
+        src, one = self.coords, self.one
+        sup = self._support()
         coords: dict[Index, object] = {}
         for block in sup.values():
             if not block:
@@ -131,6 +130,21 @@ class _Vector:
                 for I in block:
                     coords[I] = src[I] * inv
         return type(self)(self.n, coords), sup
+
+    def _support(self) -> dict[int, set[Index]]:
+        """The supported keys per size 1..n-1. Keys are not checked
+        (``check_indices`` does that), but a key of size 0 or n or more
+        raises ValueError."""
+        zero = self.zero
+        sup: dict[int, set[Index]] = {k: set() for k in range(1, self.n)}
+        try:
+            for I, val in self.coords.items():
+                if val != zero:
+                    sup[len(I)].add(I)
+        except KeyError:        # a key of size 0 or >= n
+            self.check_indices()
+            raise
+        return sup
 
     def check_indices(self) -> None:
         """Raise ValueError naming the first key that is not an index: a
@@ -185,6 +199,23 @@ class TropPlueckerVector(_Vector):
     mode, zero, one, signed = "tropical", TROP_INF, Trop(Fraction(0)), False
     parse, render = staticmethod(trop_from_str), staticmethod(trop_to_str)
 
+    def _scaled(self) -> tuple[dict[Index, int], dict[int, set[Index]], int]:
+        """``(Q, support, L)`` in one pass over the coordinates: L is the
+        lcm of the finite coordinates' denominators (1 when there are
+        none), and Q_I = L (p_I - p_unit) is an int, the unit being the
+        lexicographically least supported index of I's size: the
+        canonical vector times L. Coordinates are Trops of ints or
+        Fractions; see ``_support``."""
+        sup = self._support()
+        Q, L = _scale_to_ints({I: self.coords[I].value
+                               for block in sup.values() for I in block})
+        for block in sup.values():
+            if block:
+                shift = Q[min(block)]
+                for I in block:
+                    Q[I] -= shift
+        return Q, sup, L
+
 
 # ---------------------------------------------------------------------------
 # Cell parameterization
@@ -199,48 +230,50 @@ def _index_masks(n: int) -> tuple[tuple[tuple[Index, int], ...], ...]:
                  for k in range(1, n))
 
 
-def _sweep(v: Perm, w: Perm, x: Mapping[int, int | Fraction], cls):
-    """The vector of ``cls`` whose coordinate at I sums, over ``cls``'s
-    semiring, the weights of the non-intersecting path collections
-    {1'..|I|'} -> I, with canonical per-size normalization; ``x`` holds
-    the rational weights (values of the tropical ones).
+def _sweep(v: Perm, w: Perm, x: Mapping[int, int | Fraction], signed: bool,
+           ) -> tuple[list, int]:
+    """The raw pass: ``(raw, L)``, where ``raw[S]``, for the set S of
+    strands given as a bit mask (bit r-1 for strand r), sums the weights
+    of the non-intersecting path collections {1'..|S|'} -> S, over the
+    signed sum-product semiring when ``signed`` and min-plus otherwise,
+    as a Python int (absent: 0 classically, None tropically). ``x`` holds
+    the rational weights (values of the tropical ones). Classically raw_I
+    is P_I times a positive factor common to all I; tropically it is
+    L * P_I, L the lcm of the weights' denominators (1 for int weights),
+    so a block's coordinates are raw_I / raw_unit or (raw_I - raw_unit) / L.
 
     One left-to-right pass over the diagram's ``sweep_events`` serves every
-    size: ``value[S]`` is the sum so far for the set S of strands the paths
-    occupy (a bit mask, bit r-1 for strand r), absent being the semiring's
-    zero. Edge keys are distinct, so at most one path moves at each edge,
-    and it may move exactly when its upper strand is free; a collection is
-    thus the same thing as its sequence of moves, and the final sets are
-    the sink sets I. Which sets are reachable, and so which move at an edge
-    or cross a segment, depends only on the diagram: each event lists them,
-    and the pass visits no other. A ``signed`` class gets the
+    size: ``raw[S]`` is the sum so far for the set S the paths occupy. Edge
+    keys are distinct, so at most one path moves at each edge, and it may
+    move exactly when its upper strand is free; a collection is thus the
+    same thing as its sequence of moves, and the final sets are the sink
+    sets I. Which sets are reachable, and so which move at an edge or cross
+    a segment, depends only on the diagram: each event lists them, and the
+    pass visits no other. The ``signed`` pass gets the
     Lindstroem-Gessel-Viennot sign: a move is negated per path it jumps
     over (reattached edges can span several strands), and a state per -1
     segment it crosses. The remaining sign, that of 1'..k' read bottom to
     top, is common to size k and cancels in the normalization.
 
-    The pass runs on Python ints. Classically an edge of weight p/q
-    multiplies every state by its own q (unless q = 1) and adds p times
-    each moving state to its destination, so every collection's product is
-    scaled by the same product of the edges' denominators (not by L^|E|
-    for their lcm L), which cancels in P_I / P_unit. A source holds the
-    lower strand and a destination does not, so no state is both at one
-    edge: its moves read only states it leaves as they were, and an
-    integer weight updates the states in place. Tropically the weights are
-    the integers L x_e, so every sum is scaled by L and the coordinate is
-    (raw_I - raw_unit) / L. Fractions are built only for the result.
+    Classically an edge of weight p/q multiplies every state by its own q
+    (unless q = 1) and adds p times each moving state to its destination,
+    so every collection's product is scaled by the same product of the
+    edges' denominators (not by L^|E| for their lcm L), which cancels in
+    P_I / P_unit. A source holds the lower strand and a destination does
+    not, so no state is both at one edge: its moves read only states it
+    leaves as they were, and an integer weight updates the states in
+    place. Tropically the weights are the integers L x_e.
     """
     d = build_diagram(v, w)
     if set(x) != set(d.weight_ids()):
         raise ValueError(f"expected weight ids {list(d.weight_ids())}, "
                          f"got {sorted(x)}")
-    signed = cls.signed
-    absent = 0 if signed else None
-    value = [absent] * (1 << d.n)
+    value = [0 if signed else None] * (1 << d.n)
     S = 0
     for label in range(1, d.n):
         S |= 1 << (d.strand_of_label(label) - 1)
         value[S] = 1 if signed else 0
+    L = 1
     if signed:
         for wid, move, jumped, sources in d.sweep_events:
             if wid is None:
@@ -255,8 +288,7 @@ def _sweep(v: Perm, w: Perm, x: Mapping[int, int | Fraction], cls):
                 c = p * old[S]
                 value[S ^ move] += -c if (S & jumped).bit_count() & 1 else c
     else:
-        L = math.lcm(*(q.denominator for q in x.values()))
-        a = {j: q.numerator * (L // q.denominator) for j, q in x.items()}
+        a, L = _scale_to_ints(x)
         for wid, move, _, sources in d.sweep_events:
             if wid is not None:
                 c_e = a[wid]
@@ -264,19 +296,33 @@ def _sweep(v: Perm, w: Perm, x: Mapping[int, int | Fraction], cls):
                     t, T = value[S] + c_e, S ^ move
                     if value[T] is None or t < value[T]:
                         value[T] = t
+    return value, L
+
+
+def _raw_blocks(n: int, raw: list, absent) -> Iterator[list[tuple[Index, int]]]:
+    """Per size 1..n-1, the supported indices of a raw pass with their
+    raw values, in lexicographic order (so the unit comes first)."""
+    for block in _index_masks(n):
+        yield [(I, raw[S]) for I, S in block if raw[S] != absent]
+
+
+def _render(n: int, raw: list, L: int, cls):
+    """The vector of ``cls`` that the raw pass ``(raw, L)`` gives, with
+    canonical per-size normalization: Fractions and Trops are built only
+    here."""
+    signed = cls.signed
     coords = {}
-    for block in _index_masks(d.n):
+    for found in _raw_blocks(n, raw, 0 if signed else None):
+        if not found:
+            continue
+        unit, raw_of = found[0][1], dict(found)
         # the set of supported indices, filled and iterated as
         # ``canonicalize`` does, so the coordinates come in its order
-        sup = {I for I, S in block if value[S] != absent}
-        if not sup:
-            continue
-        raw = {I: value[S] for I, S in block}
-        unit = raw[min(sup)]
-        for I in sup:
-            coords[I] = (Fraction(raw[I], unit) if signed
-                         else Trop(Fraction(raw[I] - unit, L)))
-    return cls(d.n, coords)
+        for I in {I for I, _ in found}:
+            r = raw_of[I]
+            coords[I] = (Fraction(r, unit) if signed
+                         else Trop(Fraction(r - unit, L)))
+    return cls(n, coords)
 
 
 def _exact_weights(x: Mapping[int, object], tropical: bool,
@@ -308,7 +354,7 @@ def phi(v: Perm, w: Perm, a: Mapping[int, int | Fraction]) -> PlueckerVector:
     exact = _exact_weights(a, tropical=False)
     if any(val <= 0 for val in exact.values()):
         raise ValueError("weights must be strictly positive")
-    return _sweep(v, w, exact, PlueckerVector)
+    return _render(len(v), *_sweep(v, w, exact, True), PlueckerVector)
 
 
 def trop_phi(v: Perm, w: Perm, x: Mapping[int, Trop]) -> TropPlueckerVector:
@@ -317,7 +363,8 @@ def trop_phi(v: Perm, w: Perm, x: Mapping[int, Trop]) -> TropPlueckerVector:
     as ``phi``, unsigned, in the min-plus semiring. Weights are finite
     Trops of ints or Fractions.
     """
-    return _sweep(v, w, _exact_weights(x, tropical=True), TropPlueckerVector)
+    return _render(len(v), *_sweep(v, w, _exact_weights(x, tropical=True),
+                                   False), TropPlueckerVector)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +399,13 @@ def generate_relations(n: int, three_term_only: bool = False,
     A pair (I, J) has one summand per element of J - I, and |J - I| >= s-r+2,
     so the filter needs s <= r+1 and skips the other pairs before their
     terms are built.
+
+    Every term of a relation pairs a size-r with a size-s coordinate, so
+    shifting each size block by a constant, or scaling all coordinates by
+    a positive factor, keeps a relation's tropical verdict: the deciders
+    scan them on integers (``_first_violated``). Tropically, the full set
+    cuts out the nonnegative flag Dressian; on vectors with every
+    coordinate finite the three-term set alone does (see ``decide_trop``).
     """
     universe = range(1, n + 1)
     seen: set = set()
@@ -389,27 +443,61 @@ def check_relation(rel: IncidenceRelation, p: PlueckerVector) -> Fraction:
                 for sign, left, right in rel.terms), Fraction(0))
 
 
-def trop_terms_verdict(terms: list[tuple[int, Trop]]) -> tuple[bool, bool]:
-    """(solution, positive solution) for a list of (coefficient sign, value)
-    tropical terms: the minimum over finite terms must be attained at least
-    twice, and for positivity by both a positive- and a negative-signed term.
-    All-infinite term lists count as (vacuously) satisfied.
+def _terms_verdict(terms: Iterable[tuple[int, int | Fraction | None]],
+                   ) -> tuple[bool, bool]:
+    """(solution, positive solution) for a list of (coefficient sign,
+    value) tropical terms, a value being an int or a Fraction and None
+    for infinity: the minimum over finite terms must be attained at least
+    twice, and for positivity by both a positive- and a negative-signed
+    term. All-infinite term lists count as (vacuously) satisfied. Adding
+    a constant to every term, or scaling all by a positive factor, keeps
+    the verdict.
     """
-    finite = [(c, t) for c, t in terms if not t.is_inf]
+    finite = [(t, c) for c, t in terms if t is not None]
     if not finite:
         return True, True
-    mn = min(t for _, t in finite)
-    attained = [c for c, t in finite if t == mn]
+    mn = min(finite)[0]
+    attained = [c for t, c in finite if t == mn]
     solution = len(attained) >= 2
-    positive = solution and any(c > 0 for c in attained) and any(c < 0 for c in attained)
-    return solution, positive
+    return solution, solution and max(attained) > 0 > min(attained)
+
+
+def _term_values(rel: IncidenceRelation, value: Callable[[Index], object],
+                 ) -> list[tuple[int, object]]:
+    """(sign, value of the product) per term of ``rel``: the sum of its two
+    coordinates' ``value``s, or None when either is infinite (None)."""
+    out = []
+    for sign, left, right in rel.terms:
+        a = value(left)
+        b = None if a is None else value(right)
+        out.append((sign, None if b is None else a + b))
+    return out
+
+
+def _first_violated(rels: Iterable[IncidenceRelation],
+                    value: Callable[[Index], object],
+                    ) -> IncidenceRelation | None:
+    """The first of ``rels`` that the tropical point whose coordinate at I
+    is ``value(I)`` (an int or a Fraction, None for infinity) does not
+    positively solve; None if it solves them all. The values may be any
+    positive multiple of the coordinates, each size block shifted by its
+    own constant: all terms of a relation share one size pair, so that
+    shifts every term alike."""
+    for rel in rels:
+        if not _terms_verdict(_term_values(rel, value))[1]:
+            return rel
+    return None
+
+
+def trop_terms_verdict(terms: list[tuple[int, Trop]]) -> tuple[bool, bool]:
+    """(solution, positive solution) for a list of (coefficient sign, Trop)
+    terms; see ``_terms_verdict``."""
+    return _terms_verdict([(c, t.value) for c, t in terms])
 
 
 def trop_check_relation(rel: IncidenceRelation, p: TropPlueckerVector,
                         positive: bool) -> bool:
-    terms = [(sign, p.coord(left) * p.coord(right))
-             for sign, left, right in rel.terms]
-    solution, pos = trop_terms_verdict(terms)
+    solution, pos = _terms_verdict(_term_values(rel, lambda I: p.coord(I).value))
     return pos if positive else solution
 
 

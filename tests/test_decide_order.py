@@ -150,7 +150,7 @@ def _compare(classical, tropical):
     seen = Counter()
     for p in classical + tropical:
         fns = (trop_psi, trop_phi) if p.mode == "tropical" else (psi, phi)
-        cert, sup = _reconstruct(p, *fns)
+        cert, sup, _ = _reconstruct(p)
         assert sup == p.support(), p.coords
         try:
             identify_cell(sup, p.n)

@@ -115,3 +115,14 @@ def test_pds_nests_along_bruhat(v, w):
     v_sub = positive_distinguished_subexpression(v, w_word)
     assert v_sub.evaluation() == v
     assert len(v_sub.positions) == length(v)
+
+
+def test_word_replace_and_make_count_fields_not_letters():
+    word = canonical_w0_word(4)
+    assert len(word) == 6                   # letters, as callers expect
+    bare = word._replace(runs=None)
+    assert bare == Word(4, word.letters) and bare.runs is None
+    assert len(bare) == 6
+    assert Word._make((3, (1, 2), None)) == Word(3, (1, 2))
+    with pytest.raises(TypeError, match="Expected 3 arguments, got 2"):
+        Word._make((3, (1, 2)))
