@@ -245,7 +245,7 @@ def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
         tcert = decide_trop(q)
         assert tcert.verdict == "member" and tcert.cell == (v, w), \
             "decide_trop rejected a parameterized point"
-        trop_psi(v, w, q)
+        assert trop_psi(v, w, q) == x, "trop_psi does not invert trop_phi"
         qc = q.canonicalize()
         assert trop_propagate_three_term(
             {I: qc.coord(I) for I in ext}, (v, w)).coords == qc.coords, \

@@ -103,14 +103,17 @@ def _lex_chain_cell(support: Mapping[int, set], n: int) -> tuple[Perm, Perm]:
 
     def chain_to_perm(chain: list[Index]) -> Perm:
         images: list[int] = []
-        seen: set[int] = set()
+        seen = 0                        # the strand mask of the last index
         for k, I in enumerate(chain, start=1):
-            new = set(I) - seen
-            if len(I) != k or not seen <= set(I) or len(new) != 1:
+            mask = 0
+            for i in I:
+                mask |= 1 << i
+            new = mask ^ seen
+            if len(I) != k or mask & seen != seen or new & (new - 1) or not new:
                 raise ValueError("Gale-extreme indices do not form a flag")
-            images.append(new.pop())
-            seen = set(I)
-        images.extend(sorted(set(range(1, n + 1)) - seen))
+            images.append(new.bit_length() - 1)
+            seen = mask
+        images.extend(i for i in range(1, n + 1) if not seen >> i & 1)
         return inverse(Perm(tuple(images)))
 
     v, w = chain_to_perm(mins), chain_to_perm(maxs)
@@ -123,13 +126,12 @@ def _lex_chain_cell(support: Mapping[int, set], n: int) -> tuple[Perm, Perm]:
 # The inverse map
 # ---------------------------------------------------------------------------
 
-def _walk(v: Perm, w: Perm, value, div, one, usable, problem: str) -> dict:
+def _walk(v: Perm, w: Perm, value, div, solved, usable, problem: str) -> dict:
     """The cell weights in one walk over the generators in traversal
     order. The ``value`` at each independent generating index must pass
-    ``usable``, or a ValueError says it ``problem``; it solves its fresh
-    edge's weight once divided, by ``div``, by the weights, already
-    solved, of its collection's other edges (or by ``one``, so an int
-    stays exact)."""
+    ``usable``, or a ValueError says it ``problem``; its fresh edge's
+    weight is ``solved`` from it once divided, by ``div``, by the
+    weights, already solved, of its collection's other edges."""
     weights = {}
     for gen in generators(v, w):
         if not gen.in_svw:
@@ -142,7 +144,7 @@ def _walk(v: Perm, w: Perm, value, div, one, usable, problem: str) -> dict:
             for j in gen.monomial.exponents:
                 if j != new:
                     x = div(x, weights[j])
-            weights[new] = x if len(gen.monomial.exponents) > 1 else div(x, one)
+            weights[new] = solved(x)
     return weights
 
 
@@ -151,22 +153,39 @@ def psi_monomials(v: Perm, w: Perm) -> dict[int, LaurentMonomial]:
     independent generating indices: ``psi``'s walk over the variables
     P_I themselves."""
     return _walk(v, w, lambda I: LaurentMonomial(1, {I: 1}), truediv,
-                 LaurentMonomial(1), lambda m: True, "")
+                 lambda m: m, lambda m: True, "")
 
 
 def psi(v: Perm, w: Perm, p: PlueckerVector) -> dict[int, Fraction]:
     """Recover the cell weights from the coordinates at the independent
     generating indices, which must be strictly positive: each P_I, the
-    product of its collection's weights, solves its one fresh weight."""
-    return _walk(v, w, lambda I: p.coords.get(I, p.zero), truediv, p.one,
-                 lambda x: x > 0, "is not positive")
+    product of its collection's weights, solves its one fresh weight.
+    This is ``_ratio_walk`` with every unit 1."""
+    return _ratio_walk(v, w, p.coords, dict.fromkeys(range(1, p.n), (1, 1)))
+
+
+def _ratio_walk(v: Perm, w: Perm, coords: Mapping[Index, int | Fraction],
+                units: Mapping[int, tuple[int, int]]) -> dict[int, Fraction]:
+    """The walk on q_I = x_I / u_k as int pairs, x_I = ``coords[I]``
+    (absent: 0) and ``units[k]`` = (u.denominator, u.numerator) for the
+    unit u_k of I's size k: q_I is usable when x_I u_k > 0, dividing
+    cross-multiplies, and each solved weight is reduced once, into the
+    Fraction returned."""
+    def value(I):
+        x, (a, b) = coords.get(I, 0), units[len(I)]
+        return x.numerator * a, x.denominator * b
+
+    return _walk(v, w, value,
+                 lambda x, y: (x[0] * y.denominator, x[1] * y.numerator),
+                 lambda x: Fraction(*x), lambda x: x[0] * x[1] > 0,
+                 "is not positive")
 
 
 def _trop_walk(v: Perm, w: Perm, Q: Mapping[Index, int]) -> dict[int, int]:
     """The same walk read min-plus on integer coordinates Q (absent:
     infinite): each weight is a difference of Q values, so Q scaled by
     L gives the weights scaled by L."""
-    return _walk(v, w, Q.get, sub, 0, lambda x: x is not None, "is infinite")
+    return _walk(v, w, Q.get, sub, lambda x: x, lambda x: x is not None, "is infinite")
 
 
 def trop_psi(v: Perm, w: Perm, p: TropPlueckerVector) -> dict[int, Trop]:
@@ -190,30 +209,33 @@ def _first_index_order(indices) -> list[Index]:
     return sorted(indices, key=lambda I: (len(I), I))
 
 
-def _reconstruct(p) -> tuple[CellCertificate, dict, Mapping]:
-    """Certify membership iff the sweep gives the canonical vector back
-    exactly from the weights the walk solves in the cell read off the
-    lexicographic chains of its support: one pass over the coordinates,
-    the walk, the raw sweep and one comparison on its integers, block by
-    block (``_agrees``). Classically the walk is ``psi`` on the canonical
-    vector q and I agrees when q_I = raw_I / raw_unit; tropically it runs
-    on Q = L (p - p_unit) (``TropPlueckerVector._scaled``), its weights
-    are L times the cell weights, and I agrees when
-    Q_I = raw_I - raw_unit. Returns the certificate with the support and
-    the canonical values (q's coordinates or Q) that pass collected. A
-    rejection checks the index keys, then names the reconstruction's own
-    witness: no cell from the chains, an unusable generating coordinate,
-    or the first difference, read off the rendered vectors."""
+def _reconstruct(p, sup: Mapping[int, set]) -> tuple[CellCertificate, Mapping | None]:
+    """Certify membership iff the sweep gives the input back exactly, up
+    to each size block's unit, from the weights the walk solves in the
+    cell read off the lexicographic chains of p's support ``sup``: the
+    walk, the raw sweep and one comparison on integers, block by block
+    (``_agrees``). Classically the walk reads q_I = x_I / u_k, u_k the
+    unit (lexicographically least supported coordinate) of I's size, as
+    an int pair (``_ratio_walk``), and I agrees when x.numerator
+    u.denominator raw_unit = raw_I x.denominator u.numerator. Tropically
+    it runs on Q = L (p - p_unit) (``TropPlueckerVector._scaled``), its
+    weights are L times the cell weights, and I agrees when
+    Q_I = raw_I - raw_unit. Returns the certificate and Q (None
+    classically). A rejection checks the index keys, then names the
+    reconstruction's own witness: no cell from the chains, an unusable
+    generating coordinate, or the first difference, read off the
+    rendered vectors."""
     signed = p.signed
     if signed:
-        q, sup = p._canonical()
-        values, L = q.coords, 1
+        coords, values, L = p.coords, None, 1
+        units = {k: coords[min(block)] for k, block in sup.items() if block}
+        units = {k: (u.denominator, u.numerator) for k, u in units.items()}
 
         def agrees(I, r, unit):
-            x = values[I]
-            return x.numerator * unit == r * x.denominator
+            x, (a, b) = coords[I], units[len(I)]
+            return x.numerator * a * unit == r * x.denominator * b
     else:
-        values, sup, L = p._scaled()
+        values, L = p._scaled(sup)
 
         def agrees(I, r, unit):
             return r - unit == values[I]
@@ -221,20 +243,19 @@ def _reconstruct(p) -> tuple[CellCertificate, dict, Mapping]:
         v, w = _lex_chain_cell(sup, p.n)
     except ValueError as exc:
         p.check_indices()
-        return _non_member({"type": "no-cell", "reason": str(exc)}), sup, values
+        return _non_member({"type": "no-cell", "reason": str(exc)}), values
     try:
-        a = psi(v, w, q) if signed else _trop_walk(v, w, values)
+        a = _ratio_walk(v, w, coords, units) if signed else _trop_walk(v, w, values)
     except ValueError as exc:
         p.check_indices()
         return _non_member({"type": "unsupported-generating-index",
-                            "reason": str(exc)}), sup, values
+                            "reason": str(exc)}), values
     raw, _ = _sweep(v, w, a, signed)
     if _agrees(raw, sup, p.n, 0 if signed else None, agrees):
         weights = a if signed else _trop_weights(a, L)
-        return CellCertificate("member", cell=(v, w), weights=weights), sup, values
+        return CellCertificate("member", cell=(v, w), weights=weights), values
     p.check_indices()
-    return (_first_difference(p.canonicalize(), _render(p.n, raw, L, type(p))),
-            sup, values)
+    return _first_difference(p.canonicalize(), _render(p.n, raw, L, type(p))), values
 
 
 def _agrees(raw: list, sup: Mapping[int, set], n: int, absent, agrees) -> bool:
@@ -265,25 +286,28 @@ def decide_tnn(p: PlueckerVector) -> CellCertificate:
     """Decide membership in the nonnegative complete flag variety by
     reconstruction-and-compare, certifying members by (v, w, weights).
 
-    Every input gets one scan for a negative coordinate and, if it has
-    none, the reconstruction: one pass that canonicalizes the vector and
-    collects its support, the cell read off its lexicographic chains
-    (flag and Bruhat checks), ``psi``, ``phi`` and one comparison. A
+    Every input gets one pass over its coordinates (``_support``), which
+    reads each numerator for its sign and whether it is zero, and, if no
+    coordinate is negative, the reconstruction (``_reconstruct``): the
+    cell read off the lexicographic chains of the support (flag and
+    Bruhat checks), ``psi``'s walk on int pairs, the raw sweep and one
+    comparison of cross-multiplied ints against each block's unit. A
     member needs no further check, since its support is the flag matroid
     of its cell. A rejection is named in this order: the index keys; the
-    first negative coordinate; the necessary flag-matroid conditions of
-    ``flag_matroid_check`` on the reconstruction's support; the
-    reconstruction's own witness. A size block without Gale extremes is
-    not a matroid, so the flag-matroid check names it.
+    first negative coordinate, searched for only when the pass found
+    one; the necessary flag-matroid conditions of ``flag_matroid_check``
+    on the support; the reconstruction's own witness. A size block
+    without Gale extremes is not a matroid, so that check names it.
     """
-    if any(x < 0 for x in p.coords.values()):
+    sup, negative = p._support()
+    if negative:
         p.check_indices()
         for I in _first_index_order(p.coords):
-            if p.coords[I] < 0:
+            if p.coords[I].numerator < 0:
                 return _non_member({"type": "negative-coordinate",
                                     "index": index_to_str(I),
                                     "value": rat_to_str(p.coords[I])})
-    cert, sup, _ = _reconstruct(p)
+    cert, _ = _reconstruct(p, sup)
     if cert.verdict == "member" or flag_matroid_check(sup):
         return cert
     return _non_member({"type": "support-not-flag-matroid"})
@@ -309,7 +333,8 @@ def decide_trop(p: TropPlueckerVector) -> CellCertificate:
     coordinates they do not (``tests/test_theorems.py`` pins an n = 5
     vector).
     """
-    cert, sup, Q = _reconstruct(p)
+    sup = p.support()
+    cert, Q = _reconstruct(p, sup)
     if cert.verdict == "member":
         return cert
     rel = _first_violated(generate_relations(p.n, True), Q.get)

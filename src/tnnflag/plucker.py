@@ -97,11 +97,7 @@ class _Vector:
         return self.coords.get(tuple(sorted(I)), self.zero)
 
     def support(self) -> dict[int, set[Index]]:
-        out: dict[int, set[Index]] = {k: set() for k in range(1, self.n)}
-        for I, val in self.coords.items():
-            if val != self.zero:
-                out[len(I)].add(I)
-        return out
+        return self._support()[0]
 
     def canonicalize(self):
         """Divide each size block by its lexicographically minimal supported
@@ -110,15 +106,9 @@ class _Vector:
         whose unit is already one is copied as it is; the others are
         multiplied by one / unit, which is exact for int coordinates too.
         """
-        return self._canonical()[0]
-
-    def _canonical(self):
-        """The canonical vector and its support, in one pass over the
-        coordinates; see ``_support``."""
         src, one = self.coords, self.one
-        sup = self._support()
         coords: dict[Index, object] = {}
-        for block in sup.values():
+        for block in self.support().values():
             if not block:
                 continue
             unit = src[min(block)]
@@ -129,22 +119,31 @@ class _Vector:
                 inv = one / unit
                 for I in block:
                     coords[I] = src[I] * inv
-        return type(self)(self.n, coords), sup
+        return type(self)(self.n, coords)
 
-    def _support(self) -> dict[int, set[Index]]:
-        """The supported keys per size 1..n-1. Keys are not checked
-        (``check_indices`` does that), but a key of size 0 or n or more
-        raises ValueError."""
-        zero = self.zero
+    def _support(self) -> tuple[dict[int, set[Index]], bool]:
+        """The supported keys per size 1..n-1, and whether a coordinate is
+        negative, in one pass that reads each classical coordinate's
+        numerator (an int or Fraction) or each tropical one's value. Keys
+        are not checked (``check_indices`` does that), but a key of size 0
+        or n or more raises its ValueError."""
         sup: dict[int, set[Index]] = {k: set() for k in range(1, self.n)}
+        negative = False
         try:
-            for I, val in self.coords.items():
-                if val != zero:
-                    sup[len(I)].add(I)
+            if self.signed:
+                for I, val in self.coords.items():
+                    sign = val.numerator
+                    if sign:
+                        sup[len(I)].add(I)
+                        negative |= sign < 0
+            else:
+                for I, val in self.coords.items():
+                    if val.value is not None:
+                        sup[len(I)].add(I)
         except KeyError:        # a key of size 0 or >= n
             self.check_indices()
             raise
-        return sup
+        return sup, negative
 
     def check_indices(self) -> None:
         """Raise ValueError naming the first key that is not an index: a
@@ -199,14 +198,13 @@ class TropPlueckerVector(_Vector):
     mode, zero, one, signed = "tropical", TROP_INF, Trop(Fraction(0)), False
     parse, render = staticmethod(trop_from_str), staticmethod(trop_to_str)
 
-    def _scaled(self) -> tuple[dict[Index, int], dict[int, set[Index]], int]:
-        """``(Q, support, L)`` in one pass over the coordinates: L is the
+    def _scaled(self, sup: Mapping[int, set[Index]]) -> tuple[dict[Index, int], int]:
+        """``(Q, L)`` for the support ``sup`` of ``_support``: L is the
         lcm of the finite coordinates' denominators (1 when there are
         none), and Q_I = L (p_I - p_unit) is an int, the unit being the
         lexicographically least supported index of I's size: the
         canonical vector times L. Coordinates are Trops of ints or
-        Fractions; see ``_support``."""
-        sup = self._support()
+        Fractions."""
         Q, L = _scale_to_ints({I: self.coords[I].value
                                for block in sup.values() for I in block})
         for block in sup.values():
@@ -214,7 +212,7 @@ class TropPlueckerVector(_Vector):
                 shift = Q[min(block)]
                 for I in block:
                     Q[I] -= shift
-        return Q, sup, L
+        return Q, L
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 """Differential test of the deciders' integer member path.
 
-`decide_tnn` and `decide_trop` compare the canonical input with the raw
-integers of the sweep, and `decide_trop` runs its three-term scan on the
-integers Q = L (p - p_unit). The reconstruction they replace compared
-rendered `Fraction` and `Trop` vectors, solved the tropical weights in
-`Trop` arithmetic and scanned with `Trop` products; it is kept below as
-the frozen reference. Both must give equal certificates (`to_json_dict()`
-and `weights`) on members of every S3-S5 cell, on one-coordinate edits of
-members, on no-cell supports, at the S7 and S8 top cells, and on the edge
-cases of the scaling: no coordinates, ints, negative values and coprime
-denominators whose lcm is huge.
+`decide_tnn` and `decide_trop` compare the input with the raw integers of
+the sweep: classically by cross-multiplying each coordinate with its size
+block's unit, after a walk on int pairs, and tropically on the integers
+Q = L (p - p_unit), on which `decide_trop` also runs its three-term scan.
+The reconstruction they replace built the canonical vector, compared
+rendered `Fraction` and `Trop` vectors, solved the weights in `Fraction`
+and `Trop` arithmetic and scanned with `Trop` products; it is kept below
+as the frozen reference, with the set-based `_lex_chain_cell`. Both must
+give equal certificates (`to_json_dict()` and `weights`) on members of
+every S3-S5 cell, on one-coordinate edits of members, on no-cell
+supports, at the S7 and S8 top cells, on classical members whose blocks
+are scaled so that no unit is 1, on blocks with a negative unit, and on
+the edge cases of the scaling: no coordinates, ints, negative values and
+coprime denominators whose lcm is huge.
 """
 
 import math
@@ -20,9 +24,11 @@ from tnnflag.algebra import TROP_INF, Trop, rat_to_str
 from tnnflag.extremal import flag_matroid_check, generators, s_vw
 from tnnflag.membership import (
     CellCertificate, _lex_chain_cell, _reconstruct, decide_tnn, decide_trop,
-    identify_cell,
+    identify_cell, psi,
 )
-from tnnflag.perms import bruhat_pairs, identity, longest_element
+from tnnflag.perms import (
+    Perm, bruhat_leq, bruhat_pairs, identity, inverse, longest_element,
+)
 from tnnflag.plucker import (
     PlueckerVector, TropPlueckerVector, all_proper_indices,
     generate_relations, index_to_str, phi, trop_phi,
@@ -57,6 +63,34 @@ def ref_walk(v, w, value, one, usable, problem):
     return weights
 
 
+def ref_lex_chain_cell(support, n):
+    mins = []
+    maxs = []
+    for k in range(1, n):
+        block = support[k]
+        if not block:
+            raise ValueError(f"no supported index of size {k}")
+        mins.append(min(block))
+        maxs.append(max(block))
+
+    def chain_to_perm(chain):
+        images = []
+        seen = set()
+        for k, I in enumerate(chain, start=1):
+            new = set(I) - seen
+            if len(I) != k or not seen <= set(I) or len(new) != 1:
+                raise ValueError("Gale-extreme indices do not form a flag")
+            images.append(new.pop())
+            seen = set(I)
+        images.extend(sorted(set(range(1, n + 1)) - seen))
+        return inverse(Perm(tuple(images)))
+
+    v, w = chain_to_perm(mins), chain_to_perm(maxs)
+    if not bruhat_leq(v, w):
+        raise ValueError("no cell: v is not <= w in Bruhat order")
+    return v, w
+
+
 def ref_psi(v, w, p):
     return ref_walk(v, w, lambda I: p.coords.get(I, p.zero), p.one,
                     lambda x: x > 0, "is not positive")
@@ -77,8 +111,25 @@ def ref_first_difference(q, r):
     raise AssertionError("unequal vectors with equal coordinates (bug)")
 
 
+def ref_canonical(p):
+    """The canonical vector and the support, in one pass that tests each
+    coordinate against the semiring's zero."""
+    sup = {k: set() for k in range(1, p.n)}
+    for I, val in p.coords.items():
+        if val != p.zero:
+            sup[len(I)].add(I)
+    coords = {}
+    for block in sup.values():
+        if block:
+            unit = p.coords[min(block)]
+            inv = p.one / unit
+            for I in block:
+                coords[I] = p.coords[I] if unit == p.one else p.coords[I] * inv
+    return type(p)(p.n, coords), sup
+
+
 def ref_reconstruct(p, psi_fn, phi_fn):
-    q, sup = p._canonical()
+    q, sup = ref_canonical(p)
     try:
         v, w = _lex_chain_cell(sup, p.n)
     except ValueError as exc:
@@ -154,6 +205,21 @@ def _kind(cert):
     return (cert.witness or {}).get("type", "member")
 
 
+def _same_chains(p, outcomes):
+    """`_lex_chain_cell` and its set-based reference give the same cell,
+    or the same ValueError, on p's support; counts the outcomes."""
+    got, want = [], []
+    for fn, out in ((_lex_chain_cell, got), (ref_lex_chain_cell, want)):
+        try:
+            out.append(fn(p.support(), p.n))
+        except ValueError as exc:
+            out.append(str(exc))
+    assert got == want, p.coords
+    kind = got[0] if isinstance(got[0], str) else "cell"
+    key = kind[:kind.index(" of size")] if "of size" in kind else kind
+    outcomes[key] = outcomes.get(key, 0) + 1
+
+
 def _assert_same(p, kinds=None):
     """decide_* and its reference agree on p; returns the witness type.
     With ``kinds``, the reconstruction alone is compared too, since the
@@ -165,7 +231,8 @@ def _assert_same(p, kinds=None):
     assert new.weights == ref.weights, p.coords
     if kinds is not None:
         fns = (ref_trop_psi, trop_phi) if p.mode == "tropical" else (ref_psi, phi)
-        got, sup, _ = _reconstruct(p)
+        sup = p.support()
+        got, _ = _reconstruct(p, sup)
         want, want_sup = ref_reconstruct(p, *fns)
         assert (got.to_json_dict(), got.weights, sup) == \
             (want.to_json_dict(), want.weights, want_sup), p.coords
@@ -228,28 +295,46 @@ def test_members_of_every_s3_to_s5_cell():
     """Tropical members of every cell; classical ones of every S3 and S4
     cell and every 16th S5 cell (the classical comparison changed less)."""
     rng = random.Random(171)
+    outcomes = {}
     for n in (3, 4, 5):
         for i, (v, w) in enumerate(bruhat_pairs(n)):
             ids = build_diagram(v, w).weight_ids()
-            assert _assert_same(trop_phi(v, w, _tropical_weights(ids, rng))) \
-                == "member", (v, w)
+            t = trop_phi(v, w, _tropical_weights(ids, rng))
+            assert _assert_same(t) == "member", (v, w)
+            _same_chains(t, outcomes)
             if n < 5 or i % 16 == 0:
                 p = phi(v, w, _classical_weights(ids, rng))
                 assert _assert_same(p) == "member", (v, w)
+    assert set(outcomes) == {"cell"}, outcomes
 
 
 def test_edits_of_members():
-    """Every S3 cell, every other S4 cell and 20 seeded S5 cells."""
+    """Every S3 cell, every other S4 cell and 20 seeded S5 cells; the
+    cell read off the chains of each edit, and of two random flags together."""
     rng = random.Random(172)
     cells = bruhat_pairs(3) + bruhat_pairs(4)[::2]
     cells += rng.sample(bruhat_pairs(5), 20)
-    kinds = {}
+    kinds, outcomes = {}, {}
     for v, w in cells:
         ids = build_diagram(v, w).weight_ids()
         for p in (phi(v, w, _classical_weights(ids, rng)),
                   trop_phi(v, w, _tropical_weights(ids, rng))):
             for bad in _edits(p, v, w, rng):
                 _assert_same(bad, kinds)
+                _same_chains(bad, outcomes)
+    for n in (4, 5):        # the union of two random flags' indices
+        for _ in range(100):
+            flags = [rng.sample(range(1, n + 1), n) for _ in range(2)]
+            _same_chains(PlueckerVector(n, {tuple(sorted(f[:k])): 1
+                                            for f in flags for k in range(1, n)}),
+                         outcomes)
+    # keys with a repeated element, which only ``check_indices`` rejects
+    for coords in ({(2,): 1, (2, 2): 1}, {(1,): 1, (1, 2): 1, (1, 1, 1): 1}):
+        _same_chains(PlueckerVector(len(max(coords, key=len)) + 1, coords),
+                     outcomes)
+    assert set(outcomes) == {
+        "cell", "no supported index", "Gale-extreme indices do not form a flag",
+        "no cell: v is not <= w in Bruhat order"}, outcomes
     for kind in ("member", "negative-coordinate", "support-not-flag-matroid",
                  "no-cell", "unsupported-generating-index",
                  "reconstruction-mismatch"):
@@ -271,6 +356,67 @@ def test_top_cells_s7_s8():
                 == "member"
             assert _assert_same(trop_phi(v, w, _tropical_weights(ids, rng))) \
                 == "member"
+
+
+def _scaled_blocks(p, rng):
+    """p with each size block times its own positive rational, none 1."""
+    factors = {k: Fraction(a, rng.choice((1, 41, 43)))
+               for k, a in enumerate(rng.sample(range(2, 41), p.n - 1), start=1)}
+    return PlueckerVector(p.n, {I: x * factors[len(I)]
+                                for I, x in p.coords.items()})
+
+
+def test_members_with_no_unit_one():
+    """Classical members, each size block scaled by a different positive
+    rational, on every 16th S5 cell and the S7 top cell: the comparison
+    cross-multiplies with units that are not 1, and the weights are
+    still the ones ``phi`` was given."""
+    rng = random.Random(175)
+    for v, w in bruhat_pairs(5)[::16] + [(identity(7), longest_element(7))]:
+        a = _classical_weights(build_diagram(v, w).weight_ids(), rng)
+        p = _scaled_blocks(phi(v, w, a), rng)
+        units = [p.coords[min(block)] for block in p.support().values()]
+        assert all(u != 1 for u in units) and len(set(units)) == len(units)
+        assert _assert_same(p) == "member", (v, w)
+        assert decide_tnn(p).weights == a, (v, w)
+
+
+def test_negative_units_at_the_reconstruction():
+    """A size block whose unit is negative: negated whole (the same
+    projective point, which the reconstruction certifies and
+    ``decide_tnn`` rejects at its negative coordinate), at its unit
+    only, and everywhere but at its unit. The walk must read the sign
+    of the coordinate times its unit."""
+    rng = random.Random(176)
+    cells = bruhat_pairs(3) + bruhat_pairs(4)[::3] + rng.sample(bruhat_pairs(5), 12)
+    kinds = {}
+    for v, w in cells:
+        p = phi(v, w, _classical_weights(build_diagram(v, w).weight_ids(), rng))
+        for q in (p, _integral(p)):
+            blocks = [sorted(b) for b in q.support().values() if len(b) > 1]
+            if not blocks:
+                continue
+            block = rng.choice(blocks)
+            for negated in (block, block[:1], block[1:]):
+                _assert_same(PlueckerVector(q.n, {
+                    **q.coords, **{I: -q.coords[I] for I in negated}}), kinds)
+    for key in (("reconstruct", "member"),
+                ("reconstruct", "unsupported-generating-index"),
+                ("negative-coordinate",)):
+        assert kinds.get(("classical",) + key), (key, kinds)
+
+
+def test_psi_on_int_coordinates():
+    """``psi`` on members scaled to int coordinates block by block equals
+    the Fraction walk's weights, and every weight is a Fraction (on ints
+    at the generating indices alone, ``test_psi_walk.py`` checks it)."""
+    rng = random.Random(177)
+    for v, w in bruhat_pairs(4) + rng.sample(bruhat_pairs(5), 40):
+        p = _integral(phi(v, w, _classical_weights(build_diagram(v, w).weight_ids(),
+                                                   rng)))
+        got = psi(v, w, p)
+        assert got == ref_psi(v, w, p), (v, w)
+        assert all(type(x) is Fraction for x in got.values()), (v, w)
 
 
 def _integral(p, bump=False):

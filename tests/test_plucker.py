@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,19 @@ def test_vector_json_rejects_bad_indices():
     with pytest.raises(ValueError):
         PlueckerVector.from_json_dict(
             {"n": 3, "mode": "classical", "coords": {"1,2,3": "1"}})
+
+
+@pytest.mark.parametrize("cls, val", [(PlueckerVector, Fraction(2)),
+                                      (TropPlueckerVector, Trop.of(2))])
+@pytest.mark.parametrize("bad", [(), (1, 2, 3)])
+def test_support_names_a_key_of_size_0_or_n(cls, val, bad):
+    """``support`` raises the ValueError of ``check_indices`` that names
+    the key, not a KeyError, whether the vector is canonicalized or not."""
+    p = cls(3, {(1,): val, bad: val, (1, 2): val})
+    for method in (p.support, p.canonicalize):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"bad index {bad} for n=3")):
+            method()
 
 
 @given(st.dictionaries(
