@@ -106,15 +106,19 @@ def _cmd_plucker(args) -> int:
                          "object mapping weight id -> rational string")
     parse = trop_from_str if args.tropical else rat_from_str
     bad = f"bad weights file {args.weights}"
-    weights = {}
+    weights, keys = {}, {}
     for k, val in raw.items():
         try:
-            weights[int(k)] = parse(val)
+            j, x = int(k), parse(val)
         except ZeroDivisionError as exc:
             raise _Malformed(
                 f"{bad}: weight {k}: zero denominator in {val!r}") from exc
         except ValueError as exc:
             raise _Malformed(f"{bad}: weight {k}: {exc}") from exc
+        if j in keys:
+            raise _Malformed(f"{bad}: keys {keys[j]!r} and {k!r} name the "
+                             "same weight id")
+        keys[j], weights[j] = k, x
     try:
         vec = (trop_phi if args.tropical else phi)(v, w, weights)
     except ValueError as exc:
@@ -223,28 +227,30 @@ def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
     s_vw(v, w)
     for t in range(draws):
         a = generic_weights(v, w, seed=seed + t)
+        # each fresh vector is decided before anything reads its
+        # coordinates, so the deciders read the raw sweep it holds
         p = phi(v, w, a)
+        cert = decide_tnn(p)
+        assert cert.verdict == "member" and cert.cell == (v, w), \
+            "decide_tnn rejected a parameterized point"
         if t == 0:
             assert p.coords == phi_minors(v, w, a).coords, \
                 "phi differs from the minors of the cell matrix"
         assert psi(v, w, p) == a, "psi does not invert phi"
-        cert = decide_tnn(p)
-        assert cert.verdict == "member" and cert.cell == (v, w), \
-            "decide_tnn rejected a parameterized point"
         assert propagate_three_term(
             {I: p.coord(I) for I in ext}, (v, w)).coords == p.coords, \
             "three-term propagation mismatch"
         x = {j: Trop.of(val) for j, val in a.items()}
         q = trop_phi(v, w, x)
+        tcert = decide_trop(q)
+        assert tcert.verdict == "member" and tcert.cell == (v, w), \
+            "decide_trop rejected a parameterized point"
         if t == 0:
             assert q.coords == trop_phi_enumerated(v, w, x).coords, \
                 "trop_phi differs from path-collection enumeration"
         values = {I: t.value for I, t in q.coords.items()}
         assert _first_violated(three_term, values.get) is None, \
             "trop_phi violates a three-term relation"
-        tcert = decide_trop(q)
-        assert tcert.verdict == "member" and tcert.cell == (v, w), \
-            "decide_trop rejected a parameterized point"
         assert trop_psi(v, w, q) == x, "trop_psi does not invert trop_phi"
         qc = q.canonicalize()
         assert trop_propagate_three_term(

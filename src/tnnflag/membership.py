@@ -30,7 +30,7 @@ from .algebra import LaurentMonomial, Trop, rat_to_str, trop_to_str
 from .perms import Perm, bruhat_leq, gale_leq, inverse, perm_to_str
 from .plucker import (
     Index, PlueckerVector, TropPlueckerVector, _first_violated, _raw_blocks,
-    _render, _scale_to_ints, _sweep, generate_relations, index_to_str,
+    _scale_to_ints, _sweep, generate_relations, index_to_str,
 )
 from .extremal import (
     SupportVector, _xi_walk, cell_support, flag_matroid_check, generators,
@@ -209,53 +209,50 @@ def _first_index_order(indices) -> list[Index]:
     return sorted(indices, key=lambda I: (len(I), I))
 
 
-def _reconstruct(p, sup: Mapping[int, set]) -> tuple[CellCertificate, Mapping | None]:
+def _reconstruct(p, sup: Mapping[int, set], values: Mapping[Index, int | Fraction],
+                 L: int) -> CellCertificate:
     """Certify membership iff the sweep gives the input back exactly, up
     to each size block's unit, from the weights the walk solves in the
-    cell read off the lexicographic chains of p's support ``sup``: the
+    cell read off the lexicographic chains of the support ``sup``: the
     walk, the raw sweep and one comparison on integers, block by block
-    (``_agrees``). Classically the walk reads q_I = x_I / u_k, u_k the
-    unit (lexicographically least supported coordinate) of I's size, as
-    an int pair (``_ratio_walk``), and I agrees when x.numerator
+    (``_agrees``), all on p's ``_int_view`` ``(sup, _, values, L)``.
+    Classically the walk reads q_I = x_I / u_k, x_I the value at I and
+    u_k the unit (lexicographically least supported value) of I's size,
+    as an int pair (``_ratio_walk``), and I agrees when x.numerator
     u.denominator raw_unit = raw_I x.denominator u.numerator. Tropically
-    it runs on Q = L (p - p_unit) (``TropPlueckerVector._scaled``), its
-    weights are L times the cell weights, and I agrees when
-    Q_I = raw_I - raw_unit. Returns the certificate and Q (None
-    classically). A rejection checks the index keys, then names the
-    reconstruction's own witness: no cell from the chains, an unusable
-    generating coordinate, or the first difference, read off the
-    rendered vectors."""
+    it runs on Q = L (p - p_unit), its weights are L times the cell
+    weights, and I agrees when Q_I = raw_I - raw_unit. A rejection
+    checks the index keys, then names the reconstruction's own witness:
+    no cell from the chains, an unusable generating coordinate, or the
+    first difference, read off the rendered vectors."""
     signed = p.signed
     if signed:
-        coords, values, L = p.coords, None, 1
-        units = {k: coords[min(block)] for k, block in sup.items() if block}
+        units = {k: values[min(block)] for k, block in sup.items() if block}
         units = {k: (u.denominator, u.numerator) for k, u in units.items()}
 
         def agrees(I, r, unit):
-            x, (a, b) = coords[I], units[len(I)]
+            x, (a, b) = values[I], units[len(I)]
             return x.numerator * a * unit == r * x.denominator * b
     else:
-        values, L = p._scaled(sup)
-
         def agrees(I, r, unit):
             return r - unit == values[I]
     try:
         v, w = _lex_chain_cell(sup, p.n)
     except ValueError as exc:
         p.check_indices()
-        return _non_member({"type": "no-cell", "reason": str(exc)}), values
+        return _non_member({"type": "no-cell", "reason": str(exc)})
     try:
-        a = _ratio_walk(v, w, coords, units) if signed else _trop_walk(v, w, values)
+        a = _ratio_walk(v, w, values, units) if signed else _trop_walk(v, w, values)
     except ValueError as exc:
         p.check_indices()
         return _non_member({"type": "unsupported-generating-index",
-                            "reason": str(exc)}), values
+                            "reason": str(exc)})
     raw, _ = _sweep(v, w, a, signed)
     if _agrees(raw, sup, p.n, 0 if signed else None, agrees):
         weights = a if signed else _trop_weights(a, L)
-        return CellCertificate("member", cell=(v, w), weights=weights), values
+        return CellCertificate("member", cell=(v, w), weights=weights)
     p.check_indices()
-    return _first_difference(p.canonicalize(), _render(p.n, raw, L, type(p))), values
+    return _first_difference(p.canonicalize(), type(p)._of_raw(p.n, raw, L))
 
 
 def _agrees(raw: list, sup: Mapping[int, set], n: int, absent, agrees) -> bool:
@@ -286,9 +283,10 @@ def decide_tnn(p: PlueckerVector) -> CellCertificate:
     """Decide membership in the nonnegative complete flag variety by
     reconstruction-and-compare, certifying members by (v, w, weights).
 
-    Every input gets one pass over its coordinates (``_support``), which
-    reads each numerator for its sign and whether it is zero, and, if no
-    coordinate is negative, the reconstruction (``_reconstruct``): the
+    Every input gets one pass over its coordinates (``_int_view``), which
+    reads each value's sign and whether it is zero, from the raw sweep
+    when p came from ``phi`` and its coordinates were never read, and, if
+    no coordinate is negative, the reconstruction (``_reconstruct``): the
     cell read off the lexicographic chains of the support (flag and
     Bruhat checks), ``psi``'s walk on int pairs, the raw sweep and one
     comparison of cross-multiplied ints against each block's unit. A
@@ -299,15 +297,15 @@ def decide_tnn(p: PlueckerVector) -> CellCertificate:
     on the support; the reconstruction's own witness. A size block
     without Gale extremes is not a matroid, so that check names it.
     """
-    sup, negative = p._support()
+    sup, negative, values, L = p._int_view()
     if negative:
         p.check_indices()
-        for I in _first_index_order(p.coords):
-            if p.coords[I].numerator < 0:
+        for I in _first_index_order(values):
+            if values[I].numerator < 0:
                 return _non_member({"type": "negative-coordinate",
                                     "index": index_to_str(I),
                                     "value": rat_to_str(p.coords[I])})
-    cert, _ = _reconstruct(p, sup)
+    cert = _reconstruct(p, sup, values, L)
     if cert.verdict == "member" or flag_matroid_check(sup):
         return cert
     return _non_member({"type": "support-not-flag-matroid"})
@@ -318,8 +316,10 @@ def decide_trop(p: TropPlueckerVector) -> CellCertificate:
     reconstruct exactly from its cell weights.
 
     Every input gets the reconstruction of ``decide_tnn``, on the integers
-    Q = L (p - p_unit). A member positively solves every three-term
-    tropical relation, so a rejection is named in this order: the index
+    Q = L (p - p_unit) of ``_int_view``, read off the raw sweep when p
+    came from ``trop_phi`` and its coordinates were never read. A member
+    positively solves every three-term tropical relation, so a rejection
+    is named in this order: the index
     keys; the first violated three-term relation, scanned on the same Q
     (a relation's terms share one size pair, so the shifts add one
     constant to all of them); the no-cell witness of ``identify_cell`` on
@@ -333,8 +333,8 @@ def decide_trop(p: TropPlueckerVector) -> CellCertificate:
     coordinates they do not (``tests/test_theorems.py`` pins an n = 5
     vector).
     """
-    sup = p.support()
-    cert, Q = _reconstruct(p, sup)
+    sup, _, Q, L = p._int_view()
+    cert = _reconstruct(p, sup, Q, L)
     if cert.verdict == "member":
         return cert
     rel = _first_violated(generate_relations(p.n, True), Q.get)

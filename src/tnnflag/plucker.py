@@ -46,6 +46,8 @@ def index_to_str(I: Index) -> str:
 
 
 def index_from_str(s: str) -> Index:
+    if not s:
+        raise ValueError("the index key is empty")
     parts = tuple(int(x) for x in s.split(","))
     if tuple(sorted(set(parts))) != parts:
         raise ValueError(f"index must be sorted and duplicate-free: {s!r}")
@@ -79,11 +81,35 @@ def _scale_to_ints(values: Mapping) -> tuple[dict, int]:
 class _Vector:
     """Coordinates over a semiring; omitted indices are the semiring's zero.
     Subclasses fix the semiring (``zero``, ``one``) and the text form of a
-    coordinate (``parse``, ``render``)."""
+    coordinate (``parse``, ``render``).
+
+    A vector that ``phi`` or ``trop_phi`` returns holds the raw sweep
+    ``(raw, L)`` instead of coordinates. They render (``_render``) when
+    ``coords`` is first read, which drops the raw form, so an edit made
+    through ``coords`` is what every later reader sees. Until then the
+    deciders read the raw sweep's integers (``_int_view``)."""
 
     def __init__(self, n: int, coords: dict[Index, object] | None = None):
         self.n = n
         self.coords = {} if coords is None else coords
+
+    @classmethod
+    def _of_raw(cls, n: int, raw: list, L: int):
+        """The vector that the raw pass ``(raw, L)`` of ``_sweep`` gives,
+        its coordinates not yet rendered."""
+        p = cls(n)
+        p._raw = (raw, L)
+        return p
+
+    @property
+    def coords(self) -> dict[Index, object]:
+        if self._raw is not None:
+            self._coords, self._raw = _render(self.n, *self._raw, self.signed), None
+        return self._coords
+
+    @coords.setter
+    def coords(self, coords: dict[Index, object]) -> None:
+        self._coords, self._raw = coords, None
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(n={self.n!r}, coords={self.coords!r})"
@@ -145,6 +171,33 @@ class _Vector:
             raise
         return sup, negative
 
+    def _int_view(self) -> tuple[dict[int, set[Index]], bool,
+                                 Mapping[Index, int | Fraction], int]:
+        """What the deciders read: ``(sup, negative, values, L)``, the
+        supported indices per size 1..n-1, whether a coordinate is
+        negative, and a value per supported index. On the raw sweep a
+        classical value is raw_I times the sign of its block's raw unit,
+        the coordinate times a positive factor per block, and a tropical
+        one is Q_I = raw_I - raw_unit with the sweep's L. Otherwise they
+        come from ``_support``: the coordinates themselves with L = 1
+        classically, and ``_scaled``'s (Q, L) tropically."""
+        if self._raw is None:
+            sup, negative = self._support()
+            return (sup, negative, self.coords, 1) if self.signed \
+                else (sup, negative, *self._scaled(sup))
+        (raw, L), signed = self._raw, self.signed
+        sup, values = {}, {}
+        for k, found in enumerate(_raw_blocks(self.n, raw, 0 if signed else None),
+                                  start=1):
+            sup[k] = {I for I, _ in found}
+            if found:
+                unit = found[0][1]
+                sign, shift = (-1 if unit < 0 else 1, 0) if signed else (1, unit)
+                values.update(found if (sign, shift) == (1, 0) else
+                              ((I, sign * r - shift) for I, r in found))
+        negative = signed and min(values.values(), default=0) < 0
+        return sup, negative, values, L
+
     def check_indices(self) -> None:
         """Raise ValueError naming the first key that is not an index: a
         sorted tuple of distinct entries of {1..n}, of size 1..n-1."""
@@ -167,8 +220,16 @@ class _Vector:
         n = obj["n"]
         if type(n) is not int:
             raise ValueError(f"n must be a JSON integer, got {n!r}")
-        coords = {index_from_str(key): cls._parse_coord(key, val)
-                  for key, val in obj.get("coords", {}).items()}
+        items = obj.get("coords", {})
+        if not isinstance(items, dict):
+            raise ValueError("coords must be a JSON object")
+        coords, keys = {}, {}
+        for key, val in items.items():
+            I = index_from_str(key)
+            if I in keys:
+                raise ValueError(f"keys {keys[I]!r} and {key!r} name the "
+                                 "same index")
+            keys[I], coords[I] = key, cls._parse_coord(key, val)
         for I in coords:
             _check_index(I, n)
         return cls(n, {I: v for I, v in coords.items() if v != cls.zero})
@@ -304,11 +365,10 @@ def _raw_blocks(n: int, raw: list, absent) -> Iterator[list[tuple[Index, int]]]:
         yield [(I, raw[S]) for I, S in block if raw[S] != absent]
 
 
-def _render(n: int, raw: list, L: int, cls):
-    """The vector of ``cls`` that the raw pass ``(raw, L)`` gives, with
-    canonical per-size normalization: Fractions and Trops are built only
-    here."""
-    signed = cls.signed
+def _render(n: int, raw: list, L: int, signed: bool) -> dict[Index, object]:
+    """The coordinates that the raw pass ``(raw, L)`` gives, with canonical
+    per-size normalization, rendered when a vector's ``coords`` is first
+    read: Fractions and Trops are built only here."""
     coords = {}
     for found in _raw_blocks(n, raw, 0 if signed else None):
         if not found:
@@ -320,7 +380,7 @@ def _render(n: int, raw: list, L: int, cls):
             r = raw_of[I]
             coords[I] = (Fraction(r, unit) if signed
                          else Trop(Fraction(r - unit, L)))
-    return cls(n, coords)
+    return coords
 
 
 def _exact_weights(x: Mapping[int, object], tropical: bool,
@@ -348,21 +408,24 @@ def phi(v: Perm, w: Perm, a: Mapping[int, int | Fraction]) -> PlueckerVector:
     of their edge weights, which by Lindstroem-Gessel-Viennot is the
     top-rows minor of the cell matrix up to one sign per size; then
     canonical per-size normalization. Weights are ints or Fractions.
+    The vector holds the raw sweep: its coordinates render on first read,
+    and the deciders read the sweep's integers without rendering them.
     """
     exact = _exact_weights(a, tropical=False)
     if any(val <= 0 for val in exact.values()):
         raise ValueError("weights must be strictly positive")
-    return _render(len(v), *_sweep(v, w, exact, True), PlueckerVector)
+    return PlueckerVector._of_raw(len(v), *_sweep(v, w, exact, True))
 
 
 def trop_phi(v: Perm, w: Perm, x: Mapping[int, Trop]) -> TropPlueckerVector:
     """Min over non-intersecting path collections {1'..|I|'} -> I of the sum
     of the edge weights; infinity when no collection exists. The same sweep
     as ``phi``, unsigned, in the min-plus semiring. Weights are finite
-    Trops of ints or Fractions.
+    Trops of ints or Fractions. As with ``phi``, the coordinates render on
+    first read, and the deciders read the raw sweep.
     """
-    return _render(len(v), *_sweep(v, w, _exact_weights(x, tropical=True),
-                                   False), TropPlueckerVector)
+    return TropPlueckerVector._of_raw(
+        len(v), *_sweep(v, w, _exact_weights(x, tropical=True), False))
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,41 @@ def test_malformed_inputs(tmp_path, capsys):
     bad.write_text(json.dumps({"n": 3, "mode": "classical", "coords": ["1"]}))
     assert run(["decide", str(bad)]) == 2
     capsys.readouterr()
+    # each message names the field, not Python's own error
+    for coords, message in (([], "coords must be a JSON object"),
+                            ({"": "1"}, "the index key is empty")):
+        bad.write_text(json.dumps({"n": 3, "coords": coords}))
+        assert run(["decide", str(bad)]) == 2
+        assert f"bad vector file {bad}: {message}\n" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("order", [1, -1])
+@pytest.mark.parametrize("keys", [("1", "01"), ("1,2", "1, 2"), ("2", "+2")])
+@pytest.mark.parametrize("command", ["decide", "trop-decide", "extremal"])
+def test_keys_naming_one_index_exit_2(tmp_path, capsys, command, keys, order):
+    """Two keys that parse to the same index are rejected whichever comes
+    first; before, the later one silently won."""
+    first, second = keys[::order]
+    vec = tmp_path / "v.json"
+    vec.write_text(json.dumps({
+        "n": 3, "mode": "tropical" if command == "trop-decide" else "classical",
+        "coords": {first: "1", second: "2", "1,3": "1", "2,3": "1", "3": "1"}}))
+    assert run([command, str(vec)]) == 2
+    assert f"keys {first!r} and {second!r} name the same index\n" in \
+        _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("tropical", [False, True])
+@pytest.mark.parametrize("ids", [("1", "01"), ("01", "1"), ("4", " 4")])
+def test_keys_naming_one_weight_id_exit_2(tmp_path, capsys, tropical, ids):
+    weights = tmp_path / "w.json"
+    others = {j: val for j, val in (("1", "2"), ("2", "3"), ("4", "5"))
+              if int(j) != int(ids[0])}
+    weights.write_text(json.dumps({ids[0]: "2", ids[1]: "3", **others}))
+    argv = ["plucker", EX_V, EX_W, "--weights", str(weights)]
+    assert run(argv + ["--tropical"] * tropical) == 2
+    assert f"keys {ids[0]!r} and {ids[1]!r} name the same weight id\n" in \
+        _one_line_error(capsys)
 
 
 def test_output_is_byte_identical_across_runs(capsys):

@@ -231,8 +231,8 @@ def _assert_same(p, kinds=None):
     assert new.weights == ref.weights, p.coords
     if kinds is not None:
         fns = (ref_trop_psi, trop_phi) if p.mode == "tropical" else (ref_psi, phi)
-        sup = p.support()
-        got, _ = _reconstruct(p, sup)
+        sup, _, values, L = p._int_view()
+        got = _reconstruct(p, sup, values, L)
         want, want_sup = ref_reconstruct(p, *fns)
         assert (got.to_json_dict(), got.weights, sup) == \
             (want.to_json_dict(), want.weights, want_sup), p.coords

@@ -150,8 +150,8 @@ def _compare(classical, tropical):
     seen = Counter()
     for p in classical + tropical:
         fns = (trop_psi, trop_phi) if p.mode == "tropical" else (psi, phi)
-        sup = p.support()
-        cert, _ = _reconstruct(p, sup)
+        sup, _, values, L = p._int_view()
+        cert = _reconstruct(p, sup, values, L)
         try:
             identify_cell(sup, p.n)
         except ValueError as exc:
