@@ -20,7 +20,7 @@ from .perms import (
 )
 from .plucker import (
     PlueckerVector, TropPlueckerVector, generate_relations, index_to_str,
-    _first_violated, phi, trop_phi,
+    _first_violated, _parse_keyed, phi, trop_phi,
 )
 from .extremal import cell_support, extremal_index_set, extremal_indices
 from .membership import decide_tnn, decide_trop
@@ -106,25 +106,21 @@ def _cmd_plucker(args) -> int:
                          "object mapping weight id -> rational string")
     parse = trop_from_str if args.tropical else rat_from_str
     bad = f"bad weights file {args.weights}"
-    weights, keys = {}, {}
-    for k, val in raw.items():
-        try:
-            j, x = int(k), parse(val)
-        except ZeroDivisionError as exc:
-            raise _Malformed(
-                f"{bad}: weight {k}: zero denominator in {val!r}") from exc
-        except ValueError as exc:
-            raise _Malformed(f"{bad}: weight {k}: {exc}") from exc
-        if j in keys:
-            raise _Malformed(f"{bad}: keys {keys[j]!r} and {k!r} name the "
-                             "same weight id")
-        keys[j], weights[j] = k, x
     try:
+        weights = _parse_keyed(raw, "weight", "weight id", _weight_id, parse)
         vec = (trop_phi if args.tropical else phi)(v, w, weights)
     except ValueError as exc:
         raise _Malformed(f"{bad}: {exc}") from exc
     _emit(_render(lambda: vec))
     return 0
+
+
+def _weight_id(key: str) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise ValueError(f"weight id {key!r} does not parse as an "
+                         "integer") from None
 
 
 def _load_vector(path: str):

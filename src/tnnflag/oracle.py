@@ -15,7 +15,7 @@ __all__ = [
     "determinant_cofactor", "reduced_word_oracle", "bruhat_leq_oracle",
     "support_oracle", "flag_matroid_check", "random_flag",
     "generic_weights", "ideal_element_sample", "trop_eval_poly_terms",
-    "trop_phi_enumerated", "mr_matrix", "phi_minors",
+    "trop_phi_enumerated", "mr_matrix", "phi_minors", "normalize_blocks",
     "is_positive_distinguished",
 ]
 
@@ -187,10 +187,25 @@ def mr_matrix(v: Perm, w: Perm, a) -> list[list[Fraction]]:
     return m
 
 
+def normalize_blocks(p):
+    """p with each size block times one / its lexicographically least
+    supported coordinate, by semiring arithmetic on ``p.coords``, a block
+    whose unit is already one copied as it is: a normalization apart from
+    the integer view that the library's ``canonicalize`` reads."""
+    src, one, coords = p.coords, p.one, {}
+    for block in p.support().values():
+        if block:
+            unit = src[min(block)]
+            inv = one / unit
+            for I in block:
+                coords[I] = src[I] if unit == one else src[I] * inv
+    return type(p)(p.n, coords)
+
+
 def phi_minors(v: Perm, w: Perm, a) -> PlueckerVector:
     """phi as the top-rows minors of the cell matrix, by cofactor
-    expansion, then canonical per-size normalization."""
-    return _top_minors(mr_matrix(v, w, a)).canonicalize()
+    expansion, then per-size normalization (``normalize_blocks``)."""
+    return normalize_blocks(_top_minors(mr_matrix(v, w, a)))
 
 
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
@@ -236,7 +251,7 @@ def trop_phi_enumerated(v: Perm, w: Perm, x) -> TropPlueckerVector:
             best = best + total
         if not best.is_inf:
             coords[I] = best
-    return TropPlueckerVector(d.n, coords).canonicalize()
+    return normalize_blocks(TropPlueckerVector(d.n, coords))
 
 
 def ideal_element_sample(n: int, count: int, seed: int,

@@ -48,10 +48,35 @@ def index_to_str(I: Index) -> str:
 def index_from_str(s: str) -> Index:
     if not s:
         raise ValueError("the index key is empty")
-    parts = tuple(int(x) for x in s.split(","))
+    try:
+        parts = tuple(int(x) for x in s.split(","))
+    except ValueError:
+        raise ValueError(f"index key {s!r} does not parse as comma-separated "
+                         "integers") from None
     if tuple(sorted(set(parts))) != parts:
         raise ValueError(f"index must be sorted and duplicate-free: {s!r}")
     return parts
+
+
+def _parse_keyed(items: Mapping[str, object], noun: str, what: str,
+                 parse_key: Callable[[str], object],
+                 parse_value: Callable[[object], object]) -> dict:
+    """``{parse_key(key): parse_value(val)}`` over a JSON object's items.
+    A key that does not parse raises ``parse_key``'s own ValueError; two
+    keys that parse to the same ``what``, and a value that does not parse,
+    raise one naming the keys, or prefixed "<noun> <key>: "."""
+    out, keys = {}, {}
+    for key, val in items.items():
+        k = parse_key(key)
+        if k in keys:
+            raise ValueError(f"keys {keys[k]!r} and {key!r} name the same {what}")
+        try:
+            keys[k], out[k] = key, parse_value(val)
+        except ZeroDivisionError:
+            raise ValueError(f"{noun} {key}: zero denominator in {val!r}") from None
+        except ValueError as exc:
+            raise ValueError(f"{noun} {key}: {exc}") from None
+    return out
 
 
 def _check_index(I: Index, n: int) -> None:
@@ -83,11 +108,13 @@ class _Vector:
     Subclasses fix the semiring (``zero``, ``one``) and the text form of a
     coordinate (``parse``, ``render``).
 
-    A vector that ``phi`` or ``trop_phi`` returns holds the raw sweep
-    ``(raw, L)`` instead of coordinates. They render (``_render``) when
-    ``coords`` is first read, which drops the raw form, so an edit made
-    through ``coords`` is what every later reader sees. Until then the
-    deciders read the raw sweep's integers (``_int_view``)."""
+    One integer view, ``_int_view``, reads a vector's values; ``support``,
+    the deciders, ``canonicalize`` and the first read of ``coords`` all
+    take it. A vector that ``phi`` or ``trop_phi`` returns holds the raw
+    sweep ``(raw, L)`` instead of coordinates, and the view reads its
+    integers. When ``coords`` is first read it is normalized from the view
+    (``_canonical_coords``) and the raw form is dropped, so an edit made
+    through ``coords`` is what every later reader sees."""
 
     def __init__(self, n: int, coords: dict[Index, object] | None = None):
         self.n = n
@@ -104,7 +131,7 @@ class _Vector:
     @property
     def coords(self) -> dict[Index, object]:
         if self._raw is not None:
-            self._coords, self._raw = _render(self.n, *self._raw, self.signed), None
+            self._coords, self._raw = self._canonical_coords(), None
         return self._coords
 
     @coords.setter
@@ -123,69 +150,62 @@ class _Vector:
         return self.coords.get(tuple(sorted(I)), self.zero)
 
     def support(self) -> dict[int, set[Index]]:
-        return self._support()[0]
+        return self._int_view()[0]
 
     def canonicalize(self):
         """Divide each size block by its lexicographically minimal supported
         coordinate (the Gale minimum, whenever the support is a matroid), so
-        that coordinate becomes one: 1 classically, 0 tropically. A block
-        whose unit is already one is copied as it is; the others are
-        multiplied by one / unit, which is exact for int coordinates too.
-        """
-        src, one = self.coords, self.one
-        coords: dict[Index, object] = {}
-        for block in self.support().values():
-            if not block:
-                continue
-            unit = src[min(block)]
-            if unit == one:
-                for I in block:
-                    coords[I] = src[I]
-            else:
-                inv = one / unit
-                for I in block:
-                    coords[I] = src[I] * inv
-        return type(self)(self.n, coords)
+        that coordinate becomes one: 1 classically, 0 tropically. Each
+        coordinate is a Fraction, or a Trop of one. A vector that holds the
+        raw sweep renders first, so the result comes in the order of a
+        vector given its coordinates."""
+        self.coords     # renders a raw-backed vector
+        return type(self)(self.n, self._canonical_coords())
 
-    def _support(self) -> tuple[dict[int, set[Index]], bool]:
-        """The supported keys per size 1..n-1, and whether a coordinate is
-        negative, in one pass that reads each classical coordinate's
-        numerator (an int or Fraction) or each tropical one's value. Keys
-        are not checked (``check_indices`` does that), but a key of size 0
-        or n or more raises its ValueError."""
-        sup: dict[int, set[Index]] = {k: set() for k in range(1, self.n)}
-        negative = False
-        try:
-            if self.signed:
-                for I, val in self.coords.items():
-                    sign = val.numerator
-                    if sign:
-                        sup[len(I)].add(I)
-                        negative |= sign < 0
-            else:
-                for I, val in self.coords.items():
-                    if val.value is not None:
-                        sup[len(I)].add(I)
-        except KeyError:        # a key of size 0 or >= n
-            self.check_indices()
-            raise
-        return sup, negative
+    def _canonical_coords(self) -> dict[Index, object]:
+        """The canonical coordinates, block by block from ``_int_view``:
+        Fraction(x_I, x_unit) classically, Trop(Fraction(Q_I, L))
+        tropically, in the order of the view's blocks."""
+        sup, _, values, L = self._int_view()
+        coords: dict[Index, object] = {}
+        for block in sup.values():
+            if block:
+                unit = values[min(block)]
+                for I in block:
+                    coords[I] = (Fraction(values[I], unit) if self.signed
+                                 else Trop(Fraction(values[I], L)))
+        return coords
 
     def _int_view(self) -> tuple[dict[int, set[Index]], bool,
                                  Mapping[Index, int | Fraction], int]:
-        """What the deciders read: ``(sup, negative, values, L)``, the
-        supported indices per size 1..n-1, whether a coordinate is
-        negative, and a value per supported index. On the raw sweep a
-        classical value is raw_I times the sign of its block's raw unit,
-        the coordinate times a positive factor per block, and a tropical
-        one is Q_I = raw_I - raw_unit with the sweep's L. Otherwise they
-        come from ``_support``: the coordinates themselves with L = 1
-        classically, and ``_scaled``'s (Q, L) tropically."""
+        """The only read of a vector's values: ``(sup, negative, values,
+        L)``, the supported indices per size 1..n-1, whether a coordinate
+        is negative, and a value at each supported index, a fixed multiple
+        of the canonical coordinate per block. Classically a value is the
+        coordinate itself (L = 1; zero ones are kept), or on the raw sweep
+        raw_I times the sign of its block's raw unit. Tropically it is the
+        int Q_I = L (p_I - p_unit): the raw sweep gives raw_I - raw_unit
+        with its L, and coordinates (Trops of ints or Fractions) are scaled
+        by the lcm L of the finite ones' denominators (1 when there are
+        none). Keys are not checked (``check_indices`` does that), but a
+        key of size 0 or n or more raises its ValueError."""
+        signed = self.signed
         if self._raw is None:
-            sup, negative = self._support()
-            return (sup, negative, self.coords, 1) if self.signed \
-                else (sup, negative, *self._scaled(sup))
-        (raw, L), signed = self._raw, self.signed
+            coords, sup = self._coords, {k: set() for k in range(1, self.n)}
+            try:
+                for I, val in coords.items():
+                    if (val.numerator if signed else val.value is not None):
+                        sup[len(I)].add(I)
+            except KeyError:        # a key of size 0 or >= n
+                self.check_indices()
+                raise
+            if signed:
+                return sup, any(x.numerator < 0 for x in coords.values()), coords, 1
+            Q, L = _scale_to_ints({I: coords[I].value
+                                   for block in sup.values() for I in block})
+            units = {k: Q[min(block)] for k, block in sup.items() if block}
+            return sup, False, {I: q - units[len(I)] for I, q in Q.items()}, L
+        raw, L = self._raw
         sup, values = {}, {}
         for k, found in enumerate(_raw_blocks(self.n, raw, 0 if signed else None),
                                   start=1):
@@ -223,29 +243,17 @@ class _Vector:
         items = obj.get("coords", {})
         if not isinstance(items, dict):
             raise ValueError("coords must be a JSON object")
-        coords, keys = {}, {}
-        for key, val in items.items():
-            I = index_from_str(key)
-            if I in keys:
-                raise ValueError(f"keys {keys[I]!r} and {key!r} name the "
-                                 "same index")
-            keys[I], coords[I] = key, cls._parse_coord(key, val)
+        coords = _parse_keyed(items, "coordinate", "index", index_from_str,
+                             cls._parse_coord)
         for I in coords:
             _check_index(I, n)
         return cls(n, {I: v for I, v in coords.items() if v != cls.zero})
 
     @classmethod
-    def _parse_coord(cls, key: str, val: str):
+    def _parse_coord(cls, val: str):
         if not isinstance(val, str):
-            raise ValueError(f"coordinate {key}: expected a string, "
-                             f"got {val!r}")
-        try:
-            return cls.parse(val)
-        except ZeroDivisionError:
-            raise ValueError(
-                f"coordinate {key}: zero denominator in {val!r}") from None
-        except ValueError as exc:
-            raise ValueError(f"coordinate {key}: {exc}") from None
+            raise ValueError(f"expected a string, got {val!r}")
+        return cls.parse(val)
 
 
 class PlueckerVector(_Vector):
@@ -258,22 +266,6 @@ class TropPlueckerVector(_Vector):
     """Min-plus coordinates; omitted indices are infinity."""
     mode, zero, one, signed = "tropical", TROP_INF, Trop(Fraction(0)), False
     parse, render = staticmethod(trop_from_str), staticmethod(trop_to_str)
-
-    def _scaled(self, sup: Mapping[int, set[Index]]) -> tuple[dict[Index, int], int]:
-        """``(Q, L)`` for the support ``sup`` of ``_support``: L is the
-        lcm of the finite coordinates' denominators (1 when there are
-        none), and Q_I = L (p_I - p_unit) is an int, the unit being the
-        lexicographically least supported index of I's size: the
-        canonical vector times L. Coordinates are Trops of ints or
-        Fractions."""
-        Q, L = _scale_to_ints({I: self.coords[I].value
-                               for block in sup.values() for I in block})
-        for block in sup.values():
-            if block:
-                shift = Q[min(block)]
-                for I in block:
-                    Q[I] -= shift
-        return Q, L
 
 
 # ---------------------------------------------------------------------------
@@ -363,24 +355,6 @@ def _raw_blocks(n: int, raw: list, absent) -> Iterator[list[tuple[Index, int]]]:
     raw values, in lexicographic order (so the unit comes first)."""
     for block in _index_masks(n):
         yield [(I, raw[S]) for I, S in block if raw[S] != absent]
-
-
-def _render(n: int, raw: list, L: int, signed: bool) -> dict[Index, object]:
-    """The coordinates that the raw pass ``(raw, L)`` gives, with canonical
-    per-size normalization, rendered when a vector's ``coords`` is first
-    read: Fractions and Trops are built only here."""
-    coords = {}
-    for found in _raw_blocks(n, raw, 0 if signed else None):
-        if not found:
-            continue
-        unit, raw_of = found[0][1], dict(found)
-        # the set of supported indices, filled and iterated as
-        # ``canonicalize`` does, so the coordinates come in its order
-        for I in {I for I, _ in found}:
-            r = raw_of[I]
-            coords[I] = (Fraction(r, unit) if signed
-                         else Trop(Fraction(r - unit, L)))
-    return coords
 
 
 def _exact_weights(x: Mapping[int, object], tropical: bool,

@@ -361,6 +361,25 @@ def test_keys_naming_one_weight_id_exit_2(tmp_path, capsys, tropical, ids):
         _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("key", ["a", "1,,2"])
+def test_non_integer_index_key_is_named(tmp_path, capsys, key):
+    vec = tmp_path / "v.json"
+    vec.write_text(json.dumps({"n": 3, "coords": {key: "1"}}))
+    assert run(["decide", str(vec)]) == 2
+    assert f"bad vector file {vec}: index key {key!r} does not parse as " \
+        "comma-separated integers\n" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("tropical", [False, True])
+def test_non_integer_weight_id_is_named(tmp_path, capsys, tropical):
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"x": "1", "2": "1", "4": "1"}))
+    argv = ["plucker", EX_V, EX_W, "--weights", str(weights)]
+    assert run(argv + ["--tropical"] * tropical) == 2
+    assert f"bad weights file {weights}: weight id 'x' does not parse as an " \
+        "integer\n" in _one_line_error(capsys)
+
+
 def test_output_is_byte_identical_across_runs(capsys):
     run(["cell", EX_V, EX_W])
     first = capsys.readouterr().out
