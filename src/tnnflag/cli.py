@@ -105,12 +105,11 @@ def _cmd_plucker(args) -> int:
         raise _Malformed(f"bad weights file {args.weights}: expected a JSON "
                          "object mapping weight id -> rational string")
     parse = trop_from_str if args.tropical else rat_from_str
-    bad = f"bad weights file {args.weights}"
     try:
         weights = _parse_keyed(raw, "weight", "weight id", _weight_id, parse)
         vec = (trop_phi if args.tropical else phi)(v, w, weights)
     except ValueError as exc:
-        raise _Malformed(f"{bad}: {exc}") from exc
+        raise _Malformed(f"bad weights file {args.weights}: {exc}") from exc
     _emit(_render(lambda: vec))
     return 0
 

@@ -178,7 +178,7 @@ class _Vector:
 
     def _int_view(self) -> tuple[dict[int, set[Index]], bool,
                                  Mapping[Index, int | Fraction], int]:
-        """The only read of a vector's values: ``(sup, negative, values,
+        """The one read of a vector's values: ``(sup, negative, values,
         L)``, the supported indices per size 1..n-1, whether a coordinate
         is negative, and a value at each supported index, a fixed multiple
         of the canonical coordinate per block. Classically a value is the
