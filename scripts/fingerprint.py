@@ -10,7 +10,8 @@ tree it started from with one command per tree:
 Per cell it hashes the ``repr`` of: the wiring diagram, the generators,
 ``cell_support``, ``phi`` and ``trop_phi`` at seeded ``generic_weights``
 (each rendered, canonicalized before and after its coordinates are read),
-both deciders' certificates and ``extremal_indices``; then
+both deciders' certificates, ``extremal_indices`` and the three-term
+propagation from the point's values at the generators; then
 ``generate_relations(4, True)``. A ``repr`` shows a dict's order and a
 number's type, so the digest moves when either does.
 """
@@ -21,7 +22,9 @@ import time
 
 from tnnflag.algebra import Trop
 from tnnflag.extremal import cell_support, extremal_indices, generators
-from tnnflag.membership import decide_tnn, decide_trop
+from tnnflag.membership import (
+    decide_tnn, decide_trop, propagate_three_term, trop_propagate_three_term,
+)
 from tnnflag.oracle import generic_weights
 from tnnflag.perms import bruhat_pairs
 from tnnflag.plucker import generate_relations, phi, trop_phi
@@ -35,12 +38,15 @@ def cell_results(v, w):
     a = generic_weights(v, w, seed=SEED)
     x = {j: Trop(val) for j, val in a.items()}
     out = [build_diagram(v, w), generators(v, w), cell_support(v, w)]
-    for make, weights, decide in ((phi, a, decide_tnn),
-                                  (trop_phi, x, decide_trop)):
+    for make, weights, decide, propagate in (
+            (phi, a, decide_tnn, propagate_three_term),
+            (trop_phi, x, decide_trop, trop_propagate_three_term)):
         fresh = make(v, w, weights)
         out += [fresh.canonicalize(), fresh, fresh.canonicalize(),
                 decide(make(v, w, weights)),
-                extremal_indices(make(v, w, weights))]
+                extremal_indices(make(v, w, weights)),
+                propagate({g.index: fresh.coord(g.index)
+                           for g in generators(v, w)}, (v, w))]
     return out
 
 

@@ -192,9 +192,10 @@ def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
         propagate_three_term, psi, trop_propagate_three_term, trop_psi,
     )
     from .oracle import (
-        generic_weights, phi_minors, support_oracle, trop_phi_enumerated,
+        _propagate, enumerate_path_collections, generic_weights, phi_minors,
+        support_oracle, trop_phi_enumerated,
     )
-    from .wiring import collection_weight, enumerate_path_collections
+    from .wiring import collection_weight
 
     n = len(v)
     sup = cell_support(v, w)
@@ -232,9 +233,6 @@ def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
             assert p.coords == phi_minors(v, w, a).coords, \
                 "phi differs from the minors of the cell matrix"
         assert psi(v, w, p) == a, "psi does not invert phi"
-        assert propagate_three_term(
-            {I: p.coord(I) for I in ext}, (v, w)).coords == p.coords, \
-            "three-term propagation mismatch"
         x = {j: Trop.of(val) for j, val in a.items()}
         q = trop_phi(v, w, x)
         tcert = decide_trop(q)
@@ -247,10 +245,16 @@ def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
         assert _first_violated(three_term, values.get) is None, \
             "trop_phi violates a three-term relation"
         assert trop_psi(v, w, q) == x, "trop_psi does not invert trop_phi"
-        qc = q.canonicalize()
-        assert trop_propagate_three_term(
-            {I: qc.coord(I) for I in ext}, (v, w)).coords == qc.coords, \
-            "tropical three-term propagation mismatch"
+        for r, propagate in ((p, propagate_three_term),
+                             (q, trop_propagate_three_term)):
+            # the library's propagation gives the point, in its dict
+            # order, and so does the oracle's three-term solver
+            values = {I: r.coord(I) for I in ext}
+            ours = propagate(values, (v, w))
+            assert list(ours.coords.items()) == list(r.coords.items()), \
+                f"{r.mode} three-term propagation mismatch"
+            assert ours == _propagate(values, (v, w), type(r)), \
+                f"{r.mode} propagation differs from the three-term solver"
     return {"v": perm_to_str(v), "w": perm_to_str(w),
             "dimension": length(w) - length(v)}
 

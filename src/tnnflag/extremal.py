@@ -159,17 +159,6 @@ def extremal_index_set(p: Supported) -> frozenset[Index]:
     return frozenset(I for ch in extremal_indices(p) for I in ch.chain)
 
 
-def _xi_walk(p: Supported, S: Index, extremals: frozenset[Index]) -> Index:
-    """Iterate Xi from the supported index S until it lands in ``extremals``."""
-    cur = S
-    while cur not in extremals:
-        nxt = xi(p, cur)
-        if nxt == cur:
-            raise AssertionError(f"Xi stalled at non-extremal {cur} (bug)")
-        cur = nxt
-    return cur
-
-
 def precedes_key(I: Index):
     """Sort key for the traversal order: larger size first, then lex."""
     return (-len(I), I)

@@ -4,7 +4,10 @@ identification from a support pattern, the inverse map as one walk over
 the generators (classical, min-plus or Laurent-monomial), certificate-
 producing decision procedures for the nonnegative flag variety and the
 nonnegative flag Dressian, and three-term propagation from the values at
-the cell's generators, each relation chosen from the cell's support.
+the cell's generators. All of them go from values to a point one way: the
+walk solves the weights and the sweep of ``phi``/``trop_phi`` gives the
+point. The source paper's relation-by-relation solver is the oracle's
+independent reference (``oracle._propagate``).
 
 >>> from tnnflag.perms import perm_from_str
 >>> from fractions import Fraction
@@ -30,12 +33,9 @@ from .algebra import LaurentMonomial, Trop, rat_to_str, trop_to_str
 from .perms import Perm, bruhat_leq, gale_leq, inverse, perm_to_str
 from .plucker import (
     Index, PlueckerVector, TropPlueckerVector, _first_violated, _raw_blocks,
-    _scale_to_ints, _sweep, generate_relations, index_to_str,
+    _scale_to_ints, _sweep, generate_relations, index_to_str, phi, trop_phi,
 )
-from .extremal import (
-    SupportVector, _xi_walk, cell_support, flag_matroid_check, generators,
-    is_supported, xi,
-)
+from .extremal import flag_matroid_check, generators
 
 
 class CellCertificate(NamedTuple):
@@ -356,111 +356,51 @@ def decide_trop(p: TropPlueckerVector) -> CellCertificate:
 # Three-term propagation
 # ---------------------------------------------------------------------------
 
-def _case_c_witness(S: Index, b: int, c: int, sup: SupportVector,
-                    known: Mapping[Index, object]) -> tuple[int, int]:
-    """The strand pair (x, y) of a four-element Pluecker relation on
-    T = S - {b, y} that solves for P_S: x < b outside S, y in S - {b} not
-    between b and c, P_{S-y+x} and P_{T+c+x} already known (so supported),
-    and its third term P_{T+x+y} P_{T+b+c} unsupported. On consistent
-    input every such pair gives the same value."""
-    for x in range(1, b):
-        if x in S:
-            continue
-        for y in S:
-            if y == b or b < y < c:
-                continue
-            T = set(S) - {b, y}
-            if (tuple(sorted((set(S) - {y}) | {x})) in known
-                    and tuple(sorted(T | {c, x})) in known
-                    and not (is_supported(sup, T | {x, y})
-                             and is_supported(sup, T | {b, c}))):
-                return x, y
-    raise ValueError("three-term propagation: no usable relation at "
-                     f"{S} (inconsistent input)")
-
-
 def _propagate(values: Mapping[Index, object], cell: tuple[Perm, Perm],
-               vector_type):
-    """Solve the unknown coordinates over ``vector_type``'s semiring; the
-    relations used are subtraction-free, so one pass serves both sides."""
+               cls, walk, sweep):
+    """The point of ``cell`` whose values at its extremal indices are
+    ``values``: ``sweep`` (``phi`` or ``trop_phi``) of the weights that
+    ``walk`` (``psi`` or ``trop_psi``) solves from the canonical values,
+    each divided by its size's unit, the value at the lexicographically
+    least extremal index; each dependent value must agree with it."""
     v, w = cell
-    n = len(v)
-    sup = cell_support(v, w)
-    known: dict[Index, object] = {}
-    for g in generators(v, w):
+    gens = generators(v, w)
+    for g in gens:
         if g.index not in values:
             raise ValueError(f"missing value at extremal index {g.index}")
-        if values[g.index] == vector_type.zero:
+        if values[g.index] == cls.zero:
             raise ValueError(f"extremal index {g.index} has the zero value "
-                             f"{vector_type.render(vector_type.zero)}")
-        known[g.index] = values[g.index]
-    extremals = frozenset(known)
-
-    def val(I) -> object:
-        I = tuple(sorted(I))
-        if not is_supported(sup, I):
-            return vector_type.zero
-        if I not in known:
-            raise AssertionError(f"propagation needs {I} before it is known (bug)")
-        return known[I]
-
-    for k in range(n - 1, 0, -1):
-        first = {S: _xi_walk(sup, S, extremals)
-                 for S in sup.sets[k] if S not in extremals}
-        order = sorted(first, key=lambda S: (len(set(first[S]) - set(S)), sum(S), S))
-        for S in order:
-            b = min(set(S) - set(first[S]))
-            it = S
-            while b in it:
-                it = xi(sup, it)
-            cands = [c for c in set(it) - set(S)
-                     if c > b and is_supported(sup, tuple(sorted((set(S) - {b}) | {c})))]
-            if not cands:
-                raise ValueError(f"three-term propagation stuck at {S} "
-                                 "(inconsistent input)")
-            c = min(cands)
-            outside = [a for a in range(1, n + 1) if a not in S and a < b]
-            sb = set(S) - {b}
-            a_full = [a for a in outside
-                      if is_supported(sup, tuple(sorted(S + (a,))))]
-            if a_full:
-                a = max(a_full)
-                known[S] = (val(sb | {c}) * val(set(S) | {a})
-                            + val(sb | {a}) * val(set(S) | {c})) / val(sb | {a, c})
-                continue
-            a_swap = [a for a in outside if is_supported(sup, tuple(sorted(sb | {a})))]
-            if a_swap:
-                a = max(a_swap)
-                d_cands = [dd for dd in range(b + 1, n + 1) if dd not in S
-                           and is_supported(sup, tuple(sorted(S + (dd,))))]
-                if not d_cands:
-                    raise ValueError(f"three-term propagation stuck at {S} "
-                                     "(inconsistent input)")
-                dd = min(d_cands)
-                known[S] = val(sb | {a}) * val(set(S) | {dd}) / val(sb | {a, dd})
-                continue
-            x, y = _case_c_witness(S, b, c, sup, known)
-            known[S] = (val((set(S) - {y}) | {x}) * val(sb | {c})
-                        / val((set(S) - {b, y}) | {c, x}))
-    return vector_type(n, known).canonicalize()
+                             f"{cls.render(cls.zero)}")
+    given = cls(len(v), {g.index: values[g.index] for g in gens})
+    given = given.canonicalize()
+    q = sweep(v, w, walk(v, w, given))
+    for g in gens:
+        if not g.in_svw and q.coord(g.index) != given.coords[g.index]:
+            raise ValueError(f"the value at dependent extremal index {g.index} "
+                             "disagrees with the point the others give")
+    return q
 
 
 def propagate_three_term(values: Mapping[Index, Fraction],
                          cell: tuple[Perm, Perm]) -> PlueckerVector:
     """Rebuild every supported coordinate from its values at the extremal
-    indices (the indices of ``generators``, none of them zero) by solving
-    one three-term relation per unknown S: largest size first, then by
-    distance (the elements of S's first extremal Xi-iterate not in S), then
-    by sum(S), then lexicographically."""
-    return _propagate(values, cell, PlueckerVector)
+    indices (the indices of ``generators``, none of them zero): ``psi``'s
+    walk solves the weights from the independent values, each divided by
+    its size's unit, and ``phi`` of them is the point, canonical and
+    listed by size, each size block lexicographically. A missing or zero
+    value, an independent value that the walk finds not positive, or a
+    dependent value that disagrees with the point raises ValueError
+    naming its index. The point solves every three-term relation;
+    ``oracle._propagate`` reaches it one such relation at a time, as the
+    source paper does."""
+    return _propagate(values, cell, PlueckerVector, psi, phi)
 
 
 def trop_propagate_three_term(values: Mapping[Index, Trop],
                               cell: tuple[Perm, Perm]) -> TropPlueckerVector:
-    """Min-plus version of propagate_three_term; every unknown sits alone on
-    the monomial side of its relation, so no minimization is needed to
-    solve for it."""
-    return _propagate(values, cell, TropPlueckerVector)
+    """Min-plus version of propagate_three_term: ``trop_psi``'s walk runs
+    on Q = L (p - p_unit), and ``trop_phi`` gives the point."""
+    return _propagate(values, cell, TropPlueckerVector, trop_psi, trop_phi)
 
 
 if __name__ == "__main__":

@@ -4,9 +4,13 @@ enumerated as subword products, a subword-search Bruhat test, a
 position-by-position check of positive distinguished subexpressions, cofactor
 determinants, the cell matrix and its top-rows minors, random flags,
 sampled elements of the quadratic ideal and their tropical evaluation,
-and tropical coordinates by listing every path collection. These
-deliberately avoid the library's fast code paths so they can serve as
-oracles in tests.
+every non-intersecting path collection listed
+(``enumerate_path_collections``) and tropical coordinates read off that
+list, and the source paper's three-term propagation (``_propagate``),
+which solves one coordinate at a time from the values at the extremal
+indices, over either semiring, each step a three-term relation chosen
+from the cell's support. These deliberately avoid the library's fast
+code paths so they can serve as oracles in tests and ``verify``.
 flag_matroid_check is the library's own brute-force predicate (it lives in
 `extremal`), re-exported here.
 """
@@ -16,15 +20,19 @@ __all__ = [
     "support_oracle", "flag_matroid_check", "random_flag",
     "generic_weights", "ideal_element_sample", "trop_eval_poly_terms",
     "trop_phi_enumerated", "mr_matrix", "phi_minors", "normalize_blocks",
-    "is_positive_distinguished",
+    "is_positive_distinguished", "enumerate_path_collections",
 ]
 
 import random
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable, Iterator, Mapping
 
 from .algebra import TROP_INF, Trop
-from .extremal import flag_matroid_check
+from .extremal import (
+    Supported, SupportVector, cell_support, flag_matroid_check, generators,
+    is_supported, xi,
+)
 from .perms import (
     Perm, Subexpression, identity, inverse, left_mult_s, right_mult_s,
 )
@@ -32,7 +40,9 @@ from .plucker import (
     Index, PlueckerVector, TropPlueckerVector, all_proper_indices,
     generate_relations, phi,
 )
-from .wiring import build_diagram, enumerate_path_collections
+from .wiring import (
+    Path, PathCollection, VerticalEdge, WiringDiagram, build_diagram,
+)
 
 _MAX_N = 7
 
@@ -190,12 +200,14 @@ def mr_matrix(v: Perm, w: Perm, a) -> list[list[Fraction]]:
 def normalize_blocks(p):
     """p with each size block times one / its lexicographically least
     supported coordinate, by semiring arithmetic on ``p.coords``, a block
-    whose unit is already one copied as it is: a normalization apart from
-    the integer view that the library's ``canonicalize`` reads."""
+    whose unit is already one copied as it is, each block listed in
+    lexicographic order: a normalization apart from the integer view that
+    the library's ``canonicalize`` reads."""
     src, one, coords = p.coords, p.one, {}
     for block in p.support().values():
         if block:
-            unit = src[min(block)]
+            block = sorted(block)
+            unit = src[block[0]]
             inv = one / unit
             for I in block:
                 coords[I] = src[I] if unit == one else src[I] * inv
@@ -252,6 +264,168 @@ def trop_phi_enumerated(v: Perm, w: Perm, x) -> TropPlueckerVector:
         if not best.is_inf:
             coords[I] = best
     return normalize_blocks(TropPlueckerVector(d.n, coords))
+
+
+def _paths_from(d: WiringDiagram, strand: int, min_key: int,
+                ) -> Iterator[tuple[VerticalEdge, ...]]:
+    yield ()
+    for e in d.edges:
+        if e.lower == strand and e.key > min_key:
+            for rest in _paths_from(d, e.upper, e.key):
+                yield (e,) + rest
+
+
+def _overlap(a: tuple, b: tuple) -> bool:
+    s1, lo1, hi1 = a
+    s2, lo2, hi2 = b
+    if s1 != s2:
+        return False
+    return (hi2 is None or lo1 <= hi2) and (hi1 is None or lo2 <= hi1)
+
+
+def _disjoint_from(intervals: tuple, occupied: list[tuple]) -> bool:
+    return not any(_overlap(iv, jv) for iv in intervals for jv in occupied)
+
+
+def enumerate_path_collections(d: WiringDiagram, sources: Iterable[int],
+                               sinks: Iterable[int]) -> list[PathCollection]:
+    """All vertex-disjoint collections routing the primed ``sources`` onto
+    the strand-numbered ``sinks`` (a complete, possibly empty, list).
+    Reference code for the oracle, ``verify`` and the tests; no library
+    path lists collections.
+    """
+    src = sorted(sources)
+    snk = frozenset(sinks)
+    if len(src) != len(snk):
+        raise ValueError("|sources| must equal |sinks|")
+    per_source: list[list[tuple[Path, tuple]]] = []   # (path, its intervals)
+    for s in src:
+        strand = d.strand_of_label(s)
+        paths = [Path(s, strand, es)
+                 for es in _paths_from(d, strand, 0)
+                 if (es[-1].upper if es else strand) in snk]
+        per_source.append([(p, p.intervals()) for p in paths])
+
+    out: list[PathCollection] = []
+
+    def backtrack(idx: int, chosen: list[Path], used_sinks: set[int],
+                  occupied: list[tuple]) -> None:
+        if idx == len(src):
+            out.append(PathCollection(tuple(chosen)))
+            return
+        for p, intervals in per_source[idx]:
+            if p.sink in used_sinks or not _disjoint_from(intervals, occupied):
+                continue
+            backtrack(idx + 1, chosen + [p], used_sinks | {p.sink},
+                      occupied + list(intervals))
+
+    backtrack(0, [], set(), [])
+    out.sort(key=lambda c: tuple(p.sink for p in c.paths))
+    return out
+
+
+def _xi_walk(p: Supported, S: Index, extremals: frozenset[Index]) -> Index:
+    """Iterate Xi from the supported index S until it lands in ``extremals``."""
+    cur = S
+    while cur not in extremals:
+        nxt = xi(p, cur)
+        if nxt == cur:
+            raise AssertionError(f"Xi stalled at non-extremal {cur} (bug)")
+        cur = nxt
+    return cur
+
+
+def _case_c_witness(S: Index, b: int, c: int, sup: SupportVector,
+                    known: Mapping[Index, object]) -> tuple[int, int]:
+    """The strand pair (x, y) of a four-element Pluecker relation on
+    T = S - {b, y} that solves for P_S: x < b outside S, y in S - {b} not
+    between b and c, P_{S-y+x} and P_{T+c+x} already known (so supported),
+    and its third term P_{T+x+y} P_{T+b+c} unsupported. On consistent
+    input every such pair gives the same value."""
+    for x in range(1, b):
+        if x in S:
+            continue
+        for y in S:
+            if y == b or b < y < c:
+                continue
+            T = set(S) - {b, y}
+            if (tuple(sorted((set(S) - {y}) | {x})) in known
+                    and tuple(sorted(T | {c, x})) in known
+                    and not (is_supported(sup, T | {x, y})
+                             and is_supported(sup, T | {b, c}))):
+                return x, y
+    raise ValueError("three-term propagation: no usable relation at "
+                     f"{S} (inconsistent input)")
+
+
+def _propagate(values: Mapping[Index, object], cell: tuple[Perm, Perm],
+               vector_type):
+    """Solve the unknown coordinates over ``vector_type``'s semiring; the
+    relations used are subtraction-free, so one pass serves both sides.
+    One three-term relation per unknown S, from the values at the extremal
+    indices (the indices of ``generators``, none of them zero): largest
+    size first, then by distance (the elements of S's first extremal
+    Xi-iterate not in S), then by sum(S), then lexicographically."""
+    v, w = cell
+    n = len(v)
+    sup = cell_support(v, w)
+    known: dict[Index, object] = {}
+    for g in generators(v, w):
+        if g.index not in values:
+            raise ValueError(f"missing value at extremal index {g.index}")
+        if values[g.index] == vector_type.zero:
+            raise ValueError(f"extremal index {g.index} has the zero value "
+                             f"{vector_type.render(vector_type.zero)}")
+        known[g.index] = values[g.index]
+    extremals = frozenset(known)
+
+    def val(I) -> object:
+        I = tuple(sorted(I))
+        if not is_supported(sup, I):
+            return vector_type.zero
+        if I not in known:
+            raise AssertionError(f"propagation needs {I} before it is known (bug)")
+        return known[I]
+
+    for k in range(n - 1, 0, -1):
+        first = {S: _xi_walk(sup, S, extremals)
+                 for S in sup.sets[k] if S not in extremals}
+        order = sorted(first, key=lambda S: (len(set(first[S]) - set(S)), sum(S), S))
+        for S in order:
+            b = min(set(S) - set(first[S]))
+            it = S
+            while b in it:
+                it = xi(sup, it)
+            cands = [c for c in set(it) - set(S)
+                     if c > b and is_supported(sup, tuple(sorted((set(S) - {b}) | {c})))]
+            if not cands:
+                raise ValueError(f"three-term propagation stuck at {S} "
+                                 "(inconsistent input)")
+            c = min(cands)
+            outside = [a for a in range(1, n + 1) if a not in S and a < b]
+            sb = set(S) - {b}
+            a_full = [a for a in outside
+                      if is_supported(sup, tuple(sorted(S + (a,))))]
+            if a_full:
+                a = max(a_full)
+                known[S] = (val(sb | {c}) * val(set(S) | {a})
+                            + val(sb | {a}) * val(set(S) | {c})) / val(sb | {a, c})
+                continue
+            a_swap = [a for a in outside if is_supported(sup, tuple(sorted(sb | {a})))]
+            if a_swap:
+                a = max(a_swap)
+                d_cands = [dd for dd in range(b + 1, n + 1) if dd not in S
+                           and is_supported(sup, tuple(sorted(S + (dd,))))]
+                if not d_cands:
+                    raise ValueError(f"three-term propagation stuck at {S} "
+                                     "(inconsistent input)")
+                dd = min(d_cands)
+                known[S] = val(sb | {a}) * val(set(S) | {dd}) / val(sb | {a, dd})
+                continue
+            x, y = _case_c_witness(S, b, c, sup, known)
+            known[S] = (val((set(S) - {y}) | {x}) * val(sb | {c})
+                        / val((set(S) - {b, y}) | {c, x}))
+    return vector_type(n, known).canonicalize()
 
 
 def ideal_element_sample(n: int, count: int, seed: int,

@@ -114,7 +114,9 @@ class _Vector:
     sweep ``(raw, L)`` instead of coordinates, and the view reads its
     integers. When ``coords`` is first read it is normalized from the view
     (``_canonical_coords``) and the raw form is dropped, so an edit made
-    through ``coords`` is what every later reader sees."""
+    through ``coords`` is what every later reader sees. Every vector the
+    library builds lists its coordinates by size, each size block in
+    lexicographic order; one given its coordinates keeps their order."""
 
     def __init__(self, n: int, coords: dict[Index, object] | None = None):
         self.n = n
@@ -156,21 +158,21 @@ class _Vector:
         """Divide each size block by its lexicographically minimal supported
         coordinate (the Gale minimum, whenever the support is a matroid), so
         that coordinate becomes one: 1 classically, 0 tropically. Each
-        coordinate is a Fraction, or a Trop of one. A vector that holds the
-        raw sweep renders first, so the result comes in the order of a
-        vector given its coordinates."""
-        self.coords     # renders a raw-backed vector
+        coordinate is a Fraction, or a Trop of one, listed by size and then
+        lexicographically. A vector that holds the raw sweep is normalized
+        from its integer view and keeps its raw form."""
         return type(self)(self.n, self._canonical_coords())
 
     def _canonical_coords(self) -> dict[Index, object]:
         """The canonical coordinates, block by block from ``_int_view``:
         Fraction(x_I, x_unit) classically, Trop(Fraction(Q_I, L))
-        tropically, in the order of the view's blocks."""
+        tropically, each block in lexicographic order."""
         sup, _, values, L = self._int_view()
         coords: dict[Index, object] = {}
         for block in sup.values():
             if block:
-                unit = values[min(block)]
+                block = sorted(block)
+                unit = values[block[0]]
                 for I in block:
                     coords[I] = (Fraction(values[I], unit) if self.signed
                                  else Trop(Fraction(values[I], L)))
@@ -247,7 +249,8 @@ class _Vector:
                              cls._parse_coord)
         for I in coords:
             _check_index(I, n)
-        return cls(n, {I: v for I, v in coords.items() if v != cls.zero})
+        order = sorted(coords, key=lambda I: (len(I), I))
+        return cls(n, {I: coords[I] for I in order if coords[I] != cls.zero})
 
     @classmethod
     def _parse_coord(cls, val: str):

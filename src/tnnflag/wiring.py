@@ -2,9 +2,9 @@
 Planar wiring diagrams for Bruhat pairs v <= w: n horizontal strands,
 weighted vertical edges, and signed diagonal segments; the left-greedy
 path collections that give the extremal indices, built in one walk over
-the edges in key order; and, as the independent reference for the oracle
-and the tests, enumeration of all non-intersecting path collections with
-their signed Laurent-monomial weights.
+the edges in key order; the signed Laurent-monomial weight of a path
+collection; and the path-sum matrix. Listing every non-intersecting path
+collection is the oracle's (``oracle.enumerate_path_collections``).
 
 Geometry conventions: strand r is the r-th from the bottom; sinks are the
 right ends of the strands (sink r on strand r); sources are primed labels
@@ -25,14 +25,14 @@ crossing's run, just left of which it sits.
 __all__ = [
     "VerticalEdge", "NegativeSegment", "WiringDiagram",
     "Path", "PathCollection",
-    "build_diagram", "enumerate_path_collections", "collection_weight",
+    "build_diagram", "collection_weight",
     "left_greedy_collection", "graph_extremal_collections",
     "path_sum_matrix",
 ]
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .algebra import LaurentMonomial
 from .perms import (
@@ -174,66 +174,8 @@ def build_diagram(v: Perm, w: Perm) -> WiringDiagram:
 
 
 # ---------------------------------------------------------------------------
-# Path enumeration
+# Collection weights
 # ---------------------------------------------------------------------------
-
-def _paths_from(d: WiringDiagram, strand: int, min_key: int,
-                ) -> Iterator[tuple[VerticalEdge, ...]]:
-    yield ()
-    for e in d.edges:
-        if e.lower == strand and e.key > min_key:
-            for rest in _paths_from(d, e.upper, e.key):
-                yield (e,) + rest
-
-
-def _overlap(a: tuple, b: tuple) -> bool:
-    s1, lo1, hi1 = a
-    s2, lo2, hi2 = b
-    if s1 != s2:
-        return False
-    return (hi2 is None or lo1 <= hi2) and (hi1 is None or lo2 <= hi1)
-
-
-def _disjoint_from(intervals: tuple, occupied: list[tuple]) -> bool:
-    return not any(_overlap(iv, jv) for iv in intervals for jv in occupied)
-
-
-def enumerate_path_collections(d: WiringDiagram, sources: Iterable[int],
-                               sinks: Iterable[int]) -> list[PathCollection]:
-    """All vertex-disjoint collections routing the primed ``sources`` onto
-    the strand-numbered ``sinks`` (a complete, possibly empty, list).
-    Reference code for the oracle, ``verify`` and the tests; no library
-    path lists collections.
-    """
-    src = sorted(sources)
-    snk = frozenset(sinks)
-    if len(src) != len(snk):
-        raise ValueError("|sources| must equal |sinks|")
-    per_source: list[list[tuple[Path, tuple]]] = []   # (path, its intervals)
-    for s in src:
-        strand = d.strand_of_label(s)
-        paths = [Path(s, strand, es)
-                 for es in _paths_from(d, strand, 0)
-                 if (es[-1].upper if es else strand) in snk]
-        per_source.append([(p, p.intervals()) for p in paths])
-
-    out: list[PathCollection] = []
-
-    def backtrack(idx: int, chosen: list[Path], used_sinks: set[int],
-                  occupied: list[tuple]) -> None:
-        if idx == len(src):
-            out.append(PathCollection(tuple(chosen)))
-            return
-        for p, intervals in per_source[idx]:
-            if p.sink in used_sinks or not _disjoint_from(intervals, occupied):
-                continue
-            backtrack(idx + 1, chosen + [p], used_sinks | {p.sink},
-                      occupied + list(intervals))
-
-    backtrack(0, [], set(), [])
-    out.sort(key=lambda c: tuple(p.sink for p in c.paths))
-    return out
-
 
 def collection_weight(c: PathCollection, d: WiringDiagram) -> LaurentMonomial:
     """sgn of the source->sink assignment, times -1 per crossed negative
@@ -316,18 +258,21 @@ def graph_extremal_collections(d: WiringDiagram, k: int) -> list[PathCollection]
 # ---------------------------------------------------------------------------
 
 def path_sum_matrix(d: WiringDiagram, a: Mapping[int, Fraction]) -> list[list[Fraction]]:
-    """N[i][j] = signed weighted sum over paths from source i' to sink j."""
+    """N[i][j] = signed weighted sum over paths from source i' to sink j,
+    in one walk over the edges and -1 segments in key order, a segment
+    before an edge of the same key. Column j holds, per source, the sum
+    over the partial paths that sit on strand j: a segment negates its
+    strand's column, and an edge adds its weight times its lower strand's
+    column to its upper one's, for the paths that climb it."""
     n = d.n
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for label in range(1, n + 1):
-        strand = d.strand_of_label(label)
-        for es in _paths_from(d, strand, 0):
-            p = Path(label, strand, tuple(es))
-            mono = collection_weight(PathCollection((p,)), d)
-            x = mono.coefficient
-            for j, e in mono.exponents.items():
-                x *= Fraction(a[j]) ** e
-            out[label - 1][p.sink - 1] += x
+    out = [[Fraction(int(d.strand_of_label(i) == j)) for j in range(1, n + 1)]
+           for i in range(1, n + 1)]
+    for ev in sorted([*d.neg_segments, *d.edges], key=lambda ev: ev.key):
+        for row in out:
+            if isinstance(ev, NegativeSegment):
+                row[ev.strand - 1] = -row[ev.strand - 1]
+            else:
+                row[ev.upper - 1] += Fraction(a[ev.weight_id]) * row[ev.lower - 1]
     return out
 
 

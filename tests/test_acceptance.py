@@ -14,8 +14,9 @@ from tnnflag.membership import (
     decide_tnn, decide_trop, propagate_three_term, psi, psi_monomials,
 )
 from tnnflag.oracle import (
-    determinant_cofactor, generic_weights, ideal_element_sample, mr_matrix,
-    random_flag, support_oracle, trop_eval_poly_terms,
+    determinant_cofactor, enumerate_path_collections, generic_weights,
+    ideal_element_sample, mr_matrix, random_flag, support_oracle,
+    trop_eval_poly_terms,
 )
 from tnnflag.perms import all_perms, bruhat_leq, identity, longest_element
 from tnnflag.plucker import (
@@ -23,8 +24,7 @@ from tnnflag.plucker import (
     trop_check_relation, trop_phi, trop_terms_verdict,
 )
 from tnnflag.wiring import (
-    build_diagram, enumerate_path_collections, graph_extremal_collections,
-    path_sum_matrix,
+    build_diagram, graph_extremal_collections, path_sum_matrix,
 )
 
 EX_V, EX_W = (1, 3, 2, 4), (4, 2, 1, 3)

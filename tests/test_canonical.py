@@ -15,14 +15,19 @@ They must give equal coordinates, in equal dict order, and equal
   shifted (tropically, some to Trops of ints), and explicit zero entries;
 
 and on `random_flag`, which is not normalized and has negative
-coordinates. `support()` must leave a fresh vector unrendered and equal
-the support of a rendered copy.
+coordinates. `support()` and `canonicalize()` must leave a fresh vector
+unrendered, and `support()` must equal the support of a rendered copy.
+Every vector the library builds lists each size block in lexicographic
+order: `phi`, `trop_phi`, `canonicalize()`, `from_json_dict` and both
+propagations are checked on every fifth vector.
 """
 
 import random
 from fractions import Fraction
 
 from tnnflag.algebra import TROP_INF, Trop
+from tnnflag.extremal import generators
+from tnnflag.membership import propagate_three_term, trop_propagate_three_term
 from tnnflag.oracle import normalize_blocks, random_flag
 from tnnflag.perms import bruhat_pairs
 from tnnflag.plucker import (
@@ -95,6 +100,30 @@ VARIANTS = (lambda p, rng: p,
             lambda p, rng: _with_zeros(p))
 
 
+def _assert_lexicographic(p):
+    assert list(p.coords) == sorted(p.coords, key=lambda I: (len(I), I))
+
+
+def _check_lexicographic(fresh, cell, rng):
+    """Each vector built from ``fresh``, a result of ``phi`` or
+    ``trop_phi`` in ``cell``, lists each size block in lexicographic
+    order: its ``canonicalize()``, which leaves it unrendered; ``fresh``
+    itself; ``from_json_dict`` on its JSON with the keys shuffled; and the
+    propagation from its values at the extremal indices."""
+    _assert_lexicographic(fresh.canonicalize())
+    assert fresh._raw is not None, "canonicalize() rendered the raw sweep"
+    _assert_lexicographic(fresh)
+    obj = fresh.to_json_dict()
+    items = list(obj["coords"].items())
+    rng.shuffle(items)
+    obj["coords"] = dict(items)
+    _assert_lexicographic(type(fresh).from_json_dict(obj))
+    propagate = (propagate_three_term if fresh.signed
+                 else trop_propagate_three_term)
+    values = {g.index: fresh.coord(g.index) for g in generators(*cell)}
+    _assert_lexicographic(propagate(values, cell))
+
+
 def _weights(ids, rng, tropical):
     if tropical:
         return {j: Trop(Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
@@ -123,6 +152,7 @@ def test_normalizer_matches_the_semiring_loop_on_every_s3_to_s5_cell():
             if count % 5 == 0:
                 variant = VARIANTS[count // 5 % len(VARIANTS)]
                 _check(variant(make(v, w, weights), rng))
+                _check_lexicographic(make(v, w, weights), (v, w), rng)
             count += 1
 
 

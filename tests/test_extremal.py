@@ -12,10 +12,9 @@ from tnnflag.perms import (
     all_perms, bruhat_leq, gale_leq, identity, length, longest_element,
 )
 from tnnflag.algebra import Trop
+from tnnflag.oracle import enumerate_path_collections
 from tnnflag.plucker import PlueckerVector, TropPlueckerVector, phi
-from tnnflag.wiring import (
-    build_diagram, collection_weight, enumerate_path_collections,
-)
+from tnnflag.wiring import build_diagram, collection_weight
 
 EX_V, EX_W = (1, 3, 2, 4), (4, 2, 1, 3)
 

@@ -1,8 +1,7 @@
 """Library code never imports from the oracle: only ``oracle`` itself and
 the ``cli`` (whose ``verify`` checks the library against it) may. Listing
-every path collection is reference code in the same way: only ``wiring``,
-which defines it, ``oracle`` and ``cli`` may use
-``enumerate_path_collections``. Memory stays bounded: only the per-cell
+every path collection is reference code in the same way: only ``oracle``,
+which defines it, and ``cli`` may use ``enumerate_path_collections``. Memory stays bounded: only the per-cell
 and per-n tables named below may sit in an unbounded ``lru_cache``.
 Start-up stays cheap: no module uses ``dataclasses``, and importing the
 CLI loads neither the oracle nor the introspection modules that
@@ -20,7 +19,7 @@ import tnnflag
 
 PACKAGE = pathlib.Path(tnnflag.__file__).parent
 MAY_IMPORT_ORACLE = {"oracle", "cli"}
-MAY_ENUMERATE = {"oracle", "cli", "wiring"}
+MAY_ENUMERATE = {"oracle", "cli"}
 UNBOUNDED_CACHES = {"build_diagram", "generators", "generate_relations",
                     "_index_masks"}
 NOT_LOADED_BY_CLI = ("dataclasses", "inspect", "ast", "dis", "tokenize",

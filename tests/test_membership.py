@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tnnflag import extremal, membership
+from tnnflag import extremal, membership, oracle
 from tnnflag.algebra import TROP_INF, Trop
 from tnnflag.extremal import cell_support, extremal_index_set, generators
 from tnnflag.membership import (
@@ -193,22 +193,27 @@ def _propagation_cells():
 
 
 def _check_propagation(monkeypatch, vector_at, propagate):
-    """``propagate`` rebuilds ``vector_at(v, w, rng)`` from its extremal
-    values on every propagation cell, and case (c) is reached on each of
-    ``CASE_C_CELLS``."""
+    """The oracle's three-term solver rebuilds ``vector_at(v, w, rng)``
+    from its extremal values on every propagation cell, reaching case (c)
+    on each of ``CASE_C_CELLS``, and ``propagate`` gives the solver's
+    vector, in the same dict order."""
     reached = set()
-    witness = membership._case_c_witness
+    witness = oracle._case_c_witness
 
     def spy(*args):
         reached.add(cell)
         return witness(*args)
 
-    monkeypatch.setattr(membership, "_case_c_witness", spy)
+    monkeypatch.setattr(oracle, "_case_c_witness", spy)
     rng = random.Random(2)
     for cell in _propagation_cells():
         p = vector_at(*cell, rng)
         ext = extremal_index_set(cell_support(*cell))
-        assert propagate({I: p.coord(I) for I in ext}, cell).coords == p.coords, cell
+        values = {I: p.coord(I) for I in ext}
+        solved = oracle._propagate(values, cell, type(p))
+        assert list(solved.coords.items()) == list(p.coords.items()), cell
+        assert list(propagate(values, cell).coords.items()) == \
+            list(solved.coords.items()), cell
     assert reached >= set(CASE_C_CELLS)
 
 
@@ -254,6 +259,39 @@ def test_propagation_needs_all_extremal_values(propagate, value, problem):
     with pytest.raises(ValueError, match=r"extremal index \(\d[\d, ]*\)") as exc:
         propagate(values, top)
     assert problem in str(exc.value)
+
+
+@pytest.mark.parametrize("tropical", [False, True])
+def test_propagation_rejects_inconsistent_values(tropical):
+    """A value at a dependent extremal index doubled (classically) or
+    raised by 1 (tropically) raises ValueError naming that index, on every
+    S4 cell that has one; the top cell has none, its 9 extremal indices
+    being all independent. Classically, so does a value negated at an
+    independent index that solves a weight, on the S4 top cell."""
+    rng = random.Random(6)
+    top = (identity(4), longest_element(4))
+    propagate = trop_propagate_three_term if tropical else propagate_three_term
+
+    def bump(x):
+        return Trop(x.value + 1) if tropical else 2 * x
+
+    dependent = 0
+    for cell in _cells(4):
+        a = _weights(*cell, rng)
+        p = (trop_phi(*cell, {j: Trop(x) for j, x in a.items()}) if tropical
+             else phi(*cell, a))
+        gens = generators(*cell)
+        values = {g.index: p.coord(g.index) for g in gens}
+        edits = [(g.index, bump) for g in gens if not g.in_svw]
+        dependent += len(edits)
+        if cell == top and not tropical:
+            edits += [(g.index, lambda x: -x) for g in gens
+                      if g.new_weight_id is not None]
+        for I, edit in edits:
+            with pytest.raises(ValueError, match=re.escape(f"index {I} ")):
+                propagate({**values, I: edit(values[I])}, cell)
+    assert dependent
+    assert all(g.in_svw for g in generators(*top))
 
 
 def _jacobi_product(n, rng):

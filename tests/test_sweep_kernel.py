@@ -164,7 +164,7 @@ def _reference_sweep(v, w, x, cls):
             continue
         raw = {I: value[S] for I, S in block if S in value}
         unit = raw[min(sup)]
-        for I in sup:
+        for I in sorted(sup):
             coords[I] = (Fraction(raw[I], unit) if signed
                          else Trop(Fraction(raw[I] - unit, L)))
     return cls(d.n, coords)

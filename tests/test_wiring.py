@@ -9,11 +9,10 @@ from tnnflag.perms import (
     Word, all_perms, bruhat_leq, bruhat_pairs, canonical_w0_word, identity,
     longest_element, positive_distinguished_subexpression,
 )
-from tnnflag.oracle import mr_matrix
+from tnnflag.oracle import _paths_from, enumerate_path_collections, mr_matrix
 from tnnflag.wiring import (
-    Path, PathCollection, VerticalEdge, _paths_from, build_diagram,
-    collection_weight, enumerate_path_collections, graph_extremal_collections,
-    left_greedy_collection, path_sum_matrix,
+    Path, PathCollection, VerticalEdge, build_diagram, collection_weight,
+    graph_extremal_collections, left_greedy_collection, path_sum_matrix,
 )
 
 EX_V, EX_W = (1, 3, 2, 4), (4, 2, 1, 3)
