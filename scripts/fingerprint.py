@@ -10,18 +10,20 @@ tree it started from with one command per tree:
 Per cell it hashes the ``repr`` of: the wiring diagram, the generators,
 ``cell_support``, ``phi`` and ``trop_phi`` at seeded ``generic_weights``
 (each rendered, canonicalized before and after its coordinates are read),
-both deciders' certificates, ``extremal_indices`` and the three-term
-propagation from the point's values at the generators; then
-``generate_relations(4, True)``. A ``repr`` shows a dict's order and a
+both deciders' certificates, ``extremal_indices``, the three-term
+propagation from the point's values at the generators, and both
+deciders' certificates on seeded one-coordinate edits of the point (see
+``edits``); then ``generate_relations(4, True)``. A ``repr`` shows a dict's order and a
 number's type, so the digest moves when either does.
 """
 
 import hashlib
+import random
 import sys
 import time
 
 from tnnflag.algebra import Trop
-from tnnflag.extremal import cell_support, extremal_indices, generators
+from tnnflag.extremal import cell_support, extremal_indices, generators, s_vw
 from tnnflag.membership import (
     decide_tnn, decide_trop, propagate_three_term, trop_propagate_three_term,
 )
@@ -33,7 +35,27 @@ from tnnflag.wiring import build_diagram
 SEED = 20
 
 
-def cell_results(v, w):
+def edits(p, v, w, rng):
+    """One-coordinate edits of the member p: the coordinate at a seeded
+    index outside ``s_vw`` doubled (raised by 1 tropically), negated and
+    dropped, and the lexicographically greatest index of a seeded size
+    dropped."""
+    coords = p.coords
+    out = []
+    others = sorted(set(coords) - set(s_vw(v, w)))
+    if others:
+        I = rng.choice(others)
+        x = coords[I]
+        moved = (2 * x, -x) if p.signed else (Trop(x.value + 1), Trop(-x.value))
+        out += [{**coords, I: y} for y in moved]
+        out.append({J: y for J, y in coords.items() if J != I})
+    k = rng.randrange(1, p.n)
+    top = max(J for J in coords if len(J) == k)
+    out.append({J: y for J, y in coords.items() if J != top})
+    return [type(p)(p.n, c) for c in out]
+
+
+def cell_results(v, w, rng):
     """The results of one cell, in a fixed order."""
     a = generic_weights(v, w, seed=SEED)
     x = {j: Trop(val) for j, val in a.items()}
@@ -47,15 +69,17 @@ def cell_results(v, w):
                 extremal_indices(make(v, w, weights)),
                 propagate({g.index: fresh.coord(g.index)
                            for g in generators(v, w)}, (v, w))]
+        out += [decide(q) for q in edits(fresh, v, w, rng)]
     return out
 
 
 def main() -> None:
     start = time.perf_counter()
     digest = hashlib.sha256()
+    rng = random.Random(SEED)
     for n in (3, 4, 5):
         for v, w in bruhat_pairs(n):
-            for obj in cell_results(v, w):
+            for obj in cell_results(v, w, rng):
                 digest.update(repr(obj).encode() + b"\n")
     digest.update(repr(generate_relations(4, True)).encode())
     print(digest.hexdigest())

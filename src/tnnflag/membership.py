@@ -30,10 +30,10 @@ from operator import sub, truediv
 from typing import Mapping, NamedTuple
 
 from .algebra import LaurentMonomial, Trop, rat_to_str, trop_to_str
-from .perms import Perm, bruhat_leq, gale_leq, inverse, perm_to_str
+from .perms import Perm, gale_leq, inverse, perm_to_str
 from .plucker import (
-    Index, PlueckerVector, TropPlueckerVector, _first_violated, _raw_blocks,
-    _scale_to_ints, _sweep, generate_relations, index_to_str, phi, trop_phi,
+    Index, PlueckerVector, TropPlueckerVector, _first_violated, _scale_to_ints,
+    _sweep, all_proper_indices, generate_relations, index_to_str, phi, trop_phi,
 )
 from .extremal import flag_matroid_check, generators
 
@@ -77,29 +77,30 @@ def identify_cell(support: Mapping[int, set], n: int) -> tuple[Perm, Perm]:
     ``decide_trop`` runs this, to name a rejection that no three-term
     relation names.
     """
-    blocks = {k: {tuple(sorted(B)) for B in support.get(k, set())}
+    blocks = {k: sorted({tuple(sorted(B)) for B in support.get(k, ())})
               for k in range(1, n)}
     for k, bases in blocks.items():
         if not bases:
             break                       # _lex_chain_cell names it
-        lo, hi = min(bases), max(bases)
+        lo, hi = bases[0], bases[-1]
         if not all(gale_leq(lo, B) and gale_leq(B, hi) for B in bases):
             raise ValueError(f"size {k} has no Gale extremes")
     return _lex_chain_cell(blocks, n)
 
 
-def _lex_chain_cell(support: Mapping[int, set], n: int) -> tuple[Perm, Perm]:
-    """The cell read off the lexicographically least and greatest index
-    of each size 1..n-1 of ``support`` (sorted tuples); raises ValueError
-    when a size is empty, the chains are not flags, or v is not <= w."""
-    mins: list[Index] = []
-    maxs: list[Index] = []
+def _lex_chain_cell(support: Mapping[int, list[Index]], n: int,
+                    ) -> tuple[Perm, Perm]:
+    """The cell read off the first and last index of each size 1..n-1 of
+    ``support`` (lexicographically sorted lists of sorted tuples); raises
+    ValueError when a size is empty, the chains are not flags, or v is not
+    <= w. The chains are the prefix sets of v^-1 and w^-1, so v <= w
+    exactly when each size's pair is in Gale order (the tableau
+    criterion)."""
     for k in range(1, n):
-        block = support[k]
-        if not block:
+        if not support[k]:
             raise ValueError(f"no supported index of size {k}")
-        mins.append(min(block))
-        maxs.append(max(block))
+    mins = [support[k][0] for k in range(1, n)]
+    maxs = [support[k][-1] for k in range(1, n)]
 
     def chain_to_perm(chain: list[Index]) -> Perm:
         images: list[int] = []
@@ -117,7 +118,7 @@ def _lex_chain_cell(support: Mapping[int, set], n: int) -> tuple[Perm, Perm]:
         return inverse(Perm(tuple(images)))
 
     v, w = chain_to_perm(mins), chain_to_perm(maxs)
-    if not bruhat_leq(v, w):
+    if not all(a <= b for lo, hi in zip(mins, maxs) for a, b in zip(lo, hi)):
         raise ValueError("no cell: v is not <= w in Bruhat order")
     return v, w
 
@@ -160,22 +161,16 @@ def psi(v: Perm, w: Perm, p: PlueckerVector) -> dict[int, Fraction]:
     """Recover the cell weights from the coordinates at the independent
     generating indices, which must be strictly positive: each P_I, the
     product of its collection's weights, solves its one fresh weight.
-    This is ``_ratio_walk`` with every unit 1."""
-    return _ratio_walk(v, w, p.coords, dict.fromkeys(range(1, p.n), (1, 1)))
+    This is ``_ratio_walk`` on each coordinate's (numerator, denominator)."""
+    coords = p.coords
+    return _ratio_walk(v, w, lambda I: coords.get(I, 0).as_integer_ratio())
 
 
-def _ratio_walk(v: Perm, w: Perm, coords: Mapping[Index, int | Fraction],
-                units: Mapping[int, tuple[int, int]]) -> dict[int, Fraction]:
-    """The walk on q_I = x_I / u_k as int pairs, x_I = ``coords[I]``
-    (absent: 0) and ``units[k]`` = (u.denominator, u.numerator) for the
-    unit u_k of I's size k: q_I is usable when x_I u_k > 0, dividing
-    cross-multiplies, and each solved weight is reduced once, into the
-    Fraction returned."""
-    def value(I):
-        x, (a, b) = coords.get(I, 0), units[len(I)]
-        return x.numerator * a, x.denominator * b
-
-    return _walk(v, w, value,
+def _ratio_walk(v: Perm, w: Perm, pair) -> dict[int, Fraction]:
+    """The walk on q_I = a / b for the ints (a, b) = ``pair(I)``, b
+    nonzero: q_I is usable when a b > 0, dividing cross-multiplies, and
+    each solved weight is reduced once, into the Fraction returned."""
+    return _walk(v, w, pair,
                  lambda x, y: (x[0] * y.denominator, x[1] * y.numerator),
                  lambda x: Fraction(*x), lambda x: x[0] * x[1] > 0,
                  "is not positive")
@@ -205,72 +200,54 @@ def _trop_weights(a: Mapping[int, int], L: int) -> dict[int, Trop]:
 # Decision procedures
 # ---------------------------------------------------------------------------
 
-def _first_index_order(indices) -> list[Index]:
-    return sorted(indices, key=lambda I: (len(I), I))
-
-
-def _reconstruct(p, sup: Mapping[int, set], values: Mapping[Index, int | Fraction],
-                 L: int) -> CellCertificate:
+def _reconstruct(p, sup: Mapping[int, list[Index]], values: Mapping[Index, int],
+                 L: int) -> tuple[CellCertificate, dict | None]:
     """Certify membership iff the sweep gives the input back exactly, up
     to each size block's unit, from the weights the walk solves in the
-    cell read off the lexicographic chains of the support ``sup``: the
-    walk, the raw sweep and one comparison on integers, block by block
-    (``_agrees``), all on p's ``_int_view`` ``(sup, _, values, L)``.
-    Classically the walk reads q_I = x_I / u_k, x_I the value at I and
-    u_k the unit (lexicographically least supported value) of I's size,
-    as an int pair (``_ratio_walk``), and I agrees when x.numerator
-    u.denominator raw_unit = raw_I x.denominator u.numerator. Tropically
-    it runs on Q = L (p - p_unit), its weights are L times the cell
-    weights, and I agrees when Q_I = raw_I - raw_unit. A rejection
+    cell read off the lexicographic chains of the support ``sup``, all on
+    p's ``_int_view`` ``(sup, _, values, L)``; returns the certificate and
+    the reconstruction's support (None when there is no reconstruction).
+    Classically the walk reads q_I = x_I / x_unit, the int at I over the
+    int at its size's first index (``_ratio_walk``), and the input comes
+    back when the reconstruction's view lists the same indices and
+    x_I r_unit = r_I x_unit in every block. Tropically the walk runs on
+    Q = L (p - p_unit), its weights are L times the cell weights, and the
+    input comes back when the two views' values are equal. A rejection
     checks the index keys, then names the reconstruction's own witness:
     no cell from the chains, an unusable generating coordinate, or the
     first difference, read off the rendered vectors."""
-    signed = p.signed
-    if signed:
-        units = {k: values[min(block)] for k, block in sup.items() if block}
-        units = {k: (u.denominator, u.numerator) for k, u in units.items()}
-
-        def agrees(I, r, unit):
-            x, (a, b) = values[I], units[len(I)]
-            return x.numerator * a * unit == r * x.denominator * b
-    else:
-        def agrees(I, r, unit):
-            return r - unit == values[I]
     try:
         v, w = _lex_chain_cell(sup, p.n)
     except ValueError as exc:
         p.check_indices()
-        return _non_member({"type": "no-cell", "reason": str(exc)})
+        return _non_member({"type": "no-cell", "reason": str(exc)}), None
     try:
-        a = _ratio_walk(v, w, values, units) if signed else _trop_walk(v, w, values)
+        if p.signed:
+            units = {k: values[block[0]] for k, block in sup.items()}
+            a = _ratio_walk(v, w, lambda I: (values.get(I, 0), units[len(I)]))
+        else:
+            a = _trop_walk(v, w, values)
     except ValueError as exc:
         p.check_indices()
         return _non_member({"type": "unsupported-generating-index",
-                            "reason": str(exc)})
-    raw, _ = _sweep(v, w, a, signed)
-    if _agrees(raw, sup, p.n, 0 if signed else None, agrees):
-        weights = a if signed else _trop_weights(a, L)
-        return CellCertificate("member", cell=(v, w), weights=weights)
+                            "reason": str(exc)}), None
+    r = type(p)._of_raw(p.n, _sweep(v, w, a, p.signed)[0], L)
+    r_sup, _, r_values, _ = r._int_view()
+    if p.signed:
+        same = r_sup == sup and all(
+            values[I] * r_values[block[0]] == r_values[I] * values[block[0]]
+            for block in sup.values() for I in block)
+    else:
+        same = r_values == values
+    if same:
+        weights = a if p.signed else _trop_weights(a, L)
+        return CellCertificate("member", cell=(v, w), weights=weights), r_sup
     p.check_indices()
-    return _first_difference(p.canonicalize(), type(p)._of_raw(p.n, raw, L))
-
-
-def _agrees(raw: list, sup: Mapping[int, set], n: int, absent, agrees) -> bool:
-    """Whether the raw pass has support ``sup``, block by block, and
-    ``agrees(I, raw_I, raw_unit)`` at every supported I."""
-    for k, found in enumerate(_raw_blocks(n, raw, absent), start=1):
-        block = sup[k]
-        if len(found) != len(block):
-            return False
-        unit = found[0][1] if found else None
-        for I, r in found:
-            if I not in block or not agrees(I, r, unit):
-                return False
-    return True
+    return _first_difference(p.canonicalize(), r), r_sup
 
 
 def _first_difference(q, r) -> CellCertificate:
-    for I in _first_index_order(set(q.coords) | set(r.coords)):
+    for I in all_proper_indices(q.n):
         if q.coord(I) != r.coord(I):
             return _non_member({
                 "type": "reconstruction-mismatch", "index": index_to_str(I),
@@ -284,29 +261,30 @@ def decide_tnn(p: PlueckerVector) -> CellCertificate:
     reconstruction-and-compare, certifying members by (v, w, weights).
 
     Every input gets one pass over its coordinates (``_int_view``), which
-    reads each value's sign and whether it is zero, from the raw sweep
-    when p came from ``phi`` and its coordinates were never read, and, if
-    no coordinate is negative, the reconstruction (``_reconstruct``): the
-    cell read off the lexicographic chains of the support (flag and
-    Bruhat checks), ``psi``'s walk on int pairs, the raw sweep and one
-    comparison of cross-multiplied ints against each block's unit. A
+    lists each size's supported indices lexicographically with an int at
+    each, read off the raw sweep when p came from ``phi`` and its
+    coordinates were never read, and notes whether a coordinate is
+    negative; if none is, the reconstruction (``_reconstruct``): the cell
+    read off the first and last index of each size (flag and Bruhat
+    checks), ``psi``'s walk on int pairs, the raw sweep and one comparison
+    of the two views' ints, cross-multiplied with each block's unit. A
     member needs no further check, since its support is the flag matroid
     of its cell. A rejection is named in this order: the index keys; the
-    first negative coordinate, searched for only when the pass found
-    one; the necessary flag-matroid conditions of ``flag_matroid_check``
-    on the support; the reconstruction's own witness. A size block
-    without Gale extremes is not a matroid, so that check names it.
+    first negative coordinate, searched for only when the pass found one;
+    the necessary flag-matroid conditions of ``flag_matroid_check`` on the
+    support, run only when it is not the reconstruction's (which is the
+    cell's, a flag matroid); the reconstruction's own witness. A size
+    block without Gale extremes is not a matroid, so that check names it.
     """
     sup, negative, values, L = p._int_view()
     if negative:
         p.check_indices()
-        for I in _first_index_order(values):
-            if values[I].numerator < 0:
-                return _non_member({"type": "negative-coordinate",
-                                    "index": index_to_str(I),
-                                    "value": rat_to_str(p.coords[I])})
-    cert = _reconstruct(p, sup, values, L)
-    if cert.verdict == "member" or flag_matroid_check(sup):
+        I = next(I for block in sup.values() for I in block if values[I] < 0)
+        return _non_member({"type": "negative-coordinate",
+                            "index": index_to_str(I),
+                            "value": rat_to_str(p.coords[I])})
+    cert, r_sup = _reconstruct(p, sup, values, L)
+    if r_sup == sup or flag_matroid_check(sup):
         return cert
     return _non_member({"type": "support-not-flag-matroid"})
 
@@ -334,7 +312,7 @@ def decide_trop(p: TropPlueckerVector) -> CellCertificate:
     vector).
     """
     sup, _, Q, L = p._int_view()
-    cert = _reconstruct(p, sup, Q, L)
+    cert, _ = _reconstruct(p, sup, Q, L)
     if cert.verdict == "member":
         return cert
     rel = _first_violated(generate_relations(p.n, True), Q.get)

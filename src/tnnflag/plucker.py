@@ -108,15 +108,18 @@ class _Vector:
     Subclasses fix the semiring (``zero``, ``one``) and the text form of a
     coordinate (``parse``, ``render``).
 
-    One integer view, ``_int_view``, reads a vector's values; ``support``,
-    the deciders, ``canonicalize`` and the first read of ``coords`` all
-    take it. A vector that ``phi`` or ``trop_phi`` returns holds the raw
-    sweep ``(raw, L)`` instead of coordinates, and the view reads its
-    integers. When ``coords`` is first read it is normalized from the view
-    (``_canonical_coords``) and the raw form is dropped, so an edit made
-    through ``coords`` is what every later reader sees. Every vector the
-    library builds lists its coordinates by size, each size block in
-    lexicographic order; one given its coordinates keeps their order."""
+    One integer view, ``_int_view``, reads a vector's values: per size, its
+    supported indices in lexicographic order and an int at each, a positive
+    multiple of the canonical coordinate per block up to the sign of the
+    block's unit. ``support``, the deciders, ``canonicalize`` and the first
+    read of ``coords`` all take it. A vector that ``phi`` or ``trop_phi``
+    returns holds the raw sweep ``(raw, L)`` instead of coordinates, and
+    the view reads its integers. When ``coords`` is first read it is
+    normalized from the view (``_canonical_coords``) and the raw form is
+    dropped, so an edit made through ``coords`` is what every later reader
+    sees. Every vector the library builds lists its coordinates by size,
+    each size block in lexicographic order; one given its coordinates
+    keeps their order."""
 
     def __init__(self, n: int, coords: dict[Index, object] | None = None):
         self.n = n
@@ -152,7 +155,7 @@ class _Vector:
         return self.coords.get(tuple(sorted(I)), self.zero)
 
     def support(self) -> dict[int, set[Index]]:
-        return self._int_view()[0]
+        return {k: set(block) for k, block in self._int_view()[0].items()}
 
     def canonicalize(self):
         """Divide each size block by its lexicographically minimal supported
@@ -166,55 +169,53 @@ class _Vector:
     def _canonical_coords(self) -> dict[Index, object]:
         """The canonical coordinates, block by block from ``_int_view``:
         Fraction(x_I, x_unit) classically, Trop(Fraction(Q_I, L))
-        tropically, each block in lexicographic order."""
+        tropically."""
         sup, _, values, L = self._int_view()
         coords: dict[Index, object] = {}
         for block in sup.values():
             if block:
-                block = sorted(block)
                 unit = values[block[0]]
                 for I in block:
                     coords[I] = (Fraction(values[I], unit) if self.signed
                                  else Trop(Fraction(values[I], L)))
         return coords
 
-    def _int_view(self) -> tuple[dict[int, set[Index]], bool,
-                                 Mapping[Index, int | Fraction], int]:
+    def _int_view(self) -> tuple[dict[int, list[Index]], bool,
+                                 dict[Index, int], int]:
         """The one read of a vector's values: ``(sup, negative, values,
-        L)``, the supported indices per size 1..n-1, whether a coordinate
-        is negative, and a value at each supported index, a fixed multiple
-        of the canonical coordinate per block. Classically a value is the
-        coordinate itself (L = 1; zero ones are kept), or on the raw sweep
-        raw_I times the sign of its block's raw unit. Tropically it is the
-        int Q_I = L (p_I - p_unit): the raw sweep gives raw_I - raw_unit
-        with its L, and coordinates (Trops of ints or Fractions) are scaled
-        by the lcm L of the finite ones' denominators (1 when there are
-        none). Keys are not checked (``check_indices`` does that), but a
-        key of size 0 or n or more raises its ValueError."""
-        signed = self.signed
-        if self._raw is None:
-            coords, sup = self._coords, {k: set() for k in range(1, self.n)}
+        L)``, the supported indices per size 1..n-1 in lexicographic order,
+        whether a coordinate is negative, and an int at each supported
+        index. Coordinates are first scaled to ints x_I by the lcm L of
+        their denominators (1 when there are none); the raw sweep gives
+        its ints and its L. Then, per block, a classical value is x_I, on
+        the raw sweep times the sign of its block's unit (the coordinate
+        times a positive factor per block), and a tropical one is
+        Q_I = x_I - x_unit = L (p_I - p_unit). Keys are not checked
+        (``check_indices`` does that), but a key of size 0 or n or more
+        raises its ValueError."""
+        signed, swept = self.signed, self._raw is not None
+        if not swept:
+            coords, sup = self._coords, {k: [] for k in range(1, self.n)}
             try:
                 for I, val in coords.items():
                     if (val.numerator if signed else val.value is not None):
-                        sup[len(I)].add(I)
+                        sup[len(I)].append(I)
             except KeyError:        # a key of size 0 or >= n
                 self.check_indices()
                 raise
-            if signed:
-                return sup, any(x.numerator < 0 for x in coords.values()), coords, 1
-            Q, L = _scale_to_ints({I: coords[I].value
+            x, L = _scale_to_ints({I: coords[I] if signed else coords[I].value
                                    for block in sup.values() for I in block})
-            units = {k: Q[min(block)] for k, block in sup.items() if block}
-            return sup, False, {I: q - units[len(I)] for I, q in Q.items()}, L
-        raw, L = self._raw
+            blocks = [[(I, x[I]) for I in sorted(block)] for block in sup.values()]
+        else:
+            raw, L = self._raw
+            blocks = _raw_blocks(self.n, raw, 0 if signed else None)
         sup, values = {}, {}
-        for k, found in enumerate(_raw_blocks(self.n, raw, 0 if signed else None),
-                                  start=1):
-            sup[k] = {I for I, _ in found}
+        for k, found in enumerate(blocks, start=1):
+            sup[k] = [I for I, _ in found]
             if found:
                 unit = found[0][1]
-                sign, shift = (-1 if unit < 0 else 1, 0) if signed else (1, unit)
+                sign, shift = ((-1 if swept and unit < 0 else 1, 0)
+                               if signed else (1, unit))
                 values.update(found if (sign, shift) == (1, 0) else
                               ((I, sign * r - shift) for I, r in found))
         negative = signed and min(values.values(), default=0) < 0

@@ -17,12 +17,15 @@ from collections import Counter
 
 from tnnflag import membership
 from tnnflag.algebra import Trop, rat_to_str
+from tnnflag.extremal import s_vw
 from tnnflag.membership import (
     CellCertificate, _reconstruct, decide_tnn, decide_trop, identify_cell,
     psi, trop_psi,
 )
 from tnnflag.oracle import flag_matroid_check, generic_weights, random_flag
-from tnnflag.perms import all_perms, bruhat_leq, gale_leq
+from tnnflag.perms import (
+    all_perms, bruhat_leq, gale_leq, identity, longest_element,
+)
 from tnnflag.plucker import (
     PlueckerVector, TropPlueckerVector, all_proper_indices,
     generate_relations, index_to_str, phi, trop_check_relation, trop_phi,
@@ -151,7 +154,7 @@ def _compare(classical, tropical):
     for p in classical + tropical:
         fns = (trop_psi, trop_phi) if p.mode == "tropical" else (psi, phi)
         sup, _, values, L = p._int_view()
-        cert = _reconstruct(p, sup, values, L)
+        cert, _ = _reconstruct(p, sup, values, L)
         try:
             identify_cell(sup, p.n)
         except ValueError as exc:
@@ -243,6 +246,33 @@ def test_decide_tnn_names_a_rejection_with_one_flag_matroid_check(monkeypatch):
         calls.clear()
         assert decide_tnn(p).to_json_dict() == want, p.coords
         assert calls == {"flag_matroid_check": 1}, (calls, p.coords)
+
+
+def test_decide_tnn_skips_the_flag_matroid_check_on_the_cell_support(monkeypatch):
+    """A non-generating coordinate doubled keeps the support, which is
+    then the reconstruction's, the cell's: decide_tnn names the rejection
+    with no flag-matroid check, and its certificate is unchanged. Every
+    non-generating coordinate of every S4 cell, and three of the S7 top
+    cell."""
+    rng = random.Random(19)
+    inputs = []
+    for v, w in _cells(4) + [(identity(7), longest_element(7))]:
+        p = phi(v, w, generic_weights(v, w, seed=rng.randrange(1000)))
+        others = sorted(set(p.coords) - set(s_vw(v, w)))
+        if len(v) == 7:
+            others = rng.sample(others, 3)
+        inputs += [PlueckerVector(p.n, {**p.coords, I: 2 * p.coords[I]})
+                   for I in others]
+    wanted = [decide_tnn_checks_first(p).to_json_dict() for p in inputs]
+    calls = _count_calls(monkeypatch, membership, ["flag_matroid_check"])
+    seen = Counter()
+    for p, want in zip(inputs, wanted):
+        cert = decide_tnn(p).to_json_dict()
+        assert cert == want, p.coords
+        seen[cert.get("witness", {}).get("type", "member")] += 1
+    assert calls == {}, calls
+    assert len(inputs) > 300
+    assert seen == {"reconstruction-mismatch": len(inputs)}, seen
 
 
 def test_decide_trop_runs_identify_cell_only_without_a_violation(monkeypatch):
