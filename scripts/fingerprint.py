@@ -13,8 +13,8 @@ Per cell it hashes the ``repr`` of: the wiring diagram, the generators,
 both deciders' certificates, ``extremal_indices``, the three-term
 propagation from the point's values at the generators, and both
 deciders' certificates on seeded one-coordinate edits of the point (see
-``edits``); then ``generate_relations(4, True)``. A ``repr`` shows a dict's order and a
-number's type, so the digest moves when either does.
+``edits``); then ``generate_relations(4, True)``. A ``repr`` shows a
+dict's order and a number's type, so the digest moves when either does.
 """
 
 import hashlib
