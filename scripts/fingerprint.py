@@ -9,7 +9,8 @@ tree it started from with one command per tree:
 
 Per cell it hashes the ``repr`` of: the wiring diagram, the generators,
 ``cell_support``, ``phi`` and ``trop_phi`` at seeded ``generic_weights``
-(each rendered, canonicalized before and after its coordinates are read),
+(``psi`` or ``trop_psi`` of the fresh, unrendered point, then the point
+rendered, canonicalized before and after its coordinates are read),
 both deciders' certificates, ``extremal_indices``, the three-term
 propagation from the point's values at the generators, and both
 deciders' certificates on seeded one-coordinate edits of the point (see
@@ -25,7 +26,8 @@ import time
 from tnnflag.algebra import Trop
 from tnnflag.extremal import cell_support, extremal_indices, generators, s_vw
 from tnnflag.membership import (
-    decide_tnn, decide_trop, propagate_three_term, trop_propagate_three_term,
+    decide_tnn, decide_trop, propagate_three_term, psi, trop_propagate_three_term,
+    trop_psi,
 )
 from tnnflag.oracle import generic_weights
 from tnnflag.perms import bruhat_pairs
@@ -60,11 +62,11 @@ def cell_results(v, w, rng):
     a = generic_weights(v, w, seed=SEED)
     x = {j: Trop(val) for j, val in a.items()}
     out = [build_diagram(v, w), generators(v, w), cell_support(v, w)]
-    for make, weights, decide, propagate in (
-            (phi, a, decide_tnn, propagate_three_term),
-            (trop_phi, x, decide_trop, trop_propagate_three_term)):
+    for make, weights, walk, decide, propagate in (
+            (phi, a, psi, decide_tnn, propagate_three_term),
+            (trop_phi, x, trop_psi, decide_trop, trop_propagate_three_term)):
         fresh = make(v, w, weights)
-        out += [fresh.canonicalize(), fresh, fresh.canonicalize(),
+        out += [walk(v, w, fresh), fresh.canonicalize(), fresh, fresh.canonicalize(),
                 decide(make(v, w, weights)),
                 extremal_indices(make(v, w, weights)),
                 propagate({g.index: fresh.coord(g.index)

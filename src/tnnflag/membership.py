@@ -32,8 +32,8 @@ from typing import Mapping, NamedTuple
 from .algebra import LaurentMonomial, Trop, rat_to_str, trop_to_str
 from .perms import Perm, gale_leq, inverse, perm_to_str
 from .plucker import (
-    Index, PlueckerVector, TropPlueckerVector, _first_violated, _scale_to_ints,
-    _sweep, all_proper_indices, generate_relations, index_to_str, phi, trop_phi,
+    Index, PlueckerVector, TropPlueckerVector, _first_violated, _sweep,
+    all_proper_indices, generate_relations, index_to_str, phi, trop_phi,
 )
 from .extremal import flag_matroid_check, generators
 
@@ -150,7 +150,8 @@ def _walk(v: Perm, w: Perm, value, div, solved, usable, problem: str) -> dict:
 
 
 def psi_monomials(v: Perm, w: Perm) -> dict[int, LaurentMonomial]:
-    """Each cell weight as a Laurent monomial in the coordinates at the
+    """Each cell weight as a Laurent monomial in the canonical coordinates
+    (each size's unit, the coordinate at v^-1(1..k), is 1) at the
     independent generating indices: ``psi``'s walk over the variables
     P_I themselves."""
     return _walk(v, w, lambda I: LaurentMonomial(1, {I: 1}), truediv,
@@ -158,38 +159,56 @@ def psi_monomials(v: Perm, w: Perm) -> dict[int, LaurentMonomial]:
 
 
 def psi(v: Perm, w: Perm, p: PlueckerVector) -> dict[int, Fraction]:
-    """Recover the cell weights from the coordinates at the independent
-    generating indices, which must be strictly positive: each P_I, the
-    product of its collection's weights, solves its one fresh weight.
-    This is ``_ratio_walk`` on each coordinate's (numerator, denominator)."""
-    coords = p.coords
-    return _ratio_walk(v, w, lambda I: coords.get(I, 0).as_integer_ratio())
+    """Recover the cell weights of the point p: ``_solve`` on p's
+    ``_int_view``. Each coordinate at an independent generating index is
+    read against its size's unit, the coordinate at v^-1(1..k), and must
+    be positive once divided by it, or a ValueError names the first that
+    is not. So the weights are those of the projective point, whatever
+    block scaling represents it, and a vector from ``phi`` is not
+    rendered:
 
-
-def _ratio_walk(v: Perm, w: Perm, pair) -> dict[int, Fraction]:
-    """The walk on q_I = a / b for the ints (a, b) = ``pair(I)``, b
-    nonzero: q_I is usable when a b > 0, dividing cross-multiplies, and
-    each solved weight is reduced once, into the Fraction returned."""
-    return _walk(v, w, pair,
-                 lambda x, y: (x[0] * y.denominator, x[1] * y.numerator),
-                 lambda x: Fraction(*x), lambda x: x[0] * x[1] > 0,
-                 "is not positive")
-
-
-def _trop_walk(v: Perm, w: Perm, Q: Mapping[Index, int]) -> dict[int, int]:
-    """The same walk read min-plus on integer coordinates Q (absent:
-    infinite): each weight is a difference of Q values, so Q scaled by
-    L gives the weights scaled by L."""
-    return _walk(v, w, Q.get, sub, lambda x: x, lambda x: x is not None, "is infinite")
+    >>> from tnnflag.perms import perm_from_str
+    >>> from tnnflag.plucker import phi
+    >>> v, w = perm_from_str("1324"), perm_from_str("4213")
+    >>> p = phi(v, w, {1: 2, 2: 3, 4: 5})
+    >>> scaled = PlueckerVector(4, {I: x * (1 + len(I)) for I, x in p.coords.items()})
+    >>> psi(v, w, scaled) == psi(v, w, p) == {1: 2, 2: 3, 4: 5}
+    True
+    """
+    return _solve(v, w, p._int_view()[2], True)
 
 
 def trop_psi(v: Perm, w: Perm, p: TropPlueckerVector) -> dict[int, Trop]:
-    """The same walk read min-plus (pure differences of finite values),
-    run on the finite coordinates times the lcm L of their denominators,
-    which are then ints; each weight is rendered divided by L."""
-    Q, L = _scale_to_ints({I: t.value for I, t in p.coords.items()
-                           if not t.is_inf})
-    return _trop_weights(_trop_walk(v, w, Q), L)
+    """The min-plus ``psi``: ``_solve`` on p's ``_int_view``, which holds
+    Q = L (p - p_unit); each coordinate at an independent generating index
+    is read against its size's unit and must be finite. The solved ints
+    are L times the cell weights, so each is rendered divided by L."""
+    _, _, Q, L = p._int_view()
+    return _trop_weights(_solve(v, w, Q, False), L)
+
+
+def _solve(v: Perm, w: Perm, values: Mapping[Index, int], signed: bool) -> dict:
+    """The weights of the cell (v, w) at the point whose ``_int_view``
+    values are ``values``: one walk over the generators, each independent
+    value x_I read against its size's value x_unit at the cell's unit
+    index v^-1(1..k). Classically the walk runs on the int pair
+    (x_I, x_unit) (absent: 0), usable when x_I x_unit > 0; dividing by a
+    weight cross-multiplies, and each weight is reduced once, into a
+    Fraction. Tropically it runs on the int x_I - x_unit (absent:
+    infinite), dividing subtracts, and the weights are ints, L times the
+    cell weights."""
+    absent, inv = 0 if signed else None, inverse(v)
+    units = {k: values.get(tuple(sorted(inv[:k])), absent) for k in range(1, len(v))}
+    if signed:
+        return _walk(v, w, lambda I: (values.get(I, 0), units[len(I)]),
+                     lambda x, y: (x[0] * y.denominator, x[1] * y.numerator),
+                     lambda x: Fraction(*x), lambda x: x[0] * x[1] > 0,
+                     "is not positive")
+    # each size's unit index is its first generator, so an infinite unit
+    # stops the walk before any value is read against it
+    return _walk(v, w, lambda I: None if (x := values.get(I)) is None
+                 else x - units[len(I)],
+                 sub, lambda x: x, lambda x: x is not None, "is infinite")
 
 
 def _trop_weights(a: Mapping[int, int], L: int) -> dict[int, Trop]:
@@ -203,30 +222,25 @@ def _trop_weights(a: Mapping[int, int], L: int) -> dict[int, Trop]:
 def _reconstruct(p, sup: Mapping[int, list[Index]], values: Mapping[Index, int],
                  L: int) -> tuple[CellCertificate, dict | None]:
     """Certify membership iff the sweep gives the input back exactly, up
-    to each size block's unit, from the weights the walk solves in the
-    cell read off the lexicographic chains of the support ``sup``, all on
-    p's ``_int_view`` ``(sup, _, values, L)``; returns the certificate and
-    the reconstruction's support (None when there is no reconstruction).
-    Classically the walk reads q_I = x_I / x_unit, the int at I over the
-    int at its size's first index (``_ratio_walk``), and the input comes
-    back when the reconstruction's view lists the same indices and
-    x_I r_unit = r_I x_unit in every block. Tropically the walk runs on
-    Q = L (p - p_unit), its weights are L times the cell weights, and the
-    input comes back when the two views' values are equal. A rejection
-    checks the index keys, then names the reconstruction's own witness:
-    no cell from the chains, an unusable generating coordinate, or the
-    first difference, read off the rendered vectors."""
+    to each size block's unit, from the weights that ``_solve`` finds in
+    the cell read off the lexicographic chains of the support ``sup``,
+    all on p's ``_int_view`` ``(sup, _, values, L)``; returns the
+    certificate and the reconstruction's support (None when there is no
+    reconstruction). The cell's unit index of size k is then sup[k][0].
+    Classically the input comes back when the reconstruction's view
+    lists the same indices and x_I r_unit = r_I x_unit in every block.
+    Tropically the weights are L times the cell weights, and the input
+    comes back when the two views' values are equal. A rejection checks
+    the index keys, then names the reconstruction's own witness: no cell
+    from the chains, an unusable generating coordinate, or the first
+    difference, read off the rendered vectors."""
     try:
         v, w = _lex_chain_cell(sup, p.n)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:     # TypeError: a key not of ints
         p.check_indices()
         return _non_member({"type": "no-cell", "reason": str(exc)}), None
     try:
-        if p.signed:
-            units = {k: values[block[0]] for k, block in sup.items()}
-            a = _ratio_walk(v, w, lambda I: (values.get(I, 0), units[len(I)]))
-        else:
-            a = _trop_walk(v, w, values)
+        a = _solve(v, w, values, p.signed)
     except ValueError as exc:
         p.check_indices()
         return _non_member({"type": "unsupported-generating-index",
@@ -266,15 +280,16 @@ def decide_tnn(p: PlueckerVector) -> CellCertificate:
     coordinates were never read, and notes whether a coordinate is
     negative; if none is, the reconstruction (``_reconstruct``): the cell
     read off the first and last index of each size (flag and Bruhat
-    checks), ``psi``'s walk on int pairs, the raw sweep and one comparison
-    of the two views' ints, cross-multiplied with each block's unit. A
-    member needs no further check, since its support is the flag matroid
-    of its cell. A rejection is named in this order: the index keys; the
-    first negative coordinate, searched for only when the pass found one;
-    the necessary flag-matroid conditions of ``flag_matroid_check`` on the
-    support, run only when it is not the reconstruction's (which is the
-    cell's, a flag matroid); the reconstruction's own witness. A size
-    block without Gale extremes is not a matroid, so that check names it.
+    checks), ``_solve``'s walk on int pairs, the raw sweep and one
+    comparison of the two views' ints, cross-multiplied with each block's
+    unit. A member needs no further check, since its support is the flag
+    matroid of its cell. A rejection is named in this order: the index
+    keys; the first negative coordinate, searched for only when the pass
+    found one; the necessary flag-matroid conditions of
+    ``flag_matroid_check`` on the support, run only when it is not the
+    reconstruction's (which is the cell's, a flag matroid); the
+    reconstruction's own witness. A size block without Gale extremes is
+    not a matroid, so that check names it.
     """
     sup, negative, values, L = p._int_view()
     if negative:
@@ -338,9 +353,10 @@ def _propagate(values: Mapping[Index, object], cell: tuple[Perm, Perm],
                cls, walk, sweep):
     """The point of ``cell`` whose values at its extremal indices are
     ``values``: ``sweep`` (``phi`` or ``trop_phi``) of the weights that
-    ``walk`` (``psi`` or ``trop_psi``) solves from the canonical values,
-    each divided by its size's unit, the value at the lexicographically
-    least extremal index; each dependent value must agree with it."""
+    ``walk`` (``psi`` or ``trop_psi``) solves from them, each read against
+    its size's unit, the value at the lexicographically least extremal
+    index. Each dependent value, canonicalized the same way, must equal
+    the point's."""
     v, w = cell
     gens = generators(v, w)
     for g in gens:
@@ -362,8 +378,8 @@ def _propagate(values: Mapping[Index, object], cell: tuple[Perm, Perm],
 def propagate_three_term(values: Mapping[Index, Fraction],
                          cell: tuple[Perm, Perm]) -> PlueckerVector:
     """Rebuild every supported coordinate from its values at the extremal
-    indices (the indices of ``generators``, none of them zero): ``psi``'s
-    walk solves the weights from the independent values, each divided by
+    indices (the indices of ``generators``, none of them zero): ``psi``
+    solves the weights from the independent values, each read against
     its size's unit, and ``phi`` of them is the point, canonical and
     listed by size, each size block lexicographically. A missing or zero
     value, an independent value that the walk finds not positive, or a
@@ -376,8 +392,8 @@ def propagate_three_term(values: Mapping[Index, Fraction],
 
 def trop_propagate_three_term(values: Mapping[Index, Trop],
                               cell: tuple[Perm, Perm]) -> TropPlueckerVector:
-    """Min-plus version of propagate_three_term: ``trop_psi``'s walk runs
-    on Q = L (p - p_unit), and ``trop_phi`` gives the point."""
+    """Min-plus version of propagate_three_term: ``trop_psi`` solves the
+    weights on Q = L (p - p_unit), and ``trop_phi`` gives the point."""
     return _propagate(values, cell, TropPlueckerVector, trop_psi, trop_phi)
 
 

@@ -80,10 +80,12 @@ def _parse_keyed(items: Mapping[str, object], noun: str, what: str,
 
 
 def _check_index(I: Index, n: int) -> None:
-    """Raise ValueError unless I is an index of size 1..n-1 over {1..n}."""
-    if not (0 < len(I) < n and I == tuple(sorted(set(I)))
+    """Raise ValueError unless I is an index of size 1..n-1 over {1..n}:
+    a sorted tuple of distinct ints."""
+    if not (type(I) is tuple and all(type(i) is int for i in I)
+            and 0 < len(I) < n and I == tuple(sorted(set(I)))
             and 1 <= I[0] and I[-1] <= n):
-        raise ValueError(f"bad index {I} for n={n}")
+        raise ValueError(f"bad index {I!r} for n={n}")
 
 
 def all_proper_indices(n: int) -> Iterator[Index]:
@@ -111,15 +113,15 @@ class _Vector:
     One integer view, ``_int_view``, reads a vector's values: per size, its
     supported indices in lexicographic order and an int at each, a positive
     multiple of the canonical coordinate per block up to the sign of the
-    block's unit. ``support``, the deciders, ``canonicalize`` and the first
-    read of ``coords`` all take it. A vector that ``phi`` or ``trop_phi``
-    returns holds the raw sweep ``(raw, L)`` instead of coordinates, and
-    the view reads its integers. When ``coords`` is first read it is
-    normalized from the view (``_canonical_coords``) and the raw form is
-    dropped, so an edit made through ``coords`` is what every later reader
-    sees. Every vector the library builds lists its coordinates by size,
-    each size block in lexicographic order; one given its coordinates
-    keeps their order."""
+    block's unit. ``support``, the deciders, ``psi``, ``trop_psi``,
+    ``canonicalize`` and the first read of ``coords`` all take it. A
+    vector that ``phi`` or ``trop_phi`` returns holds the raw sweep
+    ``(raw, L)`` instead of coordinates, and the view reads its integers.
+    When ``coords`` is first read it is normalized from the view
+    (``_canonical_coords``) and the raw form is dropped, so an edit made
+    through ``coords`` is what every later reader sees. Every vector the
+    library builds lists its coordinates by size, each size block in
+    lexicographic order; one given its coordinates keeps their order."""
 
     def __init__(self, n: int, coords: dict[Index, object] | None = None):
         self.n = n
@@ -191,8 +193,8 @@ class _Vector:
         the raw sweep times the sign of its block's unit (the coordinate
         times a positive factor per block), and a tropical one is
         Q_I = x_I - x_unit = L (p_I - p_unit). Keys are not checked
-        (``check_indices`` does that), but a key of size 0 or n or more
-        raises its ValueError."""
+        (``check_indices`` does that), but a key of size 0 or n or more,
+        or one that does not sort with the others, raises its ValueError."""
         signed, swept = self.signed, self._raw is not None
         if not swept:
             coords, sup = self._coords, {k: [] for k in range(1, self.n)}
@@ -200,24 +202,25 @@ class _Vector:
                 for I, val in coords.items():
                     if (val.numerator if signed else val.value is not None):
                         sup[len(I)].append(I)
-            except KeyError:        # a key of size 0 or >= n
+                for block in sup.values():
+                    block.sort()
+            except (KeyError, TypeError):   # a key of size 0 or >= n, or not of ints
                 self.check_indices()
                 raise
-            x, L = _scale_to_ints({I: coords[I] if signed else coords[I].value
-                                   for block in sup.values() for I in block})
-            blocks = [[(I, x[I]) for I in sorted(block)] for block in sup.values()]
+            values, L = _scale_to_ints({I: coords[I] if signed else coords[I].value
+                                        for block in sup.values() for I in block})
         else:
             raw, L = self._raw
-            blocks = _raw_blocks(self.n, raw, 0 if signed else None)
-        sup, values = {}, {}
-        for k, found in enumerate(blocks, start=1):
-            sup[k] = [I for I, _ in found]
-            if found:
-                unit = found[0][1]
-                sign, shift = ((-1 if swept and unit < 0 else 1, 0)
-                               if signed else (1, unit))
-                values.update(found if (sign, shift) == (1, 0) else
-                              ((I, sign * r - shift) for I, r in found))
+            sup, values = {}, {}
+            for k, found in enumerate(_raw_blocks(self.n, raw, 0 if signed else None),
+                                      start=1):
+                sup[k] = [I for I, _ in found]
+                values.update(found)
+        for block in sup.values():
+            unit = values[block[0]] if block else 0
+            if (swept and unit < 0) if signed else unit:
+                for I in block:
+                    values[I] = -values[I] if signed else values[I] - unit
         negative = signed and min(values.values(), default=0) < 0
         return sup, negative, values, L
 

@@ -413,14 +413,16 @@ def test_negative_units_at_the_reconstruction():
 
 def test_psi_on_int_coordinates():
     """``psi`` on members scaled to int coordinates block by block equals
-    the Fraction walk's weights, and every weight is a Fraction (on ints
-    at the generating indices alone, ``test_psi_walk.py`` checks it)."""
+    the Fraction walk's weights on the canonical point, which are the
+    member's weights, and every weight is a Fraction (on ints at the
+    generating indices alone, ``test_psi_walk.py`` checks it)."""
     rng = random.Random(177)
     for v, w in bruhat_pairs(4) + rng.sample(bruhat_pairs(5), 40):
-        p = _integral(phi(v, w, _classical_weights(build_diagram(v, w).weight_ids(),
-                                                   rng)))
+        a = _classical_weights(build_diagram(v, w).weight_ids(), rng)
+        p = _integral(phi(v, w, a))
         got = psi(v, w, p)
-        assert got == ref_psi(v, w, p), (v, w)
+        assert got == ref_psi(v, w, p.canonicalize()), (v, w)
+        assert got == a, (v, w)
         assert all(type(x) is Fraction for x in got.values()), (v, w)
 
 
