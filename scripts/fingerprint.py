@@ -7,14 +7,16 @@ tree it started from with one command per tree:
     PYTHONPATH=src python3 scripts/fingerprint.py
     PYTHONPATH=/path/to/other/checkout/src python3 scripts/fingerprint.py
 
-Per cell it hashes the ``repr`` of: the wiring diagram, the generators,
-``cell_support``, ``phi`` and ``trop_phi`` at seeded ``generic_weights``
-(``psi`` or ``trop_psi`` of the fresh, unrendered point, then the point
-rendered, canonicalized before and after its coordinates are read),
-both deciders' certificates, ``extremal_indices``, the three-term
-propagation from the point's values at the generators, and both
-deciders' certificates on seeded one-coordinate edits of the point (see
-``edits``); then ``generate_relations(4, True)``. A ``repr`` shows a
+Per cell it hashes the ``repr`` of: the wiring diagram, each generator's
+index, fresh weight id and ``in_svw``, each size's
+``graph_extremal_collections`` (the collections whose weight ids the
+generators list), ``cell_support``, ``phi`` and ``trop_phi`` at seeded
+``generic_weights`` (``psi`` or ``trop_psi`` of the fresh, unrendered
+point, then the point rendered, canonicalized before and after its
+coordinates are read), both deciders' certificates, ``extremal_indices``,
+the three-term propagation from the point's values at the generators,
+and both deciders' certificates on seeded one-coordinate edits of the
+point (see ``edits``); then ``generate_relations(4, True)``. A ``repr`` shows a
 dict's order and a number's type, so the digest moves when either does.
 """
 
@@ -32,7 +34,7 @@ from tnnflag.membership import (
 from tnnflag.oracle import generic_weights
 from tnnflag.perms import bruhat_pairs
 from tnnflag.plucker import generate_relations, phi, trop_phi
-from tnnflag.wiring import build_diagram
+from tnnflag.wiring import build_diagram, graph_extremal_collections
 
 SEED = 20
 
@@ -61,7 +63,10 @@ def cell_results(v, w, rng):
     """The results of one cell, in a fixed order."""
     a = generic_weights(v, w, seed=SEED)
     x = {j: Trop(val) for j, val in a.items()}
-    out = [build_diagram(v, w), generators(v, w), cell_support(v, w)]
+    d = build_diagram(v, w)
+    out = [d, [(g.index, g.new_weight_id, g.in_svw) for g in generators(v, w)],
+           [graph_extremal_collections(d, k) for k in range(1, len(v))],
+           cell_support(v, w)]
     for make, weights, walk, decide, propagate in (
             (phi, a, psi, decide_tnn, propagate_three_term),
             (trop_phi, x, trop_psi, decide_trop, trop_propagate_three_term)):

@@ -195,7 +195,7 @@ def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
         _propagate, enumerate_path_collections, generic_weights, phi_minors,
         support_oracle, trop_phi_enumerated,
     )
-    from .wiring import collection_weight
+    from .wiring import collection_weight, graph_extremal_collections
 
     n = len(v)
     sup = cell_support(v, w)
@@ -212,15 +212,26 @@ def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
     assert {g.index for g in gens} == ext, \
         "generators differ from the extremal chains of the support"
     d = build_diagram(v, w)
+    collections = {tuple(sorted(c.sinks)): c for k in range(1, n)
+                   for c in graph_extremal_collections(d, k)}
+    used: set[int] = set()
     for g in gens:
+        coll = collections[g.index]
         assert enumerate_path_collections(
-            d, range(1, len(g.index) + 1), g.index) == [g.collection], \
+            d, range(1, len(g.index) + 1), g.index) == [coll], \
             f"extremal index {g.index} has another path collection"
-        mono = collection_weight(g.collection, d)
+        mono = collection_weight(coll, d)
         assert mono.coefficient == 1 and \
-            mono.exponents == g.monomial.exponents, \
+            mono.exponents == dict.fromkeys(g.weight_ids, 1), \
             f"extremal coordinate at {g.index} is not a plain positive monomial"
-    s_vw(v, w)
+        fresh = set(g.weight_ids) - used
+        used |= fresh
+        assert fresh == {g.new_weight_id} - {None}, \
+            f"extremal index {g.index} introduces {len(fresh)} new edges"
+    assert {g.new_weight_id for g in gens} - {None} == set(d.weight_ids()), \
+        "not every weight got an independent generator"
+    assert len(s_vw(v, w)) == (n - 1) + length(w) - length(v), \
+        "independent generator count mismatch"
     for t in range(draws):
         a = generic_weights(v, w, seed=seed + t)
         # each fresh vector is decided before anything reads its

@@ -2,7 +2,10 @@
 Extremal index machinery: the basis-exchange map Xi, extremal chains per
 size, a brute-force check of necessary flag-matroid conditions, and the
 generators of a cell: its extremal indices read off the wiring diagram,
-whose fresh edges give the independent generating index set.
+each with the weight ids on its path collection, whose fresh ids give the
+independent generating index set. The generators hold only what
+``psi``'s walk reads; the counts the paper's theorems promise for them
+are checked by ``verify`` and the tests.
 
 All maps only consult the support (nonzero / finite) pattern, so they act
 uniformly on classical vectors, tropical vectors, and bare cell supports.
@@ -25,12 +28,11 @@ __all__ = [
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Union
 
-from .algebra import LaurentMonomial
-from .perms import Perm, length
+from .perms import Perm
 from .plucker import (
     Index, PlueckerVector, TropPlueckerVector, _raw_blocks, _sweep,
 )
-from .wiring import PathCollection, build_diagram, graph_extremal_collections
+from .wiring import build_diagram, graph_extremal_collections
 
 
 class SupportVector(NamedTuple):
@@ -169,13 +171,14 @@ def precedes_key(I: Index):
 # ---------------------------------------------------------------------------
 
 class Generator(NamedTuple):
-    """One extremal index with its left-greedy path collection (its only
-    one, as ``verify`` and the tests check); when the collection uses a wiring
-    edge not seen at any earlier extremal index, that edge's weight is newly
-    solvable from this coordinate."""
+    """One extremal index as ``psi``'s walk reads it: the weight ids on
+    its left-greedy path collection (its only one, as ``verify`` and the
+    tests check), paths by source label and each path's edges by key, so
+    the coordinate is their product. ``new_weight_id`` is the one id not
+    seen at an earlier extremal index, whose weight is solvable from this
+    coordinate; ``in_svw`` marks the independent generating indices."""
     index: Index
-    collection: PathCollection
-    monomial: LaurentMonomial
+    weight_ids: tuple[int, ...]
     new_weight_id: int | None
     in_svw: bool
 
@@ -183,48 +186,32 @@ class Generator(NamedTuple):
 @lru_cache(maxsize=None)
 def generators(v: Perm, w: Perm) -> tuple[Generator, ...]:
     """Extremal indices in traversal order: the sink sets of each size's
-    ``graph_extremal_collections``, each with the product of its
-    collection's edge weights. That the coordinate is exactly this plain
-    positive monomial is checked by ``verify`` and the tests. Only the
-    all-diagonal collection, at the Gale-minimal index, has an empty
-    monomial."""
+    ``graph_extremal_collections``, each with its collection's edge weight
+    ids. An index is independent when it adds a fresh id, or when its
+    collection is the all-diagonal one (at each size's Gale-minimal index)
+    with no ids at all. That each adds at most one fresh id, and that the
+    fresh ids are every cell weight, are checked by ``verify`` and the
+    tests, not here."""
     d = build_diagram(v, w)
-    collections = {tuple(sorted(c.sinks)): c
-                   for k in range(1, len(v)) for c in graph_extremal_collections(d, k)}
+    # a vertex-disjoint collection uses each edge once
+    ids = {tuple(sorted(c.sinks)): tuple(e.weight_id for p in c.paths
+                                         for e in p.edges)
+           for k in range(1, len(v)) for c in graph_extremal_collections(d, k)}
     used: set[int] = set()
     out: list[Generator] = []
-    for I in sorted(collections, key=precedes_key):
-        coll = collections[I]
-        # a vertex-disjoint collection uses each edge once
-        mono = LaurentMonomial(1, {e.weight_id: 1
-                                   for p in coll.paths for e in p.edges})
-        fresh = sorted(set(mono.exponents) - used)
-        used |= set(mono.exponents)
-        if not mono.exponents:
-            out.append(Generator(I, coll, mono, None, True))
-        elif fresh:
-            if len(fresh) != 1:
-                raise AssertionError(
-                    f"extremal index {I} introduces {len(fresh)} new edges; "
-                    "expected exactly one (bug)")
-            out.append(Generator(I, coll, mono, fresh[0], True))
-        else:
-            out.append(Generator(I, coll, mono, None, False))
-    solved = {g.new_weight_id for g in out if g.new_weight_id is not None}
-    if solved != set(d.weight_ids()):
-        raise AssertionError("not every weight got an independent generator (bug)")
+    for I in sorted(ids, key=precedes_key):
+        new = min(set(ids[I]) - used, default=None)
+        used.update(ids[I])
+        out.append(Generator(I, ids[I], new, new is not None or not ids[I]))
     return tuple(out)
 
 
 def s_vw(v: Perm, w: Perm) -> list[Index]:
     """The independent generating indices, in traversal order: the n-1
-    Gale-minimal indices plus one index per cell weight.
-    """
-    result = [g.index for g in generators(v, w) if g.in_svw]
-    n = len(v)
-    if len(result) != (n - 1) + (length(w) - length(v)):
-        raise AssertionError("independent generator count mismatch (bug)")
-    return result
+    Gale-minimal indices plus one index per cell weight, so
+    (n-1) + length(w) - length(v) of them, as ``verify`` and the tests
+    check."""
+    return [g.index for g in generators(v, w) if g.in_svw]
 
 
 if __name__ == "__main__":

@@ -142,7 +142,7 @@ def _walk(v: Perm, w: Perm, value, div, solved, usable, problem: str) -> dict:
             raise ValueError(f"coordinate at generating index {gen.index} {problem}")
         new = gen.new_weight_id
         if new is not None:
-            for j in gen.monomial.exponents:
+            for j in gen.weight_ids:
                 if j != new:
                     x = div(x, weights[j])
             weights[new] = solved(x)

@@ -56,10 +56,10 @@ def ref_walk(v, w, value, one, usable, problem):
             raise ValueError(f"coordinate at generating index {gen.index} {problem}")
         new = gen.new_weight_id
         if new is not None:
-            for j in gen.monomial.exponents:
+            for j in gen.weight_ids:
                 if j != new:
                     x = x / weights[j]
-            weights[new] = x if len(gen.monomial.exponents) > 1 else x / one
+            weights[new] = x if len(gen.weight_ids) > 1 else x / one
     return weights
 
 

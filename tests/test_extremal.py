@@ -5,16 +5,18 @@ from fractions import Fraction
 import pytest
 
 from tnnflag.extremal import (
-    SupportVector, cell_support, extremal_index_set, extremal_indices,
+    Generator, SupportVector, cell_support, extremal_index_set, extremal_indices,
     generators, is_supported, precedes_key, s_vw, xi,
 )
 from tnnflag.perms import (
     all_perms, bruhat_leq, gale_leq, identity, length, longest_element,
 )
-from tnnflag.algebra import Trop
+from tnnflag.algebra import LaurentMonomial, Trop
 from tnnflag.oracle import enumerate_path_collections
 from tnnflag.plucker import PlueckerVector, TropPlueckerVector, phi
-from tnnflag.wiring import build_diagram, collection_weight
+from tnnflag.wiring import (
+    build_diagram, collection_weight, graph_extremal_collections,
+)
 
 EX_V, EX_W = (1, 3, 2, 4), (4, 2, 1, 3)
 
@@ -91,11 +93,111 @@ def test_s_vw_counts():
         assert len(s_vw(v, w)) == (len(v) - 1) + (length(w) - length(v))
 
 
+def _generator_cells():
+    """Every cell of S3 and S4, a seeded 60-cell sample of S5 and the S6
+    top cell."""
+    return (_cells(3) + _cells(4) + random.Random(55).sample(_cells(5), 60)
+            + [(identity(6), longest_element(6))])
+
+
 def test_generators_solve_every_weight_once():
-    for v, w in _cells(4):
+    """The counts ``verify`` checks and the library no longer re-proves:
+    each generator adds at most one fresh weight id, its own
+    ``new_weight_id``; the fresh ids are the cell's weights, each once; and
+    ``s_vw`` has (n-1) + dim of them."""
+    for v, w in _generator_cells():
         gens = generators(v, w)
-        fresh = [g.new_weight_id for g in gens if g.new_weight_id is not None]
-        assert len(fresh) == len(set(fresh)) == length(w) - length(v)
+        used = set()
+        for g in gens:
+            fresh = set(g.weight_ids) - used
+            used |= fresh
+            assert len(fresh) <= 1, (v, w, g.index)
+            assert fresh == {g.new_weight_id} - {None}, (v, w, g.index)
+            assert g.in_svw == (bool(fresh) or not g.weight_ids), (v, w, g.index)
+        new = [g.new_weight_id for g in gens if g.new_weight_id is not None]
+        assert len(new) == len(set(new)) == length(w) - length(v), (v, w)
+        assert set(new) == set(build_diagram(v, w).weight_ids()), (v, w)
+        assert len(s_vw(v, w)) == (len(v) - 1) + length(w) - length(v), (v, w)
+
+
+def generators_reference(v, w):
+    """`generators` as it was while each generator kept its path
+    collection and its monomial, and re-checked the counts itself, kept as
+    the reference for the test below: per extremal index, (index, the
+    monomial's exponent keys, new_weight_id, in_svw)."""
+    d = build_diagram(v, w)
+    collections = {tuple(sorted(c.sinks)): c for k in range(1, len(v))
+                   for c in graph_extremal_collections(d, k)}
+    used = set()
+    out = []
+    for I in sorted(collections, key=precedes_key):
+        coll = collections[I]
+        mono = LaurentMonomial(1, {e.weight_id: 1
+                                   for p in coll.paths for e in p.edges})
+        fresh = sorted(set(mono.exponents) - used)
+        used |= set(mono.exponents)
+        if not mono.exponents:
+            out.append((I, tuple(mono.exponents), None, True))
+        elif fresh:
+            if len(fresh) != 1:
+                raise AssertionError(f"extremal index {I} introduces "
+                                     f"{len(fresh)} new edges")
+            out.append((I, tuple(mono.exponents), fresh[0], True))
+        else:
+            out.append((I, tuple(mono.exponents), None, False))
+    solved = {new for _, _, new, _ in out if new is not None}
+    if solved != set(d.weight_ids()):
+        raise AssertionError("not every weight got an independent generator")
+    return out
+
+
+def test_generators_match_reference():
+    """Each generator is its reference tuple, field for field and in the
+    same order, and holds only ints, bools and tuples: no path collection
+    and no monomial is kept in the cache."""
+    assert Generator._fields == ("index", "weight_ids", "new_weight_id",
+                                 "in_svw")
+    for v, w in _generator_cells():
+        gens = generators(v, w)
+        assert [tuple(g) for g in gens] == generators_reference(v, w), (v, w)
+        for g in gens:
+            assert type(g.weight_ids) is tuple and all(
+                type(j) is int for j in g.weight_ids + g.index), (v, w)
+            assert type(g.new_weight_id) in (int, type(None)), (v, w)
+            assert type(g.in_svw) is bool, (v, w)
+
+
+def test_verify_cell_checks_the_generator_counts(monkeypatch):
+    """``verify`` catches generators that break each count the library no
+    longer checks: two fresh ids at one index, a cell weight no generator
+    solves, and a wrong number of independent indices."""
+    import tnnflag.cli as cli
+    import tnnflag.extremal as extremal
+    from tnnflag.wiring import WiringDiagram
+
+    gens = generators(EX_V, EX_W)
+    cli._verify_cell(EX_V, EX_W, 0, 0)
+
+    class OneMoreWeight(WiringDiagram):
+        def weight_ids(self):
+            return super().weight_ids() + (99,)
+
+    diagram = build_diagram(EX_V, EX_W)
+    tampered = {
+        # (2, 3, 4), on weights 4 and 2, walked first
+        r"extremal index \(2, 3, 4\) introduces 2 new edges": (
+            lambda v, w: gens[2:3] + gens[:2] + gens[3:], build_diagram),
+        "not every weight got an independent generator": (
+            generators, lambda v, w: OneMoreWeight(*diagram)),
+        "independent generator count mismatch": (
+            lambda v, w: tuple(g._replace(in_svw=True) for g in gens),
+            build_diagram),
+    }
+    for message, (gens_of, diagram_of) in tampered.items():
+        monkeypatch.setattr(extremal, "generators", gens_of)
+        monkeypatch.setattr(cli, "build_diagram", diagram_of)
+        with pytest.raises(AssertionError, match=message):
+            cli._verify_cell(EX_V, EX_W, 0, 0)
 
 
 def test_extremal_coordinates_are_monomials():
@@ -107,8 +209,8 @@ def test_extremal_coordinates_are_monomials():
         p = phi(v, w, a)
         for g in generators(v, w):
             expected = Fraction(1)
-            for wid, exp in g.monomial.exponents.items():
-                expected *= a[wid] ** exp
+            for wid in g.weight_ids:
+                expected *= a[wid]
             assert p.coord(g.index) == expected, (v, w, g.index)
 
 
@@ -121,13 +223,16 @@ def _assert_generators_match_enumeration(cells):
         gens = generators(v, w)
         assert {g.index for g in gens} == \
             extremal_index_set(cell_support(v, w)), (v, w)
+        collections = {tuple(sorted(c.sinks)): c for k in range(1, len(v))
+                       for c in graph_extremal_collections(d, k)}
         for g in gens:
             assert enumerate_path_collections(
-                d, range(1, len(g.index) + 1), g.index) == [g.collection], \
-                (v, w, g.index)
-            mono = collection_weight(g.collection, d)
+                d, range(1, len(g.index) + 1), g.index) == \
+                [collections[g.index]], (v, w, g.index)
+            mono = collection_weight(collections[g.index], d)
             assert mono.coefficient == 1, (v, w, g.index)
-            assert mono.exponents == g.monomial.exponents, (v, w, g.index)
+            assert mono.exponents == dict.fromkeys(g.weight_ids, 1), \
+                (v, w, g.index)
 
 
 def test_generators_match_enumeration_on_s3_s4():

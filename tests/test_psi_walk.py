@@ -30,7 +30,7 @@ def reference_monomials(v, w):
         if gen.new_weight_id is None:
             continue
         mono = LaurentMonomial(Fraction(1), {gen.index: 1})
-        for wid in gen.monomial.exponents:
+        for wid in gen.weight_ids:
             if wid != gen.new_weight_id:
                 mono = mono / solved[wid]
         solved[gen.new_weight_id] = mono

@@ -15,7 +15,7 @@ from tnnflag.perms import canonical_w0_word, positive_distinguished_subexpressio
 from tnnflag.plucker import (
     PlueckerVector, TropPlueckerVector, generate_relations, phi, trop_phi,
 )
-from tnnflag.wiring import build_diagram
+from tnnflag.wiring import build_diagram, graph_extremal_collections
 
 EX_V, EX_W = (1, 3, 2, 4), (4, 2, 1, 3)
 EX_A = {1: Fraction(2), 2: Fraction(3), 4: Fraction(5)}
@@ -46,12 +46,13 @@ def test_pickle_round_trip(name):
 def _records():
     """One instance of every NamedTuple record the library defines."""
     d = build_diagram(EX_V, EX_W)
-    g = generators(EX_V, EX_W)[-1]
+    collection = graph_extremal_collections(d, 1)[-1]
     word = canonical_w0_word(4)
     return [word, positive_distinguished_subexpression(EX_W, word),
-            d.edges[0], d.neg_segments[0], d, g.collection.paths[0],
-            g.collection, generate_relations(4)[0], cell_support(EX_V, EX_W),
-            extremal_indices(EX_P)[0], g, decide_tnn(EX_P)]
+            d.edges[0], d.neg_segments[0], d, collection.paths[0],
+            collection, generate_relations(4)[0], cell_support(EX_V, EX_W),
+            extremal_indices(EX_P)[0], generators(EX_V, EX_W)[-1],
+            decide_tnn(EX_P)]
 
 
 def test_trop_and_records_refuse_assignment():
