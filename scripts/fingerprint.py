@@ -10,8 +10,9 @@ tree it started from with one command per tree:
 Per cell it hashes the ``repr`` of: the wiring diagram, each generator's
 index, fresh weight id and ``in_svw``, each size's
 ``graph_extremal_collections`` (the collections whose weight ids the
-generators list), ``cell_support``, ``phi`` and ``trop_phi`` at seeded
-``generic_weights`` (``psi`` or ``trop_psi`` of the fresh, unrendered
+generators list), ``cell_support`` and the ``flag_matroid_check``
+verdict on it with a seeded index toggled (see ``toggled``), ``phi`` and
+``trop_phi`` at seeded ``generic_weights`` (``psi`` or ``trop_psi`` of the fresh, unrendered
 point, then the point rendered, canonicalized before and after its
 coordinates are read), both deciders' certificates, ``extremal_indices``,
 the three-term propagation from the point's values at the generators,
@@ -26,7 +27,9 @@ import sys
 import time
 
 from tnnflag.algebra import Trop
-from tnnflag.extremal import cell_support, extremal_indices, generators, s_vw
+from tnnflag.extremal import (
+    cell_support, extremal_indices, flag_matroid_check, generators, s_vw,
+)
 from tnnflag.membership import (
     decide_tnn, decide_trop, propagate_three_term, psi, trop_propagate_three_term,
     trop_psi,
@@ -59,14 +62,23 @@ def edits(p, v, w, rng):
     return [type(p)(p.n, c) for c in out]
 
 
+def toggled(sup, rng):
+    """The blocks of the support sup with a seeded index of a seeded size
+    added, or removed if it is there."""
+    k = rng.randrange(1, sup.n)
+    I = tuple(sorted(rng.sample(range(1, sup.n + 1), k)))
+    return {**sup.sets, k: sup.sets[k] ^ {I}}
+
+
 def cell_results(v, w, rng):
     """The results of one cell, in a fixed order."""
     a = generic_weights(v, w, seed=SEED)
     x = {j: Trop(val) for j, val in a.items()}
     d = build_diagram(v, w)
+    sup = cell_support(v, w)
     out = [d, [(g.index, g.new_weight_id, g.in_svw) for g in generators(v, w)],
            [graph_extremal_collections(d, k) for k in range(1, len(v))],
-           cell_support(v, w)]
+           sup, flag_matroid_check(toggled(sup, rng))]
     for make, weights, walk, decide, propagate in (
             (phi, a, psi, decide_tnn, propagate_three_term),
             (trop_phi, x, trop_psi, decide_trop, trop_propagate_three_term)):

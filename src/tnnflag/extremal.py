@@ -1,11 +1,14 @@
 """
-Extremal index machinery: the basis-exchange map Xi, extremal chains per
-size, a brute-force check of necessary flag-matroid conditions, and the
-generators of a cell: its extremal indices read off the wiring diagram,
-each with the weight ids on its path collection, whose fresh ids give the
-independent generating index set. The generators hold only what
-``psi``'s walk reads; the counts the paper's theorems promise for them
-are checked by ``verify`` and the tests.
+Extremal index machinery, the library's support layer: the basis-exchange
+map Xi, extremal chains per size, a brute-force check of necessary
+flag-matroid conditions on strand masks (bit i for element i), the cell
+read off the first and last indices of each size (``_lex_chain_cell``,
+which checks that they form flags for ``extremal_indices`` and the
+deciders alike), and the generators of a cell: its extremal indices read
+off the wiring diagram, each with the weight ids on its path collection,
+whose fresh ids give the independent generating index set. The
+generators hold only what ``psi``'s walk reads; the counts the paper's
+theorems promise for them are checked by ``verify`` and the tests.
 
 All maps only consult the support (nonzero / finite) pattern, so they act
 uniformly on classical vectors, tropical vectors, and bare cell supports.
@@ -25,14 +28,15 @@ __all__ = [
     "precedes_key", "flag_matroid_check",
 ]
 
-from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Union
+from functools import lru_cache, reduce
+from operator import or_
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .perms import Perm
+from .perms import Perm, inverse
 from .plucker import (
     Index, PlueckerVector, TropPlueckerVector, _raw_blocks, _sweep,
 )
-from .wiring import build_diagram, graph_extremal_collections
+from .wiring import _CELL_CACHE_SIZE, build_diagram, graph_extremal_collections
 
 
 class SupportVector(NamedTuple):
@@ -51,7 +55,20 @@ def is_supported(p: Supported, I) -> bool:
     return p.coord(I) != p.zero
 
 
-def flag_matroid_check(support: Mapping[int, Iterable[Index]]) -> bool:
+def _mask(I: Iterable[int]) -> int:
+    """The strand mask of I: bit i for element i."""
+    mask = 0
+    for i in I:
+        mask |= 1 << i
+    return mask
+
+
+def _bits(mask: int) -> list[int]:
+    """The one-bit masks of the elements of mask."""
+    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def flag_matroid_check(support: Mapping[int, Collection[Index]]) -> bool:
     """Necessary conditions only for a flag matroid: basis exchange within
     each size, and pairwise containment (for sizes j < k, each j-basis lies
     in a k-basis and each k-basis contains a j-basis). It accepts this
@@ -60,33 +77,29 @@ def flag_matroid_check(support: Mapping[int, Iterable[Index]]) -> bool:
 
     >>> flag_matroid_check({1: {(2,), (3,)}, 2: {(1, 3), (2, 3)}})
     True
+
+    The bases are strand masks, so a tuple with a repeated element is
+    never a basis. Each basis B1 builds its exchange table once: for each
+    x in B1, the mask of the elements y outside B1 for which B1 - x + y is
+    a basis. Every basis B2 without x must meet that mask. Containment,
+    ``B & ~C == 0``, is transitive, so consecutive sizes suffice.
     """
-    classes = {k: {tuple(sorted(B)) for B in bases}
-               for k, bases in support.items()}
+    classes = {k: {_mask(B) for B in bases} for k, bases in support.items()}
     for k, bases in classes.items():
-        if not bases:
+        if not bases or any(len(B) != k for B in support[k]) \
+                or any(B.bit_count() != k for B in bases):
             return False
-        if any(len(B) != k for B in bases):
-            return False
+        elements = reduce(or_, bases)
         for B1 in bases:
-            for B2 in bases:
-                for x in set(B1) - set(B2):
-                    rest = set(B1) - {x}
-                    if not any(tuple(sorted(rest | {y})) in bases
-                               for y in set(B2) - set(B1)):
-                        return False
+            outside = _bits(elements & ~B1)
+            for x in _bits(B1):
+                meets = x | sum(y for y in outside if B1 ^ x | y in bases)
+                if not all(B2 & meets for B2 in bases):
+                    return False
     sizes = sorted(classes)
-    for j in sizes:
-        for k in sizes:
-            if j >= k:
-                continue
-            for B in classes[j]:
-                if not any(set(B) <= set(C) for C in classes[k]):
-                    return False
-            for C in classes[k]:
-                if not any(set(B) <= set(C) for B in classes[j]):
-                    return False
-    return True
+    return all(all(any(not B & ~C for C in classes[k]) for B in classes[j])
+               and all(any(not B & ~C for B in classes[j]) for C in classes[k])
+               for j, k in zip(sizes, sizes[1:]))
 
 
 def cell_support(v: Perm, w: Perm) -> SupportVector:
@@ -137,7 +150,7 @@ def extremal_indices(p: Supported) -> list[ExtremalChain]:
     Raises ValueError when the support, with each absent size 1..n-1 read
     as an empty block, fails the necessary conditions of
     ``flag_matroid_check``, or the chain starts or the chain ends do not
-    form a flag.
+    form a flag (``_lex_chain_cell``).
     """
     sup = p.sets if isinstance(p, SupportVector) else p.support()
     if not flag_matroid_check({**dict.fromkeys(range(1, p.n), ()), **sup}):
@@ -151,10 +164,44 @@ def extremal_indices(p: Supported) -> list[ExtremalChain]:
                 break
             chain.append(nxt)
         out.append(ExtremalChain(k, tuple(chain)))
-    for a, b in zip(out, out[1:]):
-        if not all(set(a.chain[i]) <= set(b.chain[i]) for i in (0, -1)):
-            raise ValueError("Gale-extreme indices do not form a flag")
+    _lex_chain_cell({ch.size: ch.chain for ch in out}, p.n)
     return out
+
+
+def _lex_chain_cell(support: Mapping[int, Sequence[Index]], n: int,
+                    ) -> tuple[Perm, Perm]:
+    """The cell read off the first and last index of each size 1..n-1 of
+    ``support``, sequences of sorted tuples: the deciders pass each size's
+    supported indices in lexicographic order, ``extremal_indices`` its
+    chains. Raises ValueError when a size is empty, the first or the last
+    indices do not form a flag of subsets of 1..n, or v is not <= w. The
+    flags are the prefix sets of v^-1 and w^-1, so v <= w exactly when
+    each size's pair is in Gale order (the tableau criterion)."""
+    for k in range(1, n):
+        if not support[k]:
+            raise ValueError(f"no supported index of size {k}")
+    mins = [support[k][0] for k in range(1, n)]
+    maxs = [support[k][-1] for k in range(1, n)]
+    full = (1 << n + 1) - 2             # the strand mask of 1..n
+
+    def chain_to_perm(chain: list[Index]) -> Perm:
+        images: list[int] = []
+        seen = 0                        # the strand mask of the last index
+        for k, I in enumerate(chain, start=1):
+            mask = _mask(I)
+            new = mask ^ seen           # must be one element of 1..n
+            if len(I) != k or mask & seen != seen or new & (new - 1) \
+                    or not new & full:
+                raise ValueError("Gale-extreme indices do not form a flag")
+            images.append(new.bit_length() - 1)
+            seen = mask
+        images.extend(i for i in range(1, n + 1) if not seen >> i & 1)
+        return inverse(Perm(tuple(images)))
+
+    v, w = chain_to_perm(mins), chain_to_perm(maxs)
+    if not all(a <= b for lo, hi in zip(mins, maxs) for a, b in zip(lo, hi)):
+        raise ValueError("no cell: v is not <= w in Bruhat order")
+    return v, w
 
 
 def extremal_index_set(p: Supported) -> frozenset[Index]:
@@ -183,7 +230,7 @@ class Generator(NamedTuple):
     in_svw: bool
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CELL_CACHE_SIZE)
 def generators(v: Perm, w: Perm) -> tuple[Generator, ...]:
     """Extremal indices in traversal order: the sink sets of each size's
     ``graph_extremal_collections``, each with its collection's edge weight

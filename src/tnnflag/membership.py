@@ -1,7 +1,8 @@
 """
 Inverting the cell parameterization and deciding membership: cell
-identification from a support pattern, the inverse map as one walk over
-the generators (classical, min-plus or Laurent-monomial), certificate-
+identification from a support pattern (the support layer, ``extremal``,
+reads the cell off the chain ends), the inverse map as one walk over the
+generators (classical, min-plus or Laurent-monomial), certificate-
 producing decision procedures for the nonnegative flag variety and the
 nonnegative flag Dressian, and three-term propagation from the values at
 the cell's generators. All of them go from values to a point one way: the
@@ -35,7 +36,7 @@ from .plucker import (
     Index, PlueckerVector, TropPlueckerVector, _first_violated, _sweep,
     all_proper_indices, generate_relations, index_to_str, phi, trop_phi,
 )
-from .extremal import flag_matroid_check, generators
+from .extremal import _lex_chain_cell, flag_matroid_check, generators
 
 
 class CellCertificate(NamedTuple):
@@ -71,11 +72,11 @@ def identify_cell(support: Mapping[int, set], n: int) -> tuple[Perm, Perm]:
     Gale-maximal chain; raises ValueError when the chains do not exist,
     are not nested, or v is not <= w (all signal non-membership).
 
-    The deciders read the cell with ``_lex_chain_cell``, which is this
-    without the all-pairs Gale check: a member's support is a flag
-    matroid, whose lexicographic extremes are its Gale extremes. Only
-    ``decide_trop`` runs this, to name a rejection that no three-term
-    relation names.
+    The all-pairs Gale check is this function's own; the rest is
+    ``extremal._lex_chain_cell``, which the deciders call alone: a
+    member's support is a flag matroid, whose lexicographic extremes are
+    its Gale extremes. Only ``decide_trop`` runs this, to name a
+    rejection that no three-term relation names.
     """
     blocks = {k: sorted({tuple(sorted(B)) for B in support.get(k, ())})
               for k in range(1, n)}
@@ -86,41 +87,6 @@ def identify_cell(support: Mapping[int, set], n: int) -> tuple[Perm, Perm]:
         if not all(gale_leq(lo, B) and gale_leq(B, hi) for B in bases):
             raise ValueError(f"size {k} has no Gale extremes")
     return _lex_chain_cell(blocks, n)
-
-
-def _lex_chain_cell(support: Mapping[int, list[Index]], n: int,
-                    ) -> tuple[Perm, Perm]:
-    """The cell read off the first and last index of each size 1..n-1 of
-    ``support`` (lexicographically sorted lists of sorted tuples); raises
-    ValueError when a size is empty, the chains are not flags, or v is not
-    <= w. The chains are the prefix sets of v^-1 and w^-1, so v <= w
-    exactly when each size's pair is in Gale order (the tableau
-    criterion)."""
-    for k in range(1, n):
-        if not support[k]:
-            raise ValueError(f"no supported index of size {k}")
-    mins = [support[k][0] for k in range(1, n)]
-    maxs = [support[k][-1] for k in range(1, n)]
-
-    def chain_to_perm(chain: list[Index]) -> Perm:
-        images: list[int] = []
-        seen = 0                        # the strand mask of the last index
-        for k, I in enumerate(chain, start=1):
-            mask = 0
-            for i in I:
-                mask |= 1 << i
-            new = mask ^ seen
-            if len(I) != k or mask & seen != seen or new & (new - 1) or not new:
-                raise ValueError("Gale-extreme indices do not form a flag")
-            images.append(new.bit_length() - 1)
-            seen = mask
-        images.extend(i for i in range(1, n + 1) if not seen >> i & 1)
-        return inverse(Perm(tuple(images)))
-
-    v, w = chain_to_perm(mins), chain_to_perm(maxs)
-    if not all(a <= b for lo, hi in zip(mins, maxs) for a, b in zip(lo, hi)):
-        raise ValueError("no cell: v is not <= w in Bruhat order")
-    return v, w
 
 
 # ---------------------------------------------------------------------------

@@ -243,7 +243,7 @@ class _Vector:
     def from_json_dict(cls, obj: dict):
         if obj.get("mode", "classical") != cls.mode:
             raise ValueError(f"expected a {cls.mode} vector")
-        n = obj["n"]
+        n = obj.get("n")
         if type(n) is not int:
             raise ValueError(f"n must be a JSON integer, got {n!r}")
         items = obj.get("coords", {})

@@ -111,7 +111,12 @@ class PathCollection(NamedTuple):
 # Construction
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# Cells held by each per-cell cache (``build_diagram``, and
+# ``extremal.generators``): every cell of S3-S5 (4013 of them) fits.
+_CELL_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_CELL_CACHE_SIZE)
 def build_diagram(v: Perm, w: Perm) -> WiringDiagram:
     """Replay the distinguished subexpressions of w (in the canonical word)
     and of v (in w's word) once, from the right: ``strand[s - 1]`` is the

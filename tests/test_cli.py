@@ -114,6 +114,16 @@ def test_vector_n_not_an_integer_exits_2(tmp_path, capsys, command, n):
     assert f"n must be a JSON integer, got {n!r}" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("command", ["decide", "trop-decide", "extremal"])
+def test_vector_without_n_exits_2(tmp_path, capsys, command):
+    vec = tmp_path / "v.json"
+    vec.write_text(json.dumps({"coords": {}, "mode": "tropical"
+                               if command == "trop-decide" else "classical"}))
+    assert run([command, str(vec)]) == 2
+    assert _one_line_error(capsys) == \
+        f"error: bad vector file {vec}: n must be a JSON integer, got None\n"
+
+
 @pytest.mark.parametrize("value", [2, None, True, ["1"]])
 @pytest.mark.parametrize("mode", ["classical", "tropical"])
 def test_non_string_coordinate_exits_2(tmp_path, capsys, mode, value):

@@ -9,7 +9,8 @@ from tnnflag.extremal import (
     generators, is_supported, precedes_key, s_vw, xi,
 )
 from tnnflag.perms import (
-    all_perms, bruhat_leq, gale_leq, identity, length, longest_element,
+    all_perms, bruhat_leq, bruhat_pairs, gale_leq, identity, length,
+    longest_element,
 )
 from tnnflag.algebra import LaurentMonomial, Trop
 from tnnflag.oracle import enumerate_path_collections
@@ -350,3 +351,80 @@ def test_extremal_indices_matches_reference():
             outcomes[got if isinstance(got, str) else "chains"] += 1
     assert outcomes["chains"] and outcomes["support is not a flag matroid"] \
         and outcomes["Gale-extreme indices do not form a flag"], outcomes
+
+
+def flag_matroid_check_reference(support):
+    """`flag_matroid_check` as it was before it ran on strand masks, kept
+    as the reference for the test below: sets of sorted tuples, exchange
+    tried pair by pair, containment between every pair of sizes."""
+    classes = {k: {tuple(sorted(B)) for B in bases}
+               for k, bases in support.items()}
+    for k, bases in classes.items():
+        if not bases:
+            return False
+        if any(len(B) != k for B in bases):
+            return False
+        for B1 in bases:
+            for B2 in bases:
+                for x in set(B1) - set(B2):
+                    rest = set(B1) - {x}
+                    if not any(tuple(sorted(rest | {y})) in bases
+                               for y in set(B2) - set(B1)):
+                        return False
+    sizes = sorted(classes)
+    for j in sizes:
+        for k in sizes:
+            if j >= k:
+                continue
+            for B in classes[j]:
+                if not any(set(B) <= set(C) for C in classes[k]):
+                    return False
+            for C in classes[k]:
+                if not any(set(B) <= set(C) for B in classes[j]):
+                    return False
+    return True
+
+
+def _toggled(n, sets, rng):
+    """sets with one seeded index of a seeded size added or removed."""
+    edited = {k: set(s) for k, s in sets.items()}
+    k = rng.randrange(1, n)
+    edited[k] ^= {tuple(sorted(rng.sample(range(1, n + 1), k)))}
+    return edited
+
+
+def test_flag_matroid_check_matches_reference():
+    """The same verdict as the set-based reference on every cell support
+    of S3 and S4 and a seeded sample of S5, each also with two seeded
+    one-index toggles; on seeded random supports at n = 4..6, also with a
+    block emptied or a wrong-size tuple added; and on the documented
+    support that passes but is not a flag matroid, an unsorted tuple and
+    element 0. A tuple with a repeated element is never a basis of the
+    mask form, where the reference read (1, 1) as a 2-set."""
+    from tnnflag.extremal import flag_matroid_check
+    rng = random.Random(25)
+    supports = []
+    cells = [(n, c) for n in (3, 4) for c in bruhat_pairs(n)]
+    cells += [(5, c) for c in rng.sample(bruhat_pairs(5), 40)]
+    for n, (v, w) in cells:
+        sets = cell_support(v, w).sets
+        supports += [sets, _toggled(n, sets, rng), _toggled(n, sets, rng)]
+    for n, draws in ((4, 60), (5, 40), (6, 20)):
+        for _ in range(draws):
+            for sets in _random_supports(n, rng):
+                k = rng.randrange(1, n)
+                supports += [sets, {**sets, k: set()},
+                             {**sets, k: sets[k] | {tuple(range(1, k + 2))}}]
+    supports += [{1: {(2,), (3,)}, 2: {(1, 3), (2, 3)}},
+                 {1: {(2,), (3,)}, 2: {(3, 2)}},
+                 {1: {(0,), (1,)}, 2: {(0, 1)}}, {1: {(0,)}, 2: {(1, 2)}},
+                 {1: {(1, 1)}}, {}]
+    verdicts = Counter()
+    for sets in supports:
+        got = flag_matroid_check(sets)
+        assert got is flag_matroid_check_reference(sets), sets
+        verdicts[got] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
+    assert flag_matroid_check_reference({2: {(1, 1)}})
+    assert not flag_matroid_check({2: {(1, 1)}})
+    assert not flag_matroid_check({1: {(1,)}, 2: {(1, 1), (1, 2)}})

@@ -1,8 +1,10 @@
 """Library code never imports from the oracle: only ``oracle`` itself and
 the ``cli`` (whose ``verify`` checks the library against it) may. Listing
 every path collection is reference code in the same way: only ``oracle``,
-which defines it, and ``cli`` may use ``enumerate_path_collections``. Memory stays bounded: only the per-cell
-and per-n tables named below may sit in an unbounded ``lru_cache``.
+which defines it, and ``cli`` may use ``enumerate_path_collections``.
+Memory stays bounded: only the per-n tables named below may sit in an
+unbounded ``lru_cache``, and the per-cell caches hold at most a fixed
+number of cells, enough for every cell of S3-S5.
 Start-up stays cheap: no module uses ``dataclasses``, and importing the
 CLI loads neither the oracle nor the introspection modules that
 ``dataclasses`` pulls in."""
@@ -20,8 +22,8 @@ import tnnflag
 PACKAGE = pathlib.Path(tnnflag.__file__).parent
 MAY_IMPORT_ORACLE = {"oracle", "cli"}
 MAY_ENUMERATE = {"oracle", "cli"}
-UNBOUNDED_CACHES = {"build_diagram", "generators", "generate_relations",
-                    "_index_masks"}
+UNBOUNDED_CACHES = {"generate_relations", "_index_masks"}
+S3_TO_S5_CELLS = 4013
 NOT_LOADED_BY_CLI = ("dataclasses", "inspect", "ast", "dis", "tokenize",
                      "tnnflag.oracle")
 
@@ -65,6 +67,16 @@ def test_only_the_listed_functions_have_unbounded_caches():
               and any(ast.unparse(d).endswith("lru_cache(maxsize=None)")
                       for d in node.decorator_list)}
     assert cached == UNBOUNDED_CACHES
+
+
+def test_per_cell_caches_are_bounded():
+    from tnnflag.extremal import generators
+    from tnnflag.perms import bruhat_pairs
+    from tnnflag.wiring import build_diagram
+    assert sum(len(bruhat_pairs(n)) for n in (3, 4, 5)) == S3_TO_S5_CELLS
+    for cache in (build_diagram, generators):
+        maxsize = cache.cache_parameters()["maxsize"]
+        assert maxsize is not None and maxsize >= S3_TO_S5_CELLS
 
 
 @pytest.mark.parametrize(

@@ -46,6 +46,22 @@ def test_identify_cell_rejects_non_nested_chains():
         identify_cell(support, 3)
 
 
+@pytest.mark.parametrize("element", [0, 4, 9])
+def test_chain_elements_outside_1_to_n_are_not_a_flag(element):
+    """A chain through an element outside 1..n is no flag of subsets of
+    1..n: the deciders name the key as ``check_indices`` does, and
+    ``extremal_indices`` raises the flag error, on vectors built in
+    Python, where no parser has checked the keys."""
+    keys = [(element,), tuple(sorted((1, element)))]
+    for cls, one, decide in ((PlueckerVector, Fraction(1), decide_tnn),
+                             (TropPlueckerVector, Trop.of(0), decide_trop)):
+        p = cls(3, dict.fromkeys(keys, one))
+        with pytest.raises(ValueError, match=rf"bad index \({element},\) for n=3"):
+            decide(p)
+        with pytest.raises(ValueError, match="do not form a flag"):
+            extremal.extremal_indices(p)
+
+
 def test_psi_monomials_top_cell_n3():
     solved = psi_monomials(identity(3), longest_element(3))
     assert {j: m.exponents for j, m in solved.items()} == {
