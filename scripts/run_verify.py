@@ -1,24 +1,18 @@
 #!/usr/bin/env python3
 """
-Run the oracle-backed verification report for a range of group sizes and
-write each report to a JSON file (or stdout with --stdout).
-
-Equivalent to `tnnflag verify N` per size; n <= 4 runs the full suite over
-every cell, n = 5 checks the extreme cells plus a seeded sample.
-
-With --full N it instead runs the same per-cell checks over every cell of
-S_N, with one draw each, and prints the cell count and the wall time:
+Run verify's per-cell checks over every cell of S_N, with one draw each,
+and print the cell count and the wall time:
 
     PYTHONPATH=src python3 scripts/run_verify.py --full 5
+
+For the report of one size (every cell for n <= 4, the extreme cells plus
+a seeded sample above), run `tnnflag --seed S verify N > file` instead.
 """
 
 import argparse
-import contextlib
-import io
-import pathlib
 import time
 
-from tnnflag.cli import _verify_cell, run
+from tnnflag.cli import _verify_cell
 from tnnflag.perms import bruhat_pairs
 
 
@@ -35,37 +29,14 @@ def verify_full(n: int, seed: int) -> None:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("-n", type=int, nargs="+", default=[3, 4],
-                    help="symmetric group sizes to verify (default: 3 4)")
-    ap.add_argument("--full", type=int, metavar="N",
+    ap.add_argument("--full", type=int, metavar="N", required=True,
                     help="verify every cell of S_N with 1 draw and print "
-                         "the wall time (ignores -n)")
+                         "the wall time")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--out-dir", default="reports",
-                    help="directory for verify-report JSON files")
-    ap.add_argument("--stdout", action="store_true",
-                    help="print reports instead of writing files")
     args = ap.parse_args()
-    if args.full is not None:
-        if args.full < 2:
-            ap.error("--full needs N >= 2")
-        verify_full(args.full, args.seed)
-        return
-
-    out_dir = pathlib.Path(args.out_dir)
-    for n in args.n:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = run(["--seed", str(args.seed), "verify", str(n)])
-        if code != 0:
-            raise SystemExit(f"verify {n} failed with exit code {code}")
-        if args.stdout:
-            print(buf.getvalue(), end="")
-        else:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            target = out_dir / f"verify_n{n}_seed{args.seed}.json"
-            target.write_text(buf.getvalue())
-            print(f"wrote {target}")
+    if args.full < 2:
+        ap.error("--full needs N >= 2")
+    verify_full(args.full, args.seed)
 
 
 if __name__ == "__main__":

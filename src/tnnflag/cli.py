@@ -212,6 +212,7 @@ def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
     assert {g.index for g in gens} == ext, \
         "generators differ from the extremal chains of the support"
     d = build_diagram(v, w)
+    assert all(e.lower < e.upper for e in d.edges), "a vertical edge goes down"
     collections = {tuple(sorted(c.sinks)): c for k in range(1, n)
                    for c in graph_extremal_collections(d, k)}
     used: set[int] = set()
@@ -273,10 +274,14 @@ def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
 def _cmd_verify(args) -> int:
     import random
 
+    from .oracle import _MAX_N
+
     n = args.n
     _guard_n(n, args)
     if n < 2:
         raise _Malformed("verify needs n >= 2")
+    if n > _MAX_N:
+        raise _Malformed(f"verify needs n <= {_MAX_N}, the oracles' limit")
     pairs = bruhat_pairs(n)
     top = (identity(n), longest_element(n))
     if n <= 4:

@@ -10,8 +10,9 @@ whose fresh ids give the independent generating index set. The
 generators hold only what ``psi``'s walk reads; the counts the paper's
 theorems promise for them are checked by ``verify`` and the tests.
 
-All maps only consult the support (nonzero / finite) pattern, so they act
-uniformly on classical vectors, tropical vectors, and bare cell supports.
+Everything here reads only the support (nonzero / finite) pattern: the
+chain functions take classical or tropical vectors or bare supports and
+read each vector's support once, and Xi reads supports only.
 
 >>> from tnnflag.perms import perm_from_str
 >>> sup = cell_support(perm_from_str("1324"), perm_from_str("4213"))
@@ -30,12 +31,10 @@ __all__ = [
 
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
-from .perms import Perm, inverse
-from .plucker import (
-    Index, PlueckerVector, TropPlueckerVector, _raw_blocks, _sweep,
-)
+from .perms import Perm
+from .plucker import Index, _raw_blocks, _sweep, _Vector
 from .wiring import _CELL_CACHE_SIZE, build_diagram, graph_extremal_collections
 
 
@@ -45,14 +44,9 @@ class SupportVector(NamedTuple):
     sets: Mapping[int, frozenset[Index]]
 
 
-Supported = Union[PlueckerVector, TropPlueckerVector, SupportVector]
-
-
-def is_supported(p: Supported, I) -> bool:
-    I = tuple(sorted(I))
-    if isinstance(p, SupportVector):
-        return I in p.sets.get(len(I), frozenset())
-    return p.coord(I) != p.zero
+def is_supported(p: SupportVector, I) -> bool:
+    """Whether the index I, in any order, is in the support p."""
+    return tuple(sorted(I)) in p.sets.get(len(I), ())
 
 
 def _mask(I: Iterable[int]) -> int:
@@ -94,7 +88,9 @@ def flag_matroid_check(support: Mapping[int, Collection[Index]]) -> bool:
             outside = _bits(elements & ~B1)
             for x in _bits(B1):
                 meets = x | sum(y for y in outside if B1 ^ x | y in bases)
-                if not all(B2 & meets for B2 in bases):
+                # a basis missing meets lies in elements & ~meets
+                if (elements & ~meets).bit_count() >= k \
+                        and not all(B2 & meets for B2 in bases):
                     return False
     sizes = sorted(classes)
     return all(all(any(not B & ~C for C in classes[k]) for B in classes[j])
@@ -119,11 +115,12 @@ def cell_support(v: Perm, w: Perm) -> SupportVector:
 # Xi and extremal chains
 # ---------------------------------------------------------------------------
 
-def xi(p: Supported, I) -> Index:
-    """Raise the index maximally: swap out the largest element b of I that
-    some larger element can replace with the index staying supported, for
-    the largest such element. Fixed point when there is no such b or I
-    itself is unsupported."""
+def xi(p: SupportVector, I) -> Index:
+    """Raise the index maximally in the support p: swap out the largest
+    element b of I that some larger element can replace with the index
+    staying supported, for the largest such element. Fixed point when
+    there is no such b or I itself is unsupported. A vector's support is
+    ``SupportVector(p.n, p.support())``."""
     I = tuple(sorted(I))
     if not is_supported(p, I):
         return I
@@ -142,22 +139,24 @@ class ExtremalChain(NamedTuple):
     chain: tuple[Index, ...]   # Gale-minimal first, Gale-maximal last
 
 
-def extremal_indices(p: Supported) -> list[ExtremalChain]:
+def extremal_indices(p: _Vector | SupportVector) -> list[ExtremalChain]:
     """Per size, the Xi-orbit chain from the Gale-minimal supported index,
     which is the lexicographically least: a size block that passes basis
-    exchange is a matroid, and nonempty.
+    exchange is a matroid, and nonempty. A vector's support is read once,
+    and Xi runs on it, so a vector that holds the raw sweep keeps it.
 
     Raises ValueError when the support, with each absent size 1..n-1 read
     as an empty block, fails the necessary conditions of
     ``flag_matroid_check``, or the chain starts or the chain ends do not
     form a flag (``_lex_chain_cell``).
     """
-    sup = p.sets if isinstance(p, SupportVector) else p.support()
-    if not flag_matroid_check({**dict.fromkeys(range(1, p.n), ()), **sup}):
+    if not isinstance(p, SupportVector):
+        p = SupportVector(p.n, p.support())
+    if not flag_matroid_check({**dict.fromkeys(range(1, p.n), ()), **p.sets}):
         raise ValueError("support is not a flag matroid")
     out = []
     for k in range(1, p.n):
-        chain = [min(sup[k])]
+        chain = [min(p.sets[k])]
         while True:
             nxt = xi(p, chain[-1])
             if nxt == chain[-1]:
@@ -176,7 +175,9 @@ def _lex_chain_cell(support: Mapping[int, Sequence[Index]], n: int,
     chains. Raises ValueError when a size is empty, the first or the last
     indices do not form a flag of subsets of 1..n, or v is not <= w. The
     flags are the prefix sets of v^-1 and w^-1, so v <= w exactly when
-    each size's pair is in Gale order (the tableau criterion)."""
+    each size's pair is in Gale order (the tableau criterion). Each
+    permutation is filled directly: k at the element e that the size-k
+    index adds (v(e) = k), and n at the one element left over."""
     for k in range(1, n):
         if not support[k]:
             raise ValueError(f"no supported index of size {k}")
@@ -185,7 +186,7 @@ def _lex_chain_cell(support: Mapping[int, Sequence[Index]], n: int,
     full = (1 << n + 1) - 2             # the strand mask of 1..n
 
     def chain_to_perm(chain: list[Index]) -> Perm:
-        images: list[int] = []
+        perm = [n] * n
         seen = 0                        # the strand mask of the last index
         for k, I in enumerate(chain, start=1):
             mask = _mask(I)
@@ -193,10 +194,9 @@ def _lex_chain_cell(support: Mapping[int, Sequence[Index]], n: int,
             if len(I) != k or mask & seen != seen or new & (new - 1) \
                     or not new & full:
                 raise ValueError("Gale-extreme indices do not form a flag")
-            images.append(new.bit_length() - 1)
+            perm[new.bit_length() - 2] = k
             seen = mask
-        images.extend(i for i in range(1, n + 1) if not seen >> i & 1)
-        return inverse(Perm(tuple(images)))
+        return Perm(tuple(perm))
 
     v, w = chain_to_perm(mins), chain_to_perm(maxs)
     if not all(a <= b for lo, hi in zip(mins, maxs) for a, b in zip(lo, hi)):
@@ -204,7 +204,7 @@ def _lex_chain_cell(support: Mapping[int, Sequence[Index]], n: int,
     return v, w
 
 
-def extremal_index_set(p: Supported) -> frozenset[Index]:
+def extremal_index_set(p: _Vector | SupportVector) -> frozenset[Index]:
     return frozenset(I for ch in extremal_indices(p) for I in ch.chain)
 
 

@@ -30,8 +30,8 @@ from typing import Iterable, Iterator, Mapping
 
 from .algebra import TROP_INF, Trop
 from .extremal import (
-    Supported, SupportVector, cell_support, flag_matroid_check, generators,
-    is_supported, xi,
+    SupportVector, cell_support, flag_matroid_check, generators, is_supported,
+    xi,
 )
 from .perms import (
     Perm, Subexpression, identity, inverse, left_mult_s, right_mult_s,
@@ -324,7 +324,7 @@ def enumerate_path_collections(d: WiringDiagram, sources: Iterable[int],
     return out
 
 
-def _xi_walk(p: Supported, S: Index, extremals: frozenset[Index]) -> Index:
+def _xi_walk(p: SupportVector, S: Index, extremals: frozenset[Index]) -> Index:
     """Iterate Xi from the supported index S until it lands in ``extremals``."""
     cur = S
     while cur not in extremals:

@@ -244,6 +244,15 @@ def test_verify_keeps_its_own_lower_bound(capsys):
     assert "verify needs n >= 2" in _one_line_error(capsys)
 
 
+def test_verify_refuses_n_above_the_oracles_limit(capsys, monkeypatch):
+    """The limit is checked before any Bruhat pair is listed."""
+    def no_listing(n):
+        raise AssertionError(f"verify listed the Bruhat pairs of S{n}")
+    monkeypatch.setattr("tnnflag.cli.bruhat_pairs", no_listing)
+    assert run(["--max-n", "8", "verify", "8"]) == 2
+    assert "verify needs n <= 7" in _one_line_error(capsys)
+
+
 @pytest.mark.parametrize("command", ["decide", "trop-decide", "extremal"])
 def test_non_object_vector_file_exits_2(tmp_path, capsys, command):
     bad = tmp_path / "array.json"

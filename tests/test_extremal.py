@@ -9,12 +9,12 @@ from tnnflag.extremal import (
     generators, is_supported, precedes_key, s_vw, xi,
 )
 from tnnflag.perms import (
-    all_perms, bruhat_leq, bruhat_pairs, gale_leq, identity, length,
+    all_perms, bruhat_leq, bruhat_pairs, gale_leq, identity, inverse, length,
     longest_element,
 )
 from tnnflag.algebra import LaurentMonomial, Trop
 from tnnflag.oracle import enumerate_path_collections
-from tnnflag.plucker import PlueckerVector, TropPlueckerVector, phi
+from tnnflag.plucker import PlueckerVector, TropPlueckerVector, phi, trop_phi
 from tnnflag.wiring import (
     build_diagram, collection_weight, graph_extremal_collections,
 )
@@ -256,15 +256,16 @@ def test_top_cell_extremal_count():
 def test_is_supported_dispatch():
     sup = cell_support(EX_V, EX_W)
     assert is_supported(sup, (3, 1))          # sorts its argument
-    p = phi(EX_V, EX_W, {1: Fraction(1), 2: Fraction(1), 4: Fraction(1)})
-    assert is_supported(p, (2, 3)) and not is_supported(p, (2, 4))
+    assert is_supported(sup, (2, 3)) and not is_supported(sup, (2, 4))
 
 
 def extremal_indices_reference(p):
     """`extremal_indices` as it was before its chain starts were read as
     the lexicographic minima, kept as the reference for the test below."""
     from tnnflag.extremal import ExtremalChain, flag_matroid_check
-    sup = p.sets if isinstance(p, SupportVector) else p.support()
+    if not isinstance(p, SupportVector):
+        p = SupportVector(p.n, p.support())
+    sup = p.sets
     if not flag_matroid_check(sup):
         raise ValueError("support is not a flag matroid")
     out = []
@@ -428,3 +429,92 @@ def test_flag_matroid_check_matches_reference():
     assert flag_matroid_check_reference({2: {(1, 1)}})
     assert not flag_matroid_check({2: {(1, 1)}})
     assert not flag_matroid_check({1: {(1,)}, 2: {(1, 1), (1, 2)}})
+
+
+def test_extremal_indices_keeps_the_raw_form():
+    """On raw-backed phi and trop_phi vectors of every S3 and S4 cell: the
+    chains of the cell's support, read without rendering the vector."""
+    for n in (3, 4):
+        for v, w in bruhat_pairs(n):
+            want = extremal_indices(cell_support(v, w))
+            a = {j: Fraction(j + 1) for j in build_diagram(v, w).weight_ids()}
+            for p in (phi(v, w, a),
+                      trop_phi(v, w, {j: Trop.of(x) for j, x in a.items()})):
+                assert p._raw is not None
+                assert extremal_indices(p) == want, (v, w, p.mode)
+                assert p._raw is not None, (v, w, p.mode)
+
+
+def lex_chain_cell_reference(support, n):
+    """`_lex_chain_cell` as it was before it filled v and w directly, kept
+    as the reference for the test below: the elements each index adds in
+    order, then the rest, read as v^-1 and inverted."""
+    for k in range(1, n):
+        if not support[k]:
+            raise ValueError(f"no supported index of size {k}")
+    mins = [support[k][0] for k in range(1, n)]
+    maxs = [support[k][-1] for k in range(1, n)]
+    full = (1 << n + 1) - 2
+
+    def chain_to_perm(chain):
+        images = []
+        seen = 0
+        for k, I in enumerate(chain, start=1):
+            mask = 0
+            for i in I:
+                mask |= 1 << i
+            new = mask ^ seen
+            if len(I) != k or mask & seen != seen or new & (new - 1) \
+                    or not new & full:
+                raise ValueError("Gale-extreme indices do not form a flag")
+            images.append(new.bit_length() - 1)
+            seen = mask
+        images.extend(i for i in range(1, n + 1) if not seen >> i & 1)
+        return inverse(tuple(images))
+
+    v, w = chain_to_perm(mins), chain_to_perm(maxs)
+    if not all(a <= b for lo, hi in zip(mins, maxs) for a, b in zip(lo, hi)):
+        raise ValueError("no cell: v is not <= w in Bruhat order")
+    return v, w
+
+
+def test_lex_chain_cell_matches_reference():
+    """An equal cell, or an equal ValueError text: on the sorted blocks of
+    every S3-S5 cell support, each also with a seeded one-index toggle; on
+    chains through element 0, element n+1 or a repeated element, with an
+    unsorted index, an empty size or a pair that is not nested; and on
+    seeded random chains of elements 0..n+1 at n = 1..6."""
+    from tnnflag.extremal import _lex_chain_cell
+    rng = random.Random(26)
+    inputs = []
+    for n in (3, 4, 5):
+        for v, w in bruhat_pairs(n):
+            blocks = {k: sorted(b) for k, b in cell_support(v, w).sets.items()}
+            k = rng.randrange(1, n)
+            I = tuple(sorted(rng.sample(range(1, n + 1), k)))
+            inputs += [(n, blocks),
+                       (n, {**blocks, k: sorted(set(blocks[k]) ^ {I})})]
+    flag = {1: [(1,), (4,)], 2: [(1, 2), (3, 4)], 3: [(1, 2, 3), (2, 3, 4)]}
+    for k, I, at in ((1, (0,), 0), (2, (0, 1), 0), (1, (5,), -1),
+                     (3, (3, 4, 5), -1), (2, (1, 1), 0), (3, (2, 4, 4), -1),
+                     (2, (2, 1), 0), (3, (4, 3, 2), -1), (2, (2, 3), 0),
+                     (2, (1, 4), -1)):
+        edited = {j: list(b) for j, b in flag.items()}
+        edited[k][at] = I
+        inputs.append((4, edited))
+    inputs += [(4, {**flag, 2: []}), (4, flag), (1, {}),
+               (2, {1: [(2,), (1,)]})]
+    for _ in range(300):
+        n = rng.randrange(1, 7)
+        inputs.append((n, {k: [tuple(sorted(rng.sample(range(n + 2), k)))
+                               for _ in range(rng.randrange(1, 3))]
+                           for k in range(1, n)}))
+    outcomes = Counter()
+    for n, support in inputs:
+        got = _outcome(lambda s: _lex_chain_cell(s, n), support)
+        assert got == _outcome(lambda s: lex_chain_cell_reference(s, n),
+                               support), (n, support)
+        outcomes[got if isinstance(got, str) else "cell"] += 1
+    assert outcomes["cell"] and outcomes["no supported index of size 2"] \
+        and outcomes["Gale-extreme indices do not form a flag"] \
+        and outcomes["no cell: v is not <= w in Bruhat order"], outcomes

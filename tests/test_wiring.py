@@ -95,7 +95,8 @@ def _forward_replay(v, w):
 def test_backward_pass_matches_forward_replay():
     """Every cell of S2-S5 and 200 seeded S6 cells: the same diagram as the
     forward replay, each -1 segment one half further right, at the key of
-    the first letter of its run."""
+    the first letter of its run; the sources read v bottom to top, and
+    every edge goes up."""
     cells = [c for n in range(2, 6) for c in bruhat_pairs(n)]
     cells += random.Random(15).sample(bruhat_pairs(6), 200)
     for v, w in cells:
@@ -105,6 +106,9 @@ def test_backward_pass_matches_forward_replay():
         assert (d.source_label, d.edges, d.w_word, d.v_positions,
                 d.sweep_events) == (labels, edges, w_word, v_positions,
                                     events), (v, w)
+        # the replay's own labels, which build_diagram takes as given
+        assert labels == v, (v, w)
+        assert all(e.lower < e.upper for e in d.edges), (v, w)
         assert [(s.strand, s.columns) for s in d.neg_segments] == \
             [(strand, cols) for strand, _, cols in segments], (v, w)
         assert [s.key for s in d.neg_segments] == \
