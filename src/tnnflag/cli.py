@@ -11,12 +11,13 @@ __all__ = ["main", "run"]
 
 import argparse
 import json
+import random
 import sys
 
 from .algebra import Trop, rat_from_str, trop_from_str
 from .perms import (
-    Perm, bruhat_leq, bruhat_pairs, identity, length, longest_element,
-    perm_from_str, perm_to_str,
+    Perm, bruhat_above, bruhat_leq, bruhat_pairs, identity, length,
+    longest_element, perm_from_str, perm_to_str,
 )
 from .plucker import (
     PlueckerVector, TropPlueckerVector, generate_relations, index_to_str,
@@ -271,9 +272,24 @@ def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
             "dimension": length(w) - length(v)}
 
 
-def _cmd_verify(args) -> int:
-    import random
+def _sample_pairs(n: int, seed: int) -> tuple[int, list[tuple[Perm, Perm]]]:
+    """The number of pairs v <= w of S_n, and the 20 that
+    ``random.Random(seed).sample(bruhat_pairs(n), 20)`` draws, by rank in
+    ``bruhat_above``'s masks: a range that long gives the same ranks."""
+    perms, above = bruhat_above(n)
+    total = sum(m.bit_count() for m in above)
+    out = []
+    for rank in random.Random(seed).sample(range(total), min(20, total)):
+        for v, m in zip(perms, above):
+            if rank < m.bit_count():
+                break
+            rank -= m.bit_count()
+        bits = [i for i, bit in enumerate(bin(m)[:1:-1]) if bit == "1"]
+        out.append((v, perms[bits[rank]]))
+    return total, out
 
+
+def _cmd_verify(args) -> int:
     from .oracle import _MAX_N
 
     n = args.n
@@ -282,25 +298,21 @@ def _cmd_verify(args) -> int:
         raise _Malformed("verify needs n >= 2")
     if n > _MAX_N:
         raise _Malformed(f"verify needs n <= {_MAX_N}, the oracles' limit")
-    pairs = bruhat_pairs(n)
     top = (identity(n), longest_element(n))
     if n <= 4:
-        selected = pairs
-        depth = "full"
-        draws = 3
+        selected, depth, draws = bruhat_pairs(n), "full", 3
+        total = len(selected)
     else:
         # cost guard: keep the extremes and a seeded sample of the rest
-        rng = random.Random(args.seed)
-        selected = sorted(set([top] + rng.sample(pairs, min(20, len(pairs)))))
-        depth = "sampled"
-        draws = 1
+        total, sample = _sample_pairs(n, args.seed)
+        selected, depth, draws = sorted({top, *sample}), "sampled", 1
     checked = [_verify_cell(v, w, args.seed, draws) for v, w in selected]
 
     ext = extremal_index_set(cell_support(*top))
     _emit({
         "n": n,
         "depth": depth,
-        "total_cells": len(pairs),
+        "total_cells": total,
         "cells_checked": len(checked),
         "draws_per_cell": draws,
         "seed": args.seed,

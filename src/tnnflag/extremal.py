@@ -30,12 +30,13 @@ __all__ = [
 ]
 
 from functools import lru_cache, reduce
-from operator import or_
+from itertools import chain
+from operator import le, or_
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .perms import Perm
 from .plucker import Index, _raw_blocks, _sweep, _Vector
-from .wiring import _CELL_CACHE_SIZE, build_diagram, graph_extremal_collections
+from .wiring import _CELL_CACHE_SIZE, _greedy_prefixes, build_diagram
 
 
 class SupportVector(NamedTuple):
@@ -185,10 +186,10 @@ def _lex_chain_cell(support: Mapping[int, Sequence[Index]], n: int,
     maxs = [support[k][-1] for k in range(1, n)]
     full = (1 << n + 1) - 2             # the strand mask of 1..n
 
-    def chain_to_perm(chain: list[Index]) -> Perm:
+    def flag_to_perm(flag: list[Index]) -> Perm:
         perm = [n] * n
         seen = 0                        # the strand mask of the last index
-        for k, I in enumerate(chain, start=1):
+        for k, I in enumerate(flag, start=1):
             mask = _mask(I)
             new = mask ^ seen           # must be one element of 1..n
             if len(I) != k or mask & seen != seen or new & (new - 1) \
@@ -198,8 +199,9 @@ def _lex_chain_cell(support: Mapping[int, Sequence[Index]], n: int,
             seen = mask
         return Perm(tuple(perm))
 
-    v, w = chain_to_perm(mins), chain_to_perm(maxs)
-    if not all(a <= b for lo, hi in zip(mins, maxs) for a, b in zip(lo, hi)):
+    v, w = flag_to_perm(mins), flag_to_perm(maxs)
+    # each size's index k has k elements, so the flattened pairs line up
+    if not all(map(le, chain.from_iterable(mins), chain.from_iterable(maxs))):
         raise ValueError("no cell: v is not <= w in Bruhat order")
     return v, w
 
@@ -233,17 +235,17 @@ class Generator(NamedTuple):
 @lru_cache(maxsize=_CELL_CACHE_SIZE)
 def generators(v: Perm, w: Perm) -> tuple[Generator, ...]:
     """Extremal indices in traversal order: the sink sets of each size's
-    ``graph_extremal_collections``, each with its collection's edge weight
-    ids. An index is independent when it adds a fresh id, or when its
-    collection is the all-diagonal one (at each size's Gale-minimal index)
-    with no ids at all. That each adds at most one fresh id, and that the
-    fresh ids are every cell weight, are checked by ``verify`` and the
-    tests, not here."""
+    left-greedy prefixes, each with its collection's edge weight ids,
+    read off the walk that ``graph_extremal_collections`` wraps. An index
+    is independent when it adds a fresh id, or when its collection is the
+    all-diagonal one (at each size's Gale-minimal index) with no ids.
+    That each adds at most one fresh id, and that the fresh ids are every
+    cell weight, are checked by ``verify`` and the tests, not here."""
     d = build_diagram(v, w)
     # a vertex-disjoint collection uses each edge once
-    ids = {tuple(sorted(c.sinks)): tuple(e.weight_id for p in c.paths
-                                         for e in p.edges)
-           for k in range(1, len(v)) for c in graph_extremal_collections(d, k)}
+    ids = {I: tuple(e.weight_id for es in climbed for e in es)
+           for k in range(1, len(v))
+           for I, climbed in _greedy_prefixes(d, range(1, k + 1))}
     used: set[int] = set()
     out: list[Generator] = []
     for I in sorted(ids, key=precedes_key):

@@ -19,7 +19,7 @@ __all__ = [
     "identity", "inverse", "length", "is_perm",
     "left_mult_s", "right_mult_s", "perm_from_word", "longest_element",
     "perm_from_str", "perm_to_str", "all_perms",
-    "gale_leq", "bruhat_leq", "bruhat_pairs",
+    "gale_leq", "bruhat_leq", "bruhat_above", "bruhat_pairs",
     "canonical_w0_word", "positive_distinguished_subexpression",
 ]
 
@@ -132,27 +132,15 @@ def bruhat_leq(v: Perm, w: Perm) -> bool:
     """
     if len(v) != len(w):
         raise ValueError("mismatched n")
-    n = len(v)
-    vk: list[int] = []
-    wk: list[int] = []
-    for k in range(1, n + 1):
-        vk = sorted(vk + [v[k - 1]])
-        wk = sorted(wk + [w[k - 1]])
-        if not all(a <= b for a, b in zip(vk, wk)):
-            return False
-    return True
+    return all(gale_leq(sorted(v[:k]), sorted(w[:k])) for k in range(1, len(v)))
 
 
-def bruhat_pairs(n: int) -> list[tuple[Perm, Perm]]:
-    """Every pair v <= w of S_n, v and then w in ``all_perms`` order,
-    without a test per pair: by the tableau criterion the w above v are
-    those whose k-prefix set lies Gale-above v's for every k, and the
-    permutations whose k-prefix set lies Gale-above a given k-set form one
-    bit mask (bit i for the i-th permutation).
-
-    >>> bruhat_pairs(2)
-    [((1, 2), (1, 2)), ((1, 2), (2, 1)), ((2, 1), (2, 1))]
-    """
+def bruhat_above(n: int) -> tuple[list[Perm], list[int]]:
+    """The permutations of S_n in ``all_perms`` order, and for each v the
+    bit mask of the w >= v (bit i for the i-th permutation), without a
+    test per pair: by the tableau criterion the w above v are those whose
+    k-prefix set lies Gale-above v's for every k, and the permutations
+    whose k-prefix set lies Gale-above a given k-set form one mask."""
     perms = list(all_perms(n))
     above = [(1 << len(perms)) - 1] * len(perms)
     for k in range(1, n):
@@ -160,19 +148,22 @@ def bruhat_pairs(n: int) -> list[tuple[Perm, Perm]]:
         with_prefix: dict[tuple[int, ...], int] = {}
         for i, A in enumerate(prefixes):
             with_prefix[A] = with_prefix.get(A, 0) | 1 << i
-        gale_above = {A: 0 for A in with_prefix}
-        for A in with_prefix:
-            for B, mask in with_prefix.items():
-                if gale_leq(A, B):
-                    gale_above[A] |= mask
+        # the classes are disjoint, so a sum of their masks is their union
+        gale_above = {A: sum(m for B, m in with_prefix.items() if gale_leq(A, B))
+                      for A in with_prefix}
         above = [m & gale_above[A] for m, A in zip(above, prefixes)]
-    pairs = []
-    for v, m in zip(perms, above):
-        while m:
-            low = m & -m
-            pairs.append((v, perms[low.bit_length() - 1]))
-            m ^= low
-    return pairs
+    return perms, above
+
+
+def bruhat_pairs(n: int) -> list[tuple[Perm, Perm]]:
+    """Every pair v <= w of S_n, v and then w in ``all_perms`` order.
+
+    >>> bruhat_pairs(2)
+    [((1, 2), (1, 2)), ((1, 2), (2, 1)), ((2, 1), (2, 1))]
+    """
+    perms, above = bruhat_above(n)
+    return [(v, perms[i]) for v, m in zip(perms, above)
+            for i, bit in enumerate(bin(m)[:1:-1]) if bit == "1"]
 
 
 # ---------------------------------------------------------------------------
@@ -243,22 +234,24 @@ def canonical_w0_word(n: int) -> Word:
 def positive_distinguished_subexpression(target: Perm, parent: Word) -> Subexpression:
     """The unique leftmost reduced subexpression for ``target`` in ``parent``.
 
-    Scans left to right keeping the still-unmatched piece of the target;
-    a position is chosen exactly when its letter shortens that piece on
-    the left.
+    Scans left to right keeping the still-unmatched piece of the target
+    as the position of each value; a position is chosen exactly when its
+    letter shortens that piece on the left, which swaps two positions.
 
     >>> positive_distinguished_subexpression(
     ...     (3, 2, 1, 4), canonical_w0_word(4)).positions
     (1, 2, 4)
     """
-    remaining = target
+    if len(target) != parent.n:
+        raise ValueError("target is not below the parent word in Bruhat order")
+    at = [0, *inverse(target)]          # value -> its position, 1-based
     positions: list[int] = []
     for p, i in enumerate(parent.letters, start=1):
         # s_i * remaining is shorter iff value i appears after value i+1
-        if remaining.index(i) > remaining.index(i + 1):
+        if at[i] > at[i + 1]:
             positions.append(p)
-            remaining = left_mult_s(i, remaining)
-    if remaining != identity(parent.n):
+            at[i], at[i + 1] = at[i + 1], at[i]
+    if at != list(range(parent.n + 1)):
         raise ValueError("target is not below the parent word in Bruhat order")
     return Subexpression(parent, tuple(positions))
 

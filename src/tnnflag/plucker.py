@@ -154,7 +154,11 @@ class _Vector:
         return (self.n, self.coords) == (other.n, other.coords)
 
     def coord(self, I):
-        return self.coords.get(tuple(sorted(I)), self.zero)
+        """The coordinate at I in any order (keys are sorted; none is None)."""
+        coords = self.coords
+        if type(I) is tuple and (x := coords.get(I)) is not None:
+            return x
+        return coords.get(tuple(sorted(I)), self.zero)
 
     def support(self) -> dict[int, set[Index]]:
         return {k: set(block) for k, block in self._int_view()[0].items()}

@@ -32,7 +32,7 @@ __all__ = [
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 from .algebra import LaurentMonomial
 from .perms import (
@@ -206,54 +206,56 @@ def collection_weight(c: PathCollection, d: WiringDiagram) -> LaurentMonomial:
 # Greedy / extremal collections
 # ---------------------------------------------------------------------------
 
+def _greedy_prefixes(d: WiringDiagram, sources: Collection[int]) -> list:
+    """For each i, the topmost i of ``sources`` take every left turn
+    (upward edge) they can without meeting another path, the rest stay
+    diagonal: per distinct sink set I, by I as a sorted tuple, (I, the
+    edges each source climbs, by source label). Paths turn around those
+    above them only, so one walk in key order places all: the path on an
+    edge's lower strand climbs it exactly when no path holds the upper
+    one. Edge keys are distinct, so wherever the sequential greedy (paths
+    added top-down, each turning around those placed) succeeds, this is
+    its collection. A path that climbs moves one sink up: a new sink set."""
+    # strand -> the source label on it, or 0
+    holder = [0, *(s if s in sources else 0 for s in d.source_label)]
+    start = [r for r in range(d.n, 0, -1) if holder[r]]     # top-down
+    climbed = {holder[r]: [] for r in start}
+    for e in d.edges:
+        s = holder[e.lower]
+        if s and not holder[e.upper]:
+            holder[e.lower], holder[e.upper] = 0, s
+            climbed[s].append(e)
+    paths, sinks = dict.fromkeys(sorted(climbed), ()), set(start)
+    found = [(tuple(sorted(sinks)), tuple(paths.values()))]
+    for r, (s, es) in zip(start, climbed.items()):
+        if es:
+            paths[s] = tuple(es)
+            sinks ^= {r, es[-1].upper}
+            found.append((tuple(sorted(sinks)), tuple(paths.values())))
+    return sorted(found)
+
+
 def left_greedy_collection(d: WiringDiagram, sources: Iterable[int]) -> PathCollection:
     """Paths from ``sources``, each taking every left turn (upward edge) it
-    can without meeting another, in one walk over the edges in key order:
-    the path on an edge's lower strand climbs it exactly when no path holds
-    the upper strand, so each strand holds at most one path. Edge keys are
-    distinct, so wherever the sequential greedy (paths added top-down, each
-    turning around those already placed) succeeds, this is its collection.
-    """
-    holder = {d.strand_of_label(s): s for s in sources}   # strand -> source
-    taken: dict[int, list[VerticalEdge]] = {s: [] for s in holder.values()}
-    for e in d.edges:
-        s = holder.get(e.lower)
-        if s is not None and e.upper not in holder:
-            del holder[e.lower]
-            holder[e.upper] = s
-            taken[s].append(e)
-    return PathCollection(tuple(Path(s, d.strand_of_label(s), tuple(es))
-                                for s, es in sorted(taken.items())))
+    can without meeting another: the last, and highest, sink set of
+    ``_greedy_prefixes``, where every source is placed."""
+    sources = sorted(set(sources))
+    return PathCollection(tuple(
+        Path(s, d.strand_of_label(s), es)
+        for s, es in zip(sources, _greedy_prefixes(d, sources)[-1][1],
+                         strict=True)))
 
 
 def graph_extremal_collections(d: WiringDiagram, k: int) -> list[PathCollection]:
     """For each i in 0..k: left-greedy paths from the topmost i sources of
-    {1'..k'} plus diagonal paths from the rest; deduplicated by sink set.
-    These are the extremal indices of size k with their only collections,
-    as ``verify`` and the tests check against the support and enumeration.
-
-    A greedy path turns around the paths above it only, so one walk from
-    all k sources gives every prefix its paths. The sink set goes from
-    prefix to prefix by moving one source's sink (a greedy path only
-    climbs, so it never lands on a lower source's strand).
-    """
+    {1'..k'} plus diagonal paths from the rest, one per sink set, by sink
+    set (``_greedy_prefixes``): the extremal indices of size k with their
+    only collections, as ``verify`` and the tests check."""
     if not 1 <= k <= d.n:
         raise ValueError("k out of range")
-    top_down = sorted(range(1, k + 1), key=d.strand_of_label, reverse=True)
-    greedy = left_greedy_collection(d, top_down).paths     # by source
-    diag = tuple(Path(s, d.strand_of_label(s), ()) for s in range(1, k + 1))
-    mask = sum(1 << p.sink for p in diag)
-    first = {mask: 0}                   # sink set -> first prefix giving it
-    for i, s in enumerate(top_down, start=1):
-        mask ^= (1 << diag[s - 1].sink) ^ (1 << greedy[s - 1].sink)
-        first.setdefault(mask, i)
-    colls = []
-    for i in first.values():
-        placed = set(top_down[:i])
-        colls.append(PathCollection(tuple(
-            greedy[s - 1] if s in placed else diag[s - 1]
-            for s in range(1, k + 1))))
-    return sorted(colls, key=lambda c: sorted(c.sinks))
+    return [PathCollection(tuple(Path(s, d.strand_of_label(s), es)
+                                 for s, es in enumerate(climbed, start=1)))
+            for _, climbed in _greedy_prefixes(d, range(1, k + 1))]
 
 
 # ---------------------------------------------------------------------------

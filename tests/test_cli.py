@@ -253,6 +253,25 @@ def test_verify_refuses_n_above_the_oracles_limit(capsys, monkeypatch):
     assert "verify needs n <= 7" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_verify_sample_by_rank_matches_the_listed_pairs(n, seed):
+    from tnnflag.cli import _sample_pairs
+    from tnnflag.perms import bruhat_pairs
+    pairs = bruhat_pairs(n)
+    assert _sample_pairs(n, seed) == \
+        (len(pairs), random.Random(seed).sample(pairs, min(20, len(pairs))))
+
+
+def test_verify_5_lists_no_pairs(capsys, monkeypatch):
+    def no_listing(n):
+        raise AssertionError(f"verify listed the Bruhat pairs of S{n}")
+    monkeypatch.setattr("tnnflag.cli.bruhat_pairs", no_listing)
+    assert run(["verify", "5"]) == 0
+    out = _json_out(capsys)
+    assert out["total_cells"] == 3781 and out["cells_checked"] == 21
+
+
 @pytest.mark.parametrize("command", ["decide", "trop-decide", "extremal"])
 def test_non_object_vector_file_exits_2(tmp_path, capsys, command):
     bad = tmp_path / "array.json"

@@ -1,0 +1,109 @@
+"""The one greedy walk (``wiring._greedy_prefixes``) that ``generators``,
+``graph_extremal_collections`` and ``left_greedy_collection`` all read,
+against frozen copies of the bodies it replaced: the generators read
+their weight ids off ``graph_extremal_collections``' ``Path`` and
+``PathCollection`` records, built by a walk with a dict of held strands.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from tnnflag.extremal import Generator, generators, precedes_key
+from tnnflag.perms import bruhat_pairs, identity, longest_element
+from tnnflag.wiring import (
+    Path, PathCollection, build_diagram, graph_extremal_collections,
+    left_greedy_collection,
+)
+
+
+def _left_greedy_collection_reference(d, sources):
+    holder = {d.strand_of_label(s): s for s in sources}   # strand -> source
+    taken = {s: [] for s in holder.values()}
+    for e in d.edges:
+        s = holder.get(e.lower)
+        if s is not None and e.upper not in holder:
+            del holder[e.lower]
+            holder[e.upper] = s
+            taken[s].append(e)
+    return PathCollection(tuple(Path(s, d.strand_of_label(s), tuple(es))
+                                for s, es in sorted(taken.items())))
+
+
+def _graph_extremal_collections_reference(d, k):
+    if not 1 <= k <= d.n:
+        raise ValueError("k out of range")
+    top_down = sorted(range(1, k + 1), key=d.strand_of_label, reverse=True)
+    greedy = _left_greedy_collection_reference(d, top_down).paths
+    diag = tuple(Path(s, d.strand_of_label(s), ()) for s in range(1, k + 1))
+    mask = sum(1 << p.sink for p in diag)
+    first = {mask: 0}
+    for i, s in enumerate(top_down, start=1):
+        mask ^= (1 << diag[s - 1].sink) ^ (1 << greedy[s - 1].sink)
+        first.setdefault(mask, i)
+    colls = []
+    for i in first.values():
+        placed = set(top_down[:i])
+        colls.append(PathCollection(tuple(
+            greedy[s - 1] if s in placed else diag[s - 1]
+            for s in range(1, k + 1))))
+    return sorted(colls, key=lambda c: sorted(c.sinks))
+
+
+def _generators_reference(v, w):
+    d = build_diagram(v, w)
+    ids = {tuple(sorted(c.sinks)): tuple(e.weight_id for p in c.paths
+                                         for e in p.edges)
+           for k in range(1, len(v))
+           for c in _graph_extremal_collections_reference(d, k)}
+    used = set()
+    out = []
+    for I in sorted(ids, key=precedes_key):
+        new = min(set(ids[I]) - used, default=None)
+        used.update(ids[I])
+        out.append(Generator(I, ids[I], new, new is not None or not ids[I]))
+    return tuple(out)
+
+
+def _cells():
+    return ([c for n in (3, 4, 5) for c in bruhat_pairs(n)]
+            + random.Random(27).sample(bruhat_pairs(6), 300)
+            + [(identity(n), longest_element(n)) for n in (7, 8)])
+
+
+def test_generators_match_the_record_walk():
+    """Every S3-S5 cell, 300 seeded S6 cells and the S7 and S8 top cells,
+    field for field and in order."""
+    for v, w in _cells():
+        got, expected = generators(v, w), _generators_reference(v, w)
+        assert len(got) == len(expected), (v, w)
+        for g, e in zip(got, expected):
+            assert type(g) is Generator and tuple(g) == tuple(e), (v, w, e)
+
+
+def test_extremal_collections_match_the_record_walk():
+    cells = [c for n in (3, 4) for c in bruhat_pairs(n)]
+    cells += random.Random(28).sample(bruhat_pairs(5), 100)
+    cells += [(identity(n), longest_element(n)) for n in (6, 7)]
+    for v, w in cells:
+        d = build_diagram(v, w)
+        for k in range(1, len(v) + 1):
+            assert graph_extremal_collections(d, k) == \
+                _graph_extremal_collections_reference(d, k), (v, w, k)
+
+
+def test_left_greedy_collection_matches_the_record_walk():
+    """Every source subset of every S3/S4 cell, the empty one and those
+    where a sequential greedy would be boxed in included; a source that is
+    no label raises ValueError, as in the record walk."""
+    for v, w in [c for n in (3, 4) for c in bruhat_pairs(n)]:
+        d = build_diagram(v, w)
+        for r in range(len(v) + 1):
+            for sources in itertools.combinations(range(1, len(v) + 1), r):
+                assert left_greedy_collection(d, sources) == \
+                    _left_greedy_collection_reference(d, sources), \
+                    (v, w, sources)
+        for bad in ([0, 1], [1, len(v) + 1]):
+            with pytest.raises(ValueError):
+                left_greedy_collection(d, bad)

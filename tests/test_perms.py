@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tnnflag.perms import (
-    Perm, Word, all_perms, bruhat_leq, bruhat_pairs, canonical_w0_word,
+    Perm, Subexpression, Word, all_perms, bruhat_leq, bruhat_pairs, canonical_w0_word,
     gale_leq, identity, inverse, length, left_mult_s, longest_element,
     perm_from_str, perm_from_word, perm_to_str,
     positive_distinguished_subexpression, right_mult_s,
@@ -95,6 +95,43 @@ def test_pds_examples():
     w_word = Word(4, sub_w.letters(), sub_w.runs())
     sub_v = positive_distinguished_subexpression((1, 3, 2, 4), w_word)
     assert sub_v.positions == (3,)
+
+
+def _pds_reference(target, parent):
+    """``positive_distinguished_subexpression`` as it was, rebuilding the
+    unmatched piece through ``left_mult_s`` at each chosen letter."""
+    remaining = target
+    positions = []
+    for p, i in enumerate(parent.letters, start=1):
+        if remaining.index(i) > remaining.index(i + 1):
+            positions.append(p)
+            remaining = left_mult_s(i, remaining)
+    if remaining != identity(parent.n):
+        raise ValueError("target is not below the parent word in Bruhat order")
+    return Subexpression(parent, tuple(positions))
+
+
+def test_pds_matches_reference_on_every_s3_to_s6_pair():
+    """w in the canonical word, and v in w's word, for every v <= w."""
+    for n in (3, 4, 5, 6):
+        word = canonical_w0_word(n)
+        w_words = {}
+        for v, w in bruhat_pairs(n):
+            if w not in w_words:
+                w_sub = positive_distinguished_subexpression(w, word)
+                assert w_sub == _pds_reference(w, word), w
+                w_words[w] = Word(n, w_sub.letters(), w_sub.runs())
+            assert positive_distinguished_subexpression(v, w_words[w]) == \
+                _pds_reference(v, w_words[w]), (v, w)
+
+
+def test_pds_keeps_its_error():
+    word = canonical_w0_word(3)
+    for target, parent in (((3, 2, 1), Word(3, (1, 2))),
+                           ((1, 2, 3, 4), word)):
+        with pytest.raises(ValueError, match="^target is not below the "
+                           "parent word in Bruhat order$"):
+            positive_distinguished_subexpression(target, parent)
 
 
 @given(perms)

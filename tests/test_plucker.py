@@ -26,6 +26,19 @@ def test_index_str_roundtrip():
         index_from_str("3,1")
 
 
+def test_coord_takes_an_index_in_any_order():
+    """A sorted tuple is looked up as given; an unsorted tuple and a list
+    are sorted first; a missing index gives the semiring's zero."""
+    p = phi(EX_V, EX_W, EX_A)
+    q = trop_phi(EX_V, EX_W, {j: Trop(x) for j, x in EX_A.items()})
+    for r in (p, q):
+        for I, x in r.coords.items():
+            assert r.coord(I) == r.coord(I[::-1]) == r.coord(list(I)) == x
+            assert r.coord(list(I[::-1])) == r.coord(iter(I)) == x
+        assert r.coord((4, 1)) == r.coord([1, 4]) == r.zero
+        assert (1, 4) not in r.coords
+
+
 def test_all_proper_indices_count():
     assert len(list(all_proper_indices(4))) == 4 + 6 + 4
 
