@@ -241,9 +241,8 @@ def left_greedy_collection(d: WiringDiagram, sources: Iterable[int]) -> PathColl
     ``_greedy_prefixes``, where every source is placed."""
     sources = sorted(set(sources))
     return PathCollection(tuple(
-        Path(s, d.strand_of_label(s), es)
-        for s, es in zip(sources, _greedy_prefixes(d, sources)[-1][1],
-                         strict=True)))
+        Path(s, d.strand_of_label(s), es) for s, es in
+        zip(sources, _greedy_prefixes(d, sources)[-1][1], strict=True)))
 
 
 def graph_extremal_collections(d: WiringDiagram, k: int) -> list[PathCollection]:
