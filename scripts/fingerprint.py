@@ -7,7 +7,9 @@ tree it started from with one command per tree:
     PYTHONPATH=src python3 scripts/fingerprint.py
     PYTHONPATH=/path/to/other/checkout/src python3 scripts/fingerprint.py
 
-Per cell it hashes the ``repr`` of: the wiring diagram, each generator's
+Per cell it hashes the ``repr`` of: the wiring diagram without its
+compiled sweep (``diagram_fields``: the sweep is an internal schedule
+whose form may change while every result stays put), each generator's
 index, fresh weight id and ``in_svw``, each size's
 ``graph_extremal_collections`` (the collections whose weight ids the
 generators list), ``cell_support`` and the ``flag_matroid_check``
@@ -62,6 +64,12 @@ def edits(p, v, w, rng):
     return [type(p)(p.n, c) for c in out]
 
 
+def diagram_fields(d):
+    """The diagram's fields before its compiled sweep, as a tuple."""
+    return (d.n, d.cell, d.source_label, d.edges, d.neg_segments, d.w_word,
+            d.v_positions)
+
+
 def toggled(sup, rng):
     """The blocks of the support sup with a seeded index of a seeded size
     added, or removed if it is there."""
@@ -76,7 +84,8 @@ def cell_results(v, w, rng):
     x = {j: Trop(val) for j, val in a.items()}
     d = build_diagram(v, w)
     sup = cell_support(v, w)
-    out = [d, [(g.index, g.new_weight_id, g.in_svw) for g in generators(v, w)],
+    out = [diagram_fields(d),
+           [(g.index, g.new_weight_id, g.in_svw) for g in generators(v, w)],
            [graph_extremal_collections(d, k) for k in range(1, len(v))],
            sup, flag_matroid_check(toggled(sup, rng))]
     for make, weights, walk, decide, propagate in (

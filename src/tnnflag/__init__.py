@@ -19,8 +19,8 @@ from .algebra import (
 )
 from .wiring import (
     WiringDiagram, VerticalEdge, NegativeSegment, Path, PathCollection,
-    build_diagram, collection_weight, left_greedy_collection,
-    graph_extremal_collections, path_sum_matrix,
+    build_diagram, collection_weight, graph_extremal_collections,
+    path_sum_matrix,
 )
 from .plucker import (
     Index, PlueckerVector, TropPlueckerVector, IncidenceRelation,

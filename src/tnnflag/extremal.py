@@ -35,7 +35,7 @@ from operator import le, or_
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .perms import Perm
-from .plucker import Index, _raw_blocks, _sweep, _Vector
+from .plucker import Index, _index_masks, _Vector
 from .wiring import _CELL_CACHE_SIZE, _greedy_prefixes, build_diagram
 
 
@@ -101,15 +101,15 @@ def flag_matroid_check(support: Mapping[int, Collection[Index]]) -> bool:
 
 def cell_support(v: Perm, w: Perm) -> SupportVector:
     """Indices supported on the cell: the sink sets I that some
-    non-intersecting path collection {1'..|I|'} -> I reaches, read off
-    the raw min-plus sweep at all-zero weights as the sets it reaches.
-    (These are the prefixes {u(1..k)} over the Bruhat interval
-    v^-1 <= u <= w^-1, which the oracle checks.)"""
+    non-intersecting path collection {1'..|I|'} -> I reaches, which are
+    the sets of strands that the diagram's sweep program reaches
+    (``wiring.SweepProgram.masks``). (These are the prefixes {u(1..k)}
+    over the Bruhat interval v^-1 <= u <= w^-1, which the oracle
+    checks.)"""
     n = len(v)
-    raw, _ = _sweep(v, w, dict.fromkeys(build_diagram(v, w).weight_ids(), 0),
-                    False)
-    return SupportVector(n, {k: frozenset(I for I, _ in found) for k, found
-                             in enumerate(_raw_blocks(n, raw, None), start=1)})
+    reached = set(build_diagram(v, w).sweep.masks)
+    return SupportVector(n, {k: frozenset(I for I, S in block if S in reached)
+                             for k, block in enumerate(_index_masks(n), start=1)})
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +245,7 @@ def generators(v: Perm, w: Perm) -> tuple[Generator, ...]:
     # a vertex-disjoint collection uses each edge once
     ids = {I: tuple(e.weight_id for es in climbed for e in es)
            for k in range(1, len(v))
-           for I, climbed in _greedy_prefixes(d, range(1, k + 1))}
+           for I, climbed in _greedy_prefixes(d, k)}
     used: set[int] = set()
     out: list[Generator] = []
     for I in sorted(ids, key=precedes_key):

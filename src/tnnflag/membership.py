@@ -27,14 +27,15 @@ __all__ = [
 ]
 
 from fractions import Fraction
+from math import gcd
 from operator import sub, truediv
 from typing import Mapping, NamedTuple
 
 from .algebra import LaurentMonomial, Trop, rat_to_str, trop_to_str
 from .perms import Perm, gale_leq, inverse, perm_to_str
 from .plucker import (
-    Index, PlueckerVector, TropPlueckerVector, _first_violated, _sweep,
-    all_proper_indices, generate_relations, index_to_str, phi, trop_phi,
+    Index, PlueckerVector, TropPlueckerVector, _first_violated, _raw_blocks,
+    _sweep, all_proper_indices, generate_relations, index_to_str, phi, trop_phi,
 )
 from .extremal import _lex_chain_cell, flag_matroid_check, generators
 
@@ -158,23 +159,30 @@ def _solve(v: Perm, w: Perm, values: Mapping[Index, int], signed: bool) -> dict:
     values are ``values``: one walk over the generators, each independent
     value x_I read against its size's value x_unit at the cell's unit
     index v^-1(1..k). Classically the walk runs on the int pair
-    (x_I, x_unit) (absent: 0), usable when x_I x_unit > 0; dividing by a
-    weight cross-multiplies, and each weight is reduced once, into a
-    Fraction. Tropically it runs on the int x_I - x_unit (absent:
-    infinite), dividing subtracts, and the weights are ints, L times the
-    cell weights."""
+    (x_I, x_unit) (absent: 0), usable when x_I x_unit > 0; each weight is
+    kept as a reduced pair of positive ints, dividing by one
+    cross-multiplies, and the weights become Fractions once, at the end.
+    Tropically it runs on the int x_I - x_unit (absent: infinite),
+    dividing subtracts, and the weights are ints, L times the cell
+    weights."""
     absent, inv = 0 if signed else None, inverse(v)
     units = {k: values.get(tuple(sorted(inv[:k])), absent) for k in range(1, len(v))}
     if signed:
-        return _walk(v, w, lambda I: (values.get(I, 0), units[len(I)]),
-                     lambda x, y: (x[0] * y.denominator, x[1] * y.numerator),
-                     lambda x: Fraction(*x), lambda x: x[0] * x[1] > 0,
-                     "is not positive")
+        pairs = _walk(v, w, lambda I: (values.get(I, 0), units[len(I)]),
+                      lambda x, y: (x[0] * y[1], x[1] * y[0]), _reduced,
+                      lambda x: x[0] * x[1] > 0, "is not positive")
+        return {j: Fraction(*x) for j, x in pairs.items()}
     # each size's unit index is its first generator, so an infinite unit
     # stops the walk before any value is read against it
     return _walk(v, w, lambda I: None if (x := values.get(I)) is None
                  else x - units[len(I)],
                  sub, lambda x: x, lambda x: x is not None, "is infinite")
+
+
+def _reduced(x: tuple[int, int]) -> tuple[int, int]:
+    """The pair of ints of one sign x, in lowest terms and positive."""
+    g = gcd(*x)
+    return abs(x[0]) // g, abs(x[1]) // g
 
 
 def _trop_weights(a: Mapping[int, int], L: int) -> dict[int, Trop]:
@@ -193,10 +201,11 @@ def _reconstruct(p, sup: Mapping[int, list[Index]], values: Mapping[Index, int],
     all on p's ``_int_view`` ``(sup, _, values, L)``; returns the
     certificate and the reconstruction's support (None when there is no
     reconstruction). The cell's unit index of size k is then sup[k][0].
-    Classically the input comes back when the reconstruction's view
-    lists the same indices and x_I r_unit = r_I x_unit in every block.
-    Tropically the weights are L times the cell weights, and the input
-    comes back when the two views' values are equal. A rejection checks
+    Classically the input comes back when the sweep's raw blocks
+    (``_raw_blocks``) list the same indices and x_I r_unit = r_I x_unit
+    in every block, so no second view is built. Tropically the weights
+    are L times the cell weights, and the input comes back when the
+    reconstruction's view has the same values. A rejection checks
     the index keys, then names the reconstruction's own witness: no cell
     from the chains, an unusable generating coordinate, or the first
     difference, read off the rendered vectors."""
@@ -211,18 +220,21 @@ def _reconstruct(p, sup: Mapping[int, list[Index]], values: Mapping[Index, int],
         p.check_indices()
         return _non_member({"type": "unsupported-generating-index",
                             "reason": str(exc)}), None
-    r = type(p)._of_raw(p.n, _sweep(v, w, a, p.signed)[0], L)
-    r_sup, _, r_values, _ = r._int_view()
+    raw = _sweep(v, w, a, p.signed)[0]
     if p.signed:
+        blocks = list(_raw_blocks(p.n, raw, 0))
+        r_sup = {k: [I for I, _ in found] for k, found in enumerate(blocks, start=1)}
         same = r_sup == sup and all(
-            values[I] * r_values[block[0]] == r_values[I] * values[block[0]]
-            for block in sup.values() for I in block)
+            values[I] * found[0][1] == r_I * values[found[0][0]]
+            for found in blocks for I, r_I in found)
     else:
+        r_sup, _, r_values, _ = type(p)._of_raw(p.n, raw, L)._int_view()
         same = r_values == values
     if same:
         weights = a if p.signed else _trop_weights(a, L)
         return CellCertificate("member", cell=(v, w), weights=weights), r_sup
     p.check_indices()
+    r = type(p)._of_raw(p.n, raw, L)
     return _first_difference(p.canonicalize(), r), r_sup
 
 

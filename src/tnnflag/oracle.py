@@ -37,8 +37,8 @@ from .perms import (
     Perm, Subexpression, identity, inverse, left_mult_s, right_mult_s,
 )
 from .plucker import (
-    Index, PlueckerVector, TropPlueckerVector, all_proper_indices,
-    generate_relations, phi,
+    Index, PlueckerVector, TropPlueckerVector, _scale_to_ints,
+    all_proper_indices, generate_relations, phi,
 )
 from .wiring import (
     Path, PathCollection, VerticalEdge, WiringDiagram, build_diagram,
@@ -461,12 +461,17 @@ def trop_eval_poly_terms(poly: list[tuple[int, dict[Index, int]]],
                          p: TropPlueckerVector) -> list[tuple[int, Trop]]:
     """Evaluate a polynomial given as (coefficient, monomial exponent map)
     terms, such as those of ``ideal_element_sample``, into (sign, tropical
-    value) pairs; exponents are nonnegative.
+    value) pairs; exponents are nonnegative, and the monomials' keys are
+    indices, sorted tuples. A term's value is the sum of e times the
+    coordinate's value over its factors, infinite when a factor with
+    e > 0 is: summed on the finite values scaled to ints by the lcm L of
+    their denominators, and divided by L once.
     """
+    ints, L = _scale_to_ints({I: x.value for I, x in p.coords.items()
+                              if x.value is not None})
     out = []
     for coeff, mono in poly:
-        val = p.one
-        for I, e in mono.items():
-            val = val * p.coord(I) ** e
-        out.append((coeff, val))
+        xs = [(e, ints.get(I)) for I, e in mono.items() if e]
+        out.append((coeff, TROP_INF if any(x is None for _, x in xs)
+                    else Trop(Fraction(sum(e * x for e, x in xs), L))))
     return out

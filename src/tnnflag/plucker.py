@@ -35,7 +35,7 @@ from .algebra import (
     TROP_INF, Trop, rat_from_str, rat_to_str, trop_from_str, trop_to_str,
 )
 from .perms import Perm
-from .wiring import build_diagram
+from .wiring import _run_sweep, build_diagram
 
 # a sorted tuple of distinct elements of {1..n}
 Index = tuple[int, ...]
@@ -304,61 +304,35 @@ def _sweep(v: Perm, w: Perm, x: Mapping[int, int | Fraction], signed: bool,
     L * P_I, L the lcm of the weights' denominators (1 for int weights),
     so a block's coordinates are raw_I / raw_unit or (raw_I - raw_unit) / L.
 
-    One left-to-right pass over the diagram's ``sweep_events`` serves every
-    size: ``raw[S]`` is the sum so far for the set S the paths occupy. Edge
-    keys are distinct, so at most one path moves at each edge, and it may
-    move exactly when its upper strand is free; a collection is thus the
-    same thing as its sequence of moves, and the final sets are the sink
-    sets I. Which sets are reachable, and so which move at an edge or cross
-    a segment, depends only on the diagram: each event lists them, and the
-    pass visits no other. The ``signed`` pass gets the
-    Lindstroem-Gessel-Viennot sign: a move is negated per path it jumps
-    over (reattached edges can span several strands), and a state per -1
-    segment it crosses. The remaining sign, that of 1'..k' read bottom to
-    top, is common to size k and cancels in the normalization.
+    One left-to-right pass over the diagram's edges and -1 segments in key
+    order serves every size: ``raw[S]`` is the sum so far for the set S
+    the paths occupy. Edge keys are distinct, so at most one path moves at
+    each edge, and it may move exactly when its upper strand is free; a
+    collection is thus the same thing as its sequence of moves, and the
+    final sets are the sink sets I. Which sets are reachable, and so
+    which move at an edge or cross a segment, depends only on the
+    diagram: the cached ``build_diagram`` compiles them into a program
+    on the sets numbered as first reached (``wiring.SweepProgram``), and
+    ``wiring._run_sweep`` runs it on a list of the sets reached so far.
+    The ``signed`` pass gets the Lindstroem-Gessel-Viennot sign: a move
+    is negated per path it jumps over (reattached edges can span several
+    strands), and a state per -1 segment it crosses. The remaining sign,
+    that of 1'..k' read bottom to top, is common to size k and cancels
+    in the normalization.
 
-    Classically an edge of weight p/q multiplies every state by its own q
-    (unless q = 1) and adds p times each moving state to its destination,
-    so every collection's product is scaled by the same product of the
-    edges' denominators (not by L^|E| for their lcm L), which cancels in
-    P_I / P_unit. A source holds the lower strand and a destination does
-    not, so no state is both at one edge: its moves read only states it
-    leaves as they were, and an integer weight updates the states in
-    place. Tropically the weights are the integers L x_e.
+    Classically an edge of weight p/q multiplies every state reached so
+    far by its own q (unless q = 1) and adds p times each moving state to
+    its destination, so every collection's product is scaled by the same
+    product of the edges' denominators (not by L^|E| for their lcm L),
+    which cancels in P_I / P_unit. Tropically the weights are the
+    integers L x_e.
     """
     d = build_diagram(v, w)
     if set(x) != set(d.weight_ids()):
         raise ValueError(f"expected weight ids {list(d.weight_ids())}, "
                          f"got {sorted(x)}")
-    value = [0 if signed else None] * (1 << d.n)
-    S = 0
-    for label in range(1, d.n):
-        S |= 1 << (d.strand_of_label(label) - 1)
-        value[S] = 1 if signed else 0
-    L = 1
-    if signed:
-        for wid, move, jumped, sources in d.sweep_events:
-            if wid is None:
-                for S in sources:
-                    value[S] = -value[S]
-                continue
-            p, q = x[wid].numerator, x[wid].denominator
-            old = value
-            if q != 1:
-                value = [c * q for c in old]
-            for S in sources:
-                c = p * old[S]
-                value[S ^ move] += -c if (S & jumped).bit_count() & 1 else c
-    else:
-        a, L = _scale_to_ints(x)
-        for wid, move, _, sources in d.sweep_events:
-            if wid is not None:
-                c_e = a[wid]
-                for S in sources:
-                    t, T = value[S] + c_e, S ^ move
-                    if value[T] is None or t < value[T]:
-                        value[T] = t
-    return value, L
+    a, L = (x, 1) if signed else _scale_to_ints(x)
+    return _run_sweep(d, a, signed), L
 
 
 def _raw_blocks(n: int, raw: list, absent) -> Iterator[list[tuple[Index, int]]]:

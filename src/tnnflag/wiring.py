@@ -1,10 +1,13 @@
 """
 Planar wiring diagrams for Bruhat pairs v <= w: n horizontal strands,
-weighted vertical edges, and signed diagonal segments; the left-greedy
-path collections that give the extremal indices, built in one walk over
-the edges in key order; the signed Laurent-monomial weight of a path
-collection; and the path-sum matrix. Listing every non-intersecting path
-collection is the oracle's (``oracle.enumerate_path_collections``).
+weighted vertical edges, and signed diagonal segments; the sweep behind
+``phi`` and ``trop_phi``, compiled once per diagram into a program on the
+strand sets the paths can occupy (``SweepProgram``), and the kernel that
+runs it; the left-greedy path collections that give the extremal
+indices, built in one walk over the edges in key order; the signed
+Laurent-monomial weight of a path collection; and the path-sum matrix.
+Listing every non-intersecting path collection is the oracle's
+(``oracle.enumerate_path_collections``).
 
 Geometry conventions: strand r is the r-th from the bottom; sinks are the
 right ends of the strands (sink r on strand r); sources are primed labels
@@ -25,14 +28,13 @@ crossing's run, just left of which it sits.
 __all__ = [
     "VerticalEdge", "NegativeSegment", "WiringDiagram",
     "Path", "PathCollection",
-    "build_diagram", "collection_weight",
-    "left_greedy_collection", "graph_extremal_collections",
+    "build_diagram", "collection_weight", "graph_extremal_collections",
     "path_sum_matrix",
 ]
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Collection, Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .algebra import LaurentMonomial
 from .perms import (
@@ -55,6 +57,22 @@ class NegativeSegment(NamedTuple):
     columns: tuple[int, int]  # the two columns the segment sits between
 
 
+class SweepProgram(NamedTuple):
+    """The sweep behind ``phi`` and ``trop_phi`` compiled for one diagram
+    (``_compile_sweep``, run by ``_run_sweep``). The states are the strand
+    masks (bit r-1 for strand r) that the paths from {1'..k'}, k < n, can
+    occupy, numbered as first reached: {1'..k'} at k-1, then each new one
+    as a move reaches it. Per edge and -1 segment in key order, a segment
+    before an edge of the same key, one step on those positions:
+    (weight_id, moves into reached states with an even and with an odd
+    LGV sign as (source, destination) pairs, the sources of the moves
+    that reach new states in the order those are numbered, ~i for an odd
+    one) for an edge, (None, the positions it negates, (), ()) for a
+    segment."""
+    masks: tuple[int, ...]          # position -> strand mask
+    steps: tuple[tuple[int | None, tuple, tuple, tuple[int, ...]], ...]
+
+
 class WiringDiagram(NamedTuple):
     n: int
     cell: tuple[Perm, Perm]
@@ -63,12 +81,7 @@ class WiringDiagram(NamedTuple):
     neg_segments: tuple[NegativeSegment, ...]
     w_word: Word                    # the PDS of w inside the canonical word
     v_positions: tuple[int, ...]    # positions of v's PDS inside w_word
-    # edges and -1 segments in key order, a segment before an edge of the
-    # same key, as strand bit masks (bit r-1 for strand r), each with the
-    # masks reachable from {1'..k'} it acts on: (weight_id, lower | upper,
-    # strands strictly between, masks holding lower but not upper) for an
-    # edge, (None, strand, 0, masks holding the strand) for a segment
-    sweep_events: tuple[tuple[int | None, int, int, tuple[int, ...]], ...]
+    sweep: SweepProgram             # compiled once, by ``_compile_sweep``
 
     def weight_ids(self) -> tuple[int, ...]:
         return tuple(sorted(e.weight_id for e in self.edges))
@@ -153,27 +166,102 @@ def build_diagram(v: Perm, w: Perm) -> WiringDiagram:
     edges.reverse()
     segments.reverse()
 
-    # the strand masks the sweep can reach: first those of 1'..k', k < n
-    reach = {sum(1 << (s - 1) for s in strand[:k]) for k in range(1, n)}
-    events = []
-    for ev in sorted([*segments, *edges],
-                     key=lambda ev: (ev.key, isinstance(ev, VerticalEdge))):
-        if isinstance(ev, NegativeSegment):
-            bit = 1 << (ev.strand - 1)
-            events.append((None, bit, 0, tuple(sorted(
-                S for S in reach if S & bit))))
-        else:
-            lower, upper = 1 << (ev.lower - 1), 1 << (ev.upper - 1)
-            sources = tuple(sorted(S for S in reach
-                                   if S & lower and not S & upper))
-            reach.update(S ^ lower ^ upper for S in sources)
-            events.append((ev.weight_id, lower | upper,
-                           upper - (lower << 1), sources))
     return WiringDiagram(
         n=n, cell=(v, w), source_label=v,
         edges=tuple(edges), neg_segments=tuple(segments),
-        w_word=w_word, v_positions=v_pos, sweep_events=tuple(events),
+        w_word=w_word, v_positions=v_pos,
+        sweep=_compile_sweep(v, sorted([*segments, *edges], key=lambda ev: (
+            ev.key, isinstance(ev, VerticalEdge)))),
     )
+
+
+def _compile_sweep(v: Perm, events: list) -> SweepProgram:
+    """The sweep's program for the diagram whose sources read v and whose
+    edges and -1 segments, in key order, are ``events``. An edge moves the
+    paths on the states that hold its lower strand but not its upper one,
+    each to the state with the upper strand in place of the lower, so the
+    moves at one edge have distinct sources and destinations and none is
+    both. A move is odd when it jumps an odd number of strands, those
+    strictly between the edge's ends. A segment negates the states
+    reached so far that hold its strand."""
+    masks = [sum(1 << v.index(label) for label in range(1, k + 1))
+             for k in range(1, len(v))]
+    pos = {S: i for i, S in enumerate(masks)}
+    steps = []
+    for ev in events:
+        if isinstance(ev, NegativeSegment):
+            bit = 1 << (ev.strand - 1)
+            steps.append((None, tuple(i for i, S in enumerate(masks) if S & bit),
+                          (), ()))
+            continue
+        lower, upper = 1 << (ev.lower - 1), 1 << (ev.upper - 1)
+        jumped = upper - (lower << 1)
+        moves, new = ([], []), []
+        for i in range(len(masks)):     # the states reached before the edge
+            S = masks[i]
+            if S & lower and not S & upper:
+                odd = (S & jumped).bit_count() & 1
+                T = S ^ lower ^ upper
+                if T in pos:
+                    moves[odd].append((i, pos[T]))
+                else:
+                    pos[T] = len(masks)
+                    masks.append(T)
+                    new.append(~i if odd else i)
+        steps.append((ev.weight_id, tuple(moves[0]), tuple(moves[1]), tuple(new)))
+    return SweepProgram(tuple(masks), tuple(steps))
+
+
+def _run_sweep(d: WiringDiagram, x: Mapping[int, int | Fraction],
+               signed: bool) -> list:
+    """Run the diagram's program on the weights ``x``: classically, on
+    ints and Fractions, the signed sums of products; tropically, on ints,
+    the least sums (``plucker._sweep`` says what they mean). It keeps one
+    int per state reached so far, in a list by position, and returns them
+    indexed by strand mask (absent: 0 classically, None tropically).
+
+    Classically an edge of weight p/q multiplies the states reached so
+    far by q (unless q = 1), adds p times each moving state to its
+    destination, negated when the move is odd, and appends the new
+    states. No state is both a source and a destination at one edge, so
+    the moves read the states as they were before it, and an integer
+    weight updates the list in place. Tropically a new state is its
+    source plus the weight, a reached one keeps the lesser of its own
+    value and that sum, and the segments do nothing."""
+    masks, steps = d.sweep
+    if signed:
+        value = [1] * (d.n - 1)
+        for wid, even, odd, new in steps:
+            if wid is None:             # a -1 segment: even lists its states
+                for i in even:
+                    value[i] = -value[i]
+                continue
+            p, q = x[wid].numerator, x[wid].denominator
+            old = value
+            if q != 1:
+                value = [c * q for c in old]
+            for i, j in even:
+                value[j] += p * old[i]
+            for i, j in odd:
+                value[j] -= p * old[i]
+            for i in new:
+                value.append(p * old[i] if i >= 0 else -p * old[~i])
+    else:
+        value = [0] * (d.n - 1)
+        for wid, even, odd, new in steps:
+            if wid is None:
+                continue
+            c = x[wid]
+            for i, j in even + odd:
+                t = value[i] + c
+                if t < value[j]:
+                    value[j] = t
+            for i in new:
+                value.append(value[i if i >= 0 else ~i] + c)
+    raw = [0 if signed else None] * (1 << d.n)
+    for S, c in zip(masks, value):
+        raw[S] = c
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +294,19 @@ def collection_weight(c: PathCollection, d: WiringDiagram) -> LaurentMonomial:
 # Greedy / extremal collections
 # ---------------------------------------------------------------------------
 
-def _greedy_prefixes(d: WiringDiagram, sources: Collection[int]) -> list:
-    """For each i, the topmost i of ``sources`` take every left turn
-    (upward edge) they can without meeting another path, the rest stay
-    diagonal: per distinct sink set I, by I as a sorted tuple, (I, the
-    edges each source climbs, by source label). Paths turn around those
-    above them only, so one walk in key order places all: the path on an
-    edge's lower strand climbs it exactly when no path holds the upper
-    one. Edge keys are distinct, so wherever the sequential greedy (paths
-    added top-down, each turning around those placed) succeeds, this is
-    its collection. A path that climbs moves one sink up: a new sink set."""
+def _greedy_prefixes(d: WiringDiagram, k: int) -> list:
+    """For each i, the topmost i of the sources 1'..k' take every left
+    turn (upward edge) they can without meeting another path, the rest
+    stay diagonal: per distinct sink set I, by I as a sorted tuple, (I,
+    the edges each source climbs, by source label). Paths turn around
+    those above them only, so one walk in key order places all: the path
+    on an edge's lower strand climbs it exactly when no path holds the
+    upper one. Edge keys are distinct, so wherever the sequential greedy
+    (paths added top-down, each turning around those placed) succeeds,
+    this is its collection. A path that climbs moves one sink up: a new
+    sink set."""
     # strand -> the source label on it, or 0
-    holder = [0, *(s if s in sources else 0 for s in d.source_label)]
+    holder = [0, *(s if s <= k else 0 for s in d.source_label)]
     start = [r for r in range(d.n, 0, -1) if holder[r]]     # top-down
     climbed = {holder[r]: [] for r in start}
     for e in d.edges:
@@ -235,16 +324,6 @@ def _greedy_prefixes(d: WiringDiagram, sources: Collection[int]) -> list:
     return sorted(found)
 
 
-def left_greedy_collection(d: WiringDiagram, sources: Iterable[int]) -> PathCollection:
-    """Paths from ``sources``, each taking every left turn (upward edge) it
-    can without meeting another: the last, and highest, sink set of
-    ``_greedy_prefixes``, where every source is placed."""
-    sources = sorted(set(sources))
-    return PathCollection(tuple(
-        Path(s, d.strand_of_label(s), es) for s, es in
-        zip(sources, _greedy_prefixes(d, sources)[-1][1], strict=True)))
-
-
 def graph_extremal_collections(d: WiringDiagram, k: int) -> list[PathCollection]:
     """For each i in 0..k: left-greedy paths from the topmost i sources of
     {1'..k'} plus diagonal paths from the rest, one per sink set, by sink
@@ -254,7 +333,7 @@ def graph_extremal_collections(d: WiringDiagram, k: int) -> list[PathCollection]
         raise ValueError("k out of range")
     return [PathCollection(tuple(Path(s, d.strand_of_label(s), es)
                                  for s, es in enumerate(climbed, start=1)))
-            for _, climbed in _greedy_prefixes(d, range(1, k + 1))]
+            for _, climbed in _greedy_prefixes(d, k)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
-"""The one greedy walk (``wiring._greedy_prefixes``) that ``generators``,
-``graph_extremal_collections`` and ``left_greedy_collection`` all read,
-against frozen copies of the bodies it replaced: the generators read
-their weight ids off ``graph_extremal_collections``' ``Path`` and
-``PathCollection`` records, built by a walk with a dict of held strands.
+"""The one greedy walk (``wiring._greedy_prefixes``) that ``generators``
+and ``graph_extremal_collections`` both read, against frozen copies of
+the bodies it replaced: the generators read their weight ids off
+``graph_extremal_collections``' ``Path`` and ``PathCollection`` records,
+built by a walk with a dict of held strands.
 """
 
-import itertools
 import random
 
 import pytest
@@ -14,7 +13,6 @@ from tnnflag.extremal import Generator, generators, precedes_key
 from tnnflag.perms import bruhat_pairs, identity, longest_element
 from tnnflag.wiring import (
     Path, PathCollection, build_diagram, graph_extremal_collections,
-    left_greedy_collection,
 )
 
 
@@ -93,17 +91,15 @@ def test_extremal_collections_match_the_record_walk():
                 _graph_extremal_collections_reference(d, k), (v, w, k)
 
 
-def test_left_greedy_collection_matches_the_record_walk():
-    """Every source subset of every S3/S4 cell, the empty one and those
-    where a sequential greedy would be boxed in included; a source that is
-    no label raises ValueError, as in the record walk."""
+def test_all_placed_collection_matches_the_record_walk():
+    """Every S3/S4 cell and every k in 1..n: the last collection of size
+    k, where all of 1'..k' are placed, is the record walk's from those
+    sources; a k out of range raises ValueError."""
     for v, w in [c for n in (3, 4) for c in bruhat_pairs(n)]:
         d = build_diagram(v, w)
-        for r in range(len(v) + 1):
-            for sources in itertools.combinations(range(1, len(v) + 1), r):
-                assert left_greedy_collection(d, sources) == \
-                    _left_greedy_collection_reference(d, sources), \
-                    (v, w, sources)
-        for bad in ([0, 1], [1, len(v) + 1]):
+        for k in range(1, len(v) + 1):
+            assert graph_extremal_collections(d, k)[-1] == \
+                _left_greedy_collection_reference(d, range(1, k + 1)), (v, w, k)
+        for bad in (0, len(v) + 1):
             with pytest.raises(ValueError):
-                left_greedy_collection(d, bad)
+                graph_extremal_collections(d, bad)

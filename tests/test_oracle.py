@@ -4,16 +4,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tnnflag.algebra import Trop
 from tnnflag.oracle import (
     bruhat_leq_oracle, determinant_cofactor, flag_matroid_check,
     generic_weights, ideal_element_sample, random_flag, reduced_word_oracle,
-    support_oracle,
+    support_oracle, trop_eval_poly_terms,
 )
 from tnnflag.perms import (
-    all_perms, bruhat_leq, identity, inverse, length, longest_element,
-    perm_from_word,
+    all_perms, bruhat_leq, bruhat_pairs, identity, inverse, length,
+    longest_element, perm_from_word,
 )
-from tnnflag.plucker import check_relation, generate_relations, phi
+from tnnflag.plucker import check_relation, generate_relations, phi, trop_phi
 from tnnflag.wiring import build_diagram
 
 EX_V, EX_W = (1, 3, 2, 4), (4, 2, 1, 3)
@@ -128,3 +129,32 @@ def test_ideal_element_sample_merges_like_terms():
         assert all(c != 0 for c, _ in poly)
     with pytest.raises(ValueError):
         ideal_element_sample(5, count=1, seed=0)
+
+
+def _trop_eval_poly_terms_reference(poly, p):
+    """``trop_eval_poly_terms`` as it was: a product of ``Trop`` powers of
+    ``p.coord`` per term."""
+    out = []
+    for coeff, mono in poly:
+        val = p.one
+        for I, e in mono.items():
+            val = val * p.coord(I) ** e
+        out.append((coeff, val))
+    return out
+
+
+def test_trop_eval_poly_terms_matches_the_trop_product():
+    """Acceptance criterion 09's 50 polynomials per n, on trop_phi of
+    every S3/S4 cell at its first draw: equal values, each a Trop of a
+    Fraction or infinite."""
+    for n in (3, 4):
+        polys = ideal_element_sample(n, count=50, seed=909)
+        for v, w in bruhat_pairs(n):
+            a = generic_weights(v, w, seed=2000)
+            q = trop_phi(v, w, {j: Trop.of(x) for j, x in a.items()})
+            for poly in polys:
+                got = trop_eval_poly_terms(poly, q)
+                want = _trop_eval_poly_terms_reference(poly, q)
+                assert got == want, (v, w, poly)
+                assert [type(t.value) for _, t in got] == \
+                    [type(t.value) for _, t in want], (v, w, poly)

@@ -1,8 +1,10 @@
 """The integer sweep behind phi and trop_phi against the oracles, on
 weights that make clearing denominators hard: pairwise-coprime prime
 denominators whose lcm exceeds 2**64, numerators above 2**64, plain ints,
-and negative, zero and mixed tropical weights; and against the dict-based
-sweep it replaced, kept here as a frozen reference."""
+and negative, zero and mixed tropical weights; and against the kernels
+it replaced, kept here as frozen references: the dict-based sweep, and
+the mask-indexed sweep over per-diagram events that the compiled
+program replaced (with ``cell_support`` as it read that sweep)."""
 
 import itertools
 import math
@@ -12,13 +14,15 @@ from fractions import Fraction
 import pytest
 
 from tnnflag.algebra import Trop
+from tnnflag.extremal import SupportVector, cell_support
 from tnnflag.membership import decide_tnn, decide_trop
 from tnnflag.oracle import phi_minors, trop_phi_enumerated
 from tnnflag.perms import (
     all_perms, bruhat_leq, bruhat_pairs, identity, longest_element,
 )
 from tnnflag.plucker import (
-    PlueckerVector, TropPlueckerVector, _index_masks, phi, trop_phi,
+    PlueckerVector, TropPlueckerVector, _exact_weights, _index_masks,
+    _raw_blocks, _sweep, phi, trop_phi,
 )
 from tnnflag.wiring import NegativeSegment, VerticalEdge, build_diagram
 
@@ -219,3 +223,120 @@ def test_kernel_matches_reference_on_sampled_s5_cells():
 def test_kernel_matches_reference_on_top_cells(n):
     _assert_kernel_matches_reference([(identity(n), longest_element(n))], n,
                                      SMALL_PRIMES)
+
+
+# ---------------------------------------------------------------------------
+# The compiled program against the mask-event sweep it replaced
+# ---------------------------------------------------------------------------
+
+def _mask_events(d):
+    """The events ``build_diagram`` used to hold: edges and -1 segments in
+    key order, a segment before an edge of the same key, each with the
+    masks reachable from {1'..k'} it acts on: (weight_id, lower | upper,
+    strands strictly between, masks holding lower but not upper) for an
+    edge, (None, strand, 0, masks holding the strand) for a segment."""
+    reach, S = set(), 0
+    for label in range(1, d.n):
+        S |= 1 << (d.strand_of_label(label) - 1)
+        reach.add(S)
+    events = []
+    for ev in sorted([*d.neg_segments, *d.edges],
+                     key=lambda ev: (ev.key, isinstance(ev, VerticalEdge))):
+        if isinstance(ev, NegativeSegment):
+            bit = 1 << (ev.strand - 1)
+            events.append((None, bit, 0, tuple(sorted(
+                S for S in reach if S & bit))))
+        else:
+            lower, upper = 1 << (ev.lower - 1), 1 << (ev.upper - 1)
+            sources = tuple(sorted(S for S in reach
+                                   if S & lower and not S & upper))
+            reach.update(S ^ lower ^ upper for S in sources)
+            events.append((ev.weight_id, lower | upper,
+                           upper - (lower << 1), sources))
+    return events
+
+
+def _mask_sweep(v, w, x, signed):
+    """The mask-indexed sweep over ``_mask_events``: every reachable state
+    rescaled at each edge with q != 1, each move's destination and sign
+    computed from its mask."""
+    d = build_diagram(v, w)
+    value = [0 if signed else None] * (1 << d.n)
+    S = 0
+    for label in range(1, d.n):
+        S |= 1 << (d.strand_of_label(label) - 1)
+        value[S] = 1 if signed else 0
+    L = 1
+    if signed:
+        for wid, move, jumped, sources in _mask_events(d):
+            if wid is None:
+                for S in sources:
+                    value[S] = -value[S]
+                continue
+            p, q = x[wid].numerator, x[wid].denominator
+            old = value
+            if q != 1:
+                value = [c * q for c in old]
+            for S in sources:
+                c = p * old[S]
+                value[S ^ move] += -c if (S & jumped).bit_count() & 1 else c
+    else:
+        L = math.lcm(*(q.denominator for q in x.values()))
+        a = {j: q.numerator * (L // q.denominator) for j, q in x.items()}
+        for wid, move, _, sources in _mask_events(d):
+            if wid is not None:
+                c_e = a[wid]
+                for S in sources:
+                    t, T = value[S] + c_e, S ^ move
+                    if value[T] is None or t < value[T]:
+                        value[T] = t
+    return value, L
+
+
+def _program_cells():
+    return ([c for n in range(2, 6) for c in bruhat_pairs(n)]
+            + NEGATIVE_SEGMENT_CELLS
+            + random.Random(28).sample(bruhat_pairs(6), 300)
+            + [(identity(n), longest_element(n)) for n in (7, 8)])
+
+
+def test_program_matches_mask_sweep():
+    """Identical ``(raw, L)`` from the compiled program and the mask-event
+    sweep: every S2-S5 cell, the negative-segment cells, 300 seeded S6
+    cells and the S7 and S8 top cells, on one draw of every family of
+    ``_reference_draws`` and of the Mersenne draws (the primes repeat
+    past the seventh weight)."""
+    rng = random.Random(28)
+    for v, w in _program_cells():
+        ids = build_diagram(v, w).weight_ids()
+        primes = list(itertools.islice(itertools.cycle(MERSENNE), len(ids)))
+        draws = list(_reference_draws(ids, rng, MERSENNE))
+        draws += [(name, a, False)
+                  for name, a in _classical_draws(ids, rng, primes)]
+        draws += [(name, x, True)
+                  for name, x in _tropical_draws(ids, rng, primes)]
+        for name, x, tropical in draws:
+            exact = _exact_weights(x, tropical)
+            assert _sweep(v, w, exact, not tropical) == \
+                _mask_sweep(v, w, exact, not tropical), (v, w, name)
+
+
+def _cell_support_reference(v, w):
+    """``cell_support`` as it read the mask sweep at all-zero weights."""
+    n = len(v)
+    raw, _ = _mask_sweep(
+        v, w, dict.fromkeys(build_diagram(v, w).weight_ids(), Fraction(0)),
+        False)
+    return SupportVector(n, {k: frozenset(I for I, _ in found) for k, found
+                             in enumerate(_raw_blocks(n, raw, None), start=1)})
+
+
+def test_cell_support_matches_the_zero_weight_sweep():
+    """Every S3-S5 cell, 300 seeded S6 cells and the S7 top cell, down to
+    each frozenset's iteration order."""
+    cells = ([c for n in (3, 4, 5) for c in bruhat_pairs(n)]
+             + random.Random(29).sample(bruhat_pairs(6), 300)
+             + [(identity(7), longest_element(7))])
+    for v, w in cells:
+        assert repr(cell_support(v, w)) == repr(_cell_support_reference(v, w)), \
+            (v, w)

@@ -12,7 +12,7 @@ from tnnflag.perms import (
 from tnnflag.oracle import _paths_from, enumerate_path_collections, mr_matrix
 from tnnflag.wiring import (
     Path, PathCollection, VerticalEdge, build_diagram, collection_weight,
-    graph_extremal_collections, left_greedy_collection, path_sum_matrix,
+    graph_extremal_collections, path_sum_matrix,
 )
 
 EX_V, EX_W = (1, 3, 2, 4), (4, 2, 1, 3)
@@ -92,20 +92,60 @@ def _forward_replay(v, w):
             segments, tuple(events))
 
 
+def _decoded_program(d):
+    """The diagram's sweep program read back through its mask order, in
+    the replay's terms: per step, (weight_id, its moves as (source mask,
+    destination mask, odd)) for an edge and (None, the masks it negates)
+    for a -1 segment. The sources 1'..k' hold the first positions, every
+    position read is one reached before the step, and each new state
+    takes the next position."""
+    masks = d.sweep.masks
+    assert len(set(masks)) == len(masks)
+    assert list(masks[:d.n - 1]) == [
+        sum(1 << (d.strand_of_label(lb) - 1) for lb in range(1, k + 1))
+        for k in range(1, d.n)]
+    reached, out = d.n - 1, []
+    for wid, even, odd, new in d.sweep.steps:
+        if wid is None:
+            assert not odd and not new and all(i < reached for i in even)
+            out.append((None, {masks[i] for i in even}))
+            continue
+        assert all(i < reached and j < reached for i, j in even + odd)
+        moves = {(masks[i], masks[j], 0) for i, j in even}
+        moves |= {(masks[i], masks[j], 1) for i, j in odd}
+        for i in new:
+            assert (i if i >= 0 else ~i) < reached
+            moves.add((masks[i if i >= 0 else ~i], masks[reached], int(i < 0)))
+            reached += 1
+        out.append((wid, moves))
+    assert reached == len(masks)
+    return out
+
+
+def _replayed_moves(events):
+    """The replay's events in the terms of ``_decoded_program``: a move
+    from S is odd when it jumps an odd number of occupied strands."""
+    return [(None, set(sources)) if wid is None else
+            (wid, {(S, S ^ move, (S & jumped).bit_count() & 1) for S in sources})
+            for wid, move, jumped, sources in events]
+
+
 def test_backward_pass_matches_forward_replay():
     """Every cell of S2-S5 and 200 seeded S6 cells: the same diagram as the
     forward replay, each -1 segment one half further right, at the key of
     the first letter of its run; the sources read v bottom to top, and
-    every edge goes up."""
+    every edge goes up. The compiled sweep program, decoded through its
+    mask order, makes the replay's moves with the replay's parities and
+    negates the states the replay's segments do."""
     cells = [c for n in range(2, 6) for c in bruhat_pairs(n)]
     cells += random.Random(15).sample(bruhat_pairs(6), 200)
     for v, w in cells:
         d = build_diagram(v, w)
         labels, edges, w_word, v_positions, segments, events = \
             _forward_replay(v, w)
-        assert (d.source_label, d.edges, d.w_word, d.v_positions,
-                d.sweep_events) == (labels, edges, w_word, v_positions,
-                                    events), (v, w)
+        assert (d.source_label, d.edges, d.w_word, d.v_positions) == \
+            (labels, edges, w_word, v_positions), (v, w)
+        assert _decoded_program(d) == _replayed_moves(events), (v, w)
         # the replay's own labels, which build_diagram takes as given
         assert labels == v, (v, w)
         assert all(e.lower < e.upper for e in d.edges), (v, w)
@@ -231,9 +271,10 @@ def test_enumeration_matches_interval_rebuilding_reference(n):
 
 
 def test_left_greedy_top_cell():
+    """The last extremal collection of size 3, all three paths placed."""
     n = 5
     d = build_diagram(identity(n), longest_element(n))
-    coll = left_greedy_collection(d, [1, 2, 3])
+    coll = graph_extremal_collections(d, 3)[-1]
     assert coll.sinks == frozenset({3, 4, 5})
     mono = collection_weight(coll, d)
     assert mono.coefficient == 1
@@ -264,7 +305,7 @@ def test_diagonal_path_weight_is_one():
     assert mono.coefficient == 1 and mono.exponents == {}
 
 
-# The sequential greedy that the one-walk ``left_greedy_collection``
+# The sequential greedy that the one walk of ``graph_extremal_collections``
 # replaces: paths are placed top-down by strand, each on closed occupancy
 # intervals, taking the first upward edge before the next path already
 # placed on its strand whose landing point is free. It gives up (None)
@@ -329,18 +370,20 @@ def test_edges_are_in_strictly_increasing_key_order(n):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_left_greedy_walk_matches_sequential_greedy(n):
-    """Every source subset of every cell where the sequential greedy
-    places all its paths."""
+    """Every cell and every k in 1..n, k = n included: the one walk's last
+    collection, where all k sources are placed, is the sequential greedy's
+    whenever that places them all, and every prefix's collection is its
+    prefix's."""
     compared = 0
     for v, w in _cells(n):
         d = build_diagram(v, w)
-        for r in range(1, n + 1):
-            for sources in itertools.combinations(range(1, n + 1), r):
-                expected = _sequential_greedy(d, sources)
-                if expected is not None:
-                    assert left_greedy_collection(d, sources) == expected, \
-                        (v, w, sources)
-                    compared += 1
+        for k in range(1, n + 1):
+            colls = graph_extremal_collections(d, k)
+            assert colls == _sequential_extremal_collections(d, k), (v, w, k)
+            expected = _sequential_greedy(d, range(1, k + 1))
+            if expected is not None:
+                assert colls[-1] == expected, (v, w, k)
+                compared += 1
     assert compared
 
 
