@@ -256,11 +256,10 @@ def _mask_events(d):
     return events
 
 
-def _mask_sweep(v, w, x, signed):
-    """The mask-indexed sweep over ``_mask_events``: every reachable state
-    rescaled at each edge with q != 1, each move's destination and sign
-    computed from its mask."""
-    d = build_diagram(v, w)
+def _mask_sweep(d, events, x, signed):
+    """The mask-indexed sweep over the diagram's ``_mask_events``: every
+    reachable state rescaled at each edge with q != 1, each move's
+    destination and sign computed from its mask."""
     value = [0 if signed else None] * (1 << d.n)
     S = 0
     for label in range(1, d.n):
@@ -268,7 +267,7 @@ def _mask_sweep(v, w, x, signed):
         value[S] = 1 if signed else 0
     L = 1
     if signed:
-        for wid, move, jumped, sources in _mask_events(d):
+        for wid, move, jumped, sources in events:
             if wid is None:
                 for S in sources:
                     value[S] = -value[S]
@@ -283,7 +282,7 @@ def _mask_sweep(v, w, x, signed):
     else:
         L = math.lcm(*(q.denominator for q in x.values()))
         a = {j: q.numerator * (L // q.denominator) for j, q in x.items()}
-        for wid, move, _, sources in _mask_events(d):
+        for wid, move, _, sources in events:
             if wid is not None:
                 c_e = a[wid]
                 for S in sources:
@@ -308,7 +307,8 @@ def test_program_matches_mask_sweep():
     past the seventh weight)."""
     rng = random.Random(28)
     for v, w in _program_cells():
-        ids = build_diagram(v, w).weight_ids()
+        d = build_diagram(v, w)
+        ids, events = d.weight_ids(), _mask_events(d)
         primes = list(itertools.islice(itertools.cycle(MERSENNE), len(ids)))
         draws = list(_reference_draws(ids, rng, MERSENNE))
         draws += [(name, a, False)
@@ -318,15 +318,14 @@ def test_program_matches_mask_sweep():
         for name, x, tropical in draws:
             exact = _exact_weights(x, tropical)
             assert _sweep(v, w, exact, not tropical) == \
-                _mask_sweep(v, w, exact, not tropical), (v, w, name)
+                _mask_sweep(d, events, exact, not tropical), (v, w, name)
 
 
 def _cell_support_reference(v, w):
     """``cell_support`` as it read the mask sweep at all-zero weights."""
-    n = len(v)
-    raw, _ = _mask_sweep(
-        v, w, dict.fromkeys(build_diagram(v, w).weight_ids(), Fraction(0)),
-        False)
+    n, d = len(v), build_diagram(v, w)
+    raw, _ = _mask_sweep(d, _mask_events(d),
+                         dict.fromkeys(d.weight_ids(), Fraction(0)), False)
     return SupportVector(n, {k: frozenset(I for I, _ in found) for k, found
                              in enumerate(_raw_blocks(n, raw, None), start=1)})
 
