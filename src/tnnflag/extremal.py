@@ -35,8 +35,8 @@ from operator import le, or_
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .perms import Perm
-from .plucker import Index, _index_masks, _Vector
-from .wiring import _CELL_CACHE_SIZE, _greedy_prefixes, build_diagram
+from .plucker import Index, _Vector
+from .wiring import _CELL_CACHE_SIZE, _greedy_prefixes, _reached, build_diagram
 
 
 class SupportVector(NamedTuple):
@@ -103,13 +103,12 @@ def cell_support(v: Perm, w: Perm) -> SupportVector:
     """Indices supported on the cell: the sink sets I that some
     non-intersecting path collection {1'..|I|'} -> I reaches, which are
     the sets of strands that the diagram's sweep program reaches
-    (``wiring.SweepProgram.masks``). (These are the prefixes {u(1..k)}
+    (``wiring._reached``). (These are the prefixes {u(1..k)}
     over the Bruhat interval v^-1 <= u <= w^-1, which the oracle
     checks.)"""
-    n = len(v)
-    reached = set(build_diagram(v, w).sweep.masks)
-    return SupportVector(n, {k: frozenset(I for I, S in block if S in reached)
-                             for k, block in enumerate(_index_masks(n), start=1)})
+    return SupportVector(len(v), {
+        k: frozenset(block)
+        for k, block in enumerate(_reached(build_diagram(v, w)), start=1)})
 
 
 # ---------------------------------------------------------------------------

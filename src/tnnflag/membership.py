@@ -34,10 +34,11 @@ from typing import Mapping, NamedTuple
 from .algebra import LaurentMonomial, Trop, rat_to_str, trop_to_str
 from .perms import Perm, gale_leq, inverse, perm_to_str
 from .plucker import (
-    Index, PlueckerVector, TropPlueckerVector, _first_violated, _raw_blocks,
-    _sweep, all_proper_indices, generate_relations, index_to_str, phi, trop_phi,
+    Index, PlueckerVector, TropPlueckerVector, _first_violated,
+    all_proper_indices, generate_relations, index_to_str, phi, trop_phi,
 )
 from .extremal import _lex_chain_cell, flag_matroid_check, generators
+from .wiring import _run_sweep, build_diagram
 
 
 class CellCertificate(NamedTuple):
@@ -201,14 +202,18 @@ def _reconstruct(p, sup: Mapping[int, list[Index]], values: Mapping[Index, int],
     all on p's ``_int_view`` ``(sup, _, values, L)``; returns the
     certificate and the reconstruction's support (None when there is no
     reconstruction). The cell's unit index of size k is then sup[k][0].
-    Classically the input comes back when the sweep's raw blocks
-    (``_raw_blocks``) list the same indices and x_I r_unit = r_I x_unit
-    in every block, so no second view is built. Tropically the weights
-    are L times the cell weights, and the input comes back when the
-    reconstruction's view has the same values. A rejection checks
-    the index keys, then names the reconstruction's own witness: no cell
-    from the chains, an unusable generating coordinate, or the first
-    difference, read off the rendered vectors."""
+    The solved weights go straight to the cell's sweep
+    (``wiring._run_sweep``): they are the cell's, ints tropically (L
+    times the cell weights). The input comes back when the sweep's size
+    blocks list the same indices as ``sup`` and, in every block,
+    x_I r_unit = r_I x_unit with the semiring's product, compared as two
+    lists: classically that cross-multiplies. Tropically x_unit = Q_unit
+    is 0, and so is r_unit, since every move raises a path and only the
+    collection that moves none reaches the sources' own strands: the
+    test reads Q_I = r_I. A rejection checks the index keys, then
+    names the reconstruction's own witness: no cell from the chains, an
+    unusable generating coordinate, or the first difference, read off the
+    rendered vectors."""
     try:
         v, w = _lex_chain_cell(sup, p.n)
     except (TypeError, ValueError) as exc:     # TypeError: a key not of ints
@@ -220,22 +225,17 @@ def _reconstruct(p, sup: Mapping[int, list[Index]], values: Mapping[Index, int],
         p.check_indices()
         return _non_member({"type": "unsupported-generating-index",
                             "reason": str(exc)}), None
-    raw = _sweep(v, w, a, p.signed)[0]
-    if p.signed:
-        blocks = list(_raw_blocks(p.n, raw, 0))
-        r_sup = {k: [I for I, _ in found] for k, found in enumerate(blocks, start=1)}
-        same = r_sup == sup and all(
-            values[I] * found[0][1] == r_I * values[found[0][0]]
-            for found in blocks for I, r_I in found)
-    else:
-        r_sup, _, r_values, _ = type(p)._of_raw(p.n, raw, L)._int_view()
-        same = r_values == values
-    if same:
+    blocks = _run_sweep(build_diagram(v, w), a, p.signed)
+    r_sup = sup
+    if [I for I, _ in blocks] != [tuple(block) for block in sup.values()]:
+        r_sup = {k: list(I) for k, (I, _) in enumerate(blocks, start=1)}
+    elif all([values[J] * r[0] for J in I] == [c * values[I[0]] for c in r]
+             if p.signed else [values[J] for J in I] == r
+             for I, r in blocks):
         weights = a if p.signed else _trop_weights(a, L)
-        return CellCertificate("member", cell=(v, w), weights=weights), r_sup
+        return CellCertificate("member", cell=(v, w), weights=weights), sup
     p.check_indices()
-    r = type(p)._of_raw(p.n, raw, L)
-    return _first_difference(p.canonicalize(), r), r_sup
+    return _first_difference(p.canonicalize(), type(p)._of_raw(p.n, blocks, L)), r_sup
 
 
 def _first_difference(q, r) -> CellCertificate:
@@ -258,9 +258,9 @@ def decide_tnn(p: PlueckerVector) -> CellCertificate:
     coordinates were never read, and notes whether a coordinate is
     negative; if none is, the reconstruction (``_reconstruct``): the cell
     read off the first and last index of each size (flag and Bruhat
-    checks), ``_solve``'s walk on int pairs, the raw sweep and one
-    comparison of the two views' ints, cross-multiplied with each block's
-    unit. A member needs no further check, since its support is the flag
+    checks), ``_solve``'s walk on int pairs, the sweep and one
+    comparison of the view's ints with the sweep's, cross-multiplied with
+    each block's unit. A member needs no further check, since its support is the flag
     matroid of its cell. A rejection is named in this order: the index
     keys; the first negative coordinate, searched for only when the pass
     found one; the necessary flag-matroid conditions of

@@ -29,6 +29,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import neg
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .algebra import (
@@ -116,23 +117,25 @@ class _Vector:
     block's unit. ``support``, the deciders, ``psi``, ``trop_psi``,
     ``canonicalize`` and the first read of ``coords`` all take it. A
     vector that ``phi`` or ``trop_phi`` returns holds the raw sweep
-    ``(raw, L)`` instead of coordinates, and the view reads its integers.
-    When ``coords`` is first read it is normalized from the view
-    (``_canonical_coords``) and the raw form is dropped, so an edit made
-    through ``coords`` is what every later reader sees. Every vector the
-    library builds lists its coordinates by size, each size block in
-    lexicographic order; one given its coordinates keeps their order."""
+    ``(blocks, L)`` of ``_sweep`` instead of coordinates, and the view
+    reads its integers. When ``coords`` is first read it is normalized
+    from the view (``_canonical_coords``) and the raw form is dropped, so
+    an edit made through ``coords`` is what every later reader sees.
+    Every vector the library builds lists its coordinates by size, each
+    size block in lexicographic order; one given its coordinates keeps
+    their order."""
 
     def __init__(self, n: int, coords: dict[Index, object] | None = None):
         self.n = n
         self.coords = {} if coords is None else coords
 
     @classmethod
-    def _of_raw(cls, n: int, raw: list, L: int):
-        """The vector that the raw pass ``(raw, L)`` of ``_sweep`` gives,
-        its coordinates not yet rendered."""
+    def _of_raw(cls, n: int, blocks: list, L: int):
+        """The vector whose raw sweep is ``blocks`` (``_sweep``), with the
+        lcm L of its weights' denominators, its coordinates not yet
+        rendered."""
         p = cls(n)
-        p._raw = (raw, L)
+        p._raw = (blocks, L)
         return p
 
     @property
@@ -193,10 +196,10 @@ class _Vector:
         whether a coordinate is negative, and an int at each supported
         index. Coordinates are first scaled to ints x_I by the lcm L of
         their denominators (1 when there are none); the raw sweep gives
-        its ints and its L. Then, per block, a classical value is x_I, on
-        the raw sweep times the sign of its block's unit (the coordinate
-        times a positive factor per block), and a tropical one is
-        Q_I = x_I - x_unit = L (p_I - p_unit). Keys are not checked
+        its blocks of ints and its L. Then, per block, a classical value
+        is x_I, on the raw sweep times the sign of its block's unit (the
+        coordinate times a positive factor per block), and a tropical one
+        is Q_I = x_I - x_unit = L (p_I - p_unit). Keys are not checked
         (``check_indices`` does that), but a key of size 0 or n or more,
         or one that does not sort with the others, raises its ValueError."""
         signed, swept = self.signed, self._raw is not None
@@ -211,20 +214,17 @@ class _Vector:
             except (KeyError, TypeError):   # a key of size 0 or >= n, or not of ints
                 self.check_indices()
                 raise
-            values, L = _scale_to_ints({I: coords[I] if signed else coords[I].value
-                                        for block in sup.values() for I in block})
+            x, L = _scale_to_ints({I: coords[I] if signed else coords[I].value
+                                   for block in sup.values() for I in block})
+            blocks = [(b, [x[I] for I in b]) for b in sup.values()]
         else:
-            raw, L = self._raw
-            sup, values = {}, {}
-            for k, found in enumerate(_raw_blocks(self.n, raw, 0 if signed else None),
-                                      start=1):
-                sup[k] = [I for I, _ in found]
-                values.update(found)
-        for block in sup.values():
-            unit = values[block[0]] if block else 0
-            if (swept and unit < 0) if signed else unit:
-                for I in block:
-                    values[I] = -values[I] if signed else values[I] - unit
+            blocks, L = self._raw
+        sup, values = {}, {}
+        for k, (indices, x) in enumerate(blocks, start=1):
+            if x and ((swept and x[0] < 0) if signed else x[0]):
+                x = list(map(neg, x)) if signed else [c - x[0] for c in x]
+            sup[k] = list(indices)
+            values.update(zip(indices, x))
         negative = signed and min(values.values(), default=0) < 0
         return sup, negative, values, L
 
@@ -283,63 +283,51 @@ class TropPlueckerVector(_Vector):
 # Cell parameterization
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _index_masks(n: int) -> tuple[tuple[tuple[Index, int], ...], ...]:
-    """Per size 1..n-1, its indices in lexicographic order, each with its
-    strand mask (bit i-1 for i)."""
-    return tuple(tuple((I, sum(1 << (i - 1) for i in I))
-                       for I in itertools.combinations(range(1, n + 1), k))
-                 for k in range(1, n))
-
-
-def _sweep(v: Perm, w: Perm, x: Mapping[int, int | Fraction], signed: bool,
-           ) -> tuple[list, int]:
-    """The raw pass: ``(raw, L)``, where ``raw[S]``, for the set S of
-    strands given as a bit mask (bit r-1 for strand r), sums the weights
-    of the non-intersecting path collections {1'..|S|'} -> S, over the
-    signed sum-product semiring when ``signed`` and min-plus otherwise,
-    as a Python int (absent: 0 classically, None tropically). ``x`` holds
-    the rational weights (values of the tropical ones). Classically raw_I
-    is P_I times a positive factor common to all I; tropically it is
-    L * P_I, L the lcm of the weights' denominators (1 for int weights),
-    so a block's coordinates are raw_I / raw_unit or (raw_I - raw_unit) / L.
+def _sweep(v: Perm, w: Perm, x: Mapping[int, int | Fraction], signed: bool) -> list:
+    """The raw pass: per size 1..n-1, the sets I of strands (as sorted
+    tuples) that the non-intersecting path collections {1'..|I|'} reach,
+    in lexicographic order, each with raw_I, the sum of those
+    collections' weights over the signed sum-product semiring when
+    ``signed`` and min-plus otherwise, as a Python int. ``x`` holds the
+    weights: ints and Fractions classically, and tropically the ints
+    L x_e, L the lcm of the weights' denominators. Classically raw_I is
+    P_I times a positive factor common to all I; tropically it is
+    L * P_I, so a block's coordinates are raw_I / raw_unit or
+    (raw_I - raw_unit) / L. Weight ids other than the diagram's raise
+    ValueError: with as many weights as edges, a missing id is a
+    KeyError of the pass's own lookups, so no id set is built.
 
     One left-to-right pass over the diagram's edges and -1 segments in key
-    order serves every size: ``raw[S]`` is the sum so far for the set S
-    the paths occupy. Edge keys are distinct, so at most one path moves at
-    each edge, and it may move exactly when its upper strand is free; a
-    collection is thus the same thing as its sequence of moves, and the
-    final sets are the sink sets I. Which sets are reachable, and so
-    which move at an edge or cross a segment, depends only on the
-    diagram: the cached ``build_diagram`` compiles them into a program
-    on the sets numbered as first reached (``wiring.SweepProgram``), and
-    ``wiring._run_sweep`` runs it on a list of the sets reached so far.
-    The ``signed`` pass gets the Lindstroem-Gessel-Viennot sign: a move
-    is negated per path it jumps over (reattached edges can span several
-    strands), and a state per -1 segment it crosses. The remaining sign,
-    that of 1'..k' read bottom to top, is common to size k and cancels
-    in the normalization.
+    order serves every size: the pass keeps a sum for each set S the
+    paths occupy so far. Edge keys are distinct, so at most one path
+    moves at each edge, and it may move exactly when its upper strand is
+    free; a collection is thus the same thing as its sequence of moves,
+    and the final sets are the sink sets I. Which sets are reachable, and
+    so which move at an edge or cross a segment, depends only on the
+    diagram: the cached ``build_diagram`` compiles them into a program on
+    the sets numbered as first reached (``wiring.SweepProgram``), and
+    ``wiring._run_sweep`` runs it on a list of the sets reached so far,
+    which it reads once, by size in lexicographic order. The ``signed``
+    pass gets the Lindstroem-Gessel-Viennot sign: a move is negated per
+    path it jumps over (reattached edges can span several strands), and a
+    state per -1 segment it crosses. The remaining sign, that of 1'..k'
+    read bottom to top, is common to size k and cancels in the
+    normalization.
 
     Classically an edge of weight p/q multiplies every state reached so
     far by its own q (unless q = 1) and adds p times each moving state to
     its destination, so every collection's product is scaled by the same
     product of the edges' denominators (not by L^|E| for their lcm L),
-    which cancels in P_I / P_unit. Tropically the weights are the
-    integers L x_e.
+    which cancels in P_I / P_unit.
     """
     d = build_diagram(v, w)
-    if set(x) != set(d.weight_ids()):
-        raise ValueError(f"expected weight ids {list(d.weight_ids())}, "
-                         f"got {sorted(x)}")
-    a, L = (x, 1) if signed else _scale_to_ints(x)
-    return _run_sweep(d, a, signed), L
-
-
-def _raw_blocks(n: int, raw: list, absent) -> Iterator[list[tuple[Index, int]]]:
-    """Per size 1..n-1, the supported indices of a raw pass with their
-    raw values, in lexicographic order (so the unit comes first)."""
-    for block in _index_masks(n):
-        yield [(I, raw[S]) for I, S in block if raw[S] != absent]
+    if len(x) == len(d.edges):
+        try:
+            return _run_sweep(d, x, signed)
+        except KeyError:
+            pass
+    raise ValueError(f"expected weight ids {list(d.weight_ids())}, "
+                     f"got {sorted(x)}")
 
 
 def _exact_weights(x: Mapping[int, object], tropical: bool,
@@ -350,9 +338,9 @@ def _exact_weights(x: Mapping[int, object], tropical: bool,
     for j, val in x.items():
         q = val
         if tropical:
-            if isinstance(val, Trop) and val.is_inf:
-                raise ValueError("tropical weights must be finite")
             q = val.value if isinstance(val, Trop) else None
+            if q is None and isinstance(val, Trop):
+                raise ValueError("tropical weights must be finite")
         if type(q) is not int and not isinstance(q, Fraction):
             kind = "a Trop of an int or Fraction" if tropical \
                 else "an int or Fraction"
@@ -370,10 +358,10 @@ def phi(v: Perm, w: Perm, a: Mapping[int, int | Fraction]) -> PlueckerVector:
     The vector holds the raw sweep: its coordinates render on first read,
     and the deciders read the sweep's integers without rendering them.
     """
-    exact = _exact_weights(a, tropical=False)
-    if any(val <= 0 for val in exact.values()):
+    x = _exact_weights(a, tropical=False)
+    if any(val <= 0 for val in x.values()):
         raise ValueError("weights must be strictly positive")
-    return PlueckerVector._of_raw(len(v), *_sweep(v, w, exact, True))
+    return PlueckerVector._of_raw(len(v), _sweep(v, w, x, True), 1)
 
 
 def trop_phi(v: Perm, w: Perm, x: Mapping[int, Trop]) -> TropPlueckerVector:
@@ -383,8 +371,8 @@ def trop_phi(v: Perm, w: Perm, x: Mapping[int, Trop]) -> TropPlueckerVector:
     Trops of ints or Fractions. As with ``phi``, the coordinates render on
     first read, and the deciders read the raw sweep.
     """
-    return TropPlueckerVector._of_raw(
-        len(v), *_sweep(v, w, _exact_weights(x, tropical=True), False))
+    a, L = _scale_to_ints(_exact_weights(x, tropical=True))
+    return TropPlueckerVector._of_raw(len(v), _sweep(v, w, a, False), L)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ __all__ = [
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Mapping, NamedTuple
 
 from .algebra import LaurentMonomial
@@ -59,18 +60,23 @@ class NegativeSegment(NamedTuple):
 
 class SweepProgram(NamedTuple):
     """The sweep behind ``phi`` and ``trop_phi`` compiled for one diagram
-    (``_compile_sweep``, run by ``_run_sweep``). The states are the strand
-    masks (bit r-1 for strand r) that the paths from {1'..k'}, k < n, can
-    occupy, numbered as first reached: {1'..k'} at k-1, then each new one
-    as a move reaches it. Per edge and -1 segment in key order, a segment
-    before an edge of the same key, one step on those positions:
-    (weight_id, moves into reached states with an even and with an odd
-    LGV sign as (source, destination) pairs, the sources of the moves
-    that reach new states in the order those are numbered, ~i for an odd
-    one) for an edge, (None, the positions it negates, (), ()) for a
-    segment."""
-    masks: tuple[int, ...]          # position -> strand mask
-    steps: tuple[tuple[int | None, tuple, tuple, tuple[int, ...]], ...]
+    (``_compile_sweep``) and run by ``_run_sweep``. The states are the
+    strand masks (bit r-1 for strand r) that the paths from {1'..k'},
+    k < n, can occupy, numbered as first reached: {1'..k'} at k-1, then
+    each new one as a move reaches it. One step per edge in key order, on
+    those positions: (the positions that the -1 segments since the
+    previous edge negate, the edge's weight_id, its moves into reached
+    states with an even and with an odd LGV sign as (source, destination)
+    pairs, the sources of its moves that reach new states in the order
+    those are numbered, ~i for an odd one); the segments after the last
+    edge, if they negate any, make a last step with weight_id None. Then
+    the states in (size, lexicographic index) order, the order in which
+    ``_run_sweep`` reads them: their positions, their indices, and where
+    each size 1..n-1 starts in that order, then their number."""
+    steps: tuple[tuple, ...]
+    order: tuple[int, ...]
+    indices: tuple[tuple[int, ...], ...]
+    bounds: tuple[int, ...]
 
 
 class WiringDiagram(NamedTuple):
@@ -183,22 +189,21 @@ def _compile_sweep(v: Perm, events: list) -> SweepProgram:
     moves at one edge have distinct sources and destinations and none is
     both. A move is odd when it jumps an odd number of strands, those
     strictly between the edge's ends. A segment negates the states
-    reached so far that hold its strand."""
+    reached so far that hold its strand; negating twice cancels, so a
+    step lists the positions that an odd number of its segments negate."""
     masks = [sum(1 << v.index(label) for label in range(1, k + 1))
              for k in range(1, len(v))]
     pos = {S: i for i, S in enumerate(masks)}
-    steps = []
+    steps, negate = [], set()
     for ev in events:
         if isinstance(ev, NegativeSegment):
             bit = 1 << (ev.strand - 1)
-            steps.append((None, tuple(i for i, S in enumerate(masks) if S & bit),
-                          (), ()))
+            negate ^= {i for i, S in enumerate(masks) if S & bit}
             continue
         lower, upper = 1 << (ev.lower - 1), 1 << (ev.upper - 1)
         jumped = upper - (lower << 1)
         moves, new = ([], []), []
-        for i in range(len(masks)):     # the states reached before the edge
-            S = masks[i]
+        for i, S in enumerate(masks[:]):    # the states reached before the edge
             if S & lower and not S & upper:
                 odd = (S & jumped).bit_count() & 1
                 T = S ^ lower ^ upper
@@ -208,34 +213,54 @@ def _compile_sweep(v: Perm, events: list) -> SweepProgram:
                     pos[T] = len(masks)
                     masks.append(T)
                     new.append(~i if odd else i)
-        steps.append((ev.weight_id, tuple(moves[0]), tuple(moves[1]), tuple(new)))
-    return SweepProgram(tuple(masks), tuple(steps))
+        steps.append((tuple(negate), ev.weight_id, *map(tuple, moves), tuple(new)))
+        negate = set()
+    if negate:
+        steps.append((tuple(negate), None, (), (), ()))
+    table = _lex_table(len(v))
+    lex = list(filter(pos.__contains__, table))     # the reached masks by rank
+    sizes = list(map(int.bit_count, lex))
+    return SweepProgram(tuple(steps), tuple(map(pos.__getitem__, lex)),
+                        tuple(map(table.__getitem__, lex)),
+                        (*map(sizes.index, range(1, len(v))), len(lex)))
+
+
+@lru_cache(maxsize=None)
+def _lex_table(n: int) -> dict[int, tuple[int, ...]]:
+    """Every index of size 1..n-1 over {1..n} by its strand mask (bit i-1
+    for i), listed by rank: by size, then lexicographically. Read only."""
+    return {sum(1 << (i - 1) for i in I): I for k in range(1, n)
+            for I in combinations(range(1, n + 1), k)}
 
 
 def _run_sweep(d: WiringDiagram, x: Mapping[int, int | Fraction],
-               signed: bool) -> list:
+               signed: bool) -> list[tuple[tuple, list]]:
     """Run the diagram's program on the weights ``x``: classically, on
     ints and Fractions, the signed sums of products; tropically, on ints,
     the least sums (``plucker._sweep`` says what they mean). It keeps one
-    int per state reached so far, in a list by position, and returns them
-    indexed by strand mask (absent: 0 classically, None tropically).
+    int per state reached so far, in a list by position, and at the end
+    reads that list once, in the program's index order: per size 1..n-1,
+    the indices of the states reached, in lexicographic order, and their
+    values. At positive weights (classically) every reached state is
+    nonzero, so these are the supported indices.
 
     Classically an edge of weight p/q multiplies the states reached so
     far by q (unless q = 1), adds p times each moving state to its
     destination, negated when the move is odd, and appends the new
     states. No state is both a source and a destination at one edge, so
     the moves read the states as they were before it, and an integer
-    weight updates the list in place. Tropically a new state is its
-    source plus the weight, a reached one keeps the lesser of its own
-    value and that sum, and the segments do nothing."""
-    masks, steps = d.sweep
+    weight updates the list in place; a step's segments negate their
+    states first. Tropically a new state is its source plus the weight, a
+    reached one keeps the lesser of its own value and that sum, and the
+    segments do nothing. A weight id missing from ``x`` raises KeyError."""
+    steps, order, indices, bounds = d.sweep
     if signed:
         value = [1] * (d.n - 1)
-        for wid, even, odd, new in steps:
-            if wid is None:             # a -1 segment: even lists its states
-                for i in even:
-                    value[i] = -value[i]
-                continue
+        for negate, wid, even, odd, new in steps:
+            for i in negate:
+                value[i] = -value[i]
+            if wid is None:             # the segments after the last edge
+                break
             p, q = x[wid].numerator, x[wid].denominator
             old = value
             if q != 1:
@@ -248,9 +273,9 @@ def _run_sweep(d: WiringDiagram, x: Mapping[int, int | Fraction],
                 value.append(p * old[i] if i >= 0 else -p * old[~i])
     else:
         value = [0] * (d.n - 1)
-        for wid, even, odd, new in steps:
+        for _, wid, even, odd, new in steps:
             if wid is None:
-                continue
+                break
             c = x[wid]
             for i, j in even + odd:
                 t = value[i] + c
@@ -258,10 +283,15 @@ def _run_sweep(d: WiringDiagram, x: Mapping[int, int | Fraction],
                     value[j] = t
             for i in new:
                 value.append(value[i if i >= 0 else ~i] + c)
-    raw = [0 if signed else None] * (1 << d.n)
-    for S, c in zip(masks, value):
-        raw[S] = c
-    return raw
+    value = list(map(value.__getitem__, order))
+    return [(indices[a:b], value[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _reached(d: WiringDiagram) -> list[tuple]:
+    """Per size 1..n-1, the indices of the states that the diagram's sweep
+    reaches, in lexicographic order."""
+    _, _, indices, bounds = d.sweep
+    return [indices[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,11 @@ from tnnflag.membership import propagate_three_term, trop_propagate_three_term
 from tnnflag.oracle import normalize_blocks, random_flag
 from tnnflag.perms import bruhat_pairs
 from tnnflag.plucker import (
-    PlueckerVector, TropPlueckerVector, _raw_blocks, all_proper_indices,
-    phi, trop_phi,
+    PlueckerVector, TropPlueckerVector, all_proper_indices, phi, trop_phi,
 )
 from tnnflag.wiring import build_diagram
+
+from sweep_reference import raw_blocks, raw_sweep
 
 
 def _check(p):
@@ -47,8 +48,8 @@ def _check(p):
 def _unnormalized(p):
     """The vector of p's raw sweep values, each block as the sweep left
     it: the int raw_I classically, raw_I / L tropically."""
-    raw, L = p._raw
-    blocks = _raw_blocks(p.n, raw, 0 if p.signed else None)
+    raw, L = raw_sweep(p)
+    blocks = raw_blocks(p.n, raw, 0 if p.signed else None)
     return type(p)(p.n, {I: r if p.signed else Trop(Fraction(r, L))
                          for found in blocks for I, r in found})
 

@@ -29,6 +29,8 @@ from tnnflag.plucker import (
 )
 from tnnflag.wiring import build_diagram
 
+from sweep_reference import raw_sweep
+
 
 # ---------------------------------------------------------------------------
 # The frozen reference: the view with set supports and Fraction values
@@ -58,7 +60,7 @@ def ref_int_view(p):
         Q = {I: x.numerator * (L // x.denominator) for I, x in finite.items()}
         units = {k: Q[min(block)] for k, block in sup.items() if block}
         return sup, False, {I: q - units[len(I)] for I, q in Q.items()}, L
-    raw, L = p._raw
+    raw, L = raw_sweep(p)
     sup, values = {}, {}
     for k, found in enumerate(ref_raw_blocks(p.n, raw, 0 if signed else None),
                               start=1):
@@ -141,7 +143,7 @@ def _check(p, seen):
     else:
         assert (values, L) == (ref_values, ref_L), p
     if p.signed and p._raw is not None:
-        raw, _ = p._raw
+        raw, _ = raw_sweep(p)
         flipped = any(found and found[0][1] < 0
                       for found in ref_raw_blocks(p.n, raw, 0))
         seen[case + ("negative raw unit",)] += flipped

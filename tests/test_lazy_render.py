@@ -22,8 +22,10 @@ from tnnflag.algebra import Trop
 from tnnflag.extremal import s_vw
 from tnnflag.membership import decide_tnn, decide_trop
 from tnnflag.perms import bruhat_pairs, identity, longest_element
-from tnnflag.plucker import _raw_blocks, phi, trop_phi
+from tnnflag.plucker import phi, trop_phi
 from tnnflag.wiring import build_diagram
+
+from sweep_reference import raw_blocks, raw_sweep
 
 
 def _cells():
@@ -52,9 +54,9 @@ def _check(v, w, weights, make, decide, edit=None):
     verdicts after the same ``edit`` when one is given; returns whether a
     size block of the sweep had a negative raw unit."""
     fresh = make(v, w, weights)
-    raw, _ = fresh._raw
+    raw, _ = raw_sweep(fresh)
     negative_unit = any(found and found[0][1] < 0 for found in
-                        _raw_blocks(fresh.n, raw, 0 if fresh.signed else None))
+                        raw_blocks(fresh.n, raw, 0 if fresh.signed else None))
     rendered = type(fresh)(fresh.n, dict(make(v, w, weights).coords))
     cert = decide(fresh)
     assert fresh._raw is not None, "deciding rendered the raw sweep"

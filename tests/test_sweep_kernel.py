@@ -4,7 +4,8 @@ denominators whose lcm exceeds 2**64, numerators above 2**64, plain ints,
 and negative, zero and mixed tropical weights; and against the kernels
 it replaced, kept here as frozen references: the dict-based sweep, and
 the mask-indexed sweep over per-diagram events that the compiled
-program replaced (with ``cell_support`` as it read that sweep)."""
+program replaced (with ``cell_support`` as it read that sweep), whose
+blocks the program's reader must list as the mask-indexed read did."""
 
 import itertools
 import math
@@ -20,11 +21,10 @@ from tnnflag.oracle import phi_minors, trop_phi_enumerated
 from tnnflag.perms import (
     all_perms, bruhat_leq, bruhat_pairs, identity, longest_element,
 )
-from tnnflag.plucker import (
-    PlueckerVector, TropPlueckerVector, _exact_weights, _index_masks,
-    _raw_blocks, _sweep, phi, trop_phi,
-)
+from tnnflag.plucker import PlueckerVector, TropPlueckerVector, phi, trop_phi
 from tnnflag.wiring import NegativeSegment, VerticalEdge, build_diagram
+
+from sweep_reference import index_masks, raw_blocks, raw_sweep
 
 # Mersenne primes; the first alone exceeds 2**64
 MERSENNE = [2 ** p - 1 for p in (89, 61, 107, 127, 521, 607, 1279)]
@@ -162,7 +162,7 @@ def _reference_sweep(v, w, x, cls):
     if signed:
         value = {S: c for S, c in value.items() if c}
     coords = {}
-    for block in _index_masks(d.n):
+    for block in index_masks(d.n):
         sup = {I for I, S in block if S in value}
         if not sup:
             continue
@@ -299,12 +299,20 @@ def _program_cells():
             + [(identity(n), longest_element(n)) for n in (7, 8)])
 
 
+# the draws, one per semiring, on which the reader is compared as well
+READ_DRAWS = ("benchmark-like", "mixed-sign tropical")
+
+
 def test_program_matches_mask_sweep():
-    """Identical ``(raw, L)`` from the compiled program and the mask-event
-    sweep: every S2-S5 cell, the negative-segment cells, 300 seeded S6
-    cells and the S7 and S8 top cells, on one draw of every family of
-    ``_reference_draws`` and of the Mersenne draws (the primes repeat
-    past the seventh weight)."""
+    """Identical ``(raw, L)`` from the compiled program, expanded to the
+    mask-indexed list, and the mask-event sweep: every S2-S5 cell, the
+    negative-segment cells, 300 seeded S6 cells and the S7 and S8 top
+    cells, on one draw of every family of ``_reference_draws`` and of the
+    Mersenne draws (the primes repeat past the seventh weight). On the
+    ``READ_DRAWS``, the program's reader (the end of
+    ``wiring._run_sweep``, through ``phi`` and ``trop_phi``) lists the
+    same blocks, indices and values in the same order, as the
+    mask-indexed read of that sweep."""
     rng = random.Random(28)
     for v, w in _program_cells():
         d = build_diagram(v, w)
@@ -316,9 +324,14 @@ def test_program_matches_mask_sweep():
         draws += [(name, x, True)
                   for name, x in _tropical_draws(ids, rng, primes)]
         for name, x, tropical in draws:
-            exact = _exact_weights(x, tropical)
-            assert _sweep(v, w, exact, not tropical) == \
-                _mask_sweep(d, events, exact, not tropical), (v, w, name)
+            p = (trop_phi if tropical else phi)(v, w, x)
+            exact = {j: t.value for j, t in x.items()} if tropical else x
+            want = _mask_sweep(d, events, exact, not tropical)
+            assert raw_sweep(p) == want, (v, w, name)
+            if name in READ_DRAWS:
+                assert [list(zip(*block)) for block in p._raw[0]] == \
+                    list(raw_blocks(d.n, want[0], None if tropical else 0)), \
+                    (v, w, name)
 
 
 def _cell_support_reference(v, w):
@@ -327,7 +340,7 @@ def _cell_support_reference(v, w):
     raw, _ = _mask_sweep(d, _mask_events(d),
                          dict.fromkeys(d.weight_ids(), Fraction(0)), False)
     return SupportVector(n, {k: frozenset(I for I, _ in found) for k, found
-                             in enumerate(_raw_blocks(n, raw, None), start=1)})
+                             in enumerate(raw_blocks(n, raw, None), start=1)})
 
 
 def test_cell_support_matches_the_zero_weight_sweep():

@@ -93,22 +93,33 @@ def _forward_replay(v, w):
 
 
 def _decoded_program(d):
-    """The diagram's sweep program read back through its mask order, in
-    the replay's terms: per step, (weight_id, its moves as (source mask,
-    destination mask, odd)) for an edge and (None, the masks it negates)
-    for a -1 segment. The sources 1'..k' hold the first positions, every
-    position read is one reached before the step, and each new state
-    takes the next position."""
-    masks = d.sweep.masks
-    assert len(set(masks)) == len(masks)
+    """The diagram's sweep program read back through its index order, in
+    the replay's terms: per step, (the masks its segments negate,
+    weight_id, the edge's moves as (source mask, destination mask, odd)),
+    with weight_id None for the segments after the last edge. The index
+    order lists every position once, by size and then lexicographically,
+    starting each size where the program says; the sources 1'..k' hold
+    the first positions, every position read is one reached before the
+    step, and each new state takes the next position."""
+    _, order, indices, bounds = d.sweep
+    assert sorted(order) == list(range(len(order)))
+    assert list(indices) == sorted(set(indices), key=lambda I: (len(I), I))
+    assert [len(I) for I in indices] == [
+        k for k, (a, b) in enumerate(zip(bounds, bounds[1:]), start=1)
+        for _ in range(a, b)]
+    masks = [0] * len(order)
+    for i, I in zip(order, indices):
+        masks[i] = sum(1 << (r - 1) for r in I)
     assert list(masks[:d.n - 1]) == [
         sum(1 << (d.strand_of_label(lb) - 1) for lb in range(1, k + 1))
         for k in range(1, d.n)]
     reached, out = d.n - 1, []
-    for wid, even, odd, new in d.sweep.steps:
+    for negate, wid, even, odd, new in d.sweep.steps:
+        assert all(i < reached for i in negate)
+        negated = {masks[i] for i in negate}
         if wid is None:
-            assert not odd and not new and all(i < reached for i in even)
-            out.append((None, {masks[i] for i in even}))
+            assert not even and not odd and not new and negate
+            out.append((negated, None, set()))
             continue
         assert all(i < reached and j < reached for i, j in even + odd)
         moves = {(masks[i], masks[j], 0) for i, j in even}
@@ -117,17 +128,27 @@ def _decoded_program(d):
             assert (i if i >= 0 else ~i) < reached
             moves.add((masks[i if i >= 0 else ~i], masks[reached], int(i < 0)))
             reached += 1
-        out.append((wid, moves))
+        out.append((negated, wid, moves))
     assert reached == len(masks)
     return out
 
 
 def _replayed_moves(events):
     """The replay's events in the terms of ``_decoded_program``: a move
-    from S is odd when it jumps an odd number of occupied strands."""
-    return [(None, set(sources)) if wid is None else
-            (wid, {(S, S ^ move, (S & jumped).bit_count() & 1) for S in sources})
-            for wid, move, jumped, sources in events]
+    from S is odd when it jumps an odd number of occupied strands, and an
+    edge's step negates the masks that an odd number of the segments since
+    the previous edge negate (negating twice cancels)."""
+    out, negated = [], set()
+    for wid, move, jumped, sources in events:
+        if wid is None:
+            negated ^= set(sources)
+            continue
+        out.append((negated, wid, {(S, S ^ move, (S & jumped).bit_count() & 1)
+                                   for S in sources}))
+        negated = set()
+    if negated:
+        out.append((negated, None, set()))
+    return out
 
 
 def test_backward_pass_matches_forward_replay():
@@ -135,7 +156,7 @@ def test_backward_pass_matches_forward_replay():
     forward replay, each -1 segment one half further right, at the key of
     the first letter of its run; the sources read v bottom to top, and
     every edge goes up. The compiled sweep program, decoded through its
-    mask order, makes the replay's moves with the replay's parities and
+    index order, makes the replay's moves with the replay's parities and
     negates the states the replay's segments do."""
     cells = [c for n in range(2, 6) for c in bruhat_pairs(n)]
     cells += random.Random(15).sample(bruhat_pairs(6), 200)
