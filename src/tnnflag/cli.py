@@ -21,7 +21,7 @@ from .perms import (
 )
 from .plucker import (
     PlueckerVector, TropPlueckerVector, generate_relations, index_to_str,
-    _first_violated, _parse_keyed, phi, trop_phi,
+    _first_violated, _parse_keyed, _relation_json, phi, trop_phi,
 )
 from .extremal import cell_support, extremal_index_set, extremal_indices
 from .membership import decide_tnn, decide_trop
@@ -176,12 +176,8 @@ def _cmd_relations(args) -> int:
     _emit({
         "n": args.n,
         "count": len(rels),
-        "relations": [{
-            "r": rel.r, "s": rel.s,
-            "I": index_to_str(rel.I), "J": index_to_str(rel.J),
-            "terms": [[sign, index_to_str(a), index_to_str(b)]
-                      for sign, a, b in rel.terms],
-        } for rel in rels],
+        "relations": [{"r": rel.r, "s": rel.s, **_relation_json(rel)}
+                      for rel in rels],
     })
     return 0
 

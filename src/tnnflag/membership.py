@@ -8,7 +8,10 @@ nonnegative flag Dressian, and three-term propagation from the values at
 the cell's generators. All of them go from values to a point one way: the
 walk solves the weights and the sweep of ``phi``/``trop_phi`` gives the
 point. The source paper's relation-by-relation solver is the oracle's
-independent reference (``oracle._propagate``).
+independent reference (``oracle._propagate``). Each decider reads the
+vector's integer view and tries that reconstruction; on any other
+outcome it checks the index keys once, then names the rejection in a
+fixed order and builds only the witness it reports.
 
 >>> from tnnflag.perms import perm_from_str
 >>> from fractions import Fraction
@@ -34,7 +37,7 @@ from typing import Mapping, NamedTuple
 from .algebra import LaurentMonomial, Trop, rat_to_str, trop_to_str
 from .perms import Perm, gale_leq, inverse, perm_to_str
 from .plucker import (
-    Index, PlueckerVector, TropPlueckerVector, _first_violated,
+    Index, PlueckerVector, TropPlueckerVector, _first_violated, _relation_json,
     all_proper_indices, generate_relations, index_to_str, phi, trop_phi,
 )
 from .extremal import _lex_chain_cell, flag_matroid_check, generators
@@ -143,7 +146,7 @@ def psi(v: Perm, w: Perm, p: PlueckerVector) -> dict[int, Fraction]:
     >>> psi(v, w, scaled) == psi(v, w, p) == {1: 2, 2: 3, 4: 5}
     True
     """
-    return _solve(v, w, p._int_view()[2], True)
+    return _solve(v, w, p._int_view()[1], True)
 
 
 def trop_psi(v: Perm, w: Perm, p: TropPlueckerVector) -> dict[int, Trop]:
@@ -151,7 +154,7 @@ def trop_psi(v: Perm, w: Perm, p: TropPlueckerVector) -> dict[int, Trop]:
     Q = L (p - p_unit); each coordinate at an independent generating index
     is read against its size's unit and must be finite. The solved ints
     are L times the cell weights, so each is rendered divided by L."""
-    _, _, Q, L = p._int_view()
+    _, Q, L = p._int_view()
     return _trop_weights(_solve(v, w, Q, False), L)
 
 
@@ -195,56 +198,59 @@ def _trop_weights(a: Mapping[int, int], L: int) -> dict[int, Trop]:
 # ---------------------------------------------------------------------------
 
 def _reconstruct(p, sup: Mapping[int, list[Index]], values: Mapping[Index, int],
-                 L: int) -> tuple[CellCertificate, dict | None]:
-    """Certify membership iff the sweep gives the input back exactly, up
-    to each size block's unit, from the weights that ``_solve`` finds in
-    the cell read off the lexicographic chains of the support ``sup``,
-    all on p's ``_int_view`` ``(sup, _, values, L)``; returns the
-    certificate and the reconstruction's support (None when there is no
-    reconstruction). The cell's unit index of size k is then sup[k][0].
-    The solved weights go straight to the cell's sweep
-    (``wiring._run_sweep``): they are the cell's, ints tropically (L
-    times the cell weights). The input comes back when the sweep's size
-    blocks list the same indices as ``sup`` and, in every block,
-    x_I r_unit = r_I x_unit with the semiring's product, compared as two
-    lists: classically that cross-multiplies. Tropically x_unit = Q_unit
-    is 0, and so is r_unit, since every move raises a path and only the
-    collection that moves none reaches the sources' own strands: the
-    test reads Q_I = r_I. A rejection checks the index keys, then
-    names the reconstruction's own witness: no cell from the chains, an
-    unusable generating coordinate, or the first difference, read off the
-    rendered vectors."""
+                 L: int) -> tuple[CellCertificate | dict | list, bool]:
+    """Try to reconstruct p from its ``_int_view`` ``(sup, values, L)``:
+    the cell read off the lexicographic chains of the support ``sup``
+    (whose unit index of size k is then sup[k][0]), the weights that
+    ``_solve`` finds in it, and the cell's sweep of them
+    (``wiring._run_sweep``: the solved weights are the cell's, ints
+    tropically, L times the cell weights). Returns ``(found, same)``:
+    the member certificate; the witness dict of ``no-cell`` when the
+    chains give no cell, or of ``unsupported-generating-index`` when the
+    walk meets an unusable coordinate; or else the sweep's size blocks,
+    with ``same`` telling whether they list the indices of ``sup``.
+    Neither the keys nor a mismatch is looked into here: the deciders
+    check the keys, then build only the witness they report.
+
+    The input comes back when the blocks list the same indices as
+    ``sup`` and, in every block, x_I r_unit = r_I x_unit with the
+    semiring's product, compared as two lists: classically that
+    cross-multiplies. Tropically x_unit = Q_unit is 0, and so is r_unit,
+    since every move raises a path and only the collection that moves
+    none reaches the sources' own strands: the test reads Q_I = r_I."""
     try:
         v, w = _lex_chain_cell(sup, p.n)
     except (TypeError, ValueError) as exc:     # TypeError: a key not of ints
-        p.check_indices()
-        return _non_member({"type": "no-cell", "reason": str(exc)}), None
+        return {"type": "no-cell", "reason": str(exc)}, False
     try:
         a = _solve(v, w, values, p.signed)
     except ValueError as exc:
-        p.check_indices()
-        return _non_member({"type": "unsupported-generating-index",
-                            "reason": str(exc)}), None
+        return {"type": "unsupported-generating-index", "reason": str(exc)}, False
     blocks = _run_sweep(build_diagram(v, w), a, p.signed)
-    r_sup = sup
-    if [I for I, _ in blocks] != [tuple(block) for block in sup.values()]:
-        r_sup = {k: list(I) for k, (I, _) in enumerate(blocks, start=1)}
-    elif all([values[J] * r[0] for J in I] == [c * values[I[0]] for c in r]
-             if p.signed else [values[J] for J in I] == r
-             for I, r in blocks):
+    same = [I for I, _ in blocks] == [tuple(block) for block in sup.values()]
+    if same and all([values[J] * r[0] for J in I] == [c * values[I[0]] for c in r]
+                    if p.signed else [values[J] for J in I] == r
+                    for I, r in blocks):
         weights = a if p.signed else _trop_weights(a, L)
-        return CellCertificate("member", cell=(v, w), weights=weights), sup
-    p.check_indices()
-    return _first_difference(p.canonicalize(), type(p)._of_raw(p.n, blocks, L)), r_sup
+        return CellCertificate("member", cell=(v, w), weights=weights), True
+    return blocks, same
 
 
-def _first_difference(q, r) -> CellCertificate:
+def _own_witness(p, found: dict | list, L: int) -> dict:
+    """The reconstruction's own witness: ``found`` when it is one, else
+    the ``reconstruction-mismatch`` at the first index where the
+    canonical input and the vector of the sweep's blocks ``found``
+    differ."""
+    return found if type(found) is dict else \
+        _first_difference(p.canonicalize(), type(p)._of_raw(p.n, found, L))
+
+
+def _first_difference(q, r) -> dict:
     for I in all_proper_indices(q.n):
         if q.coord(I) != r.coord(I):
-            return _non_member({
-                "type": "reconstruction-mismatch", "index": index_to_str(I),
-                "input": q.render(q.coord(I)),
-                "reconstructed": q.render(r.coord(I))})
+            return {"type": "reconstruction-mismatch", "index": index_to_str(I),
+                    "input": q.render(q.coord(I)),
+                    "reconstructed": q.render(r.coord(I))}
     raise AssertionError("unequal vectors with equal coordinates (bug)")
 
 
@@ -255,31 +261,35 @@ def decide_tnn(p: PlueckerVector) -> CellCertificate:
     Every input gets one pass over its coordinates (``_int_view``), which
     lists each size's supported indices lexicographically with an int at
     each, read off the raw sweep when p came from ``phi`` and its
-    coordinates were never read, and notes whether a coordinate is
-    negative; if none is, the reconstruction (``_reconstruct``): the cell
-    read off the first and last index of each size (flag and Bruhat
-    checks), ``_solve``'s walk on int pairs, the sweep and one
-    comparison of the view's ints with the sweep's, cross-multiplied with
-    each block's unit. A member needs no further check, since its support is the flag
-    matroid of its cell. A rejection is named in this order: the index
-    keys; the first negative coordinate, searched for only when the pass
-    found one; the necessary flag-matroid conditions of
-    ``flag_matroid_check`` on the support, run only when it is not the
-    reconstruction's (which is the cell's, a flag matroid); the
-    reconstruction's own witness. A size block without Gale extremes is
-    not a matroid, so that check names it.
+    coordinates were never read; then this function's own check for a
+    negative value. If there is none, the reconstruction
+    (``_reconstruct``): the cell read off the first and last index of
+    each size (flag and Bruhat checks), ``_solve``'s walk on int pairs,
+    the sweep and one comparison of the view's ints with the sweep's,
+    cross-multiplied with each block's unit. A member needs no further
+    check, since its support is the flag matroid of its cell. Any other
+    input has its index keys checked once, and its rejection is named in
+    this order: the first negative coordinate; the necessary flag-matroid
+    conditions of ``flag_matroid_check`` on the support, run only when it
+    is not the reconstruction's (which is the cell's, a flag matroid);
+    the reconstruction's own witness, the mismatch vectors built only
+    then. A size block without Gale extremes is not a matroid, so that
+    check names it.
     """
-    sup, negative, values, L = p._int_view()
+    sup, values, L = p._int_view()
+    negative = min(values.values(), default=0) < 0
+    found, same = (None, False) if negative else _reconstruct(p, sup, values, L)
+    if type(found) is CellCertificate:
+        return found
+    p.check_indices()
     if negative:
-        p.check_indices()
         I = next(I for block in sup.values() for I in block if values[I] < 0)
         return _non_member({"type": "negative-coordinate",
                             "index": index_to_str(I),
                             "value": rat_to_str(p.coords[I])})
-    cert, r_sup = _reconstruct(p, sup, values, L)
-    if r_sup == sup or flag_matroid_check(sup):
-        return cert
-    return _non_member({"type": "support-not-flag-matroid"})
+    if not same and not flag_matroid_check(sup):
+        return _non_member({"type": "support-not-flag-matroid"})
+    return _non_member(_own_witness(p, found, L))
 
 
 def decide_trop(p: TropPlueckerVector) -> CellCertificate:
@@ -289,12 +299,13 @@ def decide_trop(p: TropPlueckerVector) -> CellCertificate:
     Every input gets the reconstruction of ``decide_tnn``, on the integers
     Q = L (p - p_unit) of ``_int_view``, read off the raw sweep when p
     came from ``trop_phi`` and its coordinates were never read. A member
-    positively solves every three-term tropical relation, so a rejection
-    is named in this order: the index
-    keys; the first violated three-term relation, scanned on the same Q
-    (a relation's terms share one size pair, so the shifts add one
+    positively solves every three-term tropical relation, so any other
+    input has its index keys checked once, and its rejection is named in
+    this order: the first violated three-term relation, scanned on the
+    same Q (a relation's terms share one size pair, so the shifts add one
     constant to all of them); the no-cell witness of ``identify_cell`` on
-    the reconstruction's support; the reconstruction's own witness.
+    the support; the reconstruction's own witness, the mismatch vectors
+    built only then.
 
     Which relations decide which inputs: the vectors this certifies are
     those with every size block nonempty that positively solve every
@@ -304,23 +315,20 @@ def decide_trop(p: TropPlueckerVector) -> CellCertificate:
     coordinates they do not (``tests/test_theorems.py`` pins an n = 5
     vector).
     """
-    sup, _, Q, L = p._int_view()
-    cert, _ = _reconstruct(p, sup, Q, L)
-    if cert.verdict == "member":
-        return cert
+    sup, Q, L = p._int_view()
+    found, _ = _reconstruct(p, sup, Q, L)
+    if type(found) is CellCertificate:
+        return found
+    p.check_indices()
     rel = _first_violated(generate_relations(p.n, True), Q.get)
     if rel is not None:
-        return _non_member({
-            "type": "violated-tropical-relation",
-            "I": index_to_str(rel.I) if rel.I else "",
-            "J": index_to_str(rel.J),
-            "terms": [[sign, index_to_str(a), index_to_str(b)]
-                      for sign, a, b in rel.terms]})
+        return _non_member({"type": "violated-tropical-relation",
+                            **_relation_json(rel)})
     try:
         identify_cell(sup, p.n)
     except ValueError as exc:
         return _non_member({"type": "no-cell", "reason": str(exc)})
-    return cert
+    return _non_member(_own_witness(p, found, L))
 
 
 # ---------------------------------------------------------------------------

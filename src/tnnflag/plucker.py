@@ -179,7 +179,7 @@ class _Vector:
         """The canonical coordinates, block by block from ``_int_view``:
         Fraction(x_I, x_unit) classically, Trop(Fraction(Q_I, L))
         tropically."""
-        sup, _, values, L = self._int_view()
+        sup, values, L = self._int_view()
         coords: dict[Index, object] = {}
         for block in sup.values():
             if block:
@@ -189,19 +189,19 @@ class _Vector:
                                  else Trop(Fraction(values[I], L)))
         return coords
 
-    def _int_view(self) -> tuple[dict[int, list[Index]], bool,
-                                 dict[Index, int], int]:
-        """The one read of a vector's values: ``(sup, negative, values,
-        L)``, the supported indices per size 1..n-1 in lexicographic order,
-        whether a coordinate is negative, and an int at each supported
-        index. Coordinates are first scaled to ints x_I by the lcm L of
-        their denominators (1 when there are none); the raw sweep gives
-        its blocks of ints and its L. Then, per block, a classical value
-        is x_I, on the raw sweep times the sign of its block's unit (the
-        coordinate times a positive factor per block), and a tropical one
-        is Q_I = x_I - x_unit = L (p_I - p_unit). Keys are not checked
-        (``check_indices`` does that), but a key of size 0 or n or more,
-        or one that does not sort with the others, raises its ValueError."""
+    def _int_view(self) -> tuple[dict[int, list[Index]], dict[Index, int], int]:
+        """The one read of a vector's values: ``(sup, values, L)``, the
+        supported indices per size 1..n-1 in lexicographic order and an
+        int at each supported index. Coordinates are first scaled to ints
+        x_I by the lcm L of their denominators (1 when there are none);
+        the raw sweep gives its blocks of ints and its L. Then, per block,
+        a classical value is x_I, on the raw sweep times the sign of its
+        block's unit (the coordinate times a positive factor per block,
+        so a negative value is a negative coordinate of the input), and a
+        tropical one is Q_I = x_I - x_unit = L (p_I - p_unit). Keys are
+        not checked (``check_indices`` does that), but a key of size 0 or
+        n or more, or one that does not sort with the others, raises its
+        ValueError."""
         signed, swept = self.signed, self._raw is not None
         if not swept:
             coords, sup = self._coords, {k: [] for k in range(1, self.n)}
@@ -225,8 +225,7 @@ class _Vector:
                 x = list(map(neg, x)) if signed else [c - x[0] for c in x]
             sup[k] = list(indices)
             values.update(zip(indices, x))
-        negative = signed and min(values.values(), default=0) < 0
-        return sup, negative, values, L
+        return sup, values, L
 
     def check_indices(self) -> None:
         """Raise ValueError naming the first key that is not an index: a
@@ -385,6 +384,15 @@ class IncidenceRelation(NamedTuple):
     I: Index
     J: Index
     terms: tuple[tuple[int, Index, Index], ...]  # (sign, left, right)
+
+
+def _relation_json(rel: IncidenceRelation) -> dict:
+    """A relation's ``I``, ``J`` and ``terms`` with its indices as text,
+    as the ``relations`` command and a violated relation's witness print
+    them."""
+    return {"I": index_to_str(rel.I), "J": index_to_str(rel.J),
+            "terms": [[sign, index_to_str(a), index_to_str(b)]
+                      for sign, a, b in rel.terms]}
 
 
 def _relation_terms(I: Index, J: Index) -> list[tuple[int, Index, Index]]:

@@ -23,8 +23,8 @@ from fractions import Fraction
 from tnnflag.algebra import TROP_INF, Trop, rat_to_str
 from tnnflag.extremal import flag_matroid_check, generators, s_vw
 from tnnflag.membership import (
-    CellCertificate, _lex_chain_cell, _reconstruct, decide_tnn, decide_trop,
-    identify_cell, psi,
+    CellCertificate, _lex_chain_cell, decide_tnn, decide_trop, identify_cell,
+    psi,
 )
 from tnnflag.perms import (
     Perm, bruhat_leq, bruhat_pairs, identity, inverse, longest_element,
@@ -34,6 +34,8 @@ from tnnflag.plucker import (
     generate_relations, index_to_str, phi, trop_phi,
 )
 from tnnflag.wiring import build_diagram
+
+from test_decide_order import reconstruction
 
 MERSENNE = [2 ** p - 1 for p in (89, 61, 107, 127, 521, 607, 1279)]
 
@@ -233,13 +235,12 @@ def _assert_same(p, kinds=None):
     assert new.weights == ref.weights, p.coords
     if kinds is not None:
         fns = (ref_trop_psi, trop_phi) if p.mode == "tropical" else (ref_psi, phi)
-        sup, _, values, L = p._int_view()
-        got, r_sup = _reconstruct(p, sup, values, L)
+        got, same = reconstruction(p)
         want, want_sup = ref_reconstruct(p, *fns)
-        assert (got.to_json_dict(), got.weights, sup) == \
+        assert (got.to_json_dict(), got.weights, p._int_view()[0]) == \
             (want.to_json_dict(), want.weights,
              {k: sorted(block) for k, block in want_sup.items()}), p.coords
-        assert got.verdict != "member" or r_sup == sup, p.coords
+        assert got.verdict != "member" or same, p.coords
         for key in ((p.mode, _kind(new)), (p.mode, "reconstruct", _kind(got))):
             kinds[key] = kinds.get(key, 0) + 1
     return _kind(new)

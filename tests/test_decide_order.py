@@ -19,8 +19,8 @@ from tnnflag import membership
 from tnnflag.algebra import Trop, rat_to_str
 from tnnflag.extremal import s_vw
 from tnnflag.membership import (
-    CellCertificate, _reconstruct, decide_tnn, decide_trop, identify_cell,
-    psi, trop_psi,
+    CellCertificate, _own_witness, _reconstruct, decide_tnn, decide_trop,
+    identify_cell, psi, trop_psi,
 )
 from tnnflag.oracle import flag_matroid_check, generic_weights, random_flag
 from tnnflag.perms import (
@@ -34,6 +34,18 @@ from tnnflag.plucker import (
 
 def _non_member(witness):
     return CellCertificate("non-member", witness=witness)
+
+
+def reconstruction(p):
+    """The reconstruction's certificate for p, its own witness when it
+    rejects (after the key check), and whether the sweep lists p's
+    supported indices."""
+    sup, values, L = p._int_view()
+    found, same = _reconstruct(p, sup, values, L)
+    if isinstance(found, CellCertificate):
+        return found, same
+    p.check_indices()
+    return _non_member(_own_witness(p, found, L)), same
 
 
 def reconstruct_checks_first(p, psi_fn, phi_fn):
@@ -153,10 +165,9 @@ def _compare(classical, tropical):
     seen = Counter()
     for p in classical + tropical:
         fns = (trop_psi, trop_phi) if p.mode == "tropical" else (psi, phi)
-        sup, _, values, L = p._int_view()
-        cert, _ = _reconstruct(p, sup, values, L)
+        cert, _ = reconstruction(p)
         try:
-            identify_cell(sup, p.n)
+            identify_cell(p._int_view()[0], p.n)
         except ValueError as exc:
             if "Gale extremes" in str(exc):
                 # the deciders name these with a later check
@@ -295,3 +306,38 @@ def test_decide_trop_runs_identify_cell_only_without_a_violation(monkeypatch):
         seen[kind, runs] += 1
     assert seen["member", False] and seen["no-cell", True] \
         and seen["violated-tropical-relation", False], seen
+
+
+def test_mismatch_witness_is_built_only_when_reported(monkeypatch):
+    """The reconstruction-mismatch witness (``_first_difference`` on the
+    canonical input and the sweep's vector) is built once when a decider
+    reports it and not at all when ``decide_trop`` reports a violated
+    relation or ``identify_cell``'s no-cell, or ``decide_tnn`` reports
+    support-not-flag-matroid, though the reconstruction got as far as the
+    sweep for every reported kind here but the tropical no-cell.
+    Certificates are unchanged."""
+    rng = random.Random(23)
+    classical, tropical = _gale_breaking_edits(rng)
+    c2, t2 = _inputs(rng.sample(_cells(4), 40), rng)
+    inputs = classical + c2 + tropical + t2
+    wanted, swept = [], []
+    for p in inputs:
+        decide_checks_first = decide_trop_checks_first \
+            if p.mode == "tropical" else decide_tnn_checks_first
+        wanted.append(decide_checks_first(p).to_json_dict())
+        swept.append(type(_reconstruct(p, *p._int_view())[0]) is list)
+    calls = _count_calls(monkeypatch, membership, ["_first_difference"])
+    seen = Counter()
+    for p, want, sweep in zip(inputs, wanted, swept):
+        calls.clear()
+        cert = (decide_trop if p.mode == "tropical" else decide_tnn)(p)
+        assert cert.to_json_dict() == want, p.coords
+        kind = (cert.witness or {}).get("type", "member")
+        built = kind == "reconstruction-mismatch"
+        assert calls["_first_difference"] == built, (kind, calls, p.coords)
+        seen[p.mode, kind, sweep] += 1
+    for key in (("classical", "support-not-flag-matroid", True),
+                ("classical", "reconstruction-mismatch", True),
+                ("tropical", "violated-tropical-relation", True),
+                ("tropical", "no-cell", False)):
+        assert seen[key], (key, seen)

@@ -5,14 +5,15 @@ an int at each. Coordinates given as input are scaled to ints by the lcm
 of their denominators in both modes, and only the raw sweep flips the
 sign of a block with a negative unit. The view it replaces, frozen below,
 kept a classical vector's coordinates as they were (explicit zeros
-included) and listed the supports as sets. On the raw sweep and on
-vectors given their coordinates, in both modes, the two must give the
-same supports and the same `negative` flag, values equal tropically and,
-classically, a positive multiple of the frozen values in each block. The
-new blocks must be sorted and every value an int. Inputs: the raw sweep
-and rendered copies (keys shuffled) of every S3 and S4 cell and seeded S5
-cells, blocks scaled by rationals (some negative) or shifted, explicit
-zero entries, int coordinates, and `random_flag`.
+included), listed the supports as sets and carried a `negative` flag. On
+the raw sweep and on vectors given their coordinates, in both modes, the
+two must give the same supports, values equal tropically and,
+classically, a positive multiple of the frozen values in each block; the
+frozen flag must be what `decide_tnn` reads off the new values, whether
+one is negative. The new blocks must be sorted and every value an int.
+Inputs: the raw sweep and rendered copies (keys shuffled) of every S3 and
+S4 cell and seeded S5 cells, blocks scaled by rationals (some negative)
+or shifted, explicit zero entries, int coordinates, and `random_flag`.
 """
 
 import itertools
@@ -123,7 +124,8 @@ def _ints(p):
 # ---------------------------------------------------------------------------
 
 def _check(p, seen):
-    sup, negative, values, L = p._int_view()
+    sup, values, L = p._int_view()
+    negative = p.signed and min(values.values(), default=0) < 0   # decide_tnn's
     ref_sup, ref_negative, ref_values, ref_L = ref_int_view(p)
     case = (p.mode, "raw" if p._raw is not None else "coords")
     assert {k: set(block) for k, block in sup.items()} == ref_sup, p

@@ -20,6 +20,8 @@ from tnnflag.plucker import (
 )
 from tnnflag.wiring import build_diagram
 
+from test_decide_order import _inputs, _random_inputs, reconstruction
+
 EX_V, EX_W = (1, 3, 2, 4), (4, 2, 1, 3)
 EX_A = {1: Fraction(2), 2: Fraction(3), 4: Fraction(5)}
 
@@ -123,7 +125,9 @@ def test_decide_tnn_int_coordinates_are_exact():
 def test_decide_rejects_unsorted_index_keys(tropical):
     """A member with one key written unsorted, such as (3, 2), gets a
     ValueError naming that key, whichever coordinate it is; so does a key
-    of size 0 or n."""
+    of size 0 or n. So does every rejection given such a key at the zero
+    of its semiring, whatever witness the decider would name, and
+    whatever the reconstruction finds."""
     if tropical:
         p = trop_phi(EX_V, EX_W, {j: Trop(x) for j, x in EX_A.items()})
         decide = decide_trop
@@ -144,6 +148,30 @@ def test_decide_rejects_unsorted_index_keys(tropical):
                                  for I, x in p.coords.items()})
         with pytest.raises(ValueError, match=re.escape("bad index (3, 2) ")):
             decide(q)
+    # rejections of every kind, each given an unsorted key at the semiring's
+    # zero: the view leaves it out, so every check runs as before, but the
+    # keys are checked ahead of the witness
+    rng = random.Random(31)
+    seen = set()
+    for n in (3, 4):
+        inputs = _inputs(_cells(n), rng)[tropical] \
+            + _random_inputs(n, 40, rng)[tropical]
+        for p in inputs:
+            kind = (decide(p).witness or {}).get("type", "member")
+            if kind == "member":
+                continue
+            seen.add(kind)
+            if tropical:
+                seen.add(("reconstruct", reconstruction(p)[0].witness["type"]))
+            with pytest.raises(ValueError, match=re.escape(f"bad index {(n, 1)} ")):
+                decide(type(p)(n, {**p.coords, (n, 1): p.zero}))
+    own = ("no-cell", "unsupported-generating-index", "reconstruction-mismatch")
+    if tropical:
+        wanted = {"violated-tropical-relation", "no-cell"} \
+            | {("reconstruct", kind) for kind in own}
+    else:
+        wanted = {"negative-coordinate", "support-not-flag-matroid", *own}
+    assert seen == wanted, seen
 
 
 def test_decide_tnn_negative_coordinate():

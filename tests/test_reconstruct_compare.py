@@ -3,14 +3,17 @@
 `membership._reconstruct` compares the blocks that the sweep at the
 solved weights reads (`wiring._run_sweep`) with the input's integer
 view, block by block: the same indices, then x_I r_unit = r_I x_unit
-with the semiring's product. The two comparisons it replaced are frozen below: classically
-the mask-indexed read of the sweep, cross-multiplied with each block's
-unit; tropically a second integer view of the reconstruction, compared
-with the input's as a dict. Both must give equal certificates, weights
-and reconstruction supports on the inputs of `test_decide_order.py`
-(members of the S3 and S4 cells and of sampled S5 cells with their
-one-coordinate edits, random flags and random tropical vectors) and on
-seeded one-coordinate near-misses at the S7 and S8 top cells.
+with the semiring's product. The two comparisons it replaced are frozen
+below: classically the mask-indexed read of the sweep, cross-multiplied
+with each block's unit; tropically a second integer view of the
+reconstruction, compared with the input's as a dict. Both must give
+equal certificates (the reconstruction's own witness named as the
+deciders name it, after the key check) and weights, and agree on whether
+the reconstruction's support is the input's, on the inputs of
+`test_decide_order.py` (members of the S3 and S4 cells and of sampled S5
+cells with their one-coordinate edits, random flags and random tropical
+vectors) and on seeded one-coordinate near-misses at the S7 and S8 top
+cells.
 """
 
 import random
@@ -18,15 +21,16 @@ from collections import Counter
 
 from tnnflag.algebra import Trop
 from tnnflag.membership import (
-    CellCertificate, _first_difference, _lex_chain_cell, _reconstruct,
-    _solve, _trop_weights,
+    CellCertificate, _lex_chain_cell, _solve, _trop_weights,
 )
 from tnnflag.oracle import generic_weights
 from tnnflag.perms import identity, longest_element
-from tnnflag.plucker import _sweep, phi, trop_phi
+from tnnflag.plucker import (
+    _sweep, all_proper_indices, index_to_str, phi, trop_phi,
+)
 
 from sweep_reference import raw_blocks, raw_sweep
-from test_decide_order import _cells, _inputs, _random_inputs
+from test_decide_order import _cells, _inputs, _random_inputs, reconstruction
 
 
 # ---------------------------------------------------------------------------
@@ -35,6 +39,16 @@ from test_decide_order import _cells, _inputs, _random_inputs
 
 def _non_member(witness):
     return CellCertificate("non-member", witness=witness)
+
+
+def ref_first_difference(q, r):
+    for I in all_proper_indices(q.n):
+        if q.coord(I) != r.coord(I):
+            return _non_member({
+                "type": "reconstruction-mismatch", "index": index_to_str(I),
+                "input": q.render(q.coord(I)),
+                "reconstructed": q.render(r.coord(I))})
+    raise AssertionError("unequal vectors with equal coordinates (bug)")
 
 
 def _raw_view(n, raw):
@@ -81,7 +95,7 @@ def ref_reconstruct(p, sup, values, L):
     found = raw_blocks(p.n, raw, 0 if p.signed else None)
     r = type(p)._of_raw(p.n, [(tuple(I for I, _ in f), [x for _, x in f])
                               for f in found], L)
-    return _first_difference(p.canonicalize(), r), r_sup
+    return ref_first_difference(p.canonicalize(), r), r_sup
 
 
 # ---------------------------------------------------------------------------
@@ -90,13 +104,13 @@ def ref_reconstruct(p, sup, values, L):
 
 def _compare(vectors, seen):
     for p in vectors:
-        sup, _, values, L = p._int_view()
-        got, r_sup = _reconstruct(p, sup, values, L)
+        sup, values, L = p._int_view()
+        got, same = reconstruction(p)
         want, want_sup = ref_reconstruct(p, sup, values, L)
-        assert (got.to_json_dict(), got.weights, r_sup) == \
-            (want.to_json_dict(), want.weights, want_sup), p.coords
+        assert (got.to_json_dict(), got.weights, same) == \
+            (want.to_json_dict(), want.weights, want_sup == sup), p.coords
         kind = (got.witness or {}).get("type", "member")
-        seen[p.mode, kind, r_sup == sup] += 1
+        seen[p.mode, kind, same] += 1
 
 
 def _near_misses(n, rng):
