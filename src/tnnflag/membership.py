@@ -267,7 +267,9 @@ def decide_tnn(p: PlueckerVector) -> CellCertificate:
     each size (flag and Bruhat checks), ``_solve``'s walk on int pairs,
     the sweep and one comparison of the view's ints with the sweep's,
     cross-multiplied with each block's unit. A member needs no further
-    check, since its support is the flag matroid of its cell. Any other
+    check, since its support is the flag matroid of its cell and its
+    supported keys are the sweep's (the view raises on a key at the zero
+    that is not an index). Any other
     input has its index keys checked once, and its rejection is named in
     this order: the first negative coordinate; the necessary flag-matroid
     conditions of ``flag_matroid_check`` on the support, run only when it

@@ -80,12 +80,16 @@ def _parse_keyed(items: Mapping[str, object], noun: str, what: str,
     return out
 
 
-def _check_index(I: Index, n: int) -> None:
-    """Raise ValueError unless I is an index of size 1..n-1 over {1..n}:
-    a sorted tuple of distinct ints."""
-    if not (type(I) is tuple and all(type(i) is int for i in I)
+def _is_index(I: Index, n: int) -> bool:
+    """Whether I is an index of size 1..n-1 over {1..n}: a sorted tuple
+    of distinct ints."""
+    return (type(I) is tuple and all(type(i) is int for i in I)
             and 0 < len(I) < n and I == tuple(sorted(set(I)))
-            and 1 <= I[0] and I[-1] <= n):
+            and 1 <= I[0] and I[-1] <= n)
+
+
+def _check_index(I: Index, n: int) -> None:
+    if not _is_index(I, n):
         raise ValueError(f"bad index {I!r} for n={n}")
 
 
@@ -198,22 +202,29 @@ class _Vector:
         a classical value is x_I, on the raw sweep times the sign of its
         block's unit (the coordinate times a positive factor per block,
         so a negative value is a negative coordinate of the input), and a
-        tropical one is Q_I = x_I - x_unit = L (p_I - p_unit). Keys are
-        not checked (``check_indices`` does that), but a key of size 0 or
-        n or more, or one that does not sort with the others, raises its
-        ValueError."""
+        tropical one is Q_I = x_I - x_unit = L (p_I - p_unit). The keys
+        of the support are not checked (``check_indices`` does that), but
+        a key of size 0 or n or more, or one that does not sort with the
+        others, raises its ValueError, and so does any key at the
+        semiring's zero that is not an index: no later check sees those
+        keys, since the view leaves them out."""
         signed, swept = self.signed, self._raw is not None
         if not swept:
             coords, sup = self._coords, {k: [] for k in range(1, self.n)}
+            keyed = True                    # every key at the zero is an index
             try:
                 for I, val in coords.items():
                     if (val.numerator if signed else val.value is not None):
                         sup[len(I)].append(I)
+                    elif keyed:
+                        keyed = _is_index(I, self.n)
                 for block in sup.values():
                     block.sort()
             except (KeyError, TypeError):   # a key of size 0 or >= n, or not of ints
                 self.check_indices()
                 raise
+            if not keyed:
+                self.check_indices()
             x, L = _scale_to_ints({I: coords[I] if signed else coords[I].value
                                    for block in sup.values() for I in block})
             blocks = [(b, [x[I] for I in b]) for b in sup.values()]
@@ -313,11 +324,13 @@ def _sweep(v: Perm, w: Perm, x: Mapping[int, int | Fraction], signed: bool) -> l
     read bottom to top, is common to size k and cancels in the
     normalization.
 
-    Classically an edge of weight p/q multiplies every state reached so
-    far by its own q (unless q = 1) and adds p times each moving state to
-    its destination, so every collection's product is scaled by the same
-    product of the edges' denominators (not by L^|E| for their lcm L),
-    which cancels in P_I / P_unit.
+    Classically every collection's product comes out scaled by the same
+    product Q of the edges' denominators (not by L^|E| for their lcm L),
+    which cancels in P_I / P_unit. The pass starts every state at Q and
+    keeps it end-scaled, its sum so far times the q of the edges still
+    to come: an edge of weight p/q adds p (B_i // q) per move from a
+    state i, exact because B_i still holds that q, and leaves the states
+    that do not move alone, so only its moves cost big-int work.
     """
     d = build_diagram(v, w)
     if len(x) == len(d.edges):
@@ -332,19 +345,26 @@ def _sweep(v: Perm, w: Perm, x: Mapping[int, int | Fraction], signed: bool) -> l
 def _exact_weights(x: Mapping[int, object], tropical: bool,
                    ) -> dict[int, int | Fraction]:
     """The rational value of each weight, which must be an int or a
-    Fraction, held in a finite Trop when ``tropical``."""
-    out = {}
+    Fraction, held in a finite Trop when ``tropical``, and otherwise
+    positive: that is raised only once every weight's type is checked."""
+    out, positive = {}, True
     for j, val in x.items():
         q = val
         if tropical:
             q = val.value if isinstance(val, Trop) else None
             if q is None and isinstance(val, Trop):
                 raise ValueError("tropical weights must be finite")
-        if type(q) is not int and not isinstance(q, Fraction):
+        if type(q) is int:
+            positive = positive and q > 0
+        elif isinstance(q, Fraction):
+            positive = positive and q.numerator > 0
+        else:
             kind = "a Trop of an int or Fraction" if tropical \
                 else "an int or Fraction"
             raise ValueError(f"weight {j}: expected {kind}, got {val!r}")
         out[j] = q
+    if not (positive or tropical):
+        raise ValueError("weights must be strictly positive")
     return out
 
 
@@ -358,8 +378,6 @@ def phi(v: Perm, w: Perm, a: Mapping[int, int | Fraction]) -> PlueckerVector:
     and the deciders read the sweep's integers without rendering them.
     """
     x = _exact_weights(a, tropical=False)
-    if any(val <= 0 for val in x.values()):
-        raise ValueError("weights must be strictly positive")
     return PlueckerVector._of_raw(len(v), _sweep(v, w, x, True), 1)
 
 

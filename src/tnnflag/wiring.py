@@ -32,6 +32,7 @@ __all__ = [
     "path_sum_matrix",
 ]
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -244,33 +245,47 @@ def _run_sweep(d: WiringDiagram, x: Mapping[int, int | Fraction],
     values. At positive weights (classically) every reached state is
     nonzero, so these are the supported indices.
 
-    Classically an edge of weight p/q multiplies the states reached so
-    far by q (unless q = 1), adds p times each moving state to its
-    destination, negated when the move is odd, and appends the new
-    states. No state is both a source and a destination at one edge, so
-    the moves read the states as they were before it, and an integer
-    weight updates the list in place; a step's segments negate their
-    states first. Tropically a new state is its source plus the weight, a
-    reached one keeps the lesser of its own value and that sum, and the
-    segments do nothing. A weight id missing from ``x`` raises KeyError."""
+    Classically the values are kept end-scaled: with A_S the signed sum
+    of products over the partial collections on S so far, each scaled by
+    the denominators q of the edges passed, the list holds B_S = A_S
+    times the q of every edge still to come. So every state starts at Q,
+    the product of all the edges' q, and after the last edge B_S = A_S,
+    the same ints as a sweep that multiplies the states reached by each
+    edge's q. An edge of weight p/q leaves the states that do not move
+    as they are, adds p (B_i // q) to the destination of each move from
+    i, negated when the move is odd, and appends p (B_i // q), negated
+    likewise, for a new state. The division is exact, since B_i still
+    holds this edge's q; at q = 1 there is none. No state is both a
+    source and a destination at one edge, so the moves read the states
+    as they were before it and the list is updated in place; a step's
+    segments negate their states first. Tropically a new state is its
+    source plus the weight, a reached one keeps the lesser of its own
+    value and that sum, and the segments do nothing. A weight id missing
+    from ``x`` raises KeyError."""
     steps, order, indices, bounds = d.sweep
     if signed:
-        value = [1] * (d.n - 1)
+        Q = math.prod([x[e.weight_id].denominator for e in d.edges])
+        value = [Q] * (d.n - 1)
         for negate, wid, even, odd, new in steps:
             for i in negate:
                 value[i] = -value[i]
             if wid is None:             # the segments after the last edge
                 break
             p, q = x[wid].numerator, x[wid].denominator
-            old = value
-            if q != 1:
-                value = [c * q for c in old]
+            if q == 1:
+                for i, j in even:
+                    value[j] += p * value[i]
+                for i, j in odd:
+                    value[j] -= p * value[i]
+                for i in new:
+                    value.append(p * value[i] if i >= 0 else -p * value[~i])
+                continue
             for i, j in even:
-                value[j] += p * old[i]
+                value[j] += value[i] // q * p
             for i, j in odd:
-                value[j] -= p * old[i]
+                value[j] -= value[i] // q * p
             for i in new:
-                value.append(p * old[i] if i >= 0 else -p * old[~i])
+                value.append(value[i] // q * p if i >= 0 else -(value[~i] // q * p))
     else:
         value = [0] * (d.n - 1)
         for _, wid, even, odd, new in steps:

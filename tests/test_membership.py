@@ -127,7 +127,9 @@ def test_decide_rejects_unsorted_index_keys(tropical):
     ValueError naming that key, whichever coordinate it is; so does a key
     of size 0 or n. So does every rejection given such a key at the zero
     of its semiring, whatever witness the decider would name, and
-    whatever the reconstruction finds."""
+    whatever the reconstruction finds; and so does a member of every S3
+    and S4 cell given such a key, as the README example with (3, 2) at
+    the zero."""
     if tropical:
         p = trop_phi(EX_V, EX_W, {j: Trop(x) for j, x in EX_A.items()})
         decide = decide_trop
@@ -148,20 +150,23 @@ def test_decide_rejects_unsorted_index_keys(tropical):
                                  for I, x in p.coords.items()})
         with pytest.raises(ValueError, match=re.escape("bad index (3, 2) ")):
             decide(q)
-    # rejections of every kind, each given an unsorted key at the semiring's
-    # zero: the view leaves it out, so every check runs as before, but the
-    # keys are checked ahead of the witness
+    with pytest.raises(ValueError, match=re.escape("bad index (3, 2) ")):
+        decide(type(p)(p.n, {**p.coords, (3, 2): p.zero}))
+    # members and rejections of every kind, each given an unsorted key at
+    # the semiring's zero: the view leaves it out, so every check runs as
+    # before, but the keys are checked ahead of the certificate or witness
     rng = random.Random(31)
-    seen = set()
+    seen, cells = set(), set()
     for n in (3, 4):
         inputs = _inputs(_cells(n), rng)[tropical] \
             + _random_inputs(n, 40, rng)[tropical]
         for p in inputs:
-            kind = (decide(p).witness or {}).get("type", "member")
-            if kind == "member":
-                continue
+            cert = decide(p)
+            kind = (cert.witness or {}).get("type", "member")
             seen.add(kind)
-            if tropical:
+            if kind == "member":
+                cells.add(cert.cell)
+            elif tropical:
                 seen.add(("reconstruct", reconstruction(p)[0].witness["type"]))
             with pytest.raises(ValueError, match=re.escape(f"bad index {(n, 1)} ")):
                 decide(type(p)(n, {**p.coords, (n, 1): p.zero}))
@@ -171,7 +176,8 @@ def test_decide_rejects_unsorted_index_keys(tropical):
             | {("reconstruct", kind) for kind in own}
     else:
         wanted = {"negative-coordinate", "support-not-flag-matroid", *own}
-    assert seen == wanted, seen
+    assert seen == wanted | {"member"}, seen
+    assert cells == {*_cells(3), *_cells(4)}
 
 
 def test_decide_tnn_negative_coordinate():

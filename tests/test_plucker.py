@@ -65,6 +65,9 @@ def test_phi_validates_weights():
         phi(EX_V, EX_W, {1: Fraction(1), 2: Fraction(1), 3: Fraction(1)})
     with pytest.raises(ValueError):
         phi(EX_V, EX_W, {1: Fraction(-1), 2: Fraction(1), 4: Fraction(1)})
+    for nonpositive in (0, -2, Fraction(0), Fraction(-1, 3)):
+        with pytest.raises(ValueError, match="^weights must be strictly positive$"):
+            phi(EX_V, EX_W, {1: 2, 2: nonpositive, 4: Fraction(5, 3)})
 
 
 def test_int_weights_equal_their_fractions():
@@ -77,8 +80,12 @@ def test_int_weights_equal_their_fractions():
 
 @pytest.mark.parametrize("bad", [0.5, True, "1/2", None, Trop(Fraction(1))])
 def test_phi_rejects_inexact_weights(bad):
-    with pytest.raises(ValueError, match="weight 1:"):
-        phi(EX_V, EX_W, {1: bad, 2: 3, 4: Fraction(5)})
+    """A weight of the wrong type is named even when a weight before or
+    after it is not positive."""
+    for a in ({1: bad, 2: 3, 4: Fraction(5)}, {1: bad, 2: -3, 4: Fraction(5)},
+              {4: Fraction(-5), 1: bad, 2: 3}):
+        with pytest.raises(ValueError, match="weight 1:"):
+            phi(EX_V, EX_W, a)
 
 
 @pytest.mark.parametrize("bad", [Trop(0.5), Trop(True), Fraction(1), 2])

@@ -292,6 +292,20 @@ def _mask_sweep(d, events, x, signed):
     return value, L
 
 
+def _alternating_weights(ids, rng):
+    """Weights whose classical steps alternate between q = 1 and q != 1 in
+    key order: a plain int, a Fraction over 4 or 6 in lowest terms, an
+    integer-valued Fraction, again over 4 or 6, and so on."""
+    def weight(t):
+        if t % 2:
+            return Fraction(rng.choice([1, 5, 7, 11, 13, 19, 25]),
+                            rng.choice([4, 6]))
+        if t % 4:
+            return Fraction(6 * rng.randint(1, 30), 6)
+        return rng.randint(1, 30)
+    return {j: weight(t) for t, j in enumerate(ids)}
+
+
 def _program_cells():
     return ([c for n in range(2, 6) for c in bruhat_pairs(n)]
             + NEGATIVE_SEGMENT_CELLS
@@ -301,19 +315,28 @@ def _program_cells():
 
 # the draws, one per semiring, on which the reader is compared as well
 READ_DRAWS = ("benchmark-like", "mixed-sign tropical")
+ALTERNATING = "alternating denominators"
 
 
 def test_program_matches_mask_sweep():
     """Identical ``(raw, L)`` from the compiled program, expanded to the
     mask-indexed list, and the mask-event sweep: every S2-S5 cell, the
     negative-segment cells, 300 seeded S6 cells and the S7 and S8 top
-    cells, on one draw of every family of ``_reference_draws`` and of the
-    Mersenne draws (the primes repeat past the seventh weight). On the
-    ``READ_DRAWS``, the program's reader (the end of
-    ``wiring._run_sweep``, through ``phi`` and ``trop_phi``) lists the
-    same blocks, indices and values in the same order, as the
-    mask-indexed read of that sweep."""
-    rng = random.Random(28)
+    cells, on one draw of every family of ``_reference_draws``, of the
+    Mersenne draws (the primes repeat past the seventh weight) and of
+    ``_alternating_weights``. On the ``READ_DRAWS``, the program's reader
+    (the end of ``wiring._run_sweep``, through ``phi`` and ``trop_phi``)
+    lists the same blocks, indices and values in the same order, as the
+    mask-indexed read of that sweep.
+
+    This guards the end-scaled classical kernel, which starts every state
+    at the product of the edges' denominators and divides by each edge's
+    q per move instead of rescaling every state reached: its raw ints
+    must be those of the rescaling sweep, not just proportional to them,
+    at steps with q = 1 and q != 1 in any order, and on negative states
+    (the alternating family must meet some)."""
+    rng, alternating = random.Random(28), random.Random(31)
+    negative = 0
     for v, w in _program_cells():
         d = build_diagram(v, w)
         ids, events = d.weight_ids(), _mask_events(d)
@@ -323,15 +346,20 @@ def test_program_matches_mask_sweep():
                   for name, a in _classical_draws(ids, rng, primes)]
         draws += [(name, x, True)
                   for name, x in _tropical_draws(ids, rng, primes)]
+        draws.append((ALTERNATING, _alternating_weights(ids, alternating),
+                      False))
         for name, x, tropical in draws:
             p = (trop_phi if tropical else phi)(v, w, x)
             exact = {j: t.value for j, t in x.items()} if tropical else x
             want = _mask_sweep(d, events, exact, not tropical)
             assert raw_sweep(p) == want, (v, w, name)
+            if name == ALTERNATING:
+                negative += min(want[0]) < 0
             if name in READ_DRAWS:
                 assert [list(zip(*block)) for block in p._raw[0]] == \
                     list(raw_blocks(d.n, want[0], None if tropical else 0)), \
                     (v, w, name)
+    assert negative, "no alternating draw reached a negative state"
 
 
 def _cell_support_reference(v, w):
