@@ -231,26 +231,36 @@ class Generator(NamedTuple):
     in_svw: bool
 
 
+_new_record = tuple.__new__
+
+
 @lru_cache(maxsize=_CELL_CACHE_SIZE)
 def generators(v: Perm, w: Perm) -> tuple[Generator, ...]:
     """Extremal indices in traversal order: the sink sets of each size's
     left-greedy prefixes, each with its collection's edge weight ids,
-    read off the walk that ``graph_extremal_collections`` wraps. An index
-    is independent when it adds a fresh id, or when its collection is the
-    all-diagonal one (at each size's Gale-minimal index) with no ids.
-    That each adds at most one fresh id, and that the fresh ids are every
-    cell weight, are checked by ``verify`` and the tests, not here."""
+    read off the walk that ``graph_extremal_collections`` wraps. The
+    sizes are walked from n-1 down to 1, and each size's prefixes come
+    in lexicographic order, so they arrive in ``precedes_key`` order
+    with no sort. An index is independent when it adds a fresh id, or
+    when its collection is the all-diagonal one (at each size's
+    Gale-minimal index) with no ids. That each adds at most one fresh
+    id, and that the fresh ids are every cell weight, are checked by
+    ``verify`` and the tests, not here."""
     d = build_diagram(v, w)
-    # a vertex-disjoint collection uses each edge once
-    ids = {I: tuple(e.weight_id for es in climbed for e in es)
-           for k in range(1, len(v))
-           for I, climbed in _greedy_prefixes(d, k)}
     used: set[int] = set()
     out: list[Generator] = []
-    for I in sorted(ids, key=precedes_key):
-        new = min(set(ids[I]) - used, default=None)
-        used.update(ids[I])
-        out.append(Generator(I, ids[I], new, new is not None or not ids[I]))
+    for k in range(len(v) - 1, 0, -1):
+        for I, climbed in _greedy_prefixes(d, k):
+            # a vertex-disjoint collection uses each edge once
+            ids = tuple([e.weight_id for e in sum(climbed, ())])
+            if used.issuperset(ids):
+                new = None
+            else:
+                new = min(set(ids).difference(used))
+                used.update(ids)
+            # the record's fields in order, without the generated __new__
+            out.append(_new_record(Generator, (
+                I, ids, new, new is not None or not ids)))
     return tuple(out)
 
 

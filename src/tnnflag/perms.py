@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 import itertools
+from functools import lru_cache
 from typing import Iterator, NamedTuple, NewType
 
 # a permutation of {1..n} in one-line notation
@@ -216,8 +217,10 @@ class Subexpression(NamedTuple):
         return perm_from_word(self.parent.n, self.letters())
 
 
+@lru_cache(maxsize=16)
 def canonical_w0_word(n: int) -> Word:
-    """The run-annotated word (s_1...s_{n-1})(s_1...s_{n-2})...(s_1).
+    """The run-annotated word (s_1...s_{n-1})(s_1...s_{n-2})...(s_1),
+    built once per n (for the 16 latest n).
 
     >>> canonical_w0_word(4).letters
     (1, 2, 3, 1, 2, 1)

@@ -342,30 +342,49 @@ def _sweep(v: Perm, w: Perm, x: Mapping[int, int | Fraction], signed: bool) -> l
                      f"got {sorted(x)}")
 
 
-def _exact_weights(x: Mapping[int, object], tropical: bool,
-                   ) -> dict[int, int | Fraction]:
+def _exact_weights(a: Mapping[int, object]) -> dict[int, int | Fraction]:
     """The rational value of each weight, which must be an int or a
-    Fraction, held in a finite Trop when ``tropical``, and otherwise
-    positive: that is raised only once every weight's type is checked."""
+    Fraction, and positive: that is raised only once every weight's type
+    is checked."""
     out, positive = {}, True
-    for j, val in x.items():
-        q = val
-        if tropical:
-            q = val.value if isinstance(val, Trop) else None
-            if q is None and isinstance(val, Trop):
-                raise ValueError("tropical weights must be finite")
+    for j, q in a.items():
         if type(q) is int:
             positive = positive and q > 0
         elif isinstance(q, Fraction):
             positive = positive and q.numerator > 0
         else:
-            kind = "a Trop of an int or Fraction" if tropical \
-                else "an int or Fraction"
-            raise ValueError(f"weight {j}: expected {kind}, got {val!r}")
+            raise ValueError(f"weight {j}: expected an int or Fraction, "
+                             f"got {q!r}")
         out[j] = q
-    if not (positive or tropical):
+    if not positive:
         raise ValueError("weights must be strictly positive")
     return out
+
+
+def _trop_ints(x: Mapping[int, object]) -> tuple[dict[int, int], int]:
+    """``({j: L * x_j}, L)``, L the lcm of the denominators of the
+    weights' values: the ints the tropical sweep takes. Each weight must
+    be a finite Trop of an int or a Fraction. One loop checks that and
+    reads each value's numerator and denominator once; the weights are
+    checked in the order of ``x``, so the first one that is not such a
+    Trop, or is infinite, is the one named."""
+    ids, nums, dens = [], [], []
+    for j, val in x.items():
+        q = val.value if isinstance(val, Trop) else None
+        if type(q) is int:
+            nums.append(q)
+            dens.append(1)
+        elif isinstance(q, Fraction):
+            nums.append(q.numerator)
+            dens.append(q.denominator)
+        elif q is None and isinstance(val, Trop):
+            raise ValueError("tropical weights must be finite")
+        else:
+            raise ValueError(f"weight {j}: expected a Trop of an int or "
+                             f"Fraction, got {val!r}")
+        ids.append(j)
+    L = math.lcm(*dens)
+    return dict(zip(ids, [p * (L // q) for p, q in zip(nums, dens)])), L
 
 
 def phi(v: Perm, w: Perm, a: Mapping[int, int | Fraction]) -> PlueckerVector:
@@ -377,7 +396,7 @@ def phi(v: Perm, w: Perm, a: Mapping[int, int | Fraction]) -> PlueckerVector:
     The vector holds the raw sweep: its coordinates render on first read,
     and the deciders read the sweep's integers without rendering them.
     """
-    x = _exact_weights(a, tropical=False)
+    x = _exact_weights(a)
     return PlueckerVector._of_raw(len(v), _sweep(v, w, x, True), 1)
 
 
@@ -388,7 +407,7 @@ def trop_phi(v: Perm, w: Perm, x: Mapping[int, Trop]) -> TropPlueckerVector:
     Trops of ints or Fractions. As with ``phi``, the coordinates render on
     first read, and the deciders read the raw sweep.
     """
-    a, L = _scale_to_ints(_exact_weights(x, tropical=True))
+    a, L = _trop_ints(x)
     return TropPlueckerVector._of_raw(len(v), _sweep(v, w, a, False), L)
 
 

@@ -40,8 +40,7 @@ from typing import Mapping, NamedTuple
 
 from .algebra import LaurentMonomial
 from .perms import (
-    Perm, Word, bruhat_leq, canonical_w0_word,
-    positive_distinguished_subexpression,
+    Perm, Word, canonical_w0_word, positive_distinguished_subexpression,
 )
 
 
@@ -137,6 +136,15 @@ _CELL_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=_CELL_CACHE_SIZE)
+def _w_word(w: Perm) -> tuple[tuple[int, ...], Word]:
+    """The distinguished subexpression of w in the canonical word: its
+    positions there, which are its letters' keys, and the run-annotated
+    word it spells. Every cell v <= w of one w shares it."""
+    w_sub = positive_distinguished_subexpression(w, canonical_w0_word(len(w)))
+    return w_sub.positions, Word(len(w), w_sub.letters(), w_sub.runs())
+
+
+@lru_cache(maxsize=_CELL_CACHE_SIZE)
 def build_diagram(v: Perm, w: Perm) -> WiringDiagram:
     """Replay the distinguished subexpressions of w (in the canonical word)
     and of v (in w's word) once, from the right: ``strand[s - 1]`` is the
@@ -147,21 +155,25 @@ def build_diagram(v: Perm, w: Perm) -> WiringDiagram:
     The sources read v bottom to top, and every edge goes up: both follow
     from the distinguished-subexpression construction (Marsh-Rietsch), so
     they are not re-derived here. The tests check both, and ``verify``
-    that every edge goes up.
+    that every edge goes up. Bruhat order is checked by v's subexpression
+    itself: v has one in w's reduced word exactly when v <= w, so its
+    absence raises the ValueError that names the order.
     """
-    if not bruhat_leq(v, w):
-        raise ValueError("v is not <= w in Bruhat order")
+    if len(v) != len(w):
+        raise ValueError("mismatched n")
     n = len(v)
-    w_sub = positive_distinguished_subexpression(w, canonical_w0_word(n))
-    w_word = Word(n, w_sub.letters(), w_sub.runs())
-    v_pos = positive_distinguished_subexpression(v, w_word).positions
+    keys, w_word = _w_word(w)
+    try:
+        v_pos = positive_distinguished_subexpression(v, w_word).positions
+    except ValueError:
+        raise ValueError("v is not <= w in Bruhat order") from None
     crossing = set(v_pos)
 
     strand = list(range(1, n + 1))
     edges: list[VerticalEdge] = []
     segments: list[NegativeSegment] = []
-    for j in range(len(w_word.letters), 0, -1):
-        i, key = w_word.letters[j - 1], w_sub.positions[j - 1]
+    for j in range(len(keys), 0, -1):
+        i, key = w_word.letters[j - 1], keys[j - 1]
         column = n + 1 - w_word.runs[j - 1]
         if j in crossing:
             segments.append(NegativeSegment(strand[i - 1], key - (i - 1),
@@ -177,53 +189,75 @@ def build_diagram(v: Perm, w: Perm) -> WiringDiagram:
         n=n, cell=(v, w), source_label=v,
         edges=tuple(edges), neg_segments=tuple(segments),
         w_word=w_word, v_positions=v_pos,
-        sweep=_compile_sweep(v, sorted([*segments, *edges], key=lambda ev: (
-            ev.key, isinstance(ev, VerticalEdge)))),
+        sweep=_compile_sweep(v, edges, segments),
     )
 
 
-def _compile_sweep(v: Perm, events: list) -> SweepProgram:
-    """The sweep's program for the diagram whose sources read v and whose
-    edges and -1 segments, in key order, are ``events``. An edge moves the
-    paths on the states that hold its lower strand but not its upper one,
-    each to the state with the upper strand in place of the lower, so the
-    moves at one edge have distinct sources and destinations and none is
-    both. A move is odd when it jumps an odd number of strands, those
-    strictly between the edge's ends. A segment negates the states
-    reached so far that hold its strand; negating twice cancels, so a
-    step lists the positions that an odd number of its segments negate."""
-    masks = [sum(1 << v.index(label) for label in range(1, k + 1))
-             for k in range(1, len(v))]
+def _compile_sweep(v: Perm, edges: list, segments: list) -> SweepProgram:
+    """The sweep's program for the diagram whose sources read v, with its
+    edges and its -1 segments, each in key order. A segment comes before
+    an edge of the same key, so the two lists are merged as they are
+    walked, with no sort. An edge moves the paths on the states that
+    hold its lower strand but not its upper one, each to the state with
+    the upper strand in place of the lower, so the moves at one edge have
+    distinct sources and destinations and none is both. A move is odd
+    when it jumps an odd number of strands, those strictly between the
+    edge's ends. A segment negates the states reached so far that hold
+    its strand, and negating twice cancels: so a step negates the states
+    that hold an odd number of the strands of its segments, counted with
+    multiplicity, which is the parity of the state's overlap with the
+    XOR of those strands. The start states {1'..k'} are built one source
+    at a time, and each edge scans the states reached before it by
+    position, with no copy."""
+    n = len(v)
+    masks, S = [], 0
+    for label in range(1, n):
+        S |= 1 << v.index(label)
+        masks.append(S)
     pos = {S: i for i, S in enumerate(masks)}
-    steps, negate = [], set()
-    for ev in events:
-        if isinstance(ev, NegativeSegment):
-            bit = 1 << (ev.strand - 1)
-            negate ^= {i for i, S in enumerate(masks) if S & bit}
-            continue
-        lower, upper = 1 << (ev.lower - 1), 1 << (ev.upper - 1)
+    steps, s = [], 0
+    for e in edges:
+        flip = 0
+        while s < len(segments) and segments[s].key <= e.key:
+            flip ^= 1 << (segments[s].strand - 1)
+            s += 1
+        negate = _odd_overlaps(masks, flip)
+        lower, upper = 1 << (e.lower - 1), 1 << (e.upper - 1)
         jumped = upper - (lower << 1)
         moves, new = ([], []), []
-        for i, S in enumerate(masks[:]):    # the states reached before the edge
+        for i in range(len(masks)):     # the states reached before the edge
+            S = masks[i]
             if S & lower and not S & upper:
-                odd = (S & jumped).bit_count() & 1
                 T = S ^ lower ^ upper
+                odd = (S & jumped).bit_count() & 1
                 if T in pos:
                     moves[odd].append((i, pos[T]))
                 else:
                     pos[T] = len(masks)
                     masks.append(T)
                     new.append(~i if odd else i)
-        steps.append((tuple(negate), ev.weight_id, *map(tuple, moves), tuple(new)))
-        negate = set()
+        steps.append((negate, e.weight_id, tuple(moves[0]), tuple(moves[1]),
+                      tuple(new)))
+    flip = 0
+    for seg in segments[s:]:
+        flip ^= 1 << (seg.strand - 1)
+    negate = _odd_overlaps(masks, flip)
     if negate:
-        steps.append((tuple(negate), None, (), (), ()))
-    table = _lex_table(len(v))
+        steps.append((negate, None, (), (), ()))
+    table = _lex_table(n)
     lex = list(filter(pos.__contains__, table))     # the reached masks by rank
     sizes = list(map(int.bit_count, lex))
     return SweepProgram(tuple(steps), tuple(map(pos.__getitem__, lex)),
                         tuple(map(table.__getitem__, lex)),
-                        (*map(sizes.index, range(1, len(v))), len(lex)))
+                        (*map(sizes.index, range(1, n)), len(lex)))
+
+
+def _odd_overlaps(masks: list[int], flip: int) -> tuple[int, ...]:
+    """The positions of the masks that share an odd number of bits with
+    ``flip``."""
+    if not flip:
+        return ()
+    return tuple([i for i, S in enumerate(masks) if (S & flip).bit_count() & 1])
 
 
 @lru_cache(maxsize=None)
@@ -342,31 +376,45 @@ def collection_weight(c: PathCollection, d: WiringDiagram) -> LaurentMonomial:
 def _greedy_prefixes(d: WiringDiagram, k: int) -> list:
     """For each i, the topmost i of the sources 1'..k' take every left
     turn (upward edge) they can without meeting another path, the rest
-    stay diagonal: per distinct sink set I, by I as a sorted tuple, (I,
-    the edges each source climbs, by source label). Paths turn around
-    those above them only, so one walk in key order places all: the path
-    on an edge's lower strand climbs it exactly when no path holds the
-    upper one. Edge keys are distinct, so wherever the sequential greedy
-    (paths added top-down, each turning around those placed) succeeds,
-    this is its collection. A path that climbs moves one sink up: a new
-    sink set."""
-    # strand -> the source label on it, or 0
-    holder = [0, *(s if s <= k else 0 for s in d.source_label)]
-    start = [r for r in range(d.n, 0, -1) if holder[r]]     # top-down
+    stay diagonal: per distinct sink set I, in lexicographic order of I
+    as a sorted tuple, (I, the edges each source climbs, by source
+    label). Paths turn around those above them only, so one walk in key
+    order places all: the path on an edge's lower strand climbs it
+    exactly when no path holds the upper one. Edge keys are distinct, so
+    wherever the sequential greedy (paths added top-down, each turning
+    around those placed) succeeds, this is its collection. A path that
+    climbs moves one sink r up to a strand u > r: a new sink set, whose
+    tuple is read off ``_lex_table`` by its strand mask (the shared
+    tuple, not a new one). Its sorted tuple keeps the elements below r
+    and then has one above r where r stood, so it is lexicographically
+    greater: the sets come in lexicographic order, with no sort. At
+    k = n the one sink set is every strand, reached by no climb."""
+    n = d.n
+    if k == n:                  # every strand is held, so no path climbs
+        return [(tuple(range(1, n + 1)), ((),) * n)]
+    holder = [0] * (n + 1)      # strand -> the source label on it, or 0
+    start, sinks = [], 0        # the sources' strands top-down, their mask
+    for r in range(n, 0, -1):
+        s = d.source_label[r - 1]
+        if s <= k:
+            holder[r] = s
+            start.append(r)
+            sinks |= 1 << (r - 1)
     climbed = {holder[r]: [] for r in start}
     for e in d.edges:
         s = holder[e.lower]
         if s and not holder[e.upper]:
             holder[e.lower], holder[e.upper] = 0, s
             climbed[s].append(e)
-    paths, sinks = dict.fromkeys(sorted(climbed), ()), set(start)
-    found = [(tuple(sorted(sinks)), tuple(paths.values()))]
+    paths = dict.fromkeys(range(1, k + 1), ())     # by source label
+    table = _lex_table(n)
+    found = [(table[sinks], tuple(paths.values()))]
     for r, (s, es) in zip(start, climbed.items()):
         if es:
             paths[s] = tuple(es)
-            sinks ^= {r, es[-1].upper}
-            found.append((tuple(sorted(sinks)), tuple(paths.values())))
-    return sorted(found)
+            sinks ^= 1 << (r - 1) | 1 << (es[-1].upper - 1)
+            found.append((table[sinks], tuple(paths.values())))
+    return found
 
 
 def graph_extremal_collections(d: WiringDiagram, k: int) -> list[PathCollection]:

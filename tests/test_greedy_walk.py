@@ -2,7 +2,11 @@
 and ``graph_extremal_collections`` both read, against frozen copies of
 the bodies it replaced: the generators read their weight ids off
 ``graph_extremal_collections``' ``Path`` and ``PathCollection`` records,
-built by a walk with a dict of held strands.
+built by a walk with a dict of held strands. And the walk and the
+generators as they were before the sink sets came off ``_lex_table``
+and the sizes were walked in order: sink sets built by sorting a set,
+the generators gathered in a dict of every index and sorted once by
+``precedes_key``.
 """
 
 import random
@@ -12,7 +16,8 @@ import pytest
 from tnnflag.extremal import Generator, generators, precedes_key
 from tnnflag.perms import bruhat_pairs, identity, longest_element
 from tnnflag.wiring import (
-    Path, PathCollection, build_diagram, graph_extremal_collections,
+    Path, PathCollection, _greedy_prefixes, build_diagram,
+    graph_extremal_collections,
 )
 
 
@@ -64,6 +69,39 @@ def _generators_reference(v, w):
     return tuple(out)
 
 
+def _greedy_prefixes_sorting_reference(d, k):
+    holder = [0, *(s if s <= k else 0 for s in d.source_label)]
+    start = [r for r in range(d.n, 0, -1) if holder[r]]
+    climbed = {holder[r]: [] for r in start}
+    for e in d.edges:
+        s = holder[e.lower]
+        if s and not holder[e.upper]:
+            holder[e.lower], holder[e.upper] = 0, s
+            climbed[s].append(e)
+    paths, sinks = dict.fromkeys(sorted(climbed), ()), set(start)
+    found = [(tuple(sorted(sinks)), tuple(paths.values()))]
+    for r, (s, es) in zip(start, climbed.items()):
+        if es:
+            paths[s] = tuple(es)
+            sinks ^= {r, es[-1].upper}
+            found.append((tuple(sorted(sinks)), tuple(paths.values())))
+    return sorted(found)
+
+
+def _generators_sorting_reference(v, w):
+    d = build_diagram(v, w)
+    ids = {I: tuple(e.weight_id for es in climbed for e in es)
+           for k in range(1, len(v))
+           for I, climbed in _greedy_prefixes_sorting_reference(d, k)}
+    used = set()
+    out = []
+    for I in sorted(ids, key=precedes_key):
+        new = min(set(ids[I]) - used, default=None)
+        used.update(ids[I])
+        out.append(Generator(I, ids[I], new, new is not None or not ids[I]))
+    return tuple(out)
+
+
 def _cells():
     return ([c for n in (3, 4, 5) for c in bruhat_pairs(n)]
             + random.Random(27).sample(bruhat_pairs(6), 300)
@@ -75,6 +113,28 @@ def test_generators_match_the_record_walk():
     field for field and in order."""
     for v, w in _cells():
         got, expected = generators(v, w), _generators_reference(v, w)
+        assert len(got) == len(expected), (v, w)
+        for g, e in zip(got, expected):
+            assert type(g) is Generator and tuple(g) == tuple(e), (v, w, e)
+
+
+def test_walk_and_generators_match_the_sorting_versions():
+    """Every S3-S5 cell, 300 seeded S6 cells and the S7 and S8 top cells:
+    the walk at every k in 1..n gives the sorting walk's sink sets and
+    climbed edges, in its order, and the generators, walked size by size,
+    equal those sorted by ``precedes_key``, field for field. At k = n,
+    ``graph_extremal_collections`` wraps the sorting walk's one entry."""
+    for v, w in _cells():
+        d = build_diagram(v, w)
+        n = len(v)
+        for k in range(1, n + 1):
+            assert _greedy_prefixes(d, k) == \
+                _greedy_prefixes_sorting_reference(d, k), (v, w, k)
+        (_, climbed), = _greedy_prefixes_sorting_reference(d, n)
+        assert graph_extremal_collections(d, n) == [PathCollection(tuple(
+            Path(s, d.strand_of_label(s), es)
+            for s, es in enumerate(climbed, start=1)))], (v, w)
+        got, expected = generators(v, w), _generators_sorting_reference(v, w)
         assert len(got) == len(expected), (v, w)
         for g, e in zip(got, expected):
             assert type(g) is Generator and tuple(g) == tuple(e), (v, w, e)

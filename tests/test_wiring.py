@@ -199,6 +199,27 @@ def test_rejects_non_bruhat_pair():
         build_diagram((2, 1, 3), (1, 3, 2))
 
 
+def test_bruhat_rejection_comes_from_v_subexpression():
+    """``build_diagram`` checks v <= w by v's distinguished subexpression in
+    w's word alone: on every ordered pair of S2-S5, uncached, it raises
+    the Bruhat-order ValueError exactly when the tableau criterion says
+    v is not <= w, and builds the diagram otherwise. Permutations of
+    unequal lengths raise the length error."""
+    build = build_diagram.__wrapped__
+    for n in range(2, 6):
+        for v, w in itertools.product(all_perms(n), repeat=2):
+            if bruhat_leq(v, w):
+                assert build(v, w).cell == (v, w)
+                continue
+            with pytest.raises(ValueError) as err:
+                build(v, w)
+            assert str(err.value) == "v is not <= w in Bruhat order", (v, w)
+    for v, w in [((1, 2), (1, 2, 3)), ((2, 1, 3), (2, 1)),
+                 ((1, 2, 3, 4), (3, 2, 1))]:
+        with pytest.raises(ValueError, match="^mismatched n$"):
+            build(v, w)
+
+
 def test_negative_segments_follow_later_crossings():
     """A crossing below an earlier one carries its -1 section along, so the
     path sums of a crossings-only cell stay a nonnegative matrix."""
