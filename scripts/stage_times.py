@@ -3,27 +3,30 @@
 Print, for the top cell id <= w0 of each S_n given, one JSON line with
 the median milliseconds of four stages of the library on that cell:
 
-    PYTHONPATH=src python3 scripts/stage_times.py [N ...] [--runs R]
+    PYTHONPATH=src python3 scripts/stage_times.py [N ...] [--runs R] [--against PATH]
     PYTHONPATH=src python3 scripts/stage_times.py --cold N [--against PATH]
 
 N defaults to 6 7 8 and R to 200. The stages are the classical and the
 tropical sweep alone (``wiring._run_sweep`` on the weights as ``phi``
-and ``trop_phi`` hand them over), ``phi`` then ``decide_tnn``, and
-``trop_phi`` then ``decide_trop``. Each run draws fresh weights from
-``random.Random(n)``, each a Fraction with numerator 1..99 and
-denominator 1..9, and times every stage once on them with the diagram
-already built. Run it with PYTHONPATH pointing at another checkout's src
-to compare two trees; alternate the trees when the host's speed drifts.
+and ``trop_phi`` hand them over, ``plucker._exact_weights`` and
+``plucker._trop_ints`` of them, made before the clock starts), ``phi``
+then ``decide_tnn``, and ``trop_phi`` then ``decide_trop``. Each run
+draws fresh weights from ``random.Random(n)``, each a Fraction with
+numerator 1..99 and denominator 1..9, and times every stage once on
+them with the diagram already built.
 
 ``--cold N`` prints instead the per-cell medians, in microseconds, of
 three cold stages over every cell v <= w of S_N: ``build_diagram``,
 then ``generators`` on that diagram (and the two summed), and, in a
 second pass, ``phi`` then ``decide_tnn``. Every cache of the package is cleared before each
 pass, and each pass sees each cell once, as perfbench's ``s5-sweep``
-does. ``--against PATH`` imports ``PATH/src/tnnflag`` as a second
-package and times both trees on each cell, alternating which goes
-first, which cancels the host's speed drift; it prints both trees'
-medians and the ratio of this tree's to PATH's.
+does.
+
+``--against PATH`` imports ``PATH/src/tnnflag`` as a second package and
+times both trees on the same weights, run by run (or cell by cell with
+``--cold``), alternating which goes first, which cancels the host's
+speed drift; it prints both trees' medians and the ratio of this
+tree's to PATH's per stage.
 Only the standard library is used.
 """
 
@@ -38,37 +41,45 @@ import time
 from fractions import Fraction
 
 import tnnflag
-from tnnflag.algebra import Trop
-from tnnflag.membership import decide_tnn, decide_trop
 from tnnflag.perms import identity, longest_element
-from tnnflag.plucker import _scale_to_ints, phi, trop_phi
-from tnnflag.wiring import _run_sweep, build_diagram
 
 
-def stage_times(n: int, runs: int) -> dict:
-    v, w = identity(n), longest_element(n)
-    d = build_diagram(v, w)
-    ids = d.weight_ids()
-    rng = random.Random(n)
-    # each stage takes the weights, their Trops, and the ints L a_e
-    stages = {
-        "sweep_classical_ms": lambda a, x, ints: _run_sweep(d, a, True),
-        "sweep_tropical_ms": lambda a, x, ints: _run_sweep(d, ints, False),
-        "phi_decide_tnn_ms": lambda a, x, ints: decide_tnn(phi(v, w, a)),
-        "trop_phi_decide_trop_ms": lambda a, x, ints: decide_trop(trop_phi(v, w, x)),
+def _warm_stages(lib, v, w) -> dict:
+    """The four warm stages of the package ``lib`` on the cell (v, w), each
+    taking the weights, their pairs (``_exact_weights``), their Trops and
+    the ints L a_e (``_trop_ints``)."""
+    d = lib.wiring.build_diagram(v, w)
+    run_sweep, m, p = lib.wiring._run_sweep, lib.membership, lib.plucker
+    return {
+        "sweep_classical_ms": lambda a, pairs, x, ints: run_sweep(d, pairs, True),
+        "sweep_tropical_ms": lambda a, pairs, x, ints: run_sweep(d, ints, False),
+        "phi_decide_tnn_ms": lambda a, pairs, x, ints: m.decide_tnn(p.phi(v, w, a)),
+        "trop_phi_decide_trop_ms":
+            lambda a, pairs, x, ints: m.decide_trop(p.trop_phi(v, w, x)),
     }
-    times = {name: [] for name in stages}
-    for _ in range(runs):
+
+
+def stage_times(n: int, runs: int, trees: list) -> list[dict]:
+    """Per tree, the median milliseconds of the warm stages on the S_n top
+    cell: the trees take turns on each run's weights, the first tree
+    going first on even runs."""
+    v, w = identity(n), longest_element(n)
+    ids = trees[0].wiring.build_diagram(v, w).weight_ids()
+    stages = [_warm_stages(lib, v, w) for lib in trees]
+    turns = [list(enumerate(trees)), list(enumerate(trees))[::-1]]
+    rng = random.Random(n)
+    times = [{name: [] for name in stages[0]} for _ in trees]
+    for r in range(runs):
         a = {j: Fraction(rng.randint(1, 99), rng.randint(1, 9)) for j in ids}
-        x = {j: Trop(q) for j, q in a.items()}
-        ints, _ = _scale_to_ints(a)
-        for name, stage in stages.items():
-            t0 = time.perf_counter()
-            stage(a, x, ints)
-            times[name].append(time.perf_counter() - t0)
-    return {"n": n, "runs": runs,
-            **{name: round(1e3 * statistics.median(ts), 4)
-               for name, ts in times.items()}}
+        for t, lib in turns[r % 2]:
+            x = {j: lib.algebra.Trop(q) for j, q in a.items()}
+            args = (a, lib.plucker._exact_weights(a), x,
+                    lib.plucker._trop_ints(x)[0])
+            for name, stage in stages[t].items():
+                times[t][name].append(_timed(stage, *args))
+    return [{"n": n, "runs": runs,
+             **{name: round(1e3 * statistics.median(xs), 4)
+                for name, xs in ts.items()}} for ts in times]
 
 
 def _load_tree(root: str, name: str):
@@ -144,21 +155,28 @@ def main() -> None:
     parser.add_argument("--cold", type=int, metavar="N")
     parser.add_argument("--against", metavar="PATH")
     args = parser.parse_args()
-    if args.cold is None:
-        for n in args.n:
-            print(json.dumps(stage_times(n, args.runs)), flush=True)
-        return
     trees = [tnnflag]
     if args.against:
         trees.append(_load_tree(args.against, "tnnflag_against"))
-    rows = cold_times(args.cold, trees)
-    print(json.dumps({"tree": "this", **rows[0]}))
-    if args.against:
-        this, other = rows
-        print(json.dumps({"tree": args.against, **other}))
-        print(json.dumps({"ratio": {name: round(x / other[name], 3)
-                                    for name, x in this.items()
-                                    if name.endswith("_us")}}))
+    if args.cold is None:
+        for n in args.n:
+            _print_rows(stage_times(n, args.runs, trees), args.against, "_ms")
+    else:
+        _print_rows(cold_times(args.cold, trees), args.against, "_us")
+
+
+def _print_rows(rows: list[dict], against: str | None, unit: str) -> None:
+    """Each tree's row, and with a second tree the ratio of this tree's
+    medians to its per stage."""
+    if not against:
+        print(json.dumps(rows[0]), flush=True)
+        return
+    this, other = rows
+    print(json.dumps({"tree": "this", **this}))
+    print(json.dumps({"tree": against, **other}))
+    print(json.dumps({"ratio": {name: round(x / other[name], 3)
+                                for name, x in this.items()
+                                if name.endswith(unit)}}), flush=True)
 
 
 if __name__ == "__main__":

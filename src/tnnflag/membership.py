@@ -31,11 +31,11 @@ __all__ = [
 
 from fractions import Fraction
 from math import gcd
-from operator import sub, truediv
+from operator import neg
 from typing import Mapping, NamedTuple
 
 from .algebra import LaurentMonomial, Trop, rat_to_str, trop_to_str
-from .perms import Perm, gale_leq, inverse, perm_to_str
+from .perms import Perm, gale_leq, perm_to_str
 from .plucker import (
     Index, PlueckerVector, TropPlueckerVector, _first_violated, _relation_json,
     all_proper_indices, generate_relations, index_to_str, phi, trop_phi,
@@ -98,45 +98,30 @@ def identify_cell(support: Mapping[int, set], n: int) -> tuple[Perm, Perm]:
 # The inverse map
 # ---------------------------------------------------------------------------
 
-def _walk(v: Perm, w: Perm, value, div, solved, usable, problem: str) -> dict:
-    """The cell weights in one walk over the generators in traversal
-    order. The ``value`` at each independent generating index must pass
-    ``usable``, or a ValueError says it ``problem``; its fresh edge's
-    weight is ``solved`` from it once divided, by ``div``, by the
-    weights, already solved, of its collection's other edges."""
-    weights = {}
-    for gen in generators(v, w):
-        if not gen.in_svw:
-            continue
-        x = value(gen.index)
-        if not usable(x):
-            raise ValueError(f"coordinate at generating index {gen.index} {problem}")
-        new = gen.new_weight_id
-        if new is not None:
-            for j in gen.weight_ids:
-                if j != new:
-                    x = div(x, weights[j])
-            weights[new] = solved(x)
-    return weights
-
-
 def psi_monomials(v: Perm, w: Perm) -> dict[int, LaurentMonomial]:
     """Each cell weight as a Laurent monomial in the canonical coordinates
     (each size's unit, the coordinate at v^-1(1..k), is 1) at the
     independent generating indices: ``psi``'s walk over the variables
     P_I themselves."""
-    return _walk(v, w, lambda I: LaurentMonomial(1, {I: 1}), truediv,
-                 lambda m: m, lambda m: True, "")
+    weights = {}
+    for I, ids, new, _ in generators(v, w):
+        if new is not None:
+            x = LaurentMonomial(1, {I: 1})
+            for j in ids:
+                if j != new:
+                    x = x / weights[j]
+            weights[new] = x
+    return weights
 
 
 def psi(v: Perm, w: Perm, p: PlueckerVector) -> dict[int, Fraction]:
     """Recover the cell weights of the point p: ``_solve`` on p's
-    ``_int_view``. Each coordinate at an independent generating index is
-    read against its size's unit, the coordinate at v^-1(1..k), and must
-    be positive once divided by it, or a ValueError names the first that
-    is not. So the weights are those of the projective point, whatever
-    block scaling represents it, and a vector from ``phi`` is not
-    rendered:
+    ``_int_view``, its reduced pairs made Fractions. Each coordinate at
+    an independent generating index is read against its size's unit,
+    the coordinate at v^-1(1..k), and must be positive once divided by
+    it, or a ValueError names the first that is not. So the weights are
+    those of the projective point, whatever block scaling represents it,
+    and a vector from ``phi`` is not rendered:
 
     >>> from tnnflag.perms import perm_from_str
     >>> from tnnflag.plucker import phi
@@ -146,7 +131,7 @@ def psi(v: Perm, w: Perm, p: PlueckerVector) -> dict[int, Fraction]:
     >>> psi(v, w, scaled) == psi(v, w, p) == {1: 2, 2: 3, 4: 5}
     True
     """
-    return _solve(v, w, p._int_view()[1], True)
+    return _fractions(_solve(v, w, p._int_view()[1], True))
 
 
 def trop_psi(v: Perm, w: Perm, p: TropPlueckerVector) -> dict[int, Trop]:
@@ -160,33 +145,49 @@ def trop_psi(v: Perm, w: Perm, p: TropPlueckerVector) -> dict[int, Trop]:
 
 def _solve(v: Perm, w: Perm, values: Mapping[Index, int], signed: bool) -> dict:
     """The weights of the cell (v, w) at the point whose ``_int_view``
-    values are ``values``: one walk over the generators, each independent
-    value x_I read against its size's value x_unit at the cell's unit
-    index v^-1(1..k). Classically the walk runs on the int pair
-    (x_I, x_unit) (absent: 0), usable when x_I x_unit > 0; each weight is
-    kept as a reduced pair of positive ints, dividing by one
-    cross-multiplies, and the weights become Fractions once, at the end.
-    Tropically it runs on the int x_I - x_unit (absent: infinite),
-    dividing subtracts, and the weights are ints, L times the cell
-    weights."""
-    absent, inv = 0 if signed else None, inverse(v)
-    units = {k: values.get(tuple(sorted(inv[:k])), absent) for k in range(1, len(v))}
-    if signed:
-        pairs = _walk(v, w, lambda I: (values.get(I, 0), units[len(I)]),
-                      lambda x, y: (x[0] * y[1], x[1] * y[0]), _reduced,
-                      lambda x: x[0] * x[1] > 0, "is not positive")
-        return {j: Fraction(*x) for j, x in pairs.items()}
-    # each size's unit index is its first generator, so an infinite unit
-    # stops the walk before any value is read against it
-    return _walk(v, w, lambda I: None if (x := values.get(I)) is None
-                 else x - units[len(I)],
-                 sub, lambda x: x, lambda x: x is not None, "is infinite")
+    values are ``values``: one walk over the generators in traversal
+    order, each independent value x_I read against its size's value
+    x_unit at the cell's unit index v^-1(1..k). That index is the first
+    generator of its size, the one with no weight ids, so the walk meets
+    each unit before any value is read against it, and a unit that is
+    not usable stops the walk there. Classically x_I (absent: 0) is
+    usable when x_I x_unit > 0, and each weight is solved as the reduced
+    pair (p, q) of positive ints of x_I / x_unit divided by the pairs
+    already solved for its collection's other edges, cross-multiplied;
+    those pairs are what ``phi``'s sweep takes (``plucker._exact_weights``).
+    Tropically x_I (absent: infinite) is usable when finite, dividing
+    subtracts, and the weights are ints, L times the cell weights."""
+    weights: dict = {}
+    for I, ids, new, in_svw in generators(v, w):
+        if not in_svw:
+            continue
+        x = values.get(I, 0) if signed else values.get(I)
+        if not ids:                     # the size's unit index
+            unit = x
+        if signed:
+            if x * unit <= 0:
+                raise ValueError(f"coordinate at generating index {I} is not positive")
+            if new is not None:
+                q = unit
+                for j in ids:
+                    if j != new:
+                        a, b = weights[j]
+                        x, q = x * b, q * a
+                g = gcd(x, q)
+                weights[new] = (abs(x) // g, abs(q) // g)
+        elif x is None:
+            raise ValueError(f"coordinate at generating index {I} is infinite")
+        elif new is not None:
+            x -= unit
+            for j in ids:
+                if j != new:
+                    x -= weights[j]
+            weights[new] = x
+    return weights
 
 
-def _reduced(x: tuple[int, int]) -> tuple[int, int]:
-    """The pair of ints of one sign x, in lowest terms and positive."""
-    g = gcd(*x)
-    return abs(x[0]) // g, abs(x[1]) // g
+def _fractions(a: Mapping[int, tuple[int, int]]) -> dict[int, Fraction]:
+    return {j: Fraction(*x) for j, x in a.items()}
 
 
 def _trop_weights(a: Mapping[int, int], L: int) -> dict[int, Trop]:
@@ -213,9 +214,8 @@ def _reconstruct(p, sup: Mapping[int, list[Index]], values: Mapping[Index, int],
     check the keys, then build only the witness they report.
 
     The input comes back when the blocks list the same indices as
-    ``sup`` and, in every block, x_I r_unit = r_I x_unit with the
-    semiring's product, compared as two lists: classically that
-    cross-multiplies. Tropically x_unit = Q_unit is 0, and so is r_unit,
+    ``sup`` and every block agrees with the input's values there
+    (``_agrees``). Tropically x_unit = Q_unit is 0, and so is r_unit,
     since every move raises a path and only the collection that moves
     none reaches the sources' own strands: the test reads Q_I = r_I."""
     try:
@@ -228,12 +228,24 @@ def _reconstruct(p, sup: Mapping[int, list[Index]], values: Mapping[Index, int],
         return {"type": "unsupported-generating-index", "reason": str(exc)}, False
     blocks = _run_sweep(build_diagram(v, w), a, p.signed)
     same = [I for I, _ in blocks] == [tuple(block) for block in sup.values()]
-    if same and all([values[J] * r[0] for J in I] == [c * values[I[0]] for c in r]
-                    if p.signed else [values[J] for J in I] == r
-                    for I, r in blocks):
-        weights = a if p.signed else _trop_weights(a, L)
+    if same and all([_agrees(list(map(values.__getitem__, I)), r)
+                     for I, r in blocks]):
+        weights = _fractions(a) if p.signed else _trop_weights(a, L)
         return CellCertificate("member", cell=(v, w), weights=weights), True
     return blocks, same
+
+
+def _agrees(x: list[int], r: list[int]) -> bool:
+    """Whether the block of values x is the block r up to its unit:
+    x_I r_unit = r_I x_unit for every I. When the units are equal that
+    is x = r, and when they are opposite x = -r, so neither multiplies:
+    on a vector from ``phi`` the view's units are the sweep's, a block
+    negated where the sweep's unit is negative. Blocks scaled otherwise,
+    as from JSON or a rescaled input, are cross-multiplied. Tropically
+    both units are 0 (``_reconstruct``), so the test reads x = r."""
+    if x[0] == -r[0] != 0:
+        r = list(map(neg, r))
+    return x == r if x[0] == r[0] else [c * r[0] for c in x] == [c * x[0] for c in r]
 
 
 def _own_witness(p, found: dict | list, L: int) -> dict:
@@ -265,8 +277,10 @@ def decide_tnn(p: PlueckerVector) -> CellCertificate:
     negative value. If there is none, the reconstruction
     (``_reconstruct``): the cell read off the first and last index of
     each size (flag and Bruhat checks), ``_solve``'s walk on int pairs,
-    the sweep and one comparison of the view's ints with the sweep's,
-    cross-multiplied with each block's unit. A member needs no further
+    the sweep of those pairs and one comparison of the view's ints with
+    the sweep's (``_agrees``: a block whose unit is the sweep's, or its
+    opposite, as on a vector from ``phi``, compares as lists, any other
+    is cross-multiplied with the units). A member needs no further
     check, since its support is the flag matroid of its cell and its
     supported keys are the sweep's (the view raises on a key at the zero
     that is not an index). Any other

@@ -293,13 +293,14 @@ class TropPlueckerVector(_Vector):
 # Cell parameterization
 # ---------------------------------------------------------------------------
 
-def _sweep(v: Perm, w: Perm, x: Mapping[int, int | Fraction], signed: bool) -> list:
+def _sweep(v: Perm, w: Perm, x: Mapping[int, object], signed: bool) -> list:
     """The raw pass: per size 1..n-1, the sets I of strands (as sorted
     tuples) that the non-intersecting path collections {1'..|I|'} reach,
     in lexicographic order, each with raw_I, the sum of those
     collections' weights over the signed sum-product semiring when
     ``signed`` and min-plus otherwise, as a Python int. ``x`` holds the
-    weights: ints and Fractions classically, and tropically the ints
+    weights: classically each as the pair (p, q) of ints of its value
+    p/q in lowest terms (``_exact_weights``), and tropically the ints
     L x_e, L the lcm of the weights' denominators. Classically raw_I is
     P_I times a positive factor common to all I; tropically it is
     L * P_I, so a block's coordinates are raw_I / raw_unit or
@@ -342,20 +343,23 @@ def _sweep(v: Perm, w: Perm, x: Mapping[int, int | Fraction], signed: bool) -> l
                      f"got {sorted(x)}")
 
 
-def _exact_weights(a: Mapping[int, object]) -> dict[int, int | Fraction]:
-    """The rational value of each weight, which must be an int or a
-    Fraction, and positive: that is raised only once every weight's type
-    is checked."""
+def _exact_weights(a: Mapping[int, object]) -> dict[int, tuple[int, int]]:
+    """Each weight as the pair (p, q) of ints of its value p/q in lowest
+    terms, the form the classical sweep takes (``wiring._run_sweep``) and
+    the reconstruction solves (``membership._solve``). Each weight must
+    be an int or a Fraction, and positive: that is raised only once
+    every weight's type is checked."""
     out, positive = {}, True
     for j, q in a.items():
         if type(q) is int:
             positive = positive and q > 0
+            out[j] = q, 1
         elif isinstance(q, Fraction):
             positive = positive and q.numerator > 0
+            out[j] = q.numerator, q.denominator
         else:
             raise ValueError(f"weight {j}: expected an int or Fraction, "
                              f"got {q!r}")
-        out[j] = q
     if not positive:
         raise ValueError("weights must be strictly positive")
     return out

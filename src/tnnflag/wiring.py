@@ -40,7 +40,7 @@ from typing import Mapping, NamedTuple
 
 from .algebra import LaurentMonomial
 from .perms import (
-    Perm, Word, canonical_w0_word, positive_distinguished_subexpression,
+    Perm, Word, canonical_w0_word, is_perm, positive_distinguished_subexpression,
 )
 
 
@@ -157,10 +157,15 @@ def build_diagram(v: Perm, w: Perm) -> WiringDiagram:
     they are not re-derived here. The tests check both, and ``verify``
     that every edge goes up. Bruhat order is checked by v's subexpression
     itself: v has one in w's reduced word exactly when v <= w, so its
-    absence raises the ValueError that names the order.
+    absence raises the ValueError that names the order. Before that,
+    unequal lengths and a v or w that is not a permutation of 1..n raise
+    their own ValueError.
     """
     if len(v) != len(w):
         raise ValueError("mismatched n")
+    if not (is_perm(v) and is_perm(w)):
+        name, u = ("w", w) if is_perm(v) else ("v", v)
+        raise ValueError(f"{name} is not a permutation: {u!r}")
     n = len(v)
     keys, w_word = _w_word(w)
     try:
@@ -268,16 +273,18 @@ def _lex_table(n: int) -> dict[int, tuple[int, ...]]:
             for I in combinations(range(1, n + 1), k)}
 
 
-def _run_sweep(d: WiringDiagram, x: Mapping[int, int | Fraction],
+def _run_sweep(d: WiringDiagram, x: Mapping[int, tuple[int, int] | int],
                signed: bool) -> list[tuple[tuple, list]]:
     """Run the diagram's program on the weights ``x``: classically, on
-    ints and Fractions, the signed sums of products; tropically, on ints,
-    the least sums (``plucker._sweep`` says what they mean). It keeps one
-    int per state reached so far, in a list by position, and at the end
-    reads that list once, in the program's index order: per size 1..n-1,
-    the indices of the states reached, in lexicographic order, and their
-    values. At positive weights (classically) every reached state is
-    nonzero, so these are the supported indices.
+    the pair (p, q) of ints of each weight p/q in lowest terms, as
+    ``phi`` and the reconstruction hand them over, the signed sums of
+    products; tropically, on ints, the least sums (``plucker._sweep``
+    says what they mean). It keeps one int per state reached so far, in
+    a list by position, and at the end reads that list once, in the
+    program's index order: per size 1..n-1, the indices of the states
+    reached, in lexicographic order, and their values. At positive
+    weights (classically) every reached state is nonzero, so these are
+    the supported indices.
 
     Classically the values are kept end-scaled: with A_S the signed sum
     of products over the partial collections on S so far, each scaled by
@@ -298,14 +305,14 @@ def _run_sweep(d: WiringDiagram, x: Mapping[int, int | Fraction],
     from ``x`` raises KeyError."""
     steps, order, indices, bounds = d.sweep
     if signed:
-        Q = math.prod([x[e.weight_id].denominator for e in d.edges])
+        Q = math.prod([x[e.weight_id][1] for e in d.edges])
         value = [Q] * (d.n - 1)
         for negate, wid, even, odd, new in steps:
             for i in negate:
                 value[i] = -value[i]
             if wid is None:             # the segments after the last edge
                 break
-            p, q = x[wid].numerator, x[wid].denominator
+            p, q = x[wid]
             if q == 1:
                 for i, j in even:
                     value[j] += p * value[i]

@@ -1,0 +1,65 @@
+"""Frozen reference for the inverse walk: the callback walk that solved
+the cell weights before the walk was written out per semiring, with the
+size units looked up at v^-1(1..k) up front and the classical weights
+kept as reduced int pairs that became Fractions at the end. Tests compare
+``membership._solve``, ``psi``, ``trop_psi`` and ``psi_monomials`` with
+it, and ``test_reconstruct_compare.py`` reconstructs from its weights."""
+
+from fractions import Fraction
+from math import gcd
+from operator import sub, truediv
+
+from tnnflag.algebra import LaurentMonomial, Trop
+from tnnflag.extremal import generators
+from tnnflag.perms import inverse
+
+
+def ref_walk(v, w, value, div, solved, usable, problem):
+    weights = {}
+    for gen in generators(v, w):
+        if not gen.in_svw:
+            continue
+        x = value(gen.index)
+        if not usable(x):
+            raise ValueError(f"coordinate at generating index {gen.index} {problem}")
+        new = gen.new_weight_id
+        if new is not None:
+            for j in gen.weight_ids:
+                if j != new:
+                    x = div(x, weights[j])
+            weights[new] = solved(x)
+    return weights
+
+
+def ref_reduced(x):
+    g = gcd(*x)
+    return abs(x[0]) // g, abs(x[1]) // g
+
+
+def ref_solve(v, w, values, signed):
+    """The weights at the ``_int_view`` values: Fractions classically,
+    ints (L times the weights) tropically."""
+    absent, inv = 0 if signed else None, inverse(v)
+    units = {k: values.get(tuple(sorted(inv[:k])), absent) for k in range(1, len(v))}
+    if signed:
+        pairs = ref_walk(v, w, lambda I: (values.get(I, 0), units[len(I)]),
+                         lambda x, y: (x[0] * y[1], x[1] * y[0]), ref_reduced,
+                         lambda x: x[0] * x[1] > 0, "is not positive")
+        return {j: Fraction(*x) for j, x in pairs.items()}
+    return ref_walk(v, w, lambda I: None if (x := values.get(I)) is None
+                    else x - units[len(I)],
+                    sub, lambda x: x, lambda x: x is not None, "is infinite")
+
+
+def ref_psi(v, w, p):
+    return ref_solve(v, w, p._int_view()[1], True)
+
+
+def ref_trop_psi(v, w, p):
+    _, Q, L = p._int_view()
+    return {j: Trop(Fraction(x, L)) for j, x in ref_solve(v, w, Q, False).items()}
+
+
+def ref_psi_monomials(v, w):
+    return ref_walk(v, w, lambda I: LaurentMonomial(1, {I: 1}), truediv,
+                    lambda m: m, lambda m: True, "")

@@ -2,33 +2,41 @@
 
 `membership._reconstruct` compares the blocks that the sweep at the
 solved weights reads (`wiring._run_sweep`) with the input's integer
-view, block by block: the same indices, then x_I r_unit = r_I x_unit
-with the semiring's product. The two comparisons it replaced are frozen
+view, block by block: the same indices, then x_I r_unit = r_I x_unit,
+read as a list equality when the two units are equal or opposite and
+cross-multiplied otherwise. The two comparisons it replaced are frozen
 below: classically the mask-indexed read of the sweep, cross-multiplied
 with each block's unit; tropically a second integer view of the
-reconstruction, compared with the input's as a dict. Both must give
-equal certificates (the reconstruction's own witness named as the
-deciders name it, after the key check) and weights, and agree on whether
-the reconstruction's support is the input's, on the inputs of
-`test_decide_order.py` (members of the S3 and S4 cells and of sampled S5
-cells with their one-coordinate edits, random flags and random tropical
-vectors) and on seeded one-coordinate near-misses at the S7 and S8 top
-cells.
+reconstruction, compared with the input's as a dict. The reference
+solves its weights with the frozen callback walk (`solve_reference.py`),
+not the library's, and hands them to the sweep as the library's
+`_exact_weights` does. Both must give equal certificates (the
+reconstruction's own witness named as the deciders name it, after the
+key check) and weights, and agree on whether the reconstruction's
+support is the input's, on the inputs of `test_decide_order.py`
+(members of the S3 and S4 cells and of sampled S5 cells with their
+one-coordinate edits, random flags and random tropical vectors), on
+seeded one-coordinate near-misses at the S7 and S8 top cells, and on
+copies of members and near-misses with each size block k rescaled by
+1 + k, with one block negated, and read back from their canonical JSON.
+Among the classical members, blocks whose unit equals the sweep's, is
+its opposite, and is neither must all occur.
 """
 
+import json
 import random
 from collections import Counter
+from fractions import Fraction
 
 from tnnflag.algebra import Trop
-from tnnflag.membership import (
-    CellCertificate, _lex_chain_cell, _solve, _trop_weights,
-)
+from tnnflag.membership import CellCertificate, _lex_chain_cell
 from tnnflag.oracle import generic_weights
 from tnnflag.perms import identity, longest_element
 from tnnflag.plucker import (
     _sweep, all_proper_indices, index_to_str, phi, trop_phi,
 )
 
+from solve_reference import ref_solve
 from sweep_reference import raw_blocks, raw_sweep
 from test_decide_order import _cells, _inputs, _random_inputs, reconstruction
 
@@ -66,30 +74,36 @@ def _raw_view(n, raw):
     return sup, values
 
 
-def ref_reconstruct(p, sup, values, L):
+def ref_reconstruct(p, sup, values, L, units):
+    """The certificate and the reconstruction's support; appends to
+    ``units`` the pair (x_unit, r_unit) of each block of a classical
+    reconstruction whose support is the input's."""
     try:
         v, w = _lex_chain_cell(sup, p.n)
     except (TypeError, ValueError) as exc:
         p.check_indices()
         return _non_member({"type": "no-cell", "reason": str(exc)}), None
     try:
-        a = _solve(v, w, values, p.signed)
+        a = ref_solve(v, w, values, p.signed)
     except ValueError as exc:
         p.check_indices()
         return _non_member({"type": "unsupported-generating-index",
                             "reason": str(exc)}), None
-    raw, _ = raw_sweep(type(p)._of_raw(p.n, _sweep(v, w, a, p.signed), L))
+    x = {j: (q.numerator, q.denominator) for j, q in a.items()} if p.signed else a
+    raw, _ = raw_sweep(type(p)._of_raw(p.n, _sweep(v, w, x, p.signed), L))
     if p.signed:
         blocks = list(raw_blocks(p.n, raw, 0))
         r_sup = {k: [I for I, _ in found] for k, found in enumerate(blocks, start=1)}
         same = r_sup == sup and all(
             values[I] * found[0][1] == r_I * values[found[0][0]]
             for found in blocks for I, r_I in found)
+        if r_sup == sup:
+            units += [(values[found[0][0]], found[0][1]) for found in blocks]
     else:
         r_sup, r_values = _raw_view(p.n, raw)
         same = r_values == values
     if same:
-        weights = a if p.signed else _trop_weights(a, L)
+        weights = a if p.signed else {j: Trop(Fraction(q, L)) for j, q in a.items()}
         return CellCertificate("member", cell=(v, w), weights=weights), r_sup
     p.check_indices()
     found = raw_blocks(p.n, raw, 0 if p.signed else None)
@@ -106,11 +120,35 @@ def _compare(vectors, seen):
     for p in vectors:
         sup, values, L = p._int_view()
         got, same = reconstruction(p)
-        want, want_sup = ref_reconstruct(p, sup, values, L)
+        units = []
+        want, want_sup = ref_reconstruct(p, sup, values, L, units)
         assert (got.to_json_dict(), got.weights, same) == \
             (want.to_json_dict(), want.weights, want_sup == sup), p.coords
         kind = (got.witness or {}).get("type", "member")
         seen[p.mode, kind, same] += 1
+        if kind == "member":
+            for x, r in units:
+                seen["unit", "equal" if x == r else "opposite" if x == -r
+                     else "other"] += 1
+
+
+def _rescaled(vectors, rng):
+    """Each vector with each size block k scaled by 1 + k (classically) or
+    shifted by k (tropically), with one seeded block negated
+    (classically), and read back from its canonical JSON."""
+    out = []
+    for p in vectors:
+        cls, coords = type(p), p.coords
+        if p.signed:
+            out.append(cls(p.n, {I: x * (1 + len(I)) for I, x in coords.items()}))
+            k = rng.randrange(1, p.n)
+            out.append(cls(p.n, {I: -x if len(I) == k else x
+                                 for I, x in coords.items()}))
+        else:
+            out.append(cls(p.n, {I: Trop(t.value + len(I))
+                                 for I, t in coords.items()}))
+        out.append(cls.from_json_dict(json.loads(json.dumps(p.to_json_dict()))))
+    return out
 
 
 def _near_misses(n, rng):
@@ -139,8 +177,13 @@ def test_one_comparison_matches_the_two_it_replaced():
         c2, t2 = _random_inputs(n, 20, rng)
         _compare(classical + tropical + c2 + t2, seen)
     _compare(sum(_inputs(rng.sample(_cells(5), 10), rng), []), seen)
+    members = sum(_inputs(rng.sample(_cells(4), 20), rng), [])
+    _compare(_rescaled(members, rng), seen)
     for n in (7, 8):
-        _compare(_near_misses(n, rng), seen)
+        near = _near_misses(n, rng)
+        _compare(near + _rescaled(near, rng), seen)
+    assert seen["unit", "equal"] and seen["unit", "opposite"], seen
+    assert seen["unit", "other"], seen
     for mode in ("classical", "tropical"):
         assert seen[mode, "member", True], seen
         assert seen[mode, "reconstruction-mismatch", True], seen

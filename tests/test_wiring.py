@@ -10,6 +10,7 @@ from tnnflag.perms import (
     longest_element, positive_distinguished_subexpression,
 )
 from tnnflag.oracle import _paths_from, enumerate_path_collections, mr_matrix
+from tnnflag.plucker import phi
 from tnnflag.wiring import (
     Path, PathCollection, VerticalEdge, build_diagram, collection_weight,
     graph_extremal_collections, path_sum_matrix,
@@ -218,6 +219,22 @@ def test_bruhat_rejection_comes_from_v_subexpression():
                  ((1, 2, 3, 4), (3, 2, 1))]:
         with pytest.raises(ValueError, match="^mismatched n$"):
             build(v, w)
+
+
+@pytest.mark.parametrize("v, w, name", [
+    ((0, 1, 2), (3, 2, 1), "v"), ((1, 1, 3), (1, 2, 3), "v"),
+    ((2, 1, 3), (3, 1, 1), "w"), ((1, 2, 3), (1, 2, 4), "w"),
+])
+def test_non_permutations_are_rejected(v, w, name):
+    """``build_diagram``, and ``phi`` through it, name the argument that is
+    not a permutation of 1..n (v first), after the length check."""
+    message = f"^{name} is not a permutation: "
+    with pytest.raises(ValueError, match=message):
+        build_diagram(v, w)
+    with pytest.raises(ValueError, match=message):
+        phi(v, w, {1: 1})
+    with pytest.raises(ValueError, match="^mismatched n$"):
+        build_diagram(v, w + (4,))
 
 
 def test_negative_segments_follow_later_crossings():
