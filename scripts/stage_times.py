@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """
 Print, for the top cell id <= w0 of each S_n given, one JSON line with
-the median milliseconds of four stages of the library on that cell:
+the median milliseconds of six stages of the library on that cell:
 
     PYTHONPATH=src python3 scripts/stage_times.py [N ...] [--runs R] [--against PATH]
     PYTHONPATH=src python3 scripts/stage_times.py --cold N [--against PATH]
@@ -10,10 +10,16 @@ N defaults to 6 7 8 and R to 200. The stages are the classical and the
 tropical sweep alone (``wiring._run_sweep`` on the weights as ``phi``
 and ``trop_phi`` hand them over, ``plucker._exact_weights`` and
 ``plucker._trop_ints`` of them, made before the clock starts), ``phi``
-then ``decide_tnn``, and ``trop_phi`` then ``decide_trop``. Each run
-draws fresh weights from ``random.Random(n)``, each a Fraction with
-numerator 1..99 and denominator 1..9, and times every stage once on
-them with the diagram already built.
+then ``decide_tnn``, ``trop_phi`` then ``decide_trop``, and the two
+deciders alone on a near-miss: the point given its coordinates, with
+the greatest non-generating coordinate in (size, index) order doubled
+(``decide_tnn``) or raised by 1 (``decide_trop``), built before the
+clock starts. Both near-misses are rejections, the classical one a
+``reconstruction-mismatch`` and the tropical one a
+``violated-tropical-relation``. Each run draws fresh weights from
+``random.Random(n)``, each a Fraction with numerator 1..99 and
+denominator 1..9, and times every stage once on them with the diagram
+already built.
 
 ``--cold N`` prints instead the per-cell medians, in microseconds, of
 three cold stages over every cell v <= w of S_N: ``build_diagram``,
@@ -45,18 +51,35 @@ from tnnflag.perms import identity, longest_element
 
 
 def _warm_stages(lib, v, w) -> dict:
-    """The four warm stages of the package ``lib`` on the cell (v, w), each
-    taking the weights, their pairs (``_exact_weights``), their Trops and
-    the ints L a_e (``_trop_ints``)."""
+    """The six warm stages of the package ``lib`` on the cell (v, w), each
+    taking the inputs of ``_inputs``."""
     d = lib.wiring.build_diagram(v, w)
     run_sweep, m, p = lib.wiring._run_sweep, lib.membership, lib.plucker
     return {
-        "sweep_classical_ms": lambda a, pairs, x, ints: run_sweep(d, pairs, True),
-        "sweep_tropical_ms": lambda a, pairs, x, ints: run_sweep(d, ints, False),
-        "phi_decide_tnn_ms": lambda a, pairs, x, ints: m.decide_tnn(p.phi(v, w, a)),
-        "trop_phi_decide_trop_ms":
-            lambda a, pairs, x, ints: m.decide_trop(p.trop_phi(v, w, x)),
+        "sweep_classical_ms": lambda s: run_sweep(d, s["pairs"], True),
+        "sweep_tropical_ms": lambda s: run_sweep(d, s["ints"], False),
+        "phi_decide_tnn_ms": lambda s: m.decide_tnn(p.phi(v, w, s["a"])),
+        "trop_phi_decide_trop_ms": lambda s: m.decide_trop(p.trop_phi(v, w, s["x"])),
+        "decide_tnn_near_miss_ms": lambda s: m.decide_tnn(s["tnn_miss"]),
+        "decide_trop_near_miss_ms": lambda s: m.decide_trop(s["trop_miss"]),
     }
+
+
+def _inputs(lib, v, w, a) -> dict:
+    """The stages' inputs at the weights a, for the package ``lib``: a,
+    their pairs (``_exact_weights``), their Trops x, the ints L x_e
+    (``_trop_ints``), and the two near-misses, ``phi`` of a and
+    ``trop_phi`` of x given their coordinates, with the greatest
+    non-generating coordinate doubled or raised by 1."""
+    x = {j: lib.algebra.Trop(q) for j, q in a.items()}
+    p, t = lib.plucker.phi(v, w, a), lib.plucker.trop_phi(v, w, x)
+    I = max(set(p.coords) - set(lib.extremal.s_vw(v, w)),
+            key=lambda I: (len(I), I))
+    return {"a": a, "pairs": lib.plucker._exact_weights(a), "x": x,
+            "ints": lib.plucker._trop_ints(x)[0],
+            "tnn_miss": type(p)(p.n, {**p.coords, I: 2 * p.coords[I]}),
+            "trop_miss": type(t)(t.n, {**t.coords,
+                                       I: lib.algebra.Trop(t.coords[I].value + 1)})}
 
 
 def stage_times(n: int, runs: int, trees: list) -> list[dict]:
@@ -72,11 +95,9 @@ def stage_times(n: int, runs: int, trees: list) -> list[dict]:
     for r in range(runs):
         a = {j: Fraction(rng.randint(1, 99), rng.randint(1, 9)) for j in ids}
         for t, lib in turns[r % 2]:
-            x = {j: lib.algebra.Trop(q) for j, q in a.items()}
-            args = (a, lib.plucker._exact_weights(a), x,
-                    lib.plucker._trop_ints(x)[0])
+            inputs = _inputs(lib, v, w, a)
             for name, stage in stages[t].items():
-                times[t][name].append(_timed(stage, *args))
+                times[t][name].append(_timed(stage, inputs))
     return [{"n": n, "runs": runs,
              **{name: round(1e3 * statistics.median(xs), 4)
                 for name, xs in ts.items()}} for ts in times]

@@ -163,26 +163,27 @@ def extremal_indices(p: _Vector | SupportVector) -> list[ExtremalChain]:
                 break
             chain.append(nxt)
         out.append(ExtremalChain(k, tuple(chain)))
-    _lex_chain_cell({ch.size: ch.chain for ch in out}, p.n)
+    _lex_chain_cell([ch.chain for ch in out], p.n)
     return out
 
 
-def _lex_chain_cell(support: Mapping[int, Sequence[Index]], n: int,
+def _lex_chain_cell(support: Sequence[Sequence[Index]], n: int,
                     ) -> tuple[Perm, Perm]:
     """The cell read off the first and last index of each size 1..n-1 of
-    ``support``, sequences of sorted tuples: the deciders pass each size's
-    supported indices in lexicographic order, ``extremal_indices`` its
-    chains. Raises ValueError when a size is empty, the first or the last
-    indices do not form a flag of subsets of 1..n, or v is not <= w. The
-    flags are the prefix sets of v^-1 and w^-1, so v <= w exactly when
-    each size's pair is in Gale order (the tableau criterion). Each
-    permutation is filled directly: k at the element e that the size-k
-    index adds (v(e) = k), and n at the one element left over."""
-    for k in range(1, n):
-        if not support[k]:
+    ``support``, a list of n-1 sequences of sorted tuples, entry k-1 of
+    size k: the deciders pass each size's supported indices in
+    lexicographic order (the index tuples of ``_int_view``'s blocks),
+    ``extremal_indices`` its chains. Raises ValueError when a size is
+    empty, the first or the last indices do not form a flag of subsets
+    of 1..n, or v is not <= w. The flags are the prefix sets of v^-1 and
+    w^-1, so v <= w exactly when each size's pair is in Gale order (the
+    tableau criterion). Each permutation is filled directly: k at the
+    element e that the size-k index adds (v(e) = k), and n at the one
+    element left over."""
+    for k, block in enumerate(support, start=1):
+        if not block:
             raise ValueError(f"no supported index of size {k}")
-    mins = [support[k][0] for k in range(1, n)]
-    maxs = [support[k][-1] for k in range(1, n)]
+    mins, maxs = [b[0] for b in support], [b[-1] for b in support]
     full = (1 << n + 1) - 2             # the strand mask of 1..n
 
     def flag_to_perm(flag: list[Index]) -> Perm:

@@ -29,6 +29,7 @@ __all__ = [
     "propagate_three_term", "trop_propagate_three_term",
 ]
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 from operator import neg
@@ -37,8 +38,8 @@ from typing import Mapping, NamedTuple
 from .algebra import LaurentMonomial, Trop, rat_to_str, trop_to_str
 from .perms import Perm, gale_leq, perm_to_str
 from .plucker import (
-    Index, PlueckerVector, TropPlueckerVector, _first_violated, _relation_json,
-    all_proper_indices, generate_relations, index_to_str, phi, trop_phi,
+    Index, PlueckerVector, TropPlueckerVector, _canonical_block, _first_violated,
+    _relation_json, generate_relations, index_to_str, phi, trop_phi,
 )
 from .extremal import _lex_chain_cell, flag_matroid_check, generators
 from .wiring import _run_sweep, build_diagram
@@ -83,9 +84,9 @@ def identify_cell(support: Mapping[int, set], n: int) -> tuple[Perm, Perm]:
     its Gale extremes. Only ``decide_trop`` runs this, to name a
     rejection that no three-term relation names.
     """
-    blocks = {k: sorted({tuple(sorted(B)) for B in support.get(k, ())})
-              for k in range(1, n)}
-    for k, bases in blocks.items():
+    blocks = [sorted({tuple(sorted(B)) for B in support.get(k, ())})
+              for k in range(1, n)]
+    for k, bases in enumerate(blocks, start=1):
         if not bases:
             break                       # _lex_chain_cell names it
         lo, hi = bases[0], bases[-1]
@@ -116,12 +117,13 @@ def psi_monomials(v: Perm, w: Perm) -> dict[int, LaurentMonomial]:
 
 def psi(v: Perm, w: Perm, p: PlueckerVector) -> dict[int, Fraction]:
     """Recover the cell weights of the point p: ``_solve`` on p's
-    ``_int_view``, its reduced pairs made Fractions. Each coordinate at
-    an independent generating index is read against its size's unit,
-    the coordinate at v^-1(1..k), and must be positive once divided by
-    it, or a ValueError names the first that is not. So the weights are
-    those of the projective point, whatever block scaling represents it,
-    and a vector from ``phi`` is not rendered:
+    ``_int_view`` blocks, its reduced pairs made Fractions. Each
+    coordinate at an independent generating index is read against its
+    size's unit, the coordinate at v^-1(1..k), and must be positive once
+    divided by it, or a ValueError names the first that is not. So the
+    weights are those of the projective point, whatever block scaling
+    represents it, and a vector from ``phi`` is not rendered. A p that is
+    not a classical vector of the cell's n raises ValueError.
 
     >>> from tnnflag.perms import perm_from_str
     >>> from tnnflag.plucker import phi
@@ -131,23 +133,35 @@ def psi(v: Perm, w: Perm, p: PlueckerVector) -> dict[int, Fraction]:
     >>> psi(v, w, scaled) == psi(v, w, p) == {1: 2, 2: 3, 4: 5}
     True
     """
-    return _fractions(_solve(v, w, p._int_view()[1], True))
+    return _solved(v, w, p, True)
 
 
 def trop_psi(v: Perm, w: Perm, p: TropPlueckerVector) -> dict[int, Trop]:
-    """The min-plus ``psi``: ``_solve`` on p's ``_int_view``, which holds
-    Q = L (p - p_unit); each coordinate at an independent generating index
-    is read against its size's unit and must be finite. The solved ints
-    are L times the cell weights, so each is rendered divided by L."""
-    _, Q, L = p._int_view()
-    return _trop_weights(_solve(v, w, Q, False), L)
+    """The min-plus ``psi``: ``_solve`` on p's ``_int_view`` blocks, which
+    hold Q = L (p - p_unit); each coordinate at an independent generating
+    index is read against its size's unit and must be finite. The solved
+    ints are L times the cell weights, so each is rendered divided by L.
+    A p that is not a tropical vector of the cell's n raises ValueError."""
+    return _solved(v, w, p, False)
 
 
-def _solve(v: Perm, w: Perm, values: Mapping[Index, int], signed: bool) -> dict:
+def _solved(v: Perm, w: Perm, p, signed: bool) -> dict:
+    """``_weights`` of ``_solve`` on p's ``_int_view`` blocks; p must be a
+    vector of the semiring that ``signed`` names and of n = len(v)."""
+    if p.signed is not signed or p.n != len(v):
+        raise ValueError(f"expected a {('tropical', 'classical')[signed]} vector "
+                         f"with n={len(v)}, got a {p.mode} one with n={p.n}")
+    blocks, L = p._int_view()
+    return _weights(_solve(v, w, blocks, signed), L, signed)
+
+
+def _solve(v: Perm, w: Perm, blocks: list, signed: bool) -> dict:
     """The weights of the cell (v, w) at the point whose ``_int_view``
-    values are ``values``: one walk over the generators in traversal
-    order, each independent value x_I read against its size's value
-    x_unit at the cell's unit index v^-1(1..k). That index is the first
+    blocks are ``blocks``: one walk over the generators in traversal
+    order, each independent value x_I found in its size's block by
+    bisection (within a size the generators come in lexicographic order,
+    as the block's indices do) and read against its size's value x_unit
+    at the cell's unit index v^-1(1..k). That index is the first
     generator of its size, the one with no weight ids, so the walk meets
     each unit before any value is read against it, and a unit that is
     not usable stops the walk there. Classically x_I (absent: 0) is
@@ -161,7 +175,9 @@ def _solve(v: Perm, w: Perm, values: Mapping[Index, int], signed: bool) -> dict:
     for I, ids, new, in_svw in generators(v, w):
         if not in_svw:
             continue
-        x = values.get(I, 0) if signed else values.get(I)
+        J, xs = blocks[len(I) - 1]
+        i = bisect_left(J, I)
+        x = xs[i] if i < len(J) and J[i] == I else 0 if signed else None
         if not ids:                     # the size's unit index
             unit = x
         if signed:
@@ -186,83 +202,90 @@ def _solve(v: Perm, w: Perm, values: Mapping[Index, int], signed: bool) -> dict:
     return weights
 
 
-def _fractions(a: Mapping[int, tuple[int, int]]) -> dict[int, Fraction]:
-    return {j: Fraction(*x) for j, x in a.items()}
-
-
-def _trop_weights(a: Mapping[int, int], L: int) -> dict[int, Trop]:
-    return {j: Trop(Fraction(x, L)) for j, x in a.items()}
+def _weights(a: Mapping[int, object], L: int, signed: bool) -> dict:
+    """The solved weights as the library returns them: each reduced pair
+    a Fraction classically, each int divided by L in a Trop tropically."""
+    return {j: Fraction(*x) if signed else Trop(Fraction(x, L))
+            for j, x in a.items()}
 
 
 # ---------------------------------------------------------------------------
 # Decision procedures
 # ---------------------------------------------------------------------------
 
-def _reconstruct(p, sup: Mapping[int, list[Index]], values: Mapping[Index, int],
-                 L: int) -> tuple[CellCertificate | dict | list, bool]:
-    """Try to reconstruct p from its ``_int_view`` ``(sup, values, L)``:
-    the cell read off the lexicographic chains of the support ``sup``
-    (whose unit index of size k is then sup[k][0]), the weights that
-    ``_solve`` finds in it, and the cell's sweep of them
+def _reconstruct(p, blocks: list, L: int,
+                 ) -> tuple[CellCertificate | dict | list, bool]:
+    """Try to reconstruct p from its ``_int_view`` ``(blocks, L)``: the
+    cell read off the lexicographic chains of the blocks' indices (whose
+    unit index of size k is then the first of block k), the weights that
+    ``_solve`` finds in them, and the cell's sweep of them
     (``wiring._run_sweep``: the solved weights are the cell's, ints
-    tropically, L times the cell weights). Returns ``(found, same)``:
-    the member certificate; the witness dict of ``no-cell`` when the
-    chains give no cell, or of ``unsupported-generating-index`` when the
-    walk meets an unusable coordinate; or else the sweep's size blocks,
-    with ``same`` telling whether they list the indices of ``sup``.
-    Neither the keys nor a mismatch is looked into here: the deciders
-    check the keys, then build only the witness they report.
+    tropically, L times the cell weights), which gives blocks of the same
+    shape. Returns ``(found, same)``: the member certificate; the witness
+    dict of ``no-cell`` when the chains give no cell, or of
+    ``unsupported-generating-index`` when the walk meets an unusable
+    coordinate; or else the sweep's blocks, with ``same`` telling whether
+    they list the same index tuples as ``blocks``. Neither the keys nor a
+    mismatch is looked into here: the deciders check the keys, then build
+    only the witness they report.
 
-    The input comes back when the blocks list the same indices as
-    ``sup`` and every block agrees with the input's values there
-    (``_agrees``). Tropically x_unit = Q_unit is 0, and so is r_unit,
-    since every move raises a path and only the collection that moves
-    none reaches the sources' own strands: the test reads Q_I = r_I."""
+    The input comes back when the index tuples are the same and each
+    block agrees with the sweep's block of its size (``_agrees``).
+    Tropically x_unit = Q_unit is 0, and so is r_unit, since every move
+    raises a path and only the collection that moves none reaches the
+    sources' own strands: the test reads Q_I = r_I. A key not of ints
+    raises TypeError in the chains or the walk's bisection; that input
+    is no member, and its keys fail the deciders' check."""
     try:
-        v, w = _lex_chain_cell(sup, p.n)
-    except (TypeError, ValueError) as exc:     # TypeError: a key not of ints
+        v, w = _lex_chain_cell([I for I, _ in blocks], p.n)
+    except (TypeError, ValueError) as exc:
         return {"type": "no-cell", "reason": str(exc)}, False
     try:
-        a = _solve(v, w, values, p.signed)
-    except ValueError as exc:
+        a = _solve(v, w, blocks, p.signed)
+    except (TypeError, ValueError) as exc:
         return {"type": "unsupported-generating-index", "reason": str(exc)}, False
-    blocks = _run_sweep(build_diagram(v, w), a, p.signed)
-    same = [I for I, _ in blocks] == [tuple(block) for block in sup.values()]
-    if same and all([_agrees(list(map(values.__getitem__, I)), r)
-                     for I, r in blocks]):
-        weights = _fractions(a) if p.signed else _trop_weights(a, L)
-        return CellCertificate("member", cell=(v, w), weights=weights), True
-    return blocks, same
+    found = _run_sweep(build_diagram(v, w), a, p.signed)
+    same = [I for I, _ in found] == [I for I, _ in blocks]
+    if same and all([_agrees(x, r) for (_, x), (_, r) in zip(blocks, found)]):
+        return CellCertificate("member", (v, w), _weights(a, L, p.signed)), True
+    return found, same
 
 
 def _agrees(x: list[int], r: list[int]) -> bool:
-    """Whether the block of values x is the block r up to its unit:
-    x_I r_unit = r_I x_unit for every I. When the units are equal that
-    is x = r, and when they are opposite x = -r, so neither multiplies:
-    on a vector from ``phi`` the view's units are the sweep's, a block
-    negated where the sweep's unit is negative. Blocks scaled otherwise,
-    as from JSON or a rescaled input, are cross-multiplied. Tropically
-    both units are 0 (``_reconstruct``), so the test reads x = r."""
+    """Whether the block of ints x is the block r up to its unit:
+    x_I r_unit = r_I x_unit at every position, the two blocks listing the
+    same indices. When the units are equal that is x = r, and when they
+    are opposite x = -r, so neither multiplies: on a vector from ``phi``
+    the view's blocks are the sweep's, negated where the sweep's unit is
+    negative. Blocks scaled otherwise, as from JSON or a rescaled input,
+    are cross-multiplied. Tropically both units are 0 (``_reconstruct``),
+    so the test reads x = r."""
     if x[0] == -r[0] != 0:
         r = list(map(neg, r))
     return x == r if x[0] == r[0] else [c * r[0] for c in x] == [c * x[0] for c in r]
 
 
-def _own_witness(p, found: dict | list, L: int) -> dict:
+def _own_witness(p, blocks: list, found: dict | list, L: int) -> dict:
     """The reconstruction's own witness: ``found`` when it is one, else
-    the ``reconstruction-mismatch`` at the first index where the
-    canonical input and the vector of the sweep's blocks ``found``
-    differ."""
-    return found if type(found) is dict else \
-        _first_difference(p.canonicalize(), type(p)._of_raw(p.n, found, L))
+    the ``reconstruction-mismatch`` of ``_first_difference`` between the
+    view's blocks and the sweep's blocks ``found``."""
+    return found if type(found) is dict else _first_difference(p, blocks, found, L)
 
 
-def _first_difference(q, r) -> dict:
-    for I in all_proper_indices(q.n):
-        if q.coord(I) != r.coord(I):
-            return {"type": "reconstruction-mismatch", "index": index_to_str(I),
-                    "input": q.render(q.coord(I)),
-                    "reconstructed": q.render(r.coord(I))}
+def _first_difference(p, blocks: list, found: list, L: int) -> dict:
+    """The first index, by size and then lexicographically, where the
+    canonical coordinates of the blocks and of the sweep's blocks differ,
+    each block made canonical by ``plucker._canonical_block``. Per size it
+    walks the union of the two blocks' indices, an absent one at the
+    semiring's zero, so the indices neither block lists are equal."""
+    for (I, x), (J, r) in zip(blocks, found):
+        a = dict(zip(I, _canonical_block(x, L, p.signed)))
+        b = dict(zip(J, _canonical_block(r, L, p.signed)))
+        for K in sorted(a.keys() | b.keys()):
+            x, r = a.get(K, p.zero), b.get(K, p.zero)
+            if x != r:
+                return {"type": "reconstruction-mismatch", "index": index_to_str(K),
+                        "input": p.render(x), "reconstructed": p.render(r)}
     raise AssertionError("unequal vectors with equal coordinates (bug)")
 
 
@@ -271,57 +294,58 @@ def decide_tnn(p: PlueckerVector) -> CellCertificate:
     reconstruction-and-compare, certifying members by (v, w, weights).
 
     Every input gets one pass over its coordinates (``_int_view``), which
-    lists each size's supported indices lexicographically with an int at
-    each, read off the raw sweep when p came from ``phi`` and its
-    coordinates were never read; then this function's own check for a
-    negative value. If there is none, the reconstruction
+    gives per size the supported indices in lexicographic order and a
+    list of an int at each, the raw sweep's own blocks when p came from
+    ``phi`` and its coordinates were never read; then this function's own
+    check for a negative value. If there is none, the reconstruction
     (``_reconstruct``): the cell read off the first and last index of
     each size (flag and Bruhat checks), ``_solve``'s walk on int pairs,
-    the sweep of those pairs and one comparison of the view's ints with
-    the sweep's (``_agrees``: a block whose unit is the sweep's, or its
-    opposite, as on a vector from ``phi``, compares as lists, any other
-    is cross-multiplied with the units). A member needs no further
-    check, since its support is the flag matroid of its cell and its
-    supported keys are the sweep's (the view raises on a key at the zero
-    that is not an index). Any other
-    input has its index keys checked once, and its rejection is named in
-    this order: the first negative coordinate; the necessary flag-matroid
-    conditions of ``flag_matroid_check`` on the support, run only when it
-    is not the reconstruction's (which is the cell's, a flag matroid);
-    the reconstruction's own witness, the mismatch vectors built only
-    then. A size block without Gale extremes is not a matroid, so that
-    check names it.
+    the sweep of those pairs and one comparison of the view's blocks with
+    the sweep's, block by block (``_agrees``: a block whose unit is the
+    sweep's, or its opposite, as on a vector from ``phi``, compares as
+    lists, any other is cross-multiplied with the units). A member needs
+    no further check, since its support is the flag matroid of its cell
+    and its supported keys are the sweep's (the view raises on a key at
+    the zero that is not an index). Any other input has its index keys
+    checked once, and its rejection is named in this order: the first
+    negative coordinate; the necessary flag-matroid conditions of
+    ``flag_matroid_check`` on the support, run only when it is not the
+    reconstruction's (which is the cell's, a flag matroid), the map by
+    size of ``support()`` read only then; the reconstruction's own
+    witness, read off the two block lists only then. A size block without
+    Gale extremes is not a matroid, so that check names it.
     """
-    sup, values, L = p._int_view()
-    negative = min(values.values(), default=0) < 0
-    found, same = (None, False) if negative else _reconstruct(p, sup, values, L)
+    blocks, L = p._int_view()
+    negative = any([min(x, default=0) < 0 for _, x in blocks])
+    found, same = (None, False) if negative else _reconstruct(p, blocks, L)
     if type(found) is CellCertificate:
         return found
     p.check_indices()
     if negative:
-        I = next(I for block in sup.values() for I in block if values[I] < 0)
+        I = next(I for J, x in blocks for I, c in zip(J, x) if c < 0)
         return _non_member({"type": "negative-coordinate",
                             "index": index_to_str(I),
                             "value": rat_to_str(p.coords[I])})
-    if not same and not flag_matroid_check(sup):
+    if not same and not flag_matroid_check(p.support()):
         return _non_member({"type": "support-not-flag-matroid"})
-    return _non_member(_own_witness(p, found, L))
+    return _non_member(_own_witness(p, blocks, found, L))
 
 
 def decide_trop(p: TropPlueckerVector) -> CellCertificate:
     """Decide membership in the nonnegative flag Dressian: the vector must
     reconstruct exactly from its cell weights.
 
-    Every input gets the reconstruction of ``decide_tnn``, on the integers
-    Q = L (p - p_unit) of ``_int_view``, read off the raw sweep when p
-    came from ``trop_phi`` and its coordinates were never read. A member
-    positively solves every three-term tropical relation, so any other
-    input has its index keys checked once, and its rejection is named in
-    this order: the first violated three-term relation, scanned on the
-    same Q (a relation's terms share one size pair, so the shifts add one
-    constant to all of them); the no-cell witness of ``identify_cell`` on
-    the support; the reconstruction's own witness, the mismatch vectors
-    built only then.
+    Every input gets the reconstruction of ``decide_tnn``, on the blocks
+    of integers Q = L (p - p_unit) of ``_int_view``, the raw sweep's when
+    p came from ``trop_phi`` and its coordinates were never read. A
+    member positively solves every three-term tropical relation, so any
+    other input has its index keys checked once, and its rejection is
+    named in this order: the first violated three-term relation, scanned
+    on the same Q, made a map by index only then (a relation's terms
+    share one size pair, so the shifts add one constant to all of them);
+    the no-cell witness of ``identify_cell`` on ``support()``, read only
+    then; the reconstruction's own witness, read off the two block lists
+    only then.
 
     Which relations decide which inputs: the vectors this certifies are
     those with every size block nonempty that positively solve every
@@ -331,20 +355,21 @@ def decide_trop(p: TropPlueckerVector) -> CellCertificate:
     coordinates they do not (``tests/test_theorems.py`` pins an n = 5
     vector).
     """
-    sup, Q, L = p._int_view()
-    found, _ = _reconstruct(p, sup, Q, L)
+    blocks, L = p._int_view()
+    found, _ = _reconstruct(p, blocks, L)
     if type(found) is CellCertificate:
         return found
     p.check_indices()
+    Q = {I: c for J, x in blocks for I, c in zip(J, x)}
     rel = _first_violated(generate_relations(p.n, True), Q.get)
     if rel is not None:
         return _non_member({"type": "violated-tropical-relation",
                             **_relation_json(rel)})
     try:
-        identify_cell(sup, p.n)
+        identify_cell(p.support(), p.n)
     except ValueError as exc:
         return _non_member({"type": "no-cell", "reason": str(exc)})
-    return _non_member(_own_witness(p, found, L))
+    return _non_member(_own_witness(p, blocks, found, L))
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +392,7 @@ def _propagate(values: Mapping[Index, object], cell: tuple[Perm, Perm],
         if values[g.index] == cls.zero:
             raise ValueError(f"extremal index {g.index} has the zero value "
                              f"{cls.render(cls.zero)}")
-    given = cls(len(v), {g.index: values[g.index] for g in gens})
-    given = given.canonicalize()
+    given = cls(len(v), {g.index: values[g.index] for g in gens}).canonicalize()
     q = sweep(v, w, walk(v, w, given))
     for g in gens:
         if not g.in_svw and q.coord(g.index) != given.coords[g.index]:

@@ -23,6 +23,7 @@ __all__ = [
     "is_positive_distinguished", "enumerate_path_collections",
 ]
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -37,8 +38,8 @@ from .perms import (
     Perm, Subexpression, identity, inverse, left_mult_s, right_mult_s,
 )
 from .plucker import (
-    Index, PlueckerVector, TropPlueckerVector, _scale_to_ints,
-    all_proper_indices, generate_relations, phi,
+    Index, PlueckerVector, TropPlueckerVector, all_proper_indices,
+    generate_relations, phi,
 )
 from .wiring import (
     Path, PathCollection, VerticalEdge, WiringDiagram, build_diagram,
@@ -467,8 +468,9 @@ def trop_eval_poly_terms(poly: list[tuple[int, dict[Index, int]]],
     e > 0 is: summed on the finite values scaled to ints by the lcm L of
     their denominators, and divided by L once.
     """
-    ints, L = _scale_to_ints({I: x.value for I, x in p.coords.items()
-                              if x.value is not None})
+    finite = {I: x.value for I, x in p.coords.items() if x.value is not None}
+    L = math.lcm(*(x.denominator for x in finite.values()))
+    ints = {I: x.numerator * (L // x.denominator) for I, x in finite.items()}
     out = []
     for coeff, mono in poly:
         xs = [(e, ints.get(I)) for I, e in mono.items() if e]

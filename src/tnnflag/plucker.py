@@ -99,11 +99,12 @@ def all_proper_indices(n: int) -> Iterator[Index]:
         yield from itertools.combinations(range(1, n + 1), k)
 
 
-def _scale_to_ints(values: Mapping) -> tuple[dict, int]:
-    """``({k: L * values[k]}, L)``: the ints and Fractions of ``values``
-    times the lcm L of their denominators (1 when there are none)."""
-    L = math.lcm(*(x.denominator for x in values.values()))
-    return {k: x.numerator * (L // x.denominator) for k, x in values.items()}, L
+def _canonical_block(x: list[int], L: int, signed: bool) -> list:
+    """The canonical coordinates of one size block of ints x (an
+    ``_int_view`` block, or a raw one), unit first: Fraction(x_I, x_unit)
+    classically, Trop(Fraction(x_I - x_unit, L)) tropically."""
+    return [Fraction(c, x[0]) if signed else Trop(Fraction(c - x[0], L))
+            for c in x]
 
 
 # ---------------------------------------------------------------------------
@@ -115,16 +116,17 @@ class _Vector:
     Subclasses fix the semiring (``zero``, ``one``) and the text form of a
     coordinate (``parse``, ``render``).
 
-    One integer view, ``_int_view``, reads a vector's values: per size, its
-    supported indices in lexicographic order and an int at each, a positive
-    multiple of the canonical coordinate per block up to the sign of the
-    block's unit. ``support``, the deciders, ``psi``, ``trop_psi``,
-    ``canonicalize`` and the first read of ``coords`` all take it. A
-    vector that ``phi`` or ``trop_phi`` returns holds the raw sweep
-    ``(blocks, L)`` of ``_sweep`` instead of coordinates, and the view
-    reads its integers. When ``coords`` is first read it is normalized
-    from the view (``_canonical_coords``) and the raw form is dropped, so
-    an edit made through ``coords`` is what every later reader sees.
+    One integer view, ``_int_view``, reads a vector's values, in the raw
+    sweep's shape: per size, a block of its supported indices in
+    lexicographic order and a list of an int at each, a positive multiple
+    of the canonical coordinates up to the sign of the block's unit.
+    ``support``, the deciders, ``psi``, ``trop_psi``, ``canonicalize`` and
+    the first read of ``coords`` all take it. A vector that ``phi`` or
+    ``trop_phi`` returns holds the raw sweep ``(blocks, L)`` of ``_sweep``
+    instead of coordinates, and the view hands over its blocks. When
+    ``coords`` is first read it is normalized from the view
+    (``canonicalize``) and the raw form is dropped, so an edit made
+    through ``coords`` is what every later reader sees.
     Every vector the library builds lists its coordinates by size, each
     size block in lexicographic order; one given its coordinates keeps
     their order."""
@@ -145,7 +147,7 @@ class _Vector:
     @property
     def coords(self) -> dict[Index, object]:
         if self._raw is not None:
-            self._coords, self._raw = self._canonical_coords(), None
+            self._coords, self._raw = self.canonicalize()._coords, None
         return self._coords
 
     @coords.setter
@@ -168,75 +170,67 @@ class _Vector:
         return coords.get(tuple(sorted(I)), self.zero)
 
     def support(self) -> dict[int, set[Index]]:
-        return {k: set(block) for k, block in self._int_view()[0].items()}
+        return {k: set(I)
+                for k, (I, _) in enumerate(self._int_view()[0], start=1)}
 
     def canonicalize(self):
         """Divide each size block by its lexicographically minimal supported
         coordinate (the Gale minimum, whenever the support is a matroid), so
         that coordinate becomes one: 1 classically, 0 tropically. Each
         coordinate is a Fraction, or a Trop of one, listed by size and then
-        lexicographically. A vector that holds the raw sweep is normalized
-        from its integer view and keeps its raw form."""
-        return type(self)(self.n, self._canonical_coords())
+        lexicographically, block by block from ``_int_view``
+        (``_canonical_block``). A vector that holds the raw sweep is
+        normalized from its integer view and keeps its raw form."""
+        blocks, L = self._int_view()
+        return type(self)(self.n, {I: c for J, x in blocks for I, c in
+                                   zip(J, _canonical_block(x, L, self.signed))})
 
-    def _canonical_coords(self) -> dict[Index, object]:
-        """The canonical coordinates, block by block from ``_int_view``:
-        Fraction(x_I, x_unit) classically, Trop(Fraction(Q_I, L))
-        tropically."""
-        sup, values, L = self._int_view()
-        coords: dict[Index, object] = {}
-        for block in sup.values():
-            if block:
-                unit = values[block[0]]
-                for I in block:
-                    coords[I] = (Fraction(values[I], unit) if self.signed
-                                 else Trop(Fraction(values[I], L)))
-        return coords
-
-    def _int_view(self) -> tuple[dict[int, list[Index]], dict[Index, int], int]:
-        """The one read of a vector's values: ``(sup, values, L)``, the
-        supported indices per size 1..n-1 in lexicographic order and an
-        int at each supported index. Coordinates are first scaled to ints
-        x_I by the lcm L of their denominators (1 when there are none);
-        the raw sweep gives its blocks of ints and its L. Then, per block,
-        a classical value is x_I, on the raw sweep times the sign of its
+    def _int_view(self) -> tuple[list[tuple[tuple[Index, ...], list[int]]], int]:
+        """The one read of a vector's values: ``(blocks, L)``, per size
+        1..n-1 the supported indices as a tuple in lexicographic order
+        and a list of an int at each, the shape of the raw sweep
+        (``wiring._run_sweep``). Coordinates are first scaled to ints x_I
+        by the lcm L of their denominators (1 when there are none); the
+        raw sweep gives its blocks of ints and its L. Then, per block, a
+        classical value is x_I, on the raw sweep times the sign of its
         block's unit (the coordinate times a positive factor per block,
         so a negative value is a negative coordinate of the input), and a
-        tropical one is Q_I = x_I - x_unit = L (p_I - p_unit). The keys
-        of the support are not checked (``check_indices`` does that), but
-        a key of size 0 or n or more, or one that does not sort with the
-        others, raises its ValueError, and so does any key at the
-        semiring's zero that is not an index: no later check sees those
-        keys, since the view leaves them out."""
+        tropical one is Q_I = x_I - x_unit = L (p_I - p_unit). A raw
+        block that needs neither is handed over as it is, not copied, so
+        no reader may change a block. The keys of the support are not
+        checked (``check_indices`` does that), but a key of size 0 or n or
+        more, or one that does not sort with the others, raises its
+        ValueError, and so does any key at the semiring's zero that is
+        not an index: no later check sees those keys, since the view
+        leaves them out."""
         signed, swept = self.signed, self._raw is not None
         if not swept:
-            coords, sup = self._coords, {k: [] for k in range(1, self.n)}
+            sup = {k: [] for k in range(1, self.n)}
             keyed = True                    # every key at the zero is an index
             try:
-                for I, val in coords.items():
+                for I, val in self._coords.items():
                     if (val.numerator if signed else val.value is not None):
-                        sup[len(I)].append(I)
+                        sup[len(I)].append((I, val if signed else val.value))
                     elif keyed:
                         keyed = _is_index(I, self.n)
-                for block in sup.values():
-                    block.sort()
+                sup = [sorted(b) for b in sup.values()]
             except (KeyError, TypeError):   # a key of size 0 or >= n, or not of ints
                 self.check_indices()
                 raise
             if not keyed:
                 self.check_indices()
-            x, L = _scale_to_ints({I: coords[I] if signed else coords[I].value
-                                   for block in sup.values() for I in block})
-            blocks = [(b, [x[I] for I in b]) for b in sup.values()]
+            L = math.lcm(*(x.denominator for b in sup for _, x in b))
+            blocks = [(tuple([I for I, _ in b]),
+                       [x.numerator * (L // x.denominator) for _, x in b])
+                      for b in sup]
         else:
             blocks, L = self._raw
-        sup, values = {}, {}
-        for k, (indices, x) in enumerate(blocks, start=1):
+        out = []
+        for I, x in blocks:
             if x and ((swept and x[0] < 0) if signed else x[0]):
                 x = list(map(neg, x)) if signed else [c - x[0] for c in x]
-            sup[k] = list(indices)
-            values.update(zip(indices, x))
-        return sup, values, L
+            out.append((I, x))
+        return out, L
 
     def check_indices(self) -> None:
         """Raise ValueError naming the first key that is not an index: a
@@ -448,14 +442,14 @@ def _relation_terms(I: Index, J: Index) -> list[tuple[int, Index, Index]]:
     return terms
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def generate_relations(n: int, three_term_only: bool = False,
                        ) -> tuple[IncidenceRelation, ...]:
     """All incidence relations for sizes 1 <= r <= s <= n-1, deduplicated;
     with the three-term filter, only those with exactly 3 surviving summands.
     A pair (I, J) has one summand per element of J - I, and |J - I| >= s-r+2,
     so the filter needs s <= r+1 and skips the other pairs before their
-    terms are built.
+    terms are built. Cached for the 16 latest (n, filter) pairs.
 
     Every term of a relation pairs a size-r with a size-s coordinate, so
     shifting each size block by a constant, or scaling all coordinates by

@@ -3,7 +3,9 @@ the cell weights before the walk was written out per semiring, with the
 size units looked up at v^-1(1..k) up front and the classical weights
 kept as reduced int pairs that became Fractions at the end. Tests compare
 ``membership._solve``, ``psi``, ``trop_psi`` and ``psi_monomials`` with
-it, and ``test_reconstruct_compare.py`` reconstructs from its weights."""
+it, and ``test_reconstruct_compare.py`` reconstructs from its weights.
+The walk reads the values of the frozen integer view
+(``view_reference.py``), a dict by index."""
 
 from fractions import Fraction
 from math import gcd
@@ -12,6 +14,8 @@ from operator import sub, truediv
 from tnnflag.algebra import LaurentMonomial, Trop
 from tnnflag.extremal import generators
 from tnnflag.perms import inverse
+
+from view_reference import ref_view
 
 
 def ref_walk(v, w, value, div, solved, usable, problem):
@@ -37,7 +41,7 @@ def ref_reduced(x):
 
 
 def ref_solve(v, w, values, signed):
-    """The weights at the ``_int_view`` values: Fractions classically,
+    """The weights at the view's ``values``: Fractions classically,
     ints (L times the weights) tropically."""
     absent, inv = 0 if signed else None, inverse(v)
     units = {k: values.get(tuple(sorted(inv[:k])), absent) for k in range(1, len(v))}
@@ -52,11 +56,11 @@ def ref_solve(v, w, values, signed):
 
 
 def ref_psi(v, w, p):
-    return ref_solve(v, w, p._int_view()[1], True)
+    return ref_solve(v, w, ref_view(p)[1], True)
 
 
 def ref_trop_psi(v, w, p):
-    _, Q, L = p._int_view()
+    _, Q, L = ref_view(p)
     return {j: Trop(Fraction(x, L)) for j, x in ref_solve(v, w, Q, False).items()}
 
 

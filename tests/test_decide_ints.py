@@ -212,7 +212,8 @@ def _same_chains(p, outcomes):
     p's support give the same cell, or the same ValueError; counts the
     outcomes."""
     got, want = [], []
-    for fn, sup, out in ((_lex_chain_cell, p._int_view()[0], got),
+    blocks = [I for I, _ in p._int_view()[0]]
+    for fn, sup, out in ((_lex_chain_cell, blocks, got),
                          (ref_lex_chain_cell, p.support(), want)):
         try:
             out.append(fn(sup, p.n))
@@ -237,9 +238,10 @@ def _assert_same(p, kinds=None):
         fns = (ref_trop_psi, trop_phi) if p.mode == "tropical" else (ref_psi, phi)
         got, same = reconstruction(p)
         want, want_sup = ref_reconstruct(p, *fns)
-        assert (got.to_json_dict(), got.weights, p._int_view()[0]) == \
+        assert (got.to_json_dict(), got.weights,
+                [I for I, _ in p._int_view()[0]]) == \
             (want.to_json_dict(), want.weights,
-             {k: sorted(block) for k, block in want_sup.items()}), p.coords
+             [tuple(sorted(block)) for block in want_sup.values()]), p.coords
         assert got.verdict != "member" or same, p.coords
         for key in ((p.mode, _kind(new)), (p.mode, "reconstruct", _kind(got))):
             kinds[key] = kinds.get(key, 0) + 1

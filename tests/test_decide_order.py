@@ -40,12 +40,12 @@ def reconstruction(p):
     """The reconstruction's certificate for p, its own witness when it
     rejects (after the key check), and whether the sweep lists p's
     supported indices."""
-    sup, values, L = p._int_view()
-    found, same = _reconstruct(p, sup, values, L)
+    blocks, L = p._int_view()
+    found, same = _reconstruct(p, blocks, L)
     if isinstance(found, CellCertificate):
         return found, same
     p.check_indices()
-    return _non_member(_own_witness(p, found, L)), same
+    return _non_member(_own_witness(p, blocks, found, L)), same
 
 
 def reconstruct_checks_first(p, psi_fn, phi_fn):
@@ -167,7 +167,7 @@ def _compare(classical, tropical):
         fns = (trop_psi, trop_phi) if p.mode == "tropical" else (psi, phi)
         cert, _ = reconstruction(p)
         try:
-            identify_cell(p._int_view()[0], p.n)
+            identify_cell(p.support(), p.n)
         except ValueError as exc:
             if "Gale extremes" in str(exc):
                 # the deciders name these with a later check
@@ -310,7 +310,7 @@ def test_decide_trop_runs_identify_cell_only_without_a_violation(monkeypatch):
 
 def test_mismatch_witness_is_built_only_when_reported(monkeypatch):
     """The reconstruction-mismatch witness (``_first_difference`` on the
-    canonical input and the sweep's vector) is built once when a decider
+    view's blocks and the sweep's) is built once when a decider
     reports it and not at all when ``decide_trop`` reports a violated
     relation or ``identify_cell``'s no-cell, or ``decide_tnn`` reports
     support-not-flag-matroid, though the reconstruction got as far as the

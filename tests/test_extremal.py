@@ -479,8 +479,9 @@ def lex_chain_cell_reference(support, n):
 
 
 def test_lex_chain_cell_matches_reference():
-    """An equal cell, or an equal ValueError text: on the sorted blocks of
-    every S3-S5 cell support, each also with a seeded one-index toggle; on
+    """An equal cell, or an equal ValueError text, the library given each
+    support as a list by size and the reference as a mapping by size: on
+    the sorted blocks of every S3-S5 cell support, each also with a seeded one-index toggle; on
     chains through element 0, element n+1 or a repeated element, with an
     unsorted index, an empty size or a pair that is not nested; and on
     seeded random chains of elements 0..n+1 at n = 1..6."""
@@ -511,7 +512,8 @@ def test_lex_chain_cell_matches_reference():
                            for k in range(1, n)}))
     outcomes = Counter()
     for n, support in inputs:
-        got = _outcome(lambda s: _lex_chain_cell(s, n), support)
+        got = _outcome(lambda s: _lex_chain_cell([s[k] for k in range(1, n)], n),
+                       support)
         assert got == _outcome(lambda s: lex_chain_cell_reference(s, n),
                                support), (n, support)
         outcomes[got if isinstance(got, str) else "cell"] += 1

@@ -14,9 +14,18 @@ one is negative. The new blocks must be sorted and every value an int.
 Inputs: the raw sweep and rendered copies (keys shuffled) of every S3 and
 S4 cell and seeded S5 cells, blocks scaled by rationals (some negative)
 or shifted, explicit zero entries, int coordinates, and `random_flag`.
+
+The view returns `(blocks, L)`, the raw sweep's shape: per size an index
+tuple and a list of ints. The view before that returned `(sup, values,
+L)`, dicts by size and by index; it is frozen in `view_reference.py`,
+and turned into blocks it must equal the view on every S3-S5 member, raw
+and rendered, on members with each block k scaled by 1 + k or one block
+negated, and on members read back from JSON and their near-misses. A raw
+block that the view need not negate or shift is the raw list itself.
 """
 
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -31,6 +40,7 @@ from tnnflag.plucker import (
 from tnnflag.wiring import build_diagram
 
 from sweep_reference import raw_sweep
+from view_reference import ref_view, view_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +134,11 @@ def _ints(p):
 # ---------------------------------------------------------------------------
 
 def _check(p, seen):
-    sup, values, L = p._int_view()
+    blocks, L = p._int_view()
+    assert len(blocks) == max(p.n - 1, 0), p
+    assert all(type(I) is tuple and len(I) == len(x) for I, x in blocks), p
+    sup = {k: list(I) for k, (I, _) in enumerate(blocks, start=1)}
+    values = {I: c for J, x in blocks for I, c in zip(J, x)}
     negative = p.signed and min(values.values(), default=0) < 0   # decide_tnn's
     ref_sup, ref_negative, ref_values, ref_L = ref_int_view(p)
     case = (p.mode, "raw" if p._raw is not None else "coords")
@@ -185,3 +199,67 @@ def test_view_matches_the_frozen_view():
     assert seen["tropical", "raw", "L > 1"], seen
     assert seen["classical", "raw", "negative raw unit"], seen
     assert seen["classical", "coords", "negative"], seen
+
+
+# ---------------------------------------------------------------------------
+# The view before it returned blocks
+# ---------------------------------------------------------------------------
+
+def _same_as_dict_view(p, seen, case):
+    blocks, L = p._int_view()
+    assert (blocks, L) == view_blocks(*ref_view(p)), (case, p)
+    if p._raw is not None:
+        for (_, raw), (_, x) in zip(p._raw[0], blocks):
+            untouched = not raw or (raw[0] > 0 if p.signed else raw[0] == 0)
+            assert (x is raw) == untouched, (case, p)
+            seen[p.mode, case, "untouched" if untouched else "normalized"] += 1
+    seen[p.mode, case] += 1
+
+
+def _near_misses(p, rng):
+    """p with a seeded coordinate doubled (raised by 1 tropically),
+    deleted, or negated classically."""
+    coords = p.coords
+    I = rng.choice(sorted(coords))
+    bumped = coords[I] * 2 if p.signed else Trop(coords[I].value + 1)
+    out = [{**coords, I: bumped}, {J: x for J, x in coords.items() if J != I}]
+    if p.signed:
+        out.append({**coords, I: -coords[I]})
+    return [type(p)(p.n, c) for c in out]
+
+
+def test_blocks_equal_the_frozen_dict_view():
+    rng = random.Random(35)
+    seen = Counter()
+    members = []
+    for n in (3, 4, 5):
+        for v, w in bruhat_pairs(n):
+            ids = build_diagram(v, w).weight_ids()
+            a = {j: Fraction(rng.randint(1, 99), rng.randint(1, 9)) for j in ids}
+            x = {j: Trop(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+                 for j in ids}
+            for p in (phi(v, w, a), trop_phi(v, w, x)):
+                _same_as_dict_view(p, seen, "raw")
+                p.coords                        # rendered: the raw form is dropped
+                _same_as_dict_view(p, seen, "rendered")
+                members.append(p)
+    for p in rng.sample(members, 400):
+        cls, coords = type(p), p.coords
+        if p.signed:
+            k = rng.randrange(1, p.n)
+            scaled = [cls(p.n, {I: x * (1 + len(I)) for I, x in coords.items()}),
+                      cls(p.n, {I: -x if len(I) == k else x
+                                for I, x in coords.items()})]
+        else:
+            scaled = [cls(p.n, {I: Trop(t.value + len(I))
+                                for I, t in coords.items()})]
+        for q in scaled:
+            _same_as_dict_view(q, seen, "rescaled")
+        q = cls.from_json_dict(json.loads(json.dumps(p.to_json_dict())))
+        for r in [q] + _near_misses(q, rng):
+            _same_as_dict_view(r, seen, "json")
+    for mode in ("classical", "tropical"):
+        for case in ("raw", "rendered", "rescaled", "json"):
+            assert seen[mode, case], (mode, case, seen)
+        assert seen[mode, "raw", "untouched"], seen
+    assert seen["classical", "raw", "normalized"], seen

@@ -22,7 +22,7 @@ import tnnflag
 PACKAGE = pathlib.Path(tnnflag.__file__).parent
 MAY_IMPORT_ORACLE = {"oracle", "cli"}
 MAY_ENUMERATE = {"oracle", "cli"}
-UNBOUNDED_CACHES = {"generate_relations", "_lex_table"}
+UNBOUNDED_CACHES = {"_lex_table"}
 S3_TO_S5_CELLS = 4013
 NOT_LOADED_BY_CLI = ("dataclasses", "inspect", "ast", "dis", "tokenize",
                      "tnnflag.oracle")

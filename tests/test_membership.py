@@ -98,6 +98,29 @@ def test_trop_psi_inverts_trop_phi():
     assert trop_psi(EX_V, EX_W, t) == x
 
 
+def test_psi_refuses_a_vector_of_another_mode_or_n():
+    """``psi`` and ``trop_psi`` raise ValueError on a vector of the other
+    semiring, or of another n than the cell's, larger or smaller; they
+    used to solve weights from it, or raise IndexError."""
+    q = phi(EX_V, EX_W, EX_A)
+    t = trop_phi(EX_V, EX_W, {j: Trop(x) for j, x in EX_A.items()})
+    s3 = ((1, 2, 3), (3, 2, 1))
+    s5 = ((1, 2, 3, 4, 5), (5, 4, 3, 2, 1))
+    cases = [(psi, s3, q, "classical vector with n=3, got a classical one with n=4"),
+             (psi, s5, q, "n=5, got a classical one with n=4"),
+             (psi, (EX_V, EX_W), t, "expected a classical vector with n=4, "
+                                    "got a tropical one"),
+             (trop_psi, (EX_V, EX_W), q, "expected a tropical vector with n=4, "
+                                         "got a classical one"),
+             (trop_psi, s3, t, "tropical vector with n=3, got a tropical one with n=4"),
+             (trop_psi, s5, t, "n=5, got a tropical one with n=4")]
+    for fn, (v, w), p, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fn(v, w, p)
+    assert psi(EX_V, EX_W, q) == EX_A
+    assert trop_psi(EX_V, EX_W, t) == {j: Trop(x) for j, x in EX_A.items()}
+
+
 def test_decide_tnn_member():
     cert = decide_tnn(phi(EX_V, EX_W, EX_A))
     assert cert.verdict == "member"
@@ -125,7 +148,8 @@ def test_decide_tnn_int_coordinates_are_exact():
 def test_decide_rejects_unsorted_index_keys(tropical):
     """A member with one key written unsorted, such as (3, 2), gets a
     ValueError naming that key, whichever coordinate it is; so does a key
-    of size 0 or n. So does every rejection given such a key at the zero
+    of size 0 or n, and a key not of ints that only the inverse walk
+    reads. So does every rejection given such a key at the zero
     of its semiring, whatever witness the decider would name, and
     whatever the reconstruction finds; and so does a member of every S3
     and S4 cell given such a key, as the README example with (3, 2) at
@@ -152,6 +176,12 @@ def test_decide_rejects_unsorted_index_keys(tropical):
             decide(q)
     with pytest.raises(ValueError, match=re.escape("bad index (3, 2) ")):
         decide(type(p)(p.n, {**p.coords, (3, 2): p.zero}))
+    # a key not of ints that sorts with its size's other keys and is read
+    # by neither chain end, so that only the walk's bisection meets it
+    keys = [(1,), (4,), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
+            (1, 2, 3), (1, 2, 4), (1, 3, "a"), (2, 3, 4)]
+    with pytest.raises(ValueError, match=re.escape("bad index (1, 3, 'a') ")):
+        decide(type(p)(p.n, dict.fromkeys(keys, p.coords[(1,)])))
     # members and rejections of every kind, each given an unsorted key at
     # the semiring's zero: the view leaves it out, so every check runs as
     # before, but the keys are checked ahead of the certificate or witness

@@ -21,6 +21,16 @@ copies of members and near-misses with each size block k rescaled by
 1 + k, with one block negated, and read back from their canonical JSON.
 Among the classical members, blocks whose unit equals the sweep's, is
 its opposite, and is neither must all occur.
+
+The mismatch witness (`membership._first_difference`) reads the view's
+blocks and the sweep's, per size over the union of their indices. The
+scan it replaced, over every proper index of the canonical input and of
+a second vector built from the sweep's blocks, is frozen below as
+`ref_first_difference`. On seeded near-misses in S6-S8 (top cells,
+cells v <= w0 and id <= w with v or w drawn), a coordinate doubled or
+raised by 1, a coordinate deleted, and classically a unit negated, both
+must name the same witness against the sweep of the member's weights,
+and the reconstruction's own witness must be the reference's.
 """
 
 import json
@@ -29,16 +39,20 @@ from collections import Counter
 from fractions import Fraction
 
 from tnnflag.algebra import Trop
-from tnnflag.membership import CellCertificate, _lex_chain_cell
+from tnnflag.membership import (
+    CellCertificate, _first_difference, _lex_chain_cell, _reconstruct,
+)
 from tnnflag.oracle import generic_weights
-from tnnflag.perms import identity, longest_element
+from tnnflag.perms import bruhat_leq, identity, longest_element
 from tnnflag.plucker import (
     _sweep, all_proper_indices, index_to_str, phi, trop_phi,
 )
+from tnnflag.wiring import build_diagram
 
 from solve_reference import ref_solve
 from sweep_reference import raw_blocks, raw_sweep
 from test_decide_order import _cells, _inputs, _random_inputs, reconstruction
+from view_reference import ref_view
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +93,7 @@ def ref_reconstruct(p, sup, values, L, units):
     ``units`` the pair (x_unit, r_unit) of each block of a classical
     reconstruction whose support is the input's."""
     try:
-        v, w = _lex_chain_cell(sup, p.n)
+        v, w = _lex_chain_cell(list(sup.values()), p.n)
     except (TypeError, ValueError) as exc:
         p.check_indices()
         return _non_member({"type": "no-cell", "reason": str(exc)}), None
@@ -118,7 +132,7 @@ def ref_reconstruct(p, sup, values, L, units):
 
 def _compare(vectors, seen):
     for p in vectors:
-        sup, values, L = p._int_view()
+        sup, values, L = ref_view(p)
         got, same = reconstruction(p)
         units = []
         want, want_sup = ref_reconstruct(p, sup, values, L, units)
@@ -190,3 +204,64 @@ def test_one_comparison_matches_the_two_it_replaced():
         assert seen[mode, "reconstruction-mismatch", False], seen
         assert seen[mode, "no-cell", False], seen
         assert seen[mode, "unsupported-generating-index", False], seen
+
+
+# ---------------------------------------------------------------------------
+# The mismatch witness on blocks
+# ---------------------------------------------------------------------------
+
+def _witness_cells(n, rng):
+    """The S_n top cell, a cell v <= w0 and a cell id <= w, v and w drawn."""
+    w0, e = longest_element(n), identity(n)
+    v, w = (tuple(rng.sample(range(1, n + 1), n)) for _ in range(2))
+    assert bruhat_leq(e, w) and bruhat_leq(v, w0)
+    return [(e, w0), (v, w0), (e, w)]
+
+
+def _witness_inputs(p, rng):
+    """Seeded near-misses of the member p: a coordinate doubled (raised
+    by 1 tropically), a coordinate deleted, and classically a size's unit
+    negated. A coordinate is doubled, and a unit negated, only in a size
+    block with another coordinate, so that the point moves."""
+    coords = p.coords
+    shared = [I for I in sorted(coords)
+              if any(len(J) == len(I) and J != I for J in coords)]
+    out = []
+    for I in rng.sample(shared, 3):
+        out.append({**coords, I: coords[I] * 2 if p.signed
+                    else Trop(coords[I].value + 1)})
+    for I in rng.sample(sorted(coords), 2):
+        out.append({J: x for J, x in coords.items() if J != I})
+    if p.signed:
+        k = len(rng.choice(shared))
+        unit = min(I for I in coords if len(I) == k)
+        out.append({**coords, unit: -coords[unit]})
+    return [type(p)(p.n, c) for c in out]
+
+
+def test_block_witness_matches_the_index_scan():
+    rng = random.Random(3535)
+    seen = Counter()
+    for n in (6, 7, 8):
+        for v, w in _witness_cells(n, rng):
+            ids = build_diagram(v, w).weight_ids()
+            a = {j: Fraction(rng.randint(1, 99), rng.randint(1, 9)) for j in ids}
+            x = {j: Trop.of(rng.randint(-9, 9)) for j in ids}   # L = 1
+            for member in (phi(v, w, a), trop_phi(v, w, x)):
+                raw, L = member._raw
+                r = type(member)._of_raw(n, raw, L)
+                for q in _witness_inputs(member, rng):
+                    blocks, qL = q._int_view()
+                    assert qL == L or q.signed
+                    got = _first_difference(q, blocks, raw, L)
+                    want = ref_first_difference(q.canonicalize(), r).witness
+                    assert got == want, (v, w, q.coords)
+                    found, same = _reconstruct(q, blocks, qL)
+                    if type(found) is list:
+                        r2 = type(q)._of_raw(n, found, qL)
+                        assert _first_difference(q, blocks, found, qL) == \
+                            ref_first_difference(q.canonicalize(), r2).witness
+                    seen[q.mode, type(found).__name__, same] += 1
+    for mode in ("classical", "tropical"):
+        assert seen[mode, "list", True] and seen[mode, "list", False], seen
+    assert seen["classical", "dict", False], seen

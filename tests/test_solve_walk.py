@@ -1,9 +1,12 @@
 """Differential test of the inverse walk.
 
 `membership._solve` walks the generators with the semiring arithmetic
-written out, reads each size's unit as the walk meets it and keeps the
+written out, finds each value in its size's block of the integer view by
+bisection, reads each size's unit as the walk meets it and keeps the
 classical weights as reduced (p, q) int pairs. The callback walk it
-replaced is frozen in `solve_reference.py`. On every cell of S3-S5, 300
+replaced is frozen in `solve_reference.py`, and reads a dict by index:
+the values of the frozen view (`view_reference.py`), of which the
+library's walk is given the same ints as blocks (`values_blocks`). On every cell of S3-S5, 300
 seeded cells of S6 and the S7 and S8 top cells, in both semirings, both
 must give the same weights in the same key order: the pairs as positive
 ints in lowest terms, equal to the reference's Fractions, and the same
@@ -30,6 +33,7 @@ from tnnflag.plucker import phi, trop_phi
 from tnnflag.wiring import build_diagram
 
 from solve_reference import ref_psi, ref_psi_monomials, ref_solve, ref_trop_psi
+from view_reference import ref_view, values_blocks
 
 
 def _cells(n):
@@ -42,7 +46,7 @@ def _cells(n):
 
 def _outcome(v, w, values, signed):
     try:
-        a = _solve(v, w, values, signed)
+        a = _solve(v, w, values_blocks(values, len(v)), signed)
     except ValueError as exc:
         return str(exc)
     return {j: Fraction(*x) for j, x in a.items()} if signed else a
@@ -97,9 +101,10 @@ def test_walk_matches_the_callback_walk(n):
         a = {j: Fraction(rng.randint(1, 99), rng.randint(1, 9)) for j in ids}
         x = {j: Trop(q - 50) for j, q in a.items()}
         p, t = phi(v, w, a), trop_phi(v, w, x)
-        for values, signed in ((p._int_view()[1], True), (t._int_view()[1], False)):
+        for values, signed in ((ref_view(p)[1], True), (ref_view(t)[1], False)):
             for case in (values, _scaled(values, rng, signed)):
-                got, want = _solve(v, w, case, signed), ref_solve(v, w, case, signed)
+                got = _solve(v, w, values_blocks(case, len(v)), signed)
+                want = ref_solve(v, w, case, signed)
                 if signed:
                     _check_pairs(got, want)
                     assert {j: Fraction(*q) for j, q in got.items()} == a
