@@ -36,10 +36,10 @@ from tnnflag.membership import (
     decide_tnn, decide_trop, propagate_three_term, psi, trop_propagate_three_term,
     trop_psi,
 )
-from tnnflag.oracle import generic_weights
+from tnnflag.oracle import generic_weights, graph_extremal_collections
 from tnnflag.perms import bruhat_pairs
 from tnnflag.plucker import generate_relations, phi, trop_phi
-from tnnflag.wiring import build_diagram, graph_extremal_collections
+from tnnflag.wiring import build_diagram
 
 SEED = 20
 

@@ -12,7 +12,7 @@ a seeded sample above), run `tnnflag --seed S verify N > file` instead.
 import argparse
 import time
 
-from tnnflag.cli import _verify_cell
+from tnnflag.oracle import _verify_cell
 from tnnflag.perms import bruhat_pairs
 
 

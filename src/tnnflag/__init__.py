@@ -6,7 +6,8 @@ indices, inverse maps, and certificate-producing membership tests.
 
 __version__ = "0.1.0"
 
-# each module's __all__ is the package's export list
+# each library module's __all__ is the package's export list; the oracle,
+# which only checks the library, is imported by name (tnnflag.oracle)
 from .perms import *
 from .algebra import *
 from .wiring import *

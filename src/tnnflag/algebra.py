@@ -1,6 +1,7 @@
 """
-Exact scalar arithmetic: rationals, the tropical semiring Q u {inf}
-(min-plus), and Laurent monomials over an arbitrary variable alphabet.
+Exact scalar arithmetic: rationals and the tropical semiring Q u {inf}
+(min-plus), with their text forms. The Laurent monomials that check the
+inverse map are the oracle's (``oracle.LaurentMonomial``).
 
 All scalars are `fractions.Fraction`; no floats anywhere.
 
@@ -9,12 +10,11 @@ All scalars are `fractions.Fraction`; no floats anywhere.
 """
 
 __all__ = [
-    "Trop", "TROP_INF", "LaurentMonomial",
+    "Trop", "TROP_INF",
     "rat_from_str", "rat_to_str", "trop_from_str", "trop_to_str",
 ]
 
 from fractions import Fraction
-from typing import Hashable
 
 
 def rat_from_str(s: str) -> Fraction:
@@ -140,45 +140,6 @@ def trop_from_str(s: str) -> Trop:
 
 def trop_to_str(x: Trop) -> str:
     return "inf" if x.is_inf else str(x.value)
-
-
-# ---------------------------------------------------------------------------
-# Laurent monomials
-# ---------------------------------------------------------------------------
-
-class LaurentMonomial:
-    """coefficient * prod(var**e); exponents may be negative.
-
-    Variables are arbitrary hashable keys (weight ids, index sets, ...).
-    Zero exponents are dropped so equality of exponent maps is structural.
-    """
-    __slots__ = ("coefficient", "exponents")
-
-    def __init__(self, coefficient: Fraction = Fraction(1),
-                 exponents: dict[Hashable, int] | None = None) -> None:
-        self.coefficient = Fraction(coefficient)
-        if self.coefficient == 0:
-            raise ValueError("monomial coefficient must be nonzero")
-        self.exponents = {k: e for k, e in (exponents or {}).items() if e != 0}
-
-    def __repr__(self) -> str:
-        return (f"LaurentMonomial(coefficient={self.coefficient!r}, "
-                f"exponents={self.exponents!r})")
-
-    def __reduce__(self):
-        return (LaurentMonomial, (self.coefficient, self.exponents))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.coefficient, self.exponents) == \
-            (other.coefficient, other.exponents)
-
-    def __truediv__(self, other: "LaurentMonomial") -> "LaurentMonomial":
-        exps = dict(self.exponents)
-        for k, e in other.exponents.items():
-            exps[k] = exps.get(k, 0) - e
-        return LaurentMonomial(self.coefficient / other.coefficient, exps)
 
 
 if __name__ == "__main__":

@@ -3,25 +3,24 @@ Command-line front end: batch access to the cell parameterization, the
 membership deciders, the relation generator, and a self-verification
 report. All output is canonical JSON (sorted keys) on stdout.
 
-Exit codes: 0 success, 1 non-member verdict from a decide subcommand,
-2 malformed input.
+Exit codes: 0 success, 1 non-member verdict from a decide subcommand or
+a failed ``verify`` check, 2 malformed input.
 """
 
 __all__ = ["main", "run"]
 
 import argparse
 import json
-import random
 import sys
 
-from .algebra import Trop, rat_from_str, trop_from_str
+from .algebra import rat_from_str, trop_from_str
 from .perms import (
-    Perm, bruhat_above, bruhat_leq, bruhat_pairs, identity, length,
-    longest_element, perm_from_str, perm_to_str,
+    Perm, bruhat_leq, bruhat_pairs, identity, length, longest_element,
+    perm_from_str, perm_to_str,
 )
 from .plucker import (
     PlueckerVector, TropPlueckerVector, generate_relations, index_to_str,
-    _first_violated, _parse_keyed, _relation_json, phi, trop_phi,
+    _parse_keyed, _relation_json, phi, trop_phi,
 )
 from .extremal import cell_support, extremal_index_set, extremal_indices
 from .membership import decide_tnn, decide_trop
@@ -182,111 +181,8 @@ def _cmd_relations(args) -> int:
     return 0
 
 
-def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
-    """Oracle checks for one cell; raises AssertionError on any failure."""
-    from .extremal import flag_matroid_check, generators, s_vw
-    from .membership import (
-        propagate_three_term, psi, trop_propagate_three_term, trop_psi,
-    )
-    from .oracle import (
-        _propagate, enumerate_path_collections, generic_weights, phi_minors,
-        support_oracle, trop_phi_enumerated,
-    )
-    from .wiring import collection_weight, graph_extremal_collections
-
-    n = len(v)
-    sup = cell_support(v, w)
-    for k in range(1, n):
-        assert sup.sets[k] == support_oracle(v, w, k), \
-            f"support mismatch at size {k} for ({perm_to_str(v)},{perm_to_str(w)})"
-    # the deciders rely on these two theorems without re-checking them on
-    # members: a cell's support is a flag matroid, and its tropical points
-    # positively solve every three-term relation
-    assert flag_matroid_check(sup.sets), "cell support is not a flag matroid"
-    three_term = generate_relations(n, True)
-    ext = extremal_index_set(sup)
-    gens = generators(v, w)
-    assert {g.index for g in gens} == ext, \
-        "generators differ from the extremal chains of the support"
-    d = build_diagram(v, w)
-    assert all(e.lower < e.upper for e in d.edges), "a vertical edge goes down"
-    collections = {tuple(sorted(c.sinks)): c for k in range(1, n)
-                   for c in graph_extremal_collections(d, k)}
-    used: set[int] = set()
-    for g in gens:
-        coll = collections[g.index]
-        assert enumerate_path_collections(
-            d, range(1, len(g.index) + 1), g.index) == [coll], \
-            f"extremal index {g.index} has another path collection"
-        mono = collection_weight(coll, d)
-        assert mono.coefficient == 1 and \
-            mono.exponents == dict.fromkeys(g.weight_ids, 1), \
-            f"extremal coordinate at {g.index} is not a plain positive monomial"
-        fresh = set(g.weight_ids) - used
-        used |= fresh
-        assert fresh == {g.new_weight_id} - {None}, \
-            f"extremal index {g.index} introduces {len(fresh)} new edges"
-    assert {g.new_weight_id for g in gens} - {None} == set(d.weight_ids()), \
-        "not every weight got an independent generator"
-    assert len(s_vw(v, w)) == (n - 1) + length(w) - length(v), \
-        "independent generator count mismatch"
-    for t in range(draws):
-        a = generic_weights(v, w, seed=seed + t)
-        # each fresh vector is decided before anything reads its
-        # coordinates, so the deciders read the raw sweep it holds
-        p = phi(v, w, a)
-        cert = decide_tnn(p)
-        assert cert.verdict == "member" and cert.cell == (v, w), \
-            "decide_tnn rejected a parameterized point"
-        if t == 0:
-            assert p.coords == phi_minors(v, w, a).coords, \
-                "phi differs from the minors of the cell matrix"
-        assert psi(v, w, p) == a, "psi does not invert phi"
-        x = {j: Trop.of(val) for j, val in a.items()}
-        q = trop_phi(v, w, x)
-        tcert = decide_trop(q)
-        assert tcert.verdict == "member" and tcert.cell == (v, w), \
-            "decide_trop rejected a parameterized point"
-        if t == 0:
-            assert q.coords == trop_phi_enumerated(v, w, x).coords, \
-                "trop_phi differs from path-collection enumeration"
-        values = {I: t.value for I, t in q.coords.items()}
-        assert _first_violated(three_term, values.get) is None, \
-            "trop_phi violates a three-term relation"
-        assert trop_psi(v, w, q) == x, "trop_psi does not invert trop_phi"
-        for r, propagate in ((p, propagate_three_term),
-                             (q, trop_propagate_three_term)):
-            # the library's propagation gives the point, in its dict
-            # order, and so does the oracle's three-term solver
-            values = {I: r.coord(I) for I in ext}
-            ours = propagate(values, (v, w))
-            assert list(ours.coords.items()) == list(r.coords.items()), \
-                f"{r.mode} three-term propagation mismatch"
-            assert ours == _propagate(values, (v, w), type(r)), \
-                f"{r.mode} propagation differs from the three-term solver"
-    return {"v": perm_to_str(v), "w": perm_to_str(w),
-            "dimension": length(w) - length(v)}
-
-
-def _sample_pairs(n: int, seed: int) -> tuple[int, list[tuple[Perm, Perm]]]:
-    """The number of pairs v <= w of S_n, and the 20 that
-    ``random.Random(seed).sample(bruhat_pairs(n), 20)`` draws, by rank in
-    ``bruhat_above``'s masks: a range that long gives the same ranks."""
-    perms, above = bruhat_above(n)
-    total = sum(m.bit_count() for m in above)
-    out = []
-    for rank in random.Random(seed).sample(range(total), min(20, total)):
-        for v, m in zip(perms, above):
-            if rank < m.bit_count():
-                break
-            rank -= m.bit_count()
-        bits = [i for i, bit in enumerate(bin(m)[:1:-1]) if bit == "1"]
-        out.append((v, perms[bits[rank]]))
-    return total, out
-
-
 def _cmd_verify(args) -> int:
-    from .oracle import _MAX_N
+    from .oracle import _MAX_N, _sample_pairs, _verify_cell
 
     n = args.n
     _guard_n(n, args)
@@ -302,7 +198,14 @@ def _cmd_verify(args) -> int:
         # cost guard: keep the extremes and a seeded sample of the rest
         total, sample = _sample_pairs(n, args.seed)
         selected, depth, draws = sorted({top, *sample}), "sampled", 1
-    checked = [_verify_cell(v, w, args.seed, draws) for v, w in selected]
+    checked = []
+    for v, w in selected:
+        try:
+            checked.append(_verify_cell(v, w, args.seed, draws))
+        except AssertionError as exc:
+            print(f"error: verify failed at ({perm_to_str(v)}, "
+                  f"{perm_to_str(w)}): {exc}", file=sys.stderr)
+            return 1
 
     ext = extremal_index_set(cell_support(*top))
     _emit({

@@ -26,7 +26,7 @@ __all__ = [
     "SupportVector", "ExtremalChain", "Generator",
     "is_supported", "xi", "extremal_indices",
     "extremal_index_set", "cell_support", "generators", "s_vw",
-    "precedes_key", "flag_matroid_check",
+    "flag_matroid_check",
 ]
 
 from functools import lru_cache, reduce
@@ -210,11 +210,6 @@ def extremal_index_set(p: _Vector | SupportVector) -> frozenset[Index]:
     return frozenset(I for ch in extremal_indices(p) for I in ch.chain)
 
 
-def precedes_key(I: Index):
-    """Sort key for the traversal order: larger size first, then lex."""
-    return (-len(I), I)
-
-
 # ---------------------------------------------------------------------------
 # Independent generators
 # ---------------------------------------------------------------------------
@@ -239,12 +234,13 @@ _new_record = tuple.__new__
 def generators(v: Perm, w: Perm) -> tuple[Generator, ...]:
     """Extremal indices in traversal order: the sink sets of each size's
     left-greedy prefixes, each with its collection's edge weight ids,
-    read off the walk that ``graph_extremal_collections`` wraps. The
-    sizes are walked from n-1 down to 1, and each size's prefixes come
-    in lexicographic order, so they arrive in ``precedes_key`` order
-    with no sort. An index is independent when it adds a fresh id, or
-    when its collection is the all-diagonal one (at each size's
-    Gale-minimal index) with no ids. That each adds at most one fresh
+    read off the walk that ``oracle.graph_extremal_collections`` wraps.
+    The sizes are walked from n-1 down to 1, and each size's prefixes
+    come in lexicographic order, so they arrive in traversal order
+    (larger size first, then lexicographically) with no sort. An index
+    is independent when it adds a fresh id, or when its collection is
+    the all-diagonal one (at each size's Gale-minimal index) with no
+    ids. That each adds at most one fresh
     id, and that the fresh ids are every cell weight, are checked by
     ``verify`` and the tests, not here."""
     d = build_diagram(v, w)

@@ -2,9 +2,10 @@
 Inverting the cell parameterization and deciding membership: cell
 identification from a support pattern (the support layer, ``extremal``,
 reads the cell off the chain ends), the inverse map as one walk over the
-generators (classical, min-plus or Laurent-monomial), certificate-
-producing decision procedures for the nonnegative flag variety and the
-nonnegative flag Dressian, and three-term propagation from the values at
+generators, classical or min-plus (the oracle's ``psi_monomials`` walks
+them on Laurent monomials to check it), certificate-producing decision
+procedures for the nonnegative flag variety and the nonnegative flag
+Dressian, and three-term propagation from the values at
 the cell's generators. All of them go from values to a point one way: the
 walk solves the weights and the sweep of ``phi``/``trop_phi`` gives the
 point. The source paper's relation-by-relation solver is the oracle's
@@ -24,7 +25,7 @@ fixed order and builds only the witness it reports.
 """
 
 __all__ = [
-    "CellCertificate", "identify_cell", "psi_monomials", "psi", "trop_psi",
+    "CellCertificate", "identify_cell", "psi", "trop_psi",
     "decide_tnn", "decide_trop",
     "propagate_three_term", "trop_propagate_three_term",
 ]
@@ -35,7 +36,7 @@ from math import gcd
 from operator import neg
 from typing import Mapping, NamedTuple
 
-from .algebra import LaurentMonomial, Trop, rat_to_str, trop_to_str
+from .algebra import Trop, rat_to_str, trop_to_str
 from .perms import Perm, gale_leq, perm_to_str
 from .plucker import (
     Index, PlueckerVector, TropPlueckerVector, _canonical_block, _first_violated,
@@ -98,22 +99,6 @@ def identify_cell(support: Mapping[int, set], n: int) -> tuple[Perm, Perm]:
 # ---------------------------------------------------------------------------
 # The inverse map
 # ---------------------------------------------------------------------------
-
-def psi_monomials(v: Perm, w: Perm) -> dict[int, LaurentMonomial]:
-    """Each cell weight as a Laurent monomial in the canonical coordinates
-    (each size's unit, the coordinate at v^-1(1..k), is 1) at the
-    independent generating indices: ``psi``'s walk over the variables
-    P_I themselves."""
-    weights = {}
-    for I, ids, new, _ in generators(v, w):
-        if new is not None:
-            x = LaurentMonomial(1, {I: 1})
-            for j in ids:
-                if j != new:
-                    x = x / weights[j]
-            weights[new] = x
-    return weights
-
 
 def psi(v: Perm, w: Perm, p: PlueckerVector) -> dict[int, Fraction]:
     """Recover the cell weights of the point p: ``_solve`` on p's

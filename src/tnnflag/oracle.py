@@ -1,16 +1,24 @@
 """
 Independent brute-force verifiers: supports read off Bruhat intervals
-enumerated as subword products, a subword-search Bruhat test, a
-position-by-position check of positive distinguished subexpressions, cofactor
-determinants, the cell matrix and its top-rows minors, random flags,
-sampled elements of the quadratic ideal and their tropical evaluation,
-every non-intersecting path collection listed
-(``enumerate_path_collections``) and tropical coordinates read off that
-list, and the source paper's three-term propagation (``_propagate``),
-which solves one coordinate at a time from the values at the extremal
+enumerated as subword products, a subword-search Bruhat test, words
+evaluated letter by letter (``perm_from_word``), a position-by-position
+check of positive distinguished subexpressions, cofactor determinants,
+the cell matrix and its top-rows minors, random flags, sampled elements
+of the quadratic ideal and their tropical evaluation, one incidence
+relation evaluated at a vector, classically or tropically, every
+non-intersecting path collection listed (``enumerate_path_collections``,
+on the ``Path`` and ``PathCollection`` records) and tropical coordinates
+read off that list, the left-greedy collections as records, a
+collection's signed Laurent-monomial weight, the path-sum matrix, the
+inverse map as Laurent monomials in the coordinates (``psi_monomials``),
+and the source paper's three-term propagation (``_propagate``), which
+solves one coordinate at a time from the values at the extremal
 indices, over either semiring, each step a three-term relation chosen
 from the cell's support. These deliberately avoid the library's fast
-code paths so they can serve as oracles in tests and ``verify``.
+code paths so they can serve as oracles in tests and ``verify``, whose
+per-cell checks are here too (``_verify_cell``, with the seeded sample
+``_sample_pairs``): the ``verify`` command imports this module when it
+runs, and no library module imports it.
 flag_matroid_check is the library's own brute-force predicate (it lives in
 `extremal`), re-exported here.
 """
@@ -21,28 +29,39 @@ __all__ = [
     "generic_weights", "ideal_element_sample", "trop_eval_poly_terms",
     "trop_phi_enumerated", "mr_matrix", "phi_minors", "normalize_blocks",
     "is_positive_distinguished", "enumerate_path_collections",
+    "perm_from_word", "LaurentMonomial", "psi_monomials",
+    "Path", "PathCollection", "collection_weight",
+    "graph_extremal_collections", "path_sum_matrix",
+    "check_relation", "trop_check_relation", "trop_terms_verdict",
 ]
 
 import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .algebra import TROP_INF, Trop
 from .extremal import (
-    SupportVector, cell_support, flag_matroid_check, generators, is_supported,
-    xi,
+    SupportVector, cell_support, extremal_index_set, flag_matroid_check,
+    generators, is_supported, s_vw, xi,
+)
+from .membership import (
+    decide_tnn, decide_trop, propagate_three_term, psi,
+    trop_propagate_three_term, trop_psi,
 )
 from .perms import (
-    Perm, Subexpression, identity, inverse, left_mult_s, right_mult_s,
+    Perm, Subexpression, bruhat_above, identity, inverse, left_mult_s, length,
+    perm_to_str, right_mult_s,
 )
 from .plucker import (
-    Index, PlueckerVector, TropPlueckerVector, all_proper_indices,
-    generate_relations, phi,
+    Index, IncidenceRelation, PlueckerVector, TropPlueckerVector,
+    _first_violated, _term_values, _terms_verdict, all_proper_indices,
+    generate_relations, phi, trop_phi,
 )
 from .wiring import (
-    Path, PathCollection, VerticalEdge, WiringDiagram, build_diagram,
+    NegativeSegment, VerticalEdge, WiringDiagram, _greedy_prefixes,
+    build_diagram,
 )
 
 _MAX_N = 7
@@ -74,6 +93,14 @@ def reduced_word_oracle(w: Perm) -> tuple[int, ...]:
         u = right_mult_s(u, i)
         letters.append(i)
     return tuple(reversed(letters))
+
+
+def perm_from_word(n: int, letters: tuple[int, ...]) -> Perm:
+    """Evaluate a word in the generators s_1..s_{n-1} left to right."""
+    w = identity(n)
+    for i in letters:
+        w = right_mult_s(w, i)
+    return w
 
 
 def is_positive_distinguished(sub: Subexpression, target: Perm) -> bool:
@@ -267,6 +294,95 @@ def trop_phi_enumerated(v: Perm, w: Perm, x) -> TropPlueckerVector:
     return normalize_blocks(TropPlueckerVector(d.n, coords))
 
 
+# ---------------------------------------------------------------------------
+# Laurent monomials and the inverse map
+# ---------------------------------------------------------------------------
+
+class LaurentMonomial:
+    """coefficient * prod(var**e); exponents may be negative.
+
+    Variables are arbitrary hashable keys (weight ids, index sets, ...).
+    Zero exponents are dropped so equality of exponent maps is structural.
+    """
+    __slots__ = ("coefficient", "exponents")
+
+    def __init__(self, coefficient: Fraction = Fraction(1),
+                 exponents: dict[Hashable, int] | None = None) -> None:
+        self.coefficient = Fraction(coefficient)
+        if self.coefficient == 0:
+            raise ValueError("monomial coefficient must be nonzero")
+        self.exponents = {k: e for k, e in (exponents or {}).items() if e != 0}
+
+    def __repr__(self) -> str:
+        return (f"LaurentMonomial(coefficient={self.coefficient!r}, "
+                f"exponents={self.exponents!r})")
+
+    def __reduce__(self):
+        return (LaurentMonomial, (self.coefficient, self.exponents))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coefficient, self.exponents) == \
+            (other.coefficient, other.exponents)
+
+    def __truediv__(self, other: "LaurentMonomial") -> "LaurentMonomial":
+        exps = dict(self.exponents)
+        for k, e in other.exponents.items():
+            exps[k] = exps.get(k, 0) - e
+        return LaurentMonomial(self.coefficient / other.coefficient, exps)
+
+
+def psi_monomials(v: Perm, w: Perm) -> dict[int, LaurentMonomial]:
+    """Each cell weight as a Laurent monomial in the canonical coordinates
+    (each size's unit, the coordinate at v^-1(1..k), is 1) at the
+    independent generating indices: ``psi``'s walk over the variables
+    P_I themselves."""
+    weights = {}
+    for I, ids, new, _ in generators(v, w):
+        if new is not None:
+            x = LaurentMonomial(1, {I: 1})
+            for j in ids:
+                if j != new:
+                    x = x / weights[j]
+            weights[new] = x
+    return weights
+
+
+# ---------------------------------------------------------------------------
+# Path collections
+# ---------------------------------------------------------------------------
+
+class Path(NamedTuple):
+    """A source-to-sink path: ride the strand rightward, climb each edge."""
+    source: int                     # primed label
+    start_strand: int
+    edges: tuple[VerticalEdge, ...]
+
+    @property
+    def sink(self) -> int:
+        return self.edges[-1].upper if self.edges else self.start_strand
+
+    def intervals(self) -> tuple[tuple[int, int, int | None], ...]:
+        """Closed occupancy intervals (strand, lo, hi) between edge keys,
+        starting at key 0; hi None = +infinity."""
+        out = []
+        strand, lo = self.start_strand, 0
+        for e in self.edges:
+            out.append((strand, lo, e.key))
+            strand, lo = e.upper, e.key
+        out.append((strand, lo, None))
+        return tuple(out)
+
+
+class PathCollection(NamedTuple):
+    paths: tuple[Path, ...]         # ordered by source label
+
+    @property
+    def sinks(self) -> frozenset[int]:
+        return frozenset(p.sink for p in self.paths)
+
+
 def _paths_from(d: WiringDiagram, strand: int, min_key: int,
                 ) -> Iterator[tuple[VerticalEdge, ...]]:
     yield ()
@@ -324,6 +440,64 @@ def enumerate_path_collections(d: WiringDiagram, sources: Iterable[int],
     out.sort(key=lambda c: tuple(p.sink for p in c.paths))
     return out
 
+
+def graph_extremal_collections(d: WiringDiagram, k: int) -> list[PathCollection]:
+    """For each i in 0..k: left-greedy paths from the topmost i sources of
+    {1'..k'} plus diagonal paths from the rest, one per sink set, by sink
+    set, as records: the walk that ``extremal.generators`` reads
+    (``wiring._greedy_prefixes``). These are the extremal indices of size
+    k with their only collections, as ``verify`` and the tests check."""
+    if not 1 <= k <= d.n:
+        raise ValueError("k out of range")
+    return [PathCollection(tuple(Path(s, d.strand_of_label(s), es)
+                                 for s, es in enumerate(climbed, start=1)))
+            for _, climbed in _greedy_prefixes(d, k)]
+
+
+def collection_weight(c: PathCollection, d: WiringDiagram) -> LaurentMonomial:
+    """sgn of the source->sink assignment, times -1 per crossed negative
+    segment, times the product of the vertical-edge weights: a monomial in
+    the weight ids with coefficient +1 or -1. A path crosses a segment on
+    its strand whose key is in (lo, hi] of one of its intervals: the
+    segment sits just left of the letter with its key.
+    """
+    sinks = [p.sink for p in c.paths]          # paths ordered by source label
+    inversions = sum(1 for i in range(len(sinks)) for j in range(i + 1, len(sinks))
+                     if sinks[i] > sinks[j])
+    sign = -1 if inversions % 2 else 1
+    exponents: dict[int, int] = {}
+    for p in c.paths:
+        for e in p.edges:
+            exponents[e.weight_id] = exponents.get(e.weight_id, 0) + 1
+        for strand, lo, hi in p.intervals():
+            for seg in d.neg_segments:
+                if seg.strand == strand and lo < seg.key and (hi is None or seg.key <= hi):
+                    sign = -sign
+    return LaurentMonomial(sign, exponents)
+
+
+def path_sum_matrix(d: WiringDiagram, a: Mapping[int, Fraction]) -> list[list[Fraction]]:
+    """N[i][j] = signed weighted sum over paths from source i' to sink j,
+    in one walk over the edges and -1 segments in key order, a segment
+    before an edge of the same key. Column j holds, per source, the sum
+    over the partial paths that sit on strand j: a segment negates its
+    strand's column, and an edge adds its weight times its lower strand's
+    column to its upper one's, for the paths that climb it."""
+    n = d.n
+    out = [[Fraction(int(d.strand_of_label(i) == j)) for j in range(1, n + 1)]
+           for i in range(1, n + 1)]
+    for ev in sorted([*d.neg_segments, *d.edges], key=lambda ev: ev.key):
+        for row in out:
+            if isinstance(ev, NegativeSegment):
+                row[ev.strand - 1] = -row[ev.strand - 1]
+            else:
+                row[ev.upper - 1] += Fraction(a[ev.weight_id]) * row[ev.lower - 1]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Three-term propagation
+# ---------------------------------------------------------------------------
 
 def _xi_walk(p: SupportVector, S: Index, extremals: frozenset[Index]) -> Index:
     """Iterate Xi from the supported index S until it lands in ``extremals``."""
@@ -429,6 +603,28 @@ def _propagate(values: Mapping[Index, object], cell: tuple[Perm, Perm],
     return vector_type(n, known).canonicalize()
 
 
+# ---------------------------------------------------------------------------
+# Incidence relations
+# ---------------------------------------------------------------------------
+
+def check_relation(rel: IncidenceRelation, p: PlueckerVector) -> Fraction:
+    """Exact value of the relation at p; 0 iff satisfied."""
+    return sum((Fraction(sign) * p.coord(left) * p.coord(right)
+                for sign, left, right in rel.terms), Fraction(0))
+
+
+def trop_terms_verdict(terms: list[tuple[int, Trop]]) -> tuple[bool, bool]:
+    """(solution, positive solution) for a list of (coefficient sign, Trop)
+    terms; see ``plucker._terms_verdict``."""
+    return _terms_verdict([(c, t.value) for c, t in terms])
+
+
+def trop_check_relation(rel: IncidenceRelation, p: TropPlueckerVector,
+                        positive: bool) -> bool:
+    solution, pos = _terms_verdict(_term_values(rel, lambda I: p.coord(I).value))
+    return pos if positive else solution
+
+
 def ideal_element_sample(n: int, count: int, seed: int,
                          ) -> list[list[tuple[int, dict[Index, int]]]]:
     """Random small combinations sum_m q_m * gen_m of incidence relations,
@@ -477,3 +673,110 @@ def trop_eval_poly_terms(poly: list[tuple[int, dict[Index, int]]],
         out.append((coeff, TROP_INF if any(x is None for _, x in xs)
                     else Trop(Fraction(sum(e * x for e, x in xs), L))))
     return out
+
+
+# ---------------------------------------------------------------------------
+# verify
+# ---------------------------------------------------------------------------
+
+def _check(ok: bool, message: str) -> None:
+    """Raise AssertionError(message) unless ok. Unlike an ``assert``
+    statement, this still checks under ``python -O``."""
+    if not ok:
+        raise AssertionError(message)
+
+
+def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
+    """Oracle checks for one cell, with ``draws`` weight draws, and the
+    cell's entry of the ``verify`` report; raises AssertionError naming
+    the first check that fails (``_check``)."""
+    n = len(v)
+    sup = cell_support(v, w)
+    for k in range(1, n):
+        _check(sup.sets[k] == support_oracle(v, w, k),
+               f"support mismatch at size {k} for "
+               f"({perm_to_str(v)},{perm_to_str(w)})")
+    # the deciders rely on these two theorems without re-checking them on
+    # members: a cell's support is a flag matroid, and its tropical points
+    # positively solve every three-term relation
+    _check(flag_matroid_check(sup.sets), "cell support is not a flag matroid")
+    three_term = generate_relations(n, True)
+    ext = extremal_index_set(sup)
+    gens = generators(v, w)
+    _check({g.index for g in gens} == ext,
+           "generators differ from the extremal chains of the support")
+    d = build_diagram(v, w)
+    _check(all(e.lower < e.upper for e in d.edges), "a vertical edge goes down")
+    collections = {tuple(sorted(c.sinks)): c for k in range(1, n)
+                   for c in graph_extremal_collections(d, k)}
+    used: set[int] = set()
+    for g in gens:
+        coll = collections[g.index]
+        _check(enumerate_path_collections(
+            d, range(1, len(g.index) + 1), g.index) == [coll],
+            f"extremal index {g.index} has another path collection")
+        mono = collection_weight(coll, d)
+        _check(mono.coefficient == 1
+               and mono.exponents == dict.fromkeys(g.weight_ids, 1),
+               f"extremal coordinate at {g.index} is not a plain positive monomial")
+        fresh = set(g.weight_ids) - used
+        used |= fresh
+        _check(fresh == {g.new_weight_id} - {None},
+               f"extremal index {g.index} introduces {len(fresh)} new edges")
+    _check({g.new_weight_id for g in gens} - {None} == set(d.weight_ids()),
+           "not every weight got an independent generator")
+    _check(len(s_vw(v, w)) == (n - 1) + length(w) - length(v),
+           "independent generator count mismatch")
+    for t in range(draws):
+        a = generic_weights(v, w, seed=seed + t)
+        # each fresh vector is decided before anything reads its
+        # coordinates, so the deciders read the raw sweep it holds
+        p = phi(v, w, a)
+        cert = decide_tnn(p)
+        _check(cert.verdict == "member" and cert.cell == (v, w),
+               "decide_tnn rejected a parameterized point")
+        if t == 0:
+            _check(p.coords == phi_minors(v, w, a).coords,
+                   "phi differs from the minors of the cell matrix")
+        _check(psi(v, w, p) == a, "psi does not invert phi")
+        x = {j: Trop.of(val) for j, val in a.items()}
+        q = trop_phi(v, w, x)
+        tcert = decide_trop(q)
+        _check(tcert.verdict == "member" and tcert.cell == (v, w),
+               "decide_trop rejected a parameterized point")
+        if t == 0:
+            _check(q.coords == trop_phi_enumerated(v, w, x).coords,
+                   "trop_phi differs from path-collection enumeration")
+        values = {I: t.value for I, t in q.coords.items()}
+        _check(_first_violated(three_term, values.get) is None,
+               "trop_phi violates a three-term relation")
+        _check(trop_psi(v, w, q) == x, "trop_psi does not invert trop_phi")
+        for r, propagate in ((p, propagate_three_term),
+                             (q, trop_propagate_three_term)):
+            # the library's propagation gives the point, in its dict
+            # order, and so does the oracle's three-term solver
+            values = {I: r.coord(I) for I in ext}
+            ours = propagate(values, (v, w))
+            _check(list(ours.coords.items()) == list(r.coords.items()),
+                   f"{r.mode} three-term propagation mismatch")
+            _check(ours == _propagate(values, (v, w), type(r)),
+                   f"{r.mode} propagation differs from the three-term solver")
+    return {"v": perm_to_str(v), "w": perm_to_str(w),
+            "dimension": length(w) - length(v)}
+
+
+def _sample_pairs(n: int, seed: int) -> tuple[int, list[tuple[Perm, Perm]]]:
+    """The number of pairs v <= w of S_n, and the 20 that
+    ``random.Random(seed).sample(bruhat_pairs(n), 20)`` draws, by rank in
+    ``bruhat_above``'s masks: a range that long gives the same ranks."""
+    perms, above = bruhat_above(n)
+    total = sum(m.bit_count() for m in above)
+    out = []
+    for rank in random.Random(seed).sample(range(total), min(20, total)):
+        for v, m in zip(perms, above):
+            if rank < m.bit_count():
+                break
+            rank -= m.bit_count()
+        bits = [i for i, bit in enumerate(bin(m)[:1:-1]) if bit == "1"]
+        out.append((v, perms[bits[rank]]))
+    return total, out

@@ -17,7 +17,7 @@ Word(n=3, letters=(1, 2, 1), runs=(1, 1, 2))
 __all__ = [
     "Perm", "Word", "Subexpression",
     "identity", "inverse", "length", "is_perm",
-    "left_mult_s", "right_mult_s", "perm_from_word", "longest_element",
+    "left_mult_s", "right_mult_s", "longest_element",
     "perm_from_str", "perm_to_str", "all_perms",
     "gale_leq", "bruhat_leq", "bruhat_above", "bruhat_pairs",
     "canonical_w0_word", "positive_distinguished_subexpression",
@@ -70,14 +70,6 @@ def right_mult_s(w: Perm, i: int) -> Perm:
     lst = list(w)
     lst[i - 1], lst[i] = lst[i], lst[i - 1]
     return Perm(tuple(lst))
-
-
-def perm_from_word(n: int, letters: tuple[int, ...]) -> Perm:
-    """Evaluate a word in the generators s_1..s_{n-1} left to right."""
-    w = identity(n)
-    for i in letters:
-        w = right_mult_s(w, i)
-    return w
 
 
 def longest_element(n: int) -> Perm:
@@ -179,9 +171,6 @@ class Word(NamedTuple):
     letters: tuple[int, ...]
     runs: tuple[int, ...] | None = None
 
-    def evaluation(self) -> Perm:
-        return perm_from_word(self.n, self.letters)
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -212,9 +201,6 @@ class Subexpression(NamedTuple):
         if self.parent.runs is None:
             return None
         return tuple(self.parent.runs[p - 1] for p in self.positions)
-
-    def evaluation(self) -> Perm:
-        return perm_from_word(self.parent.n, self.letters())
 
 
 @lru_cache(maxsize=16)

@@ -2,8 +2,12 @@
 Pluecker-coordinate data model and computations: the cell parameterization
 as signed sums over non-intersecting path collections in the wiring
 diagram (Lindstroem-Gessel-Viennot), its min-plus counterpart (least
-collection weights), both from one sweep over the diagram, and the
-quadratic incidence relations, classical and tropical.
+collection weights), both from one sweep over the diagram, the
+quadratic incidence relations, and the scan for the first one that a
+tropical point does not positively solve (``_first_violated``), which
+``decide_trop`` runs. Evaluating one relation at a vector
+(``oracle.check_relation``, ``oracle.trop_check_relation``) is the
+oracle's.
 
 Coordinates are indexed by sorted tuples over {1..n}, all proper nonempty
 sizes 1..n-1; each size block is projective (common scalar classically,
@@ -21,8 +25,7 @@ __all__ = [
     "Index", "PlueckerVector", "TropPlueckerVector", "IncidenceRelation",
     "index_to_str", "index_from_str", "all_proper_indices",
     "phi", "trop_phi",
-    "generate_relations", "check_relation", "trop_check_relation",
-    "trop_terms_verdict",
+    "generate_relations",
 ]
 
 import itertools
@@ -488,12 +491,6 @@ def generate_relations(n: int, three_term_only: bool = False,
     return tuple(out)
 
 
-def check_relation(rel: IncidenceRelation, p: PlueckerVector) -> Fraction:
-    """Exact value of the relation at p; 0 iff satisfied."""
-    return sum((Fraction(sign) * p.coord(left) * p.coord(right)
-                for sign, left, right in rel.terms), Fraction(0))
-
-
 def _terms_verdict(terms: Iterable[tuple[int, int | Fraction | None]],
                    ) -> tuple[bool, bool]:
     """(solution, positive solution) for a list of (coefficient sign,
@@ -538,18 +535,6 @@ def _first_violated(rels: Iterable[IncidenceRelation],
         if not _terms_verdict(_term_values(rel, value))[1]:
             return rel
     return None
-
-
-def trop_terms_verdict(terms: list[tuple[int, Trop]]) -> tuple[bool, bool]:
-    """(solution, positive solution) for a list of (coefficient sign, Trop)
-    terms; see ``_terms_verdict``."""
-    return _terms_verdict([(c, t.value) for c, t in terms])
-
-
-def trop_check_relation(rel: IncidenceRelation, p: TropPlueckerVector,
-                        positive: bool) -> bool:
-    solution, pos = _terms_verdict(_term_values(rel, lambda I: p.coord(I).value))
-    return pos if positive else solution
 
 
 if __name__ == "__main__":

@@ -3,11 +3,12 @@ Planar wiring diagrams for Bruhat pairs v <= w: n horizontal strands,
 weighted vertical edges, and signed diagonal segments; the sweep behind
 ``phi`` and ``trop_phi``, compiled once per diagram into a program on the
 strand sets the paths can occupy (``SweepProgram``), and the kernel that
-runs it; the left-greedy path collections that give the extremal
-indices, built in one walk over the edges in key order; the signed
-Laurent-monomial weight of a path collection; and the path-sum matrix.
-Listing every non-intersecting path collection is the oracle's
-(``oracle.enumerate_path_collections``).
+runs it; and the left-greedy paths that give the extremal indices,
+built in one walk over the edges in key order (``_greedy_prefixes``).
+The path records (``oracle.Path``, ``oracle.PathCollection``), listing
+every non-intersecting path collection, a collection's signed weight and
+the path-sum matrix, which only check what this module computes, are
+the oracle's.
 
 Geometry conventions: strand r is the r-th from the bottom; sinks are the
 right ends of the strands (sink r on strand r); sources are primed labels
@@ -26,19 +27,14 @@ crossing's run, just left of which it sits.
 """
 
 __all__ = [
-    "VerticalEdge", "NegativeSegment", "WiringDiagram",
-    "Path", "PathCollection",
-    "build_diagram", "collection_weight", "graph_extremal_collections",
-    "path_sum_matrix",
+    "VerticalEdge", "NegativeSegment", "WiringDiagram", "build_diagram",
 ]
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, NamedTuple
 
-from .algebra import LaurentMonomial
 from .perms import (
     Perm, Word, canonical_w0_word, is_perm, positive_distinguished_subexpression,
 )
@@ -94,36 +90,6 @@ class WiringDiagram(NamedTuple):
 
     def strand_of_label(self, label: int) -> int:
         return self.source_label.index(label) + 1
-
-
-class Path(NamedTuple):
-    """A source-to-sink path: ride the strand rightward, climb each edge."""
-    source: int                     # primed label
-    start_strand: int
-    edges: tuple[VerticalEdge, ...]
-
-    @property
-    def sink(self) -> int:
-        return self.edges[-1].upper if self.edges else self.start_strand
-
-    def intervals(self) -> tuple[tuple[int, int, int | None], ...]:
-        """Closed occupancy intervals (strand, lo, hi) between edge keys,
-        starting at key 0; hi None = +infinity."""
-        out = []
-        strand, lo = self.start_strand, 0
-        for e in self.edges:
-            out.append((strand, lo, e.key))
-            strand, lo = e.upper, e.key
-        out.append((strand, lo, None))
-        return tuple(out)
-
-
-class PathCollection(NamedTuple):
-    paths: tuple[Path, ...]         # ordered by source label
-
-    @property
-    def sinks(self) -> frozenset[int]:
-        return frozenset(p.sink for p in self.paths)
 
 
 # ---------------------------------------------------------------------------
@@ -351,32 +317,6 @@ def _reached(d: WiringDiagram) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Collection weights
-# ---------------------------------------------------------------------------
-
-def collection_weight(c: PathCollection, d: WiringDiagram) -> LaurentMonomial:
-    """sgn of the source->sink assignment, times -1 per crossed negative
-    segment, times the product of the vertical-edge weights: a monomial in
-    the weight ids with coefficient +1 or -1. A path crosses a segment on
-    its strand whose key is in (lo, hi] of one of its intervals: the
-    segment sits just left of the letter with its key.
-    """
-    sinks = [p.sink for p in c.paths]          # paths ordered by source label
-    inversions = sum(1 for i in range(len(sinks)) for j in range(i + 1, len(sinks))
-                     if sinks[i] > sinks[j])
-    sign = -1 if inversions % 2 else 1
-    exponents: dict[int, int] = {}
-    for p in c.paths:
-        for e in p.edges:
-            exponents[e.weight_id] = exponents.get(e.weight_id, 0) + 1
-        for strand, lo, hi in p.intervals():
-            for seg in d.neg_segments:
-                if seg.strand == strand and lo < seg.key and (hi is None or seg.key <= hi):
-                    sign = -sign
-    return LaurentMonomial(sign, exponents)
-
-
-# ---------------------------------------------------------------------------
 # Greedy / extremal collections
 # ---------------------------------------------------------------------------
 
@@ -422,41 +362,6 @@ def _greedy_prefixes(d: WiringDiagram, k: int) -> list:
             sinks ^= 1 << (r - 1) | 1 << (es[-1].upper - 1)
             found.append((table[sinks], tuple(paths.values())))
     return found
-
-
-def graph_extremal_collections(d: WiringDiagram, k: int) -> list[PathCollection]:
-    """For each i in 0..k: left-greedy paths from the topmost i sources of
-    {1'..k'} plus diagonal paths from the rest, one per sink set, by sink
-    set (``_greedy_prefixes``): the extremal indices of size k with their
-    only collections, as ``verify`` and the tests check."""
-    if not 1 <= k <= d.n:
-        raise ValueError("k out of range")
-    return [PathCollection(tuple(Path(s, d.strand_of_label(s), es)
-                                 for s, es in enumerate(climbed, start=1)))
-            for _, climbed in _greedy_prefixes(d, k)]
-
-
-# ---------------------------------------------------------------------------
-# Path-sum matrix
-# ---------------------------------------------------------------------------
-
-def path_sum_matrix(d: WiringDiagram, a: Mapping[int, Fraction]) -> list[list[Fraction]]:
-    """N[i][j] = signed weighted sum over paths from source i' to sink j,
-    in one walk over the edges and -1 segments in key order, a segment
-    before an edge of the same key. Column j holds, per source, the sum
-    over the partial paths that sit on strand j: a segment negates its
-    strand's column, and an edge adds its weight times its lower strand's
-    column to its upper one's, for the paths that climb it."""
-    n = d.n
-    out = [[Fraction(int(d.strand_of_label(i) == j)) for j in range(1, n + 1)]
-           for i in range(1, n + 1)]
-    for ev in sorted([*d.neg_segments, *d.edges], key=lambda ev: ev.key):
-        for row in out:
-            if isinstance(ev, NegativeSegment):
-                row[ev.strand - 1] = -row[ev.strand - 1]
-            else:
-                row[ev.upper - 1] += Fraction(a[ev.weight_id]) * row[ev.lower - 1]
-    return out
 
 
 if __name__ == "__main__":

@@ -11,8 +11,9 @@ from fractions import Fraction
 from math import gcd
 from operator import sub, truediv
 
-from tnnflag.algebra import LaurentMonomial, Trop
+from tnnflag.algebra import Trop
 from tnnflag.extremal import generators
+from tnnflag.oracle import LaurentMonomial
 from tnnflag.perms import inverse
 
 from view_reference import ref_view

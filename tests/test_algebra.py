@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tnnflag.algebra import (
-    TROP_INF, LaurentMonomial, Trop, rat_from_str, rat_to_str,
-    trop_from_str, trop_to_str,
+    TROP_INF, Trop, rat_from_str, rat_to_str, trop_from_str, trop_to_str,
 )
+from tnnflag.oracle import LaurentMonomial
 
 rationals = st.fractions(min_value=-100, max_value=100)
 

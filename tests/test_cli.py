@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
 import random
+import subprocess
 import sys
 import tempfile
 import time
@@ -16,6 +18,9 @@ from tnnflag.plucker import phi
 
 EX_V, EX_W = "1324", "4213"
 EX_A = {1: Fraction(2), 2: Fraction(3), 4: Fraction(5)}
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SUPPORT_MISMATCH = ("error: verify failed at (123, 123): support mismatch "
+                    "at size 1 for (123,123)\n")
 
 
 def _json_out(capsys):
@@ -256,7 +261,7 @@ def test_verify_refuses_n_above_the_oracles_limit(capsys, monkeypatch):
 @pytest.mark.parametrize("n", [5, 6])
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_verify_sample_by_rank_matches_the_listed_pairs(n, seed):
-    from tnnflag.cli import _sample_pairs
+    from tnnflag.oracle import _sample_pairs
     from tnnflag.perms import bruhat_pairs
     pairs = bruhat_pairs(n)
     assert _sample_pairs(n, seed) == \
@@ -423,6 +428,48 @@ def test_output_is_byte_identical_across_runs(capsys):
     first = capsys.readouterr().out
     run(["cell", EX_V, EX_W])
     assert capsys.readouterr().out == first
+
+
+def _python(*args) -> subprocess.CompletedProcess:
+    """This interpreter run on ``args``, with the checkout's ``src`` on
+    its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, *args], env=env, cwd=ROOT,
+                          capture_output=True, text=True)
+
+
+def test_failed_verify_check_exits_1_with_one_error_line(capsys, monkeypatch):
+    """An oracle that disagrees fails the first cell's first check: no
+    report and no traceback, one error line naming the cell and the
+    check."""
+    monkeypatch.setattr("tnnflag.oracle.support_oracle",
+                        lambda v, w, k: set())
+    assert run(["verify", "3"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == SUPPORT_MISMATCH
+
+
+def test_failed_verify_check_exits_1_under_python_O():
+    """The checks are not ``assert`` statements, which ``-O`` strips."""
+    code = ("import sys\n"
+            "import tnnflag.oracle\n"
+            "from tnnflag.cli import run\n"
+            "if not sys.flags.optimize:\n"
+            "    sys.exit(3)\n"
+            "tnnflag.oracle.support_oracle = lambda v, w, k: set()\n"
+            "sys.exit(run(['verify', '3']))\n")
+    done = _python("-O", "-c", code)
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (1, "", SUPPORT_MISMATCH)
+
+
+def test_run_verify_script_covers_every_s3_cell():
+    done = _python("scripts/run_verify.py", "--full", "3")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("verified all 19 cells of S3, 1 draw each, "
+                                  "seed 0: "), done.stdout
 
 
 def test_verify_small(capsys):

@@ -22,13 +22,15 @@ from tnnflag.membership import (
     CellCertificate, _own_witness, _reconstruct, decide_tnn, decide_trop,
     identify_cell, psi, trop_psi,
 )
-from tnnflag.oracle import flag_matroid_check, generic_weights, random_flag
+from tnnflag.oracle import (
+    flag_matroid_check, generic_weights, random_flag, trop_check_relation,
+)
 from tnnflag.perms import (
     all_perms, bruhat_leq, gale_leq, identity, longest_element,
 )
 from tnnflag.plucker import (
     PlueckerVector, TropPlueckerVector, all_proper_indices,
-    generate_relations, index_to_str, phi, trop_check_relation, trop_phi,
+    generate_relations, index_to_str, phi, trop_phi,
 )
 
 

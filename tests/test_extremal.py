@@ -6,18 +6,24 @@ import pytest
 
 from tnnflag.extremal import (
     Generator, SupportVector, cell_support, extremal_index_set, extremal_indices,
-    generators, is_supported, precedes_key, s_vw, xi,
+    generators, is_supported, s_vw, xi,
 )
 from tnnflag.perms import (
     all_perms, bruhat_leq, bruhat_pairs, gale_leq, identity, inverse, length,
     longest_element,
 )
-from tnnflag.algebra import LaurentMonomial, Trop
-from tnnflag.oracle import enumerate_path_collections
-from tnnflag.plucker import PlueckerVector, TropPlueckerVector, phi, trop_phi
-from tnnflag.wiring import (
-    build_diagram, collection_weight, graph_extremal_collections,
+from tnnflag.algebra import Trop
+from tnnflag.oracle import (
+    LaurentMonomial, collection_weight, enumerate_path_collections,
+    graph_extremal_collections,
 )
+from tnnflag.plucker import PlueckerVector, TropPlueckerVector, phi, trop_phi
+from tnnflag.wiring import build_diagram
+
+
+def precedes_key(I):
+    """Sort key for the traversal order: larger size first, then lex."""
+    return (-len(I), I)
 
 EX_V, EX_W = (1, 3, 2, 4), (4, 2, 1, 3)
 
@@ -172,12 +178,12 @@ def test_verify_cell_checks_the_generator_counts(monkeypatch):
     """``verify`` catches generators that break each count the library no
     longer checks: two fresh ids at one index, a cell weight no generator
     solves, and a wrong number of independent indices."""
-    import tnnflag.cli as cli
     import tnnflag.extremal as extremal
+    import tnnflag.oracle as oracle
     from tnnflag.wiring import WiringDiagram
 
     gens = generators(EX_V, EX_W)
-    cli._verify_cell(EX_V, EX_W, 0, 0)
+    oracle._verify_cell(EX_V, EX_W, 0, 0)
 
     class OneMoreWeight(WiringDiagram):
         def weight_ids(self):
@@ -195,10 +201,12 @@ def test_verify_cell_checks_the_generator_counts(monkeypatch):
             build_diagram),
     }
     for message, (gens_of, diagram_of) in tampered.items():
+        # verify reads the generators, and s_vw reads them too
         monkeypatch.setattr(extremal, "generators", gens_of)
-        monkeypatch.setattr(cli, "build_diagram", diagram_of)
+        monkeypatch.setattr(oracle, "generators", gens_of)
+        monkeypatch.setattr(oracle, "build_diagram", diagram_of)
         with pytest.raises(AssertionError, match=message):
-            cli._verify_cell(EX_V, EX_W, 0, 0)
+            oracle._verify_cell(EX_V, EX_W, 0, 0)
 
 
 def test_extremal_coordinates_are_monomials():

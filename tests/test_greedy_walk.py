@@ -13,12 +13,15 @@ import random
 
 import pytest
 
-from tnnflag.extremal import Generator, generators, precedes_key
+from tnnflag.extremal import Generator, generators
+from tnnflag.oracle import Path, PathCollection, graph_extremal_collections
 from tnnflag.perms import bruhat_pairs, identity, longest_element
-from tnnflag.wiring import (
-    Path, PathCollection, _greedy_prefixes, build_diagram,
-    graph_extremal_collections,
-)
+from tnnflag.wiring import _greedy_prefixes, build_diagram
+
+
+def precedes_key(I):
+    """Sort key for the traversal order: larger size first, then lex."""
+    return (-len(I), I)
 
 
 def _left_greedy_collection_reference(d, sources):

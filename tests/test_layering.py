@@ -1,7 +1,11 @@
 """Library code never imports from the oracle: only ``oracle`` itself and
-the ``cli`` (whose ``verify`` checks the library against it) may. Listing
-every path collection is reference code in the same way: only ``oracle``,
-which defines it, and ``cli`` may use ``enumerate_path_collections``.
+the ``cli`` (whose ``verify`` imports it when it runs) may. Listing every
+path collection is reference code in the same way: only ``oracle``, which
+defines it and runs ``verify``'s checks, may use
+``enumerate_path_collections``.
+The library is what the deciders and the commands run: each name a
+library module exports is used by another library module or by ``cli``,
+or is public API. README's API list names every export.
 Memory stays bounded: only the per-n tables named below may sit in an
 unbounded ``lru_cache``, and the per-cell caches hold at most a fixed
 number of cells, enough for every cell of S3-S5.
@@ -12,6 +16,7 @@ CLI loads neither the oracle nor the introspection modules that
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -21,7 +26,20 @@ import tnnflag
 
 PACKAGE = pathlib.Path(tnnflag.__file__).parent
 MAY_IMPORT_ORACLE = {"oracle", "cli"}
-MAY_ENUMERATE = {"oracle", "cli"}
+MAY_ENUMERATE = {"oracle"}
+LIBRARY = ("perms", "algebra", "wiring", "plucker", "extremal", "membership")
+# exported for callers, though no other library module and no command uses it
+PUBLIC_API = {
+    "Subexpression", "inverse", "left_mult_s", "right_mult_s", "all_perms",
+    "bruhat_above",
+    "VerticalEdge", "NegativeSegment", "WiringDiagram",
+    "IncidenceRelation", "index_from_str", "all_proper_indices",
+    "SupportVector", "ExtremalChain", "Generator", "is_supported", "xi",
+    "s_vw",
+    "CellCertificate", "identify_cell", "psi", "trop_psi",
+    "propagate_three_term", "trop_propagate_three_term",
+}
+README = PACKAGE.parent.parent / "README.md"
 UNBOUNDED_CACHES = {"_lex_table"}
 S3_TO_S5_CELLS = 4013
 NOT_LOADED_BY_CLI = ("dataclasses", "inspect", "ast", "dis", "tokenize",
@@ -57,6 +75,44 @@ def test_library_does_not_enumerate_path_collections(path):
     names = _imported_modules(ast.parse(path.read_text()))
     assert not [name for name in names
                 if name.split(".")[-1] == "enumerate_path_collections"], path.name
+
+
+def _referenced_names(path) -> set[str]:
+    """Every name that ``path`` reads as a bare name or an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def _exports(module: str) -> list[str]:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [ast.unparse(t) for t in node.targets] == ["__all__"])
+
+
+def _readme_api_names() -> set[str]:
+    """The names in backticks in README's API section."""
+    text = README.read_text()
+    start = text.index("\n## API\n")
+    end = text.find("\n## ", start + 1)
+    return set(re.findall(r"`(\w+)`", text[start:end if end > 0 else None]))
+
+
+@pytest.mark.parametrize("module", LIBRARY)
+def test_library_exports_are_used_or_public_api(module):
+    """A check-only name belongs in the oracle, not in the library."""
+    used = set().union(*(_referenced_names(PACKAGE / f"{other}.py")
+                         for other in (*LIBRARY, "cli") if other != module))
+    assert [name for name in _exports(module)
+            if name not in used and name not in PUBLIC_API] == []
+
+
+def test_public_api_is_exported_and_listed_in_the_readme():
+    """README's API list names every export, so the public API too."""
+    exported = set().union(*map(_exports, LIBRARY))
+    assert PUBLIC_API <= exported
+    assert sorted(exported - _readme_api_names()) == []
 
 
 def test_only_the_listed_functions_have_unbounded_caches():

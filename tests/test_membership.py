@@ -9,9 +9,9 @@ from tnnflag.algebra import TROP_INF, Trop
 from tnnflag.extremal import cell_support, extremal_index_set, generators
 from tnnflag.membership import (
     decide_tnn, decide_trop, identify_cell, propagate_three_term, psi,
-    psi_monomials, trop_propagate_three_term, trop_psi,
+    trop_propagate_three_term, trop_psi,
 )
-from tnnflag.oracle import determinant_cofactor, random_flag
+from tnnflag.oracle import determinant_cofactor, psi_monomials, random_flag
 from tnnflag.perms import (
     all_perms, bruhat_leq, identity, longest_element, perm_from_str,
 )

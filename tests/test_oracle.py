@@ -6,15 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from tnnflag.algebra import Trop
 from tnnflag.oracle import (
-    bruhat_leq_oracle, determinant_cofactor, flag_matroid_check,
-    generic_weights, ideal_element_sample, random_flag, reduced_word_oracle,
-    support_oracle, trop_eval_poly_terms,
+    bruhat_leq_oracle, check_relation, determinant_cofactor,
+    flag_matroid_check, generic_weights, ideal_element_sample, perm_from_word,
+    random_flag, reduced_word_oracle, support_oracle, trop_eval_poly_terms,
 )
 from tnnflag.perms import (
     all_perms, bruhat_leq, bruhat_pairs, identity, inverse, length,
-    longest_element, perm_from_word,
+    longest_element,
 )
-from tnnflag.plucker import check_relation, generate_relations, phi, trop_phi
+from tnnflag.plucker import generate_relations, phi, trop_phi
 from tnnflag.wiring import build_diagram
 
 EX_V, EX_W = (1, 3, 2, 4), (4, 2, 1, 3)

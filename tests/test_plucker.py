@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tnnflag.algebra import TROP_INF, Trop
-from tnnflag.oracle import mr_matrix, phi_minors
+from tnnflag.oracle import (
+    check_relation, mr_matrix, phi_minors, trop_check_relation,
+    trop_terms_verdict,
+)
 from tnnflag.perms import all_perms, bruhat_leq, identity, longest_element
 from tnnflag.plucker import (
-    PlueckerVector, TropPlueckerVector, all_proper_indices, check_relation,
-    generate_relations, index_from_str, index_to_str, phi,
-    trop_check_relation, trop_phi, trop_terms_verdict,
+    PlueckerVector, TropPlueckerVector, all_proper_indices,
+    generate_relations, index_from_str, index_to_str, phi, trop_phi,
 )
 from tnnflag.wiring import build_diagram
 

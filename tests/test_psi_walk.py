@@ -19,9 +19,10 @@ from functools import lru_cache
 
 import pytest
 
-from tnnflag.algebra import LaurentMonomial, Trop
+from tnnflag.algebra import Trop
 from tnnflag.extremal import generators, s_vw
-from tnnflag.membership import psi, psi_monomials, trop_psi
+from tnnflag.membership import psi, trop_psi
+from tnnflag.oracle import LaurentMonomial, psi_monomials
 from tnnflag.perms import bruhat_pairs
 from tnnflag.plucker import PlueckerVector, TropPlueckerVector
 

@@ -8,14 +8,15 @@ from fractions import Fraction
 
 import pytest
 
-from tnnflag.algebra import TROP_INF, LaurentMonomial, Trop
+from tnnflag.algebra import TROP_INF, Trop
 from tnnflag.extremal import cell_support, extremal_indices, generators
 from tnnflag.membership import decide_tnn
+from tnnflag.oracle import LaurentMonomial, graph_extremal_collections
 from tnnflag.perms import canonical_w0_word, positive_distinguished_subexpression
 from tnnflag.plucker import (
     PlueckerVector, TropPlueckerVector, generate_relations, phi, trop_phi,
 )
-from tnnflag.wiring import build_diagram, graph_extremal_collections
+from tnnflag.wiring import build_diagram
 
 EX_V, EX_W = (1, 3, 2, 4), (4, 2, 1, 3)
 EX_A = {1: Fraction(2), 2: Fraction(3), 4: Fraction(5)}

@@ -27,7 +27,8 @@ import pytest
 
 from tnnflag.algebra import Trop
 from tnnflag.extremal import generators
-from tnnflag.membership import _solve, psi, psi_monomials, trop_psi
+from tnnflag.membership import _solve, psi, trop_psi
+from tnnflag.oracle import psi_monomials
 from tnnflag.perms import bruhat_pairs, identity, longest_element
 from tnnflag.plucker import phi, trop_phi
 from tnnflag.wiring import build_diagram

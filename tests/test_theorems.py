@@ -20,11 +20,11 @@ from fractions import Fraction
 
 from tnnflag.algebra import Trop
 from tnnflag.membership import decide_tnn, decide_trop
-from tnnflag.oracle import _top_minors, determinant_cofactor
+from tnnflag.oracle import _top_minors, determinant_cofactor, trop_check_relation
 from tnnflag.perms import bruhat_pairs, identity, longest_element
 from tnnflag.plucker import (
     PlueckerVector, TropPlueckerVector, all_proper_indices,
-    generate_relations, trop_check_relation, trop_phi,
+    generate_relations, trop_phi,
 )
 from tnnflag.wiring import build_diagram
 

@@ -9,12 +9,13 @@ from tnnflag.perms import (
     Word, all_perms, bruhat_leq, bruhat_pairs, canonical_w0_word, identity,
     longest_element, positive_distinguished_subexpression,
 )
-from tnnflag.oracle import _paths_from, enumerate_path_collections, mr_matrix
-from tnnflag.plucker import phi
-from tnnflag.wiring import (
-    Path, PathCollection, VerticalEdge, build_diagram, collection_weight,
-    graph_extremal_collections, path_sum_matrix,
+from tnnflag.oracle import (
+    Path, PathCollection, _paths_from, collection_weight,
+    enumerate_path_collections, graph_extremal_collections, mr_matrix,
+    path_sum_matrix,
 )
+from tnnflag.plucker import phi
+from tnnflag.wiring import VerticalEdge, build_diagram
 
 EX_V, EX_W = (1, 3, 2, 4), (4, 2, 1, 3)
 
