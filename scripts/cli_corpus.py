@@ -83,6 +83,8 @@ COMMANDS = [
       for name, _, _, tropical, _, _ in EDITED],
     ["relations", "4"],
     ["relations", "4", "--three-term"],
+    ["relations", "5"],
+    ["relations", "5", "--three-term"],
     ["verify", "3"],
     ["verify", "4"],
     # exponent notation is malformed input (Fraction would expand it)

@@ -4,7 +4,8 @@ membership deciders, the relation generator, and a self-verification
 report. All output is canonical JSON (sorted keys) on stdout.
 
 Exit codes: 0 success, 1 non-member verdict from a decide subcommand or
-a failed ``verify`` check, 2 malformed input.
+a failed ``verify`` check, 2 malformed input or output that cannot be
+written.
 """
 
 __all__ = ["main", "run"]
@@ -28,7 +29,10 @@ from .wiring import build_diagram
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    try:
+        print(json.dumps(obj, sort_keys=True, indent=2), flush=True)
+    except OSError as exc:      # a full device, a closed pipe
+        raise _Malformed(f"cannot write the output: {exc}") from exc
 
 
 def _perm(s: str) -> Perm:
@@ -65,7 +69,8 @@ def _render(make) -> dict:
 
 
 class _Malformed(Exception):
-    pass
+    """Malformed input, or output that cannot be written: one ``error:``
+    line on stderr and exit 2."""
 
 
 def _cell_pair(args) -> tuple[Perm, Perm]:
@@ -202,7 +207,9 @@ def _cmd_verify(args) -> int:
     for v, w in selected:
         try:
             checked.append(_verify_cell(v, w, args.seed, draws))
-        except AssertionError as exc:
+        except Exception as exc:    # a failed check, or an error raised in one
+            if not isinstance(exc, AssertionError):
+                exc = f"{type(exc).__name__}: {exc}"
             print(f"error: verify failed at ({perm_to_str(v)}, "
                   f"{perm_to_str(w)}): {exc}", file=sys.stderr)
             return 1

@@ -448,11 +448,29 @@ def _relation_terms(I: Index, J: Index) -> list[tuple[int, Index, Index]]:
 @lru_cache(maxsize=16)
 def generate_relations(n: int, three_term_only: bool = False,
                        ) -> tuple[IncidenceRelation, ...]:
-    """All incidence relations for sizes 1 <= r <= s <= n-1, deduplicated;
-    with the three-term filter, only those with exactly 3 surviving summands.
-    A pair (I, J) has one summand per element of J - I, and |J - I| >= s-r+2,
-    so the filter needs s <= r+1 and skips the other pairs before their
-    terms are built. Cached for the 16 latest (n, filter) pairs.
+    """All incidence relations for sizes 1 <= r <= s <= n-1, each listed
+    once under one name (I, J), |I| = r-1 and |J| = s+1, in the order
+    (r, s, I, J); with the three-term filter, only those with exactly 3
+    summands. A pair (I, J) has one summand per element of D = J - I, and
+    |D| >= s-r+2, so the filter needs s <= r+1 and skips the other pairs
+    before their terms are built. A relation's terms are those of
+    ``_relation_terms(I, J)``, sorted by (left, right), each pair of
+    equal sizes written as (min, max). Cached for the 16 latest
+    (n, filter) pairs.
+
+    With X = I - J, the rule names each relation once:
+
+    - For r < s, the left indices I + {j} meet in I and the right indices
+      J - {j} have union J, so every pair (I, J) is its own relation and
+      no two of its terms merge.
+    - For r = s, every term splits X + D into X + {j} and D - {j}, so two
+      terms merge only when X is empty, |D| = 2, and then every term
+      cancels: that zero relation is skipped.
+    - For r = s and |X| >= 2, X is the only set of elements that every
+      term keeps together, so the name is unique.
+    - For r = s and |X| = 1, the four names T + {y} and T + ({x} + D - {y}),
+      T = I & J and y in {x} + D, give the same terms up to sign. The one
+      kept has x < min(D); it is the first of the four generated.
 
     Every term of a relation pairs a size-r with a size-s coordinate, so
     shifting each size block by a constant, or scaling all coordinates by
@@ -461,33 +479,22 @@ def generate_relations(n: int, three_term_only: bool = False,
     cuts out the nonnegative flag Dressian; on vectors with every
     coordinate finite the three-term set alone does (see ``decide_trop``).
     """
-    universe = range(1, n + 1)
-    seen: set = set()
     out: list[IncidenceRelation] = []
     for r in range(1, n):
         for s in range(r, min(r + 2, n) if three_term_only else n):
-            for I in itertools.combinations(universe, r - 1):
-                for J in itertools.combinations(universe, s + 1):
-                    if three_term_only and len(set(J) - set(I)) != 3:
+            for I in itertools.combinations(range(1, n + 1), r - 1):
+                for J in itertools.combinations(range(1, n + 1), s + 1):
+                    D = set(J).difference(I)
+                    # the filter, then for r = s a zero relation or a name
+                    # that is not the first of its four
+                    if three_term_only and len(D) != 3 or r == s and (
+                            len(D) == 2 or len(D) == 3
+                            and min(set(I).difference(J)) > min(D)):
                         continue
-                    terms = _relation_terms(I, J)
-                    # merge like monomials (unordered product for r == s)
-                    merged: dict = {}
-                    for sign, left, right in terms:
-                        key = (min(left, right), max(left, right)) if r == s \
-                            else (left, right)
-                        merged[key] = merged.get(key, 0) + sign
-                    clean = [(c, l_, r_) for (l_, r_), c in merged.items() if c != 0]
-                    if not clean:
-                        continue
-                    clean.sort(key=lambda t: (t[1], t[2]))
-                    flip = -1 if clean[0][0] < 0 else 1
-                    sig = tuple((flip * c, l_, r_) for c, l_, r_ in clean)
-                    if sig in seen:
-                        continue
-                    seen.add(sig)
-                    out.append(IncidenceRelation(
-                        r, s, I, J, tuple((c, l_, r_) for c, l_, r_ in clean)))
+                    terms = [(c, min(a, b), max(a, b)) if r == s else (c, a, b)
+                             for c, a, b in _relation_terms(I, J)]
+                    terms.sort(key=lambda t: t[1:])
+                    out.append(IncidenceRelation(r, s, I, J, tuple(terms)))
     return tuple(out)
 
 

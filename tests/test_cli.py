@@ -430,14 +430,14 @@ def test_output_is_byte_identical_across_runs(capsys):
     assert capsys.readouterr().out == first
 
 
-def _python(*args) -> subprocess.CompletedProcess:
+def _python(*args, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """This interpreter run on ``args``, with the checkout's ``src`` on
-    its path."""
+    its path; stdout is captured unless another ``stdout`` is given."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
     return subprocess.run([sys.executable, *args], env=env, cwd=ROOT,
-                          capture_output=True, text=True)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
 
 
 def test_failed_verify_check_exits_1_with_one_error_line(capsys, monkeypatch):
@@ -463,6 +463,65 @@ def test_failed_verify_check_exits_1_under_python_O():
     done = _python("-O", "-c", code)
     assert (done.returncode, done.stdout, done.stderr) == \
         (1, "", SUPPORT_MISMATCH)
+
+
+def test_verify_check_raising_other_errors_exits_1_with_one_error_line(
+        capsys, monkeypatch):
+    """A check that raises something other than an AssertionError is
+    reported the same way, its message prefixed with its type's name."""
+    def stuck(values, cell, vector_type):
+        raise ValueError("three-term propagation stuck at (1,) "
+                         "(no usable relation)")
+
+    monkeypatch.setattr("tnnflag.oracle._propagate", stuck)
+    assert run(["verify", "3"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: verify failed at (123, 123): ValueError: "
+                       "three-term propagation stuck at (1,) "
+                       "(no usable relation)\n")
+
+
+class _BrokenPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+UNWRITABLE = "error: cannot write the output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cell", EX_V, EX_W],
+    ["plucker", EX_V, EX_W, "--weights", "w.json"],
+    ["plucker", EX_V, EX_W, "--weights", "w.json", "--tropical"],
+    ["extremal", "v.json"],
+    ["decide", "v.json"],
+    ["trop-decide", "t.json"],
+    ["relations", "4"],
+    ["relations", "4", "--three-term"],
+    ["verify", "2"],
+], ids=" ".join)
+def test_unwritable_stdout_exits_2_with_one_error_line(argv, capsys,
+                                                       monkeypatch, tmp_path):
+    files = {"w.json": {"1": "2", "2": "3", "4": "5"},
+             "v.json": {"n": 2, "coords": {"1": "1", "2": "1"}},
+             "t.json": {"n": 2, "mode": "tropical",
+                        "coords": {"1": "0", "2": "0"}}}
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    monkeypatch.setattr("sys.stdout", _BrokenPipe())
+    assert run([str(tmp_path / a) if a in files else a for a in argv]) == 2
+    assert capsys.readouterr().err == UNWRITABLE
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a /dev/full device")
+def test_full_stdout_exits_2_without_a_traceback():
+    with open("/dev/full", "w") as full:
+        done = _python("-m", "tnnflag", "cell", EX_V, EX_W, stdout=full)
+    assert (done.returncode, done.stderr) == \
+        (2, "error: cannot write the output: [Errno 28] No space left on "
+            "device\n")
 
 
 def test_run_verify_script_covers_every_s3_cell():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -12,8 +13,9 @@ from tnnflag.oracle import (
 )
 from tnnflag.perms import all_perms, bruhat_leq, identity, longest_element
 from tnnflag.plucker import (
-    PlueckerVector, TropPlueckerVector, all_proper_indices,
-    generate_relations, index_from_str, index_to_str, phi, trop_phi,
+    IncidenceRelation, PlueckerVector, TropPlueckerVector, _relation_terms,
+    all_proper_indices, generate_relations, index_from_str, index_to_str, phi,
+    trop_phi,
 )
 from tnnflag.wiring import build_diagram
 
@@ -172,6 +174,62 @@ def test_relations_dedup_no_empty():
     three = generate_relations(4, True)
     assert all(len(rel.terms) == 3 for rel in three)
     assert set(three) <= set(generate_relations(4))
+
+
+def _relations_by_merge(n, three_term_only=False):
+    """``generate_relations`` as it was before each relation was named by
+    rule: every (I, J) pair's terms, like monomials merged, and a relation
+    dropped when its sign-normalized terms were seen before."""
+    universe = range(1, n + 1)
+    seen = set()
+    out = []
+    for r in range(1, n):
+        for s in range(r, min(r + 2, n) if three_term_only else n):
+            for I in itertools.combinations(universe, r - 1):
+                for J in itertools.combinations(universe, s + 1):
+                    if three_term_only and len(set(J) - set(I)) != 3:
+                        continue
+                    terms = _relation_terms(I, J)
+                    merged = {}
+                    for sign, left, right in terms:
+                        key = (min(left, right), max(left, right)) if r == s \
+                            else (left, right)
+                        merged[key] = merged.get(key, 0) + sign
+                    clean = [(c, l_, r_) for (l_, r_), c in merged.items() if c != 0]
+                    if not clean:
+                        continue
+                    clean.sort(key=lambda t: (t[1], t[2]))
+                    flip = -1 if clean[0][0] < 0 else 1
+                    sig = tuple((flip * c, l_, r_) for c, l_, r_ in clean)
+                    if sig in seen:
+                        continue
+                    seen.add(sig)
+                    out.append(IncidenceRelation(r, s, I, J, tuple(clean)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n, three_term_only",
+                         [(n, t) for n in range(2, 8) for t in (False, True)]
+                         + [(8, True)])
+def test_relations_named_by_rule_match_the_merge(n, three_term_only):
+    """The same relations, fields, term order, signs and list order as
+    merging every pair's terms and dropping repeats up to sign."""
+    assert generate_relations(n, three_term_only) == \
+        _relations_by_merge(n, three_term_only)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_relations_have_a_term_per_element_and_no_repeats(n):
+    """Each relation has one term per element of J - I, at least 3, no
+    two on the same monomial, and no two relations are equal up to an
+    overall sign."""
+    seen = set()
+    for rel in generate_relations(n):
+        assert len(rel.terms) == len(set(rel.J) - set(rel.I)) >= 3
+        assert len({(a, b) for _, a, b in rel.terms}) == len(rel.terms)
+        for flip in (1, -1):
+            assert tuple((flip * c, a, b) for c, a, b in rel.terms) not in seen
+        seen.add(rel.terms)
 
 
 def test_vector_json_roundtrip():
