@@ -29,10 +29,24 @@ from .wiring import build_diagram
 
 
 def _emit(obj) -> None:
+    _write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def _write(text: str, file=None) -> None:
+    """Write text to ``file`` (stdout by default) and flush it; output that
+    cannot be written is an error."""
     try:
-        print(json.dumps(obj, sort_keys=True, indent=2), flush=True)
+        print(text, end="", file=file or sys.stdout, flush=True)
     except OSError as exc:      # a full device, a closed pipe
         raise _Malformed(f"cannot write the output: {exc}") from exc
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, except that help which cannot be written is an error, as
+    any other output is; argparse itself ignores it and exits 0."""
+
+    def print_help(self, file=None) -> None:
+        _write(self.format_help(), file)
 
 
 def _perm(s: str) -> Perm:
@@ -237,7 +251,7 @@ def _cmd_verify(args) -> int:
 
 
 def run(argv=None) -> int:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="tnnflag",
         description="Exact computations on the nonnegative complete flag "
                     "variety and its tropicalization.")
@@ -283,8 +297,8 @@ def run(argv=None) -> int:
     p.add_argument("n", type=int)
     p.set_defaults(fn=_cmd_verify)
 
-    args = ap.parse_args(argv)
     try:
+        args = ap.parse_args(argv)
         return args.fn(args)
     except _Malformed as exc:
         print(f"error: {exc}", file=sys.stderr)

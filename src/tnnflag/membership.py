@@ -33,7 +33,6 @@ __all__ = [
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
-from operator import neg
 from typing import Mapping, NamedTuple
 
 from .algebra import Trop, rat_to_str, trop_to_str
@@ -239,14 +238,11 @@ def _reconstruct(p, blocks: list, L: int,
 def _agrees(x: list[int], r: list[int]) -> bool:
     """Whether the block of ints x is the block r up to its unit:
     x_I r_unit = r_I x_unit at every position, the two blocks listing the
-    same indices. When the units are equal that is x = r, and when they
-    are opposite x = -r, so neither multiplies: on a vector from ``phi``
-    the view's blocks are the sweep's, negated where the sweep's unit is
-    negative. Blocks scaled otherwise, as from JSON or a rescaled input,
+    same indices. When the units are equal that is x = r, with no
+    multiplication: on a vector from ``phi`` the view's blocks are the
+    sweep's. Blocks scaled otherwise, as from JSON or a rescaled input,
     are cross-multiplied. Tropically both units are 0 (``_reconstruct``),
     so the test reads x = r."""
-    if x[0] == -r[0] != 0:
-        r = list(map(neg, r))
     return x == r if x[0] == r[0] else [c * r[0] for c in x] == [c * x[0] for c in r]
 
 
@@ -280,18 +276,18 @@ def decide_tnn(p: PlueckerVector) -> CellCertificate:
 
     Every input gets one pass over its coordinates (``_int_view``), which
     gives per size the supported indices in lexicographic order and a
-    list of an int at each, the raw sweep's own blocks when p came from
-    ``phi`` and its coordinates were never read; then this function's own
-    check for a negative value. If there is none, the reconstruction
+    list of an int at each, the raw sweep's own blocks, every value
+    positive, when p came from ``phi`` and its coordinates were never
+    read; then this function's own check for a negative value. If there is none, the reconstruction
     (``_reconstruct``): the cell read off the first and last index of
     each size (flag and Bruhat checks), ``_solve``'s walk on int pairs,
     the sweep of those pairs and one comparison of the view's blocks with
     the sweep's, block by block (``_agrees``: a block whose unit is the
-    sweep's, or its opposite, as on a vector from ``phi``, compares as
-    lists, any other is cross-multiplied with the units). A member needs
-    no further check, since its support is the flag matroid of its cell
-    and its supported keys are the sweep's (the view raises on a key at
-    the zero that is not an index). Any other input has its index keys
+    sweep's, as on a vector from ``phi``, compares as lists, any other is
+    cross-multiplied with the units). A member needs no further check,
+    since its support is the flag matroid of its cell and its supported
+    keys are the sweep's (the view raises on a key at the zero that is
+    not an index). Any other input has its index keys
     checked once, and its rejection is named in this order: the first
     negative coordinate; the necessary flag-matroid conditions of
     ``flag_matroid_check`` on the support, run only when it is not the

@@ -1,13 +1,13 @@
 """
 Pluecker-coordinate data model and computations: the cell parameterization
-as signed sums over non-intersecting path collections in the wiring
-diagram (Lindstroem-Gessel-Viennot), its min-plus counterpart (least
-collection weights), both from one sweep over the diagram, the
-quadratic incidence relations, and the scan for the first one that a
-tropical point does not positively solve (``_first_violated``), which
-``decide_trop`` runs. Evaluating one relation at a vector
-(``oracle.check_relation``, ``oracle.trop_check_relation``) is the
-oracle's.
+as sums over non-intersecting path collections in the wiring diagram
+(Lindstroem-Gessel-Viennot, with one sign per size), its min-plus
+counterpart (least collection weights), both from one sweep over the
+diagram, the quadratic incidence relations, and the scan for the first
+one that a tropical point does not positively solve
+(``_first_violated``), which ``decide_trop`` runs. Evaluating one
+relation at a vector (``oracle.check_relation``,
+``oracle.trop_check_relation``) is the oracle's.
 
 Coordinates are indexed by sorted tuples over {1..n}, all proper nonempty
 sizes 1..n-1; each size block is projective (common scalar classically,
@@ -32,7 +32,6 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import neg
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .algebra import (
@@ -122,7 +121,8 @@ class _Vector:
     One integer view, ``_int_view``, reads a vector's values, in the raw
     sweep's shape: per size, a block of its supported indices in
     lexicographic order and a list of an int at each, a positive multiple
-    of the canonical coordinates up to the sign of the block's unit.
+    of the canonical coordinates up to the sign of the block's unit (on
+    the raw sweep, every classical value is positive).
     ``support``, the deciders, ``psi``, ``trop_psi``, ``canonicalize`` and
     the first read of ``coords`` all take it. A vector that ``phi`` or
     ``trop_phi`` returns holds the raw sweep ``(blocks, L)`` of ``_sweep``
@@ -192,48 +192,45 @@ class _Vector:
         """The one read of a vector's values: ``(blocks, L)``, per size
         1..n-1 the supported indices as a tuple in lexicographic order
         and a list of an int at each, the shape of the raw sweep
-        (``wiring._run_sweep``). Coordinates are first scaled to ints x_I
-        by the lcm L of their denominators (1 when there are none); the
-        raw sweep gives its blocks of ints and its L. Then, per block, a
-        classical value is x_I, on the raw sweep times the sign of its
-        block's unit (the coordinate times a positive factor per block,
-        so a negative value is a negative coordinate of the input), and a
-        tropical one is Q_I = x_I - x_unit = L (p_I - p_unit). A raw
-        block that needs neither is handed over as it is, not copied, so
-        no reader may change a block. The keys of the support are not
-        checked (``check_indices`` does that), but a key of size 0 or n or
-        more, or one that does not sort with the others, raises its
-        ValueError, and so does any key at the semiring's zero that is
-        not an index: no later check sees those keys, since the view
-        leaves them out."""
-        signed, swept = self.signed, self._raw is not None
-        if not swept:
-            sup = {k: [] for k in range(1, self.n)}
-            keyed = True                    # every key at the zero is an index
-            try:
-                for I, val in self._coords.items():
-                    if (val.numerator if signed else val.value is not None):
-                        sup[len(I)].append((I, val if signed else val.value))
-                    elif keyed:
-                        keyed = _is_index(I, self.n)
-                sup = [sorted(b) for b in sup.values()]
-            except (KeyError, TypeError):   # a key of size 0 or >= n, or not of ints
-                self.check_indices()
-                raise
-            if not keyed:
-                self.check_indices()
-            L = math.lcm(*(x.denominator for b in sup for _, x in b))
-            blocks = [(tuple([I for I, _ in b]),
-                       [x.numerator * (L // x.denominator) for _, x in b])
-                      for b in sup]
-        else:
-            blocks, L = self._raw
-        out = []
-        for I, x in blocks:
-            if x and ((swept and x[0] < 0) if signed else x[0]):
-                x = list(map(neg, x)) if signed else [c - x[0] for c in x]
-            out.append((I, x))
-        return out, L
+        (``wiring._run_sweep``). A vector that holds the raw sweep hands
+        over its ``(blocks, L)`` as they are, not copied, so no reader may
+        change a block: classically each value is positive, the
+        coordinate times a positive factor per block, and tropically it
+        is Q_I = L (p_I - p_unit), since the unit's raw value is 0.
+        Coordinates are scaled to ints x_I by the lcm L of their
+        denominators (1 when there are none); then, per block, a
+        classical value is x_I (so a negative value is a negative
+        coordinate of the input), and a tropical one is Q_I = x_I - x_unit.
+        The keys of the support are not checked (``check_indices`` does
+        that), but a key of size 0 or n or more, or one that does not
+        sort with the others, raises its ValueError, and so does any key
+        at the semiring's zero that is not an index: no later check sees
+        those keys, since the view leaves them out."""
+        if self._raw is not None:
+            return self._raw
+        signed = self.signed
+        sup = {k: [] for k in range(1, self.n)}
+        keyed = True                        # every key at the zero is an index
+        try:
+            for I, val in self._coords.items():
+                if (val.numerator if signed else val.value is not None):
+                    sup[len(I)].append((I, val if signed else val.value))
+                elif keyed:
+                    keyed = _is_index(I, self.n)
+            sup = [sorted(b) for b in sup.values()]
+        except (KeyError, TypeError):       # a key of size 0 or >= n, or not of ints
+            self.check_indices()
+            raise
+        if not keyed:
+            self.check_indices()
+        L = math.lcm(*(x.denominator for b in sup for _, x in b))
+        blocks = [(tuple([I for I, _ in b]),
+                   [x.numerator * (L // x.denominator) for _, x in b])
+                  for b in sup]
+        if not signed:
+            blocks = [(I, [c - x[0] for c in x] if x and x[0] else x)
+                      for I, x in blocks]
+        return blocks, L
 
     def check_indices(self) -> None:
         """Raise ValueError naming the first key that is not an index: a
@@ -294,33 +291,33 @@ def _sweep(v: Perm, w: Perm, x: Mapping[int, object], signed: bool) -> list:
     """The raw pass: per size 1..n-1, the sets I of strands (as sorted
     tuples) that the non-intersecting path collections {1'..|I|'} reach,
     in lexicographic order, each with raw_I, the sum of those
-    collections' weights over the signed sum-product semiring when
-    ``signed`` and min-plus otherwise, as a Python int. ``x`` holds the
+    collections' weights over the sum-product semiring when ``signed``
+    and min-plus otherwise, as a Python int. ``x`` holds the
     weights: classically each as the pair (p, q) of ints of its value
     p/q in lowest terms (``_exact_weights``), and tropically the ints
     L x_e, L the lcm of the weights' denominators. Classically raw_I is
-    P_I times a positive factor common to all I; tropically it is
-    L * P_I, so a block's coordinates are raw_I / raw_unit or
+    positive, P_I times a positive factor common to all I; tropically it
+    is L * P_I, so a block's coordinates are raw_I / raw_unit or
     (raw_I - raw_unit) / L. Weight ids other than the diagram's raise
     ValueError: with as many weights as edges, a missing id is a
     KeyError of the pass's own lookups, so no id set is built.
 
-    One left-to-right pass over the diagram's edges and -1 segments in key
-    order serves every size: the pass keeps a sum for each set S the
-    paths occupy so far. Edge keys are distinct, so at most one path
-    moves at each edge, and it may move exactly when its upper strand is
-    free; a collection is thus the same thing as its sequence of moves,
-    and the final sets are the sink sets I. Which sets are reachable, and
-    so which move at an edge or cross a segment, depends only on the
-    diagram: the cached ``build_diagram`` compiles them into a program on
+    One left-to-right pass over the diagram's edges in key order serves
+    every size: the pass keeps a sum for each set S the paths occupy so
+    far. Edge keys are distinct, so at most one path moves at each edge,
+    and it may move exactly when its upper strand is free; a collection
+    is thus the same thing as its sequence of moves, and the final sets
+    are the sink sets I. Which sets are reachable, and so which move at
+    an edge, depends only on the diagram: the cached ``build_diagram`` compiles them into a program on
     the sets numbered as first reached (``wiring.SweepProgram``), and
     ``wiring._run_sweep`` runs it on a list of the sets reached so far,
-    which it reads once, by size in lexicographic order. The ``signed``
-    pass gets the Lindstroem-Gessel-Viennot sign: a move is negated per
-    path it jumps over (reattached edges can span several strands), and a
-    state per -1 segment it crosses. The remaining sign, that of 1'..k'
-    read bottom to top, is common to size k and cancels in the
-    normalization.
+    which it reads once, by size in lexicographic order. No pass tracks a
+    sign. On Marsh-Rietsch's diagrams every collection into a size k has
+    the same Lindstroem-Gessel-Viennot sign, from the paths it jumps over
+    and the -1 segments it crosses; that sign is common to the size
+    block and cancels in the normalization. So P_I is, up to it, the
+    plain sum of the collections' products, and the tropical pass, their
+    least weight, is its tropicalization.
 
     Classically every collection's product comes out scaled by the same
     product Q of the edges' denominators (not by L^|E| for their lcm L),
@@ -389,9 +386,9 @@ def _trop_ints(x: Mapping[int, object]) -> tuple[dict[int, int], int]:
 
 
 def phi(v: Perm, w: Perm, a: Mapping[int, int | Fraction]) -> PlueckerVector:
-    """The cell's coordinates at positive weights: P_I is the signed sum
-    over non-intersecting path collections {1'..|I|'} -> I of the product
-    of their edge weights, which by Lindstroem-Gessel-Viennot is the
+    """The cell's coordinates at positive weights: P_I is the sum over
+    non-intersecting path collections {1'..|I|'} -> I of the product of
+    their edge weights, which by Lindstroem-Gessel-Viennot is the
     top-rows minor of the cell matrix up to one sign per size; then
     canonical per-size normalization. Weights are ints or Fractions.
     The vector holds the raw sweep: its coordinates render on first read,
@@ -404,7 +401,7 @@ def phi(v: Perm, w: Perm, a: Mapping[int, int | Fraction]) -> PlueckerVector:
 def trop_phi(v: Perm, w: Perm, x: Mapping[int, Trop]) -> TropPlueckerVector:
     """Min over non-intersecting path collections {1'..|I|'} -> I of the sum
     of the edge weights; infinity when no collection exists. The same sweep
-    as ``phi``, unsigned, in the min-plus semiring. Weights are finite
+    as ``phi``, in the min-plus semiring. Weights are finite
     Trops of ints or Fractions. As with ``phi``, the coordinates render on
     first read, and the deciders read the raw sweep.
     """

@@ -1,10 +1,11 @@
 """
 Planar wiring diagrams for Bruhat pairs v <= w: n horizontal strands,
-weighted vertical edges, and signed diagonal segments; the sweep behind
-``phi`` and ``trop_phi``, compiled once per diagram into a program on the
-strand sets the paths can occupy (``SweepProgram``), and the kernel that
-runs it; and the left-greedy paths that give the extremal indices,
-built in one walk over the edges in key order (``_greedy_prefixes``).
+weighted vertical edges, and -1 diagonal segments, which only the
+oracle's signed references read; the sweep behind ``phi`` and
+``trop_phi``, compiled once per diagram into a program on the strand
+sets the paths can occupy (``SweepProgram``), and the kernel that runs
+it; and the left-greedy paths that give the extremal indices, built in
+one walk over the edges in key order (``_greedy_prefixes``).
 The path records (``oracle.Path``, ``oracle.PathCollection``), listing
 every non-intersecting path collection, a collection's signed weight and
 the path-sum matrix, which only check what this module computes, are
@@ -60,15 +61,12 @@ class SweepProgram(NamedTuple):
     strand masks (bit r-1 for strand r) that the paths from {1'..k'},
     k < n, can occupy, numbered as first reached: {1'..k'} at k-1, then
     each new one as a move reaches it. One step per edge in key order, on
-    those positions: (the positions that the -1 segments since the
-    previous edge negate, the edge's weight_id, its moves into reached
-    states with an even and with an odd LGV sign as (source, destination)
-    pairs, the sources of its moves that reach new states in the order
-    those are numbered, ~i for an odd one); the segments after the last
-    edge, if they negate any, make a last step with weight_id None. Then
-    the states in (size, lexicographic index) order, the order in which
-    ``_run_sweep`` reads them: their positions, their indices, and where
-    each size 1..n-1 starts in that order, then their number."""
+    those positions: (the edge's weight_id, its moves into reached states
+    as (source, destination) pairs, the sources of its moves that reach
+    new states in the order those are numbered). Then the states in
+    (size, lexicographic index) order, the order in which ``_run_sweep``
+    reads them: their positions, their indices, and where each size
+    1..n-1 starts in that order, then their number."""
     steps: tuple[tuple, ...]
     order: tuple[int, ...]
     indices: tuple[tuple[int, ...], ...]
@@ -160,75 +158,48 @@ def build_diagram(v: Perm, w: Perm) -> WiringDiagram:
         n=n, cell=(v, w), source_label=v,
         edges=tuple(edges), neg_segments=tuple(segments),
         w_word=w_word, v_positions=v_pos,
-        sweep=_compile_sweep(v, edges, segments),
+        sweep=_compile_sweep(v, edges),
     )
 
 
-def _compile_sweep(v: Perm, edges: list, segments: list) -> SweepProgram:
+def _compile_sweep(v: Perm, edges: list) -> SweepProgram:
     """The sweep's program for the diagram whose sources read v, with its
-    edges and its -1 segments, each in key order. A segment comes before
-    an edge of the same key, so the two lists are merged as they are
-    walked, with no sort. An edge moves the paths on the states that
-    hold its lower strand but not its upper one, each to the state with
-    the upper strand in place of the lower, so the moves at one edge have
-    distinct sources and destinations and none is both. A move is odd
-    when it jumps an odd number of strands, those strictly between the
-    edge's ends. A segment negates the states reached so far that hold
-    its strand, and negating twice cancels: so a step negates the states
-    that hold an odd number of the strands of its segments, counted with
-    multiplicity, which is the parity of the state's overlap with the
-    XOR of those strands. The start states {1'..k'} are built one source
-    at a time, and each edge scans the states reached before it by
-    position, with no copy."""
+    edges in key order. An edge moves the paths on the states that hold
+    its lower strand but not its upper one, each to the state with the
+    upper strand in place of the lower, so the moves at one edge have
+    distinct sources and destinations and none is both. The -1 segments
+    play no part: every collection into a size k has the same
+    Lindstroem-Gessel-Viennot sign (Marsh-Rietsch), so the program only
+    adds. The start states {1'..k'} are built one source at a time, and
+    each edge scans the states reached before it by position, with no
+    copy."""
     n = len(v)
     masks, S = [], 0
     for label in range(1, n):
         S |= 1 << v.index(label)
         masks.append(S)
     pos = {S: i for i, S in enumerate(masks)}
-    steps, s = [], 0
+    steps = []
     for e in edges:
-        flip = 0
-        while s < len(segments) and segments[s].key <= e.key:
-            flip ^= 1 << (segments[s].strand - 1)
-            s += 1
-        negate = _odd_overlaps(masks, flip)
         lower, upper = 1 << (e.lower - 1), 1 << (e.upper - 1)
-        jumped = upper - (lower << 1)
-        moves, new = ([], []), []
+        moves, new = [], []
         for i in range(len(masks)):     # the states reached before the edge
             S = masks[i]
             if S & lower and not S & upper:
                 T = S ^ lower ^ upper
-                odd = (S & jumped).bit_count() & 1
                 if T in pos:
-                    moves[odd].append((i, pos[T]))
+                    moves.append((i, pos[T]))
                 else:
                     pos[T] = len(masks)
                     masks.append(T)
-                    new.append(~i if odd else i)
-        steps.append((negate, e.weight_id, tuple(moves[0]), tuple(moves[1]),
-                      tuple(new)))
-    flip = 0
-    for seg in segments[s:]:
-        flip ^= 1 << (seg.strand - 1)
-    negate = _odd_overlaps(masks, flip)
-    if negate:
-        steps.append((negate, None, (), (), ()))
+                    new.append(i)
+        steps.append((e.weight_id, tuple(moves), tuple(new)))
     table = _lex_table(n)
     lex = list(filter(pos.__contains__, table))     # the reached masks by rank
     sizes = list(map(int.bit_count, lex))
     return SweepProgram(tuple(steps), tuple(map(pos.__getitem__, lex)),
                         tuple(map(table.__getitem__, lex)),
                         (*map(sizes.index, range(1, n)), len(lex)))
-
-
-def _odd_overlaps(masks: list[int], flip: int) -> tuple[int, ...]:
-    """The positions of the masks that share an odd number of bits with
-    ``flip``."""
-    if not flip:
-        return ()
-    return tuple([i for i, S in enumerate(masks) if (S & flip).bit_count() & 1])
 
 
 @lru_cache(maxsize=None)
@@ -243,68 +214,56 @@ def _run_sweep(d: WiringDiagram, x: Mapping[int, tuple[int, int] | int],
                signed: bool) -> list[tuple[tuple, list]]:
     """Run the diagram's program on the weights ``x``: classically, on
     the pair (p, q) of ints of each weight p/q in lowest terms, as
-    ``phi`` and the reconstruction hand them over, the signed sums of
-    products; tropically, on ints, the least sums (``plucker._sweep``
-    says what they mean). It keeps one int per state reached so far, in
-    a list by position, and at the end reads that list once, in the
-    program's index order: per size 1..n-1, the indices of the states
-    reached, in lexicographic order, and their values. At positive
-    weights (classically) every reached state is nonzero, so these are
-    the supported indices.
+    ``phi`` and the reconstruction hand them over, the sums of products;
+    tropically, on ints, the least sums (``plucker._sweep`` says what
+    they mean). It keeps one int per state reached so far, in a list by
+    position, and at the end reads that list once, in the program's
+    index order: per size 1..n-1, the indices of the states reached, in
+    lexicographic order, and their values. At positive weights
+    (classically) every reached state is positive, so these are the
+    supported indices.
 
-    Classically the values are kept end-scaled: with A_S the signed sum
-    of products over the partial collections on S so far, each scaled by
+    Classically the values are kept end-scaled: with A_S the sum of
+    products over the partial collections on S so far, each scaled by
     the denominators q of the edges passed, the list holds B_S = A_S
     times the q of every edge still to come. So every state starts at Q,
     the product of all the edges' q, and after the last edge B_S = A_S,
     the same ints as a sweep that multiplies the states reached by each
     edge's q. An edge of weight p/q leaves the states that do not move
     as they are, adds p (B_i // q) to the destination of each move from
-    i, negated when the move is odd, and appends p (B_i // q), negated
-    likewise, for a new state. The division is exact, since B_i still
-    holds this edge's q; at q = 1 there is none. No state is both a
-    source and a destination at one edge, so the moves read the states
-    as they were before it and the list is updated in place; a step's
-    segments negate their states first. Tropically a new state is its
-    source plus the weight, a reached one keeps the lesser of its own
-    value and that sum, and the segments do nothing. A weight id missing
-    from ``x`` raises KeyError."""
+    i, and appends p (B_i // q) for a new state. The division is exact,
+    since B_i still holds this edge's q; at q = 1 there is none. No state
+    is both a source and a destination at one edge, so the moves read
+    the states as they were before it and the list is updated in place.
+    Tropically a new state is its source plus the weight, and a reached
+    one keeps the lesser of its own value and that sum. A weight id
+    missing from ``x`` raises KeyError."""
     steps, order, indices, bounds = d.sweep
     if signed:
         Q = math.prod([x[e.weight_id][1] for e in d.edges])
         value = [Q] * (d.n - 1)
-        for negate, wid, even, odd, new in steps:
-            for i in negate:
-                value[i] = -value[i]
-            if wid is None:             # the segments after the last edge
-                break
+        for wid, moves, new in steps:
             p, q = x[wid]
             if q == 1:
-                for i, j in even:
+                for i, j in moves:
                     value[j] += p * value[i]
-                for i, j in odd:
-                    value[j] -= p * value[i]
                 for i in new:
-                    value.append(p * value[i] if i >= 0 else -p * value[~i])
+                    value.append(p * value[i])
                 continue
-            for i, j in even:
+            for i, j in moves:
                 value[j] += value[i] // q * p
-            for i, j in odd:
-                value[j] -= value[i] // q * p
             for i in new:
-                value.append(value[i] // q * p if i >= 0 else -(value[~i] // q * p))
+                value.append(value[i] // q * p)
     else:
         value = [0] * (d.n - 1)
-        for _, wid, even, odd, new in steps:
-            if wid is None:
-                break
+        for wid, moves, new in steps:
             c = x[wid]
-            for i, j in even + odd:
+            for i, j in moves:
                 t = value[i] + c
                 if t < value[j]:
                     value[j] = t
             for i in new:
-                value.append(value[i if i >= 0 else ~i] + c)
+                value.append(value[i] + c)
     value = list(map(value.__getitem__, order))
     return [(indices[a:b], value[a:b]) for a, b in zip(bounds, bounds[1:])]
 

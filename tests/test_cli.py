@@ -500,6 +500,8 @@ UNWRITABLE = "error: cannot write the output: [Errno 32] Broken pipe\n"
     ["relations", "4"],
     ["relations", "4", "--three-term"],
     ["verify", "2"],
+    ["--help"],                 # argparse alone swallows the failed write
+    ["decide", "--help"],
 ], ids=" ".join)
 def test_unwritable_stdout_exits_2_with_one_error_line(argv, capsys,
                                                        monkeypatch, tmp_path):
@@ -519,6 +521,19 @@ def test_unwritable_stdout_exits_2_with_one_error_line(argv, capsys,
 def test_full_stdout_exits_2_without_a_traceback():
     with open("/dev/full", "w") as full:
         done = _python("-m", "tnnflag", "cell", EX_V, EX_W, stdout=full)
+    assert (done.returncode, done.stderr) == \
+        (2, "error: cannot write the output: [Errno 28] No space left on "
+            "device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a /dev/full device")
+@pytest.mark.parametrize("argv", [["--help"], ["decide", "--help"]],
+                         ids=" ".join)
+def test_help_to_a_full_stdout_exits_2_without_a_traceback(argv):
+    """argparse alone would swallow the failed write and exit 0."""
+    with open("/dev/full", "w") as full:
+        done = _python("-m", "tnnflag", *argv, stdout=full)
     assert (done.returncode, done.stderr) == \
         (2, "error: cannot write the output: [Errno 28] No space left on "
             "device\n")

@@ -2,10 +2,11 @@
 
 The view lists each size's supported indices in lexicographic order with
 an int at each. Coordinates given as input are scaled to ints by the lcm
-of their denominators in both modes, and only the raw sweep flips the
-sign of a block with a negative unit. The view it replaces, frozen below,
-kept a classical vector's coordinates as they were (explicit zeros
-included), listed the supports as sets and carried a `negative` flag. On
+of their denominators in both modes; the raw sweep's classical values
+are all positive, and the view hands them over as they are. The view it
+replaces, frozen below, kept a classical vector's coordinates as they
+were (explicit zeros included), listed the supports as sets and carried
+a `negative` flag. On
 the raw sweep and on vectors given their coordinates, in both modes, the
 two must give the same supports, values equal tropically and,
 classically, a positive multiple of the frozen values in each block; the
@@ -20,8 +21,8 @@ tuple and a list of ints. The view before that returned `(sup, values,
 L)`, dicts by size and by index; it is frozen in `view_reference.py`,
 and turned into blocks it must equal the view on every S3-S5 member, raw
 and rendered, on members with each block k scaled by 1 + k or one block
-negated, and on members read back from JSON and their near-misses. A raw
-block that the view need not negate or shift is the raw list itself.
+negated, and on members read back from JSON and their near-misses. On
+the raw sweep the view is the vector's ``_raw`` itself.
 """
 
 import itertools
@@ -159,10 +160,7 @@ def _check(p, seen):
     else:
         assert (values, L) == (ref_values, ref_L), p
     if p.signed and p._raw is not None:
-        raw, _ = raw_sweep(p)
-        flipped = any(found and found[0][1] < 0
-                      for found in ref_raw_blocks(p.n, raw, 0))
-        seen[case + ("negative raw unit",)] += flipped
+        assert all(c > 0 for _, x in p._raw[0] for c in x), p
     seen[case] += 1
     seen[case + ("negative",)] += negative
     seen[case + ("L > 1",)] += L > 1
@@ -197,7 +195,6 @@ def test_view_matches_the_frozen_view():
             assert seen[mode, branch], (mode, branch, seen)
         assert seen[mode, "coords", "zeros"] and seen[mode, "coords", "L > 1"], seen
     assert seen["tropical", "raw", "L > 1"], seen
-    assert seen["classical", "raw", "negative raw unit"], seen
     assert seen["classical", "coords", "negative"], seen
 
 
@@ -209,10 +206,9 @@ def _same_as_dict_view(p, seen, case):
     blocks, L = p._int_view()
     assert (blocks, L) == view_blocks(*ref_view(p)), (case, p)
     if p._raw is not None:
-        for (_, raw), (_, x) in zip(p._raw[0], blocks):
-            untouched = not raw or (raw[0] > 0 if p.signed else raw[0] == 0)
-            assert (x is raw) == untouched, (case, p)
-            seen[p.mode, case, "untouched" if untouched else "normalized"] += 1
+        assert p._int_view() is p._raw, (case, p)
+        if p.signed:
+            assert all(c > 0 for _, x in blocks for c in x), (case, p)
     seen[p.mode, case] += 1
 
 
@@ -261,5 +257,3 @@ def test_blocks_equal_the_frozen_dict_view():
     for mode in ("classical", "tropical"):
         for case in ("raw", "rendered", "rescaled", "json"):
             assert seen[mode, case], (mode, case, seen)
-        assert seen[mode, "raw", "untouched"], seen
-    assert seen["classical", "raw", "normalized"], seen

@@ -9,6 +9,9 @@ or is public API. README's API list names every export.
 Memory stays bounded: only the per-n tables named below may sit in an
 unbounded ``lru_cache``, and the per-cell caches hold at most a fixed
 number of cells, enough for every cell of S3-S5.
+The compiled sweep is ``wiring``'s own: no other module reads a
+diagram's ``sweep`` or a ``SweepProgram``'s fields, so the program's
+layout can change inside ``wiring`` alone.
 Start-up stays cheap: no module uses ``dataclasses``, and importing the
 CLI loads neither the oracle nor the introspection modules that
 ``dataclasses`` pulls in."""
@@ -75,6 +78,21 @@ def test_library_does_not_enumerate_path_collections(path):
     names = _imported_modules(ast.parse(path.read_text()))
     assert not [name for name in names
                 if name.split(".")[-1] == "enumerate_path_collections"], path.name
+
+
+@pytest.mark.parametrize(
+    "path", _modules_except({"wiring"}), ids=lambda p: p.stem)
+def test_only_wiring_reads_the_compiled_sweep(path):
+    """Neither the attributes ``sweep`` and the program's fields, nor the
+    name ``SweepProgram``, bare, as an attribute or imported."""
+    from tnnflag.wiring import SweepProgram
+    tree = ast.parse(path.read_text())
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    named = {*_referenced_names(path), *_imported_modules(tree)}
+    assert sorted({"sweep", *SweepProgram._fields} & read) == [], path.name
+    assert not [name for name in named
+                if name.split(".")[-1] == "SweepProgram"], path.name
 
 
 def _referenced_names(path) -> set[str]:

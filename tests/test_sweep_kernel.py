@@ -17,7 +17,10 @@ import pytest
 from tnnflag.algebra import Trop
 from tnnflag.extremal import SupportVector, cell_support
 from tnnflag.membership import decide_tnn, decide_trop
-from tnnflag.oracle import phi_minors, trop_phi_enumerated
+from tnnflag.oracle import (
+    collection_weight, enumerate_path_collections, phi_minors,
+    trop_phi_enumerated,
+)
 from tnnflag.perms import (
     all_perms, bruhat_leq, bruhat_pairs, identity, longest_element,
 )
@@ -101,6 +104,21 @@ def test_kernel_round_trips_the_s7_top_cell():
         cert = decide_trop(trop_phi(v, w, x))
         assert cert.verdict == "member" and cert.cell == (v, w), name
         assert cert.weights == x, name
+
+
+def test_every_collection_into_a_size_has_one_sign():
+    """The theorem the sign-free classical sweep rests on: on every S3-S4
+    cell and the negative-segment cells, every non-intersecting path
+    collection {1'..k'} -> I, over every index I of size k, has the same
+    Lindstroem-Gessel-Viennot sign (``collection_weight``'s coefficient,
+    from the sink order and the -1 segments crossed)."""
+    for v, w in _cells(3) + _cells(4) + NEGATIVE_SEGMENT_CELLS:
+        d = build_diagram(v, w)
+        for k in range(1, d.n):
+            signs = {collection_weight(c, d).coefficient
+                     for I in itertools.combinations(range(1, d.n + 1), k)
+                     for c in enumerate_path_collections(d, range(1, k + 1), I)}
+            assert len(signs) == 1, (v, w, k)
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +336,28 @@ READ_DRAWS = ("benchmark-like", "mixed-sign tropical")
 ALTERNATING = "alternating denominators"
 
 
+def _unit_signs_taken(n, raw):
+    """The signed mask-indexed classical list ``raw`` with each size block
+    multiplied by the sign of its unit, its lexicographically first
+    nonzero value."""
+    out = list(raw)
+    for block, found in zip(index_masks(n), raw_blocks(n, raw, 0)):
+        if found and found[0][1] < 0:
+            for _, S in block:
+                out[S] = -out[S]
+    return out
+
+
 def test_program_matches_mask_sweep():
-    """Identical ``(raw, L)`` from the compiled program, expanded to the
-    mask-indexed list, and the mask-event sweep: every S2-S5 cell, the
-    negative-segment cells, 300 seeded S6 cells and the S7 and S8 top
-    cells, on one draw of every family of ``_reference_draws``, of the
-    Mersenne draws (the primes repeat past the seventh weight) and of
-    ``_alternating_weights``. On the ``READ_DRAWS``, the program's reader
+    """``(raw, L)`` from the compiled program, expanded to the
+    mask-indexed list, against the signed mask-event sweep: tropically
+    identical, and classically identical once each size block of the
+    reference is multiplied by its unit's sign, with every raw value
+    positive, since every collection into a size has one sign. On every
+    S2-S5 cell, the negative-segment cells, 300 seeded S6 cells and the
+    S7 and S8 top cells, on one draw of every family of
+    ``_reference_draws``, of the Mersenne draws (the primes repeat past
+    the seventh weight) and of ``_alternating_weights``. On the ``READ_DRAWS``, the program's reader
     (the end of ``wiring._run_sweep``, through ``phi`` and ``trop_phi``)
     lists the same blocks, indices and values in the same order, as the
     mask-indexed read of that sweep.
@@ -332,9 +365,10 @@ def test_program_matches_mask_sweep():
     This guards the end-scaled classical kernel, which starts every state
     at the product of the edges' denominators and divides by each edge's
     q per move instead of rescaling every state reached: its raw ints
-    must be those of the rescaling sweep, not just proportional to them,
-    at steps with q = 1 and q != 1 in any order, and on negative states
-    (the alternating family must meet some)."""
+    must be those of the rescaling sweep up to the unit's sign, not just
+    proportional to them, at steps with q = 1 and q != 1 in any order,
+    and where the signed reference has negative states (the alternating
+    family must meet some)."""
     rng, alternating = random.Random(28), random.Random(31)
     negative = 0
     for v, w in _program_cells():
@@ -352,9 +386,13 @@ def test_program_matches_mask_sweep():
             p = (trop_phi if tropical else phi)(v, w, x)
             exact = {j: t.value for j, t in x.items()} if tropical else x
             want = _mask_sweep(d, events, exact, not tropical)
-            assert raw_sweep(p) == want, (v, w, name)
             if name == ALTERNATING:
                 negative += min(want[0]) < 0
+            if not tropical:
+                want = _unit_signs_taken(d.n, want[0]), want[1]
+                assert all(c > 0 for _, values in p._raw[0] for c in values), \
+                    (v, w, name)
+            assert raw_sweep(p) == want, (v, w, name)
             if name in READ_DRAWS:
                 assert [list(zip(*block)) for block in p._raw[0]] == \
                     list(raw_blocks(d.n, want[0], None if tropical else 0)), \

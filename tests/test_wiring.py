@@ -80,29 +80,23 @@ def _forward_replay(v, w):
         return tuple(sorted(sum(1 << (r - 1) for r in S) for S in sets))
 
     events = []
-    for ev in sorted([*edges, *segments], key=lambda ev: ev[1]):   # key
-        if isinstance(ev, VerticalEdge):
-            sources = [S for S in reach if ev.lower in S and ev.upper not in S]
-            reach |= {S - {ev.lower} | {ev.upper} for S in sources}
-            lower, upper = 1 << (ev.lower - 1), 1 << (ev.upper - 1)
-            events.append((ev.weight_id, lower | upper,
-                           upper - (lower << 1), masks(sources)))
-        else:
-            events.append((None, 1 << (ev[0] - 1), 0,
-                           masks(S for S in reach if ev[0] in S)))
+    for ev in sorted(edges, key=lambda ev: ev.key):
+        sources = [S for S in reach if ev.lower in S and ev.upper not in S]
+        reach |= {S - {ev.lower} | {ev.upper} for S in sources}
+        events.append((ev.weight_id, 1 << (ev.lower - 1) | 1 << (ev.upper - 1),
+                       masks(sources)))
     return (tuple(labels), edges, w_word, tuple(sorted(v_pos)),
             segments, tuple(events))
 
 
 def _decoded_program(d):
     """The diagram's sweep program read back through its index order, in
-    the replay's terms: per step, (the masks its segments negate,
-    weight_id, the edge's moves as (source mask, destination mask, odd)),
-    with weight_id None for the segments after the last edge. The index
-    order lists every position once, by size and then lexicographically,
-    starting each size where the program says; the sources 1'..k' hold
-    the first positions, every position read is one reached before the
-    step, and each new state takes the next position."""
+    the replay's terms: per step, (weight_id, the edge's moves as (source
+    mask, destination mask)). The index order lists every position once,
+    by size and then lexicographically, starting each size where the
+    program says; the sources 1'..k' hold the first positions, every
+    position read is one reached before the step, and each new state
+    takes the next position."""
     _, order, indices, bounds = d.sweep
     assert sorted(order) == list(range(len(order)))
     assert list(indices) == sorted(set(indices), key=lambda I: (len(I), I))
@@ -116,41 +110,22 @@ def _decoded_program(d):
         sum(1 << (d.strand_of_label(lb) - 1) for lb in range(1, k + 1))
         for k in range(1, d.n)]
     reached, out = d.n - 1, []
-    for negate, wid, even, odd, new in d.sweep.steps:
-        assert all(i < reached for i in negate)
-        negated = {masks[i] for i in negate}
-        if wid is None:
-            assert not even and not odd and not new and negate
-            out.append((negated, None, set()))
-            continue
-        assert all(i < reached and j < reached for i, j in even + odd)
-        moves = {(masks[i], masks[j], 0) for i, j in even}
-        moves |= {(masks[i], masks[j], 1) for i, j in odd}
+    for wid, moves, new in d.sweep.steps:
+        assert all(i < reached and j < reached for i, j in moves)
+        decoded = {(masks[i], masks[j]) for i, j in moves}
         for i in new:
-            assert (i if i >= 0 else ~i) < reached
-            moves.add((masks[i if i >= 0 else ~i], masks[reached], int(i < 0)))
+            assert i < reached
+            decoded.add((masks[i], masks[reached]))
             reached += 1
-        out.append((negated, wid, moves))
+        out.append((wid, decoded))
     assert reached == len(masks)
     return out
 
 
 def _replayed_moves(events):
-    """The replay's events in the terms of ``_decoded_program``: a move
-    from S is odd when it jumps an odd number of occupied strands, and an
-    edge's step negates the masks that an odd number of the segments since
-    the previous edge negate (negating twice cancels)."""
-    out, negated = [], set()
-    for wid, move, jumped, sources in events:
-        if wid is None:
-            negated ^= set(sources)
-            continue
-        out.append((negated, wid, {(S, S ^ move, (S & jumped).bit_count() & 1)
-                                   for S in sources}))
-        negated = set()
-    if negated:
-        out.append((negated, None, set()))
-    return out
+    """The replay's edge events in the terms of ``_decoded_program``."""
+    return [(wid, {(S, S ^ move) for S in sources})
+            for wid, move, sources in events]
 
 
 def test_backward_pass_matches_forward_replay():
@@ -158,8 +133,7 @@ def test_backward_pass_matches_forward_replay():
     forward replay, each -1 segment one half further right, at the key of
     the first letter of its run; the sources read v bottom to top, and
     every edge goes up. The compiled sweep program, decoded through its
-    index order, makes the replay's moves with the replay's parities and
-    negates the states the replay's segments do."""
+    index order, makes the replay's moves, one step per edge."""
     cells = [c for n in range(2, 6) for c in bruhat_pairs(n)]
     cells += random.Random(15).sample(bruhat_pairs(6), 200)
     for v, w in cells:
