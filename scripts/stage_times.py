@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """
 Print, for the top cell id <= w0 of each S_n given, one JSON line with
-the median milliseconds of six stages of the library on that cell:
+the median milliseconds of eight stages of the library on that cell:
 
     PYTHONPATH=src python3 scripts/stage_times.py [N ...] [--runs R] [--against PATH]
     PYTHONPATH=src python3 scripts/stage_times.py --cold N [--against PATH]
@@ -10,8 +10,10 @@ N defaults to 6 7 8 and R to 200. The stages are the classical and the
 tropical sweep alone (``wiring._run_sweep`` on the weights as ``phi``
 and ``trop_phi`` hand them over, ``plucker._exact_weights`` and
 ``plucker._trop_ints`` of them, made before the clock starts), ``phi``
-then ``decide_tnn``, ``trop_phi`` then ``decide_trop``, and the two
-deciders alone on a near-miss: the point given its coordinates, with
+then ``decide_tnn``, ``trop_phi`` then ``decide_trop``, each of those
+two round trips again with the certificate's ``to_json_dict()`` (the
+text the CLI prints: the cost of showing a member's weights), and the
+two deciders alone on a near-miss: the point given its coordinates, with
 the greatest non-generating coordinate in (size, index) order doubled
 (``decide_tnn``) or raised by 1 (``decide_trop``), built before the
 clock starts. Both near-misses are rejections, the classical one a
@@ -51,7 +53,7 @@ from tnnflag.perms import identity, longest_element
 
 
 def _warm_stages(lib, v, w) -> dict:
-    """The six warm stages of the package ``lib`` on the cell (v, w), each
+    """The eight warm stages of the package ``lib`` on the cell (v, w), each
     taking the inputs of ``_inputs``."""
     d = lib.wiring.build_diagram(v, w)
     run_sweep, m, p = lib.wiring._run_sweep, lib.membership, lib.plucker
@@ -60,6 +62,10 @@ def _warm_stages(lib, v, w) -> dict:
         "sweep_tropical_ms": lambda s: run_sweep(d, s["ints"], False),
         "phi_decide_tnn_ms": lambda s: m.decide_tnn(p.phi(v, w, s["a"])),
         "trop_phi_decide_trop_ms": lambda s: m.decide_trop(p.trop_phi(v, w, s["x"])),
+        "phi_decide_tnn_json_ms":
+            lambda s: m.decide_tnn(p.phi(v, w, s["a"])).to_json_dict(),
+        "trop_phi_decide_trop_json_ms":
+            lambda s: m.decide_trop(p.trop_phi(v, w, s["x"])).to_json_dict(),
         "decide_tnn_near_miss_ms": lambda s: m.decide_tnn(s["tnn_miss"]),
         "decide_trop_near_miss_ms": lambda s: m.decide_trop(s["trop_miss"]),
     }

@@ -33,33 +33,73 @@ __all__ = [
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .algebra import Trop, rat_to_str, trop_to_str
 from .perms import Perm, gale_leq, perm_to_str
 from .plucker import (
-    Index, PlueckerVector, TropPlueckerVector, _canonical_block, _first_violated,
+    Index, PlueckerVector, TropPlueckerVector, _first_violated,
     _relation_json, generate_relations, index_to_str, phi, trop_phi,
 )
 from .extremal import _lex_chain_cell, flag_matroid_check, generators
 from .wiring import _run_sweep, build_diagram
 
 
-class CellCertificate(NamedTuple):
-    verdict: str                                   # "member" | "non-member"
-    cell: tuple[Perm, Perm] | None = None
-    weights: dict[int, object] | None = None       # Fraction or Trop values
-    witness: dict | None = None
+class CellCertificate:
+    """A decider's verdict: ``member`` with the cell (v, w) and its
+    weights, or ``non-member`` with the witness dict of the check that
+    rejected. It behaves as a record of the fields ``_fields``: it is
+    built from them, iterates over them, compares by them (with another
+    certificate), shows them in ``repr``, is pickled as them and refuses
+    assignment. A member certificate from a decider keeps the weights as
+    ``_solve`` left them, reduced int pairs (p, q) classically and ints
+    L times the weights tropically, and makes their Fractions or Trops
+    (``_weights``) the first time ``weights`` is read; ``to_json_dict``
+    renders the ints as they are, with the text of ``rat_to_str`` and
+    ``trop_to_str``."""
+
+    __slots__ = ("verdict", "cell", "_values", "witness", "_ints")
+    _fields = ("verdict", "cell", "weights", "witness")
+
+    def __init__(self, verdict, cell=None, weights=None, witness=None, *, _ints=None):
+        for name, x in zip(self.__slots__, (verdict, cell, weights, witness, _ints)):
+            object.__setattr__(self, name, x)
+
+    @property
+    def weights(self) -> dict[int, object] | None:    # Fraction or Trop values
+        if self._values is None and self._ints is not None:
+            object.__setattr__(self, "_values", _weights(*self._ints))
+        return self._values
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot set {name!r}: CellCertificate is immutable")
+
+    __delattr__ = __setattr__
+
+    def __iter__(self):
+        return iter((self.verdict, self.cell, self.weights, self.witness))
+
+    def __eq__(self, other):
+        return type(other) is CellCertificate and tuple(self) == tuple(other)
+
+    def __reduce__(self):
+        return CellCertificate, tuple(self)
+
+    def __repr__(self) -> str:
+        return f"CellCertificate({', '.join(map('{}={!r}'.format, self._fields, self))})"
 
     def to_json_dict(self) -> dict:
         out: dict = {"verdict": self.verdict}
         if self.cell is not None:
-            out["v"] = perm_to_str(self.cell[0])
-            out["w"] = perm_to_str(self.cell[1])
-        if self.weights is not None:
+            out["v"], out["w"] = map(perm_to_str, self.cell)
+        if self._ints is not None:
+            a, L, signed = self._ints
+            out["weights"] = {str(j): _ratio(*x) if signed else _ratio(x, L)
+                              for j, x in sorted(a.items())}
+        elif self._values is not None:
             out["weights"] = {
                 str(j): (trop_to_str(x) if isinstance(x, Trop) else rat_to_str(x))
-                for j, x in sorted(self.weights.items())}
+                for j, x in sorted(self._values.items())}
         if self.witness is not None:
             out["witness"] = self.witness
         return out
@@ -193,6 +233,13 @@ def _weights(a: Mapping[int, object], L: int, signed: bool) -> dict:
             for j, x in a.items()}
 
 
+def _ratio(p: int, q: int) -> str:
+    """``rat_to_str(Fraction(p, q))`` for ints p and q != 0, made from
+    the ints with one gcd."""
+    g = gcd(p, q) if q > 0 else -gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
+
+
 # ---------------------------------------------------------------------------
 # Decision procedures
 # ---------------------------------------------------------------------------
@@ -205,7 +252,8 @@ def _reconstruct(p, blocks: list, L: int,
     ``_solve`` finds in them, and the cell's sweep of them
     (``wiring._run_sweep``: the solved weights are the cell's, ints
     tropically, L times the cell weights), which gives blocks of the same
-    shape. Returns ``(found, same)``: the member certificate; the witness
+    shape. Returns ``(found, same)``: the member certificate, which keeps
+    the solved ints and L as they are (``CellCertificate``); the witness
     dict of ``no-cell`` when the chains give no cell, or of
     ``unsupported-generating-index`` when the walk meets an unusable
     coordinate; or else the sweep's blocks, with ``same`` telling whether
@@ -231,7 +279,7 @@ def _reconstruct(p, blocks: list, L: int,
     found = _run_sweep(build_diagram(v, w), a, p.signed)
     same = [I for I, _ in found] == [I for I, _ in blocks]
     if same and all([_agrees(x, r) for (_, x), (_, r) in zip(blocks, found)]):
-        return CellCertificate("member", (v, w), _weights(a, L, p.signed)), True
+        return CellCertificate("member", (v, w), _ints=(a, L, p.signed)), True
     return found, same
 
 
@@ -255,19 +303,33 @@ def _own_witness(p, blocks: list, found: dict | list, L: int) -> dict:
 
 def _first_difference(p, blocks: list, found: list, L: int) -> dict:
     """The first index, by size and then lexicographically, where the
-    canonical coordinates of the blocks and of the sweep's blocks differ,
-    each block made canonical by ``plucker._canonical_block``. Per size it
-    walks the union of the two blocks' indices, an absent one at the
-    semiring's zero, so the indices neither block lists are equal."""
+    canonical coordinates of the blocks and of the sweep's blocks differ.
+    Per size it walks the union of the two blocks' indices, an absent
+    one at the semiring's zero, so the indices neither block lists are
+    equal. The ints are compared as ``_agrees`` compares them,
+    classically x_I r_unit against r_I x_unit and tropically Q_I against
+    r_I (both units are 0), with no Fraction made; only the two
+    coordinates of the reported index are rendered, from the ints
+    (``_coordinate_text``). The sweep's blocks are never empty (each
+    holds its unit index); an empty block of the input reads the zero at
+    every index."""
     for (I, x), (J, r) in zip(blocks, found):
-        a = dict(zip(I, _canonical_block(x, L, p.signed)))
-        b = dict(zip(J, _canonical_block(r, L, p.signed)))
+        a, b = dict(zip(I, x)), dict(zip(J, r))
+        unit = x[0] if x else 1             # an empty block reads the zero throughout
         for K in sorted(a.keys() | b.keys()):
-            x, r = a.get(K, p.zero), b.get(K, p.zero)
-            if x != r:
+            c, d = a.get(K), b.get(K)
+            if (c or 0) * r[0] != (d or 0) * unit if p.signed else c != d:
                 return {"type": "reconstruction-mismatch", "index": index_to_str(K),
-                        "input": p.render(x), "reconstructed": p.render(r)}
+                        "input": _coordinate_text(p, c, unit, L),
+                        "reconstructed": _coordinate_text(p, d, r[0], L)}
     raise AssertionError("unequal vectors with equal coordinates (bug)")
+
+
+def _coordinate_text(p, c: int | None, unit: int, L: int) -> str:
+    """The text of the canonical coordinate of the int c (None: absent)
+    in a block of p's ``_int_view`` whose unit is ``unit``, as
+    ``p.render`` gives the value that ``canonicalize`` makes of it."""
+    return _ratio(c or 0, unit) if p.signed else "inf" if c is None else _ratio(c - unit, L)
 
 
 def decide_tnn(p: PlueckerVector) -> CellCertificate:

@@ -101,14 +101,6 @@ def all_proper_indices(n: int) -> Iterator[Index]:
         yield from itertools.combinations(range(1, n + 1), k)
 
 
-def _canonical_block(x: list[int], L: int, signed: bool) -> list:
-    """The canonical coordinates of one size block of ints x (an
-    ``_int_view`` block, or a raw one), unit first: Fraction(x_I, x_unit)
-    classically, Trop(Fraction(x_I - x_unit, L)) tropically."""
-    return [Fraction(c, x[0]) if signed else Trop(Fraction(c - x[0], L))
-            for c in x]
-
-
 # ---------------------------------------------------------------------------
 # Vectors
 # ---------------------------------------------------------------------------
@@ -181,12 +173,16 @@ class _Vector:
         coordinate (the Gale minimum, whenever the support is a matroid), so
         that coordinate becomes one: 1 classically, 0 tropically. Each
         coordinate is a Fraction, or a Trop of one, listed by size and then
-        lexicographically, block by block from ``_int_view``
-        (``_canonical_block``). A vector that holds the raw sweep is
-        normalized from its integer view and keeps its raw form."""
+        lexicographically, block by block from ``_int_view``: the int
+        x_I of a block whose unit is x_unit gives Fraction(x_I, x_unit)
+        classically and Trop(Fraction(x_I - x_unit, L)) tropically. A
+        vector that holds the raw sweep is normalized from its integer
+        view and keeps its raw form."""
         blocks, L = self._int_view()
-        return type(self)(self.n, {I: c for J, x in blocks for I, c in
-                                   zip(J, _canonical_block(x, L, self.signed))})
+        signed = self.signed
+        return type(self)(self.n, {
+            I: Fraction(c, x[0]) if signed else Trop(Fraction(c - x[0], L))
+            for J, x in blocks for I, c in zip(J, x)})
 
     def _int_view(self) -> tuple[list[tuple[tuple[Index, ...], list[int]]], int]:
         """The one read of a vector's values: ``(blocks, L)``, per size

@@ -202,10 +202,11 @@ def _compile_sweep(v: Perm, edges: list) -> SweepProgram:
                         (*map(sizes.index, range(1, n)), len(lex)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _lex_table(n: int) -> dict[int, tuple[int, ...]]:
     """Every index of size 1..n-1 over {1..n} by its strand mask (bit i-1
-    for i), listed by rank: by size, then lexicographically. Read only."""
+    for i), listed by rank: by size, then lexicographically. Read only.
+    It holds 2^n - 2 entries, so the cache keeps the 16 latest n."""
     return {sum(1 << (i - 1) for i in I): I for k in range(1, n)
             for I in combinations(range(1, n + 1), k)}
 

@@ -144,6 +144,7 @@ def test_non_string_coordinate_exits_2(tmp_path, capsys, mode, value):
 # default limit), and Fraction expands exponent notation digit by digit
 BIG_INT = "1" + "0" * 5000
 LONG = "7" * 2500
+LONG_PLUS_1 = "7" * 2499 + "8"      # coprime to LONG
 # the full message for an input whose error names what failed: the digit
 # limit, or the coordinate or weight that does not parse
 EXP = "exponent notation is not accepted: '1e10000000'"
@@ -151,6 +152,7 @@ TOO_LONG = ("cannot render the result: a number has more than "
             f"{sys.get_int_max_str_digits()} digits")
 TOO_LONG_JSON = f"a number has more than {sys.get_int_max_str_digits()} digits"
 NAMED = {"long-weights.json": TOO_LONG, "long-coords.json": TOO_LONG,
+         "long-member.json": TOO_LONG, "long-trop-member.json": TOO_LONG,
          "big-n.json": f"big-n.json: {TOO_LONG_JSON}",
          "big-weight.json": f"big-weight.json: {TOO_LONG_JSON}",
          "exp.json": f"coordinate 1: {EXP}",
@@ -171,6 +173,12 @@ def _big_inputs(tmp_path) -> dict[str, str]:
         "long-coords.json": json.dumps({"n": 3, "coords": {
             k: f"{digits()}/{digits()}"
             for k in ("1", "2", "3", "1,2", "1,3", "2,3")}}),
+        # members whose one weight has about 5000 digits: LONG * LONG_PLUS_1,
+        # and tropically 1/LONG_PLUS_1 - 1/LONG
+        "long-member.json": json.dumps({"n": 2, "coords": {
+            "1": f"1/{LONG}", "2": LONG_PLUS_1}}),
+        "long-trop-member.json": json.dumps({"n": 2, "mode": "tropical", "coords": {
+            "1": f"1/{LONG}", "2": f"1/{LONG_PLUS_1}"}}),
         "exp.json": json.dumps({"n": 2, "coords": {"1": "1e10000000"}}),
         "trop-exp.json": json.dumps({"n": 2, "mode": "tropical",
                                      "coords": {"1": "1e10000000"}}),
@@ -187,11 +195,13 @@ def _big_inputs(tmp_path) -> dict[str, str]:
     (["extremal", "big-n.json"], "cannot read JSON"),
     (["plucker", "12", "21", "--weights", "big-weight.json"],
      "cannot read JSON"),
-    # a result with a number over the digit limit: the coordinates, or the
-    # reconstructed coordinate of a mismatch witness
+    # a result with a number over the digit limit: the coordinates, the
+    # reconstructed coordinate of a mismatch witness, or a member's weight
     (["plucker", "123", "321", "--weights", "long-weights.json"],
      "cannot render the result"),
     (["decide", "long-coords.json"], "cannot render the result"),
+    (["decide", "long-member.json"], "cannot render the result"),
+    (["trop-decide", "long-trop-member.json"], "cannot render the result"),
     # exponent notation
     (["decide", "exp.json"], "exponent notation is not accepted"),
     (["trop-decide", "trop-exp.json"], "exponent notation is not accepted"),

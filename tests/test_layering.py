@@ -6,9 +6,10 @@ defines it and runs ``verify``'s checks, may use
 The library is what the deciders and the commands run: each name a
 library module exports is used by another library module or by ``cli``,
 or is public API. README's API list names every export.
-Memory stays bounded: only the per-n tables named below may sit in an
-unbounded ``lru_cache``, and the per-cell caches hold at most a fixed
-number of cells, enough for every cell of S3-S5.
+Memory stays bounded: no function sits in an unbounded ``lru_cache``
+(``UNBOUNDED_CACHES`` names none; the per-n tables keep their latest n),
+and the per-cell caches hold at most a fixed number of cells, enough for
+every cell of S3-S5.
 The compiled sweep is ``wiring``'s own: no other module reads a
 diagram's ``sweep`` or a ``SweepProgram``'s fields, so the program's
 layout can change inside ``wiring`` alone.
@@ -43,7 +44,7 @@ PUBLIC_API = {
     "propagate_three_term", "trop_propagate_three_term",
 }
 README = PACKAGE.parent.parent / "README.md"
-UNBOUNDED_CACHES = {"_lex_table"}
+UNBOUNDED_CACHES: set[str] = set()
 S3_TO_S5_CELLS = 4013
 NOT_LOADED_BY_CLI = ("dataclasses", "inspect", "ast", "dis", "tokenize",
                      "tnnflag.oracle")
