@@ -24,11 +24,14 @@ denominator 1..9, and times every stage once on them with the diagram
 already built.
 
 ``--cold N`` prints instead the per-cell medians, in microseconds, of
-three cold stages over every cell v <= w of S_N: ``build_diagram``,
-then ``generators`` on that diagram (and the two summed), and, in a
-second pass, ``phi`` then ``decide_tnn``. Every cache of the package is cleared before each
-pass, and each pass sees each cell once, as perfbench's ``s5-sweep``
-does.
+four stages over every cell v <= w of S_N: ``build_diagram``, then
+``generators`` on that diagram (and the two summed), and, in a second
+pass, ``phi`` then ``decide_tnn``, each cell then at once timed again
+as ``trop_phi`` then ``decide_trop`` of the same weights as Trops, on
+the cell that the classical stage has just warmed. Every cache of the
+package is cleared before each pass, and each pass sees each cell once,
+as perfbench's ``s5-sweep`` does, whose tropical part follows its
+classical part on each cell in the same way.
 
 ``--against PATH`` imports ``PATH/src/tnnflag`` as a second package and
 times both trees on the same weights, run by run (or cell by cell with
@@ -138,6 +141,10 @@ def _phi_decide_tnn(lib, v, w, a):
     return lib.membership.decide_tnn(lib.plucker.phi(v, w, a))
 
 
+def _trop_phi_decide_trop(lib, v, w, x):
+    return lib.membership.decide_trop(lib.plucker.trop_phi(v, w, x))
+
+
 def cold_times(n: int, trees: list) -> list[dict]:
     """Per tree, the median microseconds per cell of the cold stages, over
     every cell of S_n in ``bruhat_pairs`` order: the trees take turns on
@@ -146,7 +153,8 @@ def cold_times(n: int, trees: list) -> list[dict]:
     turns = [list(enumerate(trees)), list(enumerate(trees))[::-1]]
     rng = random.Random(n)
     times = [{"build_diagram_us": [], "generators_us": [],
-              "phi_decide_tnn_us": []} for _ in trees]
+              "phi_decide_tnn_us": [], "trop_phi_decide_trop_us": []}
+             for _ in trees]
     weights = []
     for lib in trees:
         _clear_caches(lib)
@@ -163,8 +171,11 @@ def cold_times(n: int, trees: list) -> list[dict]:
         _clear_caches(lib)
     for c, ((v, w), a) in enumerate(zip(cells, weights)):
         for t, lib in turns[c % 2]:
+            x = {j: lib.algebra.Trop(q) for j, q in a.items()}
             times[t]["phi_decide_tnn_us"].append(
                 _timed(_phi_decide_tnn, lib, v, w, a))
+            times[t]["trop_phi_decide_trop_us"].append(
+                _timed(_trop_phi_decide_trop, lib, v, w, x))
     rows = []
     for ts in times:
         ts["build_diagram_generators_us"] = list(

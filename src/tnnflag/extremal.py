@@ -36,7 +36,9 @@ from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .perms import Perm
 from .plucker import Index, _Vector
-from .wiring import _CELL_CACHE_SIZE, _greedy_prefixes, _reached, build_diagram
+from .wiring import (
+    _CELL_CACHE_SIZE, _greedy_prefixes, _new_record, _reached, build_diagram,
+)
 
 
 class SupportVector(NamedTuple):
@@ -175,18 +177,37 @@ def _lex_chain_cell(support: Sequence[Sequence[Index]], n: int,
     lexicographic order (the index tuples of ``_int_view``'s blocks),
     ``extremal_indices`` its chains. Raises ValueError when a size is
     empty, the first or the last indices do not form a flag of subsets
-    of 1..n, or v is not <= w. The flags are the prefix sets of v^-1 and
-    w^-1, so v <= w exactly when each size's pair is in Gale order (the
-    tableau criterion). Each permutation is filled directly: k at the
-    element e that the size-k index adds (v(e) = k), and n at the one
-    element left over."""
+    of 1..n, or v is not <= w (``_ends_cell``). Ends that are tuples of
+    ints 0..255 are looked up in ``_ends_cell``'s cache. Any others go to
+    its checks uncached, so a cached cell never answers for an end that
+    only equals an index, such as one with an entry 1.0 or Fraction(1)."""
     for k, block in enumerate(support, start=1):
         if not block:
             raise ValueError(f"no supported index of size {k}")
-    mins, maxs = [b[0] for b in support], [b[-1] for b in support]
+    mins, maxs = tuple([b[0] for b in support]), tuple([b[-1] for b in support])
+    try:    # raises for an end not a tuple, and an entry not an int 0..255
+        bytes(sum(mins + maxs, ()))
+    except (TypeError, ValueError):
+        return _ends_cell.__wrapped__(mins, maxs, n)
+    return _ends_cell(mins, maxs, n)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _ends_cell(mins: tuple[Index, ...], maxs: tuple[Index, ...], n: int,
+               ) -> tuple[Perm, Perm]:
+    """The cell whose flags are the prefix sets of v^-1 and w^-1, given
+    the first and the last index of each size 1..n-1, as
+    ``_lex_chain_cell`` reads them. Raises ValueError when either half
+    does not form a flag of subsets of 1..n, or v is not <= w. v <= w
+    exactly when each size's pair is in Gale order (the tableau
+    criterion). Each permutation is filled directly: k at the element e
+    that the size-k index adds (v(e) = k), and n at the one element left
+    over. A cell is read once per pair of ends, so a decider's
+    reconstruction finds the one that the other semiring's, or an
+    earlier call's, read: the cache keeps the 64 latest."""
     full = (1 << n + 1) - 2             # the strand mask of 1..n
 
-    def flag_to_perm(flag: list[Index]) -> Perm:
+    def flag_to_perm(flag: tuple[Index, ...]) -> Perm:
         perm = [n] * n
         seen = 0                        # the strand mask of the last index
         for k, I in enumerate(flag, start=1):
@@ -227,9 +248,6 @@ class Generator(NamedTuple):
     in_svw: bool
 
 
-_new_record = tuple.__new__
-
-
 @lru_cache(maxsize=_CELL_CACHE_SIZE)
 def generators(v: Perm, w: Perm) -> tuple[Generator, ...]:
     """Extremal indices in traversal order: the sink sets of each size's
@@ -237,25 +255,27 @@ def generators(v: Perm, w: Perm) -> tuple[Generator, ...]:
     read off the walk that ``oracle.graph_extremal_collections`` wraps.
     The sizes are walked from n-1 down to 1, and each size's prefixes
     come in lexicographic order, so they arrive in traversal order
-    (larger size first, then lexicographically) with no sort. An index
-    is independent when it adds a fresh id, or when its collection is
-    the all-diagonal one (at each size's Gale-minimal index) with no
-    ids. That each adds at most one fresh
-    id, and that the fresh ids are every cell weight, are checked by
-    ``verify`` and the tests, not here."""
-    d = build_diagram(v, w)
+    (larger size first, then lexicographically) with no sort. Each
+    prefix adds one source's climbed path to the one before it, so its
+    ids, by source label, are that path's put in its source's place, and
+    only that path's ids can be fresh. An index is independent when it
+    adds a fresh id, or when its collection is the all-diagonal one (at
+    each size's Gale-minimal index) with no ids. That each adds at most
+    one fresh id, and that the fresh ids are every cell weight, are
+    checked by ``verify`` and the tests, not here."""
+    walks = _greedy_prefixes(build_diagram(v, w))
     used: set[int] = set()
     out: list[Generator] = []
     for k in range(len(v) - 1, 0, -1):
-        for I, climbed in _greedy_prefixes(d, k):
-            # a vertex-disjoint collection uses each edge once
-            ids = tuple([e.weight_id for e in sum(climbed, ())])
-            if used.issuperset(ids):
+        paths = [()] * (k + 1)          # by source label, the ids climbed
+        for I, s, climbed in walks[k - 1]:
+            paths[s] = climbed
+            if used.issuperset(climbed):
                 new = None
             else:
-                new = min(set(ids).difference(used))
-                used.update(ids)
-            # the record's fields in order, without the generated __new__
+                new = min(set(climbed).difference(used))
+                used.update(climbed)
+            ids = sum(paths, ())
             out.append(_new_record(Generator, (
                 I, ids, new, new is not None or not ids)))
     return tuple(out)

@@ -44,6 +44,8 @@ from .plucker import (
 from .extremal import _lex_chain_cell, flag_matroid_check, generators
 from .wiring import _run_sweep, build_diagram
 
+_setattr = object.__setattr__       # past CellCertificate's refusal
+
 
 class CellCertificate:
     """A decider's verdict: ``member`` with the cell (v, w) and its
@@ -62,13 +64,16 @@ class CellCertificate:
     _fields = ("verdict", "cell", "weights", "witness")
 
     def __init__(self, verdict, cell=None, weights=None, witness=None, *, _ints=None):
-        for name, x in zip(self.__slots__, (verdict, cell, weights, witness, _ints)):
-            object.__setattr__(self, name, x)
+        _setattr(self, "verdict", verdict)
+        _setattr(self, "cell", cell)
+        _setattr(self, "_values", weights)
+        _setattr(self, "witness", witness)
+        _setattr(self, "_ints", _ints)
 
     @property
     def weights(self) -> dict[int, object] | None:    # Fraction or Trop values
         if self._values is None and self._ints is not None:
-            object.__setattr__(self, "_values", _weights(*self._ints))
+            _setattr(self, "_values", _weights(*self._ints))
         return self._values
 
     def __setattr__(self, name, *_):

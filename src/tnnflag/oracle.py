@@ -35,6 +35,7 @@ __all__ = [
     "check_relation", "trop_check_relation", "trop_terms_verdict",
 ]
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -248,20 +249,25 @@ def phi_minors(v: Perm, w: Perm, a) -> PlueckerVector:
     return normalize_blocks(_top_minors(mr_matrix(v, w, a)))
 
 
-_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
-           61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113]
+def _primes(k: int) -> list[int]:
+    """The first k primes, by trial division."""
+    return list(itertools.islice(
+        (c for c in itertools.count(2)
+         if all(c % d for d in range(2, math.isqrt(c) + 1))), k))
 
 
 def generic_weights(v: Perm, w: Perm, seed: int) -> dict[int, Fraction]:
-    """Positive weights with distinct prime numerators; two independent
-    draws must produce the same support, otherwise both are resampled
-    (protects against accidental coordinate collisions to zero).
+    """Positive weights with distinct prime numerators, drawn from the
+    first max(30, #weights) primes; two independent draws must produce
+    the same support, otherwise both are resampled (protects against
+    accidental coordinate collisions to zero).
     """
     ids = build_diagram(v, w).weight_ids()
     rng = random.Random(seed)
+    pool = _primes(max(30, len(ids)))
 
     def draw() -> dict[int, Fraction]:
-        primes = rng.sample(_PRIMES, len(ids))
+        primes = rng.sample(pool, len(ids))
         return {j: Fraction(p, rng.randint(1, 7))
                 for j, p in zip(ids, primes)}
 
@@ -445,13 +451,19 @@ def graph_extremal_collections(d: WiringDiagram, k: int) -> list[PathCollection]
     """For each i in 0..k: left-greedy paths from the topmost i sources of
     {1'..k'} plus diagonal paths from the rest, one per sink set, by sink
     set, as records: the walk that ``extremal.generators`` reads
-    (``wiring._greedy_prefixes``). These are the extremal indices of size
-    k with their only collections, as ``verify`` and the tests check."""
+    (``wiring._greedy_prefixes``), each set's one added path put in its
+    source's place, its weight ids read back as the diagram's edges.
+    These are the extremal indices of size k with their only
+    collections, as ``verify`` and the tests check."""
     if not 1 <= k <= d.n:
         raise ValueError("k out of range")
-    return [PathCollection(tuple(Path(s, d.strand_of_label(s), es)
-                                 for s, es in enumerate(climbed, start=1)))
-            for _, climbed in _greedy_prefixes(d, k)]
+    climbed = [()] * (k + 1)            # by source label
+    out = []
+    for _, s, ids in _greedy_prefixes(d)[k - 1]:
+        climbed[s] = tuple(e for e in d.edges if e.weight_id in ids)
+        out.append(PathCollection(tuple(Path(s, d.strand_of_label(s), climbed[s])
+                                        for s in range(1, k + 1))))
+    return out
 
 
 def collection_weight(c: PathCollection, d: WiringDiagram) -> LaurentMonomial:

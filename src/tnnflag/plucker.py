@@ -198,16 +198,19 @@ class _Vector:
         classical value is x_I (so a negative value is a negative
         coordinate of the input), and a tropical one is Q_I = x_I - x_unit.
         The keys of the support are not checked (``check_indices`` does
-        that), but a key of size 0 or n or more, or one that does not
-        sort with the others, raises its ValueError, and so does any key
-        at the semiring's zero that is not an index: no later check sees
-        those keys, since the view leaves them out."""
+        that), but a key of size 0 or n or more, one that does not sort
+        with the others, or one with an entry that is not an int (1.0 and
+        True equal ints without being them) raises its ValueError, and so
+        does any key at the semiring's zero that is not an index: no later
+        check sees those keys, since the view leaves them out. A vector
+        that holds the raw sweep has no keys to check."""
         if self._raw is not None:
             return self._raw
         signed = self.signed
         sup = {k: [] for k in range(1, self.n)}
-        keyed = True                        # every key at the zero is an index
         try:
+            # every key is of ints, and every key at the zero is an index
+            keyed = {*map(type, itertools.chain.from_iterable(self._coords))} <= {int}
             for I, val in self._coords.items():
                 if (val.numerator if signed else val.value is not None):
                     sup[len(I)].append((I, val if signed else val.value))

@@ -40,6 +40,8 @@ from .perms import (
     Perm, Word, canonical_w0_word, is_perm, positive_distinguished_subexpression,
 )
 
+_new_record = tuple.__new__     # a NamedTuple record from its fields in order
+
 
 class VerticalEdge(NamedTuple):
     weight_id: int          # position of the letter within w's reduced word
@@ -145,21 +147,17 @@ def build_diagram(v: Perm, w: Perm) -> WiringDiagram:
         i, key = w_word.letters[j - 1], keys[j - 1]
         column = n + 1 - w_word.runs[j - 1]
         if j in crossing:
-            segments.append(NegativeSegment(strand[i - 1], key - (i - 1),
-                                            (column, column + 1)))
+            segments.append(_new_record(NegativeSegment, (
+                strand[i - 1], key - (i - 1), (column, column + 1))))
             strand[i - 1], strand[i] = strand[i], strand[i - 1]
         else:
-            edges.append(VerticalEdge(j, key, column,
-                                      strand[i - 1], strand[i]))
+            edges.append(_new_record(VerticalEdge, (
+                j, key, column, strand[i - 1], strand[i])))
     edges.reverse()
     segments.reverse()
-
-    return WiringDiagram(
-        n=n, cell=(v, w), source_label=v,
-        edges=tuple(edges), neg_segments=tuple(segments),
-        w_word=w_word, v_positions=v_pos,
-        sweep=_compile_sweep(v, edges),
-    )
+    return _new_record(WiringDiagram, (
+        n, (v, w), v, tuple(edges), tuple(segments), w_word, v_pos,
+        _compile_sweep(v, edges)))
 
 
 def _compile_sweep(v: Perm, edges: list) -> SweepProgram:
@@ -194,21 +192,24 @@ def _compile_sweep(v: Perm, edges: list) -> SweepProgram:
                     masks.append(T)
                     new.append(i)
         steps.append((e.weight_id, tuple(moves), tuple(new)))
-    table = _lex_table(n)
-    lex = list(filter(pos.__contains__, table))     # the reached masks by rank
+    table, rank = _lex_table(n)
+    lex = sorted(pos, key=rank.__getitem__)         # the reached masks by rank
     sizes = list(map(int.bit_count, lex))
-    return SweepProgram(tuple(steps), tuple(map(pos.__getitem__, lex)),
-                        tuple(map(table.__getitem__, lex)),
-                        (*map(sizes.index, range(1, n)), len(lex)))
+    return _new_record(SweepProgram, (
+        tuple(steps), tuple(map(pos.__getitem__, lex)),
+        tuple(map(table.__getitem__, lex)),
+        (*map(sizes.index, range(1, n)), len(lex))))
 
 
 @lru_cache(maxsize=16)
-def _lex_table(n: int) -> dict[int, tuple[int, ...]]:
+def _lex_table(n: int) -> tuple[dict[int, tuple[int, ...]], dict[int, int]]:
     """Every index of size 1..n-1 over {1..n} by its strand mask (bit i-1
-    for i), listed by rank: by size, then lexicographically. Read only.
-    It holds 2^n - 2 entries, so the cache keeps the 16 latest n."""
-    return {sum(1 << (i - 1) for i in I): I for k in range(1, n)
-            for I in combinations(range(1, n + 1), k)}
+    for i), listed by rank: by size, then lexicographically; and each
+    mask's rank. Read only. They hold 2^n - 2 entries each, so the cache
+    keeps the 16 latest n."""
+    table = {sum(1 << (i - 1) for i in I): I for k in range(1, n)
+             for I in combinations(range(1, n + 1), k)}
+    return table, {S: r for r, S in enumerate(table)}
 
 
 def _run_sweep(d: WiringDiagram, x: Mapping[int, tuple[int, int] | int],
@@ -280,48 +281,55 @@ def _reached(d: WiringDiagram) -> list[tuple]:
 # Greedy / extremal collections
 # ---------------------------------------------------------------------------
 
-def _greedy_prefixes(d: WiringDiagram, k: int) -> list:
-    """For each i, the topmost i of the sources 1'..k' take every left
-    turn (upward edge) they can without meeting another path, the rest
-    stay diagonal: per distinct sink set I, in lexicographic order of I
-    as a sorted tuple, (I, the edges each source climbs, by source
-    label). Paths turn around those above them only, so one walk in key
-    order places all: the path on an edge's lower strand climbs it
-    exactly when no path holds the upper one. Edge keys are distinct, so
-    wherever the sequential greedy (paths added top-down, each turning
-    around those placed) succeeds, this is its collection. A path that
-    climbs moves one sink r up to a strand u > r: a new sink set, whose
-    tuple is read off ``_lex_table`` by its strand mask (the shared
-    tuple, not a new one). Its sorted tuple keeps the elements below r
-    and then has one above r where r stood, so it is lexicographically
-    greater: the sets come in lexicographic order, with no sort. At
-    k = n the one sink set is every strand, reached by no climb."""
-    n = d.n
-    if k == n:                  # every strand is held, so no path climbs
-        return [(tuple(range(1, n + 1)), ((),) * n)]
-    holder = [0] * (n + 1)      # strand -> the source label on it, or 0
-    start, sinks = [], 0        # the sources' strands top-down, their mask
-    for r in range(n, 0, -1):
-        s = d.source_label[r - 1]
-        if s <= k:
-            holder[r] = s
-            start.append(r)
-            sinks |= 1 << (r - 1)
-    climbed = {holder[r]: [] for r in start}
-    for e in d.edges:
-        s = holder[e.lower]
-        if s and not holder[e.upper]:
-            holder[e.lower], holder[e.upper] = 0, s
-            climbed[s].append(e)
-    paths = dict.fromkeys(range(1, k + 1), ())     # by source label
-    table = _lex_table(n)
-    found = [(table[sinks], tuple(paths.values()))]
-    for r, (s, es) in zip(start, climbed.items()):
-        if es:
-            paths[s] = tuple(es)
-            sinks ^= 1 << (r - 1) | 1 << (es[-1].upper - 1)
-            found.append((table[sinks], tuple(paths.values())))
-    return found
+def _greedy_prefixes(d: WiringDiagram) -> list[list]:
+    """Per size k = 1..n, a list: for each i, the topmost i of the
+    sources 1'..k' take every left turn (upward edge) they can without
+    meeting another path, the rest stay diagonal; per distinct sink set
+    I, in lexicographic order of I as a sorted tuple, (I, s, ids): the
+    label s of the one source whose climbed path the set adds and the
+    weight ids of the edges it climbs, in key order. The first set,
+    where every path is diagonal, adds none, (I, 0, ()); each later set
+    keeps the paths of those before it. Paths turn around those above
+    them only, so one walk in key order places all: the path on an
+    edge's lower strand climbs it exactly when no path holds the upper
+    one. Edge keys are distinct, so wherever the sequential greedy
+    (paths added top-down, each turning around those placed) succeeds,
+    this is its collection. A path that climbs moves one sink r up to a
+    strand u > r: a new sink set, whose tuple is read off ``_lex_table``
+    by its strand mask (the shared tuple, not a new one). Its sorted
+    tuple keeps the elements below r and then has one above r where r
+    stood, so it is lexicographically greater: the sets come in
+    lexicographic order, with no sort. Size k's sources are size k-1's
+    and k', so the walks share their set-up. At k = n the one sink set
+    is every strand, reached by no climb."""
+    n, labels = d.n, d.source_label
+    table = _lex_table(n)[0]
+    placed = [0] * (n + 1)      # strand -> the source label on it, or 0
+    start = 0                   # the strand mask of the sources 1'..k'
+    out = []
+    for k in range(1, n):
+        r = labels.index(k) + 1
+        placed[r] = k
+        start |= 1 << (r - 1)
+        holder = placed.copy()
+        climbed, end = {}, {}   # by source label: the ids climbed, the sink
+        for e in d.edges:
+            s, u = holder[e.lower], e.upper
+            if s and not holder[u]:
+                holder[e.lower], holder[u] = 0, s
+                end[s] = u
+                climbed.setdefault(s, []).append(e.weight_id)
+        sinks = start
+        found = [(table[sinks], 0, ())]
+        if climbed:
+            for r in range(n, 0, -1):       # the sources top-down
+                s = placed[r]
+                if s in climbed:
+                    sinks ^= 1 << (r - 1) | 1 << (end[s] - 1)
+                    found.append((table[sinks], s, tuple(climbed[s])))
+        out.append(found)
+    out.append([(tuple(range(1, n + 1)), 0, ())])   # no path can climb
+    return out
 
 
 if __name__ == "__main__":

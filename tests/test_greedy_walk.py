@@ -105,6 +105,23 @@ def _generators_sorting_reference(v, w):
     return tuple(out)
 
 
+def _walk_by_label(d, k):
+    """Size k's list of ``_greedy_prefixes(d)`` as the sorting walk lists it: per sink
+    set, the edges each source climbs, by source label. The first set
+    adds no path and each later one the path of a source still diagonal,
+    which is not empty."""
+    edge = {e.weight_id: e for e in d.edges}
+    paths = [()] * k
+    out = []
+    for i, (I, s, ids) in enumerate(_greedy_prefixes(d)[k - 1]):
+        assert (s, ids) == (0, ()) if i == 0 else \
+            1 <= s <= k and paths[s - 1] == () and ids, (d.cell, k, i)
+        if s:
+            paths[s - 1] = tuple(map(edge.__getitem__, ids))
+        out.append((I, tuple(paths)))
+    return out
+
+
 def _cells():
     return ([c for n in (3, 4, 5) for c in bruhat_pairs(n)]
             + random.Random(27).sample(bruhat_pairs(6), 300)
@@ -123,15 +140,15 @@ def test_generators_match_the_record_walk():
 
 def test_walk_and_generators_match_the_sorting_versions():
     """Every S3-S5 cell, 300 seeded S6 cells and the S7 and S8 top cells:
-    the walk at every k in 1..n gives the sorting walk's sink sets and
-    climbed edges, in its order, and the generators, walked size by size,
+    the walk at every k in 1..n, its added paths put in place, gives the
+    sorting walk's sink sets and climbed edges, in its order, and the generators, walked size by size,
     equal those sorted by ``precedes_key``, field for field. At k = n,
     ``graph_extremal_collections`` wraps the sorting walk's one entry."""
     for v, w in _cells():
         d = build_diagram(v, w)
         n = len(v)
         for k in range(1, n + 1):
-            assert _greedy_prefixes(d, k) == \
+            assert _walk_by_label(d, k) == \
                 _greedy_prefixes_sorting_reference(d, k), (v, w, k)
         (_, climbed), = _greedy_prefixes_sorting_reference(d, n)
         assert graph_extremal_collections(d, n) == [PathCollection(tuple(

@@ -210,6 +210,29 @@ def test_decide_rejects_unsorted_index_keys(tropical):
     assert cells == {*_cells(3), *_cells(4)}
 
 
+@pytest.mark.parametrize("tropical", [False, True])
+def test_keys_equal_to_indices_are_bad_indices(tropical):
+    """On the S4 top cell, a key that equals an index without being one,
+    of floats or with a bool entry, inside a size block or at a chain
+    end: each decider raises the ValueError naming it, as for any other
+    key that is not an index (a member's supported keys are indices)."""
+    v, w = identity(4), longest_element(4)
+    a = {j: Fraction(j) for j in build_diagram(v, w).weight_ids()}
+    if tropical:
+        p, decide = trop_phi(v, w, {j: Trop(x) for j, x in a.items()}), decide_trop
+    else:
+        p, decide = phi(v, w, a), decide_tnn
+    for I, J, inside in [((1, 4), (1.0, 4.0), True), ((1, 4), (True, 4), True),
+                         ((1, 2, 4), (1, 2, 4.0), True),
+                         ((1, 2), (1.0, 2.0), False), ((1, 2), (True, 2), False),
+                         ((1,), (True,), False), ((3, 4), (3.0, 4), False)]:
+        block = sorted(K for K in p.coords if len(K) == len(I))
+        assert (block[0] != I != block[-1]) is inside, I
+        q = type(p)(p.n, {J if K == I else K: x for K, x in p.coords.items()})
+        with pytest.raises(ValueError, match=re.escape(f"bad index {J!r} for n=4")):
+            decide(q)
+
+
 def test_decide_tnn_negative_coordinate():
     p = phi(EX_V, EX_W, EX_A)
     p.coords[(2, 3)] = -p.coords[(2, 3)]

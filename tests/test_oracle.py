@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,30 @@ def test_generic_weights_positive_with_right_ids():
     assert all(x > 0 for x in a.values())
     # distinct numerators by construction, so no accidental collisions
     assert len({x.numerator for x in a.values()}) == len(a)
+
+
+def test_generic_weights_beyond_thirty_weights():
+    """The S9 top cell has 36 weights: each gets its own prime numerator.
+    Draws of up to 30 weights are those made from the first 30 primes
+    alone, as before (the S5 and S8 top cells, with 10 and 28)."""
+    v, w = identity(9), longest_element(9)
+    a = generic_weights(v, w, seed=0)
+    assert sorted(a) == list(build_diagram(v, w).weight_ids())
+    assert len({x.numerator for x in a.values()}) == len(a) == 36
+    assert all(x > 0 for x in a.values())
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+              61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113]
+    for n in (5, 8):
+        v, w = identity(n), longest_element(n)
+        ids = build_diagram(v, w).weight_ids()
+        rng = random.Random(3)
+        first = {j: Fraction(p, rng.randint(1, 7))
+                 for j, p in zip(ids, rng.sample(primes, len(ids)))}
+        second = {j: Fraction(p, rng.randint(1, 7))
+                  for j, p in zip(ids, rng.sample(primes, len(ids)))}
+        # the first draw is kept when both draws give the cell's support
+        assert phi(v, w, first).support() == phi(v, w, second).support()
+        assert generic_weights(v, w, seed=3) == first, n
 
 
 def test_generic_weights_support_is_the_cell_support():
