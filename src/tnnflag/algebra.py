@@ -1,7 +1,9 @@
 """
 Exact scalar arithmetic: rationals and the tropical semiring Q u {inf}
-(min-plus), with their text forms. The Laurent monomials that check the
-inverse map are the oracle's (``oracle.LaurentMonomial``).
+(min-plus), with their text forms. Laurent monomials are the oracle's
+(``oracle.LaurentMonomial``, a path collection's signed weight); the
+tests' check of the inverse map (``tests/oracle_reference.py``) reuses
+them.
 
 All scalars are `fractions.Fraction`; no floats anywhere.
 

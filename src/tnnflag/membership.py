@@ -2,7 +2,7 @@
 Inverting the cell parameterization and deciding membership: cell
 identification from a support pattern (the support layer, ``extremal``,
 reads the cell off the chain ends), the inverse map as one walk over the
-generators, classical or min-plus (the oracle's ``psi_monomials`` walks
+generators, classical or min-plus (the tests' ``psi_monomials`` walks
 them on Laurent monomials to check it), certificate-producing decision
 procedures for the nonnegative flag variety and the nonnegative flag
 Dressian, and three-term propagation from the values at
@@ -361,8 +361,11 @@ def decide_tnn(p: PlueckerVector) -> CellCertificate:
     reconstruction's (which is the cell's, a flag matroid), the map by
     size of ``support()`` read only then; the reconstruction's own
     witness, read off the two block lists only then. A size block without
-    Gale extremes is not a matroid, so that check names it.
+    Gale extremes is not a matroid, so that check names it. A p that is
+    not a classical vector raises ValueError.
     """
+    if not p.signed:
+        raise ValueError(f"expected a classical vector, got a {p.mode} one")
     blocks, L = p._int_view()
     negative = any([min(x, default=0) < 0 for _, x in blocks])
     found, same = (None, False) if negative else _reconstruct(p, blocks, L)
@@ -401,8 +404,10 @@ def decide_trop(p: TropPlueckerVector) -> CellCertificate:
     finite, the three-term relations alone decide it (Joswig-Loho-Luber-
     Olarte 2021), and a member's cell is then id <= w0; with infinite
     coordinates they do not (``tests/test_theorems.py`` pins an n = 5
-    vector).
+    vector). A p that is not a tropical vector raises ValueError.
     """
+    if p.signed:
+        raise ValueError(f"expected a tropical vector, got a {p.mode} one")
     blocks, L = p._int_view()
     found, _ = _reconstruct(p, blocks, L)
     if type(found) is CellCertificate:

@@ -6,8 +6,8 @@ counterpart (least collection weights), both from one sweep over the
 diagram, the quadratic incidence relations, and the scan for the first
 one that a tropical point does not positively solve
 (``_first_violated``), which ``decide_trop`` runs. Evaluating one
-relation at a vector (``oracle.check_relation``,
-``oracle.trop_check_relation``) is the oracle's.
+relation at a vector (``check_relation``, ``trop_check_relation``) is
+the tests' (``tests/oracle_reference.py``).
 
 Coordinates are indexed by sorted tuples over {1..n}, all proper nonempty
 sizes 1..n-1; each size block is projective (common scalar classically,

@@ -1,15 +1,16 @@
 """
 Planar wiring diagrams for Bruhat pairs v <= w: n horizontal strands,
-weighted vertical edges, and -1 diagonal segments, which only the
-oracle's signed references read; the sweep behind ``phi`` and
+weighted vertical edges, and -1 diagonal segments, which the ``cell``
+command prints and, of the oracle, only a collection's signed weight
+(``oracle.collection_weight``) reads; the sweep behind ``phi`` and
 ``trop_phi``, compiled once per diagram into a program on the strand
 sets the paths can occupy (``SweepProgram``), and the kernel that runs
 it; and the left-greedy paths that give the extremal indices, built in
 one walk over the edges in key order (``_greedy_prefixes``).
 The path records (``oracle.Path``, ``oracle.PathCollection``), listing
-every non-intersecting path collection, a collection's signed weight and
-the path-sum matrix, which only check what this module computes, are
-the oracle's.
+every non-intersecting path collection and a collection's signed weight,
+which only check what this module computes, are the oracle's; the
+path-sum matrix is the tests' (``tests/oracle_reference.py``).
 
 Geometry conventions: strand r is the r-th from the bottom; sinks are the
 right ends of the strands (sink r on strand r); sources are primed labels

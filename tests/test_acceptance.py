@@ -12,14 +12,17 @@ from tnnflag.algebra import Trop
 from tnnflag.extremal import cell_support, extremal_index_set, s_vw
 from tnnflag.membership import decide_tnn, decide_trop, propagate_three_term, psi
 from tnnflag.oracle import (
-    check_relation, determinant_cofactor, enumerate_path_collections,
-    generic_weights, graph_extremal_collections, ideal_element_sample,
-    mr_matrix, path_sum_matrix, psi_monomials, random_flag, support_oracle,
-    trop_check_relation, trop_eval_poly_terms, trop_terms_verdict,
+    determinant_cofactor, enumerate_path_collections, generic_weights,
+    graph_extremal_collections, mr_matrix, support_oracle,
 )
 from tnnflag.perms import all_perms, bruhat_leq, identity, longest_element
 from tnnflag.plucker import PlueckerVector, generate_relations, phi, trop_phi
 from tnnflag.wiring import build_diagram
+
+from oracle_reference import (
+    check_relation, ideal_element_sample, path_sum_matrix, psi_monomials,
+    random_flag, trop_check_relation, trop_eval_poly_terms, trop_terms_verdict,
+)
 
 EX_V, EX_W = (1, 3, 2, 4), (4, 2, 1, 3)
 

@@ -28,13 +28,14 @@ from fractions import Fraction
 from tnnflag.algebra import TROP_INF, Trop
 from tnnflag.extremal import generators
 from tnnflag.membership import propagate_three_term, trop_propagate_three_term
-from tnnflag.oracle import normalize_blocks, random_flag
+from tnnflag.oracle import normalize_blocks
 from tnnflag.perms import bruhat_pairs
 from tnnflag.plucker import (
     PlueckerVector, TropPlueckerVector, all_proper_indices, phi, trop_phi,
 )
 from tnnflag.wiring import build_diagram
 
+from oracle_reference import random_flag
 from sweep_reference import raw_blocks, raw_sweep
 
 

@@ -33,13 +33,13 @@ from collections import Counter
 from fractions import Fraction
 
 from tnnflag.algebra import Trop
-from tnnflag.oracle import random_flag
 from tnnflag.perms import bruhat_pairs
 from tnnflag.plucker import (
     PlueckerVector, TropPlueckerVector, all_proper_indices, phi, trop_phi,
 )
 from tnnflag.wiring import build_diagram
 
+from oracle_reference import random_flag
 from sweep_reference import raw_sweep
 from view_reference import ref_view, view_blocks
 

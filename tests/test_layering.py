@@ -2,10 +2,14 @@
 the ``cli`` (whose ``verify`` imports it when it runs) may. Listing every
 path collection is reference code in the same way: only ``oracle``, which
 defines it and runs ``verify``'s checks, may use
-``enumerate_path_collections``.
+``enumerate_path_collections``. No module of the package imports one of
+the tests' modules, such as their references.
 The library is what the deciders and the commands run: each name a
 library module exports is used by another library module or by ``cli``,
-or is public API. README's API list names every export.
+or is public API. The oracle is what ``verify`` runs: each name it
+exports is reached from ``verify``'s per-cell checks or its sample of
+cells, and references that only the tests read live under ``tests/``.
+README's API list names exactly the exports, module by module.
 Memory stays bounded: no function sits in an unbounded ``lru_cache``
 (``UNBOUNDED_CACHES`` names none; the per-n tables keep their latest n),
 and the per-cell caches hold at most a fixed number of cells, enough for
@@ -29,6 +33,7 @@ import pytest
 import tnnflag
 
 PACKAGE = pathlib.Path(tnnflag.__file__).parent
+TEST_MODULES = {p.stem for p in pathlib.Path(__file__).parent.glob("*.py")}
 MAY_IMPORT_ORACLE = {"oracle", "cli"}
 MAY_ENUMERATE = {"oracle"}
 LIBRARY = ("perms", "algebra", "wiring", "plucker", "extremal", "membership")
@@ -81,6 +86,12 @@ def test_library_does_not_enumerate_path_collections(path):
                 if name.split(".")[-1] == "enumerate_path_collections"], path.name
 
 
+def test_package_does_not_import_test_modules():
+    assert not [(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
+                for name in _imported_modules(ast.parse(path.read_text()))
+                if name.lstrip(".").split(".")[0] in TEST_MODULES]
+
+
 @pytest.mark.parametrize(
     "path", _modules_except({"wiring"}), ids=lambda p: p.stem)
 def test_only_wiring_reads_the_compiled_sweep(path):
@@ -110,12 +121,18 @@ def _exports(module: str) -> list[str]:
                 and [ast.unparse(t) for t in node.targets] == ["__all__"])
 
 
-def _readme_api_names() -> set[str]:
-    """The names in backticks in README's API section."""
+def _readme_api_lists() -> dict[str, list[str]]:
+    """Per module, the names in backticks after the colon of its item in
+    README's API list (``- `tnnflag.<module>` ...: `name`, ...``)."""
     text = README.read_text()
     start = text.index("\n## API\n")
     end = text.find("\n## ", start + 1)
-    return set(re.findall(r"`(\w+)`", text[start:end if end > 0 else None]))
+    out = {}
+    for item in text[start:end if end > 0 else None].split("\n- ")[1:]:
+        head, _, names = item.partition(":")
+        module = re.fullmatch(r"`tnnflag\.(\w+)`.*", head, re.S).group(1)
+        out[module] = re.findall(r"`(\w+)`", names)
+    return out
 
 
 @pytest.mark.parametrize("module", LIBRARY)
@@ -128,10 +145,39 @@ def test_library_exports_are_used_or_public_api(module):
 
 
 def test_public_api_is_exported_and_listed_in_the_readme():
-    """README's API list names every export, so the public API too."""
+    """README's API list names, under each library module and the oracle,
+    exactly what that module exports, so the public API too, and no name
+    that has moved away."""
     exported = set().union(*map(_exports, LIBRARY))
     assert PUBLIC_API <= exported
-    assert sorted(exported - _readme_api_names()) == []
+    listed = _readme_api_lists()
+    assert sorted(listed) == sorted((*LIBRARY, "oracle"))
+    for module, names in listed.items():
+        assert sorted(names) == sorted(_exports(module)), module
+
+
+def _reached_in_oracle(roots) -> set[str]:
+    """The names that the oracle's top-level definitions ``roots`` read in
+    their bodies, directly or through the oracle's other top-level
+    definitions that they read: its own call graph."""
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    bodies = {node.name: node.body for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [node.id for stmt in bodies.get(name, ())
+                     for node in ast.walk(stmt) if isinstance(node, ast.Name)]
+    return reached
+
+
+def test_oracle_exports_only_what_verify_runs():
+    """``verify`` runs ``_verify_cell`` on the cells of ``_sample_pairs``;
+    a reference that only the tests read belongs in ``tests/``."""
+    reached = _reached_in_oracle({"_verify_cell", "_sample_pairs"})
+    assert [name for name in _exports("oracle") if name not in reached] == []
 
 
 def test_only_the_listed_functions_have_unbounded_caches():

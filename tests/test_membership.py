@@ -11,7 +11,7 @@ from tnnflag.membership import (
     decide_tnn, decide_trop, identify_cell, propagate_three_term, psi,
     trop_propagate_three_term, trop_psi,
 )
-from tnnflag.oracle import determinant_cofactor, psi_monomials, random_flag
+from tnnflag.oracle import determinant_cofactor
 from tnnflag.perms import (
     all_perms, bruhat_leq, identity, longest_element, perm_from_str,
 )
@@ -20,6 +20,7 @@ from tnnflag.plucker import (
 )
 from tnnflag.wiring import build_diagram
 
+from oracle_reference import psi_monomials, random_flag
 from test_decide_order import _inputs, _random_inputs, reconstruction
 
 EX_V, EX_W = (1, 3, 2, 4), (4, 2, 1, 3)
@@ -119,6 +120,29 @@ def test_psi_refuses_a_vector_of_another_mode_or_n():
             fn(v, w, p)
     assert psi(EX_V, EX_W, q) == EX_A
     assert trop_psi(EX_V, EX_W, t) == {j: Trop(x) for j, x in EX_A.items()}
+
+
+def test_decide_tnn_refuses_a_tropical_vector():
+    """It used to certify one a member, with ``Trop`` weights; fresh from
+    ``trop_phi`` or given its coordinates, it raises ValueError."""
+    t = trop_phi(EX_V, EX_W, {j: Trop(x) for j, x in EX_A.items()})
+    for p in (t, TropPlueckerVector(4, t.coords)):
+        with pytest.raises(ValueError, match="^expected a classical vector, "
+                                             "got a tropical one$"):
+            decide_tnn(p)
+    assert decide_tnn(phi(EX_V, EX_W, EX_A)).verdict == "member"
+
+
+def test_decide_trop_refuses_a_classical_vector():
+    """It used to certify one a member, with ``Fraction`` weights; fresh
+    from ``phi`` or given its coordinates, it raises ValueError."""
+    q = phi(EX_V, EX_W, EX_A)
+    for p in (q, PlueckerVector(4, q.coords)):
+        with pytest.raises(ValueError, match="^expected a tropical vector, "
+                                             "got a classical one$"):
+            decide_trop(p)
+    t = trop_phi(EX_V, EX_W, {j: Trop(x) for j, x in EX_A.items()})
+    assert decide_trop(t).verdict == "member"
 
 
 def test_decide_tnn_member():

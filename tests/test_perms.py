@@ -7,7 +7,8 @@ from tnnflag.perms import (
     perm_from_str, perm_to_str,
     positive_distinguished_subexpression, right_mult_s,
 )
-from tnnflag.oracle import is_positive_distinguished, perm_from_word
+
+from oracle_reference import is_positive_distinguished, perm_from_word
 
 perms = st.integers(2, 6).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))).map(tuple)

@@ -22,9 +22,11 @@ import pytest
 from tnnflag.algebra import Trop
 from tnnflag.extremal import generators, s_vw
 from tnnflag.membership import psi, trop_psi
-from tnnflag.oracle import LaurentMonomial, psi_monomials
+from tnnflag.oracle import LaurentMonomial
 from tnnflag.perms import bruhat_pairs
 from tnnflag.plucker import PlueckerVector, TropPlueckerVector
+
+from oracle_reference import psi_monomials
 
 
 @lru_cache(maxsize=None)

@@ -28,11 +28,11 @@ import pytest
 from tnnflag.algebra import Trop
 from tnnflag.extremal import generators
 from tnnflag.membership import _solve, psi, trop_psi
-from tnnflag.oracle import psi_monomials
 from tnnflag.perms import bruhat_pairs, identity, longest_element
 from tnnflag.plucker import phi, trop_phi
 from tnnflag.wiring import build_diagram
 
+from oracle_reference import psi_monomials
 from solve_reference import ref_psi, ref_psi_monomials, ref_solve, ref_trop_psi
 from view_reference import ref_view, values_blocks
 

@@ -20,13 +20,15 @@ from fractions import Fraction
 
 from tnnflag.algebra import Trop
 from tnnflag.membership import decide_tnn, decide_trop
-from tnnflag.oracle import _top_minors, determinant_cofactor, trop_check_relation
+from tnnflag.oracle import _top_minors, determinant_cofactor
 from tnnflag.perms import bruhat_pairs, identity, longest_element
 from tnnflag.plucker import (
     PlueckerVector, TropPlueckerVector, all_proper_indices,
     generate_relations, trop_phi,
 )
 from tnnflag.wiring import build_diagram
+
+from oracle_reference import trop_check_relation
 
 
 def _in_dressian(p: TropPlueckerVector, three_term_only=False) -> bool:

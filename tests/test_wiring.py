@@ -12,10 +12,11 @@ from tnnflag.perms import (
 from tnnflag.oracle import (
     Path, PathCollection, _paths_from, collection_weight,
     enumerate_path_collections, graph_extremal_collections, mr_matrix,
-    path_sum_matrix,
 )
 from tnnflag.plucker import phi
 from tnnflag.wiring import VerticalEdge, build_diagram
+
+from oracle_reference import path_sum_matrix
 
 EX_V, EX_W = (1, 3, 2, 4), (4, 2, 1, 3)
 
