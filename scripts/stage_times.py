@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """
 Print, for the top cell id <= w0 of each S_n given, one JSON line with
-the median milliseconds of eight stages of the library on that cell:
+the median milliseconds of ten stages of the library on that cell:
 
     PYTHONPATH=src python3 scripts/stage_times.py [N ...] [--runs R] [--against PATH]
     PYTHONPATH=src python3 scripts/stage_times.py --cold N [--against PATH]
@@ -9,19 +9,21 @@ the median milliseconds of eight stages of the library on that cell:
 N defaults to 6 7 8 and R to 200. The stages are the classical and the
 tropical sweep alone (``wiring._run_sweep`` on the weights as ``phi``
 and ``trop_phi`` hand them over, ``plucker._exact_weights`` and
-``plucker._trop_ints`` of them, made before the clock starts), ``phi``
-then ``decide_tnn``, ``trop_phi`` then ``decide_trop``, each of those
-two round trips again with the certificate's ``to_json_dict()`` (the
-text the CLI prints: the cost of showing a member's weights), and the
-two deciders alone on a near-miss: the point given its coordinates, with
-the greatest non-generating coordinate in (size, index) order doubled
-(``decide_tnn``) or raised by 1 (``decide_trop``), built before the
-clock starts. Both near-misses are rejections, the classical one a
-``reconstruction-mismatch`` and the tropical one a
-``violated-tropical-relation``. Each run draws fresh weights from
-``random.Random(n)``, each a Fraction with numerator 1..99 and
-denominator 1..9, and times every stage once on them with the diagram
-already built.
+``plucker._trop_ints`` of them, made before the clock starts), the
+classical and the tropical inverse walk alone (``membership._solve`` on
+the ``_int_view`` blocks of the ``phi`` and ``trop_phi`` points, which
+the deciders hand it), ``phi`` then ``decide_tnn``, ``trop_phi`` then
+``decide_trop``, each of those two round trips again with the
+certificate's ``to_json_dict()`` (the text the CLI prints: the cost of
+showing a member's weights), and the two deciders alone on a near-miss:
+the point given its coordinates, with the greatest non-generating
+coordinate in (size, index) order doubled (``decide_tnn``) or raised by
+1 (``decide_trop``), built before the clock starts. Both near-misses
+are rejections, the classical one a ``reconstruction-mismatch`` and the
+tropical one a ``violated-tropical-relation``. Each run draws fresh
+weights from ``random.Random(n)``, each a Fraction with numerator 1..99
+and denominator 1..9, and times every stage once on them with the
+diagram already built.
 
 ``--cold N`` prints instead the per-cell medians, in microseconds, of
 four stages over every cell v <= w of S_N: ``build_diagram``, then
@@ -56,13 +58,15 @@ from tnnflag.perms import identity, longest_element
 
 
 def _warm_stages(lib, v, w) -> dict:
-    """The eight warm stages of the package ``lib`` on the cell (v, w), each
+    """The ten warm stages of the package ``lib`` on the cell (v, w), each
     taking the inputs of ``_inputs``."""
     d = lib.wiring.build_diagram(v, w)
     run_sweep, m, p = lib.wiring._run_sweep, lib.membership, lib.plucker
     return {
         "sweep_classical_ms": lambda s: run_sweep(d, s["pairs"], True),
         "sweep_tropical_ms": lambda s: run_sweep(d, s["ints"], False),
+        "solve_classical_ms": lambda s: m._solve(v, w, s["blocks"], True),
+        "solve_tropical_ms": lambda s: m._solve(v, w, s["trop_blocks"], False),
         "phi_decide_tnn_ms": lambda s: m.decide_tnn(p.phi(v, w, s["a"])),
         "trop_phi_decide_trop_ms": lambda s: m.decide_trop(p.trop_phi(v, w, s["x"])),
         "phi_decide_tnn_json_ms":
@@ -77,15 +81,19 @@ def _warm_stages(lib, v, w) -> dict:
 def _inputs(lib, v, w, a) -> dict:
     """The stages' inputs at the weights a, for the package ``lib``: a,
     their pairs (``_exact_weights``), their Trops x, the ints L x_e
-    (``_trop_ints``), and the two near-misses, ``phi`` of a and
-    ``trop_phi`` of x given their coordinates, with the greatest
-    non-generating coordinate doubled or raised by 1."""
+    (``_trop_ints``), the ``_int_view`` blocks of ``phi`` of a and
+    ``trop_phi`` of x, read before their coordinates are, and the two
+    near-misses, ``phi`` of a and ``trop_phi`` of x given their
+    coordinates, with the greatest non-generating coordinate doubled or
+    raised by 1."""
     x = {j: lib.algebra.Trop(q) for j, q in a.items()}
     p, t = lib.plucker.phi(v, w, a), lib.plucker.trop_phi(v, w, x)
+    blocks, trop_blocks = p._int_view()[0], t._int_view()[0]
     I = max(set(p.coords) - set(lib.extremal.s_vw(v, w)),
             key=lambda I: (len(I), I))
     return {"a": a, "pairs": lib.plucker._exact_weights(a), "x": x,
             "ints": lib.plucker._trop_ints(x)[0],
+            "blocks": blocks, "trop_blocks": trop_blocks,
             "tnn_miss": type(p)(p.n, {**p.coords, I: 2 * p.coords[I]}),
             "trop_miss": type(t)(t.n, {**t.coords,
                                        I: lib.algebra.Trop(t.coords[I].value + 1)})}

@@ -241,11 +241,15 @@ class Generator(NamedTuple):
     tests check), paths by source label and each path's edges by key, so
     the coordinate is their product. ``new_weight_id`` is the one id not
     seen at an earlier extremal index, whose weight is solvable from this
-    coordinate; ``in_svw`` marks the independent generating indices."""
+    coordinate; ``in_svw`` marks the independent generating indices.
+    ``added_ids`` are the ids of the one path its collection adds to the
+    one before it of its size (none at the size's first index), so its
+    coordinate is the one before it times their weights."""
     index: Index
     weight_ids: tuple[int, ...]
     new_weight_id: int | None
     in_svw: bool
+    added_ids: tuple[int, ...]
 
 
 @lru_cache(maxsize=_CELL_CACHE_SIZE)
@@ -256,13 +260,14 @@ def generators(v: Perm, w: Perm) -> tuple[Generator, ...]:
     The sizes are walked from n-1 down to 1, and each size's prefixes
     come in lexicographic order, so they arrive in traversal order
     (larger size first, then lexicographically) with no sort. Each
-    prefix adds one source's climbed path to the one before it, so its
-    ids, by source label, are that path's put in its source's place, and
-    only that path's ids can be fresh. An index is independent when it
-    adds a fresh id, or when its collection is the all-diagonal one (at
-    each size's Gale-minimal index) with no ids. That each adds at most
-    one fresh id, and that the fresh ids are every cell weight, are
-    checked by ``verify`` and the tests, not here."""
+    prefix adds one source's climbed path (``added_ids``) to the one
+    before it, so its ids, by source label, are that path's put in its
+    source's place, and only that path's ids can be fresh. An index is
+    independent when it adds a fresh id, or when its collection is the
+    all-diagonal one (at each size's Gale-minimal index) with no ids.
+    That each adds at most one fresh id, that the fresh ids are every
+    cell weight, and that each index's ids are the ones before it plus
+    its added path, are checked by ``verify`` and the tests, not here."""
     walks = _greedy_prefixes(build_diagram(v, w))
     used: set[int] = set()
     out: list[Generator] = []
@@ -277,7 +282,7 @@ def generators(v: Perm, w: Perm) -> tuple[Generator, ...]:
                 used.update(climbed)
             ids = sum(paths, ())
             out.append(_new_record(Generator, (
-                I, ids, new, new is not None or not ids)))
+                I, ids, new, new is not None or not ids, climbed)))
     return tuple(out)
 
 

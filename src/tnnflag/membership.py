@@ -189,45 +189,54 @@ def _solve(v: Perm, w: Perm, blocks: list, signed: bool) -> dict:
     blocks are ``blocks``: one walk over the generators in traversal
     order, each independent value x_I found in its size's block by
     bisection (within a size the generators come in lexicographic order,
-    as the block's indices do) and read against its size's value x_unit
-    at the cell's unit index v^-1(1..k). That index is the first
-    generator of its size, the one with no weight ids, so the walk meets
-    each unit before any value is read against it, and a unit that is
-    not usable stops the walk there. Classically x_I (absent: 0) is
-    usable when x_I x_unit > 0, and each weight is solved as the reduced
-    pair (p, q) of positive ints of x_I / x_unit divided by the pairs
-    already solved for its collection's other edges, cross-multiplied;
-    those pairs are what ``phi``'s sweep takes (``plucker._exact_weights``).
-    Tropically x_I (absent: infinite) is usable when finite, dividing
-    subtracts, and the weights are ints, L times the cell weights."""
+    as the block's indices do) and read against the base, the value at
+    the independent generator before it in its size. Each size starts
+    at its unit index v^-1(1..k), the generator with no weight ids, and
+    each later collection is the one before it plus one added path
+    (``Generator.added_ids``), so x_I / x_base is the product of the
+    weights on the paths added since the base: I's own and those of the
+    dependent generators skipped in between, whose weights are all
+    solved. A value that is not usable stops the walk there. Classically
+    x_I (absent: 0) is usable when x_I x_base > 0, and each weight is
+    solved as the reduced pair (p, q) of positive ints of x_I / x_base
+    divided by the pairs already solved for the other added edges,
+    cross-multiplied; those pairs are what ``phi``'s sweep takes
+    (``plucker._exact_weights``). Tropically x_I (absent: infinite) is
+    usable when finite, dividing subtracts, and the weights are ints, L
+    times the cell weights. Each base is usable, so it has its unit's
+    sign, and each weight is x_I / x_unit divided by the weights on I's
+    other edges: the walk against the unit gives the same pairs and ints
+    and stops at the same generator (``tests/solve_reference.py``)."""
     weights: dict = {}
-    for I, ids, new, in_svw in generators(v, w):
+    for I, ids, new, in_svw, added in generators(v, w):
         if not in_svw:
+            over += added               # solved weights, read past
             continue
         J, xs = blocks[len(I) - 1]
         i = bisect_left(J, I)
         x = xs[i] if i < len(J) and J[i] == I else 0 if signed else None
         if not ids:                     # the size's unit index
-            unit = x
+            base = x
         if signed:
-            if x * unit <= 0:
+            if x * base <= 0:
                 raise ValueError(f"coordinate at generating index {I} is not positive")
             if new is not None:
-                q = unit
-                for j in ids:
+                p, q = x, base
+                for j in over + added:
                     if j != new:
                         a, b = weights[j]
-                        x, q = x * b, q * a
-                g = gcd(x, q)
-                weights[new] = (abs(x) // g, abs(q) // g)
+                        p, q = p * b, q * a
+                g = gcd(p, q)
+                weights[new] = (abs(p) // g, abs(q) // g)
         elif x is None:
             raise ValueError(f"coordinate at generating index {I} is infinite")
         elif new is not None:
-            x -= unit
-            for j in ids:
+            y = x - base
+            for j in over + added:
                 if j != new:
-                    x -= weights[j]
-            weights[new] = x
+                    y -= weights[j]
+            weights[new] = y
+        base, over = x, ()
     return weights
 
 
@@ -345,7 +354,8 @@ def decide_tnn(p: PlueckerVector) -> CellCertificate:
     gives per size the supported indices in lexicographic order and a
     list of an int at each, the raw sweep's own blocks, every value
     positive, when p came from ``phi`` and its coordinates were never
-    read; then this function's own check for a negative value. If there is none, the reconstruction
+    read; then, on a vector built from coordinates only, this function's
+    own check for a negative value. If there is none, the reconstruction
     (``_reconstruct``): the cell read off the first and last index of
     each size (flag and Bruhat checks), ``_solve``'s walk on int pairs,
     the sweep of those pairs and one comparison of the view's blocks with
@@ -367,7 +377,9 @@ def decide_tnn(p: PlueckerVector) -> CellCertificate:
     if not p.signed:
         raise ValueError(f"expected a classical vector, got a {p.mode} one")
     blocks, L = p._int_view()
-    negative = any([min(x, default=0) < 0 for _, x in blocks])
+    # a raw sweep's values are all positive: only given values are read
+    negative = p._raw is None and any([min(x, default=0) < 0
+                                       for _, x in blocks])
     found, same = (None, False) if negative else _reconstruct(p, blocks, L)
     if type(found) is CellCertificate:
         return found

@@ -540,6 +540,7 @@ def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
     collections = {tuple(sorted(c.sinks)): c for k in range(1, n)
                    for c in graph_extremal_collections(d, k)}
     used: set[int] = set()
+    before: dict[int, tuple[int, ...]] = {}     # by size: the last index's ids
     for g in gens:
         coll = collections[g.index]
         _check(enumerate_path_collections(
@@ -553,6 +554,11 @@ def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
         used |= fresh
         _check(fresh == {g.new_weight_id} - {None},
                f"extremal index {g.index} introduces {len(fresh)} new edges")
+        # _solve reads each value against the one before it by this
+        _check(sorted(g.weight_ids) == sorted(
+            before.get(len(g.index), ()) + g.added_ids),
+            f"extremal index {g.index} is not the one before it plus its added path")
+        before[len(g.index)] = g.weight_ids
     _check({g.new_weight_id for g in gens} - {None} == set(d.weight_ids()),
            "not every weight got an independent generator")
     _check(len(s_vw(v, w)) == (n - 1) + length(w) - length(v),

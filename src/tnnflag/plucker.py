@@ -339,20 +339,16 @@ def _sweep(v: Perm, w: Perm, x: Mapping[int, object], signed: bool) -> list:
 def _exact_weights(a: Mapping[int, object]) -> dict[int, tuple[int, int]]:
     """Each weight as the pair (p, q) of ints of its value p/q in lowest
     terms, the form the classical sweep takes (``wiring._run_sweep``) and
-    the reconstruction solves (``membership._solve``). Each weight must
-    be an int or a Fraction, and positive: that is raised only once
-    every weight's type is checked."""
+    the reconstruction solves (``membership._solve``), read once by
+    ``as_integer_ratio``. Each weight must be an int or a Fraction, and
+    positive: that is raised only once every weight's type is checked."""
     out, positive = {}, True
     for j, q in a.items():
-        if type(q) is int:
-            positive = positive and q > 0
-            out[j] = q, 1
-        elif isinstance(q, Fraction):
-            positive = positive and q.numerator > 0
-            out[j] = q.numerator, q.denominator
-        else:
+        if not (isinstance(q, Fraction) or type(q) is int):
             raise ValueError(f"weight {j}: expected an int or Fraction, "
                              f"got {q!r}")
+        out[j] = r = q.as_integer_ratio()
+        positive = positive and r[0] > 0
     if not positive:
         raise ValueError("weights must be strictly positive")
     return out
@@ -362,26 +358,21 @@ def _trop_ints(x: Mapping[int, object]) -> tuple[dict[int, int], int]:
     """``({j: L * x_j}, L)``, L the lcm of the denominators of the
     weights' values: the ints the tropical sweep takes. Each weight must
     be a finite Trop of an int or a Fraction. One loop checks that and
-    reads each value's numerator and denominator once; the weights are
+    reads each value once, by ``as_integer_ratio``; the weights are
     checked in the order of ``x``, so the first one that is not such a
     Trop, or is infinite, is the one named."""
-    ids, nums, dens = [], [], []
+    ratios = {}
     for j, val in x.items():
         q = val.value if isinstance(val, Trop) else None
-        if type(q) is int:
-            nums.append(q)
-            dens.append(1)
-        elif isinstance(q, Fraction):
-            nums.append(q.numerator)
-            dens.append(q.denominator)
+        if isinstance(q, Fraction) or type(q) is int:
+            ratios[j] = q.as_integer_ratio()
         elif q is None and isinstance(val, Trop):
             raise ValueError("tropical weights must be finite")
         else:
             raise ValueError(f"weight {j}: expected a Trop of an int or "
                              f"Fraction, got {val!r}")
-        ids.append(j)
-    L = math.lcm(*dens)
-    return dict(zip(ids, [p * (L // q) for p, q in zip(nums, dens)])), L
+    L = math.lcm(*[q for _, q in ratios.values()])
+    return {j: p * (L // q) for j, (p, q) in ratios.items()}, L
 
 
 def phi(v: Perm, w: Perm, a: Mapping[int, int | Fraction]) -> PlueckerVector:

@@ -1,12 +1,17 @@
-"""Frozen reference for the inverse walk: the callback walk that solved
-the cell weights before the walk was written out per semiring, with the
-size units looked up at v^-1(1..k) up front and the classical weights
-kept as reduced int pairs that became Fractions at the end. Tests compare
-``membership._solve``, ``psi``, ``trop_psi`` and ``psi_monomials`` with
-it, and ``test_reconstruct_compare.py`` reconstructs from its weights.
-The walk reads the values of the frozen integer view
-(``view_reference.py``), a dict by index."""
+"""Frozen references for the inverse walk. ``ref_walk`` is the callback
+walk that solved the cell weights before the walk was written out per
+semiring, with the size units looked up at v^-1(1..k) up front and the
+classical weights kept as reduced int pairs that became Fractions at the
+end. Tests compare ``membership._solve``, ``psi``, ``trop_psi`` and
+``psi_monomials`` with it, and ``test_reconstruct_compare.py``
+reconstructs from its weights. It reads the values of the frozen integer
+view (``view_reference.py``), a dict by index. ``ref_unit_solve`` is
+``membership._solve`` as it was before each weight was solved against
+the generator before it: on the same blocks, every value read against
+its size's unit and divided by the weights on all of its collection's
+other edges."""
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 from operator import sub, truediv
@@ -68,3 +73,37 @@ def ref_trop_psi(v, w, p):
 def ref_psi_monomials(v, w):
     return ref_walk(v, w, lambda I: LaurentMonomial(1, {I: 1}), truediv,
                     lambda m: m, lambda m: True, "")
+
+
+def ref_unit_solve(v, w, blocks, signed):
+    """The reduced pairs (classically) or ints (tropically) of the
+    weights at the ``_int_view`` blocks ``blocks``."""
+    weights = {}
+    for I, ids, new, in_svw, _ in generators(v, w):
+        if not in_svw:
+            continue
+        J, xs = blocks[len(I) - 1]
+        i = bisect_left(J, I)
+        x = xs[i] if i < len(J) and J[i] == I else 0 if signed else None
+        if not ids:                     # the size's unit index
+            unit = x
+        if signed:
+            if x * unit <= 0:
+                raise ValueError(f"coordinate at generating index {I} is not positive")
+            if new is not None:
+                q = unit
+                for j in ids:
+                    if j != new:
+                        a, b = weights[j]
+                        x, q = x * b, q * a
+                g = gcd(x, q)
+                weights[new] = (abs(x) // g, abs(q) // g)
+        elif x is None:
+            raise ValueError(f"coordinate at generating index {I} is infinite")
+        elif new is not None:
+            x -= unit
+            for j in ids:
+                if j != new:
+                    x -= weights[j]
+            weights[new] = x
+    return weights

@@ -159,17 +159,19 @@ def generators_reference(v, w):
 
 
 def test_generators_match_reference():
-    """Each generator is its reference tuple, field for field and in the
-    same order, and holds only ints, bools and tuples: no path collection
-    and no monomial is kept in the cache."""
+    """Each generator is its reference tuple in the reference's four
+    fields, in the same order (``test_greedy_walk.py`` checks the fifth,
+    ``added_ids``), and holds only ints, bools and tuples: no path
+    collection and no monomial is kept in the cache."""
     assert Generator._fields == ("index", "weight_ids", "new_weight_id",
-                                 "in_svw")
+                                 "in_svw", "added_ids")
     for v, w in _generator_cells():
         gens = generators(v, w)
-        assert [tuple(g) for g in gens] == generators_reference(v, w), (v, w)
+        assert [g[:4] for g in gens] == generators_reference(v, w), (v, w)
         for g in gens:
-            assert type(g.weight_ids) is tuple and all(
-                type(j) is int for j in g.weight_ids + g.index), (v, w)
+            assert type(g.weight_ids) is tuple and type(g.added_ids) is tuple \
+                and all(type(j) is int
+                        for j in g.weight_ids + g.added_ids + g.index), (v, w)
             assert type(g.new_weight_id) in (int, type(None)), (v, w)
             assert type(g.in_svw) is bool, (v, w)
 
@@ -177,7 +179,8 @@ def test_generators_match_reference():
 def test_verify_cell_checks_the_generator_counts(monkeypatch):
     """``verify`` catches generators that break each count the library no
     longer checks: two fresh ids at one index, a cell weight no generator
-    solves, and a wrong number of independent indices."""
+    solves, and a wrong number of independent indices; and an index whose
+    ids are not the ones before it plus its added path."""
     import tnnflag.extremal as extremal
     import tnnflag.oracle as oracle
     from tnnflag.wiring import WiringDiagram
@@ -198,6 +201,9 @@ def test_verify_cell_checks_the_generator_counts(monkeypatch):
             generators, lambda v, w: OneMoreWeight(*diagram)),
         "independent generator count mismatch": (
             lambda v, w: tuple(g._replace(in_svw=True) for g in gens),
+            build_diagram),
+        r"extremal index \(1, 3, 4\) is not the one before it plus its added path": (
+            lambda v, w: tuple(g._replace(added_ids=()) for g in gens),
             build_diagram),
     }
     for message, (gens_of, diagram_of) in tampered.items():

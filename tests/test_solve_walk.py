@@ -16,7 +16,10 @@ shifted, so the units read are not 1 or 0. Broken inputs must raise the
 same ValueError: a generating coordinate zeroed, dropped or negated, a
 unit zeroed, and tropically a generating coordinate or a unit made
 infinite. `psi`, `trop_psi` and `psi_monomials` must equal the
-reference's on every cell too.
+reference's on every cell too. On the same blocks of every one of those
+inputs, `_solve` must also give what it gave when it read each value
+against its size's unit (`ref_unit_solve`): the same pairs or ints in
+the same key order, or the same ValueError text.
 """
 
 import random
@@ -33,7 +36,9 @@ from tnnflag.plucker import phi, trop_phi
 from tnnflag.wiring import build_diagram
 
 from oracle_reference import psi_monomials
-from solve_reference import ref_psi, ref_psi_monomials, ref_solve, ref_trop_psi
+from solve_reference import (
+    ref_psi, ref_psi_monomials, ref_solve, ref_trop_psi, ref_unit_solve,
+)
 from view_reference import ref_view, values_blocks
 
 
@@ -45,12 +50,21 @@ def _cells(n):
     return [(identity(n), longest_element(n))] * 3
 
 
-def _outcome(v, w, values, signed):
+def _outcome(solve, v, w, blocks, signed):
     try:
-        a = _solve(v, w, values_blocks(values, len(v)), signed)
+        return solve(v, w, blocks, signed)
     except ValueError as exc:
         return str(exc)
-    return {j: Fraction(*x) for j, x in a.items()} if signed else a
+
+
+def _same_as_unit_walk(v, w, blocks, signed):
+    """``_solve``'s outcome on ``blocks``, checked against the walk that
+    read each value against its size's unit."""
+    got = _outcome(_solve, v, w, blocks, signed)
+    want = _outcome(ref_unit_solve, v, w, blocks, signed)
+    assert got == want and (type(got) is str or list(got) == list(want)), \
+        (v, w, blocks)
+    return got
 
 
 def _ref_outcome(v, w, values, signed):
@@ -104,7 +118,8 @@ def test_walk_matches_the_callback_walk(n):
         p, t = phi(v, w, a), trop_phi(v, w, x)
         for values, signed in ((ref_view(p)[1], True), (ref_view(t)[1], False)):
             for case in (values, _scaled(values, rng, signed)):
-                got = _solve(v, w, values_blocks(case, len(v)), signed)
+                got = _same_as_unit_walk(v, w, values_blocks(case, len(v)),
+                                         signed)
                 want = ref_solve(v, w, case, signed)
                 if signed:
                     _check_pairs(got, want)
@@ -114,7 +129,11 @@ def test_walk_matches_the_callback_walk(n):
             for case in _broken(values, gens, rng, signed):
                 want = _ref_outcome(v, w, case, signed)
                 errors += type(want) is str
-                assert _outcome(v, w, case, signed) == want, (v, w, case)
+                got = _same_as_unit_walk(v, w, values_blocks(case, len(v)),
+                                         signed)
+                if signed and type(got) is dict:
+                    got = {j: Fraction(*x) for j, x in got.items()}
+                assert got == want, (v, w, case)
         for got, want in ((psi(v, w, p), ref_psi(v, w, p)),
                           (trop_psi(v, w, t), ref_trop_psi(v, w, t))):
             assert list(got.items()) == list(want.items())
