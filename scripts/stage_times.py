@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """
 Print, for the top cell id <= w0 of each S_n given, one JSON line with
-the median milliseconds of ten stages of the library on that cell:
+the median milliseconds of eleven stages of the library on that cell:
 
     PYTHONPATH=src python3 scripts/stage_times.py [N ...] [--runs R] [--against PATH]
     PYTHONPATH=src python3 scripts/stage_times.py --cold N [--against PATH]
@@ -15,7 +15,10 @@ the ``_int_view`` blocks of the ``phi`` and ``trop_phi`` points, which
 the deciders hand it), ``phi`` then ``decide_tnn``, ``trop_phi`` then
 ``decide_trop``, each of those two round trips again with the
 certificate's ``to_json_dict()`` (the text the CLI prints: the cost of
-showing a member's weights), and the two deciders alone on a near-miss:
+showing a member's weights), ``propagate_three_term`` from the values
+of the ``phi`` point at the cell's extremal indices (a vector of those
+indices only, so the inverse walk realigns its blocks onto the cell's),
+and the two deciders alone on a near-miss:
 the point given its coordinates, with the greatest non-generating
 coordinate in (size, index) order doubled (``decide_tnn``) or raised by
 1 (``decide_trop``), built before the clock starts. Both near-misses
@@ -26,11 +29,13 @@ and denominator 1..9, and times every stage once on them with the
 diagram already built.
 
 ``--cold N`` prints instead the per-cell medians, in microseconds, of
-four stages over every cell v <= w of S_N: ``build_diagram``, then
-``generators`` on that diagram (and the two summed), and, in a second
-pass, ``phi`` then ``decide_tnn``, each cell then at once timed again
-as ``trop_phi`` then ``decide_trop`` of the same weights as Trops, on
-the cell that the classical stage has just warmed. Every cache of the
+five stages over every cell v <= w of S_N: ``build_diagram``, then
+``generators`` on that diagram (and the two summed), then the inverse
+walk's program on it (``extremal._walk_program``, which the deciders
+build instead of the generators; a tree without it reports none), and,
+in a second pass, ``phi`` then ``decide_tnn``, each cell then at once
+timed again as ``trop_phi`` then ``decide_trop`` of the same weights as
+Trops, on the cell that the classical stage has just warmed. Every cache of the
 package is cleared before each pass, and each pass sees each cell once,
 as perfbench's ``s5-sweep`` does, whose tropical part follows its
 classical part on each cell in the same way.
@@ -58,7 +63,7 @@ from tnnflag.perms import identity, longest_element
 
 
 def _warm_stages(lib, v, w) -> dict:
-    """The ten warm stages of the package ``lib`` on the cell (v, w), each
+    """The eleven warm stages of the package ``lib`` on the cell (v, w), each
     taking the inputs of ``_inputs``."""
     d = lib.wiring.build_diagram(v, w)
     run_sweep, m, p = lib.wiring._run_sweep, lib.membership, lib.plucker
@@ -73,6 +78,8 @@ def _warm_stages(lib, v, w) -> dict:
             lambda s: m.decide_tnn(p.phi(v, w, s["a"])).to_json_dict(),
         "trop_phi_decide_trop_json_ms":
             lambda s: m.decide_trop(p.trop_phi(v, w, s["x"])).to_json_dict(),
+        "propagate_three_term_ms":
+            lambda s: m.propagate_three_term(s["extremal"], (v, w)),
         "decide_tnn_near_miss_ms": lambda s: m.decide_tnn(s["tnn_miss"]),
         "decide_trop_near_miss_ms": lambda s: m.decide_trop(s["trop_miss"]),
     }
@@ -82,8 +89,8 @@ def _inputs(lib, v, w, a) -> dict:
     """The stages' inputs at the weights a, for the package ``lib``: a,
     their pairs (``_exact_weights``), their Trops x, the ints L x_e
     (``_trop_ints``), the ``_int_view`` blocks of ``phi`` of a and
-    ``trop_phi`` of x, read before their coordinates are, and the two
-    near-misses, ``phi`` of a and ``trop_phi`` of x given their
+    ``trop_phi`` of x, read before their coordinates are, the values of
+    ``phi`` of a at the extremal indices, and the two near-misses, ``phi`` of a and ``trop_phi`` of x given their
     coordinates, with the greatest non-generating coordinate doubled or
     raised by 1."""
     x = {j: lib.algebra.Trop(q) for j, q in a.items()}
@@ -94,6 +101,8 @@ def _inputs(lib, v, w, a) -> dict:
     return {"a": a, "pairs": lib.plucker._exact_weights(a), "x": x,
             "ints": lib.plucker._trop_ints(x)[0],
             "blocks": blocks, "trop_blocks": trop_blocks,
+            "extremal": {g.index: p.coords[g.index]
+                         for g in lib.extremal.generators(v, w)},
             "tnn_miss": type(p)(p.n, {**p.coords, I: 2 * p.coords[I]}),
             "trop_miss": type(t)(t.n, {**t.coords,
                                        I: lib.algebra.Trop(t.coords[I].value + 1)})}
@@ -163,6 +172,10 @@ def cold_times(n: int, trees: list) -> list[dict]:
     times = [{"build_diagram_us": [], "generators_us": [],
               "phi_decide_tnn_us": [], "trop_phi_decide_trop_us": []}
              for _ in trees]
+    programs = [getattr(lib.extremal, "_walk_program", None) for lib in trees]
+    for ts, program in zip(times, programs):
+        if program:
+            ts["walk_program_us"] = []
     weights = []
     for lib in trees:
         _clear_caches(lib)
@@ -172,6 +185,8 @@ def cold_times(n: int, trees: list) -> list[dict]:
                 _timed(lib.wiring.build_diagram, v, w))
             times[t]["generators_us"].append(
                 _timed(lib.extremal.generators, v, w))
+            if programs[t]:
+                times[t]["walk_program_us"].append(_timed(programs[t], v, w))
         ids = trees[0].wiring.build_diagram(v, w).weight_ids()
         weights.append({j: Fraction(rng.randint(1, 99), rng.randint(1, 9))
                         for j in ids})
@@ -222,7 +237,8 @@ def _print_rows(rows: list[dict], against: str | None, unit: str) -> None:
     print(json.dumps({"tree": against, **other}))
     print(json.dumps({"ratio": {name: round(x / other[name], 3)
                                 for name, x in this.items()
-                                if name.endswith(unit)}}), flush=True)
+                                if name.endswith(unit) and name in other}}),
+          flush=True)
 
 
 if __name__ == "__main__":

@@ -6,9 +6,11 @@ read off the first and last indices of each size (``_lex_chain_cell``,
 which checks that they form flags for ``extremal_indices`` and the
 deciders alike), and the generators of a cell: its extremal indices read
 off the wiring diagram, each with the weight ids on its path collection,
-whose fresh ids give the independent generating index set. The
-generators hold only what ``psi``'s walk reads; the counts the paper's
-theorems promise for them are checked by ``verify`` and the tests.
+whose fresh ids give the independent generating index set, and the
+inverse walk compiled per cell from the same greedy walk
+(``_walk_program``), which the deciders run. The counts the paper's
+theorems promise for the generators, and the program's agreement with
+them, are checked by ``verify`` and the tests.
 
 Everything here reads only the support (nonzero / finite) pattern: the
 chain functions take classical or tropical vectors or bare supports and
@@ -32,7 +34,7 @@ __all__ = [
 from functools import lru_cache, reduce
 from itertools import chain
 from operator import le, or_
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .perms import Perm
 from .plucker import Index, _Vector
@@ -236,54 +238,84 @@ def extremal_index_set(p: _Vector | SupportVector) -> frozenset[Index]:
 # ---------------------------------------------------------------------------
 
 class Generator(NamedTuple):
-    """One extremal index as ``psi``'s walk reads it: the weight ids on
-    its left-greedy path collection (its only one, as ``verify`` and the
+    """One extremal index in traversal order: the weight ids on its
+    left-greedy path collection (its only one, as ``verify`` and the
     tests check), paths by source label and each path's edges by key, so
     the coordinate is their product. ``new_weight_id`` is the one id not
     seen at an earlier extremal index, whose weight is solvable from this
-    coordinate; ``in_svw`` marks the independent generating indices.
-    ``added_ids`` are the ids of the one path its collection adds to the
-    one before it of its size (none at the size's first index), so its
-    coordinate is the one before it times their weights."""
+    coordinate; ``in_svw`` marks the independent generating indices. The
+    deciders' walk reads ``_walk_program`` instead."""
     index: Index
     weight_ids: tuple[int, ...]
     new_weight_id: int | None
     in_svw: bool
-    added_ids: tuple[int, ...]
+
+
+def _prefixes(d) -> Iterator[tuple]:
+    """The left-greedy prefixes of the wiring diagram d (a cell's
+    ``build_diagram``) in traversal order: the sizes from n-1 down to 1,
+    and each size's prefixes in lexicographic order
+    (``wiring._greedy_prefixes``), so with no sort. Each is (its size k,
+    its sink set I, the label s of the source whose climbed path it adds,
+    that path's ids, its fresh id): the fresh-id rule, the least id of
+    the path that no earlier prefix used, or None."""
+    walks, used = _greedy_prefixes(d), set()
+    for k in range(d.n - 1, 0, -1):
+        for I, s, climbed in walks[k - 1]:
+            new = None if used.issuperset(climbed) else min(set(climbed) - used)
+            used.update(climbed)
+            yield k, I, s, climbed, new
 
 
 @lru_cache(maxsize=_CELL_CACHE_SIZE)
 def generators(v: Perm, w: Perm) -> tuple[Generator, ...]:
-    """Extremal indices in traversal order: the sink sets of each size's
-    left-greedy prefixes, each with its collection's edge weight ids,
+    """Extremal indices in traversal order (larger size first, then
+    lexicographically): the sink sets of each size's left-greedy
+    prefixes (``_prefixes``), each with its collection's edge weight ids,
     read off the walk that ``oracle.graph_extremal_collections`` wraps.
-    The sizes are walked from n-1 down to 1, and each size's prefixes
-    come in lexicographic order, so they arrive in traversal order
-    (larger size first, then lexicographically) with no sort. Each
-    prefix adds one source's climbed path (``added_ids``) to the one
-    before it, so its ids, by source label, are that path's put in its
-    source's place, and only that path's ids can be fresh. An index is
-    independent when it adds a fresh id, or when its collection is the
-    all-diagonal one (at each size's Gale-minimal index) with no ids.
-    That each adds at most one fresh id, that the fresh ids are every
-    cell weight, and that each index's ids are the ones before it plus
-    its added path, are checked by ``verify`` and the tests, not here."""
-    walks = _greedy_prefixes(build_diagram(v, w))
-    used: set[int] = set()
+    Each prefix adds one source's climbed path to the one before it, so
+    its ids, by source label, are that path's put in its source's place,
+    and only that path's ids can be fresh. An index is independent when
+    it adds a fresh id, or when its collection is the all-diagonal one
+    (at each size's Gale-minimal index) with no ids. That each adds at
+    most one fresh id, and that the fresh ids are every cell weight, are
+    checked by ``verify`` and the tests, not here."""
     out: list[Generator] = []
-    for k in range(len(v) - 1, 0, -1):
-        paths = [()] * (k + 1)          # by source label, the ids climbed
-        for I, s, climbed in walks[k - 1]:
-            paths[s] = climbed
-            if used.issuperset(climbed):
-                new = None
-            else:
-                new = min(set(climbed).difference(used))
-                used.update(climbed)
-            ids = sum(paths, ())
-            out.append(_new_record(Generator, (
-                I, ids, new, new is not None or not ids, climbed)))
+    for k, I, s, climbed, new in _prefixes(build_diagram(v, w)):
+        if not climbed:                 # each size's first prefix
+            paths = [()] * (k + 1)      # by source label, the ids climbed
+        paths[s] = climbed
+        ids = sum(paths, ())
+        out.append(_new_record(Generator, (I, ids, new, new is not None or not ids)))
     return tuple(out)
+
+
+@lru_cache(maxsize=_CELL_CACHE_SIZE)
+def _walk_program(v: Perm, w: Perm) -> tuple[tuple, tuple]:
+    """The inverse walk compiled for the cell (v, w), which
+    ``membership._solve`` runs: per size 1..n-1, the indices that the
+    sweep reaches (``wiring._reached``), in lexicographic order; and one
+    step per independent generator, in traversal order, (its size, its
+    index's position in that size's indices, its new weight id, or None
+    at the size's unit, the ids to divide by). Within a size each
+    left-greedy collection is the one before it plus one climbed path,
+    so the value at a step, divided by the value at the step before it in
+    its size, is the product of the weights on the paths added since:
+    those of the dependent generators skipped and the step's own. The
+    ids to divide by are those less the new id. Built from the prefixes
+    that ``generators`` reads, with no records; ``verify`` checks each
+    step against the generators."""
+    d = build_diagram(v, w)
+    reached, steps = _reached(d), []
+    for k, I, _, climbed, new in _prefixes(d):
+        over = over + climbed if climbed else ()    # the paths since the base
+        if new is not None or not climbed:
+            # a size's prefixes come in its indices' order, from its unit
+            i = reached[k - 1].index(I, i if climbed else 0)
+            j = over.index(new) if climbed else 0   # new is in over once
+            steps.append((k, i, new, over[:j] + over[j + 1:]))
+            over = ()
+    return tuple(reached), tuple(steps)
 
 
 def s_vw(v: Perm, w: Perm) -> list[Index]:

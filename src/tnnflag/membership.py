@@ -1,9 +1,11 @@
 """
 Inverting the cell parameterization and deciding membership: cell
 identification from a support pattern (the support layer, ``extremal``,
-reads the cell off the chain ends), the inverse map as one walk over the
-generators, classical or min-plus (the tests' ``psi_monomials`` walks
-them on Laurent monomials to check it), certificate-producing decision
+reads the cell off the chain ends), the inverse map as one run of the
+cell's compiled walk (``extremal._walk_program``), classical or min-plus,
+which reads each generating coordinate by its position in the cell's
+size block (the tests' ``psi_monomials`` walks the generators on Laurent
+monomials to check it), certificate-producing decision
 procedures for the nonnegative flag variety and the nonnegative flag
 Dressian, and three-term propagation from the values at
 the cell's generators. All of them go from values to a point one way: the
@@ -30,7 +32,6 @@ __all__ = [
     "propagate_three_term", "trop_propagate_three_term",
 ]
 
-from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 from typing import Mapping
@@ -41,7 +42,9 @@ from .plucker import (
     Index, PlueckerVector, TropPlueckerVector, _first_violated,
     _relation_json, generate_relations, index_to_str, phi, trop_phi,
 )
-from .extremal import _lex_chain_cell, flag_matroid_check, generators
+from .extremal import (
+    _lex_chain_cell, _walk_program, flag_matroid_check, generators,
+)
 from .wiring import _run_sweep, build_diagram
 
 _setattr = object.__setattr__       # past CellCertificate's refusal
@@ -186,57 +189,56 @@ def _solved(v: Perm, w: Perm, p, signed: bool) -> dict:
 
 def _solve(v: Perm, w: Perm, blocks: list, signed: bool) -> dict:
     """The weights of the cell (v, w) at the point whose ``_int_view``
-    blocks are ``blocks``: one walk over the generators in traversal
-    order, each independent value x_I found in its size's block by
-    bisection (within a size the generators come in lexicographic order,
-    as the block's indices do) and read against the base, the value at
-    the independent generator before it in its size. Each size starts
-    at its unit index v^-1(1..k), the generator with no weight ids, and
-    each later collection is the one before it plus one added path
-    (``Generator.added_ids``), so x_I / x_base is the product of the
+    blocks are ``blocks``: one run of the cell's compiled walk
+    (``extremal._walk_program``). A block that lists the cell's indices,
+    as every block of a vector from ``phi``/``trop_phi`` or of a member
+    does, is read by position; any other is first realigned onto them,
+    an absent index at the semiring's zero (0 or None). Each step reads
+    the value x_I at an independent generating index against the base,
+    the value at the step before it in its size. Each size starts at its
+    unit index v^-1(1..k), and each later collection is the one before
+    it plus one added path, so x_I / x_base is the product of the
     weights on the paths added since the base: I's own and those of the
     dependent generators skipped in between, whose weights are all
     solved. A value that is not usable stops the walk there. Classically
-    x_I (absent: 0) is usable when x_I x_base > 0, and each weight is
-    solved as the reduced pair (p, q) of positive ints of x_I / x_base
-    divided by the pairs already solved for the other added edges,
-    cross-multiplied; those pairs are what ``phi``'s sweep takes
-    (``plucker._exact_weights``). Tropically x_I (absent: infinite) is
-    usable when finite, dividing subtracts, and the weights are ints, L
-    times the cell weights. Each base is usable, so it has its unit's
-    sign, and each weight is x_I / x_unit divided by the weights on I's
-    other edges: the walk against the unit gives the same pairs and ints
-    and stops at the same generator (``tests/solve_reference.py``)."""
+    x_I is usable when x_I x_base > 0, and each weight is solved as the
+    reduced pair (p, q) of positive ints of x_I / x_base divided by the
+    pairs already solved for the step's other ids, cross-multiplied;
+    those pairs are what ``phi``'s sweep takes
+    (``plucker._exact_weights``). Tropically x_I is usable when finite,
+    dividing subtracts, and the weights are ints, L times the cell
+    weights. Each base is usable, so it has its unit's sign, and each
+    weight is x_I / x_unit divided by the weights on I's other edges: the
+    walk against the unit gives the same pairs and ints and stops at the
+    same generator (``tests/solve_reference.py``)."""
+    indices, steps = _walk_program(v, w)
+    values = []
+    for (J, x), R in zip(blocks, indices):
+        if J != R:                      # realigned, an absent index at the zero
+            at = dict(zip(J, x))
+            x = [at.get(I, 0 if signed else None) for I in R]
+        values.append(x)
     weights: dict = {}
-    for I, ids, new, in_svw, added in generators(v, w):
-        if not in_svw:
-            over += added               # solved weights, read past
-            continue
-        J, xs = blocks[len(I) - 1]
-        i = bisect_left(J, I)
-        x = xs[i] if i < len(J) and J[i] == I else 0 if signed else None
-        if not ids:                     # the size's unit index
+    for k, i, new, others in steps:
+        x = values[k - 1][i]
+        if new is None:                 # the size's unit index
             base = x
-        if signed:
-            if x * base <= 0:
-                raise ValueError(f"coordinate at generating index {I} is not positive")
-            if new is not None:
-                p, q = x, base
-                for j in over + added:
-                    if j != new:
-                        a, b = weights[j]
-                        p, q = p * b, q * a
-                g = gcd(p, q)
-                weights[new] = (abs(p) // g, abs(q) // g)
-        elif x is None:
-            raise ValueError(f"coordinate at generating index {I} is infinite")
+        if x * base <= 0 if signed else x is None:
+            raise ValueError(f"coordinate at generating index {indices[k - 1][i]} "
+                             + ("is not positive" if signed else "is infinite"))
+        if new is not None and signed:
+            p, q = x, base
+            for j in others:
+                a, b = weights[j]
+                p, q = p * b, q * a
+            g = gcd(p, q)
+            weights[new] = (abs(p) // g, abs(q) // g)
         elif new is not None:
             y = x - base
-            for j in over + added:
-                if j != new:
-                    y -= weights[j]
+            for j in others:
+                y -= weights[j]
             weights[new] = y
-        base, over = x, ()
+        base = x
     return weights
 
 
@@ -280,7 +282,8 @@ def _reconstruct(p, blocks: list, L: int,
     Tropically x_unit = Q_unit is 0, and so is r_unit, since every move
     raises a path and only the collection that moves none reaches the
     sources' own strands: the test reads Q_I = r_I. A key not of ints
-    raises TypeError in the chains or the walk's bisection; that input
+    raises TypeError in the chains; the walk realigns a block whose
+    indices are not the cell's by lookup, which raises none. That input
     is no member, and its keys fail the deciders' check."""
     try:
         v, w = _lex_chain_cell([I for I, _ in blocks], p.n)
@@ -288,7 +291,7 @@ def _reconstruct(p, blocks: list, L: int,
         return {"type": "no-cell", "reason": str(exc)}, False
     try:
         a = _solve(v, w, blocks, p.signed)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         return {"type": "unsupported-generating-index", "reason": str(exc)}, False
     found = _run_sweep(build_diagram(v, w), a, p.signed)
     same = [I for I, _ in found] == [I for I, _ in blocks]

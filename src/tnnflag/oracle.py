@@ -36,8 +36,8 @@ from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .algebra import TROP_INF, Trop
 from .extremal import (
-    SupportVector, cell_support, extremal_index_set, flag_matroid_check,
-    generators, is_supported, s_vw, xi,
+    SupportVector, _walk_program, cell_support, extremal_index_set,
+    flag_matroid_check, generators, is_supported, s_vw, xi,
 )
 from .membership import (
     decide_tnn, decide_trop, propagate_three_term, psi,
@@ -540,7 +540,6 @@ def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
     collections = {tuple(sorted(c.sinks)): c for k in range(1, n)
                    for c in graph_extremal_collections(d, k)}
     used: set[int] = set()
-    before: dict[int, tuple[int, ...]] = {}     # by size: the last index's ids
     for g in gens:
         coll = collections[g.index]
         _check(enumerate_path_collections(
@@ -554,15 +553,25 @@ def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
         used |= fresh
         _check(fresh == {g.new_weight_id} - {None},
                f"extremal index {g.index} introduces {len(fresh)} new edges")
-        # _solve reads each value against the one before it by this
-        _check(sorted(g.weight_ids) == sorted(
-            before.get(len(g.index), ()) + g.added_ids),
-            f"extremal index {g.index} is not the one before it plus its added path")
-        before[len(g.index)] = g.weight_ids
     _check({g.new_weight_id for g in gens} - {None} == set(d.weight_ids()),
            "not every weight got an independent generator")
     _check(len(s_vw(v, w)) == (n - 1) + length(w) - length(v),
            "independent generator count mismatch")
+    # _solve runs the compiled walk: one step per independent generator,
+    # which reads its value by position in the cell's sorted support
+    # block and divides by the ids added since the generator before it
+    indices, steps = _walk_program(v, w)
+    independent = [g for g in gens if g.in_svw]
+    _check(indices == tuple(tuple(sorted(sup.sets[k])) for k in range(1, n))
+           and len(steps) == len(independent),
+           "the walk program does not list the cell's indices and generators")
+    last: dict[int, tuple[int, ...]] = {}   # by size: the last independent ids
+    for g, (k, i, new, others) in zip(independent, steps):
+        _check(k == len(g.index) and indices[k - 1][i:i + 1] == (g.index,)
+               and new == g.new_weight_id and sorted(g.weight_ids) == sorted(
+                   [*last.get(k, ()), *others, *{new} - {None}]),
+               f"the walk step at {g.index} disagrees with its generator")
+        last[k] = g.weight_ids
     for t in range(draws):
         a = generic_weights(v, w, seed=seed + t)
         # each fresh vector is decided before anything reads its

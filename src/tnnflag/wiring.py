@@ -97,8 +97,9 @@ class WiringDiagram(NamedTuple):
 # Construction
 # ---------------------------------------------------------------------------
 
-# Cells held by each per-cell cache (``build_diagram``, and
-# ``extremal.generators``): every cell of S3-S5 (4013 of them) fits.
+# Cells held by each per-cell cache (``build_diagram``,
+# ``extremal.generators`` and ``extremal._walk_program``): every cell of
+# S3-S5 (4013 of them) fits.
 _CELL_CACHE_SIZE = 4096
 
 

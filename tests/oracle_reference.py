@@ -96,7 +96,7 @@ def psi_monomials(v: Perm, w: Perm) -> dict[int, LaurentMonomial]:
     independent generating indices: ``psi``'s walk over the variables
     P_I themselves."""
     weights = {}
-    for I, ids, new, _, _ in generators(v, w):
+    for I, ids, new, _ in generators(v, w):
         if new is not None:
             x = LaurentMonomial(1, {I: 1})
             for j in ids:

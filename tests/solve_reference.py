@@ -9,10 +9,16 @@ view (``view_reference.py``), a dict by index. ``ref_unit_solve`` is
 ``membership._solve`` as it was before each weight was solved against
 the generator before it: on the same blocks, every value read against
 its size's unit and divided by the weights on all of its collection's
-other edges."""
+other edges. ``ref_bisect_solve`` is ``membership._solve`` as it was
+before the walk was compiled per cell: it walks the generators, finds
+each independent value in its size's block by bisection and reads it
+against the generator before it in its size, dividing by the paths
+added since; each generator's added path is read here as the ids it
+holds beyond the generator before it of its size."""
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from operator import sub, truediv
 
@@ -79,7 +85,7 @@ def ref_unit_solve(v, w, blocks, signed):
     """The reduced pairs (classically) or ints (tropically) of the
     weights at the ``_int_view`` blocks ``blocks``."""
     weights = {}
-    for I, ids, new, in_svw, _ in generators(v, w):
+    for I, ids, new, in_svw in generators(v, w):
         if not in_svw:
             continue
         J, xs = blocks[len(I) - 1]
@@ -106,4 +112,55 @@ def ref_unit_solve(v, w, blocks, signed):
                 if j != new:
                     x -= weights[j]
             weights[new] = x
+    return weights
+
+
+@lru_cache(maxsize=1)
+def _with_added_paths(v, w):
+    """Each generator's fields, then the ids its collection adds to the
+    one before it of its size (none at the size's first index), as the
+    multiset difference of their weight ids."""
+    before, out = {}, []
+    for g in generators(v, w):
+        added = list(g.weight_ids)
+        for j in before.get(len(g.index), ()):
+            added.remove(j)
+        before[len(g.index)] = g.weight_ids
+        out.append((*g, tuple(added)))
+    return tuple(out)
+
+
+def ref_bisect_solve(v, w, blocks, signed):
+    """The reduced pairs (classically) or ints (tropically) of the
+    weights at the ``_int_view`` blocks ``blocks``."""
+    weights = {}
+    for I, ids, new, in_svw, added in _with_added_paths(v, w):
+        if not in_svw:
+            over += added               # solved weights, read past
+            continue
+        J, xs = blocks[len(I) - 1]
+        i = bisect_left(J, I)
+        x = xs[i] if i < len(J) and J[i] == I else 0 if signed else None
+        if not ids:                     # the size's unit index
+            base = x
+        if signed:
+            if x * base <= 0:
+                raise ValueError(f"coordinate at generating index {I} is not positive")
+            if new is not None:
+                p, q = x, base
+                for j in over + added:
+                    if j != new:
+                        a, b = weights[j]
+                        p, q = p * b, q * a
+                g = gcd(p, q)
+                weights[new] = (abs(p) // g, abs(q) // g)
+        elif x is None:
+            raise ValueError(f"coordinate at generating index {I} is infinite")
+        elif new is not None:
+            y = x - base
+            for j in over + added:
+                if j != new:
+                    y -= weights[j]
+            weights[new] = y
+        base, over = x, ()
     return weights

@@ -159,19 +159,17 @@ def generators_reference(v, w):
 
 
 def test_generators_match_reference():
-    """Each generator is its reference tuple in the reference's four
-    fields, in the same order (``test_greedy_walk.py`` checks the fifth,
-    ``added_ids``), and holds only ints, bools and tuples: no path
-    collection and no monomial is kept in the cache."""
+    """Each generator is its reference tuple, in the same order, and holds
+    only ints, bools and tuples: no path collection and no monomial is
+    kept in the cache."""
     assert Generator._fields == ("index", "weight_ids", "new_weight_id",
-                                 "in_svw", "added_ids")
+                                 "in_svw")
     for v, w in _generator_cells():
         gens = generators(v, w)
-        assert [g[:4] for g in gens] == generators_reference(v, w), (v, w)
+        assert list(gens) == generators_reference(v, w), (v, w)
         for g in gens:
-            assert type(g.weight_ids) is tuple and type(g.added_ids) is tuple \
-                and all(type(j) is int
-                        for j in g.weight_ids + g.added_ids + g.index), (v, w)
+            assert type(g.weight_ids) is tuple and all(
+                type(j) is int for j in g.weight_ids + g.index), (v, w)
             assert type(g.new_weight_id) in (int, type(None)), (v, w)
             assert type(g.in_svw) is bool, (v, w)
 
@@ -179,8 +177,10 @@ def test_generators_match_reference():
 def test_verify_cell_checks_the_generator_counts(monkeypatch):
     """``verify`` catches generators that break each count the library no
     longer checks: two fresh ids at one index, a cell weight no generator
-    solves, and a wrong number of independent indices; and an index whose
-    ids are not the ones before it plus its added path."""
+    solves, and a wrong number of independent indices; and a step of the
+    walk program that ``_solve`` runs with its position shifted, or with
+    an id dropped from those it divides by (on the S4 top cell, whose
+    steps divide by some)."""
     import tnnflag.extremal as extremal
     import tnnflag.oracle as oracle
     from tnnflag.wiring import WiringDiagram
@@ -202,9 +202,6 @@ def test_verify_cell_checks_the_generator_counts(monkeypatch):
         "independent generator count mismatch": (
             lambda v, w: tuple(g._replace(in_svw=True) for g in gens),
             build_diagram),
-        r"extremal index \(1, 3, 4\) is not the one before it plus its added path": (
-            lambda v, w: tuple(g._replace(added_ids=()) for g in gens),
-            build_diagram),
     }
     for message, (gens_of, diagram_of) in tampered.items():
         # verify reads the generators, and s_vw reads them too
@@ -213,6 +210,28 @@ def test_verify_cell_checks_the_generator_counts(monkeypatch):
         monkeypatch.setattr(oracle, "build_diagram", diagram_of)
         with pytest.raises(AssertionError, match=message):
             oracle._verify_cell(EX_V, EX_W, 0, 0)
+    monkeypatch.undo()
+
+    def shifted(indices, steps):
+        (k, i, new, others), *rest = steps[1:]    # (1, 3, 4) on EX
+        return indices, (steps[0], (k, i + 1, new, others), *rest)
+
+    def dropped(indices, steps):
+        s = next(s for s, step in enumerate(steps) if step[3])
+        k, i, new, others = steps[s]
+        return indices, (*steps[:s], (k, i, new, others[1:]), *steps[s + 1:])
+
+    top = (identity(4), longest_element(4))
+    for (v, w), message, tamper in (
+            ((EX_V, EX_W), r"walk step at \(1, 3, 4\) disagrees", shifted),
+            (top, r"walk step at \(1, 4\) disagrees", dropped)):
+        program = extremal._walk_program(v, w)
+        monkeypatch.setattr(oracle, "_walk_program",
+                            lambda v, w: tamper(*program))
+        with pytest.raises(AssertionError, match=message):
+            oracle._verify_cell(v, w, 0, 0)
+        monkeypatch.undo()
+        oracle._verify_cell(v, w, 0, 0)
 
 
 def test_extremal_coordinates_are_monomials():

@@ -6,19 +6,21 @@ built by a walk with a dict of held strands. And the walk and the
 generators as they were before the sink sets came off ``_lex_table``
 and the sizes were walked in order: sink sets built by sorting a set,
 the generators gathered in a dict of every index and sorted once by
-``precedes_key``. Those copies made the generators' first four fields,
-which are compared; ``added_ids``, which ``membership._solve`` reads,
-must make each generator's ids the ones before it plus its added path.
+``precedes_key``. The generators must equal those copies' records. The
+inverse walk that ``membership._solve`` runs is compiled from the same
+walk (``extremal._walk_program``): each of its steps must read its
+generator's index and divide by the ids added since the independent
+generator before it in its size.
 """
 
 import random
 
 import pytest
 
-from tnnflag.extremal import Generator, generators
+from tnnflag.extremal import Generator, _walk_program, generators
 from tnnflag.oracle import Path, PathCollection, graph_extremal_collections
 from tnnflag.perms import bruhat_pairs, identity, longest_element
-from tnnflag.wiring import _greedy_prefixes, build_diagram
+from tnnflag.wiring import _greedy_prefixes, _reached, build_diagram
 
 
 def precedes_key(I):
@@ -132,12 +134,12 @@ def _cells():
 
 def test_generators_match_the_record_walk():
     """Every S3-S5 cell, 300 seeded S6 cells and the S7 and S8 top cells,
-    the first four fields, in order."""
+    record for record, in order."""
     for v, w in _cells():
         got, expected = generators(v, w), _generators_reference(v, w)
         assert len(got) == len(expected), (v, w)
         for g, e in zip(got, expected):
-            assert type(g) is Generator and g[:4] == e, (v, w, e)
+            assert type(g) is Generator and g == e, (v, w, e)
 
 
 def test_walk_and_generators_match_the_sorting_versions():
@@ -145,7 +147,7 @@ def test_walk_and_generators_match_the_sorting_versions():
     the walk at every k in 1..n, its added paths put in place, gives the
     sorting walk's sink sets and climbed edges, in its order, and the
     generators, walked size by size, equal those sorted by
-    ``precedes_key`` in their first four fields. At k = n,
+    ``precedes_key``. At k = n,
     ``graph_extremal_collections`` wraps the sorting walk's one entry."""
     for v, w in _cells():
         d = build_diagram(v, w)
@@ -160,24 +162,34 @@ def test_walk_and_generators_match_the_sorting_versions():
         got, expected = generators(v, w), _generators_sorting_reference(v, w)
         assert len(got) == len(expected), (v, w)
         for g, e in zip(got, expected):
-            assert type(g) is Generator and g[:4] == e, (v, w, e)
+            assert type(g) is Generator and g == e, (v, w, e)
 
 
 def test_each_generator_adds_its_path_to_the_one_before():
-    """Every S3-S5 cell, 300 seeded S6 cells and the S6-S8 top cells:
-    within each size, each generator's weight ids are those of the one
-    before it plus its ``added_ids``, as multisets; the size's first adds
-    none and each later one a nonempty path. ``_solve`` reads each value
-    against the one before it by this, and ``verify`` checks it too."""
+    """Every S3-S5 cell, 300 seeded S6 cells and the S6-S8 top cells: the
+    walk program lists the sweep's indices and one step per independent
+    generator, in order. Each step reads its generator's index by
+    position, solves its new weight id (none at the size's unit, which
+    divides by nothing), and divides by ids that, with the new one, are
+    the generator's ids beyond the independent one before it in its
+    size, as multisets. ``_solve`` reads each value against the one
+    before it by this, and ``verify`` checks it too."""
     for v, w in _cells() + [(identity(6), longest_element(6))]:
-        before = {}                     # by size: the ids of the last index
-        for g in generators(v, w):
-            k = len(g.index)
-            assert type(g.added_ids) is tuple and all(
-                type(j) is int for j in g.added_ids), (v, w, g.index)
-            assert (k in before) == bool(g.added_ids), (v, w, g.index)
+        indices, steps = _walk_program(v, w)
+        assert list(indices) == _reached(build_diagram(v, w)), (v, w)
+        gens = [g for g in generators(v, w) if g.in_svw]
+        assert len(steps) == len(gens), (v, w)
+        before = {}                     # by size: the ids of the last step
+        for g, (k, i, new, others) in zip(gens, steps):
+            assert type(others) is tuple and all(
+                type(j) is int for j in others), (v, w, g.index)
+            assert k == len(g.index) and indices[k - 1][i] == g.index, \
+                (v, w, g.index)
+            assert new == g.new_weight_id and new not in others, (v, w, g.index)
+            assert (k in before) == (new is not None), (v, w, g.index)
+            added = others + (() if new is None else (new,))
             assert sorted(g.weight_ids) == \
-                sorted(before.get(k, ()) + g.added_ids), (v, w, g.index)
+                sorted(before.get(k, ()) + added), (v, w, g.index)
             before[k] = g.weight_ids
 
 

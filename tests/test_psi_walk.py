@@ -1,7 +1,8 @@
 """Differential test of the inverse map.
 
-`psi`, `trop_psi` and `psi_monomials` solve the cell weights in one walk
-over the generators. The two passes they replace are written out below
+`psi` and `trop_psi` solve the cell weights in one run of the cell's
+compiled walk, and `psi_monomials` in one walk over the generators. The
+two passes they replace are written out below
 as the frozen reference: the Laurent monomials first, then their values
 at the coordinates. On every cell of S3, S4 and S5, in both semirings,
 both must give equal weights, in the same key order and of the same

@@ -1,9 +1,11 @@
 """Differential test of the inverse walk.
 
-`membership._solve` walks the generators with the semiring arithmetic
-written out, finds each value in its size's block of the integer view by
-bisection, reads each size's unit as the walk meets it and keeps the
-classical weights as reduced (p, q) int pairs. The callback walk it
+`membership._solve` runs the cell's compiled walk
+(`extremal._walk_program`) with the semiring arithmetic written out,
+reads each value by its position in the cell's block of the integer
+view (realigning a block that lists other indices onto the cell's),
+reads each size's unit as the walk meets it and keeps the classical
+weights as reduced (p, q) int pairs. The callback walk it
 replaced is frozen in `solve_reference.py`, and reads a dict by index:
 the values of the frozen view (`view_reference.py`), of which the
 library's walk is given the same ints as blocks (`values_blocks`). On every cell of S3-S5, 300
@@ -18,12 +20,19 @@ unit zeroed, and tropically a generating coordinate or a unit made
 infinite. `psi`, `trop_psi` and `psi_monomials` must equal the
 reference's on every cell too. On the same blocks of every one of those
 inputs, `_solve` must also give what it gave when it read each value
-against its size's unit (`ref_unit_solve`): the same pairs or ints in
-the same key order, or the same ValueError text.
+against its size's unit (`ref_unit_solve`), and what it gave when it
+walked the generators and found each value by bisection
+(`ref_bisect_solve`): the same pairs or ints in the same key order, or
+the same ValueError text. Blocks that list other indices than the
+cell's are checked against both the same way, and must give the weights
+of the point's own blocks, in the same key order: the greatest
+non-generating index dropped, an index outside the cell's support added,
+and only the independent generating indices kept.
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -37,7 +46,8 @@ from tnnflag.wiring import build_diagram
 
 from oracle_reference import psi_monomials
 from solve_reference import (
-    ref_psi, ref_psi_monomials, ref_solve, ref_trop_psi, ref_unit_solve,
+    ref_bisect_solve, ref_psi, ref_psi_monomials, ref_solve, ref_trop_psi,
+    ref_unit_solve,
 )
 from view_reference import ref_view, values_blocks
 
@@ -59,11 +69,12 @@ def _outcome(solve, v, w, blocks, signed):
 
 def _same_as_unit_walk(v, w, blocks, signed):
     """``_solve``'s outcome on ``blocks``, checked against the walk that
-    read each value against its size's unit."""
+    read each value against its size's unit and the bisecting walk."""
     got = _outcome(_solve, v, w, blocks, signed)
-    want = _outcome(ref_unit_solve, v, w, blocks, signed)
-    assert got == want and (type(got) is str or list(got) == list(want)), \
-        (v, w, blocks)
+    for ref in (ref_unit_solve, ref_bisect_solve):
+        want = _outcome(ref, v, w, blocks, signed)
+        assert got == want and (type(got) is str or list(got) == list(want)), \
+            (v, w, blocks, ref.__name__)
     return got
 
 
@@ -97,6 +108,24 @@ def _broken(values, gens, rng, signed):
     return out
 
 
+def _realigned(values, gens, n, signed):
+    """Copies of ``values`` whose blocks list other indices than the
+    cell's: only the independent generating indices kept, the greatest
+    non-generating index by (size, index) dropped, and the first index by
+    (size, index) outside the support added. No seed is drawn."""
+    generating = {g.index for g in gens}
+    out = [{I: x for I, x in values.items() if I in generating}]
+    rest = [I for I in values if I not in generating]
+    if rest:
+        drop = max(rest, key=lambda I: (len(I), I))
+        out.append({I: x for I, x in values.items() if I != drop})
+    outside = next((I for k in range(1, n) for I in combinations(range(1, n + 1), k)
+                    if I not in values), None)
+    if outside is not None:
+        out.append({**values, outside: 7 if signed else 3})
+    return out
+
+
 def _scaled(values, rng, signed):
     """``values`` with each size block scaled by a seeded nonzero int
     (classically) or shifted by a seeded int (tropically)."""
@@ -126,6 +155,11 @@ def test_walk_matches_the_callback_walk(n):
                     assert {j: Fraction(*q) for j, q in got.items()} == a
                 else:
                     assert list(got.items()) == list(want.items())
+            solved = list(got.items())
+            for case in _realigned(values, gens, len(v), signed):
+                got = _same_as_unit_walk(v, w, values_blocks(case, len(v)),
+                                         signed)
+                assert list(got.items()) == solved, (v, w, case)
             for case in _broken(values, gens, rng, signed):
                 want = _ref_outcome(v, w, case, signed)
                 errors += type(want) is str

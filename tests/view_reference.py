@@ -59,5 +59,6 @@ def values_blocks(values, n):
     sizes = [[] for _ in range(1, n)]
     for I in values:
         sizes[len(I) - 1].append(I)
-    return [(tuple(sorted(block)), [values[I] for I in sorted(block)])
-            for block in sizes]
+    for block in sizes:
+        block.sort()
+    return [(tuple(block), [values[I] for I in block]) for block in sizes]
