@@ -29,11 +29,16 @@ and denominator 1..9, and times every stage once on them with the
 diagram already built.
 
 ``--cold N`` prints instead the per-cell medians, in microseconds, of
-five stages over every cell v <= w of S_N: ``build_diagram``, then
+six stages over every cell v <= w of S_N: ``build_diagram``, then
 ``generators`` on that diagram (and the two summed), then the inverse
 walk's program on it (``extremal._walk_program``, which the deciders
-build instead of the generators; a tree without it reports none), and,
-in a second pass, ``phi`` then ``decide_tnn``, each cell then at once
+build instead of the generators; a tree without it reports none), then
+the deciders' cell read on the cell's own chain ends
+(``extremal._lex_chain_cell`` on its supported indices, listed before
+the clock starts; no cell's ends repeat, so each read misses the cache
+of pairs of ends, and finds the cache of flags, in a tree that has one,
+as the pass has left it so far, as in ``s5-sweep``), and, in a second
+pass, ``phi`` then ``decide_tnn``, each cell then at once
 timed again as ``trop_phi`` then ``decide_trop`` of the same weights as
 Trops, on the cell that the classical stage has just warmed. Every cache of the
 package is cleared before each pass, and each pass sees each cell once,
@@ -170,6 +175,7 @@ def cold_times(n: int, trees: list) -> list[dict]:
     turns = [list(enumerate(trees)), list(enumerate(trees))[::-1]]
     rng = random.Random(n)
     times = [{"build_diagram_us": [], "generators_us": [],
+              "lex_chain_cell_us": [],
               "phi_decide_tnn_us": [], "trop_phi_decide_trop_us": []}
              for _ in trees]
     programs = [getattr(lib.extremal, "_walk_program", None) for lib in trees]
@@ -187,6 +193,9 @@ def cold_times(n: int, trees: list) -> list[dict]:
                 _timed(lib.extremal.generators, v, w))
             if programs[t]:
                 times[t]["walk_program_us"].append(_timed(programs[t], v, w))
+            ends = lib.wiring._reached(lib.wiring.build_diagram(v, w))
+            times[t]["lex_chain_cell_us"].append(
+                _timed(lib.extremal._lex_chain_cell, ends, n))
         ids = trees[0].wiring.build_diagram(v, w).weight_ids()
         weights.append({j: Fraction(rng.randint(1, 99), rng.randint(1, 9))
                         for j in ids})

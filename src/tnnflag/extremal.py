@@ -4,10 +4,11 @@ map Xi, extremal chains per size, a brute-force check of necessary
 flag-matroid conditions on strand masks (bit i for element i), the cell
 read off the first and last indices of each size (``_lex_chain_cell``,
 which checks that they form flags for ``extremal_indices`` and the
-deciders alike), and the generators of a cell: its extremal indices read
-off the wiring diagram, each with the weight ids on its path collection,
-whose fresh ids give the independent generating index set, and the
-inverse walk compiled per cell from the same greedy walk
+deciders alike, cached per pair of ends and, behind that, per flag), and
+the generators of a cell: its extremal indices read off the wiring
+diagram, each with the weight ids on its path collection, whose fresh
+ids give the independent generating index set, and the inverse walk
+compiled per cell in one loop over the same greedy walk
 (``_walk_program``), which the deciders run. The counts the paper's
 theorems promise for the generators, and the program's agreement with
 them, are checked by ``verify`` and the tests.
@@ -34,7 +35,7 @@ __all__ = [
 from functools import lru_cache, reduce
 from itertools import chain
 from operator import le, or_
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .perms import Perm
 from .plucker import Index, _Vector
@@ -179,10 +180,13 @@ def _lex_chain_cell(support: Sequence[Sequence[Index]], n: int,
     lexicographic order (the index tuples of ``_int_view``'s blocks),
     ``extremal_indices`` its chains. Raises ValueError when a size is
     empty, the first or the last indices do not form a flag of subsets
-    of 1..n, or v is not <= w (``_ends_cell``). Ends that are tuples of
-    ints 0..255 are looked up in ``_ends_cell``'s cache. Any others go to
-    its checks uncached, so a cached cell never answers for an end that
-    only equals an index, such as one with an entry 1.0 or Fraction(1)."""
+    of 1..n, or v is not <= w (``_ends_cell``). The read is cached at two
+    levels: ends that are tuples of ints 0..255 are looked up in
+    ``_ends_cell``'s cache of pairs, and on a miss each flag in
+    ``_flag_perm``'s cache of flags. Any other ends go to both bodies
+    uncached, so a cached cell or permutation never answers for an end
+    that only equals an index, such as one with an entry 1.0 or
+    Fraction(1)."""
     for k, block in enumerate(support, start=1):
         if not block:
             raise ValueError(f"no supported index of size {k}")
@@ -190,39 +194,48 @@ def _lex_chain_cell(support: Sequence[Sequence[Index]], n: int,
     try:    # raises for an end not a tuple, and an entry not an int 0..255
         bytes(sum(mins + maxs, ()))
     except (TypeError, ValueError):
-        return _ends_cell.__wrapped__(mins, maxs, n)
+        return _ends_cell.__wrapped__(mins, maxs, n, _flag_perm.__wrapped__)
     return _ends_cell(mins, maxs, n)
+
+
+@lru_cache(maxsize=_CELL_CACHE_SIZE, typed=True)
+def _flag_perm(flag: tuple[Index, ...], n: int) -> Perm:
+    """The permutation u whose prefix sets u^-1(1..k) are the indices of
+    ``flag``, one of each size 1..n-1, filled directly: k at the element
+    e that the size-k index adds (u(e) = k), and n at the one element
+    left over. Raises ValueError when they do not form a flag of subsets
+    of 1..n. S_n has n! flags and many more cells, and a cell's v and w
+    are each one flag's permutation, so a cell not seen before mostly
+    finds both here: the cache keeps as many flags as the per-cell
+    caches keep cells."""
+    full = (1 << n + 1) - 2             # the strand mask of 1..n
+    perm = [n] * n
+    seen = 0                            # the strand mask of the last index
+    for k, I in enumerate(flag, start=1):
+        mask = _mask(I)
+        new = mask ^ seen               # must be one element of 1..n
+        if len(I) != k or mask & seen != seen or new & (new - 1) \
+                or not new & full:
+            raise ValueError("Gale-extreme indices do not form a flag")
+        perm[new.bit_length() - 2] = k
+        seen = mask
+    return Perm(tuple(perm))
 
 
 @lru_cache(maxsize=64, typed=True)
 def _ends_cell(mins: tuple[Index, ...], maxs: tuple[Index, ...], n: int,
-               ) -> tuple[Perm, Perm]:
+               flag_perm=_flag_perm) -> tuple[Perm, Perm]:
     """The cell whose flags are the prefix sets of v^-1 and w^-1, given
     the first and the last index of each size 1..n-1, as
-    ``_lex_chain_cell`` reads them. Raises ValueError when either half
-    does not form a flag of subsets of 1..n, or v is not <= w. v <= w
-    exactly when each size's pair is in Gale order (the tableau
-    criterion). Each permutation is filled directly: k at the element e
-    that the size-k index adds (v(e) = k), and n at the one element left
-    over. A cell is read once per pair of ends, so a decider's
-    reconstruction finds the one that the other semiring's, or an
-    earlier call's, read: the cache keeps the 64 latest."""
-    full = (1 << n + 1) - 2             # the strand mask of 1..n
-
-    def flag_to_perm(flag: tuple[Index, ...]) -> Perm:
-        perm = [n] * n
-        seen = 0                        # the strand mask of the last index
-        for k, I in enumerate(flag, start=1):
-            mask = _mask(I)
-            new = mask ^ seen           # must be one element of 1..n
-            if len(I) != k or mask & seen != seen or new & (new - 1) \
-                    or not new & full:
-                raise ValueError("Gale-extreme indices do not form a flag")
-            perm[new.bit_length() - 2] = k
-            seen = mask
-        return Perm(tuple(perm))
-
-    v, w = flag_to_perm(mins), flag_to_perm(maxs)
+    ``_lex_chain_cell`` reads them: v and w are ``flag_perm`` of each
+    half (``_flag_perm``, or its uncached body for ends that must not be
+    looked up). Raises ValueError when either half does not form a flag
+    of subsets of 1..n, or v is not <= w. v <= w exactly when each
+    size's pair is in Gale order (the tableau criterion). A cell is read
+    once per pair of ends, so a decider's reconstruction finds the one
+    that the other semiring's, or an earlier call's, read by one lookup:
+    the cache keeps the 64 latest."""
+    v, w = flag_perm(mins, n), flag_perm(maxs, n)
     # each size's index k has k elements, so the flattened pairs line up
     if not all(map(le, chain.from_iterable(mins), chain.from_iterable(maxs))):
         raise ValueError("no cell: v is not <= w in Bruhat order")
@@ -251,42 +264,28 @@ class Generator(NamedTuple):
     in_svw: bool
 
 
-def _prefixes(d) -> Iterator[tuple]:
-    """The left-greedy prefixes of the wiring diagram d (a cell's
-    ``build_diagram``) in traversal order: the sizes from n-1 down to 1,
-    and each size's prefixes in lexicographic order
-    (``wiring._greedy_prefixes``), so with no sort. Each is (its size k,
-    its sink set I, the label s of the source whose climbed path it adds,
-    that path's ids, its fresh id): the fresh-id rule, the least id of
-    the path that no earlier prefix used, or None."""
-    walks, used = _greedy_prefixes(d), set()
-    for k in range(d.n - 1, 0, -1):
-        for I, s, climbed in walks[k - 1]:
-            new = None if used.issuperset(climbed) else min(set(climbed) - used)
-            used.update(climbed)
-            yield k, I, s, climbed, new
-
-
 @lru_cache(maxsize=_CELL_CACHE_SIZE)
 def generators(v: Perm, w: Perm) -> tuple[Generator, ...]:
     """Extremal indices in traversal order (larger size first, then
     lexicographically): the sink sets of each size's left-greedy
-    prefixes (``_prefixes``), each with its collection's edge weight ids,
-    read off the walk that ``oracle.graph_extremal_collections`` wraps.
-    Each prefix adds one source's climbed path to the one before it, so
-    its ids, by source label, are that path's put in its source's place,
-    and only that path's ids can be fresh. An index is independent when
-    it adds a fresh id, or when its collection is the all-diagonal one
-    (at each size's Gale-minimal index) with no ids. That each adds at
-    most one fresh id, and that the fresh ids are every cell weight, are
-    checked by ``verify`` and the tests, not here."""
-    out: list[Generator] = []
-    for k, I, s, climbed, new in _prefixes(build_diagram(v, w)):
-        if not climbed:                 # each size's first prefix
-            paths = [()] * (k + 1)      # by source label, the ids climbed
-        paths[s] = climbed
-        ids = sum(paths, ())
-        out.append(_new_record(Generator, (I, ids, new, new is not None or not ids)))
+    prefixes (``wiring._greedy_prefixes``), each with its collection's
+    edge weight ids and the walk's fresh id, read off the walk that
+    ``oracle.graph_extremal_collections`` wraps. Each prefix adds one
+    source's climbed path to the one before it, so its ids, by source
+    label, are that path's put in its source's place, and only that
+    path's ids can be fresh. An index is independent when it adds a
+    fresh id, or when its collection is the all-diagonal one (at each
+    size's Gale-minimal index) with no ids. That each adds at most one
+    fresh id, and that the fresh ids are every cell weight, are checked
+    by ``verify`` and the tests, not here."""
+    d = build_diagram(v, w)
+    walks, out = _greedy_prefixes(d), []
+    for k in range(d.n - 1, 0, -1):
+        paths = [()] * (k + 1)          # by source label, the ids climbed
+        for I, s, climbed, new in walks[k - 1]:
+            paths[s] = climbed
+            ids = sum(paths, ())
+            out.append(_new_record(Generator, (I, ids, new, new is not None or not ids)))
     return tuple(out)
 
 
@@ -302,17 +301,24 @@ def _walk_program(v: Perm, w: Perm) -> tuple[tuple, tuple]:
     so the value at a step, divided by the value at the step before it in
     its size, is the product of the weights on the paths added since:
     those of the dependent generators skipped and the step's own. The
-    ids to divide by are those less the new id. Built from the prefixes
-    that ``generators`` reads, with no records; ``verify`` checks each
-    step against the generators."""
+    ids to divide by are those less the new id. Built in one loop over
+    the greedy walk's prefixes (``wiring._greedy_prefixes``, which gives
+    each its fresh id, the rule ``generators`` reads too), with no
+    records: each size's unit is its lexicographically least index, at
+    position 0, and a prefix with no fresh id only adds its path to
+    those since the base. ``verify`` checks each step against the
+    generators."""
     d = build_diagram(v, w)
-    reached, steps = _reached(d), []
-    for k, I, _, climbed, new in _prefixes(d):
-        over = over + climbed if climbed else ()    # the paths since the base
-        if new is not None or not climbed:
-            # a size's prefixes come in its indices' order, from its unit
-            i = reached[k - 1].index(I, i if climbed else 0)
-            j = over.index(new) if climbed else 0   # new is in over once
+    reached, walks, steps = _reached(d), _greedy_prefixes(d), []
+    for k in range(d.n - 1, 0, -1):
+        block, i, over = reached[k - 1], 0, ()  # over: the paths since the base
+        steps.append((k, 0, None, ()))          # the size's unit
+        for I, _, climbed, new in walks[k - 1]:
+            over += climbed
+            if new is None:
+                continue
+            i = block.index(I, i)
+            j = over.index(new)                 # new is in over once
             steps.append((k, i, new, over[:j] + over[j + 1:]))
             over = ()
     return tuple(reached), tuple(steps)

@@ -193,7 +193,8 @@ def _solve(v: Perm, w: Perm, blocks: list, signed: bool) -> dict:
     (``extremal._walk_program``). A block that lists the cell's indices,
     as every block of a vector from ``phi``/``trop_phi`` or of a member
     does, is read by position; any other is first realigned onto them,
-    an absent index at the semiring's zero (0 or None). Each step reads
+    at the positions the steps read only (a dict by position), an absent
+    index at the semiring's zero (0 or None). Each step reads
     the value x_I at an independent generating index against the base,
     the value at the step before it in its size. Each size starts at its
     unit index v^-1(1..k), and each later collection is the one before
@@ -212,12 +213,17 @@ def _solve(v: Perm, w: Perm, blocks: list, signed: bool) -> dict:
     walk against the unit gives the same pairs and ints and stops at the
     same generator (``tests/solve_reference.py``)."""
     indices, steps = _walk_program(v, w)
-    values = []
+    values, realigned = [], False
     for (J, x), R in zip(blocks, indices):
-        if J != R:                      # realigned, an absent index at the zero
-            at = dict(zip(J, x))
-            x = [at.get(I, 0 if signed else None) for I in R]
+        if J != R:      # realigned below: by index, then by the positions read
+            x, realigned = dict(zip(J, x)), True
         values.append(x)
+    if realigned:       # an absent index at the zero
+        zero = 0 if signed else None
+        for k, i, _, _ in steps:
+            x = values[k - 1]
+            if type(x) is dict:
+                x[i] = x.get(indices[k - 1][i], zero)
     weights: dict = {}
     for k, i, new, others in steps:
         x = values[k - 1][i]

@@ -368,7 +368,7 @@ def graph_extremal_collections(d: WiringDiagram, k: int) -> list[PathCollection]
         raise ValueError("k out of range")
     climbed = [()] * (k + 1)            # by source label
     out = []
-    for _, s, ids in _greedy_prefixes(d)[k - 1]:
+    for _, s, ids, _ in _greedy_prefixes(d)[k - 1]:
         climbed[s] = tuple(e for e in d.edges if e.weight_id in ids)
         out.append(PathCollection(tuple(Path(s, d.strand_of_label(s), climbed[s])
                                         for s in range(1, k + 1))))

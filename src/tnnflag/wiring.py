@@ -99,7 +99,7 @@ class WiringDiagram(NamedTuple):
 
 # Cells held by each per-cell cache (``build_diagram``,
 # ``extremal.generators`` and ``extremal._walk_program``): every cell of
-# S3-S5 (4013 of them) fits.
+# S3-S5 (4013 of them) fits. ``extremal._flag_perm`` keeps as many flags.
 _CELL_CACHE_SIZE = 4096
 
 
@@ -287,50 +287,61 @@ def _greedy_prefixes(d: WiringDiagram) -> list[list]:
     """Per size k = 1..n, a list: for each i, the topmost i of the
     sources 1'..k' take every left turn (upward edge) they can without
     meeting another path, the rest stay diagonal; per distinct sink set
-    I, in lexicographic order of I as a sorted tuple, (I, s, ids): the
-    label s of the one source whose climbed path the set adds and the
-    weight ids of the edges it climbs, in key order. The first set,
-    where every path is diagonal, adds none, (I, 0, ()); each later set
-    keeps the paths of those before it. Paths turn around those above
-    them only, so one walk in key order places all: the path on an
-    edge's lower strand climbs it exactly when no path holds the upper
-    one. Edge keys are distinct, so wherever the sequential greedy
-    (paths added top-down, each turning around those placed) succeeds,
-    this is its collection. A path that climbs moves one sink r up to a
-    strand u > r: a new sink set, whose tuple is read off ``_lex_table``
-    by its strand mask (the shared tuple, not a new one). Its sorted
-    tuple keeps the elements below r and then has one above r where r
-    stood, so it is lexicographically greater: the sets come in
-    lexicographic order, with no sort. Size k's sources are size k-1's
-    and k', so the walks share their set-up. At k = n the one sink set
-    is every strand, reached by no climb."""
+    I, in lexicographic order of I as a sorted tuple, (I, s, ids, new):
+    the label s of the one source whose climbed path the set adds, the
+    weight ids of the edges it climbs, in key order, and its fresh id.
+    The first set, where every path is diagonal, adds none,
+    (I, 0, (), None); each later set keeps the paths of those before it.
+    Paths turn around those above them only, so one walk in key order
+    places all: the path on an edge's lower strand climbs it exactly
+    when no path holds the upper one. Edge keys are distinct, so
+    wherever the sequential greedy (paths added top-down, each turning
+    around those placed) succeeds, this is its collection. A path that
+    climbs moves one sink r up to a strand u > r: a new sink set, whose
+    tuple is read off ``_lex_table`` by its strand mask (the shared
+    tuple, not a new one). Its sorted tuple keeps the elements below r
+    and then has one above r where r stood, so it is lexicographically
+    greater: the sets come in lexicographic order, with no sort. The
+    sizes are walked from n-1 down, size k-1's sources being size k's
+    less k', so the walks share their set-up and meet the sets in the
+    traversal order of the extremal indices (``extremal.generators``).
+    That order gives the fresh-id rule: a set's fresh id is the least id
+    of its path that no set met before it climbs, or None. At k = n the
+    one sink set is every strand, reached by no climb."""
     n, labels = d.n, d.source_label
     table = _lex_table(n)[0]
-    placed = [0] * (n + 1)      # strand -> the source label on it, or 0
-    start = 0                   # the strand mask of the sources 1'..k'
-    out = []
-    for k in range(1, n):
-        r = labels.index(k) + 1
-        placed[r] = k
-        start |= 1 << (r - 1)
+    placed = [0, *labels]       # strand -> the source label on it, or 0
+    r = labels.index(n) + 1
+    placed[r] = 0
+    start = (1 << n) - 1 ^ 1 << (r - 1)     # the strand mask of the sources 1'..k'
+    out = [None] * (n - 1) + [[(tuple(range(1, n + 1)), 0, (), None)]]
+    used = set()                # the ids climbed by the sets met so far
+    for k in range(n - 1, 0, -1):
         holder = placed.copy()
         climbed, end = {}, {}   # by source label: the ids climbed, the sink
-        for e in d.edges:
-            s, u = holder[e.lower], e.upper
-            if s and not holder[u]:
-                holder[e.lower], holder[u] = 0, s
-                end[s] = u
-                climbed.setdefault(s, []).append(e.weight_id)
+        for wid, _, _, lo, up in d.edges:
+            s = holder[lo]
+            if s and not holder[up]:
+                holder[lo], holder[up] = 0, s
+                end[s] = up
+                climbed.setdefault(s, []).append(wid)
         sinks = start
-        found = [(table[sinks], 0, ())]
-        if climbed:
-            for r in range(n, 0, -1):       # the sources top-down
-                s = placed[r]
-                if s in climbed:
-                    sinks ^= 1 << (r - 1) | 1 << (end[s] - 1)
-                    found.append((table[sinks], s, tuple(climbed[s])))
-        out.append(found)
-    out.append([(tuple(range(1, n + 1)), 0, ())])   # no path can climb
+        found = out[k - 1] = [(table[sinks], 0, (), None)]
+        for r in range(n, 0, -1) if climbed else ():    # the sources top-down
+            s = placed[r]
+            if s in climbed:
+                ids = climbed[s]
+                sinks ^= 1 << (r - 1) | 1 << (end[s] - 1)
+                for new in ids:         # ascending, as the edges' ids are
+                    if new not in used:
+                        break
+                else:
+                    new = None
+                used.update(ids)
+                found.append((table[sinks], s, tuple(ids), new))
+        r = labels.index(k) + 1
+        placed[r] = 0
+        start ^= 1 << (r - 1)
     return out
 
 

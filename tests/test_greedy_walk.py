@@ -117,7 +117,7 @@ def _walk_by_label(d, k):
     edge = {e.weight_id: e for e in d.edges}
     paths = [()] * k
     out = []
-    for i, (I, s, ids) in enumerate(_greedy_prefixes(d)[k - 1]):
+    for i, (I, s, ids, _) in enumerate(_greedy_prefixes(d)[k - 1]):
         assert (s, ids) == (0, ()) if i == 0 else \
             1 <= s <= k and paths[s - 1] == () and ids, (d.cell, k, i)
         if s:

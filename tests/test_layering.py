@@ -191,15 +191,21 @@ def test_only_the_listed_functions_have_unbounded_caches():
 
 
 def test_per_cell_caches_are_bounded():
-    """The caches per cell, and the one per w (``wiring._w_word``), which
-    ``build_diagram`` reads for every cell of that w."""
-    from tnnflag.extremal import _walk_program, generators
-    from tnnflag.perms import bruhat_pairs
+    """The caches per cell, the one per w (``wiring._w_word``), which
+    ``build_diagram`` reads for every cell of that w, and the one per
+    flag (``extremal._flag_perm``), which the deciders' cell read
+    reaches on a miss in its cache of pairs of ends."""
+    from tnnflag.extremal import _flag_perm, _walk_program, generators
+    from tnnflag.perms import all_perms, bruhat_pairs
     from tnnflag.wiring import _w_word, build_diagram
     assert sum(len(bruhat_pairs(n)) for n in (3, 4, 5)) == S3_TO_S5_CELLS
     for cache in (build_diagram, generators, _walk_program, _w_word):
         maxsize = cache.cache_parameters()["maxsize"]
         assert maxsize is not None and maxsize >= S3_TO_S5_CELLS
+    # the cell read's cache of flags holds every flag of S3-S5, and more
+    maxsize = _flag_perm.cache_parameters()["maxsize"]
+    assert maxsize is not None \
+        and maxsize >= sum(len(list(all_perms(n))) for n in (3, 4, 5))
 
 
 @pytest.mark.parametrize(

@@ -10,12 +10,16 @@ prefix. Both must give equal records of the same types, sweep included,
 on every S3-S5 cell, 300 seeded S6 cells and the S6-S8 top cells.
 
 `_lex_chain_cell` reads the cell off the chain ends through a small
-cache (`extremal._ends_cell`). With the cache cleared, with it filled by
-the same ends (and by the int ends that equal them) and as the frozen
-uncached copy, it must give the same cell, or the same exception type
-and text, on the ends of every S3-S5 cell and on malformed ends: an
-empty block, ends that are no flag, v not <= w, entries that are not
-ints, float or bool entries equal to ints, and ends given as lists.
+cache of pairs of ends (`extremal._ends_cell`), and on a miss each
+flag's permutation through a cache of flags (`extremal._flag_perm`).
+With both caches cleared, with both filled by the same ends (and by the
+int ends that equal them), with the pairs cleared and the flags left as
+those ends filled them, and as the frozen uncached copy, it must give
+the same cell, or the same exception type and text, on the ends of
+every S3-S5 cell and on malformed ends: an empty block, ends that are no
+flag, v not <= w, entries that are not ints, float or bool entries equal
+to ints, and ends given as lists. So float, Fraction and str ends are
+read after the int ends equal to them have filled the cache of flags.
 """
 
 import random
@@ -24,7 +28,8 @@ from itertools import chain, combinations
 from operator import le
 
 from tnnflag.extremal import (
-    Generator, _ends_cell, _lex_chain_cell, cell_support, generators,
+    Generator, _ends_cell, _flag_perm, _lex_chain_cell, cell_support,
+    generators,
 )
 from tnnflag.perms import (
     Perm, bruhat_pairs, identity, is_perm, longest_element,
@@ -250,14 +255,21 @@ def test_lex_chain_cell_cold_warm_and_frozen_agree():
             for s in [support, *_malformed(support, n, rng)]:
                 want = _outcome(_lex_chain_cell_frozen, s, n)
                 _ends_cell.cache_clear()
+                _flag_perm.cache_clear()
                 cold = _outcome(_lex_chain_cell, s, n)
                 _outcome(_lex_chain_cell, _as_ints(s), n)
                 _outcome(_lex_chain_cell, s, n)
                 hits = _ends_cell.cache_info().hits
                 warm = _outcome(_lex_chain_cell, s, n)
-                assert cold == warm == want, (n, s)
-                if s is support:            # a cell's own ends are looked up
-                    assert _ends_cell.cache_info().hits == hits + 1, (n, s)
+                # a cell's own ends are looked up, as a pair, then as flags
+                assert s is not support \
+                    or _ends_cell.cache_info().hits == hits + 1, (n, s)
+                _ends_cell.cache_clear()    # the flags stay as the ends left them
+                hits = _flag_perm.cache_info().hits
+                flags = _outcome(_lex_chain_cell, s, n)
+                assert s is not support \
+                    or _flag_perm.cache_info().hits == hits + 2, (n, s)
+                assert cold == warm == flags == want, (n, s)
                 kinds.add(want[1] if type(want[0]) is type else "cell")
     assert _ends_cell.cache_info().maxsize == 64
     assert {"cell", "no supported index of size 1",
