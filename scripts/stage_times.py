@@ -35,9 +35,9 @@ walk's program on it (``extremal._walk_program``, which the deciders
 build instead of the generators; a tree without it reports none), then
 the deciders' cell read on the cell's own chain ends
 (``extremal._lex_chain_cell`` on its supported indices, listed before
-the clock starts; no cell's ends repeat, so each read misses the cache
-of pairs of ends, and finds the cache of flags, in a tree that has one,
-as the pass has left it so far, as in ``s5-sweep``), and, in a second
+the clock starts; each read finds the cache of flags, in a tree that
+has one, as the pass has left it so far, as in ``s5-sweep``, where no
+cell's pair of ends repeats but its flags mostly do), and, in a second
 pass, ``phi`` then ``decide_tnn``, each cell then at once
 timed again as ``trop_phi`` then ``decide_trop`` of the same weights as
 Trops, on the cell that the classical stage has just warmed. Every cache of the

@@ -4,7 +4,8 @@ map Xi, extremal chains per size, a brute-force check of necessary
 flag-matroid conditions on strand masks (bit i for element i), the cell
 read off the first and last indices of each size (``_lex_chain_cell``,
 which checks that they form flags for ``extremal_indices`` and the
-deciders alike, cached per pair of ends and, behind that, per flag), and
+deciders alike, through one cache of each flag's permutation, and takes
+ends of exact ints, which each caller checks where its input enters), and
 the generators of a cell: its extremal indices read off the wiring
 diagram, each with the weight ids on its path collection, whose fresh
 ids give the independent generating index set, and the inverse walk
@@ -33,7 +34,6 @@ __all__ = [
 ]
 
 from functools import lru_cache, reduce
-from itertools import chain
 from operator import le, or_
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
@@ -153,7 +153,12 @@ def extremal_indices(p: _Vector | SupportVector) -> list[ExtremalChain]:
     Raises ValueError when the support, with each absent size 1..n-1 read
     as an empty block, fails the necessary conditions of
     ``flag_matroid_check``, or the chain starts or the chain ends do not
-    form a flag (``_lex_chain_cell``).
+    form a flag (``_lex_chain_cell``). That check masks every basis
+    first, which raises TypeError for an entry that is not an int; a
+    bool entry is masked, and read, as the int it equals, so the cell
+    read's cache of flags answers for it as the uncached body would.
+    Bases are tuples, as a ``SupportVector``'s are: a chain that starts
+    at a list or a frozenset raises TypeError there.
     """
     if not isinstance(p, SupportVector):
         p = SupportVector(p.n, p.support())
@@ -175,39 +180,45 @@ def extremal_indices(p: _Vector | SupportVector) -> list[ExtremalChain]:
 def _lex_chain_cell(support: Sequence[Sequence[Index]], n: int,
                     ) -> tuple[Perm, Perm]:
     """The cell read off the first and last index of each size 1..n-1 of
-    ``support``, a list of n-1 sequences of sorted tuples, entry k-1 of
-    size k: the deciders pass each size's supported indices in
+    ``support``, a list of n-1 sequences of sorted tuples of ints, entry
+    k-1 of size k: the deciders pass each size's supported indices in
     lexicographic order (the index tuples of ``_int_view``'s blocks),
     ``extremal_indices`` its chains. Raises ValueError when a size is
     empty, the first or the last indices do not form a flag of subsets
-    of 1..n, or v is not <= w (``_ends_cell``). The read is cached at two
-    levels: ends that are tuples of ints 0..255 are looked up in
-    ``_ends_cell``'s cache of pairs, and on a miss each flag in
-    ``_flag_perm``'s cache of flags. Any other ends go to both bodies
-    uncached, so a cached cell or permutation never answers for an end
-    that only equals an index, such as one with an entry 1.0 or
-    Fraction(1)."""
+    of 1..n, or v is not <= w. v and w are the two flags' permutations,
+    each one lookup in ``_flag_perm``'s cache, and v <= w exactly when
+    each size's pair is in Gale order (the tableau criterion): the
+    flags' elements, flattened, compare pairwise.
+
+    The ends must be tuples of ints, since a cached flag answers for any
+    end equal to it, such as one with an entry 1.0 or Fraction(1). Each
+    caller guarantees that where its input enters: ``_int_view`` raises
+    ``bad index`` for a key with any other entry, ``extremal_indices``
+    masks every basis first (``flag_matroid_check``, where only an int
+    or a bool, which reads as the int it equals, gets through), and
+    ``membership.identify_cell`` checks its support's entries."""
     for k, block in enumerate(support, start=1):
         if not block:
             raise ValueError(f"no supported index of size {k}")
-    mins, maxs = tuple([b[0] for b in support]), tuple([b[-1] for b in support])
-    try:    # raises for an end not a tuple, and an entry not an int 0..255
-        bytes(sum(mins + maxs, ()))
-    except (TypeError, ValueError):
-        return _ends_cell.__wrapped__(mins, maxs, n, _flag_perm.__wrapped__)
-    return _ends_cell(mins, maxs, n)
+    v, lo = _flag_perm(tuple([b[0] for b in support]), n)
+    w, hi = _flag_perm(tuple([b[-1] for b in support]), n)
+    if not all(map(le, lo, hi)):
+        raise ValueError("no cell: v is not <= w in Bruhat order")
+    return v, w
 
 
 @lru_cache(maxsize=_CELL_CACHE_SIZE, typed=True)
-def _flag_perm(flag: tuple[Index, ...], n: int) -> Perm:
+def _flag_perm(flag: tuple[Index, ...], n: int) -> tuple[Perm, tuple[int, ...]]:
     """The permutation u whose prefix sets u^-1(1..k) are the indices of
     ``flag``, one of each size 1..n-1, filled directly: k at the element
     e that the size-k index adds (u(e) = k), and n at the one element
-    left over. Raises ValueError when they do not form a flag of subsets
-    of 1..n. S_n has n! flags and many more cells, and a cell's v and w
-    are each one flag's permutation, so a cell not seen before mostly
-    finds both here: the cache keeps as many flags as the per-cell
-    caches keep cells."""
+    left over; with it, the flag's indices flattened into one tuple, in
+    which each size's index takes k places, so two flags' tuples line up
+    size by size. Raises ValueError when they do not form a flag of
+    subsets of 1..n. S_n has n! flags and many more cells, and a cell's
+    v and w are each one flag's permutation, so a cell not seen before
+    mostly finds both here: the cache keeps as many flags as the
+    per-cell caches keep cells."""
     full = (1 << n + 1) - 2             # the strand mask of 1..n
     perm = [n] * n
     seen = 0                            # the strand mask of the last index
@@ -219,27 +230,7 @@ def _flag_perm(flag: tuple[Index, ...], n: int) -> Perm:
             raise ValueError("Gale-extreme indices do not form a flag")
         perm[new.bit_length() - 2] = k
         seen = mask
-    return Perm(tuple(perm))
-
-
-@lru_cache(maxsize=64, typed=True)
-def _ends_cell(mins: tuple[Index, ...], maxs: tuple[Index, ...], n: int,
-               flag_perm=_flag_perm) -> tuple[Perm, Perm]:
-    """The cell whose flags are the prefix sets of v^-1 and w^-1, given
-    the first and the last index of each size 1..n-1, as
-    ``_lex_chain_cell`` reads them: v and w are ``flag_perm`` of each
-    half (``_flag_perm``, or its uncached body for ends that must not be
-    looked up). Raises ValueError when either half does not form a flag
-    of subsets of 1..n, or v is not <= w. v <= w exactly when each
-    size's pair is in Gale order (the tableau criterion). A cell is read
-    once per pair of ends, so a decider's reconstruction finds the one
-    that the other semiring's, or an earlier call's, read by one lookup:
-    the cache keeps the 64 latest."""
-    v, w = flag_perm(mins, n), flag_perm(maxs, n)
-    # each size's index k has k elements, so the flattened pairs line up
-    if not all(map(le, chain.from_iterable(mins), chain.from_iterable(maxs))):
-        raise ValueError("no cell: v is not <= w in Bruhat order")
-    return v, w
+    return Perm(tuple(perm)), sum(flag, ())
 
 
 def extremal_index_set(p: _Vector | SupportVector) -> frozenset[Index]:

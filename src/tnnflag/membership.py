@@ -126,12 +126,20 @@ def identify_cell(support: Mapping[int, set], n: int) -> tuple[Perm, Perm]:
     Gale-maximal chain; raises ValueError when the chains do not exist,
     are not nested, or v is not <= w (all signal non-membership).
 
-    The all-pairs Gale check is this function's own; the rest is
-    ``extremal._lex_chain_cell``, which the deciders call alone: a
-    member's support is a flag matroid, whose lexicographic extremes are
-    its Gale extremes. Only ``decide_trop`` runs this, to name a
-    rejection that no three-term relation names.
+    Each basis of sizes 1..n-1 is read in any order, and one with an
+    entry that is not an int (1.0 and True equal ints without being
+    them) raises ValueError("bad index ..."), as the deciders do for the
+    same key; so ``extremal._lex_chain_cell``, whose cache must not
+    answer for such a key, only sees ints. The all-pairs Gale check is
+    this function's own; the rest is ``_lex_chain_cell``, which the
+    deciders call alone: a member's support is a flag matroid, whose
+    lexicographic extremes are its Gale extremes. Only ``decide_trop``
+    runs this, to name a rejection that no three-term relation names.
     """
+    for k in range(1, n):
+        for B in support.get(k, ()):
+            if not {*map(type, B)} <= {int}:
+                raise ValueError(f"bad index {B!r} for n={n}")
     blocks = [sorted({tuple(sorted(B)) for B in support.get(k, ())})
               for k in range(1, n)]
     for k, bases in enumerate(blocks, start=1):
@@ -287,10 +295,12 @@ def _reconstruct(p, blocks: list, L: int,
     block agrees with the sweep's block of its size (``_agrees``).
     Tropically x_unit = Q_unit is 0, and so is r_unit, since every move
     raises a path and only the collection that moves none reaches the
-    sources' own strands: the test reads Q_I = r_I. A key not of ints
-    raises TypeError in the chains; the walk realigns a block whose
-    indices are not the cell's by lookup, which raises none. That input
-    is no member, and its keys fail the deciders' check."""
+    sources' own strands: the test reads Q_I = r_I. The view has raised
+    for a key with an entry that is not an int, so the cell read sees
+    ints only; a key that is not a tuple, such as a frozenset of ints,
+    raises TypeError there, and the walk realigns a block whose indices
+    are not the cell's by lookup, which raises none. That input is no
+    member, and its keys fail the deciders' check."""
     try:
         v, w = _lex_chain_cell([I for I, _ in blocks], p.n)
     except (TypeError, ValueError) as exc:

@@ -193,8 +193,8 @@ def test_only_the_listed_functions_have_unbounded_caches():
 def test_per_cell_caches_are_bounded():
     """The caches per cell, the one per w (``wiring._w_word``), which
     ``build_diagram`` reads for every cell of that w, and the one per
-    flag (``extremal._flag_perm``), which the deciders' cell read
-    reaches on a miss in its cache of pairs of ends."""
+    flag (``extremal._flag_perm``), the deciders' cell read's one cache,
+    which it looks up for each of a cell's two flags."""
     from tnnflag.extremal import _flag_perm, _walk_program, generators
     from tnnflag.perms import all_perms, bruhat_pairs
     from tnnflag.wiring import _w_word, build_diagram

@@ -9,17 +9,21 @@ source that the walk adds; the frozen copy summed every path of every
 prefix. Both must give equal records of the same types, sweep included,
 on every S3-S5 cell, 300 seeded S6 cells and the S6-S8 top cells.
 
-`_lex_chain_cell` reads the cell off the chain ends through a small
-cache of pairs of ends (`extremal._ends_cell`), and on a miss each
-flag's permutation through a cache of flags (`extremal._flag_perm`).
-With both caches cleared, with both filled by the same ends (and by the
-int ends that equal them), with the pairs cleared and the flags left as
-those ends filled them, and as the frozen uncached copy, it must give
-the same cell, or the same exception type and text, on the ends of
-every S3-S5 cell and on malformed ends: an empty block, ends that are no
-flag, v not <= w, entries that are not ints, float or bool entries equal
-to ints, and ends given as lists. So float, Fraction and str ends are
-read after the int ends equal to them have filled the cache of flags.
+`_lex_chain_cell` reads the cell off the chain ends through one cache,
+each flag's permutation (`extremal._flag_perm`). With that cache
+cleared, and with it filled by the same ends, it must give the same
+cell, or the same exception type and text, as the frozen uncached copy,
+on the ends of every S3-S5 cell and on malformed ends: an empty block,
+swapped ends, and every block reversed (no flag, or v not <= w).
+
+A cached flag would answer for any end equal to it, so the cell read
+takes ends of exact ints only, and the public entry points check the
+rest. On every S3-S5 cell, after the cell's int support has filled the
+cache of flags, ends with float, Fraction, str or bool entries (True for
+1) and all-float supports make `identify_cell` raise its `bad index`
+ValueError, and ends given as lists are sorted into the tuple support's
+cell; `extremal_indices` gives the outcome, type and text it gives with
+the frozen uncached cell read (a support's frozensets hold no lists).
 """
 
 import random
@@ -27,10 +31,12 @@ from fractions import Fraction
 from itertools import chain, combinations
 from operator import le
 
+from tnnflag import extremal
 from tnnflag.extremal import (
-    Generator, _ends_cell, _flag_perm, _lex_chain_cell, cell_support,
-    generators,
+    Generator, SupportVector, _flag_perm, _lex_chain_cell, cell_support,
+    extremal_indices, generators,
 )
+from tnnflag.membership import identify_cell
 from tnnflag.perms import (
     Perm, bruhat_pairs, identity, is_perm, longest_element,
     positive_distinguished_subexpression,
@@ -221,28 +227,32 @@ def _outcome(f, *args):
         return type(exc), str(exc)
 
 
-def _as_ints(support):
-    """The support with every entry of its ends made an int."""
-    return [[tuple(map(int, I)) if j in (0, len(b) - 1) else I
-             for j, I in enumerate(b)] for b in support]
-
-
 def _malformed(support, n, rng):
     """Each support edited at one size, as the docstring lists."""
     k = rng.randrange(n - 1)
     b = support[k]
-    out = [support[:k] + [[]] + support[k + 1:],            # an empty block
-           support[:k] + [[b[-1], b[0]]] + support[k + 1:],  # swapped ends
-           [list(reversed(c)) for c in support]]            # no flag or v > w
+    return [support[:k] + [[]] + support[k + 1:],            # an empty block
+            support[:k] + [[b[-1], b[0]]] + support[k + 1:],  # swapped ends
+            [list(reversed(c)) for c in support]]            # no flag or v > w
+
+
+def _not_ints(support, n, rng):
+    """Each support edited at one end, or at every index, with entries
+    that are not ints, as the docstring lists: pairs of the support and
+    its first basis with such an entry, or None when every entry is an
+    int, as the bool edit of an end without 1 leaves it."""
+    k = rng.randrange(n - 1)
+    b = support[k]
+    out = []
     for edit in (float, Fraction, str, lambda i: i == 1 or i):  # True for 1
         for at in (0, -1):
             end = tuple(map(edit, b[at]))
             c = list(b)
             c[at] = end
-            out.append(support[:k] + [c] + support[k + 1:])
-    out.append([[tuple(map(float, I)) for I in c] for c in support])
-    out.append([[list(c[0]), *c[1:]] for c in support])       # list ends
-    return out
+            bad = end if {*map(type, end)} != {int} else None
+            out.append((support[:k] + [c] + support[k + 1:], bad))
+    floats = [[tuple(map(float, I)) for I in c] for c in support]
+    return out + [(floats, floats[0][0])]
 
 
 def test_lex_chain_cell_cold_warm_and_frozen_agree():
@@ -254,27 +264,56 @@ def test_lex_chain_cell_cold_warm_and_frozen_agree():
             support = [sorted(sets[k]) for k in range(1, n)]
             for s in [support, *_malformed(support, n, rng)]:
                 want = _outcome(_lex_chain_cell_frozen, s, n)
-                _ends_cell.cache_clear()
                 _flag_perm.cache_clear()
                 cold = _outcome(_lex_chain_cell, s, n)
-                _outcome(_lex_chain_cell, _as_ints(s), n)
-                _outcome(_lex_chain_cell, s, n)
-                hits = _ends_cell.cache_info().hits
-                warm = _outcome(_lex_chain_cell, s, n)
-                # a cell's own ends are looked up, as a pair, then as flags
-                assert s is not support \
-                    or _ends_cell.cache_info().hits == hits + 1, (n, s)
-                _ends_cell.cache_clear()    # the flags stay as the ends left them
                 hits = _flag_perm.cache_info().hits
-                flags = _outcome(_lex_chain_cell, s, n)
+                warm = _outcome(_lex_chain_cell, s, n)
+                # a cell's own ends are two flags, each looked up
                 assert s is not support \
                     or _flag_perm.cache_info().hits == hits + 2, (n, s)
-                assert cold == warm == flags == want, (n, s)
+                assert cold == warm == want, (n, s)
                 kinds.add(want[1] if type(want[0]) is type else "cell")
-    assert _ends_cell.cache_info().maxsize == 64
     assert {"cell", "no supported index of size 1",
             "Gale-extreme indices do not form a flag",
-            "no cell: v is not <= w in Bruhat order",
+            "no cell: v is not <= w in Bruhat order"} <= kinds, kinds
+
+
+def _extremal_outcome(support, n, cell_read):
+    """``extremal_indices`` on the support as a ``SupportVector``, with
+    ``cell_read`` as its cell read: its repr, which tells 1 from True,
+    or its exception's type and text."""
+    saved, extremal._lex_chain_cell = extremal._lex_chain_cell, cell_read
+    try:
+        got = _outcome(extremal_indices, SupportVector(
+            n, {k: frozenset(b) for k, b in enumerate(support, start=1)}))
+    finally:
+        extremal._lex_chain_cell = saved
+    return got if type(got) is tuple else repr(got)
+
+
+def test_entry_points_check_ends_that_are_not_ints():
+    rng = random.Random(41)
+    kinds = set()
+    for n in (3, 4, 5):
+        for v, w in bruhat_pairs(n):
+            sets = cell_support(v, w).sets
+            support = [sorted(sets[k]) for k in range(1, n)]
+            cell = (v, w)
+            # the int support fills the cache of flags with the cell's ends
+            assert identify_cell(dict(enumerate(support, start=1)), n) == cell
+            for s, bad in _not_ints(support, n, rng):
+                got = _outcome(identify_cell, dict(enumerate(s, start=1)), n)
+                if bad is None:         # every entry an int, as the support's
+                    assert got == cell, (n, s)
+                    continue
+                assert got == (ValueError, f"bad index {bad!r} for n={n}"), (n, s)
+                want = _extremal_outcome(s, n, _lex_chain_cell_frozen)
+                assert _extremal_outcome(s, n, _lex_chain_cell) == want, (n, s)
+                kinds.add(want[1] if type(want) is tuple else "chains")
+            lists = {k: [list(b[0]), *b[1:]]
+                     for k, b in enumerate(support, start=1)}
+            assert identify_cell(lists, n) == cell
+    assert {"chains",
             "unsupported operand type(s) for <<: 'int' and 'float'",
             "unsupported operand type(s) for <<: 'int' and 'Fraction'",
             "unsupported operand type(s) for <<: 'int' and 'str'"} <= kinds, kinds
