@@ -9,8 +9,8 @@ tree it started from with one command per tree:
 
 Per cell it hashes the ``repr`` of: the wiring diagram without its
 compiled sweep (``diagram_fields``: the sweep is an internal schedule
-whose form may change while every result stays put), each generator's
-index, fresh weight id and ``in_svw``, each size's
+whose form may change while every result stays put), each of the
+oracle's generators' index, fresh weight id and ``in_svw``, each size's
 ``graph_extremal_collections`` (the collections whose weight ids the
 generators list), ``cell_support`` and the ``flag_matroid_check``
 verdict on it with a seeded index toggled (see ``toggled``), ``phi`` and
@@ -21,6 +21,8 @@ the three-term propagation from the point's values at the generators,
 and both deciders' certificates on seeded one-coordinate edits of the
 point (see ``edits``); then ``generate_relations(4, True)``. A ``repr`` shows a
 dict's order and a number's type, so the digest moves when either does.
+A tree from before the generators moved to ``tnnflag.oracle`` has them
+in ``tnnflag.extremal``, where they are read instead.
 """
 
 import hashlib
@@ -28,9 +30,10 @@ import random
 import sys
 import time
 
+from tnnflag import extremal, oracle
 from tnnflag.algebra import Trop
 from tnnflag.extremal import (
-    cell_support, extremal_indices, flag_matroid_check, generators, s_vw,
+    cell_support, extremal_indices, flag_matroid_check, s_vw,
 )
 from tnnflag.membership import (
     decide_tnn, decide_trop, propagate_three_term, psi, trop_propagate_three_term,
@@ -42,6 +45,7 @@ from tnnflag.plucker import generate_relations, phi, trop_phi
 from tnnflag.wiring import build_diagram
 
 SEED = 20
+generators = getattr(oracle, "generators", None) or extremal.generators
 
 
 def edits(p, v, w, rng):

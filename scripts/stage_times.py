@@ -29,10 +29,12 @@ and denominator 1..9, and times every stage once on them with the
 diagram already built.
 
 ``--cold N`` prints instead the per-cell medians, in microseconds, of
-six stages over every cell v <= w of S_N: ``build_diagram``, then
-``generators`` on that diagram (and the two summed), then the inverse
-walk's program on it (``extremal._walk_program``, which the deciders
-build instead of the generators; a tree without it reports none), then
+up to six stages over every cell v <= w of S_N: ``build_diagram``, then
+``extremal.generators`` on that diagram (and the two summed), in a tree
+that still has them there (since they moved to the oracle, a tree
+reports none), then the inverse walk's program on it
+(``extremal._walk_program``, which the deciders build instead of the
+generators; a tree without it reports none), then
 the deciders' cell read on the cell's own chain ends
 (``extremal._lex_chain_cell`` on its supported indices, listed before
 the clock starts; each read finds the cache of flags, in a tree that
@@ -95,7 +97,8 @@ def _inputs(lib, v, w, a) -> dict:
     their pairs (``_exact_weights``), their Trops x, the ints L x_e
     (``_trop_ints``), the ``_int_view`` blocks of ``phi`` of a and
     ``trop_phi`` of x, read before their coordinates are, the values of
-    ``phi`` of a at the extremal indices, and the two near-misses, ``phi`` of a and ``trop_phi`` of x given their
+    ``phi`` of a at the extremal indices (``extremal_index_set``), and
+    the two near-misses, ``phi`` of a and ``trop_phi`` of x given their
     coordinates, with the greatest non-generating coordinate doubled or
     raised by 1."""
     x = {j: lib.algebra.Trop(q) for j, q in a.items()}
@@ -106,8 +109,8 @@ def _inputs(lib, v, w, a) -> dict:
     return {"a": a, "pairs": lib.plucker._exact_weights(a), "x": x,
             "ints": lib.plucker._trop_ints(x)[0],
             "blocks": blocks, "trop_blocks": trop_blocks,
-            "extremal": {g.index: p.coords[g.index]
-                         for g in lib.extremal.generators(v, w)},
+            "extremal": {I: p.coords[I] for I in lib.extremal.extremal_index_set(
+                lib.extremal.cell_support(v, w))},
             "tnn_miss": type(p)(p.n, {**p.coords, I: 2 * p.coords[I]}),
             "trop_miss": type(t)(t.n, {**t.coords,
                                        I: lib.algebra.Trop(t.coords[I].value + 1)})}
@@ -174,12 +177,14 @@ def cold_times(n: int, trees: list) -> list[dict]:
     cells = trees[0].perms.bruhat_pairs(n)
     turns = [list(enumerate(trees)), list(enumerate(trees))[::-1]]
     rng = random.Random(n)
-    times = [{"build_diagram_us": [], "generators_us": [],
-              "lex_chain_cell_us": [],
+    times = [{"build_diagram_us": [], "lex_chain_cell_us": [],
               "phi_decide_tnn_us": [], "trop_phi_decide_trop_us": []}
              for _ in trees]
+    gens = [getattr(lib.extremal, "generators", None) for lib in trees]
     programs = [getattr(lib.extremal, "_walk_program", None) for lib in trees]
-    for ts, program in zip(times, programs):
+    for ts, g, program in zip(times, gens, programs):
+        if g:
+            ts["generators_us"] = []
         if program:
             ts["walk_program_us"] = []
     weights = []
@@ -189,8 +194,8 @@ def cold_times(n: int, trees: list) -> list[dict]:
         for t, lib in turns[c % 2]:
             times[t]["build_diagram_us"].append(
                 _timed(lib.wiring.build_diagram, v, w))
-            times[t]["generators_us"].append(
-                _timed(lib.extremal.generators, v, w))
+            if gens[t]:
+                times[t]["generators_us"].append(_timed(gens[t], v, w))
             if programs[t]:
                 times[t]["walk_program_us"].append(_timed(programs[t], v, w))
             ends = lib.wiring._reached(lib.wiring.build_diagram(v, w))
@@ -210,8 +215,9 @@ def cold_times(n: int, trees: list) -> list[dict]:
                 _timed(_trop_phi_decide_trop, lib, v, w, x))
     rows = []
     for ts in times:
-        ts["build_diagram_generators_us"] = list(
-            map(sum, zip(ts["build_diagram_us"], ts["generators_us"])))
+        if "generators_us" in ts:
+            ts["build_diagram_generators_us"] = list(
+                map(sum, zip(ts["build_diagram_us"], ts["generators_us"])))
         rows.append({"n": n, "cells": len(cells),
                      **{name: round(1e6 * statistics.median(xs), 2)
                         for name, xs in ts.items()}})

@@ -6,13 +6,14 @@ read off the first and last indices of each size (``_lex_chain_cell``,
 which checks that they form flags for ``extremal_indices`` and the
 deciders alike, through one cache of each flag's permutation, and takes
 ends of exact ints, which each caller checks where its input enters), and
-the generators of a cell: its extremal indices read off the wiring
-diagram, each with the weight ids on its path collection, whose fresh
-ids give the independent generating index set, and the inverse walk
-compiled per cell in one loop over the same greedy walk
-(``_walk_program``), which the deciders run. The counts the paper's
-theorems promise for the generators, and the program's agreement with
-them, are checked by ``verify`` and the tests.
+the inverse walk compiled per cell in one loop over the wiring diagram's
+greedy walk (``_walk_program``), the library's one product of that walk:
+the cell's indices per size, its extremal indices in traversal order, and
+one step per independent generating index, which the deciders run and
+``s_vw`` and the propagations read. The counts the paper's theorems
+promise for the walk, and its agreement with the oracle's generators,
+built from the Xi chains and the path collections listed one by one
+(``oracle.generators``), are checked by ``verify`` and the tests.
 
 Everything here reads only the support (nonzero / finite) pattern: the
 chain functions take classical or tropical vectors or bare supports and
@@ -27,9 +28,9 @@ read each vector's support once, and Xi reads supports only.
 """
 
 __all__ = [
-    "SupportVector", "ExtremalChain", "Generator",
+    "SupportVector", "ExtremalChain",
     "is_supported", "xi", "extremal_indices",
-    "extremal_index_set", "cell_support", "generators", "s_vw",
+    "extremal_index_set", "cell_support", "s_vw",
     "flag_matroid_check",
 ]
 
@@ -39,9 +40,7 @@ from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .perms import Perm
 from .plucker import Index, _Vector
-from .wiring import (
-    _CELL_CACHE_SIZE, _greedy_prefixes, _new_record, _reached, build_diagram,
-)
+from .wiring import _CELL_CACHE_SIZE, _greedy_prefixes, _reached, build_diagram
 
 
 class SupportVector(NamedTuple):
@@ -238,73 +237,37 @@ def extremal_index_set(p: _Vector | SupportVector) -> frozenset[Index]:
 
 
 # ---------------------------------------------------------------------------
-# Independent generators
+# The compiled inverse walk
 # ---------------------------------------------------------------------------
 
-class Generator(NamedTuple):
-    """One extremal index in traversal order: the weight ids on its
-    left-greedy path collection (its only one, as ``verify`` and the
-    tests check), paths by source label and each path's edges by key, so
-    the coordinate is their product. ``new_weight_id`` is the one id not
-    seen at an earlier extremal index, whose weight is solvable from this
-    coordinate; ``in_svw`` marks the independent generating indices. The
-    deciders' walk reads ``_walk_program`` instead."""
-    index: Index
-    weight_ids: tuple[int, ...]
-    new_weight_id: int | None
-    in_svw: bool
-
-
 @lru_cache(maxsize=_CELL_CACHE_SIZE)
-def generators(v: Perm, w: Perm) -> tuple[Generator, ...]:
-    """Extremal indices in traversal order (larger size first, then
-    lexicographically): the sink sets of each size's left-greedy
-    prefixes (``wiring._greedy_prefixes``), each with its collection's
-    edge weight ids and the walk's fresh id, read off the walk that
-    ``oracle.graph_extremal_collections`` wraps. Each prefix adds one
-    source's climbed path to the one before it, so its ids, by source
-    label, are that path's put in its source's place, and only that
-    path's ids can be fresh. An index is independent when it adds a
-    fresh id, or when its collection is the all-diagonal one (at each
-    size's Gale-minimal index) with no ids. That each adds at most one
-    fresh id, and that the fresh ids are every cell weight, are checked
-    by ``verify`` and the tests, not here."""
-    d = build_diagram(v, w)
-    walks, out = _greedy_prefixes(d), []
-    for k in range(d.n - 1, 0, -1):
-        paths = [()] * (k + 1)          # by source label, the ids climbed
-        for I, s, climbed, new in walks[k - 1]:
-            paths[s] = climbed
-            ids = sum(paths, ())
-            out.append(_new_record(Generator, (I, ids, new, new is not None or not ids)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=_CELL_CACHE_SIZE)
-def _walk_program(v: Perm, w: Perm) -> tuple[tuple, tuple]:
+def _walk_program(v: Perm, w: Perm) -> tuple[tuple, tuple, tuple]:
     """The inverse walk compiled for the cell (v, w), which
     ``membership._solve`` runs: per size 1..n-1, the indices that the
     sweep reaches (``wiring._reached``), in lexicographic order; and one
-    step per independent generator, in traversal order, (its size, its
-    index's position in that size's indices, its new weight id, or None
-    at the size's unit, the ids to divide by). Within a size each
-    left-greedy collection is the one before it plus one climbed path,
-    so the value at a step, divided by the value at the step before it in
-    its size, is the product of the weights on the paths added since:
-    those of the dependent generators skipped and the step's own. The
-    ids to divide by are those less the new id. Built in one loop over
-    the greedy walk's prefixes (``wiring._greedy_prefixes``, which gives
-    each its fresh id, the rule ``generators`` reads too), with no
-    records: each size's unit is its lexicographically least index, at
-    position 0, and a prefix with no fresh id only adds its path to
-    those since the base. ``verify`` checks each step against the
+    step per independent generating index, in traversal order, (its size,
+    its index's position in that size's indices, its new weight id, or
+    None at the size's unit, the ids to divide by); then the extremal
+    indices in traversal order (larger size first, then
+    lexicographically), the same tuples as the first field's. Within a
+    size each left-greedy collection is the one before it plus one
+    climbed path, so the value at a step, divided by the value at the
+    step before it in its size, is the product of the weights on the
+    paths added since: those of the dependent indices skipped and the
+    step's own. The ids to divide by are those less the new id. Built in
+    one loop over the greedy walk's prefixes (``wiring._greedy_prefixes``,
+    which gives each its fresh id), with no records: each size's unit is
+    its lexicographically least index, at position 0, and a prefix with
+    no fresh id only adds its path to those since the base. ``verify``
+    checks the steps and the extremal indices against the oracle's
     generators."""
     d = build_diagram(v, w)
-    reached, walks, steps = _reached(d), _greedy_prefixes(d), []
+    reached, walks, steps, extremal = _reached(d), _greedy_prefixes(d), [], []
     for k in range(d.n - 1, 0, -1):
         block, i, over = reached[k - 1], 0, ()  # over: the paths since the base
         steps.append((k, 0, None, ()))          # the size's unit
         for I, _, climbed, new in walks[k - 1]:
+            extremal.append(I)
             over += climbed
             if new is None:
                 continue
@@ -312,15 +275,16 @@ def _walk_program(v: Perm, w: Perm) -> tuple[tuple, tuple]:
             j = over.index(new)                 # new is in over once
             steps.append((k, i, new, over[:j] + over[j + 1:]))
             over = ()
-    return tuple(reached), tuple(steps)
+    return tuple(reached), tuple(steps), tuple(extremal)
 
 
 def s_vw(v: Perm, w: Perm) -> list[Index]:
-    """The independent generating indices, in traversal order: the n-1
-    Gale-minimal indices plus one index per cell weight, so
-    (n-1) + length(w) - length(v) of them, as ``verify`` and the tests
-    check."""
-    return [g.index for g in generators(v, w) if g.in_svw]
+    """The independent generating indices, in traversal order: the index
+    each step of the cell's walk program reads, the n-1 Gale-minimal
+    indices plus one index per cell weight, so (n-1) + length(w) -
+    length(v) of them, as ``verify`` and the tests check."""
+    indices, steps, _ = _walk_program(v, w)
+    return [indices[k - 1][i] for k, i, _, _ in steps]
 
 
 if __name__ == "__main__":

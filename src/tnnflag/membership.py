@@ -4,14 +4,16 @@ identification from a support pattern (the support layer, ``extremal``,
 reads the cell off the chain ends), the inverse map as one run of the
 cell's compiled walk (``extremal._walk_program``), classical or min-plus,
 which reads each generating coordinate by its position in the cell's
-size block (the tests' ``psi_monomials`` walks the generators on Laurent
-monomials to check it), certificate-producing decision
-procedures for the nonnegative flag variety and the nonnegative flag
-Dressian, and three-term propagation from the values at
-the cell's generators. All of them go from values to a point one way: the
-walk solves the weights and the sweep of ``phi``/``trop_phi`` gives the
-point. The source paper's relation-by-relation solver is the oracle's
-independent reference (``oracle._propagate``). Each decider reads the
+size block (the tests' ``psi_monomials`` walks a frozen copy of the
+generators on Laurent monomials to check it), certificate-producing
+decision procedures for the nonnegative flag variety and the nonnegative
+flag Dressian, and three-term propagation from the values at the cell's
+extremal indices, which the same program lists. All of them go from
+values to a point one way: the walk solves the weights and the sweep of
+``phi``/``trop_phi`` gives the point. The source paper's
+relation-by-relation solver is the oracle's independent reference
+(``oracle._propagate``), and so are the generators built from the listed
+path collections (``oracle.generators``). Each decider reads the
 vector's integer view and tries that reconstruction; on any other
 outcome it checks the index keys once, then names the rejection in a
 fixed order and builds only the witness it reports.
@@ -42,9 +44,7 @@ from .plucker import (
     Index, PlueckerVector, TropPlueckerVector, _first_violated,
     _relation_json, generate_relations, index_to_str, phi, trop_phi,
 )
-from .extremal import (
-    _lex_chain_cell, _walk_program, flag_matroid_check, generators,
-)
+from .extremal import _lex_chain_cell, _walk_program, flag_matroid_check, s_vw
 from .wiring import _run_sweep, build_diagram
 
 _setattr = object.__setattr__       # past CellCertificate's refusal
@@ -220,7 +220,7 @@ def _solve(v: Perm, w: Perm, blocks: list, signed: bool) -> dict:
     weight is x_I / x_unit divided by the weights on I's other edges: the
     walk against the unit gives the same pairs and ints and stops at the
     same generator (``tests/solve_reference.py``)."""
-    indices, steps = _walk_program(v, w)
+    indices, steps, _ = _walk_program(v, w)
     values, realigned = [], False
     for (J, x), R in zip(blocks, indices):
         if J != R:      # realigned below: by index, then by the positions read
@@ -462,25 +462,27 @@ def decide_trop(p: TropPlueckerVector) -> CellCertificate:
 
 def _propagate(values: Mapping[Index, object], cell: tuple[Perm, Perm],
                cls, walk, sweep):
-    """The point of ``cell`` whose values at its extremal indices are
-    ``values``: ``sweep`` (``phi`` or ``trop_phi``) of the weights that
-    ``walk`` (``psi`` or ``trop_psi``) solves from them, each read against
-    its size's unit, the value at the lexicographically least extremal
-    index. Each dependent value, canonicalized the same way, must equal
-    the point's."""
+    """The point of ``cell`` whose values at its extremal indices (the
+    cell's walk program lists them) are ``values``: ``sweep`` (``phi`` or
+    ``trop_phi``) of the weights that ``walk`` (``psi`` or ``trop_psi``)
+    solves from them, each read against its size's unit, the value at the
+    lexicographically least extremal index. Each dependent value, at an
+    extremal index outside ``s_vw``, canonicalized the same way, must
+    equal the point's."""
     v, w = cell
-    gens = generators(v, w)
-    for g in gens:
-        if g.index not in values:
-            raise ValueError(f"missing value at extremal index {g.index}")
-        if values[g.index] == cls.zero:
-            raise ValueError(f"extremal index {g.index} has the zero value "
+    extremal = _walk_program(v, w)[2]
+    for I in extremal:
+        if I not in values:
+            raise ValueError(f"missing value at extremal index {I}")
+        if values[I] == cls.zero:
+            raise ValueError(f"extremal index {I} has the zero value "
                              f"{cls.render(cls.zero)}")
-    given = cls(len(v), {g.index: values[g.index] for g in gens}).canonicalize()
+    given = cls(len(v), {I: values[I] for I in extremal}).canonicalize()
     q = sweep(v, w, walk(v, w, given))
-    for g in gens:
-        if not g.in_svw and q.coord(g.index) != given.coords[g.index]:
-            raise ValueError(f"the value at dependent extremal index {g.index} "
+    independent = set(s_vw(v, w))
+    for I in extremal:
+        if I not in independent and q.coord(I) != given.coords[I]:
+            raise ValueError(f"the value at dependent extremal index {I} "
                              "disagrees with the point the others give")
     return q
 
@@ -488,7 +490,7 @@ def _propagate(values: Mapping[Index, object], cell: tuple[Perm, Perm],
 def propagate_three_term(values: Mapping[Index, Fraction],
                          cell: tuple[Perm, Perm]) -> PlueckerVector:
     """Rebuild every supported coordinate from its values at the extremal
-    indices (the indices of ``generators``, none of them zero): ``psi``
+    indices (those of the cell's walk program, none of them zero): ``psi``
     solves the weights from the independent values, each read against
     its size's unit, and ``phi`` of them is the point, canonical and
     listed by size, each size block lexicographically. A missing or zero

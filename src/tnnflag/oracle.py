@@ -4,11 +4,15 @@ supports read off Bruhat intervals enumerated as subword products,
 cofactor determinants, the cell matrix and its top-rows minors, every
 non-intersecting path collection listed (``enumerate_path_collections``,
 on the ``Path`` and ``PathCollection`` records) and tropical coordinates
-read off that list, the left-greedy collections as records, a
-collection's signed Laurent-monomial weight, and the source paper's
-three-term propagation (``_propagate``), which solves one coordinate at a
-time from the values at the extremal indices, over either semiring, each
-step a three-term relation chosen from the cell's support. These
+read off that list, a collection's signed Laurent-monomial weight, the
+generators of a cell (``generators``: its extremal indices, the Xi chains
+of its support, each with the weight ids on its one path collection,
+which ``graph_extremal_collections`` finds in that list, and the fresh
+ids by set difference, the reference for the library's compiled walk),
+and the source paper's three-term propagation (``_propagate``), which
+solves one coordinate at a time from the values at the extremal indices,
+over either semiring, each step a three-term relation chosen from the
+cell's support. These
 deliberately avoid the library's fast code paths so they can serve as
 oracles in tests and ``verify``, whose per-cell checks are here too
 (``_verify_cell``, with the seeded sample ``_sample_pairs``): the
@@ -25,6 +29,7 @@ __all__ = [
     "mr_matrix", "phi_minors", "normalize_blocks",
     "enumerate_path_collections", "LaurentMonomial", "Path",
     "PathCollection", "collection_weight", "graph_extremal_collections",
+    "Generator", "generators",
 ]
 
 import itertools
@@ -37,7 +42,7 @@ from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 from .algebra import TROP_INF, Trop
 from .extremal import (
     SupportVector, _walk_program, cell_support, extremal_index_set,
-    flag_matroid_check, generators, is_supported, s_vw, xi,
+    flag_matroid_check, is_supported, xi,
 )
 from .membership import (
     decide_tnn, decide_trop, propagate_three_term, psi,
@@ -50,7 +55,7 @@ from .plucker import (
     Index, PlueckerVector, TropPlueckerVector, _first_violated,
     all_proper_indices, generate_relations, phi, trop_phi,
 )
-from .wiring import VerticalEdge, WiringDiagram, _greedy_prefixes, build_diagram
+from .wiring import VerticalEdge, WiringDiagram, build_diagram
 
 _MAX_N = 7
 
@@ -357,22 +362,60 @@ def enumerate_path_collections(d: WiringDiagram, sources: Iterable[int],
 
 
 def graph_extremal_collections(d: WiringDiagram, k: int) -> list[PathCollection]:
-    """For each i in 0..k: left-greedy paths from the topmost i sources of
-    {1'..k'} plus diagonal paths from the rest, one per sink set, by sink
-    set, as records: the walk that ``extremal.generators`` reads
-    (``wiring._greedy_prefixes``), each set's one added path put in its
-    source's place, its weight ids read back as the diagram's edges.
-    These are the extremal indices of size k with their only
-    collections, as ``verify`` and the tests check."""
+    """Size k's extremal indices, each with its only path collection
+    {1'..k'} -> I, listed by ``enumerate_path_collections``: the Xi chain
+    of the cell's support from its lexicographically least index, in the
+    chain's order (at k = n, the one index 1..n). These are the
+    left-greedy collections, diagonal paths from some sources and paths
+    that take every left turn from the rest, as the tests check against
+    the greedy walk. An AssertionError names an index with another
+    collection, or whose collection's signed weight is not a plain
+    positive monomial (``collection_weight``), as the paper proves."""
     if not 1 <= k <= d.n:
         raise ValueError("k out of range")
-    climbed = [()] * (k + 1)            # by source label
-    out = []
-    for _, s, ids, _ in _greedy_prefixes(d)[k - 1]:
-        climbed[s] = tuple(e for e in d.edges if e.weight_id in ids)
-        out.append(PathCollection(tuple(Path(s, d.strand_of_label(s), climbed[s])
-                                        for s in range(1, k + 1))))
+    sup, out = cell_support(*d.cell), []
+    for I in _xi_chain(sup, min(sup.sets[k]) if k < d.n else tuple(range(1, k + 1))):
+        colls = enumerate_path_collections(d, range(1, k + 1), I)
+        _check(len(colls) == 1, f"extremal index {I} has another path collection")
+        mono = collection_weight(colls[0], d)
+        _check(mono.coefficient == 1 and set(mono.exponents.values()) <= {1},
+               f"extremal coordinate at {I} is not a plain positive monomial")
+        out += colls
     return out
+
+
+class Generator(NamedTuple):
+    """One extremal index in traversal order: the weight ids on its only
+    path collection, paths by source label and each path's edges by key,
+    so the coordinate is their product. ``new_weight_id`` is the one id
+    not seen at an earlier extremal index, whose weight is solvable from
+    this coordinate; ``in_svw`` marks the independent generating
+    indices."""
+    index: Index
+    weight_ids: tuple[int, ...]
+    new_weight_id: int | None
+    in_svw: bool
+
+
+def generators(v: Perm, w: Perm) -> tuple[Generator, ...]:
+    """The extremal indices in traversal order (larger size first, then
+    each size's Xi chain, which is lexicographic), each with the weight
+    ids of its collection (``graph_extremal_collections``) and the least
+    of those not met at an earlier index, if any. An index is independent
+    when it has such a fresh id, or when its collection is the
+    all-diagonal one (at each size's Gale-minimal index) with no ids.
+    That each has at most one fresh id, and that the fresh ids are every
+    cell weight, ``verify`` checks."""
+    d = build_diagram(v, w)
+    used, out = set(), []
+    for k in range(d.n - 1, 0, -1):
+        for c in graph_extremal_collections(d, k):
+            ids = tuple(e.weight_id for p in c.paths for e in p.edges)
+            new = min(set(ids) - used, default=None)
+            used.update(ids)
+            out.append(Generator(tuple(sorted(c.sinks)), ids, new,
+                                 new is not None or not ids))
+    return tuple(out)
 
 
 def collection_weight(c: PathCollection, d: WiringDiagram) -> LaurentMonomial:
@@ -400,6 +443,16 @@ def collection_weight(c: PathCollection, d: WiringDiagram) -> LaurentMonomial:
 # ---------------------------------------------------------------------------
 # Three-term propagation
 # ---------------------------------------------------------------------------
+
+def _xi_chain(p: SupportVector, I: Index) -> list[Index]:
+    """I and its Xi-iterates in p, up to the fixed point: from a size's
+    lexicographically least supported index, that size's extremal
+    chain."""
+    chain = [I]
+    while (I := xi(p, I)) != chain[-1]:
+        chain.append(I)
+    return chain
+
 
 def _xi_walk(p: SupportVector, S: Index, extremals: frozenset[Index]) -> Index:
     """Iterate Xi from the supported index S until it lands in ``extremals``."""
@@ -440,20 +493,22 @@ def _propagate(values: Mapping[Index, object], cell: tuple[Perm, Perm],
     """Solve the unknown coordinates over ``vector_type``'s semiring; the
     relations used are subtraction-free, so one pass serves both sides.
     One three-term relation per unknown S, from the values at the extremal
-    indices (the indices of ``generators``, none of them zero): largest
-    size first, then by distance (the elements of S's first extremal
-    Xi-iterate not in S), then by sum(S), then lexicographically."""
+    indices (the Xi chains of the cell's support, larger size first, none
+    of them zero): largest size first, then by distance (the elements of
+    S's first extremal Xi-iterate not in S), then by sum(S), then
+    lexicographically."""
     v, w = cell
     n = len(v)
     sup = cell_support(v, w)
     known: dict[Index, object] = {}
-    for g in generators(v, w):
-        if g.index not in values:
-            raise ValueError(f"missing value at extremal index {g.index}")
-        if values[g.index] == vector_type.zero:
-            raise ValueError(f"extremal index {g.index} has the zero value "
-                             f"{vector_type.render(vector_type.zero)}")
-        known[g.index] = values[g.index]
+    for k in range(n - 1, 0, -1):
+        for I in _xi_chain(sup, min(sup.sets[k])):
+            if I not in values:
+                raise ValueError(f"missing value at extremal index {I}")
+            if values[I] == vector_type.zero:
+                raise ValueError(f"extremal index {I} has the zero value "
+                                 f"{vector_type.render(vector_type.zero)}")
+            known[I] = values[I]
     extremals = frozenset(known)
 
     def val(I) -> object:
@@ -532,37 +587,33 @@ def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
     _check(flag_matroid_check(sup.sets), "cell support is not a flag matroid")
     three_term = generate_relations(n, True)
     ext = extremal_index_set(sup)
+    # the oracle's generators list each extremal index's collections,
+    # check that there is one, weighted by a plain positive monomial, and
+    # read their weight ids off it
     gens = generators(v, w)
     _check({g.index for g in gens} == ext,
            "generators differ from the extremal chains of the support")
     d = build_diagram(v, w)
     _check(all(e.lower < e.upper for e in d.edges), "a vertical edge goes down")
-    collections = {tuple(sorted(c.sinks)): c for k in range(1, n)
-                   for c in graph_extremal_collections(d, k)}
     used: set[int] = set()
     for g in gens:
-        coll = collections[g.index]
-        _check(enumerate_path_collections(
-            d, range(1, len(g.index) + 1), g.index) == [coll],
-            f"extremal index {g.index} has another path collection")
-        mono = collection_weight(coll, d)
-        _check(mono.coefficient == 1
-               and mono.exponents == dict.fromkeys(g.weight_ids, 1),
-               f"extremal coordinate at {g.index} is not a plain positive monomial")
         fresh = set(g.weight_ids) - used
         used |= fresh
         _check(fresh == {g.new_weight_id} - {None},
                f"extremal index {g.index} introduces {len(fresh)} new edges")
     _check({g.new_weight_id for g in gens} - {None} == set(d.weight_ids()),
            "not every weight got an independent generator")
-    _check(len(s_vw(v, w)) == (n - 1) + length(w) - length(v),
-           "independent generator count mismatch")
-    # _solve runs the compiled walk: one step per independent generator,
-    # which reads its value by position in the cell's sorted support
-    # block and divides by the ids added since the generator before it
-    indices, steps = _walk_program(v, w)
     independent = [g for g in gens if g.in_svw]
+    _check(len(independent) == (n - 1) + length(w) - length(v),
+           "independent generator count mismatch")
+    # _solve runs the library's one greedy walk, compiled: one step per
+    # independent generator, which reads its value by position in the
+    # cell's sorted support block and divides by the ids added since the
+    # generator before it; the propagations and s_vw read its extremal
+    # indices and its steps' indices
+    indices, steps, extremal = _walk_program(v, w)
     _check(indices == tuple(tuple(sorted(sup.sets[k])) for k in range(1, n))
+           and extremal == tuple(g.index for g in gens)
            and len(steps) == len(independent),
            "the walk program does not list the cell's indices and generators")
     last: dict[int, tuple[int, ...]] = {}   # by size: the last independent ids

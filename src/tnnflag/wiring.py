@@ -6,7 +6,9 @@ command prints and, of the oracle, only a collection's signed weight
 ``trop_phi``, compiled once per diagram into a program on the strand
 sets the paths can occupy (``SweepProgram``), and the kernel that runs
 it; and the left-greedy paths that give the extremal indices, built in
-one walk over the edges in key order (``_greedy_prefixes``).
+one walk over the edges in key order (``_greedy_prefixes``), which the
+inverse walk's program (``extremal._walk_program``) alone reads in the
+library.
 The path records (``oracle.Path``, ``oracle.PathCollection``), listing
 every non-intersecting path collection and a collection's signed weight,
 which only check what this module computes, are the oracle's; the
@@ -97,9 +99,9 @@ class WiringDiagram(NamedTuple):
 # Construction
 # ---------------------------------------------------------------------------
 
-# Cells held by each per-cell cache (``build_diagram``,
-# ``extremal.generators`` and ``extremal._walk_program``): every cell of
-# S3-S5 (4013 of them) fits. ``extremal._flag_perm`` keeps as many flags.
+# Cells held by each per-cell cache (``build_diagram`` and
+# ``extremal._walk_program``): every cell of S3-S5 (4013 of them) fits.
+# ``_w_word`` keeps as many w, and ``extremal._flag_perm`` as many flags.
 _CELL_CACHE_SIZE = 4096
 
 
@@ -304,10 +306,15 @@ def _greedy_prefixes(d: WiringDiagram) -> list[list]:
     greater: the sets come in lexicographic order, with no sort. The
     sizes are walked from n-1 down, size k-1's sources being size k's
     less k', so the walks share their set-up and meet the sets in the
-    traversal order of the extremal indices (``extremal.generators``).
-    That order gives the fresh-id rule: a set's fresh id is the least id
-    of its path that no set met before it climbs, or None. At k = n the
-    one sink set is every strand, reached by no climb."""
+    traversal order of the extremal indices, the order in which
+    ``extremal._walk_program``, this walk's one reader in the library,
+    lists them. That order gives the fresh-id rule: a set's fresh id is
+    the least id of its path that no set met before it climbs, or None.
+    At k = n the one sink set is every strand, reached by no climb. The
+    oracle builds the same sets, ids and fresh ids another way
+    (``oracle.generators``: the Xi chains, each index's one path
+    collection listed by brute force, and set difference), which
+    ``verify`` and the tests compare."""
     n, labels = d.n, d.source_label
     table = _lex_table(n)[0]
     placed = [0, *labels]       # strand -> the source label on it, or 0

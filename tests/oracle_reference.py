@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Mapping
 
 from tnnflag.algebra import TROP_INF, Trop
-from tnnflag.extremal import generators
 from tnnflag.oracle import (
     _MAX_N, LaurentMonomial, _top_minors, determinant_cofactor,
     reduced_word_oracle,
@@ -26,6 +25,8 @@ from tnnflag.plucker import (
     _term_values, _terms_verdict, all_proper_indices, generate_relations,
 )
 from tnnflag.wiring import NegativeSegment, WiringDiagram
+
+from walk_reference import generators
 
 
 def perm_from_word(n: int, letters: tuple[int, ...]) -> Perm:
@@ -94,7 +95,7 @@ def psi_monomials(v: Perm, w: Perm) -> dict[int, LaurentMonomial]:
     """Each cell weight as a Laurent monomial in the canonical coordinates
     (each size's unit, the coordinate at v^-1(1..k), is 1) at the
     independent generating indices: ``psi``'s walk over the variables
-    P_I themselves."""
+    P_I themselves, on the frozen walk's generators."""
     weights = {}
     for I, ids, new, _ in generators(v, w):
         if new is not None:

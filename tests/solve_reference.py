@@ -10,7 +10,8 @@ view (``view_reference.py``), a dict by index. ``ref_unit_solve`` is
 the generator before it: on the same blocks, every value read against
 its size's unit and divided by the weights on all of its collection's
 other edges. ``ref_bisect_solve`` is ``membership._solve`` as it was
-before the walk was compiled per cell: it walks the generators, finds
+before the walk was compiled per cell: it walks the generators (the
+frozen walk's, ``walk_reference.py``), finds
 each independent value in its size's block by bisection and reads it
 against the generator before it in its size, dividing by the paths
 added since; each generator's added path is read here as the ids it
@@ -23,11 +24,11 @@ from math import gcd
 from operator import sub, truediv
 
 from tnnflag.algebra import Trop
-from tnnflag.extremal import generators
 from tnnflag.oracle import LaurentMonomial
 from tnnflag.perms import inverse
 
 from view_reference import ref_view
+from walk_reference import generators
 
 
 def ref_walk(v, w, value, div, solved, usable, problem):

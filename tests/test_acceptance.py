@@ -13,7 +13,7 @@ from tnnflag.extremal import cell_support, extremal_index_set, s_vw
 from tnnflag.membership import decide_tnn, decide_trop, propagate_three_term, psi
 from tnnflag.oracle import (
     determinant_cofactor, enumerate_path_collections, generic_weights,
-    graph_extremal_collections, mr_matrix, support_oracle,
+    mr_matrix, support_oracle,
 )
 from tnnflag.perms import all_perms, bruhat_leq, identity, longest_element
 from tnnflag.plucker import PlueckerVector, generate_relations, phi, trop_phi
@@ -23,6 +23,7 @@ from oracle_reference import (
     check_relation, ideal_element_sample, path_sum_matrix, psi_monomials,
     random_flag, trop_check_relation, trop_eval_poly_terms, trop_terms_verdict,
 )
+from walk_reference import graph_extremal_collections
 
 EX_V, EX_W = (1, 3, 2, 4), (4, 2, 1, 3)
 

@@ -26,7 +26,6 @@ import random
 from fractions import Fraction
 
 from tnnflag.algebra import TROP_INF, Trop
-from tnnflag.extremal import generators
 from tnnflag.membership import propagate_three_term, trop_propagate_three_term
 from tnnflag.oracle import normalize_blocks
 from tnnflag.perms import bruhat_pairs
@@ -37,6 +36,7 @@ from tnnflag.wiring import build_diagram
 
 from oracle_reference import random_flag
 from sweep_reference import raw_blocks, raw_sweep
+from walk_reference import generators
 
 
 def _check(p):

@@ -21,7 +21,7 @@ import random
 from fractions import Fraction
 
 from tnnflag.algebra import TROP_INF, Trop, rat_to_str
-from tnnflag.extremal import flag_matroid_check, generators, s_vw
+from tnnflag.extremal import flag_matroid_check, s_vw
 from tnnflag.membership import (
     CellCertificate, _lex_chain_cell, decide_tnn, decide_trop, identify_cell,
     psi,
@@ -36,6 +36,7 @@ from tnnflag.plucker import (
 from tnnflag.wiring import build_diagram
 
 from test_decide_order import reconstruction
+from walk_reference import generators
 
 MERSENNE = [2 ** p - 1 for p in (89, 61, 107, 127, 521, 607, 1279)]
 

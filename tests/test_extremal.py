@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from tnnflag.extremal import (
-    Generator, SupportVector, cell_support, extremal_index_set, extremal_indices,
-    generators, is_supported, s_vw, xi,
+    SupportVector, cell_support, extremal_index_set, extremal_indices,
+    is_supported, s_vw, xi,
 )
 from tnnflag.perms import (
     all_perms, bruhat_leq, bruhat_pairs, gale_leq, identity, inverse, length,
@@ -14,11 +14,13 @@ from tnnflag.perms import (
 )
 from tnnflag.algebra import Trop
 from tnnflag.oracle import (
-    LaurentMonomial, collection_weight, enumerate_path_collections,
-    graph_extremal_collections,
+    Generator, LaurentMonomial, generators, graph_extremal_collections,
 )
 from tnnflag.plucker import PlueckerVector, TropPlueckerVector, phi, trop_phi
 from tnnflag.wiring import build_diagram
+
+import walk_reference
+from walk_reference import assert_program_matches
 
 
 def precedes_key(I):
@@ -108,10 +110,10 @@ def _generator_cells():
 
 
 def test_generators_solve_every_weight_once():
-    """The counts ``verify`` checks and the library no longer re-proves:
-    each generator adds at most one fresh weight id, its own
-    ``new_weight_id``; the fresh ids are the cell's weights, each once; and
-    ``s_vw`` has (n-1) + dim of them."""
+    """The counts ``verify`` checks and the library does not re-prove, on
+    the oracle's generators: each adds at most one fresh weight id, its
+    own ``new_weight_id``; the fresh ids are the cell's weights, each
+    once; and ``s_vw`` has (n-1) + dim of them."""
     for v, w in _generator_cells():
         gens = generators(v, w)
         used = set()
@@ -131,7 +133,8 @@ def generators_reference(v, w):
     """`generators` as it was while each generator kept its path
     collection and its monomial, and re-checked the counts itself, kept as
     the reference for the test below: per extremal index, (index, the
-    monomial's exponent keys, new_weight_id, in_svw)."""
+    monomial's exponent keys, new_weight_id, in_svw), its collections the
+    oracle's."""
     d = build_diagram(v, w)
     collections = {tuple(sorted(c.sinks)): c for k in range(1, len(v))
                    for c in graph_extremal_collections(d, k)}
@@ -159,14 +162,17 @@ def generators_reference(v, w):
 
 
 def test_generators_match_reference():
-    """Each generator is its reference tuple, in the same order, and holds
-    only ints, bools and tuples: no path collection and no monomial is
-    kept in the cache."""
+    """The walk program, its extremal indices and ``s_vw`` agree with the
+    reference, and each of the oracle's generators is its reference
+    tuple, in the same order, holding only ints, bools and tuples: no
+    path collection and no monomial."""
     assert Generator._fields == ("index", "weight_ids", "new_weight_id",
                                  "in_svw")
     for v, w in _generator_cells():
+        want = [Generator(*g) for g in generators_reference(v, w)]
+        assert_program_matches(v, w, want)
         gens = generators(v, w)
-        assert list(gens) == generators_reference(v, w), (v, w)
+        assert list(gens) == want, (v, w)
         for g in gens:
             assert type(g.weight_ids) is tuple and all(
                 type(j) is int for j in g.weight_ids + g.index), (v, w)
@@ -175,12 +181,14 @@ def test_generators_match_reference():
 
 
 def test_verify_cell_checks_the_generator_counts(monkeypatch):
-    """``verify`` catches generators that break each count the library no
-    longer checks: two fresh ids at one index, a cell weight no generator
-    solves, and a wrong number of independent indices; and a step of the
-    walk program that ``_solve`` runs with its position shifted, or with
-    an id dropped from those it divides by (on the S4 top cell, whose
-    steps divide by some)."""
+    """``verify`` catches generators that break each count the library
+    does not check: two fresh ids at one index, a cell weight no
+    generator solves, and a wrong number of independent indices; an
+    extremal index with a second path collection, or whose collection's
+    weight is not a plain positive monomial; and a step of the walk
+    program that ``_solve`` runs with its position shifted, or with an id
+    dropped from those it divides by (on the S4 top cell, whose steps
+    divide by some), and the program's extremal indices out of order."""
     import tnnflag.extremal as extremal
     import tnnflag.oracle as oracle
     from tnnflag.wiring import WiringDiagram
@@ -204,27 +212,41 @@ def test_verify_cell_checks_the_generator_counts(monkeypatch):
             build_diagram),
     }
     for message, (gens_of, diagram_of) in tampered.items():
-        # verify reads the generators, and s_vw reads them too
-        monkeypatch.setattr(extremal, "generators", gens_of)
         monkeypatch.setattr(oracle, "generators", gens_of)
         monkeypatch.setattr(oracle, "build_diagram", diagram_of)
         with pytest.raises(AssertionError, match=message):
             oracle._verify_cell(EX_V, EX_W, 0, 0)
     monkeypatch.undo()
 
-    def shifted(indices, steps):
-        (k, i, new, others), *rest = steps[1:]    # (1, 3, 4) on EX
-        return indices, (steps[0], (k, i + 1, new, others), *rest)
+    listed = oracle.enumerate_path_collections
+    for name, fake, message in (
+            ("enumerate_path_collections", lambda *args: 2 * listed(*args),
+             "has another path collection"),
+            ("collection_weight", lambda c, d: LaurentMonomial(-1),
+             "is not a plain positive monomial")):
+        monkeypatch.setattr(oracle, name, fake)
+        with pytest.raises(AssertionError, match=message):
+            oracle._verify_cell(EX_V, EX_W, 0, 0)
+        monkeypatch.undo()
 
-    def dropped(indices, steps):
+    def shifted(indices, steps, extremal):
+        (k, i, new, others), *rest = steps[1:]    # (1, 3, 4) on EX
+        return indices, (steps[0], (k, i + 1, new, others), *rest), extremal
+
+    def dropped(indices, steps, extremal):
         s = next(s for s, step in enumerate(steps) if step[3])
         k, i, new, others = steps[s]
-        return indices, (*steps[:s], (k, i, new, others[1:]), *steps[s + 1:])
+        return (indices, (*steps[:s], (k, i, new, others[1:]), *steps[s + 1:]),
+                extremal)
+
+    def swapped(indices, steps, extremal):
+        return indices, steps, (extremal[1], extremal[0], *extremal[2:])
 
     top = (identity(4), longest_element(4))
     for (v, w), message, tamper in (
             ((EX_V, EX_W), r"walk step at \(1, 3, 4\) disagrees", shifted),
-            (top, r"walk step at \(1, 4\) disagrees", dropped)):
+            (top, r"walk step at \(1, 4\) disagrees", dropped),
+            ((EX_V, EX_W), "walk program does not list", swapped)):
         program = extremal._walk_program(v, w)
         monkeypatch.setattr(oracle, "_walk_program",
                             lambda v, w: tamper(*program))
@@ -249,34 +271,23 @@ def test_extremal_coordinates_are_monomials():
 
 
 def _assert_generators_match_enumeration(cells):
-    """The generators' indices are the Xi chains of the cell support, each
-    collection is the only one the enumeration finds for its index, and its
-    signed weight is the generator's plain positive monomial."""
+    """The oracle's generators, read off the Xi chains and the one path
+    collection that the enumeration finds at each index, whose signed
+    weight is a plain positive monomial, are the frozen greedy walk's
+    records, in the same order."""
     for v, w in cells:
-        d = build_diagram(v, w)
         gens = generators(v, w)
-        assert {g.index for g in gens} == \
-            extremal_index_set(cell_support(v, w)), (v, w)
-        collections = {tuple(sorted(c.sinks)): c for k in range(1, len(v))
-                       for c in graph_extremal_collections(d, k)}
-        for g in gens:
-            assert enumerate_path_collections(
-                d, range(1, len(g.index) + 1), g.index) == \
-                [collections[g.index]], (v, w, g.index)
-            mono = collection_weight(collections[g.index], d)
-            assert mono.coefficient == 1, (v, w, g.index)
-            assert mono.exponents == dict.fromkeys(g.weight_ids, 1), \
-                (v, w, g.index)
+        assert gens == walk_reference.generators(v, w), (v, w)
+        assert all(type(g) is Generator for g in gens), (v, w)
 
 
 def test_generators_match_enumeration_on_s3_s4():
     _assert_generators_match_enumeration(_cells(3) + _cells(4))
 
 
-def test_generators_match_enumeration_on_s5_sample():
-    sample = random.Random(55).sample(_cells(5), 60)
+def test_generators_match_enumeration_on_s5_and_the_s7_top_cell():
     _assert_generators_match_enumeration(
-        sample + [(identity(5), longest_element(5))])
+        bruhat_pairs(5) + [(identity(7), longest_element(7))])
 
 
 def test_top_cell_extremal_count():

@@ -1,26 +1,31 @@
-"""The one greedy walk (``wiring._greedy_prefixes``) that ``generators``
-and ``graph_extremal_collections`` both read, against frozen copies of
-the bodies it replaced: the generators read their weight ids off
-``graph_extremal_collections``' ``Path`` and ``PathCollection`` records,
-built by a walk with a dict of held strands. And the walk and the
-generators as they were before the sink sets came off ``_lex_table``
-and the sizes were walked in order: sink sets built by sorting a set,
-the generators gathered in a dict of every index and sorted once by
-``precedes_key``. The generators must equal those copies' records. The
-inverse walk that ``membership._solve`` runs is compiled from the same
-walk (``extremal._walk_program``): each of its steps must read its
-generator's index and divide by the ids added since the independent
-generator before it in its size.
+"""The one greedy walk (``wiring._greedy_prefixes``), from which the
+inverse walk that ``membership._solve`` runs is compiled
+(``extremal._walk_program``), against frozen copies of the bodies it
+replaced: the generators read their weight ids off ``Path`` and
+``PathCollection`` records built by a walk with a dict of held strands.
+And the walk and the generators as they were before the sink sets came
+off ``_lex_table`` and the sizes were walked in order: sink sets built by
+sorting a set, the generators gathered in a dict of every index and
+sorted once by ``precedes_key``. The walk program's extremal indices,
+its steps and ``s_vw`` must agree with those copies' generators: each
+step must read its generator's index and divide by the ids added since
+the independent generator before it in its size. The oracle's
+collections (``oracle.graph_extremal_collections``), listed by brute
+force, must be the record walk's.
 """
 
 import random
 
 import pytest
 
-from tnnflag.extremal import Generator, _walk_program, generators
-from tnnflag.oracle import Path, PathCollection, graph_extremal_collections
+from tnnflag.extremal import _walk_program
+from tnnflag.oracle import (
+    Generator, Path, PathCollection, graph_extremal_collections,
+)
 from tnnflag.perms import bruhat_pairs, identity, longest_element
 from tnnflag.wiring import _greedy_prefixes, _reached, build_diagram
+
+from walk_reference import assert_program_matches, generators
 
 
 def precedes_key(I):
@@ -133,64 +138,38 @@ def _cells():
 
 
 def test_generators_match_the_record_walk():
-    """Every S3-S5 cell, 300 seeded S6 cells and the S7 and S8 top cells,
-    record for record, in order."""
+    """Every S3-S5 cell, 300 seeded S6 cells and the S7 and S8 top cells:
+    the walk program against the record walk's generators, in order."""
     for v, w in _cells():
-        got, expected = generators(v, w), _generators_reference(v, w)
-        assert len(got) == len(expected), (v, w)
-        for g, e in zip(got, expected):
-            assert type(g) is Generator and g == e, (v, w, e)
+        assert_program_matches(
+            v, w, [Generator(*g) for g in _generators_reference(v, w)])
 
 
 def test_walk_and_generators_match_the_sorting_versions():
     """Every S3-S5 cell, 300 seeded S6 cells and the S7 and S8 top cells:
     the walk at every k in 1..n, its added paths put in place, gives the
-    sorting walk's sink sets and climbed edges, in its order, and the
-    generators, walked size by size, equal those sorted by
-    ``precedes_key``. At k = n,
-    ``graph_extremal_collections`` wraps the sorting walk's one entry."""
+    sorting walk's sink sets and climbed edges, in its order, and the walk
+    program agrees with the generators sorted by ``precedes_key``."""
     for v, w in _cells():
         d = build_diagram(v, w)
-        n = len(v)
-        for k in range(1, n + 1):
+        for k in range(1, len(v) + 1):
             assert _walk_by_label(d, k) == \
                 _greedy_prefixes_sorting_reference(d, k), (v, w, k)
-        (_, climbed), = _greedy_prefixes_sorting_reference(d, n)
-        assert graph_extremal_collections(d, n) == [PathCollection(tuple(
-            Path(s, d.strand_of_label(s), es)
-            for s, es in enumerate(climbed, start=1)))], (v, w)
-        got, expected = generators(v, w), _generators_sorting_reference(v, w)
-        assert len(got) == len(expected), (v, w)
-        for g, e in zip(got, expected):
-            assert type(g) is Generator and g == e, (v, w, e)
+        assert_program_matches(
+            v, w, [Generator(*g) for g in _generators_sorting_reference(v, w)])
 
 
 def test_each_generator_adds_its_path_to_the_one_before():
     """Every S3-S5 cell, 300 seeded S6 cells and the S6-S8 top cells: the
-    walk program lists the sweep's indices and one step per independent
-    generator, in order. Each step reads its generator's index by
-    position, solves its new weight id (none at the size's unit, which
-    divides by nothing), and divides by ids that, with the new one, are
-    the generator's ids beyond the independent one before it in its
-    size, as multisets. ``_solve`` reads each value against the one
-    before it by this, and ``verify`` checks it too."""
+    walk program lists the sweep's indices, and its steps, its extremal
+    indices and ``s_vw`` agree with the frozen generators
+    (``assert_program_matches``). ``_solve`` reads each value against the
+    one before it by this, and ``verify`` checks it against the oracle's
+    generators too."""
     for v, w in _cells() + [(identity(6), longest_element(6))]:
-        indices, steps = _walk_program(v, w)
-        assert list(indices) == _reached(build_diagram(v, w)), (v, w)
-        gens = [g for g in generators(v, w) if g.in_svw]
-        assert len(steps) == len(gens), (v, w)
-        before = {}                     # by size: the ids of the last step
-        for g, (k, i, new, others) in zip(gens, steps):
-            assert type(others) is tuple and all(
-                type(j) is int for j in others), (v, w, g.index)
-            assert k == len(g.index) and indices[k - 1][i] == g.index, \
-                (v, w, g.index)
-            assert new == g.new_weight_id and new not in others, (v, w, g.index)
-            assert (k in before) == (new is not None), (v, w, g.index)
-            added = others + (() if new is None else (new,))
-            assert sorted(g.weight_ids) == \
-                sorted(before.get(k, ()) + added), (v, w, g.index)
-            before[k] = g.weight_ids
+        assert list(_walk_program(v, w)[0]) == _reached(build_diagram(v, w)), \
+            (v, w)
+        assert_program_matches(v, w, generators(v, w))
 
 
 def test_extremal_collections_match_the_record_walk():

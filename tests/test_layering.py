@@ -2,8 +2,9 @@
 the ``cli`` (whose ``verify`` imports it when it runs) may. Listing every
 path collection is reference code in the same way: only ``oracle``, which
 defines it and runs ``verify``'s checks, may use
-``enumerate_path_collections``. No module of the package imports one of
-the tests' modules, such as their references.
+``enumerate_path_collections``, and only ``oracle`` has the generators
+(``generators``, ``Generator``) built from that list. No module of the
+package imports one of the tests' modules, such as their references.
 The library is what the deciders and the commands run: each name a
 library module exports is used by another library module or by ``cli``,
 or is public API. The oracle is what ``verify`` runs: each name it
@@ -43,8 +44,7 @@ PUBLIC_API = {
     "bruhat_above",
     "VerticalEdge", "NegativeSegment", "WiringDiagram",
     "IncidenceRelation", "index_from_str", "all_proper_indices",
-    "SupportVector", "ExtremalChain", "Generator", "is_supported", "xi",
-    "s_vw",
+    "SupportVector", "ExtremalChain", "is_supported", "xi",
     "CellCertificate", "identify_cell", "psi", "trop_psi",
     "propagate_three_term", "trop_propagate_three_term",
 }
@@ -84,6 +84,22 @@ def test_library_does_not_enumerate_path_collections(path):
     names = _imported_modules(ast.parse(path.read_text()))
     assert not [name for name in names
                 if name.split(".")[-1] == "enumerate_path_collections"], path.name
+
+
+@pytest.mark.parametrize(
+    "path", _modules_except({"oracle"}), ids=lambda p: p.stem)
+def test_only_the_oracle_has_the_generators(path):
+    """The library's one product of the greedy walk is the compiled walk
+    (``extremal._walk_program``); the generator records, built from the
+    listed path collections, are the oracle's reference for it. No other
+    module defines, assigns or imports ``generators`` or ``Generator``."""
+    tree = ast.parse(path.read_text())
+    named = {node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    named |= {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    named |= {name.split(".")[-1] for name in _imported_modules(tree)}
+    assert not named & {"generators", "Generator"}, path.name
 
 
 def test_package_does_not_import_test_modules():
@@ -191,15 +207,16 @@ def test_only_the_listed_functions_have_unbounded_caches():
 
 
 def test_per_cell_caches_are_bounded():
-    """The caches per cell, the one per w (``wiring._w_word``), which
-    ``build_diagram`` reads for every cell of that w, and the one per
-    flag (``extremal._flag_perm``), the deciders' cell read's one cache,
-    which it looks up for each of a cell's two flags."""
-    from tnnflag.extremal import _flag_perm, _walk_program, generators
+    """The caches per cell (the diagram and the compiled walk), the one
+    per w (``wiring._w_word``), which ``build_diagram`` reads for every
+    cell of that w, and the one per flag (``extremal._flag_perm``), the
+    deciders' cell read's one cache, which it looks up for each of a
+    cell's two flags."""
+    from tnnflag.extremal import _flag_perm, _walk_program
     from tnnflag.perms import all_perms, bruhat_pairs
     from tnnflag.wiring import _w_word, build_diagram
     assert sum(len(bruhat_pairs(n)) for n in (3, 4, 5)) == S3_TO_S5_CELLS
-    for cache in (build_diagram, generators, _walk_program, _w_word):
+    for cache in (build_diagram, _walk_program, _w_word):
         maxsize = cache.cache_parameters()["maxsize"]
         assert maxsize is not None and maxsize >= S3_TO_S5_CELLS
     # the cell read's cache of flags holds every flag of S3-S5, and more

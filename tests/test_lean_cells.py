@@ -4,10 +4,12 @@ the bodies it replaced.
 `build_diagram` makes its records with `tuple.__new__` and orders its
 sweep's states by a per-n rank table; the frozen copy below built them
 with the records' own constructors and filtered every strand mask of
-`_lex_table`. `generators` reads each prefix's weight ids off the one
-source that the walk adds; the frozen copy summed every path of every
-prefix. Both must give equal records of the same types, sweep included,
-on every S3-S5 cell, 300 seeded S6 cells and the S6-S8 top cells.
+`_lex_table`. The generators were read off each prefix's weight ids and
+the one source that the walk adds; the frozen copy below summed every
+path of every prefix. The diagram must give equal records of the same
+types, sweep included, and the walk program (`extremal._walk_program`),
+its extremal indices and `s_vw` must agree with the frozen generators, on
+every S3-S5 cell, 300 seeded S6 cells and the S6-S8 top cells.
 
 `_lex_chain_cell` reads the cell off the chain ends through one cache,
 each flag's permutation (`extremal._flag_perm`). With that cache
@@ -33,10 +35,10 @@ from operator import le
 
 from tnnflag import extremal
 from tnnflag.extremal import (
-    Generator, SupportVector, _flag_perm, _lex_chain_cell, cell_support,
-    extremal_indices, generators,
+    SupportVector, _flag_perm, _lex_chain_cell, cell_support, extremal_indices,
 )
 from tnnflag.membership import identify_cell
+from tnnflag.oracle import Generator
 from tnnflag.perms import (
     Perm, bruhat_pairs, identity, is_perm, longest_element,
     positive_distinguished_subexpression,
@@ -45,6 +47,8 @@ from tnnflag.wiring import (
     NegativeSegment, SweepProgram, VerticalEdge, WiringDiagram, _w_word,
     build_diagram,
 )
+
+from walk_reference import assert_program_matches
 
 
 def _build_diagram_frozen(v, w):
@@ -214,10 +218,11 @@ def test_build_diagram_raises_as_the_frozen_build():
 
 
 def test_generators_match_the_frozen_generators():
+    """The walk program, its extremal indices and ``s_vw`` read the
+    frozen generators."""
     for v, w in _cells():
-        got, want = generators(v, w), _generators_frozen(v, w)
-        assert list(got) == list(want), (v, w)
-        assert all(type(g) is Generator for g in got), (v, w)
+        assert_program_matches(
+            v, w, [Generator(*g) for g in _generators_frozen(v, w)])
 
 
 def _outcome(f, *args):

@@ -6,7 +6,7 @@ import pytest
 
 from tnnflag import extremal, membership, oracle
 from tnnflag.algebra import TROP_INF, Trop
-from tnnflag.extremal import cell_support, extremal_index_set, generators
+from tnnflag.extremal import cell_support, extremal_index_set
 from tnnflag.membership import (
     decide_tnn, decide_trop, identify_cell, propagate_three_term, psi,
     trop_propagate_three_term, trop_psi,
@@ -22,6 +22,7 @@ from tnnflag.wiring import build_diagram
 
 from oracle_reference import psi_monomials, random_flag
 from test_decide_order import _inputs, _random_inputs, reconstruction
+from walk_reference import generators
 
 EX_V, EX_W = (1, 3, 2, 4), (4, 2, 1, 3)
 EX_A = {1: Fraction(2), 2: Fraction(3), 4: Fraction(5)}
@@ -359,8 +360,8 @@ def test_trop_propagation_matches_trop_phi_sampled(monkeypatch):
 
 
 def test_propagation_runs_no_flag_matroid_check(monkeypatch):
-    """The extremal set comes from ``generators``, not from re-checking
-    the support's flag-matroid conditions."""
+    """The extremal set comes from the cell's walk program, not from
+    re-checking the support's flag-matroid conditions."""
     def refuse(support):
         raise AssertionError("flag_matroid_check called")
 

@@ -1,7 +1,8 @@
 """Differential test of the inverse map.
 
 `psi` and `trop_psi` solve the cell weights in one run of the cell's
-compiled walk, and `psi_monomials` in one walk over the generators. The
+compiled walk, and `psi_monomials` in one walk over the generators (the
+frozen walk's, `walk_reference.py`, as the reference below reads). The
 two passes they replace are written out below
 as the frozen reference: the Laurent monomials first, then their values
 at the coordinates. On every cell of S3, S4 and S5, in both semirings,
@@ -21,13 +22,14 @@ from functools import lru_cache
 import pytest
 
 from tnnflag.algebra import Trop
-from tnnflag.extremal import generators, s_vw
+from tnnflag.extremal import s_vw
 from tnnflag.membership import psi, trop_psi
 from tnnflag.oracle import LaurentMonomial
 from tnnflag.perms import bruhat_pairs
 from tnnflag.plucker import PlueckerVector, TropPlueckerVector
 
 from oracle_reference import psi_monomials
+from walk_reference import generators
 
 
 @lru_cache(maxsize=None)

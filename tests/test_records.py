@@ -9,9 +9,9 @@ from fractions import Fraction
 import pytest
 
 from tnnflag.algebra import TROP_INF, Trop
-from tnnflag.extremal import cell_support, extremal_indices, generators
+from tnnflag.extremal import cell_support, extremal_indices
 from tnnflag.membership import decide_tnn
-from tnnflag.oracle import LaurentMonomial, graph_extremal_collections
+from tnnflag.oracle import LaurentMonomial, generators, graph_extremal_collections
 from tnnflag.perms import canonical_w0_word, positive_distinguished_subexpression
 from tnnflag.plucker import (
     PlueckerVector, TropPlueckerVector, generate_relations, phi, trop_phi,

@@ -38,7 +38,6 @@ from math import gcd
 import pytest
 
 from tnnflag.algebra import Trop
-from tnnflag.extremal import generators
 from tnnflag.membership import _solve, psi, trop_psi
 from tnnflag.perms import bruhat_pairs, identity, longest_element
 from tnnflag.plucker import phi, trop_phi
@@ -50,6 +49,7 @@ from solve_reference import (
     ref_unit_solve,
 )
 from view_reference import ref_view, values_blocks
+from walk_reference import generators
 
 
 def _cells(n):

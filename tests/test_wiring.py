@@ -17,6 +17,7 @@ from tnnflag.plucker import phi
 from tnnflag.wiring import VerticalEdge, build_diagram
 
 from oracle_reference import path_sum_matrix
+import walk_reference
 
 EX_V, EX_W = (1, 3, 2, 4), (4, 2, 1, 3)
 
@@ -340,8 +341,8 @@ def test_diagonal_path_weight_is_one():
     assert mono.coefficient == 1 and mono.exponents == {}
 
 
-# The sequential greedy that the one walk of ``graph_extremal_collections``
-# replaces: paths are placed top-down by strand, each on closed occupancy
+# The sequential greedy that the one greedy walk (the walk reference's
+# ``graph_extremal_collections`` wraps it) replaces: paths are placed top-down by strand, each on closed occupancy
 # intervals, taking the first upward edge before the next path already
 # placed on its strand whose landing point is free. It gives up (None)
 # where a path is boxed in or starts on an occupied point.
@@ -413,7 +414,7 @@ def test_left_greedy_walk_matches_sequential_greedy(n):
     for v, w in _cells(n):
         d = build_diagram(v, w)
         for k in range(1, n + 1):
-            colls = graph_extremal_collections(d, k)
+            colls = walk_reference.graph_extremal_collections(d, k)
             assert colls == _sequential_extremal_collections(d, k), (v, w, k)
             expected = _sequential_greedy(d, range(1, k + 1))
             if expected is not None:
@@ -423,9 +424,9 @@ def test_left_greedy_walk_matches_sequential_greedy(n):
 
 
 def test_graph_extremal_collections_match_sequential_greedy():
-    """The one walk from all k sources against a sequential greedy per
-    prefix, on every S3/S4 cell, 60 seeded S5 cells and the S6/S7 top
-    cells."""
+    """The oracle's collections, listed by brute force along the Xi
+    chains, against a sequential greedy per prefix, on every S3/S4 cell,
+    60 seeded S5 cells and the S6/S7 top cells."""
     cells = _cells(3) + _cells(4) + random.Random(8).sample(_cells(5), 60) + [
         (identity(6), longest_element(6)), (identity(7), longest_element(7))]
     for v, w in cells:
