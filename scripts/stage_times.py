@@ -29,12 +29,14 @@ and denominator 1..9, and times every stage once on them with the
 diagram already built.
 
 ``--cold N`` prints instead the per-cell medians, in microseconds, of
-up to six stages over every cell v <= w of S_N: ``build_diagram``, then
+up to seven stages over every cell v <= w of S_N: ``build_diagram``, then
 ``extremal.generators`` on that diagram (and the two summed), in a tree
 that still has them there (since they moved to the oracle, a tree
-reports none), then the inverse walk's program on it
-(``extremal._walk_program``, which the deciders build instead of the
-generators; a tree without it reports none), then
+reports none), then the inverse walk's program on it, in a tree that
+still compiles it in a cache of its own (``extremal._walk_program``;
+since the diagram's record holds it, a tree reports none), and the
+cell's one compile like for like, ``cell_compile_us``:
+``build_diagram``, plus ``extremal._walk_program`` in such a tree; then
 the deciders' cell read on the cell's own chain ends
 (``extremal._lex_chain_cell`` on its supported indices, listed before
 the clock starts; each read finds the cache of flags, in a tree that
@@ -45,17 +47,22 @@ timed again as ``trop_phi`` then ``decide_trop`` of the same weights as
 Trops, on the cell that the classical stage has just warmed. Every cache of the
 package is cleared before each pass, and each pass sees each cell once,
 as perfbench's ``s5-sweep`` does, whose tropical part follows its
-classical part on each cell in the same way.
+classical part on each cell in the same way. A third pass, untimed and
+one tree at a time, repeats the second under ``tracemalloc`` and
+reports the bytes it leaves allocated per cell,
+``retained_bytes_per_cell``: what the package's caches keep of the cells
+seen, after a garbage collection.
 
 ``--against PATH`` imports ``PATH/src/tnnflag`` as a second package and
 times both trees on the same weights, run by run (or cell by cell with
 ``--cold``), alternating which goes first, which cancels the host's
 speed drift; it prints both trees' medians and the ratio of this
-tree's to PATH's per stage.
+tree's to PATH's per stage (and of the retained bytes).
 Only the standard library is used.
 """
 
 import argparse
+import gc
 import importlib.util
 import json
 import pathlib
@@ -63,7 +70,9 @@ import random
 import statistics
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
+from itertools import repeat
 
 import tnnflag
 from tnnflag.perms import identity, longest_element
@@ -170,6 +179,33 @@ def _trop_phi_decide_trop(lib, v, w, x):
     return lib.membership.decide_trop(lib.plucker.trop_phi(v, w, x))
 
 
+def _cell_indices(lib, v, w) -> tuple:
+    """Per size, the cell's supported indices in lexicographic order, as
+    the package ``lib`` lists them: the diagram's walk, or in a tree
+    before the record held the walk, ``wiring._reached``."""
+    d = lib.wiring.build_diagram(v, w)
+    return d.walk[0] if hasattr(d, "walk") else lib.wiring._reached(d)
+
+
+def _retained_bytes(lib, cells, weights) -> int:
+    """The bytes that ``phi`` then ``decide_tnn`` and ``trop_phi`` then
+    ``decide_trop`` on every cell, from cleared caches, leave allocated,
+    as ``tracemalloc`` counts them after a garbage collection."""
+    _clear_caches(lib)
+    xs = [{j: lib.algebra.Trop(q) for j, q in a.items()} for a in weights]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for (v, w), a, x in zip(cells, weights, xs):
+            _phi_decide_tnn(lib, v, w, a)
+            _trop_phi_decide_trop(lib, v, w, x)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
 def cold_times(n: int, trees: list) -> list[dict]:
     """Per tree, the median microseconds per cell of the cold stages, over
     every cell of S_n in ``bruhat_pairs`` order: the trees take turns on
@@ -198,7 +234,7 @@ def cold_times(n: int, trees: list) -> list[dict]:
                 times[t]["generators_us"].append(_timed(gens[t], v, w))
             if programs[t]:
                 times[t]["walk_program_us"].append(_timed(programs[t], v, w))
-            ends = lib.wiring._reached(lib.wiring.build_diagram(v, w))
+            ends = _cell_indices(lib, v, w)
             times[t]["lex_chain_cell_us"].append(
                 _timed(lib.extremal._lex_chain_cell, ends, n))
         ids = trees[0].wiring.build_diagram(v, w).weight_ids()
@@ -214,13 +250,17 @@ def cold_times(n: int, trees: list) -> list[dict]:
             times[t]["trop_phi_decide_trop_us"].append(
                 _timed(_trop_phi_decide_trop, lib, v, w, x))
     rows = []
-    for ts in times:
+    for lib, ts in zip(trees, times):
         if "generators_us" in ts:
             ts["build_diagram_generators_us"] = list(
                 map(sum, zip(ts["build_diagram_us"], ts["generators_us"])))
+        ts["cell_compile_us"] = list(map(sum, zip(
+            ts["build_diagram_us"], ts.get("walk_program_us", repeat(0)))))
         rows.append({"n": n, "cells": len(cells),
                      **{name: round(1e6 * statistics.median(xs), 2)
-                        for name, xs in ts.items()}})
+                        for name, xs in ts.items()},
+                     "retained_bytes_per_cell":
+                         round(_retained_bytes(lib, cells, weights) / len(cells))})
     return rows
 
 
@@ -252,7 +292,8 @@ def _print_rows(rows: list[dict], against: str | None, unit: str) -> None:
     print(json.dumps({"tree": against, **other}))
     print(json.dumps({"ratio": {name: round(x / other[name], 3)
                                 for name, x in this.items()
-                                if name.endswith(unit) and name in other}}),
+                                if name.endswith((unit, "_bytes_per_cell"))
+                                and name in other}}),
           flush=True)
 
 

@@ -6,13 +6,14 @@ read off the first and last indices of each size (``_lex_chain_cell``,
 which checks that they form flags for ``extremal_indices`` and the
 deciders alike, through one cache of each flag's permutation, and takes
 ends of exact ints, which each caller checks where its input enters), and
-the inverse walk compiled per cell in one loop over the wiring diagram's
-greedy walk (``_walk_program``), the library's one product of that walk:
-the cell's indices per size, its extremal indices in traversal order, and
-one step per independent generating index, which the deciders run and
-``s_vw`` and the propagations read. The counts the paper's theorems
-promise for the walk, and its agreement with the oracle's generators,
-built from the Xi chains and the path collections listed one by one
+the independent generating indices (``s_vw``), read off the inverse walk
+that the cached wiring diagram holds (its ``walk``, compiled with it from
+its greedy walk, ``wiring._compile_walk``), the library's one product of
+that walk: the cell's indices per size, its extremal indices in traversal
+order, and one step per independent generating index, which the deciders
+run and the propagations read. The counts the paper's theorems promise for
+the walk, and its agreement with the oracle's generators, built from the
+Xi chains and the path collections listed one by one
 (``oracle.generators``), are checked by ``verify`` and the tests.
 
 Everything here reads only the support (nonzero / finite) pattern: the
@@ -40,7 +41,7 @@ from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .perms import Perm
 from .plucker import Index, _Vector
-from .wiring import _CELL_CACHE_SIZE, _greedy_prefixes, _reached, build_diagram
+from .wiring import _CELL_CACHE_SIZE, build_diagram
 
 
 class SupportVector(NamedTuple):
@@ -106,13 +107,12 @@ def flag_matroid_check(support: Mapping[int, Collection[Index]]) -> bool:
 def cell_support(v: Perm, w: Perm) -> SupportVector:
     """Indices supported on the cell: the sink sets I that some
     non-intersecting path collection {1'..|I|'} -> I reaches, which are
-    the sets of strands that the diagram's sweep program reaches
-    (``wiring._reached``). (These are the prefixes {u(1..k)}
-    over the Bruhat interval v^-1 <= u <= w^-1, which the oracle
-    checks.)"""
+    the sets of strands that the diagram's sweep program reaches, as its
+    walk program lists them. (These are the prefixes {u(1..k)} over the
+    Bruhat interval v^-1 <= u <= w^-1, which the oracle checks.)"""
     return SupportVector(len(v), {
         k: frozenset(block)
-        for k, block in enumerate(_reached(build_diagram(v, w)), start=1)})
+        for k, block in enumerate(build_diagram(v, w).walk[0], start=1)})
 
 
 # ---------------------------------------------------------------------------
@@ -240,50 +240,13 @@ def extremal_index_set(p: _Vector | SupportVector) -> frozenset[Index]:
 # The compiled inverse walk
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=_CELL_CACHE_SIZE)
-def _walk_program(v: Perm, w: Perm) -> tuple[tuple, tuple, tuple]:
-    """The inverse walk compiled for the cell (v, w), which
-    ``membership._solve`` runs: per size 1..n-1, the indices that the
-    sweep reaches (``wiring._reached``), in lexicographic order; and one
-    step per independent generating index, in traversal order, (its size,
-    its index's position in that size's indices, its new weight id, or
-    None at the size's unit, the ids to divide by); then the extremal
-    indices in traversal order (larger size first, then
-    lexicographically), the same tuples as the first field's. Within a
-    size each left-greedy collection is the one before it plus one
-    climbed path, so the value at a step, divided by the value at the
-    step before it in its size, is the product of the weights on the
-    paths added since: those of the dependent indices skipped and the
-    step's own. The ids to divide by are those less the new id. Built in
-    one loop over the greedy walk's prefixes (``wiring._greedy_prefixes``,
-    which gives each its fresh id), with no records: each size's unit is
-    its lexicographically least index, at position 0, and a prefix with
-    no fresh id only adds its path to those since the base. ``verify``
-    checks the steps and the extremal indices against the oracle's
-    generators."""
-    d = build_diagram(v, w)
-    reached, walks, steps, extremal = _reached(d), _greedy_prefixes(d), [], []
-    for k in range(d.n - 1, 0, -1):
-        block, i, over = reached[k - 1], 0, ()  # over: the paths since the base
-        steps.append((k, 0, None, ()))          # the size's unit
-        for I, _, climbed, new in walks[k - 1]:
-            extremal.append(I)
-            over += climbed
-            if new is None:
-                continue
-            i = block.index(I, i)
-            j = over.index(new)                 # new is in over once
-            steps.append((k, i, new, over[:j] + over[j + 1:]))
-            over = ()
-    return tuple(reached), tuple(steps), tuple(extremal)
-
-
 def s_vw(v: Perm, w: Perm) -> list[Index]:
     """The independent generating indices, in traversal order: the index
-    each step of the cell's walk program reads, the n-1 Gale-minimal
-    indices plus one index per cell weight, so (n-1) + length(w) -
-    length(v) of them, as ``verify`` and the tests check."""
-    indices, steps, _ = _walk_program(v, w)
+    each step of the cell's walk program (the cached diagram's ``walk``)
+    reads, the n-1 Gale-minimal indices plus one index per cell weight,
+    so (n-1) + length(w) - length(v) of them, as ``verify`` and the tests
+    check."""
+    indices, steps, _ = build_diagram(v, w).walk
     return [indices[k - 1][i] for k, i, _, _ in steps]
 
 

@@ -2,7 +2,8 @@
 Inverting the cell parameterization and deciding membership: cell
 identification from a support pattern (the support layer, ``extremal``,
 reads the cell off the chain ends), the inverse map as one run of the
-cell's compiled walk (``extremal._walk_program``), classical or min-plus,
+cell's compiled walk (the cached wiring diagram's ``walk``, which
+``wiring._compile_walk`` compiles with it), classical or min-plus,
 which reads each generating coordinate by its position in the cell's
 size block (the tests' ``psi_monomials`` walks a frozen copy of the
 generators on Laurent monomials to check it), certificate-producing
@@ -44,7 +45,7 @@ from .plucker import (
     Index, PlueckerVector, TropPlueckerVector, _first_violated,
     _relation_json, generate_relations, index_to_str, phi, trop_phi,
 )
-from .extremal import _lex_chain_cell, _walk_program, flag_matroid_check, s_vw
+from .extremal import _lex_chain_cell, flag_matroid_check, s_vw
 from .wiring import _run_sweep, build_diagram
 
 _setattr = object.__setattr__       # past CellCertificate's refusal
@@ -197,30 +198,30 @@ def _solved(v: Perm, w: Perm, p, signed: bool) -> dict:
 
 def _solve(v: Perm, w: Perm, blocks: list, signed: bool) -> dict:
     """The weights of the cell (v, w) at the point whose ``_int_view``
-    blocks are ``blocks``: one run of the cell's compiled walk
-    (``extremal._walk_program``). A block that lists the cell's indices,
-    as every block of a vector from ``phi``/``trop_phi`` or of a member
-    does, is read by position; any other is first realigned onto them,
-    at the positions the steps read only (a dict by position), an absent
-    index at the semiring's zero (0 or None). Each step reads
-    the value x_I at an independent generating index against the base,
-    the value at the step before it in its size. Each size starts at its
-    unit index v^-1(1..k), and each later collection is the one before
-    it plus one added path, so x_I / x_base is the product of the
-    weights on the paths added since the base: I's own and those of the
-    dependent generators skipped in between, whose weights are all
+    blocks are ``blocks``: one run of the cell's compiled walk (the cached
+    diagram's ``walk``). A block that lists the cell's indices, as every
+    block of a vector from ``phi``/``trop_phi`` or of a member does (the
+    sweep's blocks are the walk's own tuples), is read by position; any
+    other is first realigned onto them, at the positions the steps read
+    only (a dict by position), an absent index at the semiring's zero (0 or
+    None). Each step reads the value x_I at an independent generating index
+    against the base, the value at the step before it in its size. Each
+    size starts at its unit index v^-1(1..k), and each later collection is
+    the one before it plus one added path, so x_I / x_base is the product
+    of the weights on the paths added since the base: I's own and those of
+    the dependent generators skipped in between, whose weights are all
     solved. A value that is not usable stops the walk there. Classically
     x_I is usable when x_I x_base > 0, and each weight is solved as the
     reduced pair (p, q) of positive ints of x_I / x_base divided by the
-    pairs already solved for the step's other ids, cross-multiplied;
-    those pairs are what ``phi``'s sweep takes
-    (``plucker._exact_weights``). Tropically x_I is usable when finite,
-    dividing subtracts, and the weights are ints, L times the cell
-    weights. Each base is usable, so it has its unit's sign, and each
-    weight is x_I / x_unit divided by the weights on I's other edges: the
-    walk against the unit gives the same pairs and ints and stops at the
-    same generator (``tests/solve_reference.py``)."""
-    indices, steps, _ = _walk_program(v, w)
+    pairs already solved for the step's other ids, cross-multiplied; those
+    pairs are what ``phi``'s sweep takes (``plucker._exact_weights``).
+    Tropically x_I is usable when finite, dividing subtracts, and the
+    weights are ints, L times the cell weights. Each base is usable, so it
+    has its unit's sign, and each weight is x_I / x_unit divided by the
+    weights on I's other edges: the walk against the unit gives the same
+    pairs and ints and stops at the same generator
+    (``tests/solve_reference.py``)."""
+    indices, steps, _ = build_diagram(v, w).walk
     values, realigned = [], False
     for (J, x), R in zip(blocks, indices):
         if J != R:      # realigned below: by index, then by the positions read
@@ -470,7 +471,7 @@ def _propagate(values: Mapping[Index, object], cell: tuple[Perm, Perm],
     extremal index outside ``s_vw``, canonicalized the same way, must
     equal the point's."""
     v, w = cell
-    extremal = _walk_program(v, w)[2]
+    extremal = build_diagram(v, w).walk[2]
     for I in extremal:
         if I not in values:
             raise ValueError(f"missing value at extremal index {I}")

@@ -41,8 +41,8 @@ from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .algebra import TROP_INF, Trop
 from .extremal import (
-    SupportVector, _walk_program, cell_support, extremal_index_set,
-    flag_matroid_check, is_supported, xi,
+    SupportVector, cell_support, extremal_index_set, flag_matroid_check,
+    is_supported, xi,
 )
 from .membership import (
     decide_tnn, decide_trop, propagate_three_term, psi,
@@ -216,10 +216,10 @@ def trop_phi_enumerated(v: Perm, w: Perm, x) -> TropPlueckerVector:
     d = build_diagram(v, w)
     if set(x) != set(d.weight_ids()) or any(t.is_inf for t in x.values()):
         raise ValueError("expected one finite weight per vertical edge")
-    coords: dict[Index, Trop] = {}
+    coords, paths = {}, {}      # paths: each source's, listed once
     for I in all_proper_indices(d.n):
         best = TROP_INF
-        for coll in enumerate_path_collections(d, range(1, len(I) + 1), I):
+        for coll in enumerate_path_collections(d, range(1, len(I) + 1), I, paths):
             total = Trop(Fraction(0))
             for p in coll.paths:
                 for e in p.edges:
@@ -325,23 +325,25 @@ def _disjoint_from(intervals: tuple, occupied: list[tuple]) -> bool:
 
 
 def enumerate_path_collections(d: WiringDiagram, sources: Iterable[int],
-                               sinks: Iterable[int]) -> list[PathCollection]:
+                               sinks: Iterable[int], paths=None) -> list[PathCollection]:
     """All vertex-disjoint collections routing the primed ``sources`` onto
     the strand-numbered ``sinks`` (a complete, possibly empty, list).
     Reference code for the oracle, ``verify`` and the tests; no library
-    path lists collections.
+    path lists collections. ``paths``, a dict that a caller passes to
+    every call on one diagram, keeps each source's every path, with its
+    intervals, once listed, so that a later call only filters it by sink.
     """
     src = sorted(sources)
     snk = frozenset(sinks)
     if len(src) != len(snk):
         raise ValueError("|sources| must equal |sinks|")
-    per_source: list[list[tuple[Path, tuple]]] = []   # (path, its intervals)
+    paths = {} if paths is None else paths      # by source: (path, its intervals)
     for s in src:
-        strand = d.strand_of_label(s)
-        paths = [Path(s, strand, es)
-                 for es in _paths_from(d, strand, 0)
-                 if (es[-1].upper if es else strand) in snk]
-        per_source.append([(p, p.intervals()) for p in paths])
+        if s not in paths:
+            strand = d.strand_of_label(s)
+            paths[s] = [(p, p.intervals()) for p in (
+                Path(s, strand, es) for es in _paths_from(d, strand, 0))]
+    per_source = [[pi for pi in paths[s] if pi[0].sink in snk] for s in src]
 
     out: list[PathCollection] = []
 
@@ -361,7 +363,7 @@ def enumerate_path_collections(d: WiringDiagram, sources: Iterable[int],
     return out
 
 
-def graph_extremal_collections(d: WiringDiagram, k: int) -> list[PathCollection]:
+def graph_extremal_collections(d: WiringDiagram, k: int, paths=None) -> list[PathCollection]:
     """Size k's extremal indices, each with its only path collection
     {1'..k'} -> I, listed by ``enumerate_path_collections``: the Xi chain
     of the cell's support from its lexicographically least index, in the
@@ -370,12 +372,14 @@ def graph_extremal_collections(d: WiringDiagram, k: int) -> list[PathCollection]
     that take every left turn from the rest, as the tests check against
     the greedy walk. An AssertionError names an index with another
     collection, or whose collection's signed weight is not a plain
-    positive monomial (``collection_weight``), as the paper proves."""
+    positive monomial (``collection_weight``), as the paper proves. Each
+    source's paths are listed once per call, or once per ``paths`` dict
+    (``enumerate_path_collections``)."""
     if not 1 <= k <= d.n:
         raise ValueError("k out of range")
-    sup, out = cell_support(*d.cell), []
+    sup, out, paths = cell_support(*d.cell), [], {} if paths is None else paths
     for I in _xi_chain(sup, min(sup.sets[k]) if k < d.n else tuple(range(1, k + 1))):
-        colls = enumerate_path_collections(d, range(1, k + 1), I)
+        colls = enumerate_path_collections(d, range(1, k + 1), I, paths)
         _check(len(colls) == 1, f"extremal index {I} has another path collection")
         mono = collection_weight(colls[0], d)
         _check(mono.coefficient == 1 and set(mono.exponents.values()) <= {1},
@@ -407,9 +411,9 @@ def generators(v: Perm, w: Perm) -> tuple[Generator, ...]:
     That each has at most one fresh id, and that the fresh ids are every
     cell weight, ``verify`` checks."""
     d = build_diagram(v, w)
-    used, out = set(), []
+    used, out, paths = set(), [], {}    # each source's paths, listed once
     for k in range(d.n - 1, 0, -1):
-        for c in graph_extremal_collections(d, k):
+        for c in graph_extremal_collections(d, k, paths):
             ids = tuple(e.weight_id for p in c.paths for e in p.edges)
             new = min(set(ids) - used, default=None)
             used.update(ids)
@@ -429,12 +433,12 @@ def collection_weight(c: PathCollection, d: WiringDiagram) -> LaurentMonomial:
     inversions = sum(1 for i in range(len(sinks)) for j in range(i + 1, len(sinks))
                      if sinks[i] > sinks[j])
     sign = -1 if inversions % 2 else 1
-    exponents: dict[int, int] = {}
+    exponents, segments = {}, d.neg_segments    # segments: made on each read
     for p in c.paths:
         for e in p.edges:
             exponents[e.weight_id] = exponents.get(e.weight_id, 0) + 1
         for strand, lo, hi in p.intervals():
-            for seg in d.neg_segments:
+            for seg in segments:
                 if seg.strand == strand and lo < seg.key and (hi is None or seg.key <= hi):
                     sign = -sign
     return LaurentMonomial(sign, exponents)
@@ -611,7 +615,7 @@ def _verify_cell(v: Perm, w: Perm, seed: int, draws: int) -> dict:
     # cell's sorted support block and divides by the ids added since the
     # generator before it; the propagations and s_vw read its extremal
     # indices and its steps' indices
-    indices, steps, extremal = _walk_program(v, w)
+    indices, steps, extremal = build_diagram(v, w).walk
     _check(indices == tuple(tuple(sorted(sup.sets[k])) for k in range(1, n))
            and extremal == tuple(g.index for g in gens)
            and len(steps) == len(independent),

@@ -310,7 +310,8 @@ def _sweep(v: Perm, w: Perm, x: Mapping[int, object], signed: bool) -> list:
     an edge, depends only on the diagram: the cached ``build_diagram`` compiles them into a program on
     the sets numbered as first reached (``wiring.SweepProgram``), and
     ``wiring._run_sweep`` runs it on a list of the sets reached so far,
-    which it reads once, by size in lexicographic order. No pass tracks a
+    which it reads once, by size in lexicographic order, each size's
+    indices the program's own tuple. No pass tracks a
     sign. On Marsh-Rietsch's diagrams every collection into a size k has
     the same Lindstroem-Gessel-Viennot sign, from the paths it jumps over
     and the -1 segments it crosses; that sign is common to the size

@@ -2,13 +2,16 @@
 Planar wiring diagrams for Bruhat pairs v <= w: n horizontal strands,
 weighted vertical edges, and -1 diagonal segments, which the ``cell``
 command prints and, of the oracle, only a collection's signed weight
-(``oracle.collection_weight``) reads; the sweep behind ``phi`` and
-``trop_phi``, compiled once per diagram into a program on the strand
-sets the paths can occupy (``SweepProgram``), and the kernel that runs
-it; and the left-greedy paths that give the extremal indices, built in
-one walk over the edges in key order (``_greedy_prefixes``), which the
-inverse walk's program (``extremal._walk_program``) alone reads in the
-library.
+(``oracle.collection_weight``) reads, so the diagram computes them when
+asked (``WiringDiagram.neg_segments``) and holds none; the sweep behind
+``phi`` and ``trop_phi``, compiled once per diagram into a program on
+the strand sets the paths can occupy (``SweepProgram``), and the kernel
+that runs it; and the left-greedy paths that give the extremal indices,
+built in one walk over the edges in key order (``_greedy_prefixes``),
+from which the inverse walk's program is compiled with the diagram
+(``_compile_walk``), the walk's one reader in the library. The cached
+diagram is the library's one record per cell: its sweep and its walk
+program share each size's index tuple.
 The path records (``oracle.Path``, ``oracle.PathCollection``), listing
 every non-intersecting path collection and a collection's signed weight,
 which only check what this module computes, are the oracle's; the
@@ -36,7 +39,7 @@ __all__ = [
 
 import math
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby, islice
 from typing import Mapping, NamedTuple
 
 from .perms import (
@@ -70,12 +73,12 @@ class SweepProgram(NamedTuple):
     as (source, destination) pairs, the sources of its moves that reach
     new states in the order those are numbered). Then the states in
     (size, lexicographic index) order, the order in which ``_run_sweep``
-    reads them: their positions, their indices, and where each size
-    1..n-1 starts in that order, then their number."""
+    reads them: their positions, and per size 1..n-1 a tuple of their
+    indices, which the walk program and ``_run_sweep``'s blocks hand out
+    as they are."""
     steps: tuple[tuple, ...]
     order: tuple[int, ...]
-    indices: tuple[tuple[int, ...], ...]
-    bounds: tuple[int, ...]
+    indices: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 class WiringDiagram(NamedTuple):
@@ -83,13 +86,31 @@ class WiringDiagram(NamedTuple):
     cell: tuple[Perm, Perm]
     source_label: tuple[int, ...]   # strand r (bottom = 1) -> primed label: v
     edges: tuple[VerticalEdge, ...]
-    neg_segments: tuple[NegativeSegment, ...]
     w_word: Word                    # the PDS of w inside the canonical word
     v_positions: tuple[int, ...]    # positions of v's PDS inside w_word
     sweep: SweepProgram             # compiled once, by ``_compile_sweep``
+    walk: tuple[tuple, tuple, tuple]  # compiled once, by ``_compile_walk``
 
     def weight_ids(self) -> tuple[int, ...]:
         return tuple(sorted(e.weight_id for e in self.edges))
+
+    @property
+    def neg_segments(self) -> tuple[NegativeSegment, ...]:
+        """The -1 segments, one per crossing letter of w's word (at
+        ``v_positions``), in key order, made anew on each read: replayed
+        from the right, as ``build_diagram`` replays the word, each is on
+        the strand that its crossing's lower strand ends up on after the
+        crossings still to come, and at the key of the first letter of
+        its run, 1 + (r-1) n - r (r-1) / 2 for run r of the canonical
+        word."""
+        n, (_, letters, runs) = self.n, self.w_word
+        strand, out = list(range(1, n + 1)), []
+        for j in reversed(self.v_positions):
+            i, r = letters[j - 1], runs[j - 1]
+            key = 1 + (r - 1) * n - r * (r - 1) // 2    # run r's first letter
+            out.append(NegativeSegment(strand[i - 1], key, (n + 1 - r, n + 2 - r)))
+            strand[i - 1], strand[i] = strand[i], strand[i - 1]
+        return tuple(out[::-1])
 
     def strand_of_label(self, label: int) -> int:
         return self.source_label.index(label) + 1
@@ -99,9 +120,10 @@ class WiringDiagram(NamedTuple):
 # Construction
 # ---------------------------------------------------------------------------
 
-# Cells held by each per-cell cache (``build_diagram`` and
-# ``extremal._walk_program``): every cell of S3-S5 (4013 of them) fits.
-# ``_w_word`` keeps as many w, and ``extremal._flag_perm`` as many flags.
+# Cells held by the one per-cell cache, ``build_diagram``, whose record
+# holds the cell's sweep and walk programs: every cell of S3-S5 (4013 of
+# them) fits. ``_w_word`` keeps as many w, and ``extremal._flag_perm`` as
+# many flags.
 _CELL_CACHE_SIZE = 4096
 
 
@@ -120,8 +142,10 @@ def build_diagram(v: Perm, w: Perm) -> WiringDiagram:
     and of v (in w's word) once, from the right: ``strand[s - 1]`` is the
     strand that whatever sits on strand s ends up on after the crossings
     still to come. A weight letter adds its vertical edge between the
-    strands its two ends end up on; a crossing letter leaves a -1 segment
-    at the start of its run and then swaps its two strands' destinations.
+    strands its two ends end up on; a crossing letter swaps its two
+    strands' destinations (its -1 segment is made only when read, by
+    ``neg_segments``). The record holds the sweep's program and the
+    inverse walk's (``_compile_walk``), each compiled once.
     The sources read v bottom to top, and every edge goes up: both follow
     from the distinguished-subexpression construction (Marsh-Rietsch), so
     they are not re-derived here. The tests check both, and ``verify``
@@ -146,22 +170,19 @@ def build_diagram(v: Perm, w: Perm) -> WiringDiagram:
 
     strand = list(range(1, n + 1))
     edges: list[VerticalEdge] = []
-    segments: list[NegativeSegment] = []
     for j in range(len(keys), 0, -1):
-        i, key = w_word.letters[j - 1], keys[j - 1]
-        column = n + 1 - w_word.runs[j - 1]
+        i = w_word.letters[j - 1]
         if j in crossing:
-            segments.append(_new_record(NegativeSegment, (
-                strand[i - 1], key - (i - 1), (column, column + 1))))
             strand[i - 1], strand[i] = strand[i], strand[i - 1]
         else:
             edges.append(_new_record(VerticalEdge, (
-                j, key, column, strand[i - 1], strand[i])))
+                j, keys[j - 1], n + 1 - w_word.runs[j - 1],
+                strand[i - 1], strand[i])))
     edges.reverse()
-    segments.reverse()
-    return _new_record(WiringDiagram, (
-        n, (v, w), v, tuple(edges), tuple(segments), w_word, v_pos,
-        _compile_sweep(v, edges)))
+    d = _new_record(WiringDiagram, (
+        n, (v, w), v, tuple(edges), w_word, v_pos, _compile_sweep(v, edges),
+        None))
+    return _new_record(WiringDiagram, (*d[:-1], _compile_walk(d)))
 
 
 def _compile_sweep(v: Perm, edges: list) -> SweepProgram:
@@ -196,24 +217,25 @@ def _compile_sweep(v: Perm, edges: list) -> SweepProgram:
                     masks.append(T)
                     new.append(i)
         steps.append((e.weight_id, tuple(moves), tuple(new)))
-    table, rank = _lex_table(n)
+    table, rank, _ = _lex_table(n)
     lex = sorted(pos, key=rank.__getitem__)         # the reached masks by rank
-    sizes = list(map(int.bit_count, lex))
-    return _new_record(SweepProgram, (
-        tuple(steps), tuple(map(pos.__getitem__, lex)),
-        tuple(map(table.__getitem__, lex)),
-        (*map(sizes.index, range(1, n)), len(lex))))
+    blocks = groupby(map(table.__getitem__, lex), len)  # every size has its start
+    return _new_record(SweepProgram, (tuple(steps), tuple(map(pos.__getitem__, lex)),
+                                      tuple([tuple(b) for _, b in blocks])))
 
 
 @lru_cache(maxsize=16)
-def _lex_table(n: int) -> tuple[dict[int, tuple[int, ...]], dict[int, int]]:
+def _lex_table(n: int) -> tuple[dict[int, tuple[int, ...]], dict[int, int], tuple]:
     """Every index of size 1..n-1 over {1..n} by its strand mask (bit i-1
-    for i), listed by rank: by size, then lexicographically; and each
-    mask's rank. Read only. They hold 2^n - 2 entries each, so the cache
-    keeps the 16 latest n."""
+    for i), listed by rank: by size, then lexicographically; each mask's
+    rank; and the walk program's unit step of each size k = 1..n-1,
+    (k, 0, None, ()), which every cell of this n shares. Read only. The
+    first two hold 2^n - 2 entries each, so the cache keeps the 16 latest
+    n."""
     table = {sum(1 << (i - 1) for i in I): I for k in range(1, n)
              for I in combinations(range(1, n + 1), k)}
-    return table, {S: r for r, S in enumerate(table)}
+    return (table, {S: r for r, S in enumerate(table)},
+            tuple([(k, 0, None, ()) for k in range(1, n)]))
 
 
 def _run_sweep(d: WiringDiagram, x: Mapping[int, tuple[int, int] | int],
@@ -225,7 +247,8 @@ def _run_sweep(d: WiringDiagram, x: Mapping[int, tuple[int, int] | int],
     they mean). It keeps one int per state reached so far, in a list by
     position, and at the end reads that list once, in the program's
     index order: per size 1..n-1, the indices of the states reached, in
-    lexicographic order, and their values. At positive weights
+    lexicographic order (the program's own tuple of that size), and their
+    values. At positive weights
     (classically) every reached state is positive, so these are the
     supported indices.
 
@@ -244,7 +267,7 @@ def _run_sweep(d: WiringDiagram, x: Mapping[int, tuple[int, int] | int],
     Tropically a new state is its source plus the weight, and a reached
     one keeps the lesser of its own value and that sum. A weight id
     missing from ``x`` raises KeyError."""
-    steps, order, indices, bounds = d.sweep
+    steps, order, indices = d.sweep
     if signed:
         Q = math.prod([x[e.weight_id][1] for e in d.edges])
         value = [Q] * (d.n - 1)
@@ -270,15 +293,8 @@ def _run_sweep(d: WiringDiagram, x: Mapping[int, tuple[int, int] | int],
                     value[j] = t
             for i in new:
                 value.append(value[i] + c)
-    value = list(map(value.__getitem__, order))
-    return [(indices[a:b], value[a:b]) for a, b in zip(bounds, bounds[1:])]
-
-
-def _reached(d: WiringDiagram) -> list[tuple]:
-    """Per size 1..n-1, the indices of the states that the diagram's sweep
-    reaches, in lexicographic order."""
-    _, _, indices, bounds = d.sweep
-    return [indices[a:b] for a, b in zip(bounds, bounds[1:])]
+    value = map(value.__getitem__, order)
+    return [(I, list(islice(value, len(I)))) for I in indices]
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +323,8 @@ def _greedy_prefixes(d: WiringDiagram) -> list[list]:
     sizes are walked from n-1 down, size k-1's sources being size k's
     less k', so the walks share their set-up and meet the sets in the
     traversal order of the extremal indices, the order in which
-    ``extremal._walk_program``, this walk's one reader in the library,
-    lists them. That order gives the fresh-id rule: a set's fresh id is
+    ``_compile_walk``, this walk's one reader in the library, lists
+    them. That order gives the fresh-id rule: a set's fresh id is
     the least id of its path that no set met before it climbs, or None.
     At k = n the one sink set is every strand, reached by no climb. The
     oracle builds the same sets, ids and fresh ids another way
@@ -350,6 +366,42 @@ def _greedy_prefixes(d: WiringDiagram) -> list[list]:
         placed[r] = 0
         start ^= 1 << (r - 1)
     return out
+
+
+def _compile_walk(d: WiringDiagram) -> tuple[tuple, tuple, tuple]:
+    """The inverse walk compiled for the diagram's cell, which
+    ``membership._solve`` runs and the diagram holds as its ``walk``: per
+    size 1..n-1, the indices that the sweep reaches, in lexicographic
+    order, the sweep program's own tuples; and one step per independent
+    generating index, in traversal order, (its size, its index's position
+    in that size's indices, its new weight id, or None at the size's unit,
+    the ids to divide by); then the extremal indices in traversal order
+    (larger size first, then lexicographically), the same tuples as the
+    first field's. Within a size each left-greedy collection is the one
+    before it plus one climbed path, so the value at a step, divided by the
+    value at the step before it in its size, is the product of the weights
+    on the paths added since: those of the dependent indices skipped and
+    the step's own. The ids to divide by are those less the new id. Built
+    in one loop over the greedy walk's prefixes (``_greedy_prefixes``,
+    which gives each its fresh id), with no records: each size's unit is
+    its lexicographically least index, at position 0, a step that every
+    cell of this n shares (``_lex_table``), and a prefix with no fresh id
+    only adds its path to those since the base. ``verify`` checks the steps
+    and the extremal indices against the oracle's generators."""
+    indices, units = d.sweep.indices, _lex_table(d.n)[2]
+    walks, steps = _greedy_prefixes(d), []
+    for k in range(d.n - 1, 0, -1):
+        block, i, over = indices[k - 1], 0, ()  # over: the paths since the base
+        steps.append(units[k - 1])
+        for I, _, climbed, new in walks[k - 1]:
+            over += climbed
+            if new is None:
+                continue
+            i = block.index(I, i)
+            j = over.index(new)                 # new is in over once
+            steps.append((k, i, new, over[:j] + over[j + 1:]))
+            over = ()
+    return indices, tuple(steps), tuple([p[0] for ps in walks[-2::-1] for p in ps])
 
 
 if __name__ == "__main__":

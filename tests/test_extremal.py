@@ -189,7 +189,6 @@ def test_verify_cell_checks_the_generator_counts(monkeypatch):
     program that ``_solve`` runs with its position shifted, or with an id
     dropped from those it divides by (on the S4 top cell, whose steps
     divide by some), and the program's extremal indices out of order."""
-    import tnnflag.extremal as extremal
     import tnnflag.oracle as oracle
     from tnnflag.wiring import WiringDiagram
 
@@ -247,9 +246,9 @@ def test_verify_cell_checks_the_generator_counts(monkeypatch):
             ((EX_V, EX_W), r"walk step at \(1, 3, 4\) disagrees", shifted),
             (top, r"walk step at \(1, 4\) disagrees", dropped),
             ((EX_V, EX_W), "walk program does not list", swapped)):
-        program = extremal._walk_program(v, w)
-        monkeypatch.setattr(oracle, "_walk_program",
-                            lambda v, w: tamper(*program))
+        d = build_diagram(v, w)
+        monkeypatch.setattr(oracle, "build_diagram",
+                            lambda v, w: d._replace(walk=tamper(*d.walk)))
         with pytest.raises(AssertionError, match=message):
             oracle._verify_cell(v, w, 0, 0)
         monkeypatch.undo()

@@ -1,29 +1,28 @@
 """The one greedy walk (``wiring._greedy_prefixes``), from which the
 inverse walk that ``membership._solve`` runs is compiled
-(``extremal._walk_program``), against frozen copies of the bodies it
-replaced: the generators read their weight ids off ``Path`` and
-``PathCollection`` records built by a walk with a dict of held strands.
-And the walk and the generators as they were before the sink sets came
-off ``_lex_table`` and the sizes were walked in order: sink sets built by
-sorting a set, the generators gathered in a dict of every index and
-sorted once by ``precedes_key``. The walk program's extremal indices,
-its steps and ``s_vw`` must agree with those copies' generators: each
-step must read its generator's index and divide by the ids added since
-the independent generator before it in its size. The oracle's
-collections (``oracle.graph_extremal_collections``), listed by brute
-force, must be the record walk's.
+(``wiring._compile_walk``, the diagram's ``walk``), against frozen
+copies of the bodies it replaced: the generators read their weight ids
+off ``Path`` and ``PathCollection`` records built by a walk with a dict
+of held strands. And the walk and the generators as they were before the
+sink sets came off ``_lex_table`` and the sizes were walked in order:
+sink sets built by sorting a set, the generators gathered in a dict of
+every index and sorted once by ``precedes_key``. The walk program's
+extremal indices, its steps and ``s_vw`` must agree with those copies'
+generators: each step must read its generator's index and divide by the
+ids added since the independent generator before it in its size. The
+oracle's collections (``oracle.graph_extremal_collections``), listed by
+brute force, must be the record walk's.
 """
 
 import random
 
 import pytest
 
-from tnnflag.extremal import _walk_program
 from tnnflag.oracle import (
     Generator, Path, PathCollection, graph_extremal_collections,
 )
 from tnnflag.perms import bruhat_pairs, identity, longest_element
-from tnnflag.wiring import _greedy_prefixes, _reached, build_diagram
+from tnnflag.wiring import _greedy_prefixes, build_diagram
 
 from walk_reference import assert_program_matches, generators
 
@@ -161,14 +160,14 @@ def test_walk_and_generators_match_the_sorting_versions():
 
 def test_each_generator_adds_its_path_to_the_one_before():
     """Every S3-S5 cell, 300 seeded S6 cells and the S6-S8 top cells: the
-    walk program lists the sweep's indices, and its steps, its extremal
-    indices and ``s_vw`` agree with the frozen generators
+    walk program lists the sweep's own per-size tuples, and its steps, its
+    extremal indices and ``s_vw`` agree with the frozen generators
     (``assert_program_matches``). ``_solve`` reads each value against the
     one before it by this, and ``verify`` checks it against the oracle's
     generators too."""
     for v, w in _cells() + [(identity(6), longest_element(6))]:
-        assert list(_walk_program(v, w)[0]) == _reached(build_diagram(v, w)), \
-            (v, w)
+        d = build_diagram(v, w)
+        assert d.walk[0] is d.sweep.indices, (v, w)
         assert_program_matches(v, w, generators(v, w))
 
 

@@ -13,8 +13,8 @@ cells, and references that only the tests read live under ``tests/``.
 README's API list names exactly the exports, module by module.
 Memory stays bounded: no function sits in an unbounded ``lru_cache``
 (``UNBOUNDED_CACHES`` names none; the per-n tables keep their latest n),
-and the per-cell caches hold at most a fixed number of cells, enough for
-every cell of S3-S5.
+the one per-cell cache holds at most a fixed number of cells, enough for
+every cell of S3-S5, and a cell's record keeps within a byte budget.
 The compiled sweep is ``wiring``'s own: no other module reads a
 diagram's ``sweep`` or a ``SweepProgram``'s fields, so the program's
 layout can change inside ``wiring`` alone.
@@ -90,9 +90,10 @@ def test_library_does_not_enumerate_path_collections(path):
     "path", _modules_except({"oracle"}), ids=lambda p: p.stem)
 def test_only_the_oracle_has_the_generators(path):
     """The library's one product of the greedy walk is the compiled walk
-    (``extremal._walk_program``); the generator records, built from the
-    listed path collections, are the oracle's reference for it. No other
-    module defines, assigns or imports ``generators`` or ``Generator``."""
+    (``wiring._compile_walk``, which the diagram's record holds); the
+    generator records, built from the listed path collections, are the
+    oracle's reference for it. No other module defines, assigns or
+    imports ``generators`` or ``Generator``."""
     tree = ast.parse(path.read_text())
     named = {node.name for node in ast.walk(tree)
              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
@@ -207,22 +208,54 @@ def test_only_the_listed_functions_have_unbounded_caches():
 
 
 def test_per_cell_caches_are_bounded():
-    """The caches per cell (the diagram and the compiled walk), the one
-    per w (``wiring._w_word``), which ``build_diagram`` reads for every
-    cell of that w, and the one per flag (``extremal._flag_perm``), the
-    deciders' cell read's one cache, which it looks up for each of a
-    cell's two flags."""
-    from tnnflag.extremal import _flag_perm, _walk_program
+    """The one cache per cell (the diagram, whose record holds the sweep
+    and walk programs), the one per w (``wiring._w_word``), which
+    ``build_diagram`` reads for every cell of that w, and the one per flag
+    (``extremal._flag_perm``), the deciders' cell read's one cache, which
+    it looks up for each of a cell's two flags."""
+    from tnnflag.extremal import _flag_perm
     from tnnflag.perms import all_perms, bruhat_pairs
     from tnnflag.wiring import _w_word, build_diagram
     assert sum(len(bruhat_pairs(n)) for n in (3, 4, 5)) == S3_TO_S5_CELLS
-    for cache in (build_diagram, _walk_program, _w_word):
+    for cache in (build_diagram, _w_word):
         maxsize = cache.cache_parameters()["maxsize"]
         assert maxsize is not None and maxsize >= S3_TO_S5_CELLS
     # the cell read's cache of flags holds every flag of S3-S5, and more
     maxsize = _flag_perm.cache_parameters()["maxsize"]
     assert maxsize is not None \
         and maxsize >= sum(len(list(all_perms(n))) for n in (3, 4, 5))
+
+
+# Mean bytes that tracemalloc finds retained per S4 cell once every cell's
+# record is compiled, as the test below counts them: 1775 measured on
+# Python 3.11.7 (about 2630 when the walk program had a cache of its own
+# and the -1 segments were stored), times 1.25.
+S4_RECORD_BUDGET = 2219
+
+
+def test_cell_records_keep_within_a_byte_budget():
+    """Every S4 cell's record compiled from empty caches (the diagram, and
+    w's word per w), with the per-n tables made before the count starts,
+    holds at most ``S4_RECORD_BUDGET`` bytes per cell on average."""
+    import gc
+    import tracemalloc
+    from tnnflag.perms import bruhat_pairs
+    from tnnflag.wiring import _lex_table, _w_word, build_diagram
+    cells = bruhat_pairs(4)
+    build_diagram.cache_clear()
+    _w_word.cache_clear()
+    _lex_table(4)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = [build_diagram(v, w) for v, w in cells]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 213
+    assert retained / len(cells) <= S4_RECORD_BUDGET, retained / len(cells)
 
 
 @pytest.mark.parametrize(

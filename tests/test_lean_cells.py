@@ -1,13 +1,16 @@
 """Differential tests of the per-cell bookkeeping against frozen copies of
 the bodies it replaced.
 
-`build_diagram` makes its records with `tuple.__new__` and orders its
-sweep's states by a per-n rank table; the frozen copy below built them
-with the records' own constructors and filtered every strand mask of
-`_lex_table`. The generators were read off each prefix's weight ids and
-the one source that the walk adds; the frozen copy below summed every
-path of every prefix. The diagram must give equal records of the same
-types, sweep included, and the walk program (`extremal._walk_program`),
+`build_diagram` makes its records with `tuple.__new__`, orders its
+sweep's states by a per-n rank table, holds each size's indices in a
+tuple of its own and makes the -1 segments when they are read; the
+frozen copy below built them with the records' own constructors,
+filtered every strand mask of `_lex_table`, listed the indices in one
+flat tuple with the bounds of each size, and stored the segments. The
+generators were read off each prefix's weight ids and the one source
+that the walk adds; the frozen copy below summed every path of every
+prefix. The diagram must give equal records of the same types, sweep
+included (per size), and the walk program (the diagram's `walk`),
 its extremal indices and `s_vw` must agree with the frozen generators, on
 every S3-S5 cell, 300 seeded S6 cells and the S6-S8 top cells.
 
@@ -32,6 +35,7 @@ import random
 from fractions import Fraction
 from itertools import chain, combinations
 from operator import le
+from typing import NamedTuple
 
 from tnnflag import extremal
 from tnnflag.extremal import (
@@ -78,12 +82,34 @@ def _build_diagram_frozen(v, w):
                                       strand[i - 1], strand[i]))
     edges.reverse()
     segments.reverse()
-    return WiringDiagram(
+    return _FrozenDiagram(
         n=n, cell=(v, w), source_label=v,
         edges=tuple(edges), neg_segments=tuple(segments),
         w_word=w_word, v_positions=v_pos,
         sweep=_compile_sweep_frozen(v, edges),
     )
+
+
+class _FrozenDiagram(NamedTuple):
+    """The diagram's fields when it stored its -1 segments and had no
+    walk program."""
+    n: int
+    cell: tuple
+    source_label: tuple
+    edges: tuple
+    neg_segments: tuple
+    w_word: tuple
+    v_positions: tuple
+    sweep: tuple
+
+
+class _FrozenSweep(NamedTuple):
+    """The sweep program with one flat tuple of indices and the bounds of
+    each size in it."""
+    steps: tuple
+    order: tuple
+    indices: tuple
+    bounds: tuple
 
 
 def _lex_table_frozen(n):
@@ -116,7 +142,7 @@ def _compile_sweep_frozen(v, edges):
     table = _lex_table_frozen(n)
     lex = list(filter(pos.__contains__, table))
     sizes = list(map(int.bit_count, lex))
-    return SweepProgram(tuple(steps), tuple(map(pos.__getitem__, lex)),
+    return _FrozenSweep(tuple(steps), tuple(map(pos.__getitem__, lex)),
                         tuple(map(table.__getitem__, lex)),
                         (*map(sizes.index, range(1, n)), len(lex)))
 
@@ -200,11 +226,19 @@ def _cells():
 
 
 def test_build_diagram_matches_the_frozen_build():
-    """Field for field, the sweep program included, with every record of
-    its own type."""
+    """Field for field, with every record of its own type: the -1
+    segments, made when read, are the stored ones, and the sweep program
+    has the same steps and order, and per size the frozen flat indices
+    between that size's bounds."""
     for v, w in _cells():
         got, want = build_diagram(v, w), _build_diagram_frozen(v, w)
-        assert got == want, (v, w)
+        assert (got.n, got.cell, got.source_label, got.edges, got.w_word,
+                got.v_positions, got.neg_segments) == (
+            want.n, want.cell, want.source_label, want.edges, want.w_word,
+            want.v_positions, want.neg_segments), (v, w)
+        steps, order, indices, bounds = want.sweep
+        assert got.sweep == (steps, order, tuple(
+            indices[a:b] for a, b in zip(bounds, bounds[1:]))), (v, w)
         assert type(got) is WiringDiagram and type(got.sweep) is SweepProgram
         assert all(type(e) is VerticalEdge for e in got.edges)
         assert all(type(s) is NegativeSegment for s in got.neg_segments)

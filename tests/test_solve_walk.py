@@ -1,7 +1,7 @@
 """Differential test of the inverse walk.
 
 `membership._solve` runs the cell's compiled walk
-(`extremal._walk_program`) with the semiring arithmetic written out,
+(the cached diagram's `walk`) with the semiring arithmetic written out,
 reads each value by its position in the cell's block of the integer
 view (realigning a block that lists other indices onto the cell's),
 reads each size's unit as the walk meets it and keeps the classical

@@ -95,18 +95,19 @@ def _decoded_program(d):
     """The diagram's sweep program read back through its index order, in
     the replay's terms: per step, (weight_id, the edge's moves as (source
     mask, destination mask)). The index order lists every position once,
-    by size and then lexicographically, starting each size where the
-    program says; the sources 1'..k' hold the first positions, every
+    by size and then lexicographically, each size's indices in a tuple of
+    their own; the sources 1'..k' hold the first positions, every
     position read is one reached before the step, and each new state
     takes the next position."""
-    _, order, indices, bounds = d.sweep
+    _, order, indices = d.sweep
     assert sorted(order) == list(range(len(order)))
-    assert list(indices) == sorted(set(indices), key=lambda I: (len(I), I))
-    assert [len(I) for I in indices] == [
-        k for k, (a, b) in enumerate(zip(bounds, bounds[1:]), start=1)
-        for _ in range(a, b)]
+    assert len(indices) == d.n - 1 and all(
+        type(block) is tuple and block and {*map(len, block)} == {k}
+        for k, block in enumerate(indices, start=1))
+    flat = [I for block in indices for I in block]
+    assert flat == sorted(set(flat), key=lambda I: (len(I), I))
     masks = [0] * len(order)
-    for i, I in zip(order, indices):
+    for i, I in zip(order, flat):
         masks[i] = sum(1 << (r - 1) for r in I)
     assert list(masks[:d.n - 1]) == [
         sum(1 << (d.strand_of_label(lb) - 1) for lb in range(1, k + 1))

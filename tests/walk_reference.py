@@ -4,12 +4,12 @@ while it still had them: the walk references of the tests, which stay as
 cheap as the walk. ``tnnflag.oracle`` builds the same records another
 way, from the Xi chains and the path collections listed one by one; the
 tests check the two against each other. ``assert_program_matches``
-checks the library's compiled walk (``extremal._walk_program``) and
+checks the library's compiled walk (the cached diagram's ``walk``) and
 ``s_vw`` against generator records."""
 
 from functools import lru_cache
 
-from tnnflag.extremal import _walk_program, s_vw
+from tnnflag.extremal import s_vw
 from tnnflag.oracle import Generator, Path, PathCollection
 from tnnflag.wiring import _greedy_prefixes, build_diagram
 
@@ -59,7 +59,7 @@ def assert_program_matches(v, w, gens):
     divides by nothing), and divides by ids that, with the new one, are
     the generator's ids beyond the independent one before it in its size,
     as multisets."""
-    indices, steps, extremal = _walk_program(v, w)
+    indices, steps, extremal = build_diagram(v, w).walk
     assert extremal == tuple(g.index for g in gens), (v, w)
     for I in extremal:
         block = indices[len(I) - 1]
